@@ -20,13 +20,11 @@ use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer, SearchStrategy};
 use cm_enforce::{EcmpConfig, GuaranteeModel};
 use cm_race::explore::{explore_exhaustive, Caps, ExploreReport};
 use cm_race::schedule::Mutation;
-use cm_sim::admission::PlacerAdmission;
-use cm_sim::events::run_sim_timed;
 use cm_sim::faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
 use cm_sim::lifecycle::{run_churn, ChurnConfig, ChurnReport};
 use cm_sim::schedule::{build_schedule, run_schedule_concurrent, Schedule};
 use cm_sim::traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport};
-use cm_sim::SimConfig;
+use cm_sim::{run_sim, SimConfig};
 use cm_topology::{gbps, TreeSpec};
 use cm_workloads::{bing_like_pool, TenantPool};
 use std::fmt::Write as _;
@@ -59,20 +57,17 @@ fn bench_one<P: Placer>(
     cfg.arrivals = ((cfg.arrivals as f64 * scale) as usize).max(50);
     let mut rows: Vec<BenchRow> = (0..reps.max(1))
         .map(|_| {
-            let placer = make();
-            let name = placer.name().to_string();
-            let mut adm = PlacerAdmission::from_placer(placer);
             let t0 = Instant::now();
-            let (res, timings) = run_sim_timed(&cfg, pool, &mut adm);
+            let res = run_sim(&cfg, pool, make());
             let wall = t0.elapsed().as_secs_f64();
             BenchRow {
-                name,
+                name: res.algo.to_string(),
                 arrivals: cfg.arrivals,
                 admitted: res.rejections.arrivals - res.rejections.rejected_tenants,
                 wall_secs: wall,
-                admit_secs: timings.total_secs(),
-                p50_us: timings.quantile_secs(0.5).unwrap_or(0.0) * 1e6,
-                p99_us: timings.quantile_secs(0.99).unwrap_or(0.0) * 1e6,
+                admit_secs: res.admit.total_secs(),
+                p50_us: res.admit.quantile_us(0.5).unwrap_or(0.0),
+                p99_us: res.admit.quantile_us(0.99).unwrap_or(0.0),
             }
         })
         .collect();
@@ -525,7 +520,7 @@ fn main() {
         .iter()
         .map(|r| {
             vec![
-                r.placer.to_string(),
+                r.churn.placer.to_string(),
                 format!("{}/{}/{}", r.domain_kills, r.server_kills, r.degrades),
                 r.vms_lost.to_string(),
                 format!("{}/{}", r.tenants_evicted, r.tenants_damaged),
@@ -761,9 +756,9 @@ fn main() {
              \"repair_p50_ms\": {:.3}, \"repair_p99_ms\": {:.3}, \
              \"degraded_arrivals\": {}, \"violation_seconds\": {:.1}, \
              \"wall_secs\": {:.4}}}{comma}",
-            r.placer,
-            r.admitted,
-            r.departs,
+            r.churn.placer,
+            r.churn.admitted,
+            r.churn.departs,
             r.domain_kills,
             r.server_kills,
             r.degrades,
@@ -779,7 +774,7 @@ fn main() {
             r.repair.quantile_us(0.99).unwrap_or(0.0) / 1000.0,
             r.degraded_arrivals,
             r.violation_seconds,
-            r.wall_secs,
+            r.churn.wall_secs,
         );
     }
     let _ = writeln!(json, "    ]");

@@ -4,8 +4,8 @@
 //!
 //! Expected shape: rejection grows with `B_max`; OVOC rejects a multiple
 //! of CM's bandwidth. Note on the x-range: our synthetic bing pool shifts
-//! the rejection onset to higher `B_max` than the proprietary dataset
-//! (see EXPERIMENTS.md), so the sweep extends to 2000 Mbps.
+//! the rejection onset to higher `B_max` than the proprietary dataset,
+//! so the sweep extends to 2000 Mbps.
 
 use cm_bench::{pct, print_table, RunMode};
 use cm_core::placement::CmConfig;

@@ -6,8 +6,7 @@
 //! Every binary prints a self-describing table with the paper's expected
 //! qualitative shape noted, and accepts `--full` to run at the paper's
 //! scale (10,000 arrivals) instead of the faster default. All runs are
-//! seeded and deterministic. See `EXPERIMENTS.md` at the workspace root
-//! for recorded paper-vs-measured comparisons.
+//! seeded and deterministic.
 
 use cm_sim::SimConfig;
 

@@ -287,18 +287,6 @@ struct TenantEntry {
     version: u64,
 }
 
-/// The single admission front door shared by [`Cluster::admit`] and the
-/// legacy borrowed-topology adapters (`cm-sim`'s `PlacerAdmission` delegates
-/// here), so there is exactly one place where a TAG turns into a live
-/// deployment.
-pub fn admit_with<P: Placer + ?Sized>(
-    topo: &mut Topology,
-    placer: &mut P,
-    tag: &Arc<Tag>,
-) -> Result<Deployed, RejectReason> {
-    placer.place_shared(topo, tag)
-}
-
 /// The unified tenant-lifecycle controller (see the [module docs](self)).
 pub struct Cluster<P: Placer> {
     topo: Topology,
@@ -371,7 +359,7 @@ impl<P: Placer> Cluster<P> {
     /// [`Cluster::depart`]; on rejection the datacenter is untouched.
     pub fn admit(&mut self, spec: impl Into<TagSpec>) -> Result<TenantHandle, CmError> {
         let TagSpec(tag) = spec.into();
-        let deployed = admit_with(&mut self.topo, &mut self.placer, &tag)?;
+        let deployed = self.placer.place_shared(&mut self.topo, &tag)?;
         let id = TenantId(self.next_id);
         self.next_id += 1;
         self.tenants.insert(

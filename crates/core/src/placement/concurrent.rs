@@ -390,9 +390,12 @@ pub fn run_events_serial<P: Placer>(
     mut placer: P,
 ) -> Vec<EventOutcome> {
     let mut t = topo.clone();
+    // Indexed by event, like `Event::Depart::arrival`, so a departure
+    // finds its tenant without recounting the arrivals before it.
     let mut live: Vec<Option<Deployed>> = Vec::new();
-    let mut out = Vec::new();
-    for e in events {
+    live.resize_with(events.len(), || None);
+    let mut out = Vec::with_capacity(events.len());
+    for (i, e) in events.iter().enumerate() {
         match e {
             Event::Arrive { tag } => {
                 let mut trace = PlacementTrace::default();
@@ -406,25 +409,16 @@ pub fn run_events_serial<P: Placer>(
                             tier_sizes: d.tier_sizes(),
                             wcs: d.wcs_at_level(&t, wcs_level),
                         };
-                        live.push(Some(d));
+                        live[i] = Some(d);
                         out.push(EventOutcome::Arrival(ConcurrentOutcome::Admitted(
                             Arc::new(rec),
                         )));
                     }
-                    Err(r) => {
-                        live.push(None);
-                        out.push(EventOutcome::Arrival(ConcurrentOutcome::Rejected(r)));
-                    }
+                    Err(r) => out.push(EventOutcome::Arrival(ConcurrentOutcome::Rejected(r))),
                 }
             }
             Event::Depart { arrival } => {
-                // Arrival indices count events; live is indexed by
-                // arrival order, so map through the event list.
-                let arrivals_before = events[..*arrival]
-                    .iter()
-                    .filter(|e| matches!(e, Event::Arrive { .. }))
-                    .count();
-                if let Some(d) = live[arrivals_before].take() {
+                if let Some(d) = live[*arrival].take() {
                     d.release(&mut t);
                 }
                 out.push(EventOutcome::Departure);

@@ -24,8 +24,7 @@
 //! ([`fluid`]): steady-state TCP throughput on a network of capacitated
 //! links is max-min fair allocation, which progressive filling computes
 //! exactly; ElasticSwitch's converged state is modeled by floors
-//! (guarantees) plus guarantee-weighted filling of the spare
-//! (see `DESIGN.md` for the substitution argument).
+//! (guarantees) plus guarantee-weighted filling of the spare.
 //!
 //! [`datacenter`] scales the substitution to the whole datacenter: every
 //! admitted tenant's placement expands into VM-pair flows routed over the

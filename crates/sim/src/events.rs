@@ -1,25 +1,21 @@
 //! The Poisson arrival/departure event loop (§5 "Simulation Setup").
 //!
-//! Since the lifecycle redesign the loop itself is a thin driver over a
-//! [`cm_cluster::Cluster`]: arrivals become [`Cluster::admit`], departures
-//! become [`Cluster::depart`], and the cluster owns the topology and the
-//! tenant registry. Decisions are bit-identical to the pre-redesign loop
-//! (the cluster's admission front door calls the same
-//! `Placer::place_shared` in the same order), which
-//! `tests/cluster_decisions.rs` pins with golden fingerprints.
+//! [`run_sim`] takes any [`Placer`](cm_core::placement::Placer) and drives
+//! it through a [`cm_cluster::Cluster`]: arrivals are [`Cluster::admit`],
+//! departures are [`Cluster::depart`], and the cluster owns the topology
+//! and the tenant registry. `tests/cluster_decisions.rs` pins the
+//! decisions of every placer with golden fingerprints.
 
-use crate::admission::Admission;
-use crate::metrics::{RejectionCounts, WcsAccumulator, WcsByLevel, WcsStats};
+use crate::metrics::{OpLatencies, RejectionCounts, WcsAccumulator, WcsByLevel, WcsStats};
 use cm_cluster::{Cluster, TenantId};
-use cm_core::model::Tag;
-use cm_core::placement::{Deployed, Placer, RejectReason};
+use cm_core::placement::{Placer, RejectReason};
 use cm_topology::{Kbps, Topology, TreeSpec};
 use cm_workloads::TenantPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::time::Instant;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -57,6 +53,25 @@ impl SimConfig {
             wcs_level: 0,
         }
     }
+
+    /// The arrival rate λ solved from the configured load exactly as in
+    /// the paper: `λ = load · total_slots / (T_s · T_d)`, with `T_s` the
+    /// mean tenant size of `pool`.
+    pub(crate) fn arrival_rate(&self, pool: &TenantPool) -> f64 {
+        let lambda = self.load * self.spec.total_slots() as f64 / (pool.mean_size() * self.td_mean);
+        assert!(lambda > 0.0, "load must be positive");
+        lambda
+    }
+}
+
+/// `pool` scaled so its peak mean per-VM demand is `bmax_kbps`; `0` keeps
+/// the pool's relative units.
+pub(crate) fn scale_pool(pool: &TenantPool, bmax_kbps: Kbps) -> TenantPool {
+    if bmax_kbps > 0 {
+        pool.scaled_to_bmax(bmax_kbps)
+    } else {
+        pool.clone()
+    }
 }
 
 /// Result of a simulation run.
@@ -75,6 +90,9 @@ pub struct SimResult {
     pub wcs_by_level: Vec<WcsStats>,
     /// Peak number of concurrently deployed tenants.
     pub peak_tenants: usize,
+    /// Wall-clock latency of every `admit` call (accepted and rejected),
+    /// in arrival order. Empty for schedule runs, which are not timed.
+    pub admit: OpLatencies,
 }
 
 #[derive(PartialEq)]
@@ -100,103 +118,19 @@ impl PartialOrd for Departure {
     }
 }
 
-/// Per-placement latency observations of an instrumented simulation run
-/// (see [`run_sim_timed`]).
-#[derive(Debug, Clone, Default)]
-pub struct AdmissionTimings {
-    /// Wall-clock seconds of every `admit` call (accepted and rejected),
-    /// in arrival order.
-    pub admit_secs: Vec<f64>,
-}
-
-impl AdmissionTimings {
-    /// Total seconds spent inside the admission controller.
-    pub fn total_secs(&self) -> f64 {
-        self.admit_secs.iter().sum()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) of per-placement latency, by the
-    /// nearest-rank method. `None` when no placements were recorded.
-    pub fn quantile_secs(&self, q: f64) -> Option<f64> {
-        if self.admit_secs.is_empty() {
-            return None;
-        }
-        let mut sorted = self.admit_secs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-}
-
 /// Run one simulation: `arrivals` Poisson arrivals sampled uniformly from
-/// `pool` (scaled to `B_max`), exponential dwell times, against a fresh
-/// topology and the given admission controller.
-///
-/// The arrival rate λ is solved from the configured load exactly as in the
-/// paper: `λ = load · total_slots / (T_s · T_d)`.
-pub fn run_sim(cfg: &SimConfig, pool: &TenantPool, admission: &mut dyn Admission) -> SimResult {
-    run_sim_inner(cfg, pool, admission, None)
-}
-
-/// [`run_sim`] with per-placement latency instrumentation — the
-/// `bench_admission` macro-benchmark's entry point. The event sequence is
-/// identical to the untimed run (timing happens around the `admit` calls).
-pub fn run_sim_timed(
-    cfg: &SimConfig,
-    pool: &TenantPool,
-    admission: &mut dyn Admission,
-) -> (SimResult, AdmissionTimings) {
-    let mut t = AdmissionTimings {
-        admit_secs: Vec::with_capacity(cfg.arrivals),
-    };
-    let r = run_sim_inner(cfg, pool, admission, Some(&mut t));
-    (r, t)
-}
-
-/// Lifts a borrowed `dyn Admission` into a [`Placer`] so the event loop
-/// can hand it to the lifecycle controller; admission stays dyn-dispatched
-/// exactly as before the redesign.
-struct DynPlacer<'a>(&'a mut dyn Admission);
-
-impl Placer for DynPlacer<'_> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn place(&mut self, topo: &mut Topology, tag: &Tag) -> Result<Deployed, RejectReason> {
-        self.0.admit(topo, tag)
-    }
-
-    fn place_shared(
-        &mut self,
-        topo: &mut Topology,
-        tag: &Arc<Tag>,
-    ) -> Result<Deployed, RejectReason> {
-        self.0.admit_shared(topo, tag)
-    }
-}
-
-fn run_sim_inner(
-    cfg: &SimConfig,
-    pool: &TenantPool,
-    admission: &mut dyn Admission,
-    mut timings: Option<&mut AdmissionTimings>,
-) -> SimResult {
-    let pool = if cfg.bmax_kbps > 0 {
-        pool.scaled_to_bmax(cfg.bmax_kbps)
-    } else {
-        pool.clone()
-    };
-    let algo = admission.name();
-    let mut cluster = Cluster::adopt(Topology::build(&cfg.spec), DynPlacer(admission));
+/// `pool` (scaled to `B_max`) at the load-derived rate, exponential dwell
+/// times, against a fresh topology and the given placer. Heterogeneous
+/// placer sets go through `Box<dyn Placer>`.
+pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimResult {
+    let pool = scale_pool(pool, cfg.bmax_kbps);
+    let lambda = cfg.arrival_rate(&pool);
+    let algo = placer.name();
+    let mut cluster = Cluster::adopt(Topology::build(&cfg.spec), placer);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    let total_slots = cfg.spec.total_slots() as f64;
-    let ts = pool.mean_size();
-    let lambda = cfg.load * total_slots / (ts * cfg.td_mean);
-    assert!(lambda > 0.0, "load must be positive");
-
     let mut counts = RejectionCounts::default();
+    let mut admit = OpLatencies::default();
     let mut wcs_acc = WcsAccumulator::default();
     let mut wcs_levels = WcsByLevel::new(cluster.topology());
     let mut departures: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
@@ -222,11 +156,9 @@ fn run_sim_inner(
         counts.arrivals += 1;
         counts.total_vms += vms;
         counts.total_bw_kbps += bw;
-        let t0 = timings.as_ref().map(|_| std::time::Instant::now());
+        let t0 = Instant::now();
         let outcome = cluster.admit(tag);
-        if let (Some(t), Some(t0)) = (timings.as_deref_mut(), t0) {
-            t.admit_secs.push(t0.elapsed().as_secs_f64());
-        }
+        admit.push(t0.elapsed().as_secs_f64());
         match outcome {
             Ok(handle) => {
                 let deployed = cluster.deployed(handle.id()).expect("just admitted");
@@ -282,11 +214,12 @@ fn run_sim_inner(
         wcs: wcs_acc.finish(),
         wcs_by_level: wcs_levels.finish(),
         peak_tenants: peak,
+        admit,
     }
 }
 
 /// Exponential sample with the given rate via inverse CDF.
-fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
+pub(crate) fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
     let u: f64 = rng.random_range(f64::EPSILON..1.0);
     -u.ln() / rate
 }
@@ -294,7 +227,8 @@ fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{CmAdmission, OvocAdmission};
+    use cm_baselines::OvocPlacer;
+    use cm_core::placement::CmPlacer;
     use cm_topology::mbps;
     use cm_workloads::mixed_pool;
 
@@ -313,9 +247,9 @@ mod tests {
     #[test]
     fn sim_runs_and_balances_books() {
         let pool = mixed_pool(1);
-        let mut cm = CmAdmission::new();
-        let r = run_sim(&small_cfg(), &pool, &mut cm);
+        let r = run_sim(&small_cfg(), &pool, CmPlacer::default());
         assert_eq!(r.rejections.arrivals, 150);
+        assert_eq!(r.admit.count(), 150);
         assert!(r.peak_tenants > 0);
         assert!(r.rejections.tenant_rate() <= 1.0);
         // Per-level WCS: one entry per fault-domain level, and the entry at
@@ -331,8 +265,8 @@ mod tests {
     #[test]
     fn sim_is_deterministic() {
         let pool = mixed_pool(1);
-        let a = run_sim(&small_cfg(), &pool, &mut CmAdmission::new());
-        let b = run_sim(&small_cfg(), &pool, &mut CmAdmission::new());
+        let a = run_sim(&small_cfg(), &pool, CmPlacer::default());
+        let b = run_sim(&small_cfg(), &pool, CmPlacer::default());
         assert_eq!(a.rejections, b.rejections);
         assert_eq!(a.wcs, b.wcs);
     }
@@ -343,7 +277,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.load = 0.05;
         cfg.bmax_kbps = mbps(10.0);
-        let r = run_sim(&cfg, &pool, &mut CmAdmission::new());
+        let r = run_sim(&cfg, &pool, CmPlacer::default());
         assert_eq!(
             r.rejections.rejected_tenants, 0,
             "negligible load must be fully admitted"
@@ -358,8 +292,8 @@ mod tests {
         cfg.arrivals = 250;
         cfg.load = 0.9;
         cfg.bmax_kbps = mbps(400.0);
-        let cm = run_sim(&cfg, &pool, &mut CmAdmission::new());
-        let ovoc = run_sim(&cfg, &pool, &mut OvocAdmission::new());
+        let cm = run_sim(&cfg, &pool, CmPlacer::default());
+        let ovoc = run_sim(&cfg, &pool, OvocPlacer::new());
         assert!(
             cm.rejections.bw_rate() <= ovoc.rejections.bw_rate() + 1e-9,
             "CM {} vs OVOC {}",

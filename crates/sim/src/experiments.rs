@@ -3,13 +3,12 @@
 //! Each driver returns plain data rows; the `cm-bench` binaries print them.
 //! All drivers are seeded and deterministic.
 
-use crate::admission::{Admission, CmAdmission, OvocAdmission};
 use crate::events::{run_sim, SimConfig, SimResult};
 use crate::metrics::{reprice_by_level, PricedPlacement};
 use cm_cluster::Cluster;
 use cm_core::cut::CutModel;
 use cm_core::model::VocModel;
-use cm_core::placement::{CmConfig, CmPlacer, RejectReason};
+use cm_core::placement::{CmConfig, CmPlacer, Placer, RejectReason};
 use cm_topology::{kbps_to_gbps, NodeId, Topology, TreeSpec};
 use cm_workloads::TenantPool;
 use rand::rngs::StdRng;
@@ -113,7 +112,7 @@ pub struct SweepPoint {
     pub result: SimResult,
 }
 
-/// Kind of admission controller for sweep construction.
+/// Kind of placer for sweep construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algo {
     /// CloudMirror with the given configuration.
@@ -134,12 +133,12 @@ impl Algo {
         }
     }
 
-    /// Instantiate the admission controller.
-    pub fn admission(&self) -> Box<dyn Admission> {
-        match self {
-            Algo::Cm(cfg) => Box::new(CmAdmission::with_config(*cfg, self.label())),
-            Algo::CmLabeled(cfg, label) => Box::new(CmAdmission::with_config(*cfg, label)),
-            Algo::Ovoc => Box::new(OvocAdmission::new()),
+    /// Instantiate the placer.
+    pub fn placer(&self) -> Box<dyn Placer> {
+        match *self {
+            Algo::Cm(cfg) => Box::new(CmPlacer::new(cfg)),
+            Algo::CmLabeled(cfg, label) => Box::new(CmPlacer::named(cfg, label)),
+            Algo::Ovoc => Box::new(cm_baselines::OvocPlacer::new()),
         }
     }
 }
@@ -157,13 +156,12 @@ pub struct SweepCell {
 /// Run every cell and return the results in cell order. Cells are fanned
 /// across [`crate::parallel::par_map_indexed`] workers (default:
 /// [`crate::parallel::default_threads`]); each cell builds its own
-/// topology, RNG, and admission controller, so the results are identical
+/// topology, RNG, and placer, so the results are identical
 /// for any thread count — the experiment drivers below all funnel through
 /// here, which is what parallelizes every figure harness.
 pub fn run_sweep_cells(pool: &TenantPool, cells: Vec<SweepCell>, threads: usize) -> Vec<SimResult> {
     crate::parallel::par_map_indexed(threads, cells, |_, cell| {
-        let mut adm = cell.algo.admission();
-        run_sim(&cell.cfg, pool, adm.as_mut())
+        run_sim(&cell.cfg, pool, cell.algo.placer())
     })
 }
 

@@ -1,10 +1,12 @@
 //! Fault injection & recovery mid-churn: worst-case survivability as a
 //! **measured** quantity instead of a placement-time promise.
 //!
-//! [`run_churn_faults`] drives the autoscaling-churn workload of
-//! [`crate::lifecycle`] while periodically failing a fault domain, killing
-//! a single server, or degrading a link — then repairing a few arrivals
-//! later. Every domain kill is scored against the paper's Eq. 7 bound: a
+//! [`run_churn_faults`] watches the churn loop of [`crate::lifecycle`]:
+//! before every `fault_every`-th arrival it fails a fault domain, kills a
+//! single server, or degrades a link (targets drawn from the loop's own
+//! RNG), and repairs it a few arrivals later.
+//!
+//! Every domain kill is scored against the paper's Eq. 7 bound: a
 //! tier of `n` VMs placed under `rwcs` worst-case survivability may lose at
 //! most `wcs_cap(n, rwcs) = max(1, ⌊n·(1−rwcs)⌋)` VMs to any single fault
 //! domain, so its *measured* surviving fraction must stay at or above
@@ -19,13 +21,13 @@
 //! to what survived, so surviving guarantees stay enforceable even while
 //! the dead links are measured at zero capacity.
 
-use crate::lifecycle::{ChurnConfig, OpLatencies};
+use crate::lifecycle::{churn_loop, ChurnConfig, ChurnObserver, ChurnReport};
+use crate::metrics::OpLatencies;
 use cm_cluster::{Cluster, Fault, TenantId};
 use cm_core::placement::{wcs_cap, Placer};
-use cm_topology::Topology;
 use cm_workloads::TenantPool;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -65,13 +67,10 @@ impl FaultChurnConfig {
 /// Everything one fault-injection churn run produces.
 #[derive(Debug, Clone)]
 pub struct FaultChurnReport {
-    /// Placer display name.
-    pub placer: &'static str,
-    /// Admissions accepted.
-    pub admitted: usize,
-    /// Departures executed.
-    pub departs: usize,
-    /// Faults injected, by kind.
+    /// The underlying lifecycle-churn outcome (placer name, op counts,
+    /// latencies, wall-clock seconds).
+    pub churn: ChurnReport,
+    /// Fault domains killed.
     pub domain_kills: usize,
     /// Single-server kills.
     pub server_kills: usize,
@@ -103,14 +102,6 @@ pub struct FaultChurnReport {
     /// Σ traffic-guarantee violations over degraded arrivals, at one
     /// arrival per second.
     pub violation_seconds: f64,
-    /// Wall-clock seconds of the whole run.
-    pub wall_secs: f64,
-}
-
-/// One outstanding fault: what was injected, and when.
-struct Outstanding {
-    fault: Fault,
-    injected_at: usize,
 }
 
 /// Judge one fault report's damage against Eq. 7 and fold it into the run
@@ -141,6 +132,87 @@ fn judge_domain_kill(
     }
 }
 
+/// The churn observer that weaves the fault schedule through the loop.
+struct FaultInjector<'a> {
+    cfg: &'a FaultChurnConfig,
+    /// Faults not yet repaired, oldest first, with their injection arrival.
+    outstanding: Vec<(Fault, usize)>,
+    /// Everything but `churn`, which the loop returns.
+    report: FaultChurnReport,
+}
+
+impl FaultInjector<'_> {
+    fn repair<P: Placer>(&mut self, cluster: &mut Cluster<P>, fault: Fault) {
+        let t0 = Instant::now();
+        let r = cluster.repair(fault).expect("repairing an injected fault");
+        self.report.repair.push(t0.elapsed().as_secs_f64());
+        self.report.repairs += 1;
+        self.report.repair_failures += r.degraded.len();
+    }
+}
+
+impl<P: Placer> ChurnObserver<P> for FaultInjector<'_> {
+    fn before_arrival(&mut self, arrival: usize, cluster: &mut Cluster<P>, rng: &mut StdRng) {
+        // Repair every fault whose window has elapsed.
+        while let Some(&(fault, at)) = self.outstanding.first() {
+            if arrival < at + self.cfg.repair_after {
+                break;
+            }
+            self.outstanding.remove(0);
+            self.repair(cluster, fault);
+        }
+        // `fault_every == 0` divides no `arrival + 1 ≥ 1`: never.
+        if !(arrival + 1).is_multiple_of(self.cfg.fault_every) {
+            return;
+        }
+
+        // Inject the next scheduled fault: domain → server → link, in turn.
+        let report = &mut self.report;
+        let already: BTreeSet<TenantId> = cluster.faulted_tenants().collect();
+        let topo = cluster.topology();
+        let domains = topo.nodes_at_level(self.cfg.domain_level as usize);
+        let fault = match (report.domain_kills + report.server_kills + report.degrades) % 3 {
+            0 => Fault::Domain(domains[rng.random_range(0..domains.len())]),
+            1 => {
+                let servers = topo.servers();
+                Fault::Server(servers[rng.random_range(0..servers.len())])
+            }
+            _ => Fault::DegradeLink {
+                node: domains[rng.random_range(0..domains.len())],
+                fraction: 0.5,
+            },
+        };
+        let fr = cluster.inject_fault(fault).expect("valid fault target");
+        match fault {
+            Fault::Domain(_) => {
+                report.domain_kills += 1;
+                judge_domain_kill(&fr, &already, self.cfg.rwcs, report);
+            }
+            Fault::Server(_) => report.server_kills += 1,
+            Fault::DegradeLink { .. } => report.degrades += 1,
+        }
+        report.vms_lost += fr.lost_vms;
+        report.tenants_damaged += fr.tenants.iter().filter(|d| d.lost_vms > 0).count();
+        report.tenants_evicted += fr.tenants.iter().filter(|d| d.evicted).count();
+        self.outstanding.push((fault, arrival));
+    }
+
+    /// Degraded window: the traffic solve measures the dead links.
+    fn after_arrival(&mut self, _arrival: usize, cluster: &Cluster<P>) {
+        if !self.outstanding.is_empty() {
+            self.report.degraded_arrivals += 1;
+            self.report.violation_seconds += cluster.traffic_step().violations as f64;
+        }
+    }
+
+    /// Repair everything still outstanding, so the drain ends pristine.
+    fn before_drain(&mut self, cluster: &mut Cluster<P>) {
+        for (fault, _) in std::mem::take(&mut self.outstanding) {
+            self.repair(cluster, fault);
+        }
+    }
+}
+
 /// Run the churn workload with a deterministic fail → degrade → repair
 /// schedule woven through it (see the module docs). Faults rotate
 /// domain-kill → server-kill → link-degrade; every fault is repaired
@@ -151,158 +223,32 @@ pub fn run_churn_faults<P: Placer>(
     pool: &TenantPool,
     placer: P,
 ) -> FaultChurnReport {
-    let churn = &cfg.churn;
-    let pool = if churn.bmax_kbps > 0 {
-        pool.scaled_to_bmax(churn.bmax_kbps)
-    } else {
-        pool.clone()
+    let mut injector = FaultInjector {
+        cfg,
+        outstanding: Vec::new(),
+        report: FaultChurnReport {
+            churn: ChurnReport::default(),
+            domain_kills: 0,
+            server_kills: 0,
+            degrades: 0,
+            vms_lost: 0,
+            tenants_damaged: 0,
+            tenants_evicted: 0,
+            survivability_checks: 0,
+            survivability_violations: 0,
+            worst_survival: 1.0,
+            repairs: 0,
+            repair_failures: 0,
+            repair: OpLatencies::default(),
+            degraded_arrivals: 0,
+            violation_seconds: 0.0,
+        },
     };
-    let mut cluster = Cluster::adopt(Topology::build(&churn.spec), placer);
-    let mut rng = StdRng::seed_from_u64(churn.seed);
-    let mut report = FaultChurnReport {
-        placer: cluster.placer().name(),
-        admitted: 0,
-        departs: 0,
-        domain_kills: 0,
-        server_kills: 0,
-        degrades: 0,
-        vms_lost: 0,
-        tenants_damaged: 0,
-        tenants_evicted: 0,
-        survivability_checks: 0,
-        survivability_violations: 0,
-        worst_survival: 1.0,
-        repairs: 0,
-        repair_failures: 0,
-        repair: OpLatencies::default(),
-        degraded_arrivals: 0,
-        violation_seconds: 0.0,
-        wall_secs: 0.0,
-    };
-    let t_run = Instant::now();
-    let mut live: Vec<TenantId> = Vec::new();
-    let mut outstanding: Vec<Outstanding> = Vec::new();
-    let mut fault_count = 0usize;
-
-    let repair_round = |cluster: &mut Cluster<P>, o: Outstanding, rep: &mut FaultChurnReport| {
-        let t0 = Instant::now();
-        let r = cluster
-            .repair(o.fault)
-            .expect("repairing an injected fault");
-        rep.repair.push_secs(t0.elapsed().as_secs_f64());
-        rep.repairs += 1;
-        rep.repair_failures += r.degraded.len();
-    };
-
-    for arrival in 0..churn.tenants {
-        // Repair every fault whose window has elapsed.
-        while let Some(pos) = outstanding
-            .iter()
-            .position(|o| arrival >= o.injected_at + cfg.repair_after)
-        {
-            let o = outstanding.remove(pos);
-            repair_round(&mut cluster, o, &mut report);
-        }
-
-        // Inject the next scheduled fault.
-        if cfg.fault_every > 0 && (arrival + 1) % cfg.fault_every == 0 {
-            let already: BTreeSet<TenantId> = cluster.faulted_tenants().collect();
-            let fault = match fault_count % 3 {
-                0 => {
-                    let domains = cluster.topology().nodes_at_level(cfg.domain_level as usize);
-                    Fault::Domain(domains[rng.random_range(0..domains.len())])
-                }
-                1 => {
-                    let servers = cluster.topology().servers();
-                    Fault::Server(servers[rng.random_range(0..servers.len())])
-                }
-                _ => {
-                    let nodes = cluster.topology().nodes_at_level(cfg.domain_level as usize);
-                    Fault::DegradeLink {
-                        node: nodes[rng.random_range(0..nodes.len())],
-                        fraction: 0.5,
-                    }
-                }
-            };
-            fault_count += 1;
-            let fr = cluster.inject_fault(fault).expect("valid fault target");
-            match fault {
-                Fault::Domain(_) => {
-                    report.domain_kills += 1;
-                    judge_domain_kill(&fr, &already, cfg.rwcs, &mut report);
-                }
-                Fault::Server(_) => report.server_kills += 1,
-                Fault::DegradeLink { .. } => report.degrades += 1,
-            }
-            report.vms_lost += fr.lost_vms;
-            report.tenants_damaged += fr.tenants.iter().filter(|d| d.lost_vms > 0).count();
-            report.tenants_evicted += fr.tenants.iter().filter(|d| d.evicted).count();
-            outstanding.push(Outstanding {
-                fault,
-                injected_at: arrival,
-            });
-        }
-
-        // The lifecycle slice: steady-state depart, admit, scale cycles.
-        if live.len() >= churn.target_live.max(1) {
-            let id = live.remove(0);
-            cluster.depart(id).expect("live tenant departs");
-            report.departs += 1;
-        }
-        let tag = &pool.tenants()[rng.random_range(0..pool.len())];
-        if let Ok(handle) = cluster.admit(tag) {
-            report.admitted += 1;
-            live.push(handle.id());
-        }
-        for _ in 0..churn.scale_cycles {
-            if live.is_empty() {
-                break;
-            }
-            let id = live[rng.random_range(0..live.len())];
-            let tiers: Vec<_> = cluster
-                .tag_of(id)
-                .map(|tag| tag.internal_tiers().collect())
-                .unwrap_or_default();
-            if tiers.is_empty() {
-                continue;
-            }
-            let tier = tiers[rng.random_range(0..tiers.len())];
-            let delta = rng.random_range(1..5u32) as i64;
-            if cluster.scale_tier(id, tier, delta).is_ok() {
-                let _ = cluster.scale_tier(id, tier, -delta);
-            }
-        }
-        if churn.migrate_every > 0 && (arrival + 1) % churn.migrate_every == 0 && !live.is_empty() {
-            let id = live[rng.random_range(0..live.len())];
-            let _ = cluster.migrate(id);
-        }
-
-        // Degraded window: the traffic solve measures the dead links.
-        if !outstanding.is_empty() {
-            report.degraded_arrivals += 1;
-            report.violation_seconds += cluster.traffic_step().violations as f64;
-        }
+    let churn = churn_loop(&cfg.churn, pool, placer, &mut injector);
+    FaultChurnReport {
+        churn,
+        ..injector.report
     }
-
-    // Repair everything still outstanding, then drain pristine.
-    for o in std::mem::take(&mut outstanding) {
-        repair_round(&mut cluster, o, &mut report);
-    }
-    for id in live {
-        cluster.depart(id).expect("live tenant departs");
-        report.departs += 1;
-    }
-    crate::debug_invariant_sweep(|| {
-        cluster.check_invariants()?;
-        let in_use = cluster.topology().slots_in_use();
-        if in_use != 0 {
-            return Err(format!("drained datacenter still holds {in_use} slots"));
-        }
-        Ok(())
-    });
-
-    report.wall_secs = t_run.elapsed().as_secs_f64();
-    report
 }
 
 #[cfg(test)]
@@ -368,7 +314,7 @@ mod tests {
         let cfg = quick_cfg();
         let a = run_churn_faults(&cfg, &pool, CmPlacer::new(CmConfig::cm()));
         let b = run_churn_faults(&cfg, &pool, CmPlacer::new(CmConfig::cm()));
-        assert_eq!(a.admitted, b.admitted);
+        assert_eq!(a.churn.admitted, b.churn.admitted);
         assert_eq!(a.vms_lost, b.vms_lost);
         assert_eq!(a.survivability_checks, b.survivability_checks);
         assert_eq!(a.survivability_violations, b.survivability_violations);

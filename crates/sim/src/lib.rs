@@ -18,19 +18,20 @@
 //! from the pool, fixed mean dwell time `T_d`, and arrival rate `λ` solved
 //! from the target load.
 //!
-//! One generic [`PlacerAdmission`] adapter lifts any `cm-core`
-//! [`Placer`](cm_core::placement::Placer) — CloudMirror or baseline — into
-//! the event loop, so a single simulator drives them all. The loop itself
-//! is a thin driver over the [`cm_cluster::Cluster`] lifecycle controller
-//! (arrival = `admit`, departure = `depart`), and the [`lifecycle`] module
-//! adds the autoscaling-churn workload (admit → scale out → scale in →
-//! depart) on top of the same controller. The [`traffic`] module steps
-//! that churn through time with periodic datacenter-wide traffic solves
-//! (every live tenant's flows over the physical tree, floors from the
-//! enforcement layer).
+//! Every driver is "a [`Placer`](cm_core::placement::Placer) in, a report
+//! out" over the [`cm_cluster::Cluster`] lifecycle controller, so
+//! CloudMirror and every baseline go through the same loops:
+//!
+//! * [`run_sim`] — the Poisson arrival/departure loop (arrival = `admit`,
+//!   departure = `depart`);
+//! * [`run_churn`] — the autoscaling-churn loop (admit → scale out →
+//!   scale in → migrate → depart), which [`run_churn_traffic`] watches
+//!   with periodic datacenter-wide traffic solves and [`run_churn_faults`]
+//!   with fault injection and repair;
+//! * [`run_schedule_serial`] / [`run_schedule_concurrent`] — a
+//!   pre-generated event schedule through `cm-core`'s serial reference and
+//!   its concurrent engine.
 
-/// Arrival-driven admission simulation against a placement engine.
-pub mod admission;
 /// The discrete-event core: clock, queue, and event kinds.
 pub mod events;
 /// End-to-end experiment drivers behind the paper's figures.
@@ -48,18 +49,16 @@ pub mod schedule;
 /// Incremental traffic engine with route caching and flow bundling.
 pub mod traffic;
 
-pub use admission::{
-    Admission, CmAdmission, Deployed, OvocAdmission, PlacerAdmission, SecondNetAdmission,
-    VcAdmission,
-};
 pub use cm_cluster::{
     Cluster, CmError, Fault, FaultReport, RepairReport, TagSpec, TenantDamage, TenantHandle,
     TenantId,
 };
 pub use events::{run_sim, SimConfig, SimResult};
 pub use faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
-pub use lifecycle::{run_churn, run_churn_observed, ChurnConfig, ChurnReport, OpLatencies};
-pub use metrics::{reprice_by_level, wcs_from_placement, RejectionCounts, WcsByLevel, WcsStats};
+pub use lifecycle::{run_churn, ChurnConfig, ChurnReport};
+pub use metrics::{
+    reprice_by_level, wcs_from_placement, OpLatencies, RejectionCounts, WcsByLevel, WcsStats,
+};
 pub use parallel::{default_threads, par_map_indexed};
 pub use schedule::{build_schedule, run_schedule_concurrent, run_schedule_serial, Schedule};
 pub use traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport, TrafficStep};

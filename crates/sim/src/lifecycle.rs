@@ -4,11 +4,21 @@
 //! variations in load will trigger tenants to scale up or down"), which no
 //! pure-admission sweep exercises.
 //!
-//! [`run_churn`] drives a [`Cluster`] through a seeded, fully deterministic
-//! mix of lifecycle operations and reports per-operation-class latency
-//! percentiles plus outcome counts; `bench_admission` records it as the
-//! `lifecycle_churn` section of `BENCH_placement.json`.
+//! There is one churn loop: per arrival it departs the oldest tenant once
+//! the live target is hit, admits one TAG, runs the scale cycles and the
+//! periodic migration; after the last arrival it drains every tenant and
+//! sweeps the ledger. It is seeded and fully deterministic, and reports
+//! per-operation-class latency percentiles plus outcome counts. The churn
+//! drivers differ only in what watches that loop through the four
+//! `ChurnObserver` hooks: [`run_churn`] watches nothing,
+//! [`crate::traffic::run_churn_traffic`] steps the traffic engine after
+//! arrivals, and [`crate::faults::run_churn_faults`] injects and repairs
+//! faults before them. `bench_admission` records the three as the
+//! `lifecycle_churn`, `traffic` and `fault_recovery` sections of
+//! `BENCH_placement.json`.
 
+use crate::events::scale_pool;
+use crate::metrics::OpLatencies;
 use cm_cluster::{Cluster, TenantId};
 use cm_core::model::TierId;
 use cm_core::placement::Placer;
@@ -54,47 +64,8 @@ impl ChurnConfig {
     }
 }
 
-/// Latency observations of one lifecycle operation class.
-#[derive(Debug, Clone, Default)]
-pub struct OpLatencies {
-    secs: Vec<f64>,
-}
-
-impl OpLatencies {
-    fn push(&mut self, s: f64) {
-        self.secs.push(s);
-    }
-
-    /// Record one observation (seconds). Public so other workload drivers
-    /// (the traffic engine's per-step solves) reuse the percentile math.
-    pub fn push_secs(&mut self, s: f64) {
-        self.push(s);
-    }
-
-    /// Number of operations observed.
-    pub fn count(&self) -> usize {
-        self.secs.len()
-    }
-
-    /// Total seconds across the class.
-    pub fn total_secs(&self) -> f64 {
-        self.secs.iter().sum()
-    }
-
-    /// Nearest-rank `q`-quantile in microseconds (`None` when empty).
-    pub fn quantile_us(&self, q: f64) -> Option<f64> {
-        if self.secs.is_empty() {
-            return None;
-        }
-        let mut sorted = self.secs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1] * 1e6)
-    }
-}
-
 /// Everything one churn run produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChurnReport {
     /// Placer display name.
     pub placer: &'static str,
@@ -137,67 +108,50 @@ fn scalable_tiers<P: Placer>(cluster: &Cluster<P>, id: TenantId) -> Vec<TierId> 
         .unwrap_or_default()
 }
 
-/// Run the churn scenario (see the module docs). Deterministic for a given
-/// configuration and pool: every decision comes from the seeded RNG and
-/// the cluster's typed API.
+/// What watches the churn loop; every hook defaults to a no-op. An
+/// observer changes the decision stream only by mutating the cluster or
+/// drawing from the loop's RNG.
+pub(crate) trait ChurnObserver<P: Placer> {
+    /// Once, on the freshly built (still empty) cluster.
+    fn start(&mut self, _cluster: &mut Cluster<P>) {}
+    /// Before arrival `arrival`'s lifecycle slice, with the loop's RNG.
+    fn before_arrival(&mut self, _arrival: usize, _cluster: &mut Cluster<P>, _rng: &mut StdRng) {}
+    /// After arrival `arrival`'s full lifecycle slice.
+    fn after_arrival(&mut self, _arrival: usize, _cluster: &Cluster<P>) {}
+    /// After the last arrival, before the final drain.
+    fn before_drain(&mut self, _cluster: &mut Cluster<P>) {}
+}
+
+impl<P: Placer> ChurnObserver<P> for () {}
+
+/// Run the churn scenario unobserved (see the module docs). Deterministic
+/// for a given configuration and pool: every decision comes from the
+/// seeded RNG and the cluster's typed API.
 pub fn run_churn<P: Placer>(cfg: &ChurnConfig, pool: &TenantPool, placer: P) -> ChurnReport {
-    run_churn_observed(cfg, pool, placer, |_, _| {})
+    churn_loop(cfg, pool, placer, &mut ())
 }
 
-/// [`run_churn`] with an observer called after every arrival's full
-/// lifecycle slice (depart + admit + scale cycles + periodic migrate), with
-/// the arrival index and the live cluster. The observer cannot mutate the
-/// cluster, so the churn decision stream is identical to the unobserved
-/// run — this is how the time-stepped traffic driver
-/// ([`crate::traffic::run_churn_traffic`]) snapshots the datacenter
-/// mid-churn.
-pub fn run_churn_observed<P: Placer>(
+/// The churn loop (see the module docs), watched by `observer`.
+pub(crate) fn churn_loop<P: Placer>(
     cfg: &ChurnConfig,
     pool: &TenantPool,
     placer: P,
-    observe: impl FnMut(usize, &Cluster<P>),
+    observer: &mut impl ChurnObserver<P>,
 ) -> ChurnReport {
-    run_churn_prepared(cfg, pool, placer, |_| {}, observe)
-}
-
-/// [`run_churn_observed`] with a one-shot `prepare` hook called on the
-/// freshly built (still empty) cluster before any churn decision — the
-/// place to flip cluster-level knobs that must not perturb the decision
-/// stream, e.g. [`Cluster::set_traffic_ecmp`] for the traffic driver's
-/// multipath runs.
-pub fn run_churn_prepared<P: Placer>(
-    cfg: &ChurnConfig,
-    pool: &TenantPool,
-    placer: P,
-    prepare: impl FnOnce(&mut Cluster<P>),
-    mut observe: impl FnMut(usize, &Cluster<P>),
-) -> ChurnReport {
-    let pool = if cfg.bmax_kbps > 0 {
-        pool.scaled_to_bmax(cfg.bmax_kbps)
-    } else {
-        pool.clone()
-    };
+    let pool = scale_pool(pool, cfg.bmax_kbps);
     let mut cluster = Cluster::adopt(Topology::build(&cfg.spec), placer);
-    prepare(&mut cluster);
-    let placer_name = cluster.placer().name();
+    observer.start(&mut cluster);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut report = ChurnReport {
-        placer: placer_name,
-        admits_attempted: 0,
-        admitted: 0,
-        scale_ops: 0,
-        scale_rejected: 0,
-        migrates: 0,
-        departs: 0,
-        admit: OpLatencies::default(),
-        scale: OpLatencies::default(),
-        depart: OpLatencies::default(),
-        wall_secs: 0.0,
+        placer: cluster.placer().name(),
+        ..ChurnReport::default()
     };
     let t_run = Instant::now();
     let mut live: Vec<TenantId> = Vec::new();
 
     for arrival in 0..cfg.tenants {
+        observer.before_arrival(arrival, &mut cluster, &mut rng);
+
         // Steady state: the oldest tenant departs once the target is hit.
         if live.len() >= cfg.target_live.max(1) {
             let id = live.remove(0);
@@ -255,11 +209,12 @@ pub fn run_churn_prepared<P: Placer>(
             let _ = cluster.migrate(id);
         }
 
-        observe(arrival, &cluster);
+        observer.after_arrival(arrival, &cluster);
     }
 
     // Final drain: every remaining tenant departs; the datacenter must end
     // pristine (debug-checked like the admission loop).
+    observer.before_drain(&mut cluster);
     for id in live {
         let t0 = Instant::now();
         cluster.depart(id).expect("live tenant departs");

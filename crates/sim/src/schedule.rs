@@ -1,33 +1,36 @@
 //! Pre-generated event schedules and their serial/concurrent runners.
 //!
-//! The classic [`run_sim`](crate::events::run_sim) loop samples its RNG
-//! lazily (a tenant's dwell time is drawn only if it is admitted), which
-//! ties the random stream to admission outcomes — fine for one-at-a-time
-//! admission, but a speculative engine cannot know arrival `i`'s tag
-//! before earlier outcomes settle. A [`Schedule`] cuts that knot: arrival
-//! times, tenant choices, and dwell times are all drawn up front, so the
-//! whole event sequence (arrivals interleaved with the departures of
-//! admitted tenants) is a pure function of the configuration.
+//! [`run_sim`](crate::events::run_sim) samples its RNG lazily (a tenant's
+//! dwell time is drawn only if it is admitted), which ties the random
+//! stream to admission outcomes — fine for one-at-a-time admission, but a
+//! speculative engine cannot know arrival `i`'s tag before earlier
+//! outcomes settle. A [`Schedule`] cuts that knot: arrival times, tenant
+//! choices, and dwell times are all drawn up front, so the whole event
+//! sequence (arrivals interleaved with the departures of admitted tenants)
+//! is a pure function of the configuration.
 //!
-//! Two runners execute a schedule:
+//! Both runners hand the schedule to `cm-core` and fold the per-event
+//! outcomes into a [`SimResult`]:
 //!
-//! * [`run_schedule_serial`] — one placer, one topology, events in order;
-//!   the ground truth.
-//! * [`run_schedule_concurrent`] — the sharded optimistic engine
-//!   ([`cm_core::placement::run_events`]), which must produce
-//!   **identical** outcomes for any thread count; the concurrency stress
-//!   tests assert exactly that, record by record.
+//! * [`run_schedule_serial`] —
+//!   [`run_events_serial`](cm_core::placement::run_events_serial): one
+//!   placer, one topology, events in order; the ground truth.
+//! * [`run_schedule_concurrent`] —
+//!   [`run_events`](cm_core::placement::run_events), the sharded
+//!   optimistic engine, which must produce **identical** outcomes for any
+//!   thread count; the concurrency stress tests assert exactly that,
+//!   record by record.
 //!
 //! Schedules use their own RNG stream; results are *statistically*, not
 //! bitwise, comparable with `run_sim` on the same configuration.
 
-use crate::events::SimConfig;
-use crate::metrics::{RejectionCounts, WcsAccumulator, WcsByLevel};
+use crate::events::{exp_sample, scale_pool, SimConfig};
+use crate::metrics::{OpLatencies, RejectionCounts, WcsAccumulator, WcsByLevel};
 use crate::SimResult;
 use cm_core::placement::{
-    run_events, ConcurrentConfig, ConcurrentOutcome, Event, EventOutcome, PlacementTrace, Placer,
+    replay_outcomes, run_events, run_events_serial, ConcurrentConfig, ConcurrentOutcome, Event,
+    EventOutcome, Placer, RejectReason,
 };
-use cm_core::placement::{AdmitRecord, Deployed, RejectReason};
 use cm_topology::Topology;
 use cm_workloads::TenantPool;
 use rand::rngs::StdRng;
@@ -65,17 +68,10 @@ pub struct ScheduleRun {
 /// classic loop would process them (before the first arrival at or after
 /// the departure time; simultaneous departures ordered by arrival id).
 pub fn build_schedule(cfg: &SimConfig, pool: &TenantPool) -> Schedule {
-    let pool = if cfg.bmax_kbps > 0 {
-        pool.scaled_to_bmax(cfg.bmax_kbps)
-    } else {
-        pool.clone()
-    };
+    let pool = scale_pool(pool, cfg.bmax_kbps);
+    let lambda = cfg.arrival_rate(&pool);
     let topo = Topology::build(&cfg.spec);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let total_slots = cfg.spec.total_slots() as f64;
-    let ts = pool.mean_size();
-    let lambda = cfg.load * total_slots / (ts * cfg.td_mean);
-    assert!(lambda > 0.0, "load must be positive");
 
     let mut now = 0.0f64;
     // (time, kind, arrival-order): kind 0 = departure, 1 = arrival, so a
@@ -121,57 +117,18 @@ pub fn build_schedule(cfg: &SimConfig, pool: &TenantPool) -> Schedule {
 
 /// Run a schedule with one placer on one topology, strictly in order —
 /// the serial ground truth the concurrent engine is validated against.
-/// Uses the same placer hooks as the engine (`note_arrival` +
-/// `place_speculative`), which are decision-identical to `place_shared`.
-pub fn run_schedule_serial<P: Placer>(schedule: &Schedule, placer: &mut P) -> ScheduleRun {
-    let mut topo = schedule.topo.clone();
-    let mut live: Vec<Option<Deployed>> = Vec::new();
-    let mut outcomes = Vec::with_capacity(schedule.events.len());
-    let mut arrival_of_event = std::collections::HashMap::new();
-    let mut trace = PlacementTrace::default();
-    for (ei, e) in schedule.events.iter().enumerate() {
-        match e {
-            Event::Arrive { tag } => {
-                arrival_of_event.insert(ei, live.len());
-                // Place first, note after: `peek` must see the EWMA of the
-                // strict arrival prefix, exactly as `observe`'s return value
-                // does in the classic path (and as the engine's
-                // exclusive-prefix `note_upto` does).
-                let placed = placer.place_speculative(&mut topo, tag, &mut trace);
-                placer.note_arrival(tag);
-                match placed {
-                    Ok(d) => {
-                        let rec = AdmitRecord {
-                            placement: d.placement(&topo),
-                            reservations: d.reservations(),
-                            tier_sizes: d.tier_sizes(),
-                            wcs: d.wcs_at_level(&topo, schedule.wcs_level),
-                        };
-                        live.push(Some(d));
-                        outcomes.push(EventOutcome::Arrival(ConcurrentOutcome::Admitted(
-                            Arc::new(rec),
-                        )));
-                    }
-                    Err(r) => {
-                        live.push(None);
-                        outcomes.push(EventOutcome::Arrival(ConcurrentOutcome::Rejected(r)));
-                    }
-                }
-            }
-            Event::Depart { arrival } => {
-                let idx = arrival_of_event[arrival];
-                if let Some(d) = live[idx].take() {
-                    d.release(&mut topo);
-                }
-                outcomes.push(EventOutcome::Departure);
-            }
-        }
-    }
+pub fn run_schedule_serial<P: Placer>(schedule: &Schedule, placer: P) -> ScheduleRun {
+    let name = placer.name();
+    let outcomes = run_events_serial(&schedule.topo, &schedule.events, schedule.wcs_level, placer);
     // Tenants still live at the end (a schedule need not drain) keep their
-    // resources; the ledger must still be internally consistent.
-    crate::debug_invariant_sweep(|| topo.check_invariants());
+    // resources; the ledger the outcomes add up to must still be consistent.
+    crate::debug_invariant_sweep(|| {
+        let mut topo = schedule.topo.clone();
+        replay_outcomes(&mut topo, &schedule.events, &outcomes)?;
+        topo.check_invariants()
+    });
     ScheduleRun {
-        result: fold_outcomes(schedule, &outcomes, placer.name()),
+        result: fold_outcomes(schedule, &outcomes, name),
         outcomes,
     }
 }
@@ -253,14 +210,8 @@ fn fold_outcomes(schedule: &Schedule, outcomes: &[EventOutcome], algo: &'static 
         wcs: wcs_acc.finish(),
         wcs_by_level: wcs_levels.finish(),
         peak_tenants: peak,
+        admit: OpLatencies::default(),
     }
-}
-
-/// Exponential sample with the given rate via inverse CDF (same sampler as
-/// the classic loop).
-fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
-    let u: f64 = rng.random_range(f64::EPSILON..1.0);
-    -u.ln() / rate
 }
 
 #[cfg(test)]

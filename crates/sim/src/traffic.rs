@@ -1,10 +1,10 @@
 //! The time-stepped datacenter traffic workload: lifecycle churn with
 //! periodic cluster-wide traffic solves.
 //!
-//! [`run_churn_traffic`] drives the same deterministic autoscaling-churn
-//! scenario as [`crate::lifecycle::run_churn`], but every `solve_every`
-//! arrivals it freezes time and steps the cluster's **incremental traffic
-//! engine** ([`cm_cluster::Cluster::traffic_step_as`]): tenants whose
+//! [`run_churn_traffic`] watches the churn loop of [`crate::lifecycle`]:
+//! every `solve_every` arrivals it freezes time and steps the cluster's
+//! **incremental traffic engine**
+//! ([`cm_cluster::Cluster::traffic_step_as`]): tenants whose
 //! placement changed since the previous step re-expand their active TAG
 //! edges into bundled flows, each bundle is routed over its physical
 //! uplink/downlink path (optionally ECMP-split across the core), and one
@@ -15,8 +15,9 @@
 //! TAG-patched enforcement against the plain hose-model baseline on
 //! identical placements.
 
-use crate::lifecycle::{run_churn_prepared, ChurnConfig, ChurnReport, OpLatencies};
-use cm_cluster::{EcmpConfig, GuaranteeModel};
+use crate::lifecycle::{churn_loop, ChurnConfig, ChurnObserver, ChurnReport};
+use crate::metrics::OpLatencies;
+use cm_cluster::{Cluster, EcmpConfig, GuaranteeModel};
 use cm_core::placement::Placer;
 use cm_workloads::TenantPool;
 
@@ -124,7 +125,7 @@ impl TrafficChurnReport {
     pub fn solve_latencies(&self) -> OpLatencies {
         let mut lat = OpLatencies::default();
         for s in &self.steps {
-            lat.push_secs(s.solve_secs);
+            lat.push(s.solve_secs);
         }
         lat
     }
@@ -134,7 +135,7 @@ impl TrafficChurnReport {
     pub fn step_latencies(&self) -> OpLatencies {
         let mut lat = OpLatencies::default();
         for s in &self.steps {
-            lat.push_secs(s.step_secs());
+            lat.push(s.step_secs());
         }
         lat
     }
@@ -144,7 +145,7 @@ impl TrafficChurnReport {
     pub fn phase_latencies(&self, f: impl Fn(&TrafficStep) -> f64) -> OpLatencies {
         let mut lat = OpLatencies::default();
         for s in &self.steps {
-            lat.push_secs(f(s));
+            lat.push(f(s));
         }
         lat
     }
@@ -207,6 +208,48 @@ impl TrafficChurnReport {
     }
 }
 
+/// The churn observer that takes the snapshots.
+struct TrafficStepper<'a> {
+    cfg: &'a TrafficChurnConfig,
+    steps: Vec<TrafficStep>,
+}
+
+impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
+    fn start(&mut self, cluster: &mut Cluster<P>) {
+        cluster.set_traffic_ecmp(self.cfg.ecmp);
+    }
+
+    fn after_arrival(&mut self, arrival: usize, cluster: &Cluster<P>) {
+        let every = self.cfg.solve_every.max(1);
+        let last = self.cfg.churn.tenants.saturating_sub(1);
+        if !(arrival + 1).is_multiple_of(every) && arrival != last {
+            return;
+        }
+        let r = cluster.traffic_step_as(self.cfg.model);
+        self.steps.push(TrafficStep {
+            arrival,
+            live_tenants: cluster.tenant_count(),
+            cross_flows: r.cross_flows,
+            colocated_flows: r.colocated_flows,
+            violations: r.violations,
+            violating_tenants: r.violating_tenants(),
+            work_conserving: r.work_conserving,
+            total_rate_kbps: r.total_rate_kbps,
+            max_link_utilization: r.max_link_utilization(),
+            expand_secs: r.expand_secs,
+            route_secs: r.route_secs,
+            solve_secs: r.solve_secs,
+            solve_cold_secs: r.solve_cold_secs,
+            solve_warm_secs: r.solve_warm_secs,
+            components_dirty: r.components_dirty,
+            components_total: r.components_total,
+            ecmp_max_utilization: r.ecmp_max_utilization,
+            ecmp_mean_utilization: r.ecmp_mean_utilization,
+            score_secs: r.score_secs,
+        });
+    }
+}
+
 /// Run lifecycle churn with periodic datacenter traffic solves (see the
 /// module docs). The churn decision stream is bit-identical to
 /// [`crate::lifecycle::run_churn`] with the same [`ChurnConfig`] — the
@@ -216,46 +259,15 @@ pub fn run_churn_traffic<P: Placer>(
     pool: &TenantPool,
     placer: P,
 ) -> TrafficChurnReport {
-    let every = cfg.solve_every.max(1);
-    let last = cfg.churn.tenants.saturating_sub(1);
-    let mut steps: Vec<TrafficStep> = Vec::new();
-    let churn = run_churn_prepared(
-        &cfg.churn,
-        pool,
-        placer,
-        |cluster| cluster.set_traffic_ecmp(cfg.ecmp),
-        |arrival, cluster| {
-            if (arrival + 1) % every != 0 && arrival != last {
-                return;
-            }
-            let r = cluster.traffic_step_as(cfg.model);
-            steps.push(TrafficStep {
-                arrival,
-                live_tenants: cluster.tenant_count(),
-                cross_flows: r.cross_flows,
-                colocated_flows: r.colocated_flows,
-                violations: r.violations,
-                violating_tenants: r.violating_tenants(),
-                work_conserving: r.work_conserving,
-                total_rate_kbps: r.total_rate_kbps,
-                max_link_utilization: r.max_link_utilization(),
-                expand_secs: r.expand_secs,
-                route_secs: r.route_secs,
-                solve_secs: r.solve_secs,
-                solve_cold_secs: r.solve_cold_secs,
-                solve_warm_secs: r.solve_warm_secs,
-                components_dirty: r.components_dirty,
-                components_total: r.components_total,
-                ecmp_max_utilization: r.ecmp_max_utilization,
-                ecmp_mean_utilization: r.ecmp_mean_utilization,
-                score_secs: r.score_secs,
-            });
-        },
-    );
+    let mut stepper = TrafficStepper {
+        cfg,
+        steps: Vec::new(),
+    };
+    let churn = churn_loop(&cfg.churn, pool, placer, &mut stepper);
     TrafficChurnReport {
         model: cfg.model,
         churn,
-        steps,
+        steps: stepper.steps,
     }
 }
 

@@ -6,8 +6,7 @@
 //! from **bing.com** (Bodík et al. \[11\]), one from **hpcloud.com** (Choreo,
 //! LaCurts et al. \[29\]), and a **synthetic** mix of application types. The
 //! first two are proprietary; this crate provides seeded synthetic
-//! generators that match every statistic the paper publishes about them
-//! (see `DESIGN.md` for the substitution argument):
+//! generators that match every statistic the paper publishes about them:
 //!
 //! * [`bing_like_pool`] — 80 tenants, mean size ≈ 57 VMs, largest exactly
 //!   732 VMs, several above 200; tier structure `T ≈ 5, K ≈ 10`; a mix of

@@ -1,15 +1,17 @@
 //! A miniature version of the paper's §5.1 evaluation: Poisson tenant
 //! arrivals/departures from the bing-like pool against the 2048-server
-//! datacenter, comparing CloudMirror with improved Oktopus. The event loop
-//! (`run_sim`) is a thin driver over the `Cluster` lifecycle controller —
+//! datacenter, comparing CloudMirror with improved Oktopus. `run_sim` takes
+//! any `Placer` and drives it through the `Cluster` lifecycle controller —
 //! each arrival is an `admit`, each departure a `depart`.
 //!
 //! ```text
 //! cargo run --release --example datacenter_sim
 //! ```
 
-use cloudmirror::sim::{run_sim, CmAdmission, OvocAdmission, SimConfig};
+use cloudmirror::baselines::OvocPlacer;
+use cloudmirror::sim::{run_sim, SimConfig};
 use cloudmirror::workloads::bing_like_pool;
+use cloudmirror::CmPlacer;
 
 fn main() {
     let pool = bing_like_pool(42);
@@ -35,8 +37,8 @@ fn main() {
     );
 
     for result in [
-        run_sim(&cfg, &pool, &mut CmAdmission::new()),
-        run_sim(&cfg, &pool, &mut OvocAdmission::new()),
+        run_sim(&cfg, &pool, CmPlacer::default()),
+        run_sim(&cfg, &pool, OvocPlacer::new()),
     ] {
         let r = &result.rejections;
         println!(

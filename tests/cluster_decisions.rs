@@ -1,23 +1,22 @@
-//! Golden admission decisions across the `Cluster` lifecycle redesign.
+//! Golden admission decisions of `run_sim`.
 //!
-//! The simulator's event loop is now a thin driver over the
+//! The simulator's event loop is a thin driver over the
 //! `cm_cluster::Cluster` controller (arrival = `admit`, departure =
-//! `depart`), and `PlacerAdmission` delegates to the same admission front
-//! door. That is pure plumbing: every fingerprint below was captured from
-//! the pre-redesign loop (the commit before this one) and must keep
-//! matching bit-for-bit — paper sims on the 2048-server datacenter plus a
+//! `depart`) handed a `Placer`. That is pure plumbing: every fingerprint
+//! below was captured from the loop that predates the controller and must
+//! keep matching bit-for-bit — paper sims on the 2048-server datacenter plus a
 //! bandwidth-starved small tree, seeds 1–6, for every CloudMirror variant
 //! and both Oktopus baselines (SecondNet has its own golden file,
 //! `secondnet_decisions.rs`).
 
+use cloudmirror::baselines::{OktopusVcPlacer, OvocPlacer};
 use cloudmirror::sim::events::{run_sim, SimConfig};
-use cloudmirror::sim::{Admission, CmAdmission, OvocAdmission, VcAdmission};
 use cloudmirror::workloads::bing_like_pool;
-use cloudmirror::{mbps, CmConfig, TreeSpec};
+use cloudmirror::{mbps, CmConfig, CmPlacer, Placer, TreeSpec};
 
-fn fingerprint(cfg: &SimConfig, adm: &mut dyn Admission) -> String {
+fn fingerprint(cfg: &SimConfig, placer: Box<dyn Placer>) -> String {
     let pool = bing_like_pool(42);
-    let r = run_sim(cfg, &pool, adm);
+    let r = run_sim(cfg, &pool, placer);
     format!(
         "rej={} slots={} bw={} vms={} bwk={} wcs_components={} wcs_mean={:.6} peak={}",
         r.rejections.rejected_tenants,
@@ -51,19 +50,19 @@ fn small_cfg(seed: u64) -> SimConfig {
 }
 
 fn assert_goldens(
-    make: impl Fn() -> Box<dyn Admission>,
+    make: impl Fn() -> Box<dyn Placer>,
     name: &str,
     paper: [&str; 6],
     small: [&str; 6],
 ) {
     for seed in 1..=6u64 {
         assert_eq!(
-            fingerprint(&paper_cfg(seed), make().as_mut()),
+            fingerprint(&paper_cfg(seed), make()),
             paper[(seed - 1) as usize],
             "{name} paper seed {seed}"
         );
         assert_eq!(
-            fingerprint(&small_cfg(seed), make().as_mut()),
+            fingerprint(&small_cfg(seed), make()),
             small[(seed - 1) as usize],
             "{name} small seed {seed}"
         );
@@ -73,7 +72,7 @@ fn assert_goldens(
 #[test]
 fn cm_decisions_unchanged_seeds_1_to_6() {
     assert_goldens(
-        || Box::new(CmAdmission::new()),
+        || Box::new(CmPlacer::default()),
         "CM",
         [
             "rej=0 slots=0 bw=0 vms=0 bwk=0 wcs_components=849 wcs_mean=0.102429 peak=136",
@@ -97,7 +96,7 @@ fn cm_decisions_unchanged_seeds_1_to_6() {
 #[test]
 fn cm_ha_decisions_unchanged_seeds_1_to_6() {
     assert_goldens(
-        || Box::new(CmAdmission::with_config(CmConfig::cm_ha(0.5), "CM+HA")),
+        || Box::new(CmPlacer::named(CmConfig::cm_ha(0.5), "CM+HA")),
         "CM+HA",
         [
             "rej=0 slots=0 bw=0 vms=0 bwk=0 wcs_components=849 wcs_mean=0.546868 peak=136",
@@ -121,7 +120,7 @@ fn cm_ha_decisions_unchanged_seeds_1_to_6() {
 #[test]
 fn cm_opp_ha_decisions_unchanged_seeds_1_to_6() {
     assert_goldens(
-        || Box::new(CmAdmission::with_config(CmConfig::cm_opp_ha(), "CM+oppHA")),
+        || Box::new(CmPlacer::named(CmConfig::cm_opp_ha(), "CM+oppHA")),
         "CM+oppHA",
         [
             "rej=0 slots=0 bw=0 vms=0 bwk=0 wcs_components=849 wcs_mean=0.196653 peak=136",
@@ -145,7 +144,7 @@ fn cm_opp_ha_decisions_unchanged_seeds_1_to_6() {
 #[test]
 fn ablation_decisions_unchanged_seeds_1_to_6() {
     assert_goldens(
-        || Box::new(CmAdmission::with_config(CmConfig::coloc_only(), "Coloc")),
+        || Box::new(CmPlacer::named(CmConfig::coloc_only(), "Coloc")),
         "Coloc",
         [
             "rej=2 slots=0 bw=2 vms=408 bwk=136674557 wcs_components=649 wcs_mean=0.067368 peak=138",
@@ -165,7 +164,7 @@ fn ablation_decisions_unchanged_seeds_1_to_6() {
         ],
     );
     assert_goldens(
-        || Box::new(CmAdmission::with_config(CmConfig::balance_only(), "Balance")),
+        || Box::new(CmPlacer::named(CmConfig::balance_only(), "Balance")),
         "Balance",
         [
             "rej=0 slots=0 bw=0 vms=0 bwk=0 wcs_components=849 wcs_mean=0.133480 peak=136",
@@ -189,7 +188,7 @@ fn ablation_decisions_unchanged_seeds_1_to_6() {
 #[test]
 fn baseline_decisions_unchanged_seeds_1_to_6() {
     assert_goldens(
-        || Box::new(OvocAdmission::new()),
+        || Box::new(OvocPlacer::new()),
         "OVOC",
         [
             "rej=0 slots=0 bw=0 vms=0 bwk=0 wcs_components=849 wcs_mean=0.041327 peak=136",
@@ -209,7 +208,7 @@ fn baseline_decisions_unchanged_seeds_1_to_6() {
         ],
     );
     assert_goldens(
-        || Box::new(VcAdmission::new()),
+        || Box::new(OktopusVcPlacer::new()),
         "VC",
         [
             "rej=1 slots=0 bw=1 vms=732 bwk=171808887 wcs_components=721 wcs_mean=0.041581 peak=139",

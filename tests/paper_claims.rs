@@ -1,9 +1,10 @@
 //! End-to-end checks of the paper's headline claims, each tied to the
 //! table/figure it reproduces.
 
+use cloudmirror::baselines::OvocPlacer;
 use cloudmirror::enforce::{fig13_throughput, fig4_throughput, GuaranteeModel};
 use cloudmirror::sim::experiments::table1;
-use cloudmirror::sim::{run_sim, CmAdmission, OvocAdmission, SimConfig};
+use cloudmirror::sim::{run_sim, SimConfig};
 use cloudmirror::workloads::{apps, bing_like_pool, mixed_pool};
 use cloudmirror::{mbps, CmConfig, CmPlacer, CutModel, Topology, TreeSpec};
 
@@ -46,8 +47,8 @@ fn cm_rejects_less_bandwidth_than_ovoc() {
         spec: TreeSpec::paper_datacenter(),
         wcs_level: 0,
     };
-    let cm = run_sim(&cfg, &pool, &mut CmAdmission::new());
-    let ovoc = run_sim(&cfg, &pool, &mut OvocAdmission::new());
+    let cm = run_sim(&cfg, &pool, CmPlacer::default());
+    let ovoc = run_sim(&cfg, &pool, OvocPlacer::new());
     assert!(
         ovoc.rejections.bw_rate() > 0.0,
         "the scenario must stress OVOC"
@@ -131,17 +132,9 @@ fn ha_variants_behave_as_figs_11_12() {
             spec: TreeSpec::small(2, 4, 8, 8, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]),
             wcs_level: 0,
         };
-        let cm = run_sim(&cfg, &pool, &mut CmAdmission::new());
-        let ha = run_sim(
-            &cfg,
-            &pool,
-            &mut CmAdmission::with_config(CmConfig::cm_ha(0.5), "CM+HA"),
-        );
-        let opp = run_sim(
-            &cfg,
-            &pool,
-            &mut CmAdmission::with_config(CmConfig::cm_opp_ha(), "CM+oppHA"),
-        );
+        let cm = run_sim(&cfg, &pool, CmPlacer::default());
+        let ha = run_sim(&cfg, &pool, CmPlacer::new(CmConfig::cm_ha(0.5)));
+        let opp = run_sim(&cfg, &pool, CmPlacer::new(CmConfig::cm_opp_ha()));
         // Guarantee: every measured component survives at the 50% floor
         // (up to the 1/N granularity of small tiers, handled by Eq. 7's
         // max(1,·)).

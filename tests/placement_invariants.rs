@@ -183,6 +183,46 @@ fn place_then_release_conserves_resources_for_every_placer() {
     }
 }
 
+/// The model-erased handle behind `Box<dyn Placer>`: every placer admits a
+/// trivially fitting tenant on an empty tree, reports its name and — through
+/// `Deployed` — tier sizes, placement and WCS, and releases to a zero ledger.
+#[test]
+fn boxed_placers_place_report_and_release_to_a_zero_ledger() {
+    let spec = small_spec();
+    let tag = apps::three_tier(3, 3, 2, mbps(50.0), mbps(20.0), mbps(10.0));
+    let placers: Vec<(Box<dyn Placer>, &str)> = vec![
+        (Box::new(CmPlacer::default()), "CM"),
+        (Box::new(CmPlacer::new(CmConfig::cm_ha(0.5))), "CM+HA"),
+        (Box::new(OvocPlacer::new()), "OVOC"),
+        (Box::new(OktopusVcPlacer::new()), "VC"),
+        (Box::new(SecondNetPlacer::new()), "SecondNet"),
+    ];
+    for (mut p, name) in placers {
+        assert_eq!(p.name(), name);
+        let mut topo = Topology::build(&spec);
+        let d = p
+            .place(&mut topo, &tag)
+            .unwrap_or_else(|e| panic!("{name} rejected a trivially-fitting tenant: {e}"));
+        // The handle speaks the placer's own model (SecondNet: one tier per VM).
+        let sizes = d.tier_sizes();
+        assert_eq!(sizes.iter().sum::<u32>(), 8, "{name}");
+        let placed: u32 = d.placement(&topo).iter().flat_map(|(_, c)| c).sum();
+        assert_eq!(placed, 8, "{name}");
+        let wcs = d.wcs_at_level(&topo, 0);
+        assert_eq!(wcs.len(), sizes.len(), "{name}");
+        if name == "CM+HA" {
+            // Eq. 7 at rwcs = 0.5 caps every tier at one VM per server.
+            assert_eq!(sizes, vec![3, 3, 2]);
+            assert!(wcs.iter().all(|w| w.unwrap() >= 0.5), "{wcs:?}");
+        }
+        d.release(&mut topo);
+        topo.check_invariants().unwrap();
+        for l in 0..topo.num_levels() {
+            assert_eq!(topo.reserved_at_level(l), (0, 0), "{name}");
+        }
+    }
+}
+
 #[test]
 fn rejection_leaves_zero_trace_under_pressure() {
     // Fill the datacenter almost completely, then bounce oversized and

@@ -20,7 +20,6 @@ use cloudmirror::core::placement::{
 };
 use cloudmirror::core::txn::ReservationTxn;
 use cloudmirror::core::TenantState;
-use cloudmirror::sim::admission::PlacerAdmission;
 use cloudmirror::sim::{run_sim, SimConfig};
 use cloudmirror::workloads::bing_like_pool;
 use cloudmirror::{mbps, TagBuilder, Topology, TreeSpec};
@@ -146,13 +145,11 @@ fn paper_sim_decisions_identical_under_both_searches_seeds_1_to_6() {
     ] {
         for seed in 1..=6 {
             cfg.seed = seed;
-            let mut descend = PlacerAdmission::from_placer(CmPlacer::named(cm_cfg, label));
-            let mut linear = PlacerAdmission::from_placer(
-                CmPlacer::named(cm_cfg, label)
-                    .with_search_strategy(SearchStrategy::LinearReference),
-            );
-            let a = run_sim(&cfg, &pool, &mut descend);
-            let b = run_sim(&cfg, &pool, &mut linear);
+            let descend = CmPlacer::named(cm_cfg, label);
+            let linear = CmPlacer::named(cm_cfg, label)
+                .with_search_strategy(SearchStrategy::LinearReference);
+            let a = run_sim(&cfg, &pool, descend);
+            let b = run_sim(&cfg, &pool, linear);
             assert_eq!(
                 a.rejections, b.rejections,
                 "{label}, seed {seed}: admission decisions diverged"

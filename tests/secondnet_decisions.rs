@@ -8,14 +8,14 @@
 //! 1–6, plus a heavily bandwidth-constrained small datacenter where
 //! rejections and the retry machinery dominate.
 
+use cloudmirror::baselines::SecondNetPlacer;
 use cloudmirror::sim::events::{run_sim, SimConfig};
-use cloudmirror::sim::SecondNetAdmission;
 use cloudmirror::workloads::bing_like_pool;
 use cloudmirror::{mbps, TreeSpec};
 
 fn fingerprint(cfg: &SimConfig) -> String {
     let pool = bing_like_pool(42);
-    let r = run_sim(cfg, &pool, &mut SecondNetAdmission::new());
+    let r = run_sim(cfg, &pool, SecondNetPlacer::new());
     format!(
         "rej={} slots={} bw={} vms={} bwk={} wcs_components={} peak={}",
         r.rejections.rejected_tenants,
