@@ -909,15 +909,15 @@ impl<P: Placer> Cluster<P> {
 
     /// Every live tenant's placement expanded into a [`TenantTraffic`]
     /// (ascending id order, so reports are deterministic). Uses the same
-    /// [`report::expand_placement`] as the guarantee reports, so VM
-    /// indices in traffic patterns and guarantee reports can never
-    /// diverge.
+    /// [`cm_enforce::datacenter::expand_placement`] as the guarantee
+    /// reports, so VM indices in traffic patterns and guarantee reports can
+    /// never diverge.
     fn collect_traffic(&self, model: GuaranteeModel) -> Vec<TenantTraffic> {
         self.tenants
             .iter()
             .map(|(id, entry)| {
                 let placement = entry.deployed.placement(&self.topo);
-                let (vm_tier, vm_server) = report::expand_placement(&placement);
+                let (vm_tier, vm_server) = cm_enforce::datacenter::expand_placement(&placement);
                 TenantTraffic {
                     id: id.raw(),
                     tag: Arc::clone(&entry.tag),

@@ -101,14 +101,6 @@ impl GuaranteeReport {
     }
 }
 
-/// Expand a per-server placement into per-VM `(tier, server)` assignments
-/// — a thin delegate to the traffic engine's canonical
-/// [`cm_enforce::datacenter::expand_placement`], so guarantee reports and
-/// traffic reports agree on VM indexing by construction.
-pub(crate) fn expand_placement(placement: &[(NodeId, Vec<u32>)]) -> (Vec<TierId>, Vec<NodeId>) {
-    cm_enforce::datacenter::expand_placement(placement)
-}
-
 /// Expand a placement into per-VM assignments and partition the TAG's
 /// guarantees among the communicating pairs: every edge-connected pair
 /// greedy when `active` is `None`, or exactly the given `(src, dst)` pairs
@@ -123,7 +115,7 @@ pub(crate) fn build_report(
     model: GuaranteeModel,
     active: Option<&[(usize, usize)]>,
 ) -> GuaranteeReport {
-    let (vm_tier, vm_server) = expand_placement(placement);
+    let (vm_tier, vm_server) = cm_enforce::datacenter::expand_placement(placement);
 
     let mut raw_pairs: Vec<(usize, usize, f64)> = Vec::new();
     match active {

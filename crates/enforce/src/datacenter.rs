@@ -299,7 +299,7 @@ impl TrafficReport {
 
 /// Shortfalls below this are float noise, not violations.
 #[inline]
-fn violation_tol(intent: f64) -> f64 {
+pub(crate) fn violation_tol(intent: f64) -> f64 {
     1e-3 + 1e-6 * intent.abs()
 }
 

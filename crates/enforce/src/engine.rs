@@ -43,7 +43,7 @@
 //! stay bit-identical either way. The differential tests pin all three
 //! properties.
 
-use crate::datacenter::{LevelUtilization, PairFlow, TenantSummary, TrafficReport};
+use crate::datacenter::{violation_tol, LevelUtilization, PairFlow, TenantSummary, TrafficReport};
 use crate::elastic::GuaranteeModel;
 use crate::fluid::{FlowSpec, Fluid};
 use crate::incremental::IncrementalFluid;
@@ -486,13 +486,6 @@ impl TrafficEngine {
             score_secs,
         }
     }
-}
-
-/// Shortfalls below this are float noise, not violations (mirrors
-/// `datacenter::violation_tol`).
-#[inline]
-fn violation_tol(intent: f64) -> f64 {
-    1e-3 + 1e-6 * intent.abs()
 }
 
 /// The closed-form all-pairs guarantee split: `Enforcer::partition` on a

@@ -77,6 +77,19 @@ pub struct ExploreReport {
     pub findings: Vec<Finding>,
 }
 
+/// The exhaustive-mode gate: `Err` naming the first scenario whose
+/// exploration a cap (or a diverged prefix) stopped short of exhaustion.
+pub fn require_exhausted(reports: &[ExploreReport]) -> Result<(), String> {
+    match reports.iter().find(|r| !r.complete) {
+        Some(r) => Err(format!(
+            "{}: stopped after {} run(s) by a cap; the state space was not exhausted",
+            r.scenario,
+            r.schedules + r.pruned
+        )),
+        None => Ok(()),
+    }
+}
+
 /// One node on the DFS path: the runnable set seen there, the sleep set
 /// in force when descending, and the branch currently being explored.
 #[derive(Debug, Clone)]
@@ -333,6 +346,21 @@ mod tests {
         assert!(r.complete, "parmap should exhaust");
         assert!(r.schedules > 1, "expected multiple schedules");
         assert!(r.findings.is_empty(), "{:#?}", r.findings);
+    }
+
+    #[test]
+    fn a_fired_cap_fails_the_exhaustion_gate() {
+        let scn = scenario::find("samepod2").expect("scenario");
+        let caps = Caps {
+            max_runs: 3,
+            ..Caps::default()
+        };
+        let capped = explore_exhaustive(&scn, 2, Mutation::None, &caps);
+        assert_eq!(capped.schedules + capped.pruned, 3);
+        let reports = [explore("parmap", 2, Mutation::None), capped];
+        assert!(require_exhausted(&reports[..1]).is_ok());
+        let err = require_exhausted(&reports).expect_err("samepod2 hit the run cap");
+        assert!(err.starts_with("samepod2: stopped after 3 run(s)"), "{err}");
     }
 
     // The backtracker skips sleeping sibling branches before a run ever

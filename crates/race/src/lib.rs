@@ -50,8 +50,8 @@ pub mod scenario;
 pub mod schedule;
 
 /// Escape a string as a JSON string literal (hand-rolled — no serde in
-/// the offline container; shared by the CLI and `bench_admission`'s
-/// `model_check` section).
+/// the offline container; shared by the CLI and `cm_bench`'s report
+/// writer).
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

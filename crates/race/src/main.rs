@@ -10,11 +10,14 @@
 //!   pasted from a finding;
 //! * `--list-scenarios`: show the registry.
 //!
-//! Exit codes: `0` success, `1` findings (inverted by
-//! `--expect-finding`, which demands at least one finding — the seeded
-//! mutation gate), `2` usage or stale-id errors.
+//! Exit codes: `0` success, `1` findings or an exhaustive run that a cap
+//! stopped short of exhaustion (inverted by `--expect-finding`, which
+//! demands at least one finding — the seeded mutation gate — and does not
+//! require exhaustion), `2` usage or stale-id errors.
 
-use cm_race::explore::{explore_exhaustive, random_walks, replay, Caps, ExploreReport};
+use cm_race::explore::{
+    explore_exhaustive, random_walks, replay, require_exhausted, Caps, ExploreReport,
+};
 use cm_race::json_str;
 use cm_race::scenario::{self, Scenario};
 use cm_race::schedule::{Mutation, ScheduleId};
@@ -311,6 +314,12 @@ fn main() -> ExitCode {
             reports.len(),
             reports.iter().map(|r| r.schedules).sum::<usize>()
         );
+    }
+    if !opts.walk && !opts.expect_finding {
+        if let Err(e) = require_exhausted(&reports) {
+            eprintln!("cm-race: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     gate(found, opts.expect_finding)
 }
