@@ -146,7 +146,10 @@ const TRAFFIC_NOTE: &str = "incremental traffic engine stepped through lifecycle
     connected components, warm-started from the previous step's per-link water levels with a \
     verified cold fallback (solve = solve_cold + solve_warm), achieved rates scored against TAG \
     intents (score); *_p99_ms are per-phase p99s, step_p99_ms the whole engine step; \
-    components_dirty_mean / components_total gauge how much of the graph each step re-solves; \
+    components_dirty_mean / components_total gauge how much of the graph each step re-solves, \
+    tenants_rescored_mean / links_rescored_mean how much of it each step re-scores (deterministic \
+    counts: tenant summaries and per-link usages recomputed; everything else is served from \
+    caches); \
     ecmp_*_utilization is the residual hash imbalance over ECMP core sub-links; violations count \
     pairs whose achieved rate falls below the TAG-intended guarantee";
 
@@ -175,6 +178,14 @@ fn traffic_row(t: &TrafficRun) -> Fields {
             Val::Float(r.components_dirty_mean(), 1),
         ),
         ("components_total", r.components_total_last().into()),
+        (
+            "tenants_rescored_mean",
+            Val::Float(r.tenants_rescored_mean(), 1),
+        ),
+        (
+            "links_rescored_mean",
+            Val::Float(r.links_rescored_mean(), 1),
+        ),
         ("score_p99_ms", p99(|s| s.score_secs)),
         ("step_p99_ms", ms(&r.step_latencies(), 0.99)),
         (

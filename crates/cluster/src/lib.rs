@@ -862,12 +862,29 @@ impl<P: Placer> Cluster<P> {
             engine.sync_link_caps(&self.topo);
             self.traffic_fault_epoch.set(self.fault_epoch);
         }
-        engine.retain_tenants(|id| self.tenants.contains_key(&TenantId(id)));
-        for (id, entry) in &self.tenants {
-            if engine.version_of(id.raw()) != Some(entry.version) {
-                let placement = entry.deployed.placement(&self.topo);
-                engine.upsert_tenant(&self.topo, id.raw(), entry.version, &entry.tag, &placement);
+        // The registry and the engine's cache are both id-ordered: one
+        // merge finds the departed (cached only) and the new or moved
+        // (missing, or cached at another version).
+        let mut departed: Vec<u64> = Vec::new();
+        let mut stale: Vec<(TenantId, &TenantEntry)> = Vec::new();
+        let mut cached = engine.versions().peekable();
+        for (&id, entry) in &self.tenants {
+            while let Some(&(old, _)) = cached.peek().filter(|c| c.0 < id.raw()) {
+                departed.push(old);
+                cached.next();
             }
+            if cached.next_if_eq(&(id.raw(), entry.version)).is_none() {
+                cached.next_if(|c| c.0 == id.raw());
+                stale.push((id, entry));
+            }
+        }
+        departed.extend(cached.map(|c| c.0));
+        if !departed.is_empty() {
+            engine.retain_tenants(|id| departed.binary_search(&id).is_err());
+        }
+        for (id, entry) in stale {
+            let placement = entry.deployed.placement(&self.topo);
+            engine.upsert_tenant(&self.topo, id.raw(), entry.version, &entry.tag, &placement);
         }
         RefMut::map(slot, |s| s.as_mut().expect("engine just ensured")) // cm-analyze: allow(no-unwrap-in-hot-path) -- the Option is filled unconditionally above; RefMut::map cannot propagate an error
     }

@@ -262,6 +262,16 @@ pub struct TrafficReport {
     pub components_dirty: usize,
     /// Connected components among links carrying at least one flow.
     pub components_total: usize,
+    /// Tenant summaries scored this step. The incremental engine re-scores
+    /// only tenants with a flow in a re-solved component (plus tenants
+    /// expanded with no cross-server flow); the batch solver scores every
+    /// tenant. A deterministic count: equal for equal op streams.
+    pub tenants_rescored: usize,
+    /// Fluid links whose usage was recomputed this step. The incremental
+    /// engine recomputes the links of re-solved components and touched
+    /// links left without flows; the batch solver recomputes every link.
+    /// Deterministic like `tenants_rescored`.
+    pub links_rescored: usize,
     /// Largest used/capacity over ECMP sub-links (links split `ways > 1`
     /// ways); 0 when nothing is split. Compared against
     /// `ecmp_mean_utilization` this measures hash-collision imbalance in
@@ -499,6 +509,8 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
         solve_warm_secs: 0.0,
         components_dirty: 1,
         components_total: 1,
+        tenants_rescored: tenants.len(),
+        links_rescored: net.num_links(),
         ecmp_max_utilization: 0.0,
         ecmp_mean_utilization: 0.0,
         score_secs: 0.0,

@@ -1,5 +1,5 @@
-//! Persistent incremental traffic engine: per-step work proportional to
-//! *churn*, not cluster size.
+//! Persistent incremental traffic engine: every phase of a step costs
+//! what *churned*, not what is installed.
 //!
 //! [`crate::datacenter::solve`] re-expands every live tenant's VM pairs,
 //! re-partitions every guarantee and re-routes every pair on every call —
@@ -33,6 +33,37 @@
 //! step's water levels — while clean components keep their rates
 //! verbatim (see [`crate::incremental`]).
 //!
+//! ## Scoring is cached too
+//!
+//! What a report says about the solved rates is kept between steps and
+//! refreshed only where the solver says rates moved. Each cache is a pure
+//! function of the current flows and rates, recomputed *whole* for what
+//! it covers — never a float `+= delta` — so a churned engine and a fresh
+//! one hold the same bits:
+//!
+//! * **Tenant summaries.** Each tenant keeps its [`TenantSummary`]. It is
+//!   re-scored when the solver lists the tenant among
+//!   [`IncrementalFluid::resolved_keys`] (one of its flows was in a
+//!   re-solved component; a tenant not listed kept every rate verbatim)
+//!   and initialised at expansion (which is final for a tenant with no
+//!   cross-server flow). The report's `tenants` and its totals are one
+//!   id-ordered fold over the cached summaries.
+//! * **Link usage and work conservation** are the solver's (see
+//!   [`crate::incremental`]): usage per link, and the verdict as two
+//!   integer counters.
+//! * **Level / ECMP utilisation.** Links are cut into fixed blocks of
+//!   256 consecutive ids (`UTIL_BLOCK`); each block keeps, per tree level and
+//!   for the split links, `(Σ util, max, saturated)`. A block is
+//!   recomputed when it holds one of
+//!   [`IncrementalFluid::changed_links`] (usage or capacity may have
+//!   moved; every other block's inputs are unchanged), then all blocks
+//!   are folded in order. The association is fixed by the link layout,
+//!   not by history.
+//!
+//! Debug builds recompute all of the above from scratch after every solve
+//! and assert bit-equality ([`TrafficEngine::solve`] pays nothing for it
+//! in release).
+//!
 //! Determinism contract: component *cold* solves order flows by the
 //! canonical `(tenant id, bundle sub-flow sequence)` key, so a
 //! forced-cold engine that churned through any history produces
@@ -54,6 +85,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Consecutive fluid links per utilisation block (see the
+/// [module docs](self)): small enough that a rack-scoped step refreshes a
+/// handful of blocks, large enough that folding all of them is ~1k adds
+/// per level at 131k servers.
+const UTIL_BLOCK: usize = 256;
+
 /// One bundled flow class: every `(src VM, dst VM)` pair of one TAG edge
 /// between one ordered server pair. All members share floor, intent, route
 /// — and therefore, by symmetry of weighted max-min, the solved rate.
@@ -71,13 +108,10 @@ struct Bundle {
     floor: f64,
     /// Per-pair TAG intent (kbps).
     intent: f64,
-    /// Aggregate floor per sub-flow (`members × floor / paths`).
-    sub_floor: f64,
-    /// Aggregate weight per sub-flow.
-    sub_weight: f64,
-    /// Fluid link paths: one entry per sub-flow (1, or `ways` under
-    /// [`EcmpMode::EqualSplit`] when the route crosses a split link).
-    paths: Vec<Vec<usize>>,
+    /// Fluid sub-flows carrying the bundle (1, or `ways` under
+    /// [`EcmpMode::EqualSplit`] when the route crosses a split link); the
+    /// paths themselves live in the fluid network only.
+    sub_flows: u32,
 }
 
 impl Bundle {
@@ -114,19 +148,135 @@ impl CoClass {
 struct EngineTenant {
     /// Placement version this expansion reflects.
     version: u64,
-    vms: usize,
-    /// Active pairs (cross + colocated).
-    pairs: usize,
-    cross_pairs: usize,
     colocated_pairs: usize,
-    /// Σ intent over cross pairs (kbps).
-    intent_kbps: f64,
     bundles: Vec<Bundle>,
     colocated: Vec<CoClass>,
     /// Stable fluid-flow ids of the tenant's live sub-flows, one per
-    /// `(bundle, path)` in bundle order — removed on re-expansion or
+    /// `(bundle, sub-flow)` in bundle order — removed on re-expansion or
     /// departure.
     flow_ids: Vec<u32>,
+    /// The tenant's line of the report: placement-derived fields fixed at
+    /// expansion, rate-derived fields as of the last re-score.
+    summary: TenantSummary,
+}
+
+impl EngineTenant {
+    /// Each bundle with its aggregate solved rate (Σ over its sub-flows),
+    /// in bundle order.
+    fn bundle_rates<'a>(
+        &'a self,
+        net: &'a IncrementalFluid,
+    ) -> impl Iterator<Item = (&'a Bundle, f64)> + 'a {
+        let mut ids = self.flow_ids.iter();
+        self.bundles.iter().map(move |b| {
+            let aggregate = ids
+                .by_ref()
+                .take(b.sub_flows as usize)
+                .fold(0.0, |sum, &fid| sum + net.rate_of(fid));
+            (b, aggregate)
+        })
+    }
+
+    /// The tenant's summary scored against the solver's current rates,
+    /// recovering per-pair rates as aggregate / members.
+    fn scored(&self, net: &IncrementalFluid) -> TenantSummary {
+        let mut summary = TenantSummary {
+            achieved_kbps: 0.0,
+            violations: 0,
+            worst_shortfall_kbps: 0.0,
+            ..self.summary.clone()
+        };
+        for (b, aggregate) in self.bundle_rates(net) {
+            let m = b.members();
+            let per_pair = aggregate / m as f64;
+            summary.achieved_kbps += aggregate;
+            if per_pair + violation_tol(b.intent) < b.intent {
+                summary.violations += m as usize;
+                summary.worst_shortfall_kbps =
+                    summary.worst_shortfall_kbps.max(b.intent - per_pair);
+            }
+        }
+        summary
+    }
+
+    /// Append every VM pair of the tenant with its current rate (the
+    /// `solve_detailed` path; O(pairs) by definition).
+    fn pair_flows(&self, net: &IncrementalFluid, flows: &mut Vec<PairFlow>) {
+        let id = self.summary.id;
+        for c in &self.colocated {
+            for s in c.src..c.src + c.src_cnt {
+                for d in c.dst..c.dst + c.dst_cnt {
+                    if c.diagonal && s == d {
+                        continue;
+                    }
+                    flows.push(PairFlow {
+                        tenant: id,
+                        src: s as usize,
+                        dst: d as usize,
+                        floor_kbps: c.floor,
+                        intent_kbps: c.intent,
+                        rate_kbps: c.intent,
+                        colocated: true,
+                    });
+                }
+            }
+        }
+        for (b, aggregate) in self.bundle_rates(net) {
+            let per_pair = aggregate / b.members() as f64;
+            for s in b.src..b.src + b.src_cnt {
+                for d in b.dst..b.dst + b.dst_cnt {
+                    flows.push(PairFlow {
+                        tenant: id,
+                        src: s as usize,
+                        dst: d as usize,
+                        floor_kbps: b.floor,
+                        intent_kbps: b.intent,
+                        rate_kbps: per_pair,
+                        colocated: false,
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// `(Σ utilisation, max utilisation, links ≥ 99.9 %)` over some links.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct UtilAgg {
+    sum: f64,
+    max: f64,
+    saturated: usize,
+}
+
+impl UtilAgg {
+    fn add_link(&mut self, util: f64) {
+        self.sum += util;
+        self.max = self.max.max(util);
+        self.saturated += usize::from(util >= 0.999);
+    }
+
+    fn add_block(&mut self, block: &UtilAgg) {
+        self.sum += block.sum;
+        self.max = self.max.max(block.max);
+        self.saturated += block.saturated;
+    }
+}
+
+/// Aggregate block `b`'s links from scratch into `out`: one entry per
+/// tree level, then one for the split (ECMP) links. A pure function of
+/// the block's usages and capacities — production and the debug
+/// cross-check both call it, so their association is the same.
+fn aggregate_block(route: &RouteCache, fluid: &Fluid, used: &[f64], b: usize, out: &mut [UtilAgg]) {
+    out.fill(UtilAgg::default());
+    let ecmp = out.len() - 1;
+    for l in b * UTIL_BLOCK..((b + 1) * UTIL_BLOCK).min(used.len()) {
+        let cap = fluid.link_cap(l);
+        let util = if cap > 0.0 { used[l] / cap } else { 0.0 };
+        out[route.link_level(l) as usize].add_link(util);
+        if route.link_is_split(l) {
+            out[ecmp].add_link(util);
+        }
+    }
 }
 
 /// The persistent incremental engine (see the [module docs](self)).
@@ -141,8 +291,16 @@ pub struct TrafficEngine {
     /// Expansion seconds accumulated by `upsert_tenant` since the last
     /// solve (the dirty-set work of the step).
     pending_expand: f64,
-    /// Pooled per-link usage buffer for the scoring pass.
-    used_scratch: Vec<f64>,
+    /// Tenants expanded since the last solve with no cross-server flow:
+    /// scored at expansion, so the solver will never list them.
+    pending_flowless: usize,
+    /// Links per aggregate slot (one per tree level, then the split
+    /// links): static, and its length is the stride of `util_blocks`.
+    util_links: Vec<usize>,
+    /// Per-block utilisation aggregates, block-major, one entry per slot.
+    util_blocks: Vec<UtilAgg>,
+    /// Pooled list of the blocks a step recomputes.
+    stale_blocks: Vec<u32>,
 }
 
 impl TrafficEngine {
@@ -152,14 +310,26 @@ impl TrafficEngine {
     pub fn new(topo: &Topology, model: GuaranteeModel, ecmp: EcmpConfig) -> Self {
         let mut net = Fluid::new();
         let route = RouteCache::build(topo, ecmp, &mut net);
+        let num_levels = topo.num_levels();
+        let ecmp = num_levels.saturating_sub(1);
+        let mut util_links = vec![0usize; ecmp + 1];
+        for l in 0..net.num_links() {
+            util_links[route.link_level(l) as usize] += 1;
+            util_links[ecmp] += usize::from(route.link_is_split(l));
+        }
+        // An idle network aggregates to all-zero blocks.
+        let blocks = net.num_links().div_ceil(UTIL_BLOCK);
         TrafficEngine {
             model,
             route,
             net: IncrementalFluid::new(net),
-            num_levels: topo.num_levels(),
+            num_levels,
             tenants: BTreeMap::new(),
             pending_expand: 0.0,
-            used_scratch: Vec::new(),
+            pending_flowless: 0,
+            util_blocks: vec![UtilAgg::default(); blocks * util_links.len()],
+            util_links,
+            stale_blocks: Vec::new(),
         }
     }
 
@@ -194,6 +364,8 @@ impl TrafficEngine {
             self.model = model;
             self.tenants.clear();
             self.net.clear_flows();
+            // Every usage is zero again: so is every block.
+            self.util_blocks.fill(UtilAgg::default());
         }
     }
 
@@ -230,6 +402,13 @@ impl TrafficEngine {
     /// The placement version tenant `id` was last expanded at, if cached.
     pub fn version_of(&self, id: u64) -> Option<u64> {
         self.tenants.get(&id).map(|t| t.version)
+    }
+
+    /// Every cached tenant as `(id, placement version)`, ascending by id —
+    /// what a caller holding its own id-ordered registry merges against to
+    /// find departures and stale expansions in one pass.
+    pub fn versions(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.tenants.iter().map(|(&id, t)| (id, t.version))
     }
 
     /// Tenants currently cached.
@@ -275,28 +454,17 @@ impl TrafficEngine {
                 self.net.remove_flow(fid);
             }
         }
-        let mut expanded = expand_tenant(
+        let expanded = expand_tenant(
             self.model,
             tag,
             placement,
             topo,
             &mut self.route,
+            &mut self.net,
             version,
             id,
         );
-        // Materialize the bundles' sub-flows into the persistent network
-        // under the canonical `(tenant, sequence)` key the component
-        // solver orders by.
-        let mut seq = 0u32;
-        for b in &expanded.bundles {
-            for p in &b.paths {
-                let mut spec = FlowSpec::greedy(p.clone());
-                spec.floor = b.sub_floor;
-                spec.weight = b.sub_weight;
-                expanded.flow_ids.push(self.net.add_flow(spec, (id, seq)));
-                seq += 1;
-            }
-        }
+        self.pending_flowless += usize::from(expanded.flow_ids.is_empty());
         self.tenants.insert(id, expanded);
         self.pending_expand += t.elapsed().as_secs_f64();
     }
@@ -327,141 +495,79 @@ impl TrafficEngine {
         let stats = self.net.solve();
         let solve_secs = t_solve.elapsed().as_secs_f64();
 
-        // Score phase: walk each tenant's bundles through its stable flow
-        // ids, recovering per-pair rates as aggregate / members.
+        // Score phase: refresh exactly the caches the solve invalidated —
+        // the summaries of tenants with a re-solved flow, the utilisation
+        // blocks holding a changed link — then fold the caches in order.
         let t_score = Instant::now();
-        let work_conserving = self.net.is_work_conserving();
+        for id in self.net.resolved_keys() {
+            if let Some(tenant) = self.tenants.get_mut(id) {
+                tenant.summary = tenant.scored(&self.net);
+            }
+        }
+        let tenants_rescored = self.net.resolved_keys().len() + self.pending_flowless;
+        self.pending_flowless = 0;
+        let stride = self.util_links.len();
+        self.stale_blocks.clear();
+        self.stale_blocks.extend(
+            self.net
+                .changed_links()
+                .iter()
+                .map(|&l| l / UTIL_BLOCK as u32),
+        );
+        self.stale_blocks.sort_unstable();
+        self.stale_blocks.dedup();
+        for &b in &self.stale_blocks {
+            let b = b as usize;
+            let out = &mut self.util_blocks[b * stride..(b + 1) * stride];
+            aggregate_block(&self.route, self.net.fluid(), self.net.link_usage(), b, out);
+        }
+
         let mut summaries = Vec::with_capacity(self.tenants.len());
         let mut flows: Vec<PairFlow> = Vec::new();
         let mut cross_flows = 0usize;
         let mut colocated_flows = 0usize;
         let mut total_rate_kbps = 0.0;
         let mut violations = 0usize;
-        for (&id, tenant) in &self.tenants {
-            let mut cursor = 0usize;
-            let mut summary = TenantSummary {
-                id,
-                vms: tenant.vms,
-                pairs: tenant.pairs,
-                cross_pairs: tenant.cross_pairs,
-                intent_kbps: tenant.intent_kbps,
-                achieved_kbps: 0.0,
-                violations: 0,
-                worst_shortfall_kbps: 0.0,
-            };
-            if detailed {
-                for c in &tenant.colocated {
-                    for s in c.src..c.src + c.src_cnt {
-                        for d in c.dst..c.dst + c.dst_cnt {
-                            if c.diagonal && s == d {
-                                continue;
-                            }
-                            flows.push(PairFlow {
-                                tenant: id,
-                                src: s as usize,
-                                dst: d as usize,
-                                floor_kbps: c.floor,
-                                intent_kbps: c.intent,
-                                rate_kbps: c.intent,
-                                colocated: true,
-                            });
-                        }
-                    }
-                }
-            }
-            for b in &tenant.bundles {
-                let mut aggregate = 0.0;
-                for _ in 0..b.paths.len() {
-                    aggregate += self.net.rate_of(tenant.flow_ids[cursor]);
-                    cursor += 1;
-                }
-                let m = b.members();
-                let per_pair = aggregate / m as f64;
-                summary.achieved_kbps += aggregate;
-                total_rate_kbps += aggregate;
-                if per_pair + violation_tol(b.intent) < b.intent {
-                    summary.violations += m as usize;
-                    violations += m as usize;
-                    summary.worst_shortfall_kbps =
-                        summary.worst_shortfall_kbps.max(b.intent - per_pair);
-                }
-                if detailed {
-                    for s in b.src..b.src + b.src_cnt {
-                        for d in b.dst..b.dst + b.dst_cnt {
-                            flows.push(PairFlow {
-                                tenant: id,
-                                src: s as usize,
-                                dst: d as usize,
-                                floor_kbps: b.floor,
-                                intent_kbps: b.intent,
-                                rate_kbps: per_pair,
-                                colocated: false,
-                            });
-                        }
-                    }
-                }
-            }
-            debug_assert_eq!(cursor, tenant.flow_ids.len());
-            cross_flows += tenant.cross_pairs;
+        for tenant in self.tenants.values() {
+            cross_flows += tenant.summary.cross_pairs;
             colocated_flows += tenant.colocated_pairs;
-            summaries.push(summary);
+            total_rate_kbps += tenant.summary.achieved_kbps;
+            violations += tenant.summary.violations;
+            summaries.push(tenant.summary.clone());
+            if detailed {
+                tenant.pair_flows(&self.net, &mut flows);
+            }
         }
 
-        // Link utilization per tree level, from the bundled flows; ECMP
-        // sub-links additionally feed the hash-imbalance aggregate.
-        let used = &mut self.used_scratch;
-        used.clear();
-        used.resize(self.net.num_links(), 0.0);
-        // Accumulate in canonical (tenant, flow-seq) order — dense order is
-        // permuted by swap-removals under churn, and a permuted float sum
-        // would break the forced-cold bit-equality contract.
-        for tenant in self.tenants.values() {
-            for &fid in &tenant.flow_ids {
-                let r = self.net.rate_of(fid);
-                for &l in &self.net.flow_of(fid).path {
-                    used[l] += r;
-                }
+        // Link utilization per tree level; ECMP sub-links additionally
+        // feed the hash-imbalance aggregate.
+        let mut totals = vec![UtilAgg::default(); stride];
+        for block in self.util_blocks.chunks_exact(stride) {
+            for (total, agg) in totals.iter_mut().zip(block) {
+                total.add_block(agg);
             }
         }
-        let mut levels: Vec<LevelUtilization> = (0..self.num_levels.saturating_sub(1))
+        let mean = |agg: &UtilAgg, links: usize| {
+            if links > 0 {
+                agg.sum / links as f64
+            } else {
+                0.0
+            }
+        };
+        let ecmp = stride - 1;
+        let levels: Vec<LevelUtilization> = (0..ecmp)
             .map(|level| LevelUtilization {
                 level,
-                links: 0,
-                mean_utilization: 0.0,
-                max_utilization: 0.0,
-                saturated: 0,
+                links: self.util_links[level],
+                mean_utilization: mean(&totals[level], self.util_links[level]),
+                max_utilization: totals[level].max,
+                saturated: totals[level].saturated,
             })
             .collect();
-        let mut ecmp_max_utilization = 0.0f64;
-        let mut ecmp_sum_utilization = 0.0f64;
-        let mut ecmp_links = 0usize;
-        for (l, &u) in used.iter().enumerate() {
-            let cap = self.net.fluid().link_cap(l);
-            let util = if cap > 0.0 { u / cap } else { 0.0 };
-            let lv = &mut levels[self.route.link_level(l) as usize];
-            lv.links += 1;
-            lv.mean_utilization += util;
-            lv.max_utilization = lv.max_utilization.max(util);
-            if util >= 0.999 {
-                lv.saturated += 1;
-            }
-            if self.route.link_is_split(l) {
-                ecmp_max_utilization = ecmp_max_utilization.max(util);
-                ecmp_sum_utilization += util;
-                ecmp_links += 1;
-            }
-        }
-        for lv in &mut levels {
-            if lv.links > 0 {
-                lv.mean_utilization /= lv.links as f64;
-            }
-        }
-        let ecmp_mean_utilization = if ecmp_links > 0 {
-            ecmp_sum_utilization / ecmp_links as f64
-        } else {
-            0.0
-        };
         let score_secs = t_score.elapsed().as_secs_f64();
+
+        #[cfg(debug_assertions)]
+        self.assert_caches_exact();
 
         TrafficReport {
             tenants: summaries,
@@ -470,7 +576,7 @@ impl TrafficEngine {
             cross_flows,
             colocated_flows,
             total_rate_kbps,
-            work_conserving,
+            work_conserving: self.net.is_work_conserving(),
             violations,
             fluid_flows,
             build_secs: expand_secs + route_secs,
@@ -481,9 +587,54 @@ impl TrafficEngine {
             solve_warm_secs: stats.warm_secs,
             components_dirty: stats.components_dirty,
             components_total: stats.components_total,
-            ecmp_max_utilization,
-            ecmp_mean_utilization,
+            tenants_rescored,
+            links_rescored: self.net.changed_links().len(),
+            ecmp_max_utilization: totals[ecmp].max,
+            ecmp_mean_utilization: mean(&totals[ecmp], self.util_links[ecmp]),
             score_secs,
+        }
+    }
+
+    /// Recompute from scratch everything scoring caches — the solver's
+    /// usage, flags and components, every tenant summary, every
+    /// utilisation block — and assert bit-equality with the cached state.
+    /// Debug builds run it after every solve, which makes every debug test
+    /// that steps an engine a differential test of the caches.
+    #[cfg(debug_assertions)]
+    fn assert_caches_exact(&self) {
+        self.net.assert_caches_exact();
+        for (id, tenant) in &self.tenants {
+            let (want, got) = (tenant.scored(&self.net), &tenant.summary);
+            assert_eq!(want.violations, got.violations, "tenant {id} violations");
+            assert_eq!(
+                (
+                    want.achieved_kbps.to_bits(),
+                    want.worst_shortfall_kbps.to_bits()
+                ),
+                (
+                    got.achieved_kbps.to_bits(),
+                    got.worst_shortfall_kbps.to_bits()
+                ),
+                "tenant {id} summary"
+            );
+        }
+        let stride = self.util_links.len();
+        let mut want = vec![UtilAgg::default(); stride];
+        for (b, got) in self.util_blocks.chunks_exact(stride).enumerate() {
+            aggregate_block(
+                &self.route,
+                self.net.fluid(),
+                self.net.link_usage(),
+                b,
+                &mut want,
+            );
+            for (w, g) in want.iter().zip(got) {
+                assert_eq!(
+                    (w.sum.to_bits(), w.max.to_bits(), w.saturated),
+                    (g.sum.to_bits(), g.max.to_bits(), g.saturated),
+                    "utilisation block {b}"
+                );
+            }
         }
     }
 }
@@ -503,13 +654,18 @@ fn even_share(g: f64, cnt: u32) -> f64 {
 }
 
 /// Expand one tenant's placement into bundled flow classes with
-/// closed-form class floors (see the [module docs](self)).
+/// closed-form class floors (see the [module docs](self)), materializing
+/// each bundle's sub-flows into `net` under the canonical
+/// `(tenant, sequence)` key the component solver orders by. Every routed
+/// path is built once and moved into its [`FlowSpec`].
+#[allow(clippy::too_many_arguments)]
 fn expand_tenant(
     model: GuaranteeModel,
     tag: &Arc<Tag>,
     placement: &[(NodeId, Vec<u32>)],
     topo: &Topology,
     route: &mut RouteCache,
+    net: &mut IncrementalFluid,
     version: u64,
     id: u64,
 ) -> EngineTenant {
@@ -577,16 +733,22 @@ fn expand_tenant(
     let cfg = route.config();
     let mut tenant = EngineTenant {
         version,
-        vms,
-        pairs: 0,
-        cross_pairs: 0,
         colocated_pairs: 0,
-        intent_kbps: 0.0,
         bundles: Vec::new(),
         colocated: Vec::new(),
         flow_ids: Vec::new(),
+        summary: TenantSummary {
+            id,
+            vms,
+            pairs: 0,
+            cross_pairs: 0,
+            intent_kbps: 0.0,
+            achieved_kbps: 0.0,
+            violations: 0,
+            worst_shortfall_kbps: 0.0,
+        },
     };
-    let mut path = Vec::new();
+    let mut hops: Vec<u32> = Vec::new();
     for (ei, e) in edges.iter().enumerate() {
         let (u, v) = (e.from.index(), e.to.index());
         if n[u] == 0 || n[v] == 0 {
@@ -614,29 +776,17 @@ fn expand_tenant(
                         intent,
                     };
                     let m = co.members() as usize;
-                    tenant.pairs += m;
+                    tenant.summary.pairs += m;
                     tenant.colocated_pairs += m;
                     if m > 0 {
                         tenant.colocated.push(co);
                     }
                     continue;
                 }
-                let hops = route.hops(topo, src_server, dst_server).to_vec();
-                let mut paths: Vec<Vec<usize>> = Vec::new();
-                if cfg.mode == EcmpMode::EqualSplit && route.path_is_split(&hops) {
-                    for j in 0..cfg.sub_flows() {
-                        path.clear();
-                        route.path_split(&hops, j, &mut path);
-                        paths.push(path.clone());
-                    }
-                } else {
-                    path.clear();
-                    route.path_hashed(&hops, flow_seed(id, src_server, dst_server), &mut path);
-                    paths.push(path.clone());
-                }
-                let m = (src_cnt * dst_cnt) as f64;
-                let k = paths.len() as f64;
-                let w = if floor > 0.0 { floor } else { 1.0 };
+                hops.clear();
+                hops.extend_from_slice(route.hops(topo, src_server, dst_server));
+                let split = cfg.mode == EcmpMode::EqualSplit && route.path_is_split(&hops);
+                let sub_flows = if split { cfg.sub_flows() } else { 1 };
                 let b = Bundle {
                     src,
                     src_cnt,
@@ -644,13 +794,27 @@ fn expand_tenant(
                     dst_cnt,
                     floor,
                     intent,
-                    sub_floor: m * floor / k,
-                    sub_weight: m * w / k,
-                    paths,
+                    sub_flows,
                 };
-                tenant.pairs += b.members() as usize;
-                tenant.cross_pairs += b.members() as usize;
-                tenant.intent_kbps += intent * b.members() as f64;
+                let m = b.members() as f64;
+                let k = sub_flows as f64;
+                let w = if floor > 0.0 { floor } else { 1.0 };
+                for j in 0..sub_flows {
+                    let mut path = Vec::with_capacity(hops.len());
+                    if split {
+                        route.path_split(&hops, j, &mut path);
+                    } else {
+                        route.path_hashed(&hops, flow_seed(id, src_server, dst_server), &mut path);
+                    }
+                    let mut spec = FlowSpec::greedy(path);
+                    spec.floor = m * floor / k;
+                    spec.weight = m * w / k;
+                    let seq = tenant.flow_ids.len() as u32;
+                    tenant.flow_ids.push(net.add_flow(spec, (id, seq)));
+                }
+                tenant.summary.pairs += b.members() as usize;
+                tenant.summary.cross_pairs += b.members() as usize;
+                tenant.summary.intent_kbps += intent * b.members() as f64;
                 tenant.bundles.push(b);
             }
         }

@@ -1,4 +1,4 @@
-//! Incremental, component-scoped fluid solver: per-step solve cost
+//! Incremental, component-scoped fluid solver: every per-step cost is
 //! proportional to the *churned* part of the network, not the whole of it.
 //!
 //! Weighted max-min fairness decomposes exactly over the connected
@@ -6,25 +6,45 @@
 //! only on its own flows and links, never on the rest of the network.
 //! [`IncrementalFluid`] exploits that three ways:
 //!
-//! * **Component partition, maintained incrementally.** Links are the
-//!   vertices of a union-find; every flow unions the links on its path.
-//!   Flow insertion extends the partition in `O(|path| α)`; removal marks
-//!   the partition stale and the next solve rebuilds it from the surviving
-//!   flows in `O(links + Σ|path| α)` — cheap next to any solve.
-//! * **Dirty-set solving.** Every link on the path of a flow added or
-//!   removed since the last solve is *touched*; a component is dirty iff
-//!   it contains a touched link. Only dirty components are re-solved;
-//!   untouched components keep their previous rates **verbatim**. This is
-//!   exact, not approximate: a removed flow touches every link it crossed,
-//!   and any surviving flow sharing a link with churn has that link in its
-//!   component, so a component with no touched link faced the identical
-//!   subproblem last step.
+//! * **Dirty region by traversal.** Every link on the path of a flow added
+//!   or removed since the last solve, and every link whose capacity
+//!   changed, is *touched*. From each touched link that still carries a
+//!   flow the solve walks link → flows → path links; what it reaches is
+//!   exactly one current connected component, and the union of the walks
+//!   is exactly the set of components whose subproblem changed: a removed
+//!   flow touches every link it crossed, so every remnant of a component
+//!   the removal split contains a touched link, and a component with no
+//!   touched link faced the identical subproblem last step. Nothing
+//!   outside the walks is read.
+//! * **Dirty-set solving.** Only the walked components are re-solved;
+//!   every other component keeps its previous rates **verbatim**.
 //! * **Localized rounds.** Even an all-dirty step is far cheaper than one
 //!   global [`Fluid::rates`] call: each progressive-filling round scans
 //!   only the component's links instead of every link in the network, so
 //!   total cost is `Σ_c rounds_c × links_c` instead of
 //!   `rounds_total × links_total` — orders of magnitude less on a fat-tree
 //!   where placement keeps tenants in rack/pod-scoped components.
+//!
+//! ## What is cached, and why each cache is exact
+//!
+//! Beside the rates the solver keeps, per link, the **usage** (Σ rate of
+//! the link's flows), an **over-capacity** flag, the **water level** and a
+//! **component label** (the lowest link of the link's component); per
+//! flow, a **starved** flag (below demand with no saturated link on its
+//! path); and three integers: links over capacity, flows starved, and the
+//! number of components. Every one of them is a *pure function of the
+//! current flow set and capacities, recomputed whole* for the links and
+//! flows of each component the step re-solved (and reset for a touched
+//! link left without flows) — never adjusted by a float delta. A clean
+//! component's flows, rates and capacities did not change, so neither did
+//! anything derived from them; the counters move only by the exact integer
+//! difference of the flags that were rewritten. Usage is summed in the
+//! canonical flow order below, so it too is independent of churn history.
+//! [`IncrementalFluid::is_work_conserving`] is therefore two integer
+//! comparisons, and the component count is
+//! `old − (old components the walks and the emptied links covered) +
+//! (components walked)`. Debug builds re-derive all of it from scratch
+//! after every engine solve and assert bit-equality.
 //!
 //! ## Warm start
 //!
@@ -51,10 +71,14 @@
 //! that churned through any history cold-solves bit-identically to a
 //! fresh one. Warm solves agree with cold within the verification
 //! tolerance (and are discarded otherwise). All solver scratch — rate
-//! vectors, per-link indexes, freeze queues — is pooled across steps.
+//! vectors, per-link indexes, freeze queues, the traversal's stamp maps —
+//! is pooled across steps and never cleared wholesale.
 
 use crate::fluid::{tol, FlowSpec, Fluid};
 use std::time::Instant;
+
+/// Component label of a link no flow crosses.
+const NO_COMPONENT: u32 = u32::MAX;
 
 /// What one [`IncrementalFluid::solve`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -87,45 +111,75 @@ pub struct IncrementalFluid {
     keys: Vec<(u64, u32)>,
     /// Dense flow index → last solved rate.
     rates: Vec<f64>,
-    /// Union-find parent per link.
-    parent: Vec<u32>,
-    /// Links on the path of a flow added/removed since the last solve.
+    /// Dense flow index → at the last solve the flow sat below its demand
+    /// with no saturated link on its path.
+    starved: Vec<bool>,
+    /// Flows with `starved` set.
+    flows_starved: usize,
+    /// Links on the path of a flow added/removed, or re-capped, since the
+    /// last solve.
     touched: Vec<bool>,
     touched_links: Vec<u32>,
     /// Per-link water level from the previous solve (`∞` = unsaturated).
     water: Vec<f64>,
-    /// A removal invalidated the union-find; rebuild before solving.
-    partition_stale: bool,
+    /// Per-link Σ rate of the link's flows, in canonical key order (0.0
+    /// for a link no flow crosses).
+    used: Vec<f64>,
+    /// Per-link "usage exceeds capacity beyond tolerance".
+    over: Vec<bool>,
+    /// Links with `over` set.
+    links_over: usize,
+    /// Per-link lowest link of the link's component (`NO_COMPONENT` for a
+    /// link no flow crosses).
+    label: Vec<u32>,
+    /// Connected components among links carrying at least one flow.
+    components: usize,
+    /// Links whose usage or capacity the last solve may have changed: each
+    /// re-solved component's links as one ascending slice, and between the
+    /// slices the touched links found without flows.
+    changed_links: Vec<u32>,
+    /// Ascending distinct first key components of the flows the last
+    /// solve re-solved.
+    resolved_keys: Vec<u64>,
     /// Test knob: skip warm attempts entirely.
     force_cold: bool,
     scratch: Scratch,
 }
 
+/// One dirty component: its slice of `changed_links` and of the
+/// traversal's flow arena.
+#[derive(Debug, Clone, Copy)]
+struct Comp {
+    /// Lowest link of the component (its label and its sort key).
+    lowest: u32,
+    links: (u32, u32),
+    flows: (u32, u32),
+}
+
 /// Pooled solver scratch, reused across steps and components.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Monotone stamp for the epoch-stamped maps below.
+    /// Monotone stamp for the epoch-stamped maps below; stale entries are
+    /// always below it, so the maps are never cleared.
     stamp: u64,
-    /// Root link → stamp of the solve that marked it dirty.
-    root_dirty: Vec<u64>,
-    /// Root link → stamp + component id of the current solve.
-    root_comp_stamp: Vec<u64>,
-    root_comp_id: Vec<u32>,
-    /// Component id → dirty-bucket slot (`u32::MAX` = clean).
-    dirty_slots: Vec<u32>,
-    /// Dirty-bucket slot → the component's links, ascending.
-    comp_links: Vec<Vec<u32>>,
-    /// Dense flow index → stamp of the component gather that saw it.
+    /// Link → stamp of the solve whose traversal reached it.
+    link_seen: Vec<u64>,
+    /// Dense flow index → stamp of the solve whose traversal reached it.
     flow_seen: Vec<u64>,
-    /// The dirty component's flows (dense indices, canonical order).
+    /// Flows of every dirty component (dense indices, traversal order).
+    dirty_flows: Vec<u32>,
+    /// The dirty components, ascending by lowest link.
+    comps: Vec<Comp>,
+    /// The component's flows (dense indices, canonical order).
     comp_flows: Vec<u32>,
     /// Global link → local index within the component being solved.
     link_local: Vec<u32>,
-    link_stamp: Vec<u64>,
-    /// Local link → global link / capacity / member flows (local indices).
+    /// Local link → global link / capacity / member flows (local indices)
+    /// / saturated after the solve.
     lglobal: Vec<u32>,
     lcaps: Vec<f64>,
     lflows: Vec<Vec<u32>>,
+    lsat: Vec<bool>,
     /// Local per-flow state.
     base: Vec<f64>,
     rate: Vec<f64>,
@@ -142,26 +196,18 @@ struct Scratch {
     to_freeze: Vec<u32>,
     /// Warm hypothesis: previously saturated links, ascending water level.
     hyp: Vec<(f64, u32)>,
-    /// Global per-link usage for the pooled work-conservation check.
-    used_global: Vec<f64>,
 }
 
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    // Path halving: every link is found at least once per solve, so the
-    // forest stays effectively flat.
-    while parent[x as usize] != x {
-        let p = parent[x as usize];
-        parent[x as usize] = parent[p as usize];
-        x = parent[p as usize];
-    }
-    x
-}
-
-fn union(parent: &mut [u32], a: u32, b: u32) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra != rb {
-        parent[rb as usize] = ra;
+/// Rewrite a cached flag, moving its counter by the exact difference.
+#[inline]
+fn set_flag(flag: &mut bool, count: &mut usize, on: bool) {
+    if *flag != on {
+        if on {
+            *count += 1;
+        } else {
+            *count -= 1;
+        }
+        *flag = on;
     }
 }
 
@@ -178,11 +224,18 @@ impl IncrementalFluid {
             slot_of: Vec::new(),
             keys: Vec::new(),
             rates: Vec::new(),
-            parent: (0..nl as u32).collect(),
+            starved: Vec::new(),
+            flows_starved: 0,
             touched: vec![false; nl],
             touched_links: Vec::new(),
             water: vec![f64::INFINITY; nl],
-            partition_stale: false,
+            used: vec![0.0; nl],
+            over: vec![false; nl],
+            links_over: 0,
+            label: vec![NO_COMPONENT; nl],
+            components: 0,
+            changed_links: Vec::new(),
+            resolved_keys: Vec::new(),
             force_cold: false,
             scratch: Scratch::default(),
         }
@@ -210,18 +263,18 @@ impl IncrementalFluid {
         self.force_cold = on;
     }
 
+    fn touch(&mut self, l: usize) {
+        if !self.touched[l] {
+            self.touched[l] = true;
+            self.touched_links.push(l as u32);
+        }
+    }
+
     /// Add a flow under a canonical `(tenant, sequence)` ordering key;
     /// returns a stable id valid until `remove_flow`/`clear_flows`.
     pub fn add_flow(&mut self, spec: FlowSpec, key: (u64, u32)) -> u32 {
         for k in 0..spec.path.len() {
-            let l = spec.path[k];
-            if !self.touched[l] {
-                self.touched[l] = true;
-                self.touched_links.push(l as u32);
-            }
-            if k > 0 {
-                union(&mut self.parent, spec.path[0] as u32, l as u32);
-            }
+            self.touch(spec.path[k]);
         }
         let dense = self.net.flow(spec) as u32;
         debug_assert_eq!(dense as usize, self.slot_of.len());
@@ -238,22 +291,18 @@ impl IncrementalFluid {
         self.slot_of.push(stable);
         self.keys.push(key);
         self.rates.push(0.0);
+        self.starved.push(false);
         stable
     }
 
-    /// Remove the flow behind stable id `id`. Its links are touched (their
-    /// component re-solves next step) and the partition is rebuilt lazily.
+    /// Remove the flow behind stable id `id`. Its links are touched: the
+    /// next solve re-solves whatever components remain on them.
     pub fn remove_flow(&mut self, id: u32) {
         let dense = self.slots[id as usize] as usize;
-        let path_len = self.net.flows()[dense].path.len();
-        for k in 0..path_len {
+        for k in 0..self.net.flows()[dense].path.len() {
             let l = self.net.flows()[dense].path[k];
-            if !self.touched[l] {
-                self.touched[l] = true;
-                self.touched_links.push(l as u32);
-            }
+            self.touch(l);
         }
-        self.partition_stale = true;
         self.net.remove_flow(dense);
         self.slots[id as usize] = u32::MAX;
         self.free.push(id);
@@ -261,6 +310,9 @@ impl IncrementalFluid {
         self.slot_of.swap_remove(dense);
         self.keys.swap_remove(dense);
         self.rates.swap_remove(dense);
+        if self.starved.swap_remove(dense) {
+            self.flows_starved -= 1;
+        }
         if dense < self.slot_of.len() {
             self.slots[self.slot_of[dense] as usize] = dense as u32;
         }
@@ -268,23 +320,22 @@ impl IncrementalFluid {
 
     /// Change the capacity of link `l` (fault injection / repair),
     /// touching it so the component whose flows cross it re-solves on the
-    /// next [`IncrementalFluid::solve`]. A link no flow crosses affects no
-    /// component and is skipped by the solver's dirty marking. Returns
-    /// whether the capacity actually changed.
+    /// next [`IncrementalFluid::solve`]. A link no flow crosses belongs to
+    /// no component; the solve only reports it as changed. Returns whether
+    /// the capacity actually changed.
     pub fn set_link_cap(&mut self, l: usize, cap_kbps: f64) -> bool {
         // cm-analyze: allow(float-eq) -- intentional bit-exact "did the stored capacity change at all" dirty check; no arithmetic feeds either side
         if self.net.link_cap(l) == cap_kbps {
             return false;
         }
         self.net.set_link_cap(l, cap_kbps);
-        if !self.touched[l] {
-            self.touched[l] = true;
-            self.touched_links.push(l as u32);
-        }
+        self.touch(l);
         true
     }
 
     /// Drop every flow; links, capacities and scratch allocations survive.
+    /// Every link's usage returns to zero, so a caller caching anything
+    /// derived from [`IncrementalFluid::link_usage`] refreshes all of it.
     pub fn clear_flows(&mut self) {
         self.net.clear_flows();
         self.slots.clear();
@@ -292,25 +343,23 @@ impl IncrementalFluid {
         self.slot_of.clear();
         self.keys.clear();
         self.rates.clear();
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        self.touched.iter_mut().for_each(|t| *t = false);
+        self.starved.clear();
+        self.flows_starved = 0;
+        self.touched.fill(false);
         self.touched_links.clear();
-        self.water.iter_mut().for_each(|w| *w = f64::INFINITY);
-        self.partition_stale = false;
+        self.water.fill(f64::INFINITY);
+        self.used.fill(0.0);
+        self.over.fill(false);
+        self.links_over = 0;
+        self.label.fill(NO_COMPONENT);
+        self.components = 0;
+        self.changed_links.clear();
+        self.resolved_keys.clear();
     }
 
     /// Last solved rate of the flow behind stable id `id`.
     pub fn rate_of(&self, id: u32) -> f64 {
         self.rates[self.slots[id as usize] as usize]
-    }
-
-    /// The flow behind stable id `id` (callers iterating flows in a
-    /// canonical stable-id order rather than dense order, e.g. for
-    /// order-independent link-utilization sums).
-    pub fn flow_of(&self, id: u32) -> &FlowSpec {
-        &self.net.flows()[self.slots[id as usize] as usize]
     }
 
     /// Last solved rates in dense order (aligned with
@@ -319,277 +368,375 @@ impl IncrementalFluid {
         &self.rates
     }
 
+    /// Canonical `(tenant, sequence)` keys in dense order (aligned with
+    /// [`IncrementalFluid::rates`]): which flow belongs to whom, for tests
+    /// that rebuild the component structure from scratch.
+    pub fn keys(&self) -> &[(u64, u32)] {
+        &self.keys
+    }
+
+    /// Per-link usage as of the last solve: Σ rate of the link's flows,
+    /// summed in canonical key order (so a churned solver and a fresh one
+    /// agree bit for bit when cold), 0.0 for a link no flow crosses.
+    pub fn link_usage(&self) -> &[f64] {
+        &self.used
+    }
+
+    /// Links whose usage or capacity the last solve may have changed: the
+    /// links of every component it re-solved plus the touched links it
+    /// found without flows (emptied, or re-capped while idle). No order,
+    /// no duplicates.
+    pub fn changed_links(&self) -> &[u32] {
+        &self.changed_links
+    }
+
+    /// The ascending, de-duplicated first key component (the tenant id, in
+    /// the traffic engine) of every flow the last solve re-solved. A flow
+    /// whose key is absent kept its rate verbatim.
+    pub fn resolved_keys(&self) -> &[u64] {
+        &self.resolved_keys
+    }
+
     /// Whether the last solved allocation is work-conserving
-    /// ([`Fluid::is_work_conserving`] semantics, pooled buffers).
-    pub fn is_work_conserving(&mut self) -> bool {
-        let used = &mut self.scratch.used_global;
-        used.clear();
-        used.resize(self.net.num_links(), 0.0);
-        for (f, &r) in self.net.flows().iter().zip(&self.rates) {
-            for &l in &f.path {
-                used[l] += r;
-            }
-        }
-        for (l, &u) in used.iter().enumerate() {
-            if u > self.net.link_cap(l) + tol(self.net.link_cap(l)) {
-                return false;
-            }
-        }
-        let net = &self.net;
-        let sat = |l: usize| used[l] >= net.link_cap(l) - tol(net.link_cap(l));
-        self.net.flows().iter().zip(&self.rates).all(|(f, &r)| {
-            f.path.is_empty()
-                || r + tol(f.demand.min(1e12)) >= f.demand
-                || f.path.iter().any(|&l| sat(l))
-        })
+    /// ([`Fluid::is_work_conserving`] semantics): no link over capacity,
+    /// and no flow below its demand without a saturated link on its path.
+    /// Both are cached counts (see the [module docs](self)).
+    pub fn is_work_conserving(&self) -> bool {
+        self.links_over == 0 && self.flows_starved == 0
     }
 
     /// Re-solve every dirty component (warm first, cold on rejection),
     /// keep every clean component's rates verbatim, and return what was
     /// done. See the [module docs](self).
     pub fn solve(&mut self) -> SolveStats {
-        if self.partition_stale {
-            self.rebuild_partition();
-            self.partition_stale = false;
-        }
         let nl = self.net.num_links();
         let s = &mut self.scratch;
-        s.root_dirty.resize(nl, 0);
-        s.root_comp_stamp.resize(nl, 0);
-        s.root_comp_id.resize(nl, 0);
-        s.flow_seen.clear();
-        s.flow_seen.resize(self.net.num_flows(), 0);
+        s.link_seen.resize(nl, 0);
         s.link_local.resize(nl, 0);
-        s.link_stamp.resize(nl, 0);
+        if s.flow_seen.len() < self.net.num_flows() {
+            s.flow_seen.resize(self.net.num_flows(), 0);
+        }
         s.stamp += 1;
         let stamp = s.stamp;
+        s.dirty_flows.clear();
+        s.comps.clear();
+        self.changed_links.clear();
+        self.resolved_keys.clear();
 
-        // Mark the dirty roots; flowless touched links (all their flows
-        // were removed) just reset their water level.
+        // Walk the dirty region. Every link of an old component that
+        // changed is either walked or was touched and left flowless, so
+        // the old components lost are counted by their lowest links.
+        let mut old_components = 0usize;
         for ti in 0..self.touched_links.len() {
             let l = self.touched_links[ti] as usize;
             self.touched[l] = false;
             if self.net.link_flows(l).is_empty() {
+                old_components += usize::from(self.label[l] == l as u32);
+                self.label[l] = NO_COMPONENT;
                 self.water[l] = f64::INFINITY;
-            } else {
-                let root = find(&mut self.parent, l as u32);
-                s.root_dirty[root as usize] = stamp;
-            }
-        }
-        self.touched_links.clear();
-
-        // One ascending link scan assigns component ids and buckets the
-        // links of dirty components — the ascending order makes both the
-        // component order and each component's link order canonical.
-        let mut total = 0usize;
-        let mut n_dirty = 0usize;
-        s.dirty_slots.clear();
-        for l in 0..nl {
-            if self.net.link_flows(l).is_empty() {
+                self.used[l] = 0.0;
+                set_flag(&mut self.over[l], &mut self.links_over, false);
+                self.changed_links.push(l as u32);
                 continue;
             }
-            let root = find(&mut self.parent, l as u32) as usize;
-            if s.root_comp_stamp[root] != stamp {
-                s.root_comp_stamp[root] = stamp;
-                s.root_comp_id[root] = total as u32;
-                let slot = if s.root_dirty[root] == stamp {
-                    if s.comp_links.len() <= n_dirty {
-                        s.comp_links.push(Vec::new());
+            if s.link_seen[l] == stamp {
+                continue;
+            }
+            let (l0, f0) = (self.changed_links.len(), s.dirty_flows.len());
+            s.link_seen[l] = stamp;
+            self.changed_links.push(l as u32);
+            let mut head = l0;
+            while head < self.changed_links.len() {
+                let cur = self.changed_links[head] as usize;
+                head += 1;
+                old_components += usize::from(self.label[cur] == cur as u32);
+                for &fi in self.net.link_flows(cur) {
+                    if s.flow_seen[fi as usize] == stamp {
+                        continue;
                     }
-                    s.comp_links[n_dirty].clear();
-                    n_dirty += 1;
-                    (n_dirty - 1) as u32
-                } else {
-                    u32::MAX
-                };
-                s.dirty_slots.push(slot);
-                total += 1;
+                    s.flow_seen[fi as usize] = stamp;
+                    s.dirty_flows.push(fi);
+                    for &pl in &self.net.flows()[fi as usize].path {
+                        if s.link_seen[pl] != stamp {
+                            s.link_seen[pl] = stamp;
+                            self.changed_links.push(pl as u32);
+                        }
+                    }
+                }
             }
-            let slot = s.dirty_slots[s.root_comp_id[root] as usize];
-            if slot != u32::MAX {
-                s.comp_links[slot as usize].push(l as u32);
-            }
+            // Ascending links within the component, components ascending
+            // by lowest link: the canonical order, whatever the history.
+            self.changed_links[l0..].sort_unstable();
+            s.comps.push(Comp {
+                lowest: self.changed_links[l0],
+                links: (l0 as u32, self.changed_links.len() as u32),
+                flows: (f0 as u32, s.dirty_flows.len() as u32),
+            });
         }
+        self.touched_links.clear();
+        s.comps.sort_unstable_by_key(|c| c.lowest);
+        let n_dirty = s.comps.len();
+        self.components = self.components - old_components + n_dirty;
 
         let mut stats = SolveStats {
             components_dirty: n_dirty,
-            components_total: total,
+            components_total: self.components,
             ..Default::default()
         };
-        for slot in 0..n_dirty {
-            solve_component(
-                &self.net,
-                &mut self.scratch,
-                slot,
-                &self.keys,
-                &mut self.rates,
-                &mut self.water,
-                self.force_cold,
-                &mut stats,
-            );
+        for k in 0..n_dirty {
+            let comp = self.scratch.comps[k];
+            self.solve_component(comp, &mut stats);
+        }
+        // Each component contributed its keys ascending; merge them.
+        if n_dirty > 1 {
+            self.resolved_keys.sort_unstable();
+            self.resolved_keys.dedup();
         }
         stats
     }
 
-    /// Rebuild the union-find from the surviving flows (removals cannot
-    /// un-union in place).
-    fn rebuild_partition(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        for fi in 0..self.net.num_flows() {
-            let path_len = self.net.flows()[fi].path.len();
-            for k in 1..path_len {
-                let a = self.net.flows()[fi].path[0] as u32;
-                let b = self.net.flows()[fi].path[k] as u32;
-                union(&mut self.parent, a, b);
+    /// Solve one dirty component: order its flows canonically, try warm
+    /// (unless forced cold), verify, fall back to the canonical cold
+    /// solve, then write back the rates and everything cached from them
+    /// (usage, water level, flags, label).
+    fn solve_component(&mut self, comp: Comp, stats: &mut SolveStats) {
+        let Self {
+            net,
+            scratch: s,
+            keys,
+            rates,
+            starved,
+            flows_starved,
+            water,
+            used,
+            over,
+            links_over,
+            label,
+            changed_links,
+            resolved_keys,
+            force_cold,
+            ..
+        } = self;
+        let net: &Fluid = net;
+        // Sort by the canonical key so the local order is independent of
+        // the churn history that built the link lists.
+        s.comp_flows.clear();
+        s.comp_flows
+            .extend_from_slice(&s.dirty_flows[comp.flows.0 as usize..comp.flows.1 as usize]);
+        s.comp_flows.sort_unstable_by_key(|&fi| keys[fi as usize]);
+        for &fi in &s.comp_flows {
+            let group = keys[fi as usize].0;
+            if resolved_keys.last() != Some(&group) {
+                resolved_keys.push(group);
             }
         }
-    }
-}
 
-/// Solve one dirty component: gather its flows, try warm (unless forced
-/// cold), verify, fall back to the canonical cold solve, then write rates
-/// and refresh the component links' water levels.
-#[allow(clippy::too_many_arguments)]
-fn solve_component(
-    net: &Fluid,
-    s: &mut Scratch,
-    slot: usize,
-    keys: &[(u64, u32)],
-    rates: &mut [f64],
-    water: &mut [f64],
-    force_cold: bool,
-    stats: &mut SolveStats,
-) {
-    // Gather the component's flows via its links, dedup by stamp, and
-    // sort by the canonical key so the local order is independent of the
-    // churn history that built the link lists.
-    s.stamp += 1;
-    let stamp = s.stamp;
-    s.comp_flows.clear();
-    for &l in &s.comp_links[slot] {
-        for &fi in net.link_flows(l as usize) {
-            if s.flow_seen[fi as usize] != stamp {
-                s.flow_seen[fi as usize] = stamp;
-                s.comp_flows.push(fi);
+        // Local link remap (component links are already ascending).
+        s.lglobal.clear();
+        s.lglobal
+            .extend_from_slice(&changed_links[comp.links.0 as usize..comp.links.1 as usize]);
+        let nll = s.lglobal.len();
+        s.lcaps.clear();
+        for (li, &l) in s.lglobal.iter().enumerate() {
+            s.link_local[l as usize] = li as u32;
+            s.lcaps.push(net.link_cap(l as usize));
+        }
+        if s.lflows.len() < nll {
+            s.lflows.resize_with(nll, Vec::new);
+        }
+        for lf in &mut s.lflows[..nll] {
+            lf.clear();
+        }
+        // Per-link member lists in canonical flow order: the local summation
+        // order is a pure function of the flow set.
+        for (i, &fi) in s.comp_flows.iter().enumerate() {
+            for &l in &net.flows()[fi as usize].path {
+                let li = s.link_local[l] as usize;
+                debug_assert_eq!(
+                    s.lglobal.get(li).copied(),
+                    Some(l as u32),
+                    "flow path leaves its component"
+                );
+                s.lflows[li].push(i as u32);
             }
         }
-    }
-    s.comp_flows.sort_unstable_by_key(|&fi| keys[fi as usize]);
 
-    // Local link remap (component links are already ascending).
-    let nll = s.comp_links[slot].len();
-    s.lglobal.clear();
-    s.lcaps.clear();
-    for (li, &l) in s.comp_links[slot].iter().enumerate() {
-        s.link_local[l as usize] = li as u32;
-        s.link_stamp[l as usize] = stamp;
-        s.lglobal.push(l);
-        s.lcaps.push(net.link_cap(l as usize));
-    }
-    if s.lflows.len() < nll {
-        s.lflows.resize_with(nll, Vec::new);
-    }
-    for lf in &mut s.lflows[..nll] {
-        lf.clear();
-    }
-    // Per-link member lists in canonical flow order: the local summation
-    // order is a pure function of the flow set.
-    for (i, &fi) in s.comp_flows.iter().enumerate() {
-        for &l in &net.flows()[fi as usize].path {
-            debug_assert_eq!(s.link_stamp[l], stamp, "flow path leaves its component");
-            s.lflows[s.link_local[l] as usize].push(i as u32);
+        // Phase 1 (shared by warm and cold): floors capped by demand, scaled
+        // down on oversubscribed links — the Fluid::rates arithmetic on the
+        // component's local arrays.
+        let n = s.comp_flows.len();
+        s.base.clear();
+        for &fi in &s.comp_flows {
+            let f = &net.flows()[fi as usize];
+            s.base.push(f.floor.min(f.demand));
         }
-    }
-
-    // Phase 1 (shared by warm and cold): floors capped by demand, scaled
-    // down on oversubscribed links — the Fluid::rates arithmetic on the
-    // component's local arrays.
-    let n = s.comp_flows.len();
-    s.base.clear();
-    for &fi in &s.comp_flows {
-        let f = &net.flows()[fi as usize];
-        s.base.push(f.floor.min(f.demand));
-    }
-    s.used.clear();
-    s.used.resize(nll, 0.0);
-    loop {
-        for li in 0..nll {
-            s.used[li] = s.lflows[li].iter().map(|&i| s.base[i as usize]).sum();
-        }
-        let mut worst: Option<(usize, f64)> = None;
-        for (li, &u) in s.used.iter().enumerate() {
-            if u > s.lcaps[li] * (1.0 + 1e-9) {
-                let scale = s.lcaps[li] / u;
-                if worst.is_none_or(|(_, sc)| scale < sc) {
-                    worst = Some((li, scale));
+        s.used.clear();
+        s.used.resize(nll, 0.0);
+        loop {
+            for li in 0..nll {
+                s.used[li] = s.lflows[li].iter().map(|&i| s.base[i as usize]).sum();
+            }
+            let mut worst: Option<(usize, f64)> = None;
+            for (li, &u) in s.used.iter().enumerate() {
+                if u > s.lcaps[li] * (1.0 + 1e-9) {
+                    let scale = s.lcaps[li] / u;
+                    if worst.is_none_or(|(_, sc)| scale < sc) {
+                        worst = Some((li, scale));
+                    }
                 }
             }
+            match worst {
+                Some((li, scale)) => {
+                    for &i in &s.lflows[li] {
+                        s.base[i as usize] *= scale;
+                    }
+                }
+                None => break,
+            }
         }
-        match worst {
-            Some((li, scale)) => {
-                for &i in &s.lflows[li] {
-                    s.base[i as usize] *= scale;
+        s.residual.clear();
+        s.residual
+            .extend(s.lcaps.iter().zip(&s.used).map(|(&c, &u)| (c - u).max(0.0)));
+
+        // Warm attempt from the previous water levels, accepted only if the
+        // strict per-component verification passes. The hypothesis is the
+        // component's previously saturated links, ascending water level
+        // (ties broken by link index for determinism).
+        let mut warm_ok = false;
+        if !*force_cold {
+            s.hyp.clear();
+            for li in 0..nll {
+                let w = water[s.lglobal[li] as usize];
+                if w.is_finite() {
+                    s.hyp.push((w, li as u32));
                 }
             }
-            None => break,
-        }
-    }
-    s.residual.clear();
-    s.residual
-        .extend(s.lcaps.iter().zip(&s.used).map(|(&c, &u)| (c - u).max(0.0)));
-
-    // Warm attempt from the previous water levels, accepted only if the
-    // strict per-component verification passes. The hypothesis is the
-    // component's previously saturated links, ascending water level
-    // (ties broken by link index for determinism).
-    let mut warm_ok = false;
-    if !force_cold {
-        s.hyp.clear();
-        for li in 0..nll {
-            let w = water[s.lglobal[li] as usize];
-            if w.is_finite() {
-                s.hyp.push((w, li as u32));
+            s.hyp
+                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let t = Instant::now();
+            warm_ok = warm_solve(net, s, nll);
+            if warm_ok {
+                warm_ok = verify_component(net, s, nll, true);
             }
+            stats.warm_secs += t.elapsed().as_secs_f64();
         }
-        s.hyp
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let t = Instant::now();
-        warm_ok = warm_solve(net, s, nll);
         if warm_ok {
-            warm_ok = verify_component(net, s, nll, true);
+            s.rate.clear();
+            s.rate.extend_from_slice(&s.warm_rate[..n]);
+        } else {
+            let t = Instant::now();
+            cold_solve(net, s, nll);
+            stats.cold_secs += t.elapsed().as_secs_f64();
         }
-        stats.warm_secs += t.elapsed().as_secs_f64();
-    }
-    if warm_ok {
-        s.rate.clear();
-        s.rate.extend_from_slice(&s.warm_rate[..n]);
-    } else {
-        let t = Instant::now();
-        cold_solve(net, s, nll);
-        stats.cold_secs += t.elapsed().as_secs_f64();
+
+        // Write back the rates, then recompute whole everything cached
+        // from them: per-link usage (canonical order), saturation → water
+        // level (fill above base at which the link saturated; ∞ if it did
+        // not), the over-capacity flag and the label; per-flow starvation.
+        // Predicates and tolerances are `Fluid::is_work_conserving`'s.
+        for (i, &fi) in s.comp_flows.iter().enumerate() {
+            rates[fi as usize] = s.rate[i];
+        }
+        s.lsat.clear();
+        for li in 0..nll {
+            let mut u = 0.0f64;
+            for &i in &s.lflows[li] {
+                u += s.rate[i as usize];
+            }
+            let (gl, cap) = (s.lglobal[li] as usize, s.lcaps[li]);
+            let sat = u >= cap - tol(cap);
+            s.lsat.push(sat);
+            water[gl] = if sat {
+                let mut lvl = 0.0f64;
+                for &i in &s.lflows[li] {
+                    let i = i as usize;
+                    let f = &net.flows()[s.comp_flows[i] as usize];
+                    lvl = lvl.max((s.rate[i] - s.base[i]) / f.weight);
+                }
+                lvl
+            } else {
+                f64::INFINITY
+            };
+            used[gl] = u;
+            set_flag(&mut over[gl], links_over, u > cap + tol(cap));
+            label[gl] = comp.lowest;
+        }
+        for (i, &fi) in s.comp_flows.iter().enumerate() {
+            let f = &net.flows()[fi as usize];
+            let met = s.rate[i] + tol(f.demand.min(1e12)) >= f.demand;
+            let hungry = !met && !f.path.iter().any(|&l| s.lsat[s.link_local[l] as usize]);
+            set_flag(&mut starved[fi as usize], flows_starved, hungry);
+        }
     }
 
-    // Write back global rates and refresh the component's water levels
-    // (fill above base at which each link saturated; ∞ if unsaturated).
-    for (i, &fi) in s.comp_flows.iter().enumerate() {
-        rates[fi as usize] = s.rate[i];
-    }
-    for li in 0..nll {
-        let used: f64 = s.lflows[li].iter().map(|&i| s.rate[i as usize]).sum();
-        let gl = s.lglobal[li] as usize;
-        water[gl] = if used >= s.lcaps[li] - tol(s.lcaps[li]) {
-            let mut lvl = 0.0f64;
-            for &i in &s.lflows[li] {
-                let i = i as usize;
-                let f = &net.flows()[s.comp_flows[i] as usize];
-                lvl = lvl.max((s.rate[i] - s.base[i]) / f.weight);
+    /// Re-derive every cache from the current flows, rates and capacities
+    /// and assert bit-equality with the cached state: usage in canonical
+    /// order, both flag sets and their counters, and the component labels
+    /// and count (from a throw-away union-find over every flow's path).
+    /// O(network); debug builds run it after every engine solve.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_caches_exact(&self) {
+        let nl = self.net.num_links();
+        let caps = |l: usize| self.net.link_cap(l);
+        let mut over = 0usize;
+        let mut order: Vec<u32> = Vec::new();
+        for l in 0..nl {
+            order.clear();
+            order.extend_from_slice(self.net.link_flows(l));
+            order.sort_unstable_by_key(|&fi| self.keys[fi as usize]);
+            let u = order
+                .iter()
+                .fold(0.0f64, |u, &fi| u + self.rates[fi as usize]);
+            assert_eq!(u.to_bits(), self.used[l].to_bits(), "usage of link {l}");
+            assert_eq!(
+                self.over[l],
+                u > caps(l) + tol(caps(l)),
+                "over flag of link {l}"
+            );
+            over += usize::from(self.over[l]);
+        }
+        assert_eq!(over, self.links_over, "links over capacity");
+        let sat = |l: usize| self.used[l] >= caps(l) - tol(caps(l));
+        let mut hungry = 0usize;
+        for (fi, f) in self.net.flows().iter().enumerate() {
+            let fed = f.path.is_empty()
+                || self.rates[fi] + tol(f.demand.min(1e12)) >= f.demand
+                || f.path.iter().any(|&l| sat(l));
+            assert_eq!(self.starved[fi], !fed, "starved flag of flow {fi}");
+            hungry += usize::from(!fed);
+        }
+        assert_eq!(hungry, self.flows_starved, "flows starved");
+
+        // Attach the larger root under the smaller: a root is then the
+        // lowest link of its set, i.e. the label.
+        let mut parent: Vec<u32> = (0..nl as u32).collect();
+        fn find(parent: &mut [u32], mut x: u32) -> u32 {
+            while parent[x as usize] != x {
+                parent[x as usize] = parent[parent[x as usize] as usize];
+                x = parent[x as usize];
             }
-            lvl
-        } else {
-            f64::INFINITY
-        };
+            x
+        }
+        for f in self.net.flows() {
+            for &l in f.path.iter().skip(1) {
+                let (a, b) = (
+                    find(&mut parent, f.path[0] as u32),
+                    find(&mut parent, l as u32),
+                );
+                parent[a.max(b) as usize] = a.min(b);
+            }
+        }
+        let mut components = 0usize;
+        for l in 0..nl {
+            let want = if self.net.link_flows(l).is_empty() {
+                NO_COMPONENT
+            } else {
+                find(&mut parent, l as u32)
+            };
+            assert_eq!(self.label[l], want, "component label of link {l}");
+            components += usize::from(want == l as u32);
+        }
+        assert_eq!(components, self.components, "component count");
     }
 }
 
@@ -1058,5 +1205,158 @@ mod tests {
         let id = inc.add_flow(FlowSpec::greedy(vec![0]), (2, 0));
         inc.solve();
         assert!(close(inc.rate_of(id), 400.0));
+    }
+
+    /// A forced-cold solver under churn beside the list of flows it should
+    /// hold, so every step can be compared with a from-scratch solver.
+    struct Churned {
+        caps: Vec<f64>,
+        inc: IncrementalFluid,
+        live: Vec<(u32, FlowSpec, (u64, u32))>,
+    }
+
+    impl Churned {
+        fn new(caps: &[f64]) -> Self {
+            let (mut inc, _) = nets(caps);
+            inc.set_force_cold(true);
+            Churned {
+                caps: caps.to_vec(),
+                inc,
+                live: Vec::new(),
+            }
+        }
+
+        fn add(&mut self, path: &[usize], floor: f64, key: (u64, u32)) -> u32 {
+            let spec = FlowSpec::greedy(path.to_vec()).with_guarantee(floor);
+            let id = self.inc.add_flow(spec.clone(), key);
+            self.live.push((id, spec, key));
+            id
+        }
+
+        fn remove(&mut self, id: u32) {
+            self.inc.remove_flow(id);
+            self.live.retain(|f| f.0 != id);
+        }
+
+        fn set_cap(&mut self, l: usize, cap: f64) {
+            self.caps[l] = cap;
+            self.inc.set_link_cap(l, cap);
+        }
+
+        /// Solve, then demand that everything cached — component count,
+        /// work-conservation verdict, per-link usage, rates — equals, bit
+        /// for bit, a from-scratch solver fed the surviving flows.
+        fn solve_and_check(&mut self) -> SolveStats {
+            let stats = self.inc.solve();
+            #[cfg(debug_assertions)]
+            self.inc.assert_caches_exact();
+            let (mut fresh, _) = nets(&self.caps);
+            fresh.set_force_cold(true);
+            let ids: Vec<u32> = self
+                .live
+                .iter()
+                .map(|(_, spec, key)| fresh.add_flow(spec.clone(), *key))
+                .collect();
+            let want = fresh.solve();
+            assert_eq!(stats.components_total, want.components_total);
+            assert_eq!(want.components_dirty, want.components_total);
+            assert_eq!(self.inc.is_work_conserving(), fresh.is_work_conserving());
+            for (l, (got, want)) in self
+                .inc
+                .link_usage()
+                .iter()
+                .zip(fresh.link_usage())
+                .enumerate()
+            {
+                assert_eq!(got.to_bits(), want.to_bits(), "usage of link {l}");
+            }
+            for ((id, _, _), fid) in self.live.iter().zip(ids) {
+                assert_eq!(
+                    self.inc.rate_of(*id).to_bits(),
+                    fresh.rate_of(fid).to_bits()
+                );
+            }
+            stats
+        }
+    }
+
+    #[test]
+    fn caches_survive_a_split() {
+        let mut c = Churned::new(&[900.0, 600.0, 500.0, 800.0]);
+        c.add(&[0, 1], 100.0, (1, 0));
+        let bridge = c.add(&[1, 2], 50.0, (2, 0));
+        c.add(&[2, 3], 0.0, (3, 0));
+        assert_eq!(c.solve_and_check().components_total, 1);
+        // The bridge's links stay occupied on both sides: two remnants,
+        // each holding a touched link, both re-solved.
+        c.remove(bridge);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (2, 2));
+        assert_eq!(c.inc.resolved_keys(), [1, 3]);
+        let mut changed = c.inc.changed_links().to_vec();
+        changed.sort_unstable();
+        assert_eq!(changed, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn caches_survive_a_merge() {
+        let mut c = Churned::new(&[900.0, 600.0, 500.0, 800.0, 700.0]);
+        c.add(&[0], 100.0, (1, 0));
+        c.add(&[2], 0.0, (2, 0));
+        c.add(&[4], 30.0, (9, 0));
+        assert_eq!(c.solve_and_check().components_total, 3);
+        // Link 1 carried nothing before: it joins without an old label.
+        c.add(&[0, 1, 2], 200.0, (3, 0));
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (1, 2));
+        assert_eq!(c.inc.resolved_keys(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn caches_survive_the_last_flow_leaving() {
+        let mut c = Churned::new(&[900.0, 600.0, 500.0]);
+        let only = c.add(&[0, 1], 100.0, (1, 0));
+        c.add(&[2], 0.0, (2, 0));
+        assert_eq!(c.solve_and_check().components_total, 2);
+        c.remove(only);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (0, 1));
+        assert_eq!(c.inc.link_usage()[..2], [0.0, 0.0]);
+        assert!(c.inc.resolved_keys().is_empty());
+        let mut changed = c.inc.changed_links().to_vec();
+        changed.sort_unstable();
+        assert_eq!(changed, [0, 1], "emptied links are reported once");
+        // Nothing left at all.
+        let last = c.live[0].0;
+        c.remove(last);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (0, 0));
+        assert!(c.inc.is_work_conserving());
+    }
+
+    #[test]
+    fn caches_survive_a_cap_change_alone() {
+        let mut c = Churned::new(&[900.0, 600.0, 500.0, 400.0]);
+        c.add(&[0, 1], 300.0, (1, 0));
+        c.add(&[1], 300.0, (1, 1));
+        c.add(&[2], 0.0, (2, 0));
+        assert_eq!(c.solve_and_check().components_total, 2);
+        // Halving link 1 oversubscribes its floors: only its component
+        // re-solves, and usage follows the new capacity.
+        c.set_cap(1, 300.0);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (1, 2));
+        assert!(c.inc.link_usage()[1] <= 300.0 + tol(300.0));
+        assert_eq!(c.inc.resolved_keys(), [1]);
+        // An idle link's capacity belongs to no component: nothing
+        // re-solves, but the link is reported so cached aggregates of it
+        // can follow.
+        c.set_cap(3, 100.0);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (0, 2));
+        assert_eq!(c.inc.changed_links(), [3]);
+        // Restoring brings the first allocation back bit for bit.
+        c.set_cap(1, 600.0);
+        assert_eq!(c.solve_and_check().components_dirty, 1);
     }
 }

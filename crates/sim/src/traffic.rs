@@ -87,6 +87,11 @@ pub struct TrafficStep {
     pub components_dirty: usize,
     /// Connected components in the flow/link graph at this step.
     pub components_total: usize,
+    /// Tenant summaries re-scored this step (deterministic work count).
+    pub tenants_rescored: usize,
+    /// Fluid links whose usage was recomputed this step (deterministic
+    /// work count).
+    pub links_rescored: usize,
     /// Largest core sub-link utilization among ECMP-split links (0 when
     /// routing is single-path).
     pub ecmp_max_utilization: f64,
@@ -157,19 +162,30 @@ impl TrafficChurnReport {
 
     /// Mean cross-network flow count per step.
     pub fn flows_mean(&self) -> f64 {
+        self.count_mean(|s| s.cross_flows)
+    }
+
+    /// Mean over the steps of a per-step count (0 for a run with no step).
+    fn count_mean(&self, count: impl Fn(&TrafficStep) -> usize) -> f64 {
         if self.steps.is_empty() {
             return 0.0;
         }
-        self.steps.iter().map(|s| s.cross_flows).sum::<usize>() as f64 / self.steps.len() as f64
+        self.steps.iter().map(count).sum::<usize>() as f64 / self.steps.len() as f64
     }
 
     /// Mean churn-dirty component count per solve step.
     pub fn components_dirty_mean(&self) -> f64 {
-        if self.steps.is_empty() {
-            return 0.0;
-        }
-        self.steps.iter().map(|s| s.components_dirty).sum::<usize>() as f64
-            / self.steps.len() as f64
+        self.count_mean(|s| s.components_dirty)
+    }
+
+    /// Mean tenant summaries re-scored per solve step.
+    pub fn tenants_rescored_mean(&self) -> f64 {
+        self.count_mean(|s| s.tenants_rescored)
+    }
+
+    /// Mean links whose usage was recomputed per solve step.
+    pub fn links_rescored_mean(&self) -> f64 {
+        self.count_mean(|s| s.links_rescored)
     }
 
     /// Component count of the final snapshot's flow/link graph.
@@ -243,6 +259,8 @@ impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
             solve_warm_secs: r.solve_warm_secs,
             components_dirty: r.components_dirty,
             components_total: r.components_total,
+            tenants_rescored: r.tenants_rescored,
+            links_rescored: r.links_rescored,
             ecmp_max_utilization: r.ecmp_max_utilization,
             ecmp_mean_utilization: r.ecmp_mean_utilization,
             score_secs: r.score_secs,

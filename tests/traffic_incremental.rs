@@ -12,9 +12,10 @@
 
 use cloudmirror::enforce::datacenter::{self, TenantTraffic};
 use cloudmirror::enforce::{Fluid, TrafficEngine};
+use cloudmirror::topology::NodeId;
 use cloudmirror::{
-    mbps, Cluster, CmConfig, CmPlacer, EcmpConfig, GuaranteeModel, Tag, TagBuilder, TenantId,
-    TierId, TrafficReport, TreeSpec,
+    mbps, Cluster, CmConfig, CmPlacer, EcmpConfig, Fault, GuaranteeModel, Tag, TagBuilder,
+    TenantId, TierId, TrafficReport, TreeSpec,
 };
 use std::sync::Arc;
 
@@ -313,4 +314,134 @@ fn quiescent_steps_resolve_zero_components() {
     assert_eq!(second.components_total, first.components_total);
     assert_eq!(second.solve_cold_secs + second.solve_warm_secs, 0.0);
     assert_equivalent(&second, &first, 1, true);
+}
+
+/// Drift over a long life: the benchmark pushes thousands of ops through
+/// one engine, far more than the differentials above, and every cache the
+/// engine keeps (usage, flags, labels, summaries, utilisation blocks) must
+/// still be the pure function of the surviving flows it was on step one.
+/// 3,000 mixed steps — admit / scale / migrate / depart, a rotating
+/// server / rack / degraded-uplink fault repaired a few steps later, one
+/// guarantee-model flip half way — on a forced-cold engine, compared bit
+/// for bit with a from-scratch engine every 50th step, around every fault
+/// and at the end. (Debug builds also cross-check every cache after every
+/// one of the 3,000 solves.)
+fn long_churn_drift(ecmp: EcmpConfig, seed: u64) {
+    const STEPS: usize = 3_000;
+    let spec = TreeSpec::small(2, 3, 4, 4, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]);
+    let mut cluster = Cluster::new(&spec, CmPlacer::new(CmConfig::cm()));
+    cluster.set_traffic_ecmp(ecmp);
+    let servers: Vec<NodeId> = cluster.topology().servers().to_vec();
+    let at_level = |level: u8| -> Vec<NodeId> {
+        let topo = cluster.topology();
+        (0..topo.num_nodes() as u32)
+            .map(NodeId)
+            .filter(|&n| topo.level(n) == level)
+            .collect()
+    };
+    let (racks, pods) = (at_level(1), at_level(2));
+    let pool = pool();
+    let mut rng = Rng(seed);
+    let mut model = GuaranteeModel::Tag;
+    let mut outstanding: Option<(Fault, usize)> = None;
+    let mut faults = 0usize;
+    for step in 0..STEPS {
+        let mut check = step % 50 == 0 || step + 1 == STEPS;
+        if step == STEPS / 2 {
+            model = GuaranteeModel::Hose;
+            cluster.set_guarantee_model(model);
+            check = true;
+        }
+        if let Some((fault, since)) = outstanding {
+            if step >= since + 7 && cluster.repair(fault).is_ok() {
+                outstanding = None;
+                check = true;
+            }
+        } else if step % 40 == 20 {
+            let pick = |of: &[NodeId], rng: &mut Rng| of[rng.below(of.len() as u64) as usize];
+            let fault = match faults % 4 {
+                0 => Fault::Server(pick(&servers, &mut rng)),
+                1 => Fault::DegradeLink {
+                    node: pick(&pods, &mut rng),
+                    fraction: 0.5,
+                },
+                2 => Fault::Domain(pick(&racks, &mut rng)),
+                _ => Fault::DegradeLink {
+                    node: pick(&racks, &mut rng),
+                    fraction: 0.0,
+                },
+            };
+            if cluster.inject_fault(fault).is_ok() {
+                outstanding = Some((fault, step));
+                faults += 1;
+                check = true;
+            }
+        }
+        // Faults evict and repairs re-admit: the registry is the truth.
+        let live: Vec<TenantId> = cluster.tenant_ids().collect();
+        let any = |rng: &mut Rng| live[rng.below(live.len() as u64) as usize];
+        let op = if live.len() >= 10 { 90 } else { rng.below(100) };
+        match op {
+            0..=39 => {
+                let _ = cluster.admit(&pool[rng.below(pool.len() as u64) as usize]);
+            }
+            40..=69 if !live.is_empty() => {
+                let id = any(&mut rng);
+                let tiers: Vec<TierId> = cluster.tag_of(id).unwrap().internal_tiers().collect();
+                let tier = tiers[rng.below(tiers.len() as u64) as usize];
+                let delta = 1 + rng.below(3) as i64;
+                let delta = if rng.below(2) == 0 { delta } else { -delta };
+                let _ = cluster.scale_tier(id, tier, delta);
+            }
+            70..=84 if !live.is_empty() => {
+                let _ = cluster.migrate(any(&mut rng));
+            }
+            _ if !live.is_empty() => {
+                let _ = cluster.depart(any(&mut rng));
+            }
+            _ => {}
+        }
+
+        cluster.set_traffic_force_cold(true);
+        let got = cluster.traffic_report();
+        if check {
+            let fresh = from_scratch_report(&cluster, model, ecmp);
+            assert_equivalent(&got, &fresh, step, true);
+            assert_eq!(got.components_total, fresh.components_total, "step {step}");
+            assert_eq!(
+                (
+                    got.ecmp_max_utilization.to_bits(),
+                    got.ecmp_mean_utilization.to_bits()
+                ),
+                (
+                    fresh.ecmp_max_utilization.to_bits(),
+                    fresh.ecmp_mean_utilization.to_bits()
+                ),
+                "step {step}: ECMP utilisation"
+            );
+            for (a, b) in got.levels.iter().zip(&fresh.levels) {
+                assert_eq!(
+                    (a.links, a.saturated),
+                    (b.links, b.saturated),
+                    "step {step}"
+                );
+            }
+        }
+    }
+    assert!(faults >= 40, "only {faults} faults landed");
+    assert!(cluster.tenant_count() > 0, "churn kept a live population");
+    if let Some((fault, _)) = outstanding {
+        cluster.repair(fault).unwrap();
+    }
+    cluster.check_invariants().unwrap();
+}
+
+#[test]
+fn long_churn_does_not_drift_single_path() {
+    long_churn_drift(EcmpConfig::none(), 17);
+}
+
+#[test]
+fn long_churn_does_not_drift_under_ecmp() {
+    long_churn_drift(EcmpConfig::hashed(2), 19);
 }
