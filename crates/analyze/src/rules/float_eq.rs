@@ -2,12 +2,12 @@
 //!
 //! The max-min solver (`fluid.rs`) and its incremental wrapper
 //! (`incremental.rs`) make *verdicts* — violation counts, work-conservation
-//! checks, warm-start acceptance — from floating-point rates. An exact
-//! float comparison there is almost always a latent bug: summation order
-//! changes between the warm and cold paths, so equality must go through
-//! the module's tolerance helpers (`tol()`, `verify_max_min`). The rare
-//! intentional bit-exact identity check (e.g. "did this stored value
-//! change at all") documents itself with an `allow` pragma.
+//! checks — from floating-point rates. An exact float comparison there is
+//! almost always a latent bug: summation order differs between the global
+//! and per-component solves, so equality must go through the module's
+//! tolerance helpers (`tol()`, `verify_max_min`). The rare intentional
+//! bit-exact identity check (e.g. "did this stored value change at all")
+//! documents itself with an `allow` pragma.
 //!
 //! Without type inference the rule decides "is this operand a float?" from
 //! lexical evidence collected file-wide: float literals, `f64`/`f32`
@@ -63,8 +63,8 @@ impl Rule for FloatEq {
                             rhs.trim()
                         ),
                         "solver verdicts must use the tolerance helpers (`tol()`, \
-                         `verify_max_min`) — exact float equality differs between warm \
-                         and cold solve paths; see ANALYSIS.md#float-eq",
+                         `verify_max_min`) — exact float equality differs between the \
+                         global and per-component solves; see ANALYSIS.md#float-eq",
                     ));
                 }
             }

@@ -143,9 +143,8 @@ fn fault_row(r: &FaultChurnReport) -> Fields {
 const TRAFFIC_NOTE: &str = "incremental traffic engine stepped through lifecycle churn: dirty \
     tenants re-expand their TAG edges into bundled flows kept live in a persistent fluid network \
     (expand), one component-scoped guarantee-weighted max-min solve over only the churn-dirty \
-    connected components, warm-started from the previous step's per-link water levels with a \
-    verified cold fallback (solve = solve_cold + solve_warm), achieved rates scored against TAG \
-    intents (score); *_p99_ms are per-phase p99s, step_p99_ms the whole engine step; \
+    connected components, each by the same kernel as the global solve (solve), achieved rates \
+    scored against TAG intents (score); *_p99_ms are per-phase p99s, step_p99_ms the whole engine step; \
     components_dirty_mean / components_total gauge how much of the graph each step re-solves, \
     tenants_rescored_mean / links_rescored_mean how much of it each step re-scores (deterministic \
     counts: tenant summaries and per-link usages recomputed; everything else is served from \
@@ -168,11 +167,8 @@ fn traffic_row(t: &TrafficRun) -> Fields {
         ("flows_mean", Val::Float(r.flows_mean(), 1)),
         ("flows_max", r.flows_max().into()),
         ("expand_p99_ms", p99(|s| s.expand_secs)),
-        ("route_p99_ms", p99(|s| s.route_secs)),
         ("solve_p50_ms", ms(&solve, 0.5)),
         ("solve_p99_ms", ms(&solve, 0.99)),
-        ("solve_cold_p99_ms", p99(|s| s.solve_cold_secs)),
-        ("solve_warm_p99_ms", p99(|s| s.solve_warm_secs)),
         (
             "components_dirty_mean",
             Val::Float(r.components_dirty_mean(), 1),

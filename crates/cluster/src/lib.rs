@@ -98,7 +98,7 @@ pub use cm_core::placement::RejectReason;
 pub use cm_enforce::datacenter::{
     LevelUtilization, PairFlow, TenantSummary, TenantTraffic, TrafficReport,
 };
-pub use cm_enforce::{EcmpConfig, EcmpMode, GuaranteeModel};
+pub use cm_enforce::{EcmpConfig, GuaranteeModel};
 
 use cm_enforce::TrafficEngine;
 use std::cell::{Cell, RefCell, RefMut};
@@ -827,14 +827,6 @@ impl<P: Placer> Cluster<P> {
             self.traffic_ecmp = ecmp;
             *self.traffic.borrow_mut() = None;
         }
-    }
-
-    /// Force every dirty component of the embedded engine's fluid solver
-    /// to cold-solve (skipping warm starts). Differential-test knob: the
-    /// forced-cold engine is bit-identical to a from-scratch one.
-    pub fn set_traffic_force_cold(&mut self, on: bool) {
-        self.sync_traffic_engine(self.guarantee_model)
-            .set_force_cold(on);
     }
 
     /// Run `f` against the embedded (synced) traffic engine — read-only

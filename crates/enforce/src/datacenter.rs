@@ -250,12 +250,9 @@ pub struct TrafficReport {
     pub route_secs: f64,
     /// Seconds spent in the fluid max-min solve itself.
     pub solve_secs: f64,
-    /// Seconds of `solve_secs` spent in cold per-component solves. The
-    /// batch solver's whole solve is one cold pass, so here it equals
-    /// `solve_secs`.
-    pub solve_cold_secs: f64,
-    /// Seconds of `solve_secs` spent in warm-start attempts and their
-    /// verification (zero for the batch solver).
+    /// Always `0.0`: no solver starts from a previous step's state any
+    /// more. Retained only because the frozen `benchmark/src/run.rs` reads
+    /// it; it goes with the next `benchmark` PR.
     pub solve_warm_secs: f64,
     /// Connected components the solver re-solved this step (the batch
     /// solver always re-solves everything as one component).
@@ -275,7 +272,7 @@ pub struct TrafficReport {
     /// Largest used/capacity over ECMP sub-links (links split `ways > 1`
     /// ways); 0 when nothing is split. Compared against
     /// `ecmp_mean_utilization` this measures hash-collision imbalance in
-    /// the fat-tree core (EqualSplit keeps the two equal by construction).
+    /// the fat-tree core (a perfectly even spread keeps the two equal).
     pub ecmp_max_utilization: f64,
     /// Mean used/capacity over ECMP sub-links; 0 when nothing is split.
     pub ecmp_mean_utilization: f64,
@@ -505,7 +502,6 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
         expand_secs: build_secs,
         route_secs: 0.0,
         solve_secs,
-        solve_cold_secs: solve_secs,
         solve_warm_secs: 0.0,
         components_dirty: 1,
         components_total: 1,

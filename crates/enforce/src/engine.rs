@@ -24,13 +24,12 @@
 //!   flow count collapses to O(server pairs).
 //! * **Route cache + ECMP.** Server-pair paths come from the LCA-keyed
 //!   [`RouteCache`]; under an [`EcmpConfig`] with `ways > 1` core uplinks
-//!   are parallel sub-links and bundles are hashed or split across them.
+//!   are parallel sub-links and each bundle is hashed onto one of them.
 //!
-//! The fluid flow set is **persistent**: each bundle's sub-flows live in
-//! an [`IncrementalFluid`] across steps, added on (re-)expansion and
-//! removed on departure/re-expansion, so a solve re-runs only the
-//! connected components churn touched — warm-started from the previous
-//! step's water levels — while clean components keep their rates
+//! The fluid flow set is **persistent**: each bundle is one flow of an
+//! [`IncrementalFluid`] across steps, added on (re-)expansion and removed
+//! on departure/re-expansion, so a solve re-runs only the connected
+//! components churn touched while clean components keep their rates
 //! verbatim (see [`crate::incremental`]).
 //!
 //! ## Scoring is cached too
@@ -64,21 +63,17 @@
 //! and assert bit-equality ([`TrafficEngine::solve`] pays nothing for it
 //! in release).
 //!
-//! Determinism contract: component *cold* solves order flows by the
-//! canonical `(tenant id, bundle sub-flow sequence)` key, so a
-//! forced-cold engine that churned through any history produces
-//! **bit-identical** rates to a fresh engine fed the same final state.
-//! With warm starts enabled the rates are tolerance-equal with identical
-//! violation verdicts (warm results are verified against the same
-//! max-min conditions and discarded on any mismatch); floors and intents
-//! stay bit-identical either way. The differential tests pin all three
-//! properties.
+//! Determinism contract: component solves order flows by the canonical
+//! `(tenant id, bundle sequence)` key, so an engine that churned through
+//! any history produces **bit-identical** rates, floors, intents and
+//! verdicts to a fresh engine fed the same final state. The differential
+//! tests pin it.
 
 use crate::datacenter::{violation_tol, LevelUtilization, PairFlow, TenantSummary, TrafficReport};
 use crate::elastic::GuaranteeModel;
 use crate::fluid::{FlowSpec, Fluid};
 use crate::incremental::IncrementalFluid;
-use crate::route::{flow_seed, EcmpConfig, EcmpMode, RouteCache};
+use crate::route::{flow_seed, EcmpConfig, RouteCache};
 use cm_core::model::Tag;
 use cm_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
@@ -108,10 +103,9 @@ struct Bundle {
     floor: f64,
     /// Per-pair TAG intent (kbps).
     intent: f64,
-    /// Fluid sub-flows carrying the bundle (1, or `ways` under
-    /// [`EcmpMode::EqualSplit`] when the route crosses a split link); the
-    /// paths themselves live in the fluid network only.
-    sub_flows: u32,
+    /// Stable id of the fluid flow carrying the bundle (the path lives in
+    /// the fluid network only) — removed on re-expansion or departure.
+    flow: u32,
 }
 
 impl Bundle {
@@ -151,30 +145,18 @@ struct EngineTenant {
     colocated_pairs: usize,
     bundles: Vec<Bundle>,
     colocated: Vec<CoClass>,
-    /// Stable fluid-flow ids of the tenant's live sub-flows, one per
-    /// `(bundle, sub-flow)` in bundle order — removed on re-expansion or
-    /// departure.
-    flow_ids: Vec<u32>,
     /// The tenant's line of the report: placement-derived fields fixed at
     /// expansion, rate-derived fields as of the last re-score.
     summary: TenantSummary,
 }
 
 impl EngineTenant {
-    /// Each bundle with its aggregate solved rate (Σ over its sub-flows),
-    /// in bundle order.
+    /// Each bundle with its aggregate solved rate, in bundle order.
     fn bundle_rates<'a>(
         &'a self,
         net: &'a IncrementalFluid,
     ) -> impl Iterator<Item = (&'a Bundle, f64)> + 'a {
-        let mut ids = self.flow_ids.iter();
-        self.bundles.iter().map(move |b| {
-            let aggregate = ids
-                .by_ref()
-                .take(b.sub_flows as usize)
-                .fold(0.0, |sum, &fid| sum + net.rate_of(fid));
-            (b, aggregate)
-        })
+        self.bundles.iter().map(move |b| (b, net.rate_of(b.flow)))
     }
 
     /// The tenant's summary scored against the solver's current rates,
@@ -333,12 +315,6 @@ impl TrafficEngine {
         }
     }
 
-    /// Force every dirty component to cold-solve (test knob for the
-    /// warm-vs-cold differential tests).
-    pub fn set_force_cold(&mut self, on: bool) {
-        self.net.set_force_cold(on);
-    }
-
     /// The engine's persistent fluid network — current flow set and
     /// last-solve rates, exposed for differential tests against a
     /// from-scratch global [`crate::fluid::Fluid::rates`] solve.
@@ -372,8 +348,8 @@ impl TrafficEngine {
     /// Re-read every uplink capacity from `topo` into the fluid layout —
     /// the fault-injection hook. A degraded (or restored) uplink updates
     /// all its ECMP sub-links to `cap / ways`, dirtying exactly the
-    /// components whose flows cross them; everything else keeps its warm
-    /// state. Returns how many fluid links changed capacity.
+    /// components whose flows cross them; everything else keeps its rates.
+    /// Returns how many fluid links changed capacity.
     ///
     /// Flows of VMs *lost* to a fault are dropped separately, by the
     /// version-diffed re-expansion (`upsert_tenant`) after the evacuation
@@ -424,8 +400,8 @@ impl TrafficEngine {
         self.tenants.retain(|&id, t| {
             let k = keep(id);
             if !k {
-                for &fid in &t.flow_ids {
-                    net.remove_flow(fid);
+                for b in &t.bundles {
+                    net.remove_flow(b.flow);
                 }
             }
             k
@@ -450,8 +426,8 @@ impl TrafficEngine {
         }
         let t = Instant::now();
         if let Some(old) = self.tenants.remove(&id) {
-            for &fid in &old.flow_ids {
-                self.net.remove_flow(fid);
+            for b in &old.bundles {
+                self.net.remove_flow(b.flow);
             }
         }
         let expanded = expand_tenant(
@@ -464,7 +440,7 @@ impl TrafficEngine {
             version,
             id,
         );
-        self.pending_flowless += usize::from(expanded.flow_ids.is_empty());
+        self.pending_flowless += usize::from(expanded.bundles.is_empty());
         self.tenants.insert(id, expanded);
         self.pending_expand += t.elapsed().as_secs_f64();
     }
@@ -583,8 +559,7 @@ impl TrafficEngine {
             expand_secs,
             route_secs,
             solve_secs,
-            solve_cold_secs: stats.cold_secs,
-            solve_warm_secs: stats.warm_secs,
+            solve_warm_secs: 0.0,
             components_dirty: stats.components_dirty,
             components_total: stats.components_total,
             tenants_rescored,
@@ -655,7 +630,7 @@ fn even_share(g: f64, cnt: u32) -> f64 {
 
 /// Expand one tenant's placement into bundled flow classes with
 /// closed-form class floors (see the [module docs](self)), materializing
-/// each bundle's sub-flows into `net` under the canonical
+/// each bundle as one flow of `net` under the canonical
 /// `(tenant, sequence)` key the component solver orders by. Every routed
 /// path is built once and moved into its [`FlowSpec`].
 #[allow(clippy::too_many_arguments)]
@@ -730,13 +705,11 @@ fn expand_tenant(
         }
     };
 
-    let cfg = route.config();
     let mut tenant = EngineTenant {
         version,
         colocated_pairs: 0,
         bundles: Vec::new(),
         colocated: Vec::new(),
-        flow_ids: Vec::new(),
         summary: TenantSummary {
             id,
             vms,
@@ -785,37 +758,27 @@ fn expand_tenant(
                 }
                 hops.clear();
                 hops.extend_from_slice(route.hops(topo, src_server, dst_server));
-                let split = cfg.mode == EcmpMode::EqualSplit && route.path_is_split(&hops);
-                let sub_flows = if split { cfg.sub_flows() } else { 1 };
-                let b = Bundle {
+                let members = src_cnt * dst_cnt;
+                let m = members as f64;
+                let w = if floor > 0.0 { floor } else { 1.0 };
+                let mut path = Vec::with_capacity(hops.len());
+                route.path_hashed(&hops, flow_seed(id, src_server, dst_server), &mut path);
+                let mut spec = FlowSpec::greedy(path);
+                spec.floor = m * floor;
+                spec.weight = m * w;
+                let seq = tenant.bundles.len() as u32;
+                tenant.bundles.push(Bundle {
                     src,
                     src_cnt,
                     dst,
                     dst_cnt,
                     floor,
                     intent,
-                    sub_flows,
-                };
-                let m = b.members() as f64;
-                let k = sub_flows as f64;
-                let w = if floor > 0.0 { floor } else { 1.0 };
-                for j in 0..sub_flows {
-                    let mut path = Vec::with_capacity(hops.len());
-                    if split {
-                        route.path_split(&hops, j, &mut path);
-                    } else {
-                        route.path_hashed(&hops, flow_seed(id, src_server, dst_server), &mut path);
-                    }
-                    let mut spec = FlowSpec::greedy(path);
-                    spec.floor = m * floor / k;
-                    spec.weight = m * w / k;
-                    let seq = tenant.flow_ids.len() as u32;
-                    tenant.flow_ids.push(net.add_flow(spec, (id, seq)));
-                }
-                tenant.summary.pairs += b.members() as usize;
-                tenant.summary.cross_pairs += b.members() as usize;
-                tenant.summary.intent_kbps += intent * b.members() as f64;
-                tenant.bundles.push(b);
+                    flow: net.add_flow(spec, (id, seq)),
+                });
+                tenant.summary.pairs += members as usize;
+                tenant.summary.cross_pairs += members as usize;
+                tenant.summary.intent_kbps += intent * m;
             }
         }
     }
@@ -1022,16 +985,15 @@ mod tests {
     }
 
     /// Incremental re-expansion under churn, compared against a fresh
-    /// engine fed the final state. With `force_cold` the component solves
-    /// are canonical and the rates must be **bit-identical**; with warm
-    /// starts enabled they are tolerance-equal with identical violation
-    /// verdicts. Floors are bit-identical either way.
-    fn churned_vs_fresh(force_cold: bool) {
+    /// engine fed the final state: the component solves are canonical, so
+    /// rates, floors and totals must be **bit-identical**. (Every solve is
+    /// what used to be the forced-cold mode; the name is kept from then.)
+    #[test]
+    fn churned_engine_is_bit_equal_to_fresh_engine_when_cold() {
         let topo = topo();
         let servers = topo.servers();
         let mut rng = Rng(7);
         let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
-        engine.set_force_cold(force_cold);
         type Entry = (u64, Arc<Tag>, Vec<(NodeId, Vec<u32>)>);
         let mut state: BTreeMap<u64, Entry> = BTreeMap::new();
         for step in 0..40 {
@@ -1051,7 +1013,6 @@ mod tests {
             let got = engine.solve_detailed(&topo);
 
             let mut fresh = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
-            fresh.set_force_cold(force_cold);
             for (&id, (version, tag, placement)) in &state {
                 fresh.upsert_tenant(&topo, id, *version, tag, placement);
             }
@@ -1060,48 +1021,20 @@ mod tests {
             for (a, b) in got.flows.iter().zip(&want.flows) {
                 assert_eq!(a.tenant, b.tenant);
                 assert_eq!((a.src, a.dst), (b.src, b.dst));
-                if force_cold {
-                    assert_eq!(a.rate_kbps.to_bits(), b.rate_kbps.to_bits(), "step {step}");
-                } else {
-                    assert!(
-                        (a.rate_kbps - b.rate_kbps).abs() < 1e-6 * (1.0 + b.rate_kbps.abs()),
-                        "step {step}: {} vs {}",
-                        a.rate_kbps,
-                        b.rate_kbps
-                    );
-                }
+                assert_eq!(a.rate_kbps.to_bits(), b.rate_kbps.to_bits(), "step {step}");
                 assert_eq!(a.floor_kbps.to_bits(), b.floor_kbps.to_bits());
             }
             assert_eq!(got.violations, want.violations, "step {step}");
             assert_eq!(got.work_conserving, want.work_conserving, "step {step}");
-            if force_cold {
-                assert_eq!(
-                    got.total_rate_kbps.to_bits(),
-                    want.total_rate_kbps.to_bits()
-                );
-            } else {
-                assert!(
-                    (got.total_rate_kbps - want.total_rate_kbps).abs()
-                        < 1e-6 * (1.0 + want.total_rate_kbps),
-                    "step {step}"
-                );
-            }
+            assert_eq!(
+                got.total_rate_kbps.to_bits(),
+                want.total_rate_kbps.to_bits()
+            );
         }
     }
 
-    #[test]
-    fn churned_engine_is_bit_equal_to_fresh_engine_when_cold() {
-        churned_vs_fresh(true);
-    }
-
-    #[test]
-    fn churned_engine_matches_fresh_engine_with_warm_starts() {
-        churned_vs_fresh(false);
-    }
-
-    /// ECMP: equal-split over `ways` symmetric sub-links reproduces the
-    /// single-pipe allocation; hashed mode stays work-conserving and
-    /// cannot beat the split total under incast.
+    /// ECMP: hashed mode stays work-conserving and cannot beat the
+    /// single-pipe total under incast.
     #[test]
     fn ecmp_modes_behave() {
         let topo = topo();
@@ -1126,15 +1059,9 @@ mod tests {
             r.total_rate_kbps
         };
         let single = rate_for(EcmpConfig::none());
-        let split = rate_for(EcmpConfig::equal_split(4));
         let hashed = rate_for(EcmpConfig::hashed(4));
-        // Packet spraying over symmetric quarters = one fat pipe.
-        assert!(
-            (split - single).abs() < 1e-3 * (1.0 + single),
-            "split {split} vs single {single}"
-        );
         // Hash collisions can only hurt, never help.
-        assert!(hashed <= split + 1e-6 * (1.0 + split), "hashed {hashed}");
+        assert!(hashed <= single + 1e-6 * (1.0 + single), "hashed {hashed}");
     }
 
     /// Capacity sync after a fault: an engine that degrades links in

@@ -8,20 +8,23 @@
 //! limiters, weights model the guarantee-proportional spare sharing that
 //! ElasticSwitch's probing converges to.
 //!
-//! [`Fluid::rates`] is engineered for datacenter-scale inputs (hundreds of
-//! thousands of flows over thousands of links, see [`crate::datacenter`]):
-//! it indexes flows per link once and advances a single global fill level,
-//! so a whole solve costs `O(Σ|path| + links × rounds)` where every round
-//! provably freezes at least one flow. The pre-rewrite `O(flows × links)`
-//! scan survives as [`Fluid::rates_reference`] for differential testing.
-//! The hot churn path uses [`Fluid::rates_into`] to reuse the output
-//! allocation across steps.
+//! Progressive filling is implemented **once**, in the crate-private
+//! kernel `Fluid::fill`: it solves the subproblem of a caller-supplied
+//! ordered flow list over an ascending link list, indexing the flows per
+//! link and advancing a single fill level, so a solve costs
+//! `O(Σ|path| + links × rounds)` where every round provably freezes at
+//! least one flow. It has two callers. [`Fluid::rates`] /
+//! [`Fluid::rates_into`] pass every flow and every link — the batch solve
+//! of [`crate::datacenter`]. Under *churn*, where most of the network is
+//! unchanged between calls, [`crate::incremental::IncrementalFluid`] wraps
+//! a `Fluid` and passes one connected component at a time, re-solving only
+//! the components the churn touched (see that module's docs for the
+//! partition and determinism invariants).
 //!
-//! For solves under *churn* — where most of the network is unchanged
-//! between calls — [`crate::incremental::IncrementalFluid`] wraps a
-//! `Fluid` and re-solves only the connected components the churn touched,
-//! warm-starting each from the previous step's per-link water levels (see
-//! that module's docs for the partition and warm-start invariants).
+//! The kernel is tested against two independent oracles that share no
+//! code with it: [`Fluid::rates_reference`], the pre-rewrite
+//! `O(flows × links)` scan (a different algorithm), and
+//! [`Fluid::verify_max_min`], the KKT definition of the allocation.
 
 /// One flow: a path over link indices plus its rate-control parameters.
 #[derive(Debug, Clone)]
@@ -66,16 +69,38 @@ impl FlowSpec {
     }
 }
 
+/// Scratch of the max-min kernel (`Fluid::fill`): pooled by a caller that
+/// solves repeatedly, so steady-state solves allocate nothing. "Local"
+/// indices are positions in the flow and link lists handed to the kernel.
+#[derive(Debug, Default)]
+pub(crate) struct FillScratch {
+    /// Flow-list position → solved rate (the kernel's output).
+    pub(crate) rate: Vec<f64>,
+    /// Global link → local link, valid for the last solved link list.
+    pub(crate) link_local: Vec<u32>,
+    /// Local link → capacity.
+    pub(crate) lcaps: Vec<f64>,
+    /// Local link → its flows (local indices, flow-list order).
+    pub(crate) lflows: Vec<Vec<u32>>,
+    active: Vec<bool>,
+    finite: Vec<u32>,
+    used: Vec<f64>,
+    residual: Vec<f64>,
+    wsum: Vec<f64>,
+    wcount: Vec<u32>,
+    to_freeze: Vec<u32>,
+}
+
 /// A fluid network: capacitated links and flows.
 ///
 /// The per-link flow index is **maintained incrementally**: [`Fluid::flow`]
 /// registers the new flow on each of its links, [`Fluid::remove_flow`]
 /// detaches it in O(|path|), and [`Fluid::clear_flows`] drops every flow
 /// while retaining links, capacities and the per-link vectors' allocations.
-/// [`Fluid::rates`] therefore starts solving immediately instead of
-/// rebuilding the index from scratch on every call — the contract the
-/// incremental traffic engine ([`crate::engine`]) relies on when it reuses
-/// one network across churn steps.
+/// It is what [`crate::incremental::IncrementalFluid`] walks to find the
+/// component a churned link belongs to; its order follows the churn
+/// history and never reaches the solver's arithmetic (the kernel indexes
+/// the flows it is handed in the order it is handed them).
 #[derive(Debug, Clone, Default)]
 pub struct Fluid {
     caps: Vec<f64>,
@@ -224,109 +249,148 @@ impl Fluid {
         out
     }
 
-    /// [`Fluid::rates`] writing into a caller-owned vector (cleared first),
-    /// so the per-step output allocation is reused across churn steps. The
-    /// arithmetic is identical to `rates` — same order, same constants —
-    /// and `rates` delegates here.
+    /// [`Fluid::rates`] writing into a caller-owned vector, whose
+    /// allocation is reused across calls: the max-min kernel (`Fluid::fill`)
+    /// over every flow in index order and every link.
     pub fn rates_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        let n = self.flows.len();
-        if n == 0 {
-            return;
+        let flows: Vec<u32> = (0..self.flows.len() as u32).collect();
+        let links: Vec<u32> = (0..self.caps.len() as u32).collect();
+        let mut scratch = FillScratch {
+            rate: std::mem::take(out),
+            ..FillScratch::default()
+        };
+        self.fill(&flows, &links, &mut scratch);
+        *out = scratch.rate;
+        debug_assert!(
+            self.is_work_conserving(out),
+            "allocation is not work-conserving"
+        );
+    }
+
+    /// The max-min kernel — the one place progressive filling is
+    /// implemented (see [`Fluid::rates`] for the two phases and the
+    /// termination argument). Solves the subproblem of `flows` (flow
+    /// indices, in the order the caller wants sums taken) over `links`
+    /// (ascending; must hold every link of every listed flow's path, and
+    /// no flow outside `flows` may cross them) and leaves flow `flows[i]`'s
+    /// rate in `s.rate[i]`. The result is a pure function of the two
+    /// lists, the listed flows' specs and the listed links' capacities:
+    /// links are visited ascending and each link's flows in list order, so
+    /// neither the rest of the network nor the churn history behind
+    /// `link_flows` reaches the arithmetic. `s.link_local`, `s.lcaps` and
+    /// `s.lflows` are left describing `links` for the caller's write-back.
+    pub(crate) fn fill(&self, flows: &[u32], links: &[u32], s: &mut FillScratch) {
+        let (n, nll) = (flows.len(), links.len());
+        let spec = |i: usize| &self.flows[flows[i] as usize];
+        if s.link_local.len() < self.caps.len() {
+            s.link_local.resize(self.caps.len(), 0);
         }
-        let nl = self.caps.len();
-        // The per-link flow index is maintained by `flow`/`remove_flow`/
-        // `clear_flows`, so the solve starts immediately — no O(Σ|path|)
-        // rebuild per call.
-        let link_flows = &self.link_flows;
+        s.lcaps.clear();
+        for (li, &l) in links.iter().enumerate() {
+            s.link_local[l as usize] = li as u32;
+            s.lcaps.push(self.caps[l as usize]);
+        }
+        if s.lflows.len() < nll {
+            s.lflows.resize_with(nll, Vec::new);
+        }
+        for lf in &mut s.lflows[..nll] {
+            lf.clear();
+        }
+        for i in 0..n {
+            for &l in &spec(i).path {
+                let li = s.link_local[l] as usize;
+                debug_assert_eq!(
+                    links.get(li).copied(),
+                    Some(l as u32),
+                    "flow path leaves the link list"
+                );
+                s.lflows[li].push(i as u32);
+            }
+        }
 
         // Phase 1: floors capped by demand, defensively scaled on
         // oversubscribed links (worst link first, like the reference).
-        out.extend(self.flows.iter().map(|f| f.floor.min(f.demand)));
-        let rate = out;
-        let mut used = vec![0.0f64; nl];
+        s.rate.clear();
+        s.rate
+            .extend((0..n).map(|i| spec(i).floor.min(spec(i).demand)));
+        s.used.clear();
+        s.used.resize(nll, 0.0);
         loop {
-            for (l, u) in used.iter_mut().enumerate() {
-                *u = link_flows[l].iter().map(|&i| rate[i as usize]).sum();
+            for li in 0..nll {
+                s.used[li] = s.lflows[li].iter().map(|&i| s.rate[i as usize]).sum();
             }
             let mut worst: Option<(usize, f64)> = None;
-            for (l, &u) in used.iter().enumerate() {
-                if u > self.caps[l] * (1.0 + 1e-9) {
-                    let scale = self.caps[l] / u;
-                    if worst.is_none_or(|(_, s)| scale < s) {
-                        worst = Some((l, scale));
+            for (li, &u) in s.used.iter().enumerate() {
+                if u > s.lcaps[li] * (1.0 + 1e-9) {
+                    let scale = s.lcaps[li] / u;
+                    if worst.is_none_or(|(_, sc)| scale < sc) {
+                        worst = Some((li, scale));
                     }
                 }
             }
             match worst {
-                Some((l, scale)) => {
-                    for &i in &link_flows[l] {
-                        rate[i as usize] *= scale;
+                Some((li, scale)) => {
+                    for &i in &s.lflows[li] {
+                        s.rate[i as usize] *= scale;
                     }
                 }
                 None => break,
             }
         }
-        let mut residual: Vec<f64> = self
-            .caps
-            .iter()
-            .zip(&used)
-            .map(|(&c, &u)| (c - u).max(0.0))
-            .collect();
+        s.residual.clear();
+        s.residual
+            .extend(s.lcaps.iter().zip(&s.used).map(|(&c, &u)| (c - u).max(0.0)));
 
         // Phase 2: weighted progressive filling of the residual, driven by
-        // one global fill level. While flow `i` is active its rate is
-        // implicitly `rate[i] + weight_i × fill`; only the freeze event
-        // materializes it, so a round costs O(links) plus the frozen flows'
-        // path lengths — never a sweep over all flows.
-        let mut active: Vec<bool> = self
-            .flows
-            .iter()
-            .zip(rate.iter())
-            .map(|(f, r)| *r + 1e-9 < f.demand)
-            .collect();
+        // one fill level. While flow `i` is active its rate is implicitly
+        // `rate[i] + weight_i × fill`; only the freeze event materializes
+        // it, so a round costs O(links) plus the frozen flows' path
+        // lengths — never a sweep over all flows.
+        s.active.clear();
+        s.active
+            .extend((0..n).map(|i| s.rate[i] + 1e-9 < spec(i).demand));
         // Active weight sum and active flow count per link. The count going
         // to zero resets the sum to exactly 0.0, so accumulated float error
         // can never leave a ghost positive weight on a drained link.
-        let mut wsum = vec![0.0f64; nl];
-        let mut wcount = vec![0u32; nl];
-        for (i, f) in self.flows.iter().enumerate() {
-            if active[i] {
+        s.wsum.clear();
+        s.wsum.resize(nll, 0.0);
+        s.wcount.clear();
+        s.wcount.resize(nll, 0);
+        // Finite-demand active flows (greedy flows never appear here).
+        s.finite.clear();
+        for i in 0..n {
+            if s.active[i] {
+                let f = spec(i);
                 for &l in &f.path {
-                    wsum[l] += f.weight;
-                    wcount[l] += 1;
+                    let li = s.link_local[l] as usize;
+                    s.wsum[li] += f.weight;
+                    s.wcount[li] += 1;
+                }
+                if f.demand.is_finite() {
+                    s.finite.push(i as u32);
                 }
             }
         }
-        // Finite-demand active flows (greedy flows never appear here).
-        let mut finite: Vec<u32> = self
-            .flows
-            .iter()
-            .enumerate()
-            .filter(|&(i, f)| active[i] && f.demand.is_finite())
-            .map(|(i, _)| i as u32)
-            .collect();
-        let mut remaining = active.iter().filter(|&&a| a).count();
+        let mut remaining = s.active.iter().filter(|&&a| a).count();
         let mut fill = 0.0f64;
-        let mut to_freeze: Vec<u32> = Vec::new();
         while remaining > 0 {
             // Next event: the tightest link saturates, or the tightest
             // finite-demand flow reaches its demand.
             let mut t = f64::INFINITY;
             let mut event_link: Option<usize> = None;
             let mut event_flow: Option<u32> = None;
-            for (l, &w) in wsum.iter().enumerate() {
+            for (li, &w) in s.wsum.iter().enumerate() {
                 if w > 0.0 {
-                    let tl = residual[l] / w;
+                    let tl = s.residual[li] / w;
                     if tl < t {
                         t = tl;
-                        event_link = Some(l);
+                        event_link = Some(li);
                     }
                 }
             }
-            for &i in &finite {
-                let f = &self.flows[i as usize];
-                let tf = (f.demand - (rate[i as usize] + f.weight * fill)) / f.weight;
+            for &i in &s.finite {
+                let f = spec(i as usize);
+                let tf = (f.demand - (s.rate[i as usize] + f.weight * fill)) / f.weight;
                 if tf < t {
                     t = tf;
                     event_link = None;
@@ -339,59 +403,61 @@ impl Fluid {
             }
             let t = t.max(0.0);
             fill += t;
-            for (l, r) in residual.iter_mut().enumerate() {
-                if wsum[l] > 0.0 {
-                    *r -= wsum[l] * t;
+            for (li, r) in s.residual.iter_mut().enumerate() {
+                if s.wsum[li] > 0.0 {
+                    *r -= s.wsum[li] * t;
                 }
             }
             // The event's link lands on exactly zero by construction; pin it
             // there so float error cannot leave it epsilon above the
             // saturation threshold (that would stall the round).
-            if let Some(l) = event_link {
-                residual[l] = 0.0;
+            if let Some(li) = event_link {
+                s.residual[li] = 0.0;
             }
             // Freeze every active flow on a saturated link, the event flow,
             // and any finite flow that reached demand this round.
-            to_freeze.clear();
-            for (l, r) in residual.iter().enumerate() {
-                if wcount[l] > 0 && *r <= 1e-6 {
-                    for &i in &link_flows[l] {
-                        if active[i as usize] {
-                            to_freeze.push(i);
+            s.to_freeze.clear();
+            for (li, r) in s.residual.iter().enumerate() {
+                if s.wcount[li] > 0 && *r <= 1e-6 {
+                    for &i in &s.lflows[li] {
+                        if s.active[i as usize] {
+                            s.to_freeze.push(i);
                         }
                     }
                 }
             }
             if let Some(i) = event_flow {
-                to_freeze.push(i);
+                s.to_freeze.push(i);
             }
-            for &i in &finite {
-                let f = &self.flows[i as usize];
-                if active[i as usize] && rate[i as usize] + f.weight * fill + 1e-6 >= f.demand {
-                    to_freeze.push(i);
+            for &i in &s.finite {
+                let f = spec(i as usize);
+                if s.active[i as usize] && s.rate[i as usize] + f.weight * fill + 1e-6 >= f.demand {
+                    s.to_freeze.push(i);
                 }
             }
             let mut frozen = 0usize;
-            for &i in &to_freeze {
-                let i = i as usize;
-                if !active[i] {
+            for k in 0..s.to_freeze.len() {
+                let i = s.to_freeze[k] as usize;
+                if !s.active[i] {
                     continue; // reachable via several saturated links
                 }
-                active[i] = false;
-                let f = &self.flows[i];
-                rate[i] = (rate[i] + f.weight * fill).min(f.demand);
+                s.active[i] = false;
+                let f = spec(i);
+                s.rate[i] = (s.rate[i] + f.weight * fill).min(f.demand);
                 for &l in &f.path {
-                    wsum[l] -= f.weight;
-                    wcount[l] -= 1;
-                    if wcount[l] == 0 {
-                        wsum[l] = 0.0;
+                    let li = s.link_local[l] as usize;
+                    s.wsum[li] -= f.weight;
+                    s.wcount[li] -= 1;
+                    if s.wcount[li] == 0 {
+                        s.wsum[li] = 0.0;
                     }
                 }
                 remaining -= 1;
                 frozen += 1;
             }
-            if !finite.is_empty() {
-                finite.retain(|&i| active[i as usize]);
+            if !s.finite.is_empty() {
+                let active = &s.active;
+                s.finite.retain(|&i| active[i as usize]);
             }
             debug_assert!(
                 frozen > 0,
@@ -401,15 +467,11 @@ impl Fluid {
         // Flows still active hit no capacitated link and no demand: they
         // are unbounded in the fluid limit; report the filled level reached
         // (matches the reference's early exit).
-        for (i, f) in self.flows.iter().enumerate() {
-            if active[i] {
-                rate[i] += f.weight * fill;
+        for i in 0..n {
+            if s.active[i] {
+                s.rate[i] += spec(i).weight * fill;
             }
         }
-        debug_assert!(
-            self.is_work_conserving(rate),
-            "allocation is not work-conserving"
-        );
     }
 
     /// Whether `rates` is work-conserving: no link exceeds its capacity and
@@ -609,7 +671,7 @@ impl Fluid {
 }
 
 /// Absolute + relative comparison slack for kbps-scale quantities (shared
-/// with the incremental component solver's verification pass).
+/// with the incremental component solver's cached verdicts).
 #[inline]
 pub(crate) fn tol(magnitude: f64) -> f64 {
     1e-6 + 1e-9 * magnitude.abs()
@@ -827,6 +889,88 @@ mod tests {
         net.remove_flow(0);
         assert_eq!(net.num_flows(), 0);
         assert!(net.rates().is_empty());
+    }
+
+    /// The kernel on a strict subset: of two disjoint components it is
+    /// handed one (flows in a caller-chosen order, links ascending) and
+    /// must produce, bit for bit, what `rates` produces on a network
+    /// holding only that component in that order — nothing of the other
+    /// component, and nothing of the per-link index order, may reach the
+    /// arithmetic.
+    #[test]
+    fn kernel_on_one_component_matches_a_network_holding_only_it() {
+        let caps = [900.0, 250.0, 700.0, 400.0, 650.0];
+        let mut net = Fluid::new();
+        for &c in &caps {
+            net.link(c);
+        }
+        // Component A on links {0, 2, 3}, component B on links {1, 4},
+        // interleaved; A oversubscribes link 3's floors (phase 1 scales)
+        // and holds a finite demand (a flow event in phase 2).
+        let mut capped = FlowSpec::greedy(vec![0]).with_guarantee(50.0);
+        capped.demand = 120.0;
+        let a_specs = [
+            FlowSpec::greedy(vec![0, 2]).with_guarantee(100.0),
+            FlowSpec::greedy(vec![2, 3]).with_guarantee(300.0),
+            capped,
+            FlowSpec::greedy(vec![3]).with_guarantee(250.0),
+            FlowSpec::greedy(vec![0, 3]),
+        ];
+        let b_specs = [
+            FlowSpec::greedy(vec![1, 4]).with_guarantee(80.0),
+            FlowSpec::greedy(vec![4]),
+            FlowSpec::greedy(vec![1]).with_guarantee(200.0),
+        ];
+        let mut a_ids = Vec::new();
+        for k in 0..a_specs.len().max(b_specs.len()) {
+            if let Some(f) = a_specs.get(k) {
+                a_ids.push(net.flow(f.clone()) as u32);
+            }
+            if let Some(f) = b_specs.get(k) {
+                net.flow(f.clone());
+            }
+        }
+        // Scramble the per-link index: remove and re-add a B flow, which
+        // swap-renames the last flow (an A flow) and reorders link lists.
+        let moved = net.num_flows() as u32 - 1;
+        assert_eq!(a_ids.last(), Some(&moved));
+        let spec = net.remove_flow(1);
+        net.flow(spec);
+        *a_ids.last_mut().unwrap() = 1;
+        // Hand the kernel A in reverse order.
+        a_ids.reverse();
+
+        let mut scratch = FillScratch::default();
+        net.fill(&a_ids, &[0, 2, 3], &mut scratch);
+
+        let mut only_a = Fluid::new();
+        for &c in &caps {
+            only_a.link(c);
+        }
+        for f in a_specs.iter().rev() {
+            only_a.flow(f.clone());
+        }
+        let want = only_a.rates();
+        assert_eq!(scratch.rate.len(), want.len());
+        for (got, want) in scratch.rate.iter().zip(&want) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        }
+        assert!(want[1] < 250.0, "phase-1 scaling engaged: {want:?}");
+        for (got, reference) in scratch.rate.iter().zip(only_a.rates_reference()) {
+            assert!(
+                (got - reference).abs() < 1e-6 * (1.0 + reference.abs()),
+                "{got} vs reference {reference}"
+            );
+        }
+        // And the whole network, solved globally, agrees on A's flows.
+        let all = net.rates();
+        for (got, &fi) in scratch.rate.iter().zip(&a_ids) {
+            let global = all[fi as usize];
+            assert!(
+                (got - global).abs() < 1e-6 * (1.0 + global.abs()),
+                "{got} vs global {global}"
+            );
+        }
     }
 
     #[test]

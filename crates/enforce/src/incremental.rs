@@ -28,11 +28,11 @@
 //! ## What is cached, and why each cache is exact
 //!
 //! Beside the rates the solver keeps, per link, the **usage** (Σ rate of
-//! the link's flows), an **over-capacity** flag, the **water level** and a
-//! **component label** (the lowest link of the link's component); per
-//! flow, a **starved** flag (below demand with no saturated link on its
-//! path); and three integers: links over capacity, flows starved, and the
-//! number of components. Every one of them is a *pure function of the
+//! the link's flows), an **over-capacity** flag and a **component label**
+//! (the lowest link of the link's component); per flow, a **starved** flag
+//! (below demand with no saturated link on its path); and three integers:
+//! links over capacity, flows starved, and the number of components.
+//! Every one of them is a *pure function of the
 //! current flow set and capacities, recomputed whole* for the links and
 //! flows of each component the step re-solved (and reset for a touched
 //! link left without flows) — never adjusted by a float delta. A clean
@@ -46,36 +46,19 @@
 //! (components walked)`. Debug builds re-derive all of it from scratch
 //! after every engine solve and assert bit-equality.
 //!
-//! ## Warm start
-//!
-//! After each solve the component's links record their **water level**:
-//! the phase-2 fill at which the link saturated (`∞` if it did not). A
-//! dirty component is first attempted *warm*: phase 1 (floors) runs as in
-//! the cold solve, then the previously saturated links are processed in
-//! ascending water order, each freezing its remaining flows at the fill
-//! level its residual capacity supports in closed form — skipping the
-//! event-by-event filling loop entirely. The warm result is accepted only
-//! if it passes a strict per-component max-min verification (caps,
-//! demands, floors, work conservation and the KKT bottleneck condition,
-//! with the same tolerances as [`Fluid::verify_max_min`]); any failure —
-//! or a structural bail-out such as a negative closed-form level or a
-//! greedy flow left unbounded — falls back to the **cold** per-component
-//! solve, which replicates the [`Fluid::rates`] arithmetic exactly on the
-//! component's local arrays.
-//!
 //! ## Determinism
 //!
-//! Cold component solves are canonical: flows are ordered by a
-//! caller-supplied `(tenant, sequence)` key and links ascending, so the
-//! allocation is a pure function of the surviving flow set — an engine
-//! that churned through any history cold-solves bit-identically to a
-//! fresh one. Warm solves agree with cold within the verification
-//! tolerance (and are discarded otherwise). All solver scratch — rate
-//! vectors, per-link indexes, freeze queues, the traversal's stamp maps —
-//! is pooled across steps and never cleared wholesale.
+//! Every dirty component is solved by the one max-min kernel the global
+//! [`Fluid::rates`] uses (`Fluid::fill`, see [`crate::fluid`]), handed the
+//! component's flows ordered by a caller-supplied `(tenant, sequence)` key
+//! and its links ascending. The allocation is therefore a pure function
+//! of the surviving flow set: a solver that churned through any history
+//! holds **bit-identical** rates, usage and verdicts to a fresh one fed
+//! the same final state. All solver scratch — rate vectors, per-link
+//! indexes, freeze queues, the traversal's stamp maps — is pooled across
+//! steps and never cleared wholesale.
 
-use crate::fluid::{tol, FlowSpec, Fluid};
-use std::time::Instant;
+use crate::fluid::{tol, FillScratch, FlowSpec, Fluid};
 
 /// Component label of a link no flow crosses.
 const NO_COMPONENT: u32 = u32::MAX;
@@ -83,12 +66,6 @@ const NO_COMPONENT: u32 = u32::MAX;
 /// What one [`IncrementalFluid::solve`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
-    /// Seconds spent in cold per-component solves (including the phase-1
-    /// floor pass of components whose warm attempt was discarded).
-    pub cold_secs: f64,
-    /// Seconds spent in warm attempts (accepted or discarded) and their
-    /// verification.
-    pub warm_secs: f64,
     /// Components re-solved this step.
     pub components_dirty: usize,
     /// Connected components among links carrying at least one flow.
@@ -120,8 +97,6 @@ pub struct IncrementalFluid {
     /// last solve.
     touched: Vec<bool>,
     touched_links: Vec<u32>,
-    /// Per-link water level from the previous solve (`∞` = unsaturated).
-    water: Vec<f64>,
     /// Per-link Σ rate of the link's flows, in canonical key order (0.0
     /// for a link no flow crosses).
     used: Vec<f64>,
@@ -141,8 +116,6 @@ pub struct IncrementalFluid {
     /// Ascending distinct first key components of the flows the last
     /// solve re-solved.
     resolved_keys: Vec<u64>,
-    /// Test knob: skip warm attempts entirely.
-    force_cold: bool,
     scratch: Scratch,
 }
 
@@ -172,30 +145,12 @@ struct Scratch {
     comps: Vec<Comp>,
     /// The component's flows (dense indices, canonical order).
     comp_flows: Vec<u32>,
-    /// Global link → local index within the component being solved.
-    link_local: Vec<u32>,
-    /// Local link → global link / capacity / member flows (local indices)
-    /// / saturated after the solve.
-    lglobal: Vec<u32>,
-    lcaps: Vec<f64>,
-    lflows: Vec<Vec<u32>>,
+    /// Component link (position in its `changed_links` slice) → saturated
+    /// after the solve.
     lsat: Vec<bool>,
-    /// Local per-flow state.
-    base: Vec<f64>,
-    rate: Vec<f64>,
-    warm_rate: Vec<f64>,
-    active: Vec<bool>,
-    finite: Vec<u32>,
-    /// Local per-link state.
-    used: Vec<f64>,
-    residual: Vec<f64>,
-    warm_residual: Vec<f64>,
-    wsum: Vec<f64>,
-    wcount: Vec<u32>,
-    max_fill: Vec<f64>,
-    to_freeze: Vec<u32>,
-    /// Warm hypothesis: previously saturated links, ascending water level.
-    hyp: Vec<(f64, u32)>,
+    /// The kernel's scratch: rates and the per-link index of the component
+    /// just solved.
+    fill: FillScratch,
 }
 
 /// Rewrite a cached flag, moving its counter by the exact difference.
@@ -228,7 +183,6 @@ impl IncrementalFluid {
             flows_starved: 0,
             touched: vec![false; nl],
             touched_links: Vec::new(),
-            water: vec![f64::INFINITY; nl],
             used: vec![0.0; nl],
             over: vec![false; nl],
             links_over: 0,
@@ -236,7 +190,6 @@ impl IncrementalFluid {
             components: 0,
             changed_links: Vec::new(),
             resolved_keys: Vec::new(),
-            force_cold: false,
             scratch: Scratch::default(),
         }
     }
@@ -255,12 +208,6 @@ impl IncrementalFluid {
     /// Number of links.
     pub fn num_links(&self) -> usize {
         self.net.num_links()
-    }
-
-    /// Skip warm attempts and always cold-solve dirty components (test
-    /// knob; the differential tests pin warm ≡ cold through it).
-    pub fn set_force_cold(&mut self, on: bool) {
-        self.force_cold = on;
     }
 
     fn touch(&mut self, l: usize) {
@@ -347,7 +294,6 @@ impl IncrementalFluid {
         self.flows_starved = 0;
         self.touched.fill(false);
         self.touched_links.clear();
-        self.water.fill(f64::INFINITY);
         self.used.fill(0.0);
         self.over.fill(false);
         self.links_over = 0;
@@ -377,7 +323,7 @@ impl IncrementalFluid {
 
     /// Per-link usage as of the last solve: Σ rate of the link's flows,
     /// summed in canonical key order (so a churned solver and a fresh one
-    /// agree bit for bit when cold), 0.0 for a link no flow crosses.
+    /// agree bit for bit), 0.0 for a link no flow crosses.
     pub fn link_usage(&self) -> &[f64] {
         &self.used
     }
@@ -405,14 +351,12 @@ impl IncrementalFluid {
         self.links_over == 0 && self.flows_starved == 0
     }
 
-    /// Re-solve every dirty component (warm first, cold on rejection),
-    /// keep every clean component's rates verbatim, and return what was
-    /// done. See the [module docs](self).
+    /// Re-solve every dirty component, keep every clean component's rates
+    /// verbatim, and return what was done. See the [module docs](self).
     pub fn solve(&mut self) -> SolveStats {
         let nl = self.net.num_links();
         let s = &mut self.scratch;
         s.link_seen.resize(nl, 0);
-        s.link_local.resize(nl, 0);
         if s.flow_seen.len() < self.net.num_flows() {
             s.flow_seen.resize(self.net.num_flows(), 0);
         }
@@ -433,7 +377,6 @@ impl IncrementalFluid {
             if self.net.link_flows(l).is_empty() {
                 old_components += usize::from(self.label[l] == l as u32);
                 self.label[l] = NO_COMPONENT;
-                self.water[l] = f64::INFINITY;
                 self.used[l] = 0.0;
                 set_flag(&mut self.over[l], &mut self.links_over, false);
                 self.changed_links.push(l as u32);
@@ -478,28 +421,26 @@ impl IncrementalFluid {
         let n_dirty = s.comps.len();
         self.components = self.components - old_components + n_dirty;
 
-        let mut stats = SolveStats {
-            components_dirty: n_dirty,
-            components_total: self.components,
-            ..Default::default()
-        };
         for k in 0..n_dirty {
             let comp = self.scratch.comps[k];
-            self.solve_component(comp, &mut stats);
+            self.solve_component(comp);
         }
         // Each component contributed its keys ascending; merge them.
         if n_dirty > 1 {
             self.resolved_keys.sort_unstable();
             self.resolved_keys.dedup();
         }
-        stats
+        SolveStats {
+            components_dirty: n_dirty,
+            components_total: self.components,
+        }
     }
 
-    /// Solve one dirty component: order its flows canonically, try warm
-    /// (unless forced cold), verify, fall back to the canonical cold
-    /// solve, then write back the rates and everything cached from them
-    /// (usage, water level, flags, label).
-    fn solve_component(&mut self, comp: Comp, stats: &mut SolveStats) {
+    /// Solve one dirty component: order its flows canonically, run the
+    /// max-min kernel over them and the component's (ascending) links,
+    /// then write back the rates and everything cached from them (usage,
+    /// flags, label).
+    fn solve_component(&mut self, comp: Comp) {
         let Self {
             net,
             scratch: s,
@@ -507,14 +448,12 @@ impl IncrementalFluid {
             rates,
             starved,
             flows_starved,
-            water,
             used,
             over,
             links_over,
             label,
             changed_links,
             resolved_keys,
-            force_cold,
             ..
         } = self;
         let net: &Fluid = net;
@@ -530,141 +469,33 @@ impl IncrementalFluid {
                 resolved_keys.push(group);
             }
         }
-
-        // Local link remap (component links are already ascending).
-        s.lglobal.clear();
-        s.lglobal
-            .extend_from_slice(&changed_links[comp.links.0 as usize..comp.links.1 as usize]);
-        let nll = s.lglobal.len();
-        s.lcaps.clear();
-        for (li, &l) in s.lglobal.iter().enumerate() {
-            s.link_local[l as usize] = li as u32;
-            s.lcaps.push(net.link_cap(l as usize));
-        }
-        if s.lflows.len() < nll {
-            s.lflows.resize_with(nll, Vec::new);
-        }
-        for lf in &mut s.lflows[..nll] {
-            lf.clear();
-        }
-        // Per-link member lists in canonical flow order: the local summation
-        // order is a pure function of the flow set.
-        for (i, &fi) in s.comp_flows.iter().enumerate() {
-            for &l in &net.flows()[fi as usize].path {
-                let li = s.link_local[l] as usize;
-                debug_assert_eq!(
-                    s.lglobal.get(li).copied(),
-                    Some(l as u32),
-                    "flow path leaves its component"
-                );
-                s.lflows[li].push(i as u32);
-            }
-        }
-
-        // Phase 1 (shared by warm and cold): floors capped by demand, scaled
-        // down on oversubscribed links — the Fluid::rates arithmetic on the
-        // component's local arrays.
-        let n = s.comp_flows.len();
-        s.base.clear();
-        for &fi in &s.comp_flows {
-            let f = &net.flows()[fi as usize];
-            s.base.push(f.floor.min(f.demand));
-        }
-        s.used.clear();
-        s.used.resize(nll, 0.0);
-        loop {
-            for li in 0..nll {
-                s.used[li] = s.lflows[li].iter().map(|&i| s.base[i as usize]).sum();
-            }
-            let mut worst: Option<(usize, f64)> = None;
-            for (li, &u) in s.used.iter().enumerate() {
-                if u > s.lcaps[li] * (1.0 + 1e-9) {
-                    let scale = s.lcaps[li] / u;
-                    if worst.is_none_or(|(_, sc)| scale < sc) {
-                        worst = Some((li, scale));
-                    }
-                }
-            }
-            match worst {
-                Some((li, scale)) => {
-                    for &i in &s.lflows[li] {
-                        s.base[i as usize] *= scale;
-                    }
-                }
-                None => break,
-            }
-        }
-        s.residual.clear();
-        s.residual
-            .extend(s.lcaps.iter().zip(&s.used).map(|(&c, &u)| (c - u).max(0.0)));
-
-        // Warm attempt from the previous water levels, accepted only if the
-        // strict per-component verification passes. The hypothesis is the
-        // component's previously saturated links, ascending water level
-        // (ties broken by link index for determinism).
-        let mut warm_ok = false;
-        if !*force_cold {
-            s.hyp.clear();
-            for li in 0..nll {
-                let w = water[s.lglobal[li] as usize];
-                if w.is_finite() {
-                    s.hyp.push((w, li as u32));
-                }
-            }
-            s.hyp
-                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let t = Instant::now();
-            warm_ok = warm_solve(net, s, nll);
-            if warm_ok {
-                warm_ok = verify_component(net, s, nll, true);
-            }
-            stats.warm_secs += t.elapsed().as_secs_f64();
-        }
-        if warm_ok {
-            s.rate.clear();
-            s.rate.extend_from_slice(&s.warm_rate[..n]);
-        } else {
-            let t = Instant::now();
-            cold_solve(net, s, nll);
-            stats.cold_secs += t.elapsed().as_secs_f64();
-        }
+        let links = &changed_links[comp.links.0 as usize..comp.links.1 as usize];
+        net.fill(&s.comp_flows, links, &mut s.fill);
 
         // Write back the rates, then recompute whole everything cached
-        // from them: per-link usage (canonical order), saturation → water
-        // level (fill above base at which the link saturated; ∞ if it did
-        // not), the over-capacity flag and the label; per-flow starvation.
+        // from them: per-link usage (canonical order), saturation, the
+        // over-capacity flag and the label; per-flow starvation.
         // Predicates and tolerances are `Fluid::is_work_conserving`'s.
+        let k = &s.fill;
         for (i, &fi) in s.comp_flows.iter().enumerate() {
-            rates[fi as usize] = s.rate[i];
+            rates[fi as usize] = k.rate[i];
         }
         s.lsat.clear();
-        for li in 0..nll {
+        for (li, &gl) in links.iter().enumerate() {
             let mut u = 0.0f64;
-            for &i in &s.lflows[li] {
-                u += s.rate[i as usize];
+            for &i in &k.lflows[li] {
+                u += k.rate[i as usize];
             }
-            let (gl, cap) = (s.lglobal[li] as usize, s.lcaps[li]);
-            let sat = u >= cap - tol(cap);
-            s.lsat.push(sat);
-            water[gl] = if sat {
-                let mut lvl = 0.0f64;
-                for &i in &s.lflows[li] {
-                    let i = i as usize;
-                    let f = &net.flows()[s.comp_flows[i] as usize];
-                    lvl = lvl.max((s.rate[i] - s.base[i]) / f.weight);
-                }
-                lvl
-            } else {
-                f64::INFINITY
-            };
+            let (gl, cap) = (gl as usize, k.lcaps[li]);
+            s.lsat.push(u >= cap - tol(cap));
             used[gl] = u;
             set_flag(&mut over[gl], links_over, u > cap + tol(cap));
             label[gl] = comp.lowest;
         }
         for (i, &fi) in s.comp_flows.iter().enumerate() {
             let f = &net.flows()[fi as usize];
-            let met = s.rate[i] + tol(f.demand.min(1e12)) >= f.demand;
-            let hungry = !met && !f.path.iter().any(|&l| s.lsat[s.link_local[l] as usize]);
+            let met = k.rate[i] + tol(f.demand.min(1e12)) >= f.demand;
+            let hungry = !met && !f.path.iter().any(|&l| s.lsat[k.link_local[l] as usize]);
             set_flag(&mut starved[fi as usize], flows_starved, hungry);
         }
     }
@@ -738,296 +569,6 @@ impl IncrementalFluid {
         }
         assert_eq!(components, self.components, "component count");
     }
-}
-
-/// The cold per-component solve: phase 2 of [`Fluid::rates`], replicated
-/// with identical constants and event handling on the local arrays
-/// (`s.base`/`s.residual` hold the shared phase-1 result).
-fn cold_solve(net: &Fluid, s: &mut Scratch, nll: usize) {
-    let n = s.comp_flows.len();
-    s.rate.clear();
-    s.rate.extend_from_slice(&s.base[..n]);
-    let spec = |i: usize| &net.flows()[s.comp_flows[i] as usize];
-    s.active.clear();
-    for i in 0..n {
-        s.active.push(s.rate[i] + 1e-9 < spec(i).demand);
-    }
-    s.wsum.clear();
-    s.wsum.resize(nll, 0.0);
-    s.wcount.clear();
-    s.wcount.resize(nll, 0);
-    // residual was consumed by a prior warm attempt's bookkeeping? No —
-    // warm works on its own copy; s.residual still holds phase 1's.
-    for i in 0..n {
-        if s.active[i] {
-            let f = spec(i);
-            for &l in &f.path {
-                let li = s.link_local[l] as usize;
-                s.wsum[li] += f.weight;
-                s.wcount[li] += 1;
-            }
-        }
-    }
-    s.finite.clear();
-    for i in 0..n {
-        if s.active[i] && spec(i).demand.is_finite() {
-            s.finite.push(i as u32);
-        }
-    }
-    let mut remaining = s.active.iter().filter(|&&a| a).count();
-    let mut fill = 0.0f64;
-    while remaining > 0 {
-        let mut t = f64::INFINITY;
-        let mut event_link: Option<usize> = None;
-        let mut event_flow: Option<u32> = None;
-        for (li, &w) in s.wsum.iter().enumerate() {
-            if w > 0.0 {
-                let tl = s.residual[li] / w;
-                if tl < t {
-                    t = tl;
-                    event_link = Some(li);
-                }
-            }
-        }
-        for &i in &s.finite {
-            let f = spec(i as usize);
-            let tf = (f.demand - (s.rate[i as usize] + f.weight * fill)) / f.weight;
-            if tf < t {
-                t = tf;
-                event_link = None;
-                event_flow = Some(i);
-            }
-        }
-        if !t.is_finite() {
-            break;
-        }
-        let t = t.max(0.0);
-        fill += t;
-        for (li, r) in s.residual.iter_mut().enumerate() {
-            if s.wsum[li] > 0.0 {
-                *r -= s.wsum[li] * t;
-            }
-        }
-        if let Some(li) = event_link {
-            s.residual[li] = 0.0;
-        }
-        s.to_freeze.clear();
-        for (li, r) in s.residual.iter().enumerate().take(nll) {
-            if s.wcount[li] > 0 && *r <= 1e-6 {
-                for &i in &s.lflows[li] {
-                    if s.active[i as usize] {
-                        s.to_freeze.push(i);
-                    }
-                }
-            }
-        }
-        if let Some(i) = event_flow {
-            s.to_freeze.push(i);
-        }
-        for &i in &s.finite {
-            let f = spec(i as usize);
-            if s.active[i as usize] && s.rate[i as usize] + f.weight * fill + 1e-6 >= f.demand {
-                s.to_freeze.push(i);
-            }
-        }
-        let mut frozen = 0usize;
-        for k in 0..s.to_freeze.len() {
-            let i = s.to_freeze[k] as usize;
-            if !s.active[i] {
-                continue;
-            }
-            s.active[i] = false;
-            let f = spec(i);
-            s.rate[i] = (s.rate[i] + f.weight * fill).min(f.demand);
-            for &l in &f.path {
-                let li = s.link_local[l] as usize;
-                s.wsum[li] -= f.weight;
-                s.wcount[li] -= 1;
-                if s.wcount[li] == 0 {
-                    s.wsum[li] = 0.0;
-                }
-            }
-            remaining -= 1;
-            frozen += 1;
-        }
-        if !s.finite.is_empty() {
-            let active = &s.active;
-            s.finite.retain(|&i| active[i as usize]);
-        }
-        debug_assert!(
-            frozen > 0,
-            "filling round froze no flow: termination invariant broken"
-        );
-    }
-    for i in 0..n {
-        if s.active[i] {
-            s.rate[i] += spec(i).weight * fill;
-        }
-    }
-}
-
-/// Warm attempt: freeze flows link-by-link in ascending previous water
-/// order, computing each link's saturation fill in closed form. Returns
-/// `false` on any structural bail-out (the caller then cold-solves).
-/// Writes the candidate into `s.warm_rate`; acceptance is decided by
-/// [`verify_component`].
-fn warm_solve(net: &Fluid, s: &mut Scratch, nll: usize) -> bool {
-    let n = s.comp_flows.len();
-    let spec = |i: usize| &net.flows()[s.comp_flows[i] as usize];
-    // The hypothesis (`s.hyp`) was prepared by `solve_component` from the
-    // previous water levels; an empty one means nothing saturated last
-    // step, so the closed-form path has nothing to anchor on.
-    if s.hyp.is_empty() {
-        return n == 0;
-    }
-    s.warm_rate.clear();
-    s.warm_rate.extend_from_slice(&s.base[..n]);
-    s.warm_residual.clear();
-    s.warm_residual.extend_from_slice(&s.residual[..nll]);
-    s.active.clear();
-    for i in 0..n {
-        // `active` doubles as "unfrozen" here.
-        s.active.push(s.warm_rate[i] + 1e-9 < spec(i).demand);
-    }
-    let mut unfrozen = s.active.iter().filter(|&&a| a).count();
-    for hi in 0..s.hyp.len() {
-        let li = s.hyp[hi].1 as usize;
-        loop {
-            let mut frozen_extra = 0.0f64;
-            let mut wub = 0.0f64;
-            let mut n_unfrozen = 0usize;
-            for &i in &s.lflows[li] {
-                let i = i as usize;
-                if s.active[i] {
-                    wub += spec(i).weight;
-                    n_unfrozen += 1;
-                } else {
-                    frozen_extra += s.warm_rate[i] - s.base[i];
-                }
-            }
-            if n_unfrozen == 0 {
-                break;
-            }
-            let t = (s.warm_residual[li] - frozen_extra) / wub;
-            if !t.is_finite() || t < -1e-9 {
-                return false;
-            }
-            let t = t.max(0.0);
-            // Demand events first: a flow reaching its demand strictly
-            // below the link's fill frees weight, raising the fill — so
-            // freeze-and-recompute until none remain.
-            let mut any_demand = false;
-            for k in 0..s.lflows[li].len() {
-                let i = s.lflows[li][k] as usize;
-                if !s.active[i] {
-                    continue;
-                }
-                let f = spec(i);
-                if f.demand.is_finite() && f.demand - s.base[i] < f.weight * t {
-                    s.active[i] = false;
-                    s.warm_rate[i] = f.demand;
-                    unfrozen -= 1;
-                    any_demand = true;
-                }
-            }
-            if any_demand {
-                continue;
-            }
-            for k in 0..s.lflows[li].len() {
-                let i = s.lflows[li][k] as usize;
-                if !s.active[i] {
-                    continue;
-                }
-                let f = spec(i);
-                s.active[i] = false;
-                s.warm_rate[i] = (s.base[i] + f.weight * t).min(f.demand);
-                unfrozen -= 1;
-            }
-            break;
-        }
-    }
-    // Flows no hypothesis link bounded: finite demands complete at their
-    // demand; an unbounded greedy flow means the saturation structure
-    // changed — bail to cold.
-    if unfrozen > 0 {
-        for i in 0..n {
-            if !s.active[i] {
-                continue;
-            }
-            let f = spec(i);
-            if !f.demand.is_finite() {
-                return false;
-            }
-            s.warm_rate[i] = f.demand;
-        }
-    }
-    true
-}
-
-/// Strict per-component max-min verification of the candidate in
-/// `s.warm_rate` (or `s.rate` when `warm` is false): caps, demands,
-/// floors, work conservation and the KKT bottleneck condition, with
-/// [`Fluid::verify_max_min`]'s tolerances.
-fn verify_component(net: &Fluid, s: &mut Scratch, nll: usize, warm: bool) -> bool {
-    let n = s.comp_flows.len();
-    let spec = |i: usize| &net.flows()[s.comp_flows[i] as usize];
-    let rate = if warm { &s.warm_rate } else { &s.rate };
-    s.used.clear();
-    s.used.resize(nll, 0.0);
-    for li in 0..nll {
-        s.used[li] = s.lflows[li].iter().map(|&i| rate[i as usize]).sum();
-    }
-    for li in 0..nll {
-        if s.used[li] > s.lcaps[li] + tol(s.lcaps[li]) {
-            return false;
-        }
-    }
-    for (i, &r) in rate.iter().enumerate().take(n) {
-        let f = spec(i);
-        if r > f.demand + tol(f.demand.min(1e12)) {
-            return false;
-        }
-        let floor = f.floor.min(f.demand);
-        if r + tol(floor) < floor {
-            return false;
-        }
-    }
-    let sat = |li: usize| s.used[li] >= s.lcaps[li] - tol(s.lcaps[li]);
-    // Work conservation + KKT in one pass over the flows.
-    let fill = |i: usize, r: f64| {
-        let f = spec(i);
-        (r - f.floor.min(f.demand)) / f.weight
-    };
-    s.max_fill.clear();
-    s.max_fill.resize(nll, f64::NEG_INFINITY);
-    for (i, &r) in rate.iter().enumerate().take(n) {
-        for &l in &spec(i).path {
-            let li = s.link_local[l] as usize;
-            s.max_fill[li] = s.max_fill[li].max(fill(i, r));
-        }
-    }
-    for (i, &r) in rate.iter().enumerate().take(n) {
-        let f = spec(i);
-        if f.path.is_empty() || r + tol(f.demand.min(1e12)) >= f.demand {
-            continue;
-        }
-        let mut crosses_sat = false;
-        let mut bottlenecked = false;
-        for &l in &f.path {
-            let li = s.link_local[l] as usize;
-            if sat(li) {
-                crosses_sat = true;
-                if fill(i, r) + 1e-6 * (1.0 + s.max_fill[li].abs()) >= s.max_fill[li] {
-                    bottlenecked = true;
-                    break;
-                }
-            }
-        }
-        if !crosses_sat || !bottlenecked {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1111,89 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_agree_under_random_churn() {
-        // xorshift64* churn over 10 links; every step the incremental
-        // solver (warm path allowed) must match a forced-cold twin and a
-        // from-scratch global solve within tolerance.
-        let mut state = 0x1234_5678_u64;
-        let mut next = move |m: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as usize % m
-        };
-        let caps: Vec<f64> = (0..10).map(|i| 300.0 + 100.0 * i as f64).collect();
-        let (mut warm, _) = nets(&caps);
-        let (mut cold, _) = nets(&caps);
-        cold.set_force_cold(true);
-        let mut live: Vec<(u32, u32, FlowSpec)> = Vec::new();
-        let mut seq = 0u32;
-        for step in 0..300 {
-            if !live.is_empty() && next(3) == 0 {
-                let k = next(live.len());
-                let (wa, co, _) = live.swap_remove(k);
-                warm.remove_flow(wa);
-                cold.remove_flow(co);
-            } else {
-                let a = next(caps.len());
-                let b = next(caps.len());
-                let mut path = vec![a];
-                if b != a {
-                    path.push(b);
-                }
-                let mut f = FlowSpec::greedy(path).with_guarantee((step % 4) as f64 * 80.0);
-                if step % 5 == 0 {
-                    f.demand = 120.0 + (step % 7) as f64 * 60.0;
-                }
-                seq += 1;
-                let key = ((seq % 13) as u64, seq);
-                let wa = warm.add_flow(f.clone(), key);
-                let co = cold.add_flow(f.clone(), key);
-                live.push((wa, co, f));
-            }
-            if step % 3 != 0 {
-                continue; // let churn batch up between solves
-            }
-            warm.solve();
-            cold.solve();
-            // Warm ≡ forced-cold, flow by flow (dense orders may differ
-            // after swap-removals; compare through the stable ids).
-            for &(wa, co, _) in &live {
-                let (x, y) = (warm.rate_of(wa), cold.rate_of(co));
-                assert!(close(x, y), "step {step}: warm {x} vs cold {y}");
-            }
-            // And both match a global from-scratch solve.
-            let mut fresh = Fluid::new();
-            for &c in &caps {
-                fresh.link(c);
-            }
-            for (_, _, f) in &live {
-                fresh.flow(f.clone());
-            }
-            let want = fresh.rates();
-            // verify_max_min assumes admissible floors; the random churn
-            // can oversubscribe a link's floor sum (phase 1 then scales
-            // floors down), so only run the strict verifier when the
-            // floors actually fit.
-            let mut floor_used = vec![0.0f64; caps.len()];
-            for (_, _, f) in &live {
-                for &l in &f.path {
-                    floor_used[l] += f.floor.min(f.demand);
-                }
-            }
-            if floor_used.iter().zip(&caps).all(|(&u, &c)| u <= c) {
-                fresh.verify_max_min(&want).unwrap();
-            }
-            for (k, (wa, _, _)) in live.iter().enumerate() {
-                let x = warm.rate_of(*wa);
-                assert!(close(x, want[k]), "step {step}: {x} vs global {}", want[k]);
-            }
-            assert!(warm.is_work_conserving());
-            assert!(cold.is_work_conserving());
-        }
-    }
-
-    #[test]
     fn clear_flows_resets_everything() {
         let (mut inc, _) = nets(&[400.0, 400.0]);
         inc.add_flow(FlowSpec::greedy(vec![0, 1]), (1, 0));
@@ -1207,8 +665,8 @@ mod tests {
         assert!(close(inc.rate_of(id), 400.0));
     }
 
-    /// A forced-cold solver under churn beside the list of flows it should
-    /// hold, so every step can be compared with a from-scratch solver.
+    /// A solver under churn beside the list of flows it should hold, so
+    /// every step can be compared with a from-scratch solver.
     struct Churned {
         caps: Vec<f64>,
         inc: IncrementalFluid,
@@ -1217,8 +675,7 @@ mod tests {
 
     impl Churned {
         fn new(caps: &[f64]) -> Self {
-            let (mut inc, _) = nets(caps);
-            inc.set_force_cold(true);
+            let (inc, _) = nets(caps);
             Churned {
                 caps: caps.to_vec(),
                 inc,
@@ -1251,7 +708,6 @@ mod tests {
             #[cfg(debug_assertions)]
             self.inc.assert_caches_exact();
             let (mut fresh, _) = nets(&self.caps);
-            fresh.set_force_cold(true);
             let ids: Vec<u32> = self
                 .live
                 .iter()

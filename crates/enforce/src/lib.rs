@@ -37,10 +37,10 @@
 //! aggregate flows, and optionally models the fat-tree core as ECMP
 //! multipath ([`route::EcmpConfig`]). The fluid solve itself is
 //! incremental too: [`incremental::IncrementalFluid`] partitions the
-//! flow/link graph into connected components, re-solves only the ones
-//! churn touched, and warm-starts each from the previous step's per-link
-//! water levels — the step that takes the engine to 100k+-server
-//! fat-trees.
+//! flow/link graph into connected components and re-solves only the ones
+//! churn touched, each with the same max-min kernel the global
+//! [`fluid::Fluid::rates`] runs — the step that takes the engine to
+//! 100k+-server fat-trees.
 
 /// Tenant traffic reports and per-level utilization accounting.
 pub mod datacenter;
@@ -50,7 +50,7 @@ pub mod elastic;
 pub mod engine;
 /// Exact progressive-filling max-min fairness solver.
 pub mod fluid;
-/// Warm-started, component-scoped incremental wrapper around the fluid solver.
+/// Component-scoped incremental wrapper around the fluid solver.
 pub mod incremental;
 /// Physical routing: LCA path derivation and ECMP spreading.
 pub mod route;
@@ -62,5 +62,5 @@ pub use elastic::{split_guarantee, Enforcer, GuaranteeModel, PairGuarantee};
 pub use engine::TrafficEngine;
 pub use fluid::{FlowSpec, Fluid};
 pub use incremental::{IncrementalFluid, SolveStats};
-pub use route::{EcmpConfig, EcmpMode, RouteCache};
+pub use route::{EcmpConfig, RouteCache};
 pub use scenario::{fig13_throughput, fig4_throughput, Fig13Point, Fig4Point};

@@ -15,24 +15,22 @@
 //! directional traversal of a node's uplink, encoded as
 //! `node_index << 1 | is_up`. Materializing a hop list into concrete
 //! [`crate::fluid::Fluid`] link indices is a separate, O(hops) step
-//! ([`RouteCache::path_hashed`] / [`RouteCache::path_split`]) because under
-//! ECMP one logical hop maps to one of several parallel sub-links.
+//! ([`RouteCache::path_hashed`]) because under ECMP one logical hop maps
+//! to one of several parallel sub-links.
 //!
 //! ## ECMP multipath
 //!
 //! A real fat-tree core is a bundle of equal-cost parallel links, not one
 //! fat pipe; modeling it as one pipe lets a single elephant flow borrow the
 //! whole bundle and hides incast hot-spotting. [`EcmpConfig`] splits every
-//! uplink at tree level ≥ `from_level` into `ways` parallel fluid
-//! sub-links of `cap / ways` each, per direction. Two fidelity modes:
-//!
-//! * [`EcmpMode::HashPerBundle`] — each flow bundle picks **one** sub-link
-//!   per hop by a deterministic hash of `(tenant, src server, dst server,
-//!   node)`, the fluid analogue of per-flow ECMP hashing: collisions and
-//!   the resulting hot sub-links are modeled faithfully.
-//! * [`EcmpMode::EqualSplit`] — each bundle is split into `ways` sub-flows,
-//!   sub-flow `j` riding sub-link `j` at every ECMP hop (floors and weights
-//!   divided evenly): the idealized packet-spraying upper bound.
+//! uplink from the ToR level up (server NICs are physically one cable)
+//! into `ways` parallel fluid sub-links of `cap / ways` each, per
+//! direction. Each flow bundle picks **one** sub-link per hop by a
+//! deterministic hash of `(tenant, src server, dst server, node)`, the
+//! fluid analogue of per-flow ECMP hashing: collisions and the resulting
+//! hot sub-links are modeled faithfully — including two bundles whose
+//! floors fit the uplink landing on one `cap / ways` lane that cannot
+//! carry both (placement reserves on the aggregate uplink, not per lane).
 //!
 //! `ways = 1` (the default) reproduces the single-pipe layout of the batch
 //! solver exactly — same link order, same capacities, same link count.
@@ -42,63 +40,25 @@ use cm_core::fasthash::{FastHasher, FastMap};
 use cm_topology::{NodeId, Topology};
 use std::hash::Hasher;
 
-/// How ECMP splits a flow bundle over parallel sub-links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EcmpMode {
-    /// One hashed sub-link per hop per bundle (per-flow ECMP semantics).
-    HashPerBundle,
-    /// `ways` even sub-flows per bundle (packet-spraying semantics).
-    EqualSplit,
-}
+/// Lowest tree level whose uplinks are split: ToR uplinks and above.
+const SPLIT_FROM_LEVEL: u8 = 1;
 
 /// ECMP configuration for the fat-tree core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcmpConfig {
     /// Parallel sub-links per direction of every split uplink (≥ 1).
     pub ways: u32,
-    /// Lowest tree level whose uplinks are split (0 = server NICs; the
-    /// default 1 splits ToR uplinks and above — NICs are physically one
-    /// cable).
-    pub from_level: u8,
-    /// How bundles spread over the sub-links.
-    pub mode: EcmpMode,
 }
 
 impl EcmpConfig {
     /// Single-pipe routing: no link is split (the batch solver's layout).
     pub fn none() -> Self {
-        EcmpConfig {
-            ways: 1,
-            from_level: 1,
-            mode: EcmpMode::HashPerBundle,
-        }
+        EcmpConfig { ways: 1 }
     }
 
     /// Hash-based ECMP with `ways` sub-links from the ToR level up.
     pub fn hashed(ways: u32) -> Self {
-        EcmpConfig {
-            ways,
-            from_level: 1,
-            mode: EcmpMode::HashPerBundle,
-        }
-    }
-
-    /// Equal-split ECMP with `ways` sub-links from the ToR level up.
-    pub fn equal_split(ways: u32) -> Self {
-        EcmpConfig {
-            ways,
-            from_level: 1,
-            mode: EcmpMode::EqualSplit,
-        }
-    }
-
-    /// Sub-flows one bundle expands into (`ways` under
-    /// [`EcmpMode::EqualSplit`], otherwise 1).
-    pub fn sub_flows(&self) -> u32 {
-        match self.mode {
-            EcmpMode::EqualSplit => self.ways.max(1),
-            EcmpMode::HashPerBundle => 1,
-        }
+        EcmpConfig { ways }
     }
 }
 
@@ -150,7 +110,11 @@ impl RouteCache {
                 continue; // the root has no uplink
             };
             let level = topo.level(node);
-            let w = if level >= cfg.from_level { cfg.ways } else { 1 };
+            let w = if level >= SPLIT_FROM_LEVEL {
+                cfg.ways
+            } else {
+                1
+            };
             ways_of[idx] = w;
             up_base[idx] = net.num_links() as u32;
             for _ in 0..w {
@@ -187,7 +151,7 @@ impl RouteCache {
     /// Whether fluid link `l` is an ECMP sub-link (one of `ways > 1`
     /// parallel lanes of a split uplink). The traffic report aggregates
     /// max/mean utilization over exactly these links, so hash-collision
-    /// imbalance is measurable against the [`EcmpMode::EqualSplit`] ideal.
+    /// imbalance is measurable (a perfectly even spread has max = mean).
     pub fn link_is_split(&self, l: usize) -> bool {
         self.link_split[l]
     }
@@ -245,16 +209,9 @@ impl RouteCache {
         })
     }
 
-    /// Whether any hop of this route crosses a split (multi-sub-link)
-    /// uplink — if not, every ECMP mode degenerates to the single path.
-    pub fn path_is_split(&self, hops: &[u32]) -> bool {
-        hops.iter().any(|&h| self.ways_of[(h >> 1) as usize] > 1)
-    }
-
     /// Materialize `hops` into fluid link ids, choosing one hashed
-    /// sub-link per split hop ([`EcmpMode::HashPerBundle`]). `seed` should
-    /// identify the bundle (see [`flow_seed`]); the same seed always picks
-    /// the same sub-links.
+    /// sub-link per split hop. `seed` should identify the bundle (see
+    /// [`flow_seed`]); the same seed always picks the same sub-links.
     pub fn path_hashed(&self, hops: &[u32], seed: u64, out: &mut Vec<usize>) {
         out.reserve(hops.len());
         for &h in hops {
@@ -266,25 +223,6 @@ impl RouteCache {
             };
             let w = self.ways_of[node];
             let sub = if w > 1 { hop_hash(seed, h) % w } else { 0 };
-            out.push((base + sub) as usize);
-        }
-    }
-
-    /// Materialize `hops` into fluid link ids for sub-flow `j` of an
-    /// equal-split bundle ([`EcmpMode::EqualSplit`]): sub-link `j` at every
-    /// split hop, the lone sub-link elsewhere.
-    pub fn path_split(&self, hops: &[u32], j: u32, out: &mut Vec<usize>) {
-        debug_assert!(j < self.cfg.sub_flows().max(1));
-        out.reserve(hops.len());
-        for &h in hops {
-            let node = (h >> 1) as usize;
-            let base = if h & 1 == 1 {
-                self.up_base[node]
-            } else {
-                self.dn_base[node]
-            };
-            let w = self.ways_of[node];
-            let sub = if w > 1 { j % w } else { 0 };
             out.push((base + sub) as usize);
         }
     }
@@ -391,7 +329,7 @@ mod tests {
         let mut path = Vec::new();
         rc.path_hashed(&hops, flow_seed(9, s[0], far), &mut path);
         assert_eq!(path.len(), 6);
-        // NIC hop (level 0, below from_level) stays full capacity; the ToR
+        // NIC hop (level 0, never split) stays full capacity; the ToR
         // hop is one of 4 sub-links at a quarter capacity each.
         assert!((net.link_cap(path[0]) - nic_up as f64).abs() < 1e-6);
         assert!((net.link_cap(path[1]) - tor_up as f64 / 4.0).abs() < 1e-6);
@@ -399,33 +337,5 @@ mod tests {
         let mut again = Vec::new();
         rc.path_hashed(&hops, flow_seed(9, s[0], far), &mut again);
         assert_eq!(path, again);
-    }
-
-    #[test]
-    fn equal_split_subflows_are_disjoint_on_split_hops() {
-        let topo = topo();
-        let mut net = Fluid::new();
-        let mut rc = RouteCache::build(&topo, EcmpConfig::equal_split(3), &mut net);
-        assert_eq!(rc.config().sub_flows(), 3);
-        let s = topo.servers();
-        let far = *s.last().unwrap();
-        let hops = rc.hops(&topo, s[0], far).to_vec();
-        let mut paths: Vec<Vec<usize>> = Vec::new();
-        for j in 0..3 {
-            let mut p = Vec::new();
-            rc.path_split(&hops, j, &mut p);
-            paths.push(p);
-        }
-        // NIC hops (first and last) are shared; the 4 core hops differ
-        // pairwise across sub-flows.
-        for a in 0..3 {
-            for b in (a + 1)..3 {
-                assert_eq!(paths[a][0], paths[b][0], "NIC up shared");
-                assert_eq!(paths[a][5], paths[b][5], "NIC down shared");
-                for (k, &l) in paths[a].iter().enumerate().take(5).skip(1) {
-                    assert_ne!(l, paths[b][k], "core hop {k} disjoint");
-                }
-            }
-        }
     }
 }

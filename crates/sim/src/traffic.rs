@@ -7,9 +7,9 @@
 //! ([`cm_cluster::Cluster::traffic_step_as`]): tenants whose
 //! placement changed since the previous step re-expand their active TAG
 //! edges into bundled flows, each bundle is routed over its physical
-//! uplink/downlink path (optionally ECMP-split across the core), and one
-//! shared weighted max-min network is solved — per-step expand/route/
-//! solve/score times, flow counts, guarantee-compliance violations and
+//! uplink/downlink path (optionally ECMP-hashed across the core), and one
+//! shared weighted max-min network is solved — per-step expand/solve/score
+//! times, flow counts, guarantee-compliance violations and
 //! link utilization are recorded. `bench_admission` writes the result as
 //! the `traffic` section of `BENCH_placement.json`, comparing the paper's
 //! TAG-patched enforcement against the plain hose-model baseline on
@@ -75,14 +75,8 @@ pub struct TrafficStep {
     /// Seconds spent re-expanding dirty tenants (guarantee partitioning,
     /// bundling, route-cache fills).
     pub expand_secs: f64,
-    /// Seconds spent assembling the fluid flow set from cached bundles.
-    pub route_secs: f64,
     /// Seconds spent in the fluid max-min solve.
     pub solve_secs: f64,
-    /// Seconds of the solve spent in cold (from-scratch) component solves.
-    pub solve_cold_secs: f64,
-    /// Seconds of the solve spent in accepted warm-started component solves.
-    pub solve_warm_secs: f64,
     /// Connected components re-solved this step (churn-touched).
     pub components_dirty: usize,
     /// Connected components in the flow/link graph at this step.
@@ -102,14 +96,9 @@ pub struct TrafficStep {
 }
 
 impl TrafficStep {
-    /// Seconds of everything before the fluid solve (expand + route).
-    pub fn build_secs(&self) -> f64 {
-        self.expand_secs + self.route_secs
-    }
-
-    /// Full per-step engine seconds (expand + route + solve + score).
+    /// Full per-step engine seconds (expand + solve + score).
     pub fn step_secs(&self) -> f64 {
-        self.expand_secs + self.route_secs + self.solve_secs + self.score_secs
+        self.expand_secs + self.solve_secs + self.score_secs
     }
 }
 
@@ -253,10 +242,7 @@ impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
             total_rate_kbps: r.total_rate_kbps,
             max_link_utilization: r.max_link_utilization(),
             expand_secs: r.expand_secs,
-            route_secs: r.route_secs,
             solve_secs: r.solve_secs,
-            solve_cold_secs: r.solve_cold_secs,
-            solve_warm_secs: r.solve_warm_secs,
             components_dirty: r.components_dirty,
             components_total: r.components_total,
             tenants_rescored: r.tenants_rescored,

@@ -55,7 +55,7 @@ pub use cm_workloads as workloads;
 
 // Convenience re-exports of the items almost every user touches.
 pub use cm_cluster::{
-    Cluster, CmError, EcmpConfig, EcmpMode, Fault, FaultReport, GuaranteeModel, GuaranteeReport,
+    Cluster, CmError, EcmpConfig, Fault, FaultReport, GuaranteeModel, GuaranteeReport,
     RepairReport, TagSpec, TenantDamage, TenantHandle, TenantId, TrafficReport,
 };
 pub use cm_core::{

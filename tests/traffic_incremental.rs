@@ -1,14 +1,13 @@
 //! Differential correctness of the incremental traffic engine: a cluster
 //! churned through hundreds of randomized lifecycle operations must agree
 //! with a from-scratch [`TrafficEngine`] built off the same placements.
-//! With warm starts **forced off** the agreement is **bit-identical** (the
-//! component-scoped cold solver orders flows canonically, so no churn
-//! history may leak into the arithmetic); with warm starts on, rates are
-//! tolerance-equal with exactly the same violation verdicts, and floors
-//! and intents stay bit-identical (they are placement state, untouched by
-//! the solver path). Every solve is additionally checked against a global
-//! from-scratch [`Fluid::rates`] over the engine's own flow set, and
-//! against the batch [`datacenter::solve`] reference periodically.
+//! The agreement is **bit-identical** (the component-scoped solver orders
+//! flows canonically, so no churn history may leak into the arithmetic).
+//! Every solve is additionally checked against a global from-scratch
+//! [`Fluid::rates`] over the engine's own flow set and — whenever the
+//! floors fit their links — against the max-min definition itself
+//! ([`Fluid::verify_max_min`]), and against the batch
+//! [`datacenter::solve`] reference periodically.
 
 use cloudmirror::enforce::datacenter::{self, TenantTraffic};
 use cloudmirror::enforce::{Fluid, TrafficEngine};
@@ -69,8 +68,7 @@ fn pool() -> Vec<Arc<Tag>> {
 }
 
 /// A from-scratch engine over the cluster's current placements (every
-/// tenant expanded fresh — no churn history, no warm route cache; its
-/// single solve is all-cold by construction).
+/// tenant expanded fresh — no churn history, an empty route cache).
 fn from_scratch_report(
     cluster: &Cluster<CmPlacer>,
     model: GuaranteeModel,
@@ -113,23 +111,15 @@ fn close(x: f64, y: f64) -> bool {
     (x - y).abs() < 1e-6 * (1.0 + y.abs())
 }
 
-fn assert_close(x: f64, y: f64, what: &str, step: usize) {
-    assert!(close(x, y), "step {step}: {what} differs ({x} vs {y})");
-}
-
-/// Churned-engine output vs a fresh engine. `bits` = demand bit-equality
-/// on every solver-derived float (forced-cold mode); otherwise rates and
-/// aggregates are tolerance-equal while verdicts, floors, and intents must
-/// still match exactly (floors/intents are placement state, not touched by
-/// the warm path).
-fn assert_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize, bits: bool) {
-    let num = if bits { assert_bits } else { assert_close };
+/// Churned-engine output vs a fresh engine: every count and verdict equal,
+/// every float — solver-derived or placement state — bit-equal.
+fn assert_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize) {
     assert_eq!(got.cross_flows, fresh.cross_flows, "step {step}");
     assert_eq!(got.colocated_flows, fresh.colocated_flows, "step {step}");
     assert_eq!(got.fluid_flows, fresh.fluid_flows, "step {step}");
     assert_eq!(got.violations, fresh.violations, "step {step}");
     assert_eq!(got.work_conserving, fresh.work_conserving, "step {step}");
-    num(got.total_rate_kbps, fresh.total_rate_kbps, "total", step);
+    assert_bits(got.total_rate_kbps, fresh.total_rate_kbps, "total", step);
     assert_eq!(got.flows.len(), fresh.flows.len(), "step {step}");
     for (a, b) in got.flows.iter().zip(&fresh.flows) {
         assert_eq!(
@@ -137,7 +127,7 @@ fn assert_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize, bi
             (b.tenant, b.src, b.dst, b.colocated),
             "step {step}: flow identity"
         );
-        num(a.rate_kbps, b.rate_kbps, "rate", step);
+        assert_bits(a.rate_kbps, b.rate_kbps, "rate", step);
         assert_bits(a.floor_kbps, b.floor_kbps, "floor", step);
         assert_bits(a.intent_kbps, b.intent_kbps, "intent", step);
     }
@@ -149,11 +139,11 @@ fn assert_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize, bi
             "step {step}: tenant summary"
         );
         assert_bits(a.intent_kbps, b.intent_kbps, "tenant intent", step);
-        num(a.achieved_kbps, b.achieved_kbps, "tenant achieved", step);
+        assert_bits(a.achieved_kbps, b.achieved_kbps, "tenant achieved", step);
     }
     for (a, b) in got.levels.iter().zip(&fresh.levels) {
-        num(a.mean_utilization, b.mean_utilization, "level mean", step);
-        num(a.max_utilization, b.max_utilization, "level max", step);
+        assert_bits(a.mean_utilization, b.mean_utilization, "level mean", step);
+        assert_bits(a.max_utilization, b.max_utilization, "level max", step);
     }
 }
 
@@ -198,9 +188,11 @@ fn assert_matches_batch(eng: &TrafficReport, batch: &TrafficReport, step: usize)
 
 /// The engine's own per-flow rates vs a global from-scratch
 /// [`Fluid::rates`] over the identical flow set (works under ECMP too —
-/// the comparison is on the engine's already-routed fluid network).
+/// the comparison is on the engine's already-routed fluid network), and vs
+/// the max-min definition whenever the floors are admissible (the strict
+/// verifier assumes per-link floor sums fit).
 fn assert_matches_global_fluid(engine: &TrafficEngine, step: usize) {
-    let net: Fluid = engine.network().fluid().clone();
+    let net: &Fluid = engine.network().fluid();
     let want = net.rates();
     let got = engine.network().rates();
     assert_eq!(got.len(), want.len(), "step {step}");
@@ -210,6 +202,16 @@ fn assert_matches_global_fluid(engine: &TrafficEngine, step: usize) {
             "step {step}: fluid flow {i} rate {x} vs global from-scratch {y}"
         );
     }
+    let mut floor_used = vec![0.0f64; net.num_links()];
+    for f in net.flows() {
+        for &l in &f.path {
+            floor_used[l] += f.floor.min(f.demand);
+        }
+    }
+    if (0..net.num_links()).all(|l| floor_used[l] <= net.link_cap(l)) {
+        net.verify_max_min(got)
+            .unwrap_or_else(|e| panic!("step {step}: engine rates are not max-min: {e}"));
+    }
 }
 
 /// Drive ≥200 randomized lifecycle steps (admit / scale ± / migrate /
@@ -218,7 +220,7 @@ fn assert_matches_global_fluid(engine: &TrafficEngine, step: usize) {
 /// [`Fluid::rates`] over its own flow set, and against the batch solver
 /// periodically (batch comparison only under single-path routing — the
 /// batch solver has no ECMP).
-fn churn_differential(model: GuaranteeModel, ecmp: EcmpConfig, seed: u64, force_cold: bool) {
+fn churn_differential(model: GuaranteeModel, ecmp: EcmpConfig, seed: u64) {
     const STEPS: usize = 220;
     let spec = TreeSpec::small(2, 3, 4, 4, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]);
     let mut cluster =
@@ -256,12 +258,9 @@ fn churn_differential(model: GuaranteeModel, ecmp: EcmpConfig, seed: u64, force_
             _ => {}
         }
 
-        if force_cold {
-            cluster.set_traffic_force_cold(true);
-        }
         let got = cluster.traffic_report_as(model);
         let fresh = from_scratch_report(&cluster, model, ecmp);
-        assert_equivalent(&got, &fresh, step, force_cold);
+        assert_equivalent(&got, &fresh, step);
         cluster.with_traffic_engine(|engine| assert_matches_global_fluid(engine, step));
         if single_path && step % 5 == 0 {
             assert_matches_batch(&got, &batch_report(&cluster, model), step);
@@ -273,27 +272,17 @@ fn churn_differential(model: GuaranteeModel, ecmp: EcmpConfig, seed: u64, force_
 
 #[test]
 fn incremental_engine_matches_from_scratch_tag() {
-    churn_differential(GuaranteeModel::Tag, EcmpConfig::none(), 7, false);
+    churn_differential(GuaranteeModel::Tag, EcmpConfig::none(), 7);
 }
 
 #[test]
 fn incremental_engine_matches_from_scratch_hose() {
-    churn_differential(GuaranteeModel::Hose, EcmpConfig::none(), 11, false);
+    churn_differential(GuaranteeModel::Hose, EcmpConfig::none(), 11);
 }
 
 #[test]
 fn incremental_engine_matches_from_scratch_under_ecmp() {
-    churn_differential(GuaranteeModel::Tag, EcmpConfig::hashed(2), 13, false);
-}
-
-#[test]
-fn forced_cold_engine_is_bit_equal_to_from_scratch() {
-    churn_differential(GuaranteeModel::Tag, EcmpConfig::none(), 7, true);
-}
-
-#[test]
-fn forced_cold_engine_is_bit_equal_under_ecmp() {
-    churn_differential(GuaranteeModel::Tag, EcmpConfig::hashed(2), 13, true);
+    churn_differential(GuaranteeModel::Tag, EcmpConfig::hashed(2), 13);
 }
 
 /// Without churn between solves, no component is dirty: the engine must
@@ -312,8 +301,7 @@ fn quiescent_steps_resolve_zero_components() {
     let second = cluster.traffic_report_as(GuaranteeModel::Tag);
     assert_eq!(second.components_dirty, 0, "no churn → nothing dirty");
     assert_eq!(second.components_total, first.components_total);
-    assert_eq!(second.solve_cold_secs + second.solve_warm_secs, 0.0);
-    assert_equivalent(&second, &first, 1, true);
+    assert_equivalent(&second, &first, 1);
 }
 
 /// Drift over a long life: the benchmark pushes thousands of ops through
@@ -322,8 +310,8 @@ fn quiescent_steps_resolve_zero_components() {
 /// still be the pure function of the surviving flows it was on step one.
 /// 3,000 mixed steps — admit / scale / migrate / depart, a rotating
 /// server / rack / degraded-uplink fault repaired a few steps later, one
-/// guarantee-model flip half way — on a forced-cold engine, compared bit
-/// for bit with a from-scratch engine every 50th step, around every fault
+/// guarantee-model flip half way — compared bit for bit with a
+/// from-scratch engine every 50th step, around every fault
 /// and at the end. (Debug builds also cross-check every cache after every
 /// one of the 3,000 solves.)
 fn long_churn_drift(ecmp: EcmpConfig, seed: u64) {
@@ -402,11 +390,10 @@ fn long_churn_drift(ecmp: EcmpConfig, seed: u64) {
             _ => {}
         }
 
-        cluster.set_traffic_force_cold(true);
         let got = cluster.traffic_report();
         if check {
             let fresh = from_scratch_report(&cluster, model, ecmp);
-            assert_equivalent(&got, &fresh, step, true);
+            assert_equivalent(&got, &fresh, step);
             assert_eq!(got.components_total, fresh.components_total, "step {step}");
             assert_eq!(
                 (
