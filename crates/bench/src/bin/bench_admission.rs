@@ -148,9 +148,7 @@ const TRAFFIC_NOTE: &str = "incremental traffic engine stepped through lifecycle
     components_dirty_mean / components_total gauge how much of the graph each step re-solves, \
     tenants_rescored_mean / links_rescored_mean how much of it each step re-scores (deterministic \
     counts: tenant summaries and per-link usages recomputed; everything else is served from \
-    caches); \
-    ecmp_*_utilization is the residual hash imbalance over ECMP core sub-links; violations count \
-    pairs whose achieved rate falls below the TAG-intended guarantee";
+    caches); violations count pairs whose achieved rate falls below the TAG-intended guarantee";
 
 fn traffic_row(t: &TrafficRun) -> Fields {
     let r = &t.report;
@@ -161,7 +159,6 @@ fn traffic_row(t: &TrafficRun) -> Fields {
     vec![
         ("placer", r.churn.placer.into()),
         ("servers", t.servers.into()),
-        ("ecmp_ways", Val::Int(t.ecmp_ways.into())),
         ("model", Val::Str(format!("{:?}", r.model))),
         ("steps", r.steps.len().into()),
         ("flows_mean", Val::Float(r.flows_mean(), 1)),
@@ -184,14 +181,6 @@ fn traffic_row(t: &TrafficRun) -> Fields {
         ),
         ("score_p99_ms", p99(|s| s.score_secs)),
         ("step_p99_ms", ms(&r.step_latencies(), 0.99)),
-        (
-            "ecmp_max_utilization",
-            Val::Float(r.ecmp_max_utilization(), 4),
-        ),
-        (
-            "ecmp_mean_utilization",
-            Val::Float(r.ecmp_mean_utilization(), 4),
-        ),
         ("violations", r.violations_total().into()),
         ("violating_tenants_max", violating.unwrap_or(0).into()),
         ("work_conserving_steps", r.work_conserving_steps().into()),

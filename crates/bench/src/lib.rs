@@ -16,7 +16,7 @@
 
 use cm_baselines::{OktopusVcPlacer, OvocPlacer, SecondNetPlacer};
 use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer, SearchStrategy};
-use cm_enforce::{EcmpConfig, GuaranteeModel};
+use cm_enforce::GuaranteeModel;
 use cm_race::explore::{explore_exhaustive, Caps, ExploreReport};
 use cm_race::json_str;
 use cm_race::schedule::Mutation;
@@ -468,14 +468,13 @@ pub fn fault_churn(size: Size, pool: &TenantPool) -> Vec<FaultChurnReport> {
 /// One traffic run plus the scale it ran at.
 pub struct TrafficRun {
     pub servers: usize,
-    pub ecmp_ways: u32,
     pub report: TrafficChurnReport,
 }
 
 /// Lifecycle churn with periodic traffic-engine steps under CM placements:
 /// the paper's datacenter under the TAG patch and under the plain hose
-/// baseline (identical placements, different floors), then Tag on 8-way-
-/// ECMP fat-trees of 32 pods × `fanout` racks × `fanout` servers — 32k, the
+/// baseline (identical placements, different floors), then Tag on
+/// fat-trees of 32 pods × `fanout` racks × `fanout` servers — 32k, the
 /// scale the incremental engine exists for, and 131k, reachable only
 /// because churn re-solves just the components it touched.
 pub fn traffic_bench(size: Size, pool: &TenantPool) -> Vec<TrafficRun> {
@@ -490,11 +489,9 @@ pub fn traffic_bench(size: Size, pool: &TenantPool) -> Vec<TrafficRun> {
                 slots_per_server: 25,
             };
             cfg.churn.target_live = 180;
-            cfg.ecmp = EcmpConfig::hashed(8);
         }
         TrafficRun {
             servers: cfg.churn.spec.fanout_top_down.iter().product::<u32>() as usize,
-            ecmp_ways: cfg.ecmp.ways,
             report: run_churn_traffic(&cfg, pool, CmPlacer::new(CmConfig::cm())),
         }
     };

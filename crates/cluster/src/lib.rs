@@ -34,8 +34,8 @@
 //!   [`Cluster::traffic_step`] (summary-only, the hot churn path) solve
 //!   every live tenant's flows over the physical tree through an embedded
 //!   persistent [`TrafficEngine`] that re-expands only tenants whose
-//!   placement changed ([`Cluster::set_traffic_ecmp`] selects multipath
-//!   core routing).
+//!   placement changed, on the tree placement reserves on (one fluid link
+//!   per uplink direction).
 //!
 //! Every operation is transactional: on `Err` the topology and the tenant
 //! are exactly as before. The error surface is one type, [`CmError`]
@@ -98,7 +98,7 @@ pub use cm_core::placement::RejectReason;
 pub use cm_enforce::datacenter::{
     LevelUtilization, PairFlow, TenantSummary, TenantTraffic, TrafficReport,
 };
-pub use cm_enforce::{EcmpConfig, GuaranteeModel};
+pub use cm_enforce::GuaranteeModel;
 
 use cm_enforce::TrafficEngine;
 use std::cell::{Cell, RefCell, RefMut};
@@ -129,6 +129,26 @@ impl TenantId {
 impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "tenant#{}", self.0)
+    }
+}
+
+/// An inert ECMP setting: the traffic engine routes every flow over one
+/// fluid link per uplink direction, the tree placement reserves on, so
+/// there is nothing left to configure. [`Cluster::set_traffic_ecmp`]
+/// ignores it. Kept for `benchmark/`; the benchmark-only follow-up deletes
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub struct EcmpConfig;
+
+impl EcmpConfig {
+    /// The tree's single-path layout.
+    pub fn none() -> Self {
+        EcmpConfig
+    }
+
+    /// Same as [`EcmpConfig::none`]: `ways` is ignored.
+    pub fn hashed(_ways: u32) -> Self {
+        EcmpConfig
     }
 }
 
@@ -300,8 +320,6 @@ pub struct Cluster<P: Placer> {
     /// the embedded traffic engine diffs it to re-sync link capacities.
     fault_epoch: u64,
     guarantee_model: GuaranteeModel,
-    /// ECMP layout for the embedded traffic engine.
-    traffic_ecmp: EcmpConfig,
     /// Persistent incremental traffic engine, built lazily on the first
     /// traffic query and kept in sync via tenant version diffing.
     /// `RefCell` keeps the traffic queries `&self` (they are logically
@@ -330,7 +348,6 @@ impl<P: Placer> Cluster<P> {
             faults: BTreeMap::new(),
             fault_epoch: 0,
             guarantee_model: GuaranteeModel::Tag,
-            traffic_ecmp: EcmpConfig::none(),
             traffic: RefCell::new(None),
             traffic_fault_epoch: Cell::new(0),
         }
@@ -818,16 +835,10 @@ impl<P: Placer> Cluster<P> {
         self.sync_traffic_engine(model).solve(&self.topo)
     }
 
-    /// Select the ECMP layout used by the embedded traffic engine
-    /// (default: [`EcmpConfig::none`], single-path routing identical to
-    /// the batch solver). Changing the layout rebuilds the engine on the
-    /// next traffic query.
-    pub fn set_traffic_ecmp(&mut self, ecmp: EcmpConfig) {
-        if self.traffic_ecmp != ecmp {
-            self.traffic_ecmp = ecmp;
-            *self.traffic.borrow_mut() = None;
-        }
-    }
+    /// Accepts and ignores an [`EcmpConfig`]: the traffic engine has one
+    /// layout, the tree's. Kept for `benchmark/`; the benchmark-only
+    /// follow-up deletes it.
+    pub fn set_traffic_ecmp(&mut self, _ecmp: EcmpConfig) {}
 
     /// Run `f` against the embedded (synced) traffic engine — read-only
     /// access for differential tests that compare the engine's fluid
@@ -843,8 +854,7 @@ impl<P: Placer> Cluster<P> {
     /// moved.
     fn sync_traffic_engine(&self, model: GuaranteeModel) -> RefMut<'_, TrafficEngine> {
         let mut slot = self.traffic.borrow_mut();
-        let engine =
-            slot.get_or_insert_with(|| TrafficEngine::new(&self.topo, model, self.traffic_ecmp));
+        let engine = slot.get_or_insert_with(|| TrafficEngine::new(&self.topo, model));
         engine.set_model(model);
         if self.traffic_fault_epoch.get() != self.fault_epoch {
             // Degraded/restored uplinks shrink/restore their fluid

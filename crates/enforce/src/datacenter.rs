@@ -19,8 +19,8 @@
 //!    spare capacity is shared guarantee-proportionally;
 //! 4. one [`Fluid`] solve over all tenants yields steady-state rates,
 //!    which are scored against each pair's **intent** — the guarantee the
-//!    TAG semantics promise (always the `Tag`-model partition, whatever
-//!    model enforcement runs) — plus link utilization per tree level and a
+//!    TAG semantics promise (the `Tag`-model partition, whatever model
+//!    enforcement runs) — plus link utilization per tree level and a
 //!    work-conservation verdict.
 //!
 //! A Fig. 13/14-style experiment therefore happens *through the placement
@@ -30,6 +30,7 @@
 
 use crate::elastic::{Enforcer, GuaranteeModel};
 use crate::fluid::{FlowSpec, Fluid};
+use crate::route::RouteCache;
 use cm_core::model::{Tag, TierId};
 use cm_topology::{NodeId, Topology};
 use std::sync::Arc;
@@ -250,12 +251,12 @@ pub struct TrafficReport {
     pub route_secs: f64,
     /// Seconds spent in the fluid max-min solve itself.
     pub solve_secs: f64,
-    /// Always `0.0`: no solver starts from a previous step's state any
+    /// Reads `0.0`: no solver starts from a previous step's state any
     /// more. Retained only because the frozen `benchmark/src/run.rs` reads
     /// it; it goes with the next `benchmark` PR.
     pub solve_warm_secs: f64,
     /// Connected components the solver re-solved this step (the batch
-    /// solver always re-solves everything as one component).
+    /// solver re-solves everything as one component).
     pub components_dirty: usize,
     /// Connected components among links carrying at least one flow.
     pub components_total: usize,
@@ -269,12 +270,11 @@ pub struct TrafficReport {
     /// links left without flows; the batch solver recomputes every link.
     /// Deterministic like `tenants_rescored`.
     pub links_rescored: usize,
-    /// Largest used/capacity over ECMP sub-links (links split `ways > 1`
-    /// ways); 0 when nothing is split. Compared against
-    /// `ecmp_mean_utilization` this measures hash-collision imbalance in
-    /// the fat-tree core (a perfectly even spread keeps the two equal).
+    /// Reads `0.0`: no uplink is split into hashed lanes any more. Kept
+    /// for `benchmark/`; the benchmark-only follow-up deletes it.
     pub ecmp_max_utilization: f64,
-    /// Mean used/capacity over ECMP sub-links; 0 when nothing is split.
+    /// Reads `0.0`, like `ecmp_max_utilization`. Kept for `benchmark/`;
+    /// the benchmark-only follow-up deletes it.
     pub ecmp_mean_utilization: f64,
     /// Seconds scoring solved rates into summaries, levels and violations
     /// (the batch solver folds this into the caller-visible wall time but
@@ -323,21 +323,10 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
 
     // One fluid link per direction of every uplink in the tree, at full
     // physical capacity (reservations are admission bookkeeping; the
-    // traffic engine models what the wire actually carries).
+    // traffic engine models what the wire actually carries) — the
+    // incremental engine's layout.
     let mut net = Fluid::new();
-    let mut up_of = vec![usize::MAX; topo.num_nodes()];
-    let mut dn_of = vec![usize::MAX; topo.num_nodes()];
-    let mut link_level: Vec<usize> = Vec::new();
-    for idx in 0..topo.num_nodes() {
-        let n = NodeId(idx as u32);
-        if let Some((cap_up, cap_dn)) = topo.uplink_capacity(n) {
-            up_of[idx] = net.link(cap_up as f64);
-            dn_of[idx] = net.link(cap_dn as f64);
-            let l = topo.level(n) as usize;
-            link_level.push(l);
-            link_level.push(l);
-        }
-    }
+    let mut route = RouteCache::build(topo, &mut net);
 
     let mut flows: Vec<PairFlow> = Vec::new();
     let mut summaries: Vec<TenantSummary> = Vec::with_capacity(tenants.len());
@@ -346,15 +335,15 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
     let mut flow_ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(tenants.len());
     // Fluid-flow index -> index into `flows`, to write solved rates back.
     let mut fluid_to_pair: Vec<u32> = Vec::new();
-    let mut path = Vec::with_capacity(2 * num_levels);
     let mut scratch = PairScratch::default();
     let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
 
     for tenant in tenants {
         tenant.pairs_into(&mut scratch, &mut pairs);
         let pairs = &pairs;
-        // Floors under the tenant's enforcement model; intents are always
-        // the TAG-model partition (what the abstraction promised).
+        // Floors under the tenant's enforcement model; intents are the
+        // TAG-model partition under either model (what the abstraction
+        // promised).
         let enforcer = Enforcer::new_shared(
             Arc::clone(&tenant.tag),
             tenant.vm_tier.clone(),
@@ -402,9 +391,8 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
             }
             summary.cross_pairs += 1;
             summary.intent_kbps += intent;
-            path.clear();
-            path_links(topo, src_srv, dst_srv, &up_of, &dn_of, &mut path);
-            let mut spec = FlowSpec::greedy(path.clone()).with_guarantee(floor);
+            let mut spec =
+                FlowSpec::greedy(route.path(topo, src_srv, dst_srv)).with_guarantee(floor);
             spec.demand = demand;
             fluid_to_pair.push(flows.len() as u32);
             net.flow(spec);
@@ -472,7 +460,7 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
     for (l, &u) in used.iter().enumerate() {
         let cap = net.link_cap(l);
         let util = if cap > 0.0 { u / cap } else { 0.0 };
-        let lv = &mut levels[link_level[l]];
+        let lv = &mut levels[route.link_level(l) as usize];
         lv.links += 1;
         lv.mean_utilization += util;
         lv.max_utilization = lv.max_utilization.max(util);
@@ -511,37 +499,6 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
         ecmp_mean_utilization: 0.0,
         score_secs: 0.0,
     }
-}
-
-/// Append the directional links of the physical route `src -> dst` (both
-/// servers): uplinks from `src` to the lowest common ancestor, then
-/// downlinks from the LCA to `dst`.
-fn path_links(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    up_of: &[usize],
-    dn_of: &[usize],
-    out: &mut Vec<usize>,
-) {
-    debug_assert!(topo.is_server(src) && topo.is_server(dst) && src != dst);
-    let dst_idx = topo.server_dfs_index(dst);
-    // Ascend until the subtree covers the destination (the root always
-    // does, so the walk terminates).
-    let mut a = src;
-    while !topo.server_range(a).contains(&dst_idx) {
-        out.push(up_of[a.index()]);
-        a = topo.parent(a).expect("root covers every server"); // cm-analyze: allow(no-unwrap-in-hot-path) -- the root's server range contains every dst, so the walk stops before it
-    }
-    // Descend: collect the destination-side downlinks bottom-up, then
-    // reverse them into path order.
-    let mark = out.len();
-    let mut b = dst;
-    while b != a {
-        out.push(dn_of[b.index()]);
-        b = topo.parent(b).expect("LCA is above dst"); // cm-analyze: allow(no-unwrap-in-hot-path) -- the loop target `a` is an ancestor of dst by the ascent above
-    }
-    out[mark..].reverse();
 }
 
 #[cfg(test)]

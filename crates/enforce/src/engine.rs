@@ -22,9 +22,10 @@
 //!   treats `m` identical flows and one `m`-weighted aggregate identically,
 //!   so per-pair rates are recovered exactly as `rate / m` — the O(VM²)
 //!   flow count collapses to O(server pairs).
-//! * **Route cache + ECMP.** Server-pair paths come from the LCA-keyed
-//!   [`RouteCache`]; under an [`EcmpConfig`] with `ways > 1` core uplinks
-//!   are parallel sub-links and each bundle is hashed onto one of them.
+//! * **Route cache.** Server-pair paths come from the LCA-keyed
+//!   [`RouteCache`], over one fluid link per uplink direction — the tree
+//!   placement reserves on, so floors admission fitted on an uplink fit
+//!   on the wire.
 //!
 //! The fluid flow set is **persistent**: each bundle is one flow of an
 //! [`IncrementalFluid`] across steps, added on (re-)expansion and removed
@@ -50,9 +51,9 @@
 //! * **Link usage and work conservation** are the solver's (see
 //!   [`crate::incremental`]): usage per link, and the verdict as two
 //!   integer counters.
-//! * **Level / ECMP utilisation.** Links are cut into fixed blocks of
-//!   256 consecutive ids (`UTIL_BLOCK`); each block keeps, per tree level and
-//!   for the split links, `(Σ util, max, saturated)`. A block is
+//! * **Level utilisation.** Links are cut into fixed blocks of
+//!   256 consecutive ids (`UTIL_BLOCK`); each block keeps, per tree level,
+//!   `(Σ util, max, saturated)`. A block is
 //!   recomputed when it holds one of
 //!   [`IncrementalFluid::changed_links`] (usage or capacity may have
 //!   moved; every other block's inputs are unchanged), then all blocks
@@ -73,7 +74,7 @@ use crate::datacenter::{violation_tol, LevelUtilization, PairFlow, TenantSummary
 use crate::elastic::GuaranteeModel;
 use crate::fluid::{FlowSpec, Fluid};
 use crate::incremental::IncrementalFluid;
-use crate::route::{flow_seed, EcmpConfig, RouteCache};
+use crate::route::RouteCache;
 use cm_core::model::Tag;
 use cm_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
@@ -244,20 +245,16 @@ impl UtilAgg {
     }
 }
 
-/// Aggregate block `b`'s links from scratch into `out`: one entry per
-/// tree level, then one for the split (ECMP) links. A pure function of
-/// the block's usages and capacities — production and the debug
-/// cross-check both call it, so their association is the same.
+/// Aggregate block `b`'s links from scratch into `out`, one entry per
+/// tree level. A pure function of the block's usages and capacities —
+/// production and the debug cross-check both call it, so their
+/// association is the same.
 fn aggregate_block(route: &RouteCache, fluid: &Fluid, used: &[f64], b: usize, out: &mut [UtilAgg]) {
     out.fill(UtilAgg::default());
-    let ecmp = out.len() - 1;
     for l in b * UTIL_BLOCK..((b + 1) * UTIL_BLOCK).min(used.len()) {
         let cap = fluid.link_cap(l);
         let util = if cap > 0.0 { used[l] / cap } else { 0.0 };
         out[route.link_level(l) as usize].add_link(util);
-        if route.link_is_split(l) {
-            out[ecmp].add_link(util);
-        }
     }
 }
 
@@ -276,10 +273,10 @@ pub struct TrafficEngine {
     /// Tenants expanded since the last solve with no cross-server flow:
     /// scored at expansion, so the solver will never list them.
     pending_flowless: usize,
-    /// Links per aggregate slot (one per tree level, then the split
-    /// links): static, and its length is the stride of `util_blocks`.
+    /// Links per tree level: static, and its length is the stride of
+    /// `util_blocks`.
     util_links: Vec<usize>,
-    /// Per-block utilisation aggregates, block-major, one entry per slot.
+    /// Per-block utilisation aggregates, block-major, one entry per level.
     util_blocks: Vec<UtilAgg>,
     /// Pooled list of the blocks a step recomputes.
     stale_blocks: Vec<u32>,
@@ -287,17 +284,15 @@ pub struct TrafficEngine {
 
 impl TrafficEngine {
     /// Create an engine over `topo` — the same `Topology` must be passed
-    /// to every later call — with the given enforcement model and ECMP
-    /// layout.
-    pub fn new(topo: &Topology, model: GuaranteeModel, ecmp: EcmpConfig) -> Self {
+    /// to every later call — with the given enforcement model.
+    pub fn new(topo: &Topology, model: GuaranteeModel) -> Self {
         let mut net = Fluid::new();
-        let route = RouteCache::build(topo, ecmp, &mut net);
+        let route = RouteCache::build(topo, &mut net);
         let num_levels = topo.num_levels();
-        let ecmp = num_levels.saturating_sub(1);
-        let mut util_links = vec![0usize; ecmp + 1];
+        // Every level but the root's owns uplinks.
+        let mut util_links = vec![0usize; num_levels - 1];
         for l in 0..net.num_links() {
             util_links[route.link_level(l) as usize] += 1;
-            util_links[ecmp] += usize::from(route.link_is_split(l));
         }
         // An idle network aggregates to all-zero blocks.
         let blocks = net.num_links().div_ceil(UTIL_BLOCK);
@@ -327,11 +322,6 @@ impl TrafficEngine {
         self.model
     }
 
-    /// The ECMP configuration the link layout was built with.
-    pub fn ecmp(&self) -> EcmpConfig {
-        self.route.config()
-    }
-
     /// Switch the enforcement model. Floors are placement-dependent state,
     /// so every cached tenant is dropped; the next sync re-expands them
     /// (their versions read as unknown).
@@ -347,9 +337,9 @@ impl TrafficEngine {
 
     /// Re-read every uplink capacity from `topo` into the fluid layout —
     /// the fault-injection hook. A degraded (or restored) uplink updates
-    /// all its ECMP sub-links to `cap / ways`, dirtying exactly the
-    /// components whose flows cross them; everything else keeps its rates.
-    /// Returns how many fluid links changed capacity.
+    /// its two fluid links, dirtying exactly the components whose flows
+    /// cross them; everything else keeps its rates. Returns how many fluid
+    /// links changed capacity.
     ///
     /// Flows of VMs *lost* to a fault are dropped separately, by the
     /// version-diffed re-expansion (`upsert_tenant`) after the evacuation
@@ -364,13 +354,8 @@ impl TrafficEngine {
             let Some((up, dn)) = self.route.links_of(n) else {
                 continue;
             };
-            let w = up.len() as f64;
-            for l in up {
-                changed += usize::from(self.net.set_link_cap(l, cap_up as f64 / w));
-            }
-            for l in dn {
-                changed += usize::from(self.net.set_link_cap(l, cap_dn as f64 / w));
-            }
+            changed += usize::from(self.net.set_link_cap(up, cap_up as f64));
+            changed += usize::from(self.net.set_link_cap(dn, cap_dn as f64));
         }
         changed
     }
@@ -515,29 +500,27 @@ impl TrafficEngine {
             }
         }
 
-        // Link utilization per tree level; ECMP sub-links additionally
-        // feed the hash-imbalance aggregate.
+        // Link utilization per tree level.
         let mut totals = vec![UtilAgg::default(); stride];
         for block in self.util_blocks.chunks_exact(stride) {
             for (total, agg) in totals.iter_mut().zip(block) {
                 total.add_block(agg);
             }
         }
-        let mean = |agg: &UtilAgg, links: usize| {
-            if links > 0 {
-                agg.sum / links as f64
-            } else {
-                0.0
-            }
-        };
-        let ecmp = stride - 1;
-        let levels: Vec<LevelUtilization> = (0..ecmp)
-            .map(|level| LevelUtilization {
+        let levels: Vec<LevelUtilization> = totals
+            .iter()
+            .zip(&self.util_links)
+            .enumerate()
+            .map(|(level, (total, &links))| LevelUtilization {
                 level,
-                links: self.util_links[level],
-                mean_utilization: mean(&totals[level], self.util_links[level]),
-                max_utilization: totals[level].max,
-                saturated: totals[level].saturated,
+                links,
+                mean_utilization: if links > 0 {
+                    total.sum / links as f64
+                } else {
+                    0.0
+                },
+                max_utilization: total.max,
+                saturated: total.saturated,
             })
             .collect();
         let score_secs = t_score.elapsed().as_secs_f64();
@@ -564,8 +547,8 @@ impl TrafficEngine {
             components_total: stats.components_total,
             tenants_rescored,
             links_rescored: self.net.changed_links().len(),
-            ecmp_max_utilization: totals[ecmp].max,
-            ecmp_mean_utilization: mean(&totals[ecmp], self.util_links[ecmp]),
+            ecmp_max_utilization: 0.0,
+            ecmp_mean_utilization: 0.0,
             score_secs,
         }
     }
@@ -664,8 +647,9 @@ fn expand_tenant(
     }
     let vms = idx as usize;
 
-    // Closed-form class floors per directed TAG edge. Intents are always
-    // the Tag-model partition; floors follow the enforcement model.
+    // Closed-form class floors per directed TAG edge. Intents are the
+    // Tag-model partition under either model; floors follow the
+    // enforcement model.
     let peer_cnt = |e: &cm_core::model::TagEdge| {
         let excl = u32::from(e.is_self_loop());
         let snd_peers = n[e.to.index()].saturating_sub(excl); // dsts per src
@@ -721,7 +705,6 @@ fn expand_tenant(
             worst_shortfall_kbps: 0.0,
         },
     };
-    let mut hops: Vec<u32> = Vec::new();
     for (ei, e) in edges.iter().enumerate() {
         let (u, v) = (e.from.index(), e.to.index());
         if n[u] == 0 || n[v] == 0 {
@@ -756,14 +739,10 @@ fn expand_tenant(
                     }
                     continue;
                 }
-                hops.clear();
-                hops.extend_from_slice(route.hops(topo, src_server, dst_server));
                 let members = src_cnt * dst_cnt;
                 let m = members as f64;
                 let w = if floor > 0.0 { floor } else { 1.0 };
-                let mut path = Vec::with_capacity(hops.len());
-                route.path_hashed(&hops, flow_seed(id, src_server, dst_server), &mut path);
-                let mut spec = FlowSpec::greedy(path);
+                let mut spec = FlowSpec::greedy(route.path(topo, src_server, dst_server));
                 spec.floor = m * floor;
                 spec.weight = m * w;
                 let seq = tenant.bundles.len() as u32;
@@ -874,7 +853,7 @@ mod tests {
             let tag = random_tag(&mut rng);
             let placement = random_placement(&mut rng, &tag, servers);
             for model in [GuaranteeModel::Tag, GuaranteeModel::Hose] {
-                let mut engine = TrafficEngine::new(&topo, model, EcmpConfig::none());
+                let mut engine = TrafficEngine::new(&topo, model);
                 engine.upsert_tenant(&topo, 1, 1, &tag, &placement);
                 let report = engine.solve_detailed(&topo);
 
@@ -933,7 +912,7 @@ mod tests {
             } else {
                 GuaranteeModel::Hose
             };
-            let mut engine = TrafficEngine::new(&topo, model, EcmpConfig::none());
+            let mut engine = TrafficEngine::new(&topo, model);
             let mut tenants = Vec::new();
             for id in 0..3u64 {
                 let tag = random_tag(&mut rng);
@@ -962,7 +941,7 @@ mod tests {
         b.sym_edge(a, z, mbps(2000.0)).unwrap();
         let tag = Arc::new(b.build().unwrap());
         let placement = vec![(servers[0], vec![4, 0]), (servers[7], vec![0, 4])];
-        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
+        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag);
         engine.upsert_tenant(&topo, 5, 1, &tag, &placement);
         let got = engine.solve_detailed(&topo);
         let want = datacenter::solve(
@@ -986,14 +965,13 @@ mod tests {
 
     /// Incremental re-expansion under churn, compared against a fresh
     /// engine fed the final state: the component solves are canonical, so
-    /// rates, floors and totals must be **bit-identical**. (Every solve is
-    /// what used to be the forced-cold mode; the name is kept from then.)
+    /// rates, floors and totals must be **bit-identical**.
     #[test]
-    fn churned_engine_is_bit_equal_to_fresh_engine_when_cold() {
+    fn churned_engine_is_bit_equal_to_fresh_engine() {
         let topo = topo();
         let servers = topo.servers();
         let mut rng = Rng(7);
-        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
+        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag);
         type Entry = (u64, Arc<Tag>, Vec<(NodeId, Vec<u32>)>);
         let mut state: BTreeMap<u64, Entry> = BTreeMap::new();
         for step in 0..40 {
@@ -1012,7 +990,7 @@ mod tests {
             }
             let got = engine.solve_detailed(&topo);
 
-            let mut fresh = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
+            let mut fresh = TrafficEngine::new(&topo, GuaranteeModel::Tag);
             for (&id, (version, tag, placement)) in &state {
                 fresh.upsert_tenant(&topo, id, *version, tag, placement);
             }
@@ -1033,37 +1011,6 @@ mod tests {
         }
     }
 
-    /// ECMP: hashed mode stays work-conserving and cannot beat the
-    /// single-pipe total under incast.
-    #[test]
-    fn ecmp_modes_behave() {
-        let topo = topo();
-        let servers = topo.servers();
-        // Cross-pod incast: 4 senders (one per remote rack pair) into one
-        // receiver, all crossing the core.
-        let mut b = TagBuilder::new("incast");
-        let snd = b.tier("snd", 4);
-        let rcv = b.tier("rcv", 1);
-        b.edge(snd, rcv, mbps(500.0), mbps(2000.0)).unwrap();
-        let tag = Arc::new(b.build().unwrap());
-        let placement = vec![
-            (servers[4], vec![2, 0]),
-            (servers[5], vec![2, 0]),
-            (servers[0], vec![0, 1]),
-        ];
-        let rate_for = |cfg: EcmpConfig| {
-            let mut e = TrafficEngine::new(&topo, GuaranteeModel::Tag, cfg);
-            e.upsert_tenant(&topo, 1, 1, &tag, &placement);
-            let r = e.solve(&topo);
-            assert!(r.work_conserving, "{cfg:?}");
-            r.total_rate_kbps
-        };
-        let single = rate_for(EcmpConfig::none());
-        let hashed = rate_for(EcmpConfig::hashed(4));
-        // Hash collisions can only hurt, never help.
-        assert!(hashed <= single + 1e-6 * (1.0 + single), "hashed {hashed}");
-    }
-
     /// Capacity sync after a fault: an engine that degrades links in
     /// place (dirtying only the touched components) matches a fresh
     /// engine built over the degraded topology, and restoring the links
@@ -1073,7 +1020,7 @@ mod tests {
         let mut topo = topo();
         let servers = topo.servers();
         let mut rng = Rng(0xFA17);
-        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
+        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag);
         let mut state = Vec::new();
         for id in 0..4u64 {
             let tag = random_tag(&mut rng);
@@ -1107,7 +1054,7 @@ mod tests {
         let changed = engine.sync_link_caps(&topo);
         assert!(changed > 0, "two degraded uplinks must change fluid caps");
         let got = engine.solve_detailed(&topo);
-        let mut fresh = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
+        let mut fresh = TrafficEngine::new(&topo, GuaranteeModel::Tag);
         for (id, tag, placement) in &state {
             fresh.upsert_tenant(&topo, *id, 1, tag, placement);
         }
@@ -1141,7 +1088,7 @@ mod tests {
         let mut rng = Rng(99);
         let tag = random_tag(&mut rng);
         let placement = random_placement(&mut rng, &tag, servers);
-        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag, EcmpConfig::none());
+        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag);
         engine.upsert_tenant(&topo, 1, 1, &tag, &placement);
         assert_eq!(engine.version_of(1), Some(1));
         engine.set_model(GuaranteeModel::Hose);

@@ -793,7 +793,7 @@ mod tests {
         assert!(net.rates().is_empty());
     }
 
-    /// Build the same flow set two ways — incrementally (with interleaved
+    /// Build the same flow set twice — incrementally (with interleaved
     /// removals) and from scratch — and require identical allocations.
     #[test]
     fn incremental_removal_matches_fresh_build() {

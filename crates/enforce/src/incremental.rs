@@ -4,7 +4,7 @@
 //! Weighted max-min fairness decomposes exactly over the connected
 //! components of the flow/link graph: a component's allocation depends
 //! only on its own flows and links, never on the rest of the network.
-//! [`IncrementalFluid`] exploits that three ways:
+//! [`IncrementalFluid`] exploits that in three respects:
 //!
 //! * **Dirty region by traversal.** Every link on the path of a flow added
 //!   or removed since the last solve, and every link whose capacity
@@ -133,7 +133,7 @@ struct Comp {
 #[derive(Debug, Default)]
 struct Scratch {
     /// Monotone stamp for the epoch-stamped maps below; stale entries are
-    /// always below it, so the maps are never cleared.
+    /// strictly below it, so the maps are never cleared.
     stamp: u64,
     /// Link → stamp of the solve whose traversal reached it.
     link_seen: Vec<u64>,

@@ -33,10 +33,12 @@
 //! instead of on synthetic 2-link topologies. [`engine`] makes that solve
 //! *incremental*: a persistent [`engine::TrafficEngine`] re-expands only
 //! tenants whose placement changed, memoizes server-pair routes in an
-//! LCA-keyed [`route::RouteCache`], bundles same-class VM pairs into
-//! aggregate flows, and optionally models the fat-tree core as ECMP
-//! multipath ([`route::EcmpConfig`]). The fluid solve itself is
-//! incremental too: [`incremental::IncrementalFluid`] partitions the
+//! LCA-keyed [`route::RouteCache`] and bundles same-class VM pairs into
+//! aggregate flows. Both solvers run on the tree placement reserves on —
+//! one fluid link per uplink direction at that uplink's capacity, laid
+//! out by [`route::RouteCache::build`] — so a multi-rooted core is
+//! modelled as placement sees it, as aggregate uplinks. The fluid solve
+//! itself is incremental too: [`incremental::IncrementalFluid`] partitions the
 //! flow/link graph into connected components and re-solves only the ones
 //! churn touched, each with the same max-min kernel the global
 //! [`fluid::Fluid::rates`] runs — the step that takes the engine to
@@ -52,7 +54,7 @@ pub mod engine;
 pub mod fluid;
 /// Component-scoped incremental wrapper around the fluid solver.
 pub mod incremental;
-/// Physical routing: LCA path derivation and ECMP spreading.
+/// Physical routing: the tree's fluid link layout and LCA path memo.
 pub mod route;
 /// Canned enforcement scenarios reproducing the paper's figures.
 pub mod scenario;
@@ -62,5 +64,5 @@ pub use elastic::{split_guarantee, Enforcer, GuaranteeModel, PairGuarantee};
 pub use engine::TrafficEngine;
 pub use fluid::{FlowSpec, Fluid};
 pub use incremental::{IncrementalFluid, SolveStats};
-pub use route::{EcmpConfig, RouteCache};
+pub use route::RouteCache;
 pub use scenario::{fig13_throughput, fig4_throughput, Fig13Point, Fig4Point};

@@ -180,11 +180,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A churned incremental solver is bit-equal to a fresh one and agrees
-    /// with a from-scratch global solve across random churn. (The name is
-    /// kept from when the twin was a forced-cold solver beside a
-    /// warm-started one; every solve is now what forced-cold was.)
+    /// with a from-scratch global solve across random churn.
     #[test]
-    fn warm_matches_forced_cold_and_global(recipe in arb_churn()) {
+    fn churned_matches_fresh_and_global(recipe in arb_churn()) {
         run(&recipe);
     }
 }

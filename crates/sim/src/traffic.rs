@@ -7,17 +7,17 @@
 //! ([`cm_cluster::Cluster::traffic_step_as`]): tenants whose
 //! placement changed since the previous step re-expand their active TAG
 //! edges into bundled flows, each bundle is routed over its physical
-//! uplink/downlink path (optionally ECMP-hashed across the core), and one
-//! shared weighted max-min network is solved — per-step expand/solve/score
-//! times, flow counts, guarantee-compliance violations and
-//! link utilization are recorded. `bench_admission` writes the result as
+//! uplink/downlink path (one fluid link per uplink direction, the tree
+//! placement reserves on), and one shared weighted max-min network is
+//! solved — per-step expand/solve/score times, flow counts,
+//! guarantee-compliance violations and link utilization are recorded. `bench_admission` writes the result as
 //! the `traffic` section of `BENCH_placement.json`, comparing the paper's
 //! TAG-patched enforcement against the plain hose-model baseline on
 //! identical placements.
 
 use crate::lifecycle::{churn_loop, ChurnConfig, ChurnObserver, ChurnReport};
 use crate::metrics::OpLatencies;
-use cm_cluster::{Cluster, EcmpConfig, GuaranteeModel};
+use cm_cluster::{Cluster, GuaranteeModel};
 use cm_core::placement::Placer;
 use cm_workloads::TenantPool;
 
@@ -33,20 +33,16 @@ pub struct TrafficChurnConfig {
     /// Guarantee model enforcing the floors ([`GuaranteeModel::Tag`] = the
     /// paper's patched ElasticSwitch, `Hose` = the §2.2 baseline).
     pub model: GuaranteeModel,
-    /// ECMP layout of the traffic engine ([`EcmpConfig::none`] = the
-    /// single-path tree routing of the batch solver).
-    pub ecmp: EcmpConfig,
 }
 
 impl TrafficChurnConfig {
     /// The default scenario: paper datacenter churn with a solve every 25
-    /// arrivals under the given model, single-path routing.
+    /// arrivals under the given model.
     pub fn paper_default(model: GuaranteeModel) -> Self {
         TrafficChurnConfig {
             churn: ChurnConfig::paper_default(),
             solve_every: 25,
             model,
-            ecmp: EcmpConfig::none(),
         }
     }
 }
@@ -86,11 +82,6 @@ pub struct TrafficStep {
     /// Fluid links whose usage was recomputed this step (deterministic
     /// work count).
     pub links_rescored: usize,
-    /// Largest core sub-link utilization among ECMP-split links (0 when
-    /// routing is single-path).
-    pub ecmp_max_utilization: f64,
-    /// Mean core sub-link utilization among ECMP-split links.
-    pub ecmp_mean_utilization: f64,
     /// Seconds spent scoring achieved rates against TAG intents.
     pub score_secs: f64,
 }
@@ -182,26 +173,6 @@ impl TrafficChurnReport {
         self.steps.last().map_or(0, |s| s.components_total)
     }
 
-    /// Largest ECMP sub-link utilization seen across all steps.
-    pub fn ecmp_max_utilization(&self) -> f64 {
-        self.steps
-            .iter()
-            .map(|s| s.ecmp_max_utilization)
-            .fold(0.0, f64::max)
-    }
-
-    /// Mean of the per-step mean ECMP sub-link utilizations.
-    pub fn ecmp_mean_utilization(&self) -> f64 {
-        if self.steps.is_empty() {
-            return 0.0;
-        }
-        self.steps
-            .iter()
-            .map(|s| s.ecmp_mean_utilization)
-            .sum::<f64>()
-            / self.steps.len() as f64
-    }
-
     /// Σ violations over all steps.
     pub fn violations_total(&self) -> usize {
         self.steps.iter().map(|s| s.violations).sum()
@@ -220,10 +191,6 @@ struct TrafficStepper<'a> {
 }
 
 impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
-    fn start(&mut self, cluster: &mut Cluster<P>) {
-        cluster.set_traffic_ecmp(self.cfg.ecmp);
-    }
-
     fn after_arrival(&mut self, arrival: usize, cluster: &Cluster<P>) {
         let every = self.cfg.solve_every.max(1);
         let last = self.cfg.churn.tenants.saturating_sub(1);
@@ -247,8 +214,6 @@ impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
             components_total: r.components_total,
             tenants_rescored: r.tenants_rescored,
             links_rescored: r.links_rescored,
-            ecmp_max_utilization: r.ecmp_max_utilization,
-            ecmp_mean_utilization: r.ecmp_mean_utilization,
             score_secs: r.score_secs,
         });
     }
@@ -295,7 +260,6 @@ mod tests {
             },
             solve_every: 10,
             model,
-            ecmp: EcmpConfig::none(),
         }
     }
 

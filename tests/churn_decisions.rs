@@ -10,9 +10,7 @@ use cloudmirror::sim::faults::{run_churn_faults, FaultChurnConfig};
 use cloudmirror::sim::lifecycle::{run_churn, ChurnConfig, ChurnReport};
 use cloudmirror::sim::traffic::{run_churn_traffic, TrafficChurnConfig};
 use cloudmirror::workloads::bing_like_pool;
-use cloudmirror::{
-    mbps, CmConfig, CmPlacer, EcmpConfig, GuaranteeModel, HaPolicy, Placer, TreeSpec,
-};
+use cloudmirror::{mbps, CmConfig, CmPlacer, GuaranteeModel, HaPolicy, Placer, TreeSpec};
 
 const RWCS: f64 = 0.25;
 
@@ -46,7 +44,6 @@ fn traffic_fp<P: Placer>(placer: P) -> String {
         churn: churn_cfg(),
         solve_every: 16,
         model: GuaranteeModel::Tag,
-        ecmp: EcmpConfig::none(),
     };
     let r = run_churn_traffic(&cfg, &bing_like_pool(42), placer);
     let steps: Vec<String> = r

@@ -8,8 +8,8 @@ use cloudmirror::enforce::TrafficEngine;
 use cloudmirror::topology::NodeId;
 use cloudmirror::workloads::bing_like_pool;
 use cloudmirror::{
-    gbps, mbps, Cluster, CmConfig, CmPlacer, EcmpConfig, GuaranteeModel, Tag, TagBuilder, TenantId,
-    Topology, TrafficReport, TreeSpec,
+    gbps, mbps, Cluster, CmConfig, CmPlacer, GuaranteeModel, Tag, TagBuilder, TenantId, Topology,
+    TrafficReport, TreeSpec,
 };
 use std::sync::Arc;
 
@@ -182,7 +182,7 @@ fn paper_scale_snapshot_solves_fast_and_compliant() {
     }
 }
 
-/// One churn step on a 32-pod 8-way-hashed ECMP fat-tree of `fanout` racks
+/// One churn step on a 32-pod fat-tree of `fanout` racks
 /// × `fanout` servers per pod: fill with bing-like tenants, take the cold
 /// step (every tenant expands, every component solves), scale one tenant,
 /// take the next step.
@@ -203,7 +203,6 @@ fn fat_tree_churn_step(fanout: u32) -> ChurnStep {
     };
     let pool = bing_like_pool(42).scaled_to_bmax(800_000);
     let mut cluster = Cluster::new(&spec, CmPlacer::new(CmConfig::cm()));
-    cluster.set_traffic_ecmp(EcmpConfig::hashed(8));
     // Debug builds (tier-1) run a reduced snapshot; release (CI) fills far
     // enough that one tenant's share of the datacenter is under 1 %.
     let (target, size_cap) = if cfg!(debug_assertions) {
@@ -370,19 +369,13 @@ fn fat_tree_131k_snapshot_steps_under_churn() {
     fat_tree_churn_step(64).check("131k");
 }
 
-/// The modelled limit of per-bundle ECMP hashing, pinned: placement
-/// reserves floors on the *aggregate* uplink, hashing puts each bundle on
-/// one `cap / ways` lane, and two bundles whose floors fit the uplink can
-/// land on a lane that cannot carry both. Phase 1 of the solve then scales
-/// both floors down and the pairs are violated — by the model, not by an
-/// engine bug: the churned engine equals a fresh one bit for bit, and the
-/// identical placements under single-path routing violate nothing. (This
-/// is what the benchmark's `spine_131k --seed 2` run hits; see README §
-/// ECMP multipath, "Known limits".)
+/// Admitted ⇒ floors hold on the wire: placement reserves floors on the
+/// uplink, and the engine solves on that same uplink, so two bundles
+/// whose floors fit it together both get them. The churned engine equals
+/// a fresh one bit for bit.
 #[test]
-fn hashed_ecmp_lane_collision_violates_floors_the_uplink_could_carry() {
-    // Two racks of two 1-slot servers; 1 Gbps ToR uplinks = two 500 Mbps
-    // lanes under `hashed(2)`.
+fn floors_that_fit_the_uplink_hold_on_it() {
+    // Two racks of two 1-slot servers under 1 Gbps ToR uplinks.
     let (uplink, floor) = (mbps(1000.0), mbps(400.0));
     let topo = Topology::build(&TreeSpec::small(
         1,
@@ -391,7 +384,7 @@ fn hashed_ecmp_lane_collision_violates_floors_the_uplink_could_carry() {
         1,
         [mbps(1000.0), uplink, mbps(4000.0)],
     ));
-    assert!(2 * floor <= uplink && 2 * floor > uplink / 2);
+    assert!(2 * floor <= uplink);
     let mut b = TagBuilder::new("pair");
     let (a, z) = (b.tier("a", 1), b.tier("z", 1));
     b.edge(a, z, floor, floor).unwrap();
@@ -402,56 +395,38 @@ fn hashed_ecmp_lane_collision_violates_floors_the_uplink_could_carry() {
     let placement = |k: usize| -> Vec<(NodeId, Vec<u32>)> {
         vec![(servers[k], vec![1, 0]), (servers[2 + k], vec![0, 1])]
     };
-    let engine_with = |ecmp: EcmpConfig, tenants: &[(u64, usize)]| {
-        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag, ecmp);
+    let engine_with = |tenants: &[(u64, usize)]| {
+        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag);
         for &(id, k) in tenants {
             engine.upsert_tenant(&topo, id, 1, &tag, &placement(k));
         }
         engine
     };
-    // The lowest tenant id whose bundle shares a lane with tenant 1's (the
-    // NICs differ, so any shared link is a lane).
-    let collides = |other: u64| {
-        let engine = engine_with(EcmpConfig::hashed(2), &[(1, 0), (other, 1)]);
-        let flows = engine.network().fluid().flows();
-        assert_eq!(flows.len(), 2);
-        flows[0].path.iter().any(|l| flows[1].path.contains(l))
-    };
-    let other = (2..64)
-        .find(|&id| collides(id))
-        .expect("a collision in 62 ids");
-    let tenants = [(1, 0), (other, 1)];
+    let tenants = [(1, 0), (2, 1)];
 
-    // (a) Both pairs violated, the shared lane full.
-    let mut churned = engine_with(EcmpConfig::hashed(2), &tenants);
+    // (a) Both floors met on the shared uplink, which the pair fills.
+    let mut churned = engine_with(&tenants);
     let got = churned.solve_detailed(&topo);
-    assert_eq!(got.violations, 2);
-    assert!(got.ecmp_max_utilization >= 1.0 - 1e-9);
+    assert_eq!(got.flows.len(), 2);
+    assert_eq!(got.violations, 0);
+    assert!(got.work_conserving);
     for f in &got.flows {
-        assert!((f.rate_kbps - uplink as f64 / 4.0).abs() < 1e-6, "{f:?}");
+        assert!(f.rate_kbps >= floor as f64, "{f:?}");
     }
+    assert!((got.total_rate_kbps - uplink as f64).abs() < 1e-6);
 
-    // (b) Not an engine artefact: after a decoy came and went and one
-    // tenant re-expanded, the engine equals a fresh one bit for bit.
+    // (b) After a decoy came and went and one tenant re-expanded, the
+    // engine equals a fresh one bit for bit.
     churned.upsert_tenant(&topo, 99, 1, &tag, &placement(1));
     churned.solve(&topo);
     churned.retain_tenants(|id| id != 99);
-    churned.upsert_tenant(&topo, other, 2, &tag, &placement(1));
+    churned.upsert_tenant(&topo, 2, 2, &tag, &placement(1));
     let got = churned.solve_detailed(&topo);
-    let want = engine_with(EcmpConfig::hashed(2), &tenants).solve_detailed(&topo);
-    assert_eq!(got.violations, want.violations);
+    let want = engine_with(&tenants).solve_detailed(&topo);
+    assert_eq!(got.violations, 0);
     assert_eq!(got.flows.len(), want.flows.len());
     for (g, w) in got.flows.iter().zip(&want.flows) {
         assert_eq!((g.tenant, g.src, g.dst), (w.tenant, w.src, w.dst));
         assert_eq!(g.rate_kbps.to_bits(), w.rate_kbps.to_bits());
     }
-    assert_eq!(
-        got.ecmp_max_utilization.to_bits(),
-        want.ecmp_max_utilization.to_bits()
-    );
-
-    // (c) The same placements on the unsplit uplink: every floor met.
-    let single = engine_with(EcmpConfig::none(), &tenants).solve(&topo);
-    assert_eq!(single.violations, 0);
-    assert!(single.work_conserving);
 }
