@@ -25,9 +25,6 @@ pub struct Config {
     /// Helper fns/methods known to return floats, for operand typing in
     /// `float-eq` (beyond what local declarations reveal).
     pub float_returning: Vec<&'static str>,
-    /// Files that take multiple locks and therefore must declare a
-    /// `// cm-analyze: lock-order(...)` header.
-    pub lock_order_required: Vec<&'static str>,
     /// Path prefixes whose `pub` items must carry doc comments.
     pub pub_doc_prefixes: Vec<&'static str>,
 }
@@ -74,10 +71,6 @@ impl Config {
                 "max",
                 "as_secs_f64",
             ],
-            lock_order_required: vec![
-                "crates/core/src/placement/concurrent.rs",
-                "crates/sim/src/parallel.rs",
-            ],
             pub_doc_prefixes: vec![
                 "crates/topology/src/",
                 "crates/core/src/",
@@ -88,7 +81,6 @@ impl Config {
                 "crates/inference/src/",
                 "crates/sim/src/",
                 "crates/analyze/src/",
-                "crates/race/src/",
                 "src/",
             ],
         }

@@ -2,8 +2,8 @@
 //!
 //! Repo-specific static analysis for the CloudMirror workspace: the
 //! correctness conventions the reproduction's headline claims rest on —
-//! reservation conservation, bit-identical concurrent decisions, exact
-//! max-min solves, worst-case survivability — turned into machine-checked,
+//! reservation conservation, exact rollback, exact max-min solves,
+//! worst-case survivability — turned into machine-checked,
 //! CI-gated rules.
 //!
 //! The pass is an offline, dependency-free line scanner (no `syn`; the

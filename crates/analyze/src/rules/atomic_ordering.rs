@@ -1,17 +1,13 @@
 //! `atomic-ordering`: no atomic memory ordering weaker than `SeqCst` in
 //! non-test code.
 //!
-//! The concurrency story rests on two layers that both assume sequential
-//! consistency: the sync shim (`cm_core::sync`) virtualizes atomics under
-//! the `model` feature and schedules them as totally-ordered yield
-//! points, and `cm-race`'s happens-before detector joins clocks across
-//! atomic accesses on the same assumption. A `Relaxed`/`Acquire`/
-//! `Release`/`AcqRel` operation is invisible to both — the model would
-//! explore orderings the hardware forbids and miss orderings it allows —
-//! so the soundness argument is "SeqCst everywhere" and this rule keeps
-//! it machine-checked. The rare measured hot-path exception documents
-//! itself with an `allow` pragma, which also marks it for the next
-//! model-fidelity review.
+//! The workspace's only production atomic is the sweep pool's work
+//! counter, where `SeqCst` costs nothing measurable. Sequential
+//! consistency is the one ordering a reader can reason about without a
+//! happens-before proof, so the convention is "SeqCst everywhere" and
+//! this rule keeps it machine-checked. A `Relaxed`/`Acquire`/`Release`/
+//! `AcqRel` operation needs that proof; the rare measured hot-path
+//! exception documents itself with an `allow` pragma.
 //!
 //! Lexical, like every rule here: any `Ordering::<weak>` path segment in
 //! non-test code fires, including in `use` lists (importing a weak
@@ -59,10 +55,9 @@ impl Rule for AtomicOrdering {
                     idx + 1,
                     ATOMIC_ORDERING,
                     format!("weak atomic ordering `Ordering::{weak}` outside test code"),
-                    "the sync shim and cm-race's happens-before detector model every \
-                     atomic as sequentially consistent, so non-SeqCst orderings void \
-                     the model-checking soundness argument; use `Ordering::SeqCst`, \
-                     or document the measured exception; see ANALYSIS.md#atomic-ordering",
+                    "a weaker ordering is correct only with a happens-before proof \
+                     nobody re-checks; use `Ordering::SeqCst`, or document the \
+                     measured exception; see ANALYSIS.md#atomic-ordering",
                 ));
             }
         }
@@ -76,7 +71,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn run(src: &str) -> Vec<Finding> {
-        let f = SourceFile::scan(PathBuf::from("crates/core/src/sync/mod.rs"), src);
+        let f = SourceFile::scan(PathBuf::from("crates/sim/src/parallel.rs"), src);
         let p = pragma::parse(&f);
         let mut out = Vec::new();
         AtomicOrdering.check(&f, &p, &Config::cloudmirror(), &mut out);

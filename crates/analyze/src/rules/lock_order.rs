@@ -1,13 +1,11 @@
 //! `lock-order`: lock acquisitions follow a declared, machine-readable
 //! order.
 //!
-//! The concurrent admission engine holds its commit log behind a `Mutex` +
-//! `Condvar` sequencer, and the sweep pool guards a work queue plus result
-//! slots. Today the discipline is simple; the ROADMAP's "make the
-//! concurrent engine actually scale" restructuring is exactly when a
-//! second lock appears and a silent inversion becomes a deadlock that only
-//! reproduces under load. So files that take locks declare their order in
-//! a header the analyzer consumes:
+//! Admission is serial and the sweep pool is lock-free (one atomic work
+//! counter), so no production file takes a lock today. The rule keeps it
+//! cheap to add one safely: the moment a second lock appears, a silent
+//! inversion becomes a deadlock that only reproduces under load. So files
+//! that take locks declare their order in a header the analyzer consumes:
 //!
 //! ```text
 //! // cm-analyze: lock-order(log < slots)
@@ -24,11 +22,9 @@
 //! Enrollment is automatic: any non-test file that lexically takes a
 //! guard — a `.lock()` call with a nameable receiver, or `.read()`/
 //! `.write()` in a file that mentions `RwLock` — must carry the header;
-//! a missing header is itself a finding. The configured
-//! [`Config::lock_order_required`] list is a floor on top of that (those
-//! files must declare an order even if a refactor temporarily removes
-//! their locks). Test code is exempt throughout: `#[cfg(test)]` modules
-//! re-lock scratch mutexes freely and never define the file's order.
+//! a missing header is itself a finding. Test code is exempt throughout:
+//! `#[cfg(test)]` modules re-lock scratch mutexes freely and never define
+//! the file's order.
 
 use super::{finding, Rule, LOCK_ORDER};
 use crate::config::Config;
@@ -61,13 +57,11 @@ impl Rule for LockOrder {
         &self,
         file: &SourceFile,
         pragmas: &FilePragmas,
-        cfg: &Config,
+        _cfg: &Config,
         out: &mut Vec<Finding>,
     ) {
-        let path = file.path_str();
-        let required = cfg.lock_order_required.iter().any(|p| path == *p) || takes_guards(file);
         let Some((_, order_names)) = &pragmas.lock_order else {
-            if required {
+            if takes_guards(file) {
                 out.push(finding(
                     file,
                     1,
@@ -313,11 +307,7 @@ mod tests {
 
     #[test]
     fn lock_taking_files_are_auto_enrolled() {
-        // Configured floor: enrolled even with no locks in sight.
-        let out = run("crates/sim/src/parallel.rs", "fn f() {}\n");
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("no `// cm-analyze: lock-order"));
-        // Any other file lexically taking a guard is enrolled too.
+        // Any file lexically taking a guard is enrolled.
         let out = run("crates/sim/src/other.rs", "fn f() { q.lock(); }\n");
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("no `// cm-analyze: lock-order"));

@@ -38,14 +38,6 @@ pub const PRAGMA_SYNTAX: &str = "pragma-syntax";
 /// Meta rule name: a pragma that suppressed nothing.
 pub const PRAGMA_UNUSED: &str = "pragma-unused";
 
-/// Dynamic rule name (reported by `cm-race`, never by this static pass):
-/// unsynchronized conflicting accesses found by the happens-before
-/// detector over a model-checked schedule.
-pub const DATA_RACE: &str = "data-race";
-/// Dynamic rule name (reported by `cm-race`): a model-checked schedule
-/// whose outcomes diverge from serial in-order execution.
-pub const SERIAL_EQUIVALENCE: &str = "serial-equivalence";
-
 /// Every rule name the static engine knows, in report order. The meta
 /// rules are last: they police the suppression mechanism itself.
 pub const ALL_RULES: [&str; 8] = [
@@ -58,12 +50,6 @@ pub const ALL_RULES: [&str; 8] = [
     PRAGMA_SYNTAX,
     PRAGMA_UNUSED,
 ];
-
-/// Rules reported only by the dynamic checker (`cm-race`). They share the
-/// finding catalog and rendering with the static rules — `lock-order` and
-/// `txn-discipline` findings can come from either side — but have no
-/// static checker, no fixtures, and cannot be suppressed by pragmas.
-pub const DYNAMIC_RULES: [&str; 2] = [DATA_RACE, SERIAL_EQUIVALENCE];
 
 /// A convention check over one scanned file.
 pub trait Rule {

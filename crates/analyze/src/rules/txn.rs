@@ -2,7 +2,7 @@
 //! reservation layer.
 //!
 //! The headline claims of this reproduction — reservation conservation,
-//! exact rollback, bit-identical concurrent-vs-serial decisions — all
+//! exact rollback, decision goldens that replay bit for bit — all
 //! assume that slot and uplink state only changes through
 //! `ReservationTxn`'s undo log (`crates/core/src/txn.rs` over
 //! `reserve.rs`). A direct call to a mutating `Topology` method anywhere
@@ -10,9 +10,8 @@
 //! dynamic `check_invariants` re-derivation is the only thing left to
 //! notice. This rule makes the convention static: mutator calls outside
 //! the allowlisted reservation layer (or test code) are findings, and the
-//! few sanctioned exceptions (replica replay of committed deltas, fault
-//! injection) carry `allow` pragmas whose reasons document *why* they are
-//! outside the txn path.
+//! few sanctioned exceptions (fault injection) carry `allow` pragmas whose
+//! reasons document *why* they are outside the txn path.
 
 use super::{finding, Rule, TXN_DISCIPLINE};
 use crate::config::{is_test_path, Config};

@@ -2,13 +2,10 @@
 
 use cm_core::cut::CutModel;
 use cm_core::model::{Tag, VocModel};
-use cm_core::placement::{
-    search_and_place_traced, Deployed, PlacementTrace, Placer, RejectReason, SearchStrategy,
-};
+use cm_core::placement::{search_and_place, Deployed, Placer, RejectReason};
 use cm_core::reserve::TenantState;
 use cm_core::txn::ReservationTxn;
 use cm_topology::{NodeId, Topology};
-use std::sync::Arc;
 
 /// Oktopus-style placer for (generalized) VOC models.
 ///
@@ -47,15 +44,6 @@ impl OvocPlacer {
         topo: &mut Topology,
         model: VocModel,
     ) -> Result<TenantState<VocModel>, RejectReason> {
-        self.place_voc_traced(topo, model, None)
-    }
-
-    pub(crate) fn place_voc_traced(
-        &mut self,
-        topo: &mut Topology,
-        model: VocModel,
-        trace: Option<&mut PlacementTrace>,
-    ) -> Result<TenantState<VocModel>, RejectReason> {
         let total_vms = model.total_vms();
         let ext = model.external_demand_kbps();
 
@@ -73,24 +61,15 @@ impl OvocPlacer {
         // the inner loop stays allocation-free at steady state, like the
         // CloudMirror placer's scratch pools.
         let mut counts_buf: Vec<u32> = Vec::new();
-        search_and_place_traced(
-            topo,
-            &mut state,
-            total_vms,
-            ext,
-            0,
-            SearchStrategy::default(),
-            trace,
-            |txn, st| {
-                for &c in &order {
-                    let size = txn.state().model().tier_size(c);
-                    if alloc_cluster(txn, c, size, st, &mut counts_buf) < size {
-                        return false;
-                    }
+        search_and_place(topo, &mut state, total_vms, ext, 0, |txn, st| {
+            for &c in &order {
+                let size = txn.state().model().tier_size(c);
+                if alloc_cluster(txn, c, size, st, &mut counts_buf) < size {
+                    return false;
                 }
-                true
-            },
-        )?;
+            }
+            true
+        })?;
         Ok(state)
     }
 }
@@ -102,17 +81,6 @@ impl Placer for OvocPlacer {
 
     fn place(&mut self, topo: &mut Topology, tag: &Tag) -> Result<Deployed, RejectReason> {
         self.place_tag(topo, tag).map(Deployed::from)
-    }
-
-    fn place_speculative(
-        &mut self,
-        topo: &mut Topology,
-        tag: &Arc<Tag>,
-        trace: &mut PlacementTrace,
-    ) -> Result<Deployed, RejectReason> {
-        trace.reset();
-        self.place_voc_traced(topo, VocModel::from_tag(tag), Some(trace))
-            .map(Deployed::from)
     }
 }
 

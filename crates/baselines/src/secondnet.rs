@@ -41,9 +41,7 @@
 use cm_core::cut::CutModel;
 use cm_core::fasthash::FastMap;
 use cm_core::model::{PipeModel, Tag};
-use cm_core::placement::{
-    search_and_place_traced, Deployed, PlacementTrace, Placer, RejectReason, SearchStrategy,
-};
+use cm_core::placement::{search_and_place, Deployed, Placer, RejectReason};
 use cm_core::reserve::TenantState;
 use cm_core::txn::ReservationTxn;
 use cm_topology::{NodeId, Topology};
@@ -103,7 +101,7 @@ impl SecondNetPlacer {
         topo: &mut Topology,
         model: PipeModel,
     ) -> Result<TenantState<PipeModel>, RejectReason> {
-        self.place_pipes_traced(topo, Arc::new(model), None)
+        self.place_pipes_shared(topo, Arc::new(model))
     }
 
     /// The idealized-pipe model of `tag`, converted once per shared tag
@@ -124,11 +122,11 @@ impl SecondNetPlacer {
             .clone()
     }
 
-    fn place_pipes_traced(
+    /// [`SecondNetPlacer::place_pipes`] for an already-shared model.
+    fn place_pipes_shared(
         &mut self,
         topo: &mut Topology,
         model: Arc<PipeModel>,
-        trace: Option<&mut PlacementTrace>,
     ) -> Result<TenantState<PipeModel>, RejectReason> {
         let n = model.num_vms();
         let total_vms = n as u64;
@@ -142,16 +140,9 @@ impl SecondNetPlacer {
         });
 
         let mut state = TenantState::new_shared(model);
-        search_and_place_traced(
-            topo,
-            &mut state,
-            total_vms,
-            ext,
-            0,
-            SearchStrategy::default(),
-            trace,
-            |txn, st| self.try_place_under(txn, &order, st),
-        )?;
+        search_and_place(topo, &mut state, total_vms, ext, 0, |txn, st| {
+            self.try_place_under(txn, &order, st)
+        })?;
         Ok(state)
     }
 
@@ -456,20 +447,7 @@ impl Placer for SecondNetPlacer {
         tag: &Arc<Tag>,
     ) -> Result<Deployed, RejectReason> {
         let model = self.cached_model(tag);
-        self.place_pipes_traced(topo, model, None)
-            .map(Deployed::from)
-    }
-
-    fn place_speculative(
-        &mut self,
-        topo: &mut Topology,
-        tag: &Arc<Tag>,
-        trace: &mut PlacementTrace,
-    ) -> Result<Deployed, RejectReason> {
-        trace.reset();
-        let model = self.cached_model(tag);
-        self.place_pipes_traced(topo, model, Some(trace))
-            .map(Deployed::from)
+        self.place_pipes_shared(topo, model).map(Deployed::from)
     }
 }
 

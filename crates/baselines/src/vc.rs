@@ -6,10 +6,9 @@
 //! model-comparison property tests.
 
 use cm_core::model::{Tag, VocModel};
-use cm_core::placement::{Deployed, PlacementTrace, Placer, RejectReason};
+use cm_core::placement::{Deployed, Placer, RejectReason};
 use cm_core::reserve::TenantState;
 use cm_topology::Topology;
-use std::sync::Arc;
 
 use crate::OvocPlacer;
 
@@ -45,18 +44,6 @@ impl Placer for OktopusVcPlacer {
 
     fn place(&mut self, topo: &mut Topology, tag: &Tag) -> Result<Deployed, RejectReason> {
         self.place_tag(topo, tag).map(Deployed::from)
-    }
-
-    fn place_speculative(
-        &mut self,
-        topo: &mut Topology,
-        tag: &Arc<Tag>,
-        trace: &mut PlacementTrace,
-    ) -> Result<Deployed, RejectReason> {
-        trace.reset();
-        self.inner
-            .place_voc_traced(topo, VocModel::vc_from_tag(tag), Some(trace))
-            .map(Deployed::from)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Admission macro-benchmark: run the paper-default simulation for every
-//! placer, then the thread-scaling, lifecycle-churn, fault-recovery,
-//! traffic-engine and model-checking workloads, and record all six as
-//! sections of `BENCH_placement.json` (written to the working directory) —
-//! the workspace's performance trajectory artifact.
+//! placer, then the lifecycle-churn, fault-recovery and traffic-engine
+//! workloads, and record all four as sections of `BENCH_placement.json`
+//! (written to the working directory) — the workspace's performance
+//! trajectory artifact.
 //!
 //! Every number is regenerated in this run next to its baseline: beside
 //! the six production placers, `results` carries CloudMirror on the
@@ -17,17 +17,14 @@
 //! ([`Section`]). After the JSON is written the binary gates itself on the
 //! machine-independent facts of the run (`cm_bench::gate_*`: drained
 //! churns, zero CM+HA survivability violations, work-conserving traffic
-//! steps, exhausted clean state spaces, …) and exits non-zero listing
-//! every violated gate.
+//! steps, …) and exits non-zero listing every violated gate.
 //!
 //! Modes: default 2,000 arrivals; `--full` the paper's 10,000; `--quick`
-//! a 300-arrival CI smoke run. `--threads N` (N > 4) extends the 1/2/4
-//! thread-scaling curve.
+//! a 300-arrival CI smoke run.
 
 use cm_bench::{
-    admission_results, fault_churn, gate_admission, gate_churn, gate_faults, gate_model_check,
-    gate_traffic, lifecycle_churn, model_check_bench, report_json, thread_scaling, traffic_bench,
-    BenchRow, Fields, ModelCheckRun, ScalingRow, Section, Size, TrafficRun, Val,
+    admission_results, fault_churn, gate_admission, gate_churn, gate_faults, gate_traffic,
+    lifecycle_churn, report_json, traffic_bench, BenchRow, Fields, Section, Size, TrafficRun, Val,
 };
 use cm_sim::faults::FaultChurnReport;
 use cm_sim::lifecycle::ChurnReport;
@@ -57,27 +54,6 @@ fn result_row(r: &BenchRow) -> Fields {
         ("admit_secs", Val::Float(r.admit.total_secs(), 4)),
         ("p50_us", us(&r.admit, 0.5)),
         ("p99_us", us(&r.admit, 0.99)),
-    ]
-}
-
-const SCALING_NOTE: &str = "sharded concurrent engine (pod shards, sequence-numbered optimistic \
-    commits) over a pre-generated schedule; decisions are identical to the serial engine at every \
-    thread count. Scaling beyond 1x requires hardware_threads > 1.";
-
-fn scaling_row(r: &ScalingRow, one_thread: &ScalingRow) -> Fields {
-    vec![
-        ("placer", r.placer.into()),
-        ("threads", r.threads.into()),
-        ("arrivals", r.arrivals.into()),
-        ("wall_secs", Val::Float(r.wall_secs, 4)),
-        (
-            "arrivals_per_sec",
-            Val::Float(r.arrivals as f64 / r.wall_secs, 1),
-        ),
-        (
-            "speedup_vs_1_thread",
-            Val::Float(one_thread.wall_secs / r.wall_secs, 2),
-        ),
     ]
 }
 
@@ -191,41 +167,8 @@ fn traffic_row(t: &TrafficRun) -> Fields {
     ]
 }
 
-const MODEL_CHECK_NOTE: &str = "cm-race exhaustive DFS with sleep-set pruning over every \
-    expect-clean scenario at 2 workers (--quick keeps the two cheapest state spaces); every \
-    schedule is checked for serial equivalence, delta-log replay convergence, and topology \
-    invariants. schedules counts fully executed interleavings, pruned the sleep-set abandonments; \
-    schedules_per_sec is the tracked throughput. A shift in the schedule counts means the sync \
-    shim's yield-point structure changed — re-explore before trusting pinned replay ids.";
-
-fn model_check_row(m: &ModelCheckRun) -> Fields {
-    let r = &m.report;
-    vec![
-        ("scenario", r.scenario.as_str().into()),
-        ("workers", r.workers.into()),
-        ("schedules", r.schedules.into()),
-        ("pruned", r.pruned.into()),
-        ("max_depth", r.max_depth.into()),
-        ("complete", Val::Bool(r.complete)),
-        ("findings", r.findings.len().into()),
-        ("wall_secs", Val::Float(m.wall_secs, 4)),
-        (
-            "schedules_per_sec",
-            Val::Float(r.schedules as f64 / m.wall_secs.max(1e-9), 1),
-        ),
-    ]
-}
-
 fn main() -> ExitCode {
     let size = Size::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let max_threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(4);
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let pool = bing_like_pool(42);
 
     // Each table prints as soon as its workload finishes (`--full` takes
@@ -252,24 +195,6 @@ fn main() -> ExitCode {
         cm.arrivals_per_sec(),
         cm_ref.arrivals_per_sec(),
     );
-
-    let scaling = thread_scaling(size, &pool, max_threads);
-    let one_thread = |r: &ScalingRow| {
-        let base = scaling
-            .iter()
-            .find(|b| b.placer == r.placer && b.threads == 1);
-        base.expect("every curve starts at 1 thread")
-    };
-    emit(Section {
-        key: "thread_scaling",
-        title: "Concurrent admission thread scaling (sharded engine)",
-        note: Some(SCALING_NOTE),
-        head: vec![("hardware_threads", hardware_threads.into())],
-        rows: scaling
-            .iter()
-            .map(|r| scaling_row(r, one_thread(r)))
-            .collect(),
-    });
 
     let churn = lifecycle_churn(size, &pool);
     emit(Section {
@@ -298,15 +223,6 @@ fn main() -> ExitCode {
         rows: traffic.iter().map(traffic_row).collect(),
     });
 
-    let model_check = model_check_bench(size);
-    emit(Section {
-        key: "model_check",
-        title: "Model checking (cm-race exhaustive DFS, 2 workers)",
-        note: Some(MODEL_CHECK_NOTE),
-        head: vec![],
-        rows: model_check.iter().map(model_check_row).collect(),
-    });
-
     let head = vec![
         ("benchmark", "bench_admission".into()),
         ("mode", size.name().into()),
@@ -319,11 +235,10 @@ fn main() -> ExitCode {
     println!("\nWrote BENCH_placement.json");
 
     let violated: Vec<String> = [
-        gate_admission(&results, &scaling, hardware_threads),
+        gate_admission(&results),
         gate_churn(&churn),
         gate_faults(&faults),
         gate_traffic(&traffic),
-        gate_model_check(&model_check),
     ]
     .into_iter()
     .filter_map(Result::err)

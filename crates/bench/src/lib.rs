@@ -11,19 +11,15 @@
 //! The library also carries everything `bench_admission` shares with its
 //! tests: the [`Section`] writer that renders one row description as both
 //! the stdout table and `BENCH_placement.json`, the workloads behind the
-//! artifact's six sections, and the machine-independent gates the binary
+//! artifact's four sections, and the machine-independent gates the binary
 //! fails on.
 
 use cm_baselines::{OktopusVcPlacer, OvocPlacer, SecondNetPlacer};
 use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer, SearchStrategy};
 use cm_enforce::GuaranteeModel;
-use cm_race::explore::{explore_exhaustive, Caps, ExploreReport};
-use cm_race::json_str;
-use cm_race::schedule::Mutation;
 use cm_sim::faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
 use cm_sim::lifecycle::{run_churn, ChurnConfig, ChurnReport};
 use cm_sim::metrics::OpLatencies;
-use cm_sim::schedule::{build_schedule, run_schedule_concurrent, Schedule};
 use cm_sim::traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport};
 use cm_sim::{run_sim, SimConfig};
 use cm_topology::{gbps, TreeSpec};
@@ -151,6 +147,26 @@ impl Val {
     }
 }
 
+/// Escape a string as a JSON string literal (hand-rolled — no serde in
+/// the offline container).
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Named values in output order: a row, or a report's scalar fields.
 pub type Fields = Vec<(&'static str, Val)>;
 
@@ -253,7 +269,7 @@ pub fn report_json(head: &Fields, sections: &[Section]) -> String {
 /// default, or the paper's scale (`--full`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Size {
-    /// 300 arrivals, the two cheapest model-checking scenarios.
+    /// 300 arrivals.
     Quick,
     /// 2,000 arrivals.
     Default,
@@ -377,66 +393,6 @@ pub fn admission_results(size: Size, pool: &TenantPool) -> Vec<BenchRow> {
     ]
 }
 
-/// One thread-scaling measurement: the concurrent engine driving
-/// `threads` workers over a pre-generated schedule.
-pub struct ScalingRow {
-    pub placer: &'static str,
-    pub threads: usize,
-    pub arrivals: usize,
-    pub wall_secs: f64,
-}
-
-fn scaling_curve<P: Placer, F: Fn() -> P + Sync>(
-    schedule: &Schedule,
-    make: F,
-    counts: &[usize],
-) -> Vec<ScalingRow> {
-    let placer = make().name();
-    counts
-        .iter()
-        .map(|&threads| {
-            let t0 = Instant::now();
-            let run = run_schedule_concurrent(schedule, &make, threads);
-            let wall_secs = t0.elapsed().as_secs_f64();
-            assert_eq!(run.result.rejections.arrivals, schedule.arrivals);
-            ScalingRow {
-                placer,
-                threads,
-                arrivals: schedule.arrivals,
-                wall_secs,
-            }
-        })
-        .collect()
-}
-
-/// The sharded concurrent engine per placer at 1/2/4 workers (the
-/// scaling-curve artifact), plus `max_threads` when that is larger.
-/// SecondNet gets a quarter of the arrivals.
-pub fn thread_scaling(size: Size, pool: &TenantPool, max_threads: usize) -> Vec<ScalingRow> {
-    let mut counts = vec![1, 2, 4];
-    if max_threads > 4 {
-        counts.push(max_threads);
-    }
-    let cfg = size.sim_config();
-    let secondnet_cfg = SimConfig {
-        arrivals: (cfg.arrivals / 4).max(50),
-        ..cfg.clone()
-    };
-    let sched = build_schedule(&cfg, pool);
-    let secondnet_sched = build_schedule(&secondnet_cfg, pool);
-    let ha = || CmPlacer::named(CmConfig::cm_ha(0.5), "CM+HA");
-    let mut rows = scaling_curve(&sched, || CmPlacer::new(CmConfig::cm()), &counts);
-    rows.extend(scaling_curve(&sched, ha, &counts));
-    rows.extend(scaling_curve(&sched, OvocPlacer::new, &counts));
-    rows.extend(scaling_curve(&sched, OktopusVcPlacer::new, &counts));
-    rows.extend(scaling_curve(
-        &secondnet_sched,
-        SecondNetPlacer::new,
-        &counts,
-    ));
-    rows
-}
-
 /// The autoscaling-churn scenario over the `Cluster` controller: CM scales
 /// exact-incrementally, OVOC takes the generic re-place fallback.
 pub fn lifecycle_churn(size: Size, pool: &TenantPool) -> Vec<ChurnReport> {
@@ -503,32 +459,6 @@ pub fn traffic_bench(size: Size, pool: &TenantPool) -> Vec<TrafficRun> {
     ]
 }
 
-/// One exhaustively explored model-checking scenario plus its wall time.
-pub struct ModelCheckRun {
-    pub report: ExploreReport,
-    pub wall_secs: f64,
-}
-
-/// Exhaustive 2-worker exploration of every expect-clean cm-race scenario
-/// (`--quick` keeps the two cheapest state spaces). The schedule counts
-/// double as a canary: a sync-shim change that adds or removes yield points
-/// shifts them before any pinned replay id goes stale.
-pub fn model_check_bench(size: Size) -> Vec<ModelCheckRun> {
-    cm_race::scenario::all()
-        .into_iter()
-        .filter(|s| s.expect_clean)
-        .filter(|s| size != Size::Quick || s.name == "samepod2" || s.name == "parmap")
-        .map(|scn| {
-            let start = Instant::now();
-            let report = explore_exhaustive(&scn, 2, Mutation::None, &Caps::default());
-            ModelCheckRun {
-                report,
-                wall_secs: start.elapsed().as_secs_f64(),
-            }
-        })
-        .collect()
-}
-
 // ----------------------------------------------------------------------
 // bench_admission: machine-independent gates over the typed reports
 // ----------------------------------------------------------------------
@@ -561,22 +491,10 @@ fn verdict(bad: Vec<String>) -> Result<(), String> {
     }
 }
 
-/// `results` is non-empty and `thread_scaling` records the 1/2/4-thread
-/// curve of all five concurrent placers.
-pub fn gate_admission(
-    results: &[BenchRow],
-    scaling: &[ScalingRow],
-    hardware_threads: usize,
-) -> Result<(), String> {
+/// `results` is non-empty.
+pub fn gate_admission(results: &[BenchRow]) -> Result<(), String> {
     let mut bad = Vec::new();
     check!(bad, "results", !results.is_empty());
-    check!(bad, "thread_scaling", hardware_threads >= 1);
-    for placer in ["CM", "CM+HA", "OVOC", "VC", "SecondNet"] {
-        let curve = scaling.iter().filter(|r| r.placer == placer);
-        let threads: Vec<usize> = curve.map(|r| r.threads).collect();
-        let at = format!("thread_scaling[{placer}].threads");
-        check_covers(&mut bad, &at, &threads, &[1, 2, 4]);
-    }
     verdict(bad)
 }
 
@@ -667,27 +585,6 @@ pub fn gate_traffic(traffic: &[TrafficRun]) -> Result<(), String> {
     verdict(bad)
 }
 
-/// Every scenario was exhausted at 2 workers with no finding, samepod2
-/// and parmap among them.
-pub fn gate_model_check(runs: &[ModelCheckRun]) -> Result<(), String> {
-    let mut bad = Vec::new();
-    let scenarios: Vec<&str> = runs.iter().map(|m| m.report.scenario.as_str()).collect();
-    check_covers(
-        &mut bad,
-        "model_check scenarios",
-        &scenarios,
-        &["samepod2", "parmap"],
-    );
-    for r in runs.iter().map(|m| &m.report) {
-        let at = format!("model_check[{}]", r.scenario);
-        check!(bad, at, r.workers == 2);
-        check!(bad, at, r.schedules >= 1);
-        check!(bad, at, r.complete);
-        check!(bad, at, r.findings.is_empty());
-    }
-    verdict(bad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,17 +663,20 @@ mod tests {
         let pool = cm_workloads::bing_like_pool(42);
 
         let results = admission_results(Size::Quick, &pool);
-        let mut scaling = thread_scaling(Size::Quick, &pool, 4);
-        assert_eq!(gate_admission(&results, &scaling, 1), Ok(()));
-        scaling.retain(|r| r.placer != "VC" || r.threads != 4);
-        let lacks = Err("thread_scaling[VC].threads lacks 4".to_string());
-        assert_eq!(gate_admission(&results, &scaling, 1), lacks);
+        assert_eq!(gate_admission(&results), Ok(()));
+        assert_eq!(
+            gate_admission(&[]),
+            violated("results: `!results.is_empty()")
+        );
 
+        // Two violations: both are listed, in report order.
         let mut churn = lifecycle_churn(Size::Quick, &pool);
         assert_eq!(gate_churn(&churn), Ok(()));
+        churn[0].departs -= 1;
         churn[1].departs -= 1;
-        let drained = violated("lifecycle_churn[OVOC]: `r.departs == r.admitted");
-        assert_eq!(gate_churn(&churn), drained);
+        let drained = "lifecycle_churn[CM]: `r.departs == r.admitted` does not hold\n\
+                       lifecycle_churn[OVOC]: `r.departs == r.admitted";
+        assert_eq!(gate_churn(&churn), violated(drained));
 
         let mut faults = fault_churn(Size::Quick, &pool);
         assert_eq!(gate_faults(&faults), Ok(()));
@@ -789,14 +689,5 @@ mod tests {
         traffic[3].report.steps[0].work_conserving = false;
         let conserves = "traffic[131072 Tag]: `r.work_conserving_steps() == r.steps.len()";
         assert_eq!(gate_traffic(&traffic), violated(conserves));
-
-        // Two violations: both are listed, in report order.
-        let mut model_check = model_check_bench(Size::Quick);
-        assert_eq!(gate_model_check(&model_check), Ok(()));
-        model_check[0].report.complete = false;
-        model_check[1].report.workers = 3;
-        let both = "model_check[samepod2]: `r.complete` does not hold\n\
-                    model_check[parmap]: `r.workers == 2";
-        assert_eq!(gate_model_check(&model_check), violated(both));
     }
 }

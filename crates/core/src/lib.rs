@@ -48,12 +48,9 @@
 //! * [`reserve`] — per-tenant placement + bandwidth reservation ledger.
 //! * [`txn`] — transactional staging over the ledger: savepoints, commit,
 //!   exact rollback.
-//! * [`placement`] — the unified [`placement::Placer`] engine, the
-//!   CloudMirror placer (Algorithm 1, §4.5 HA), and the sharded
-//!   concurrent admission engine ([`placement::run_events`]): pod-level
-//!   shards, speculative placement with read-set traces, and a
-//!   sequence-numbered optimistic commit protocol that keeps decisions
-//!   bit-identical to serial admission at any thread count.
+//! * [`placement`] — the unified [`placement::Placer`] engine and the
+//!   CloudMirror placer (Algorithm 1, §4.5 HA). Admission is serial: one
+//!   tenant at a time searches the tree, prices cuts and commits.
 
 /// Anti-colocation constraint tracking across fault domains.
 pub mod coloc;
@@ -63,12 +60,10 @@ pub mod cut;
 pub mod fasthash;
 /// The tenant-side abstraction: TAG virtual networks and their components.
 pub mod model;
-/// Placement engines: baseline search, CloudMirror, and the concurrent admitter.
+/// Placement engines: the shared search loop and CloudMirror.
 pub mod placement;
 /// The sanctioned reservation layer: every `Topology` mutation flows through here.
 pub mod reserve;
-/// Synchronization shim: std passthrough, or the model scheduler under `model`.
-pub mod sync;
 /// Undo-logged reservation transactions with all-or-nothing rollback.
 pub mod txn;
 

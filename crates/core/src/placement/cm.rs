@@ -4,8 +4,8 @@ use crate::cut::CutModel;
 use crate::model::{Tag, TierId};
 use crate::placement::{
     need_is_zero, need_total, per_slot_avail_kbps, place_incremental_replace, restore_need,
-    search_and_place_traced, search_and_place_with, wcs_cap, CmConfig, DemandPredictor, Deployed,
-    HaPolicy, PlacementTrace, Placer, RejectReason, SearchStrategy,
+    search_and_place_with, wcs_cap, CmConfig, DemandPredictor, Deployed, HaPolicy, Placer,
+    RejectReason, SearchStrategy,
 };
 use crate::reserve::{PlacementEntry, TenantState};
 use crate::txn::ReservationTxn;
@@ -163,21 +163,6 @@ impl CmPlacer {
         tag: &Arc<Tag>,
     ) -> Result<TenantState<Tag>, RejectReason> {
         let demand_mix = self.predictor.observe(tag.avg_per_vm_demand_kbps());
-        self.place_tag_with_mix(topo, tag, demand_mix, None)
-    }
-
-    /// The placement body shared by the serial path (which *observes* the
-    /// arrival into the predictor first) and the concurrent engine's
-    /// speculation path (which *peeks* the same value without advancing
-    /// predictor state, and passes a trace). The two produce identical
-    /// decisions for identical topologies by construction.
-    fn place_tag_with_mix(
-        &mut self,
-        topo: &mut Topology,
-        tag: &Arc<Tag>,
-        demand_mix: f64,
-        trace: Option<&mut PlacementTrace>,
-    ) -> Result<TenantState<Tag>, RejectReason> {
         let shared = Arc::clone(tag);
         let tag: &Tag = tag;
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -186,26 +171,16 @@ impl CmPlacer {
         let total_vms = need_total(&total_need);
         let ext_demand = tag.cut_kbps(&total_need);
         let spread = self.spread_unit_prices(tag, &mut scratch);
-        let mut trace = trace;
-        let (start, reads_global) = self.start_level(topo, tag, demand_mix);
-        if reads_global {
-            // The decision depended on whole-topology aggregates, so the
-            // read-set evidence cannot be confined to attempted pods.
-            if let Some(t) = trace.as_deref_mut() {
-                t.mark_unknown();
-            }
-        }
-        let start = start as usize;
+        let start = self.start_level(topo, tag, demand_mix) as usize;
 
         let mut state = TenantState::new_shared(shared);
-        let res = search_and_place_traced(
+        let res = search_and_place_with(
             topo,
             &mut state,
             total_vms,
             ext_demand,
             start,
             self.search,
-            trace,
             |txn, st| {
                 let mut need = scratch.u32s();
                 need.extend_from_slice(&total_need);
@@ -1465,24 +1440,17 @@ impl CmPlacer {
     ///   is desirable (§4.5, second modification) — evaluated O(1) per level
     ///   from the topology's per-level availability caches;
     /// * otherwise the server level.
-    ///
-    /// The second return value is true when the decision consumed
-    /// **whole-topology state** (the opportunistic arm's per-level
-    /// availability sums): the caller must then mark any placement trace
-    /// as unknown, because the concurrent engine's per-pod conflict
-    /// validation cannot cover a read that spans every pod. Owning that
-    /// flag here keeps the invariant self-enforcing for future arms.
-    fn start_level(&self, topo: &Topology, tag: &Tag, demand_mix: f64) -> (u8, bool) {
+    fn start_level(&self, topo: &Topology, tag: &Tag, demand_mix: f64) -> u8 {
         match self.cfg.ha {
-            HaPolicy::None => (0, false),
+            HaPolicy::None => 0,
             HaPolicy::Guaranteed { rwcs, laa_level } => {
                 let needs_spread = tag
                     .internal_tiers()
                     .any(|t| wcs_cap(tag.tier(t).size, rwcs) < tag.tier(t).size);
                 if needs_spread {
-                    ((laa_level + 1).min((topo.num_levels() - 1) as u8), false)
+                    (laa_level + 1).min((topo.num_levels() - 1) as u8)
                 } else {
-                    (0, false)
+                    0
                 }
             }
             HaPolicy::Opportunistic { .. } => {
@@ -1498,10 +1466,10 @@ impl CmPlacer {
                     }
                     let per_slot = topo.avail_half_sum_at_level(l as usize) as f64 / slots as f64;
                     if per_slot < demand_mix {
-                        return (l, true);
+                        return l;
                     }
                 }
-                (top, true)
+                top
             }
         }
     }
@@ -1522,28 +1490,6 @@ impl Placer for CmPlacer {
         tag: &Arc<Tag>,
     ) -> Result<Deployed, RejectReason> {
         self.place_tag_shared(topo, tag).map(Deployed::from)
-    }
-
-    fn place_speculative(
-        &mut self,
-        topo: &mut Topology,
-        tag: &Arc<Tag>,
-        trace: &mut PlacementTrace,
-    ) -> Result<Deployed, RejectReason> {
-        // Price the arrival exactly as `observe` would, without advancing
-        // the EWMA: the engine advances it once per arrival (in sequence
-        // order) through `note_arrival`, so repeated speculation of the
-        // same arrival sees identical predictor state.
-        let demand_mix = self.predictor.peek(tag.avg_per_vm_demand_kbps());
-        trace.reset();
-        // Whole-topology reads (opportunistic HA's desirability scan) are
-        // flagged by `start_level` itself inside `place_tag_with_mix`.
-        self.place_tag_with_mix(topo, tag, demand_mix, Some(trace))
-            .map(Deployed::from)
-    }
-
-    fn note_arrival(&mut self, tag: &Arc<Tag>) {
-        self.predictor.observe(tag.avg_per_vm_demand_kbps());
     }
 
     fn place_incremental(

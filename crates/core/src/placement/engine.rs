@@ -29,39 +29,6 @@ use crate::reserve::{PlacementEntry, TenantState};
 use crate::txn::ReservationTxn;
 use cm_topology::{Kbps, NodeId, Topology};
 
-/// Read-set evidence of one placement computation, recorded by
-/// [`search_and_place_traced`] for the concurrent engine's conflict
-/// validation.
-///
-/// The engine needs to know which subtrees a speculative placement *looked
-/// at* — not just where it finally landed — because a failed attempt inside
-/// pod `q` makes the decision depend on `q`'s state even when the tenant
-/// ends up in pod `p`. A trace listing every attempted subtree (plus
-/// whether the search was fully traced at all) is exactly enough: together
-/// with the monotonicity of intervening admissions, attempts confined to
-/// untouched pods prove the speculative decision equals the serial one.
-#[derive(Debug, Clone, Default)]
-pub struct PlacementTrace {
-    /// Every subtree handed to an `attempt` (successful or not), in order.
-    pub attempts: Vec<NodeId>,
-    /// False when some part of the computation was not traced — the engine
-    /// must then assume the whole topology was read.
-    pub complete: bool,
-}
-
-impl PlacementTrace {
-    /// Reset for a fresh computation, optimistically marked complete.
-    pub fn reset(&mut self) {
-        self.attempts.clear();
-        self.complete = true;
-    }
-
-    /// Mark the read-set as unknown (conflicts with everything).
-    pub fn mark_unknown(&mut self) {
-        self.complete = false;
-    }
-}
-
 /// A placement algorithm that can deploy TAG tenants.
 ///
 /// Implementations are free to translate the TAG into their own pricing
@@ -84,37 +51,6 @@ pub trait Placer {
     ) -> Result<Deployed, RejectReason> {
         self.place(topo, tag)
     }
-
-    /// [`Placer::place_shared`] for the concurrent engine's speculation
-    /// path. Two contract differences:
-    ///
-    /// * it must record its read-set into `trace` (or call
-    ///   [`PlacementTrace::mark_unknown`], as this default does);
-    /// * it must **not** advance any cross-arrival placer state — the
-    ///   engine may call it repeatedly for the same arrival (speculate,
-    ///   invalidate, recompute) and expects identical answers on identical
-    ///   topologies. Cross-arrival state advances exactly once per arrival
-    ///   through [`Placer::note_arrival`] instead.
-    ///
-    /// The default forwards to `place_shared`, which is correct for
-    /// stateless placers (the engine then validates conservatively).
-    fn place_speculative(
-        &mut self,
-        topo: &mut Topology,
-        tag: &std::sync::Arc<Tag>,
-        trace: &mut PlacementTrace,
-    ) -> Result<Deployed, RejectReason> {
-        trace.mark_unknown();
-        self.place_shared(topo, tag)
-    }
-
-    /// Advance cross-arrival placer state for one arrival (in sequence
-    /// order), without placing. `CmPlacer` feeds its demand-predictor EWMA
-    /// here; stateless placers keep the no-op default. The concurrent
-    /// engine calls this exactly once per arrival on every worker's placer
-    /// replica, so placer state stays a pure function of the arrival
-    /// prefix — identical to the serial engine's per-arrival observation.
-    fn note_arrival(&mut self, _tag: &std::sync::Arc<Tag>) {}
 
     /// Resize one tier of a **live** deployment to `new_size` VMs — the
     /// tenant-lifecycle `scale` operation (§3/§6 auto-scaling). `new_tag`
@@ -186,19 +122,6 @@ impl<P: Placer + ?Sized> Placer for &mut P {
         (**self).place_shared(topo, tag)
     }
 
-    fn place_speculative(
-        &mut self,
-        topo: &mut Topology,
-        tag: &std::sync::Arc<Tag>,
-        trace: &mut PlacementTrace,
-    ) -> Result<Deployed, RejectReason> {
-        (**self).place_speculative(topo, tag, trace)
-    }
-
-    fn note_arrival(&mut self, tag: &std::sync::Arc<Tag>) {
-        (**self).note_arrival(tag)
-    }
-
     fn place_incremental(
         &mut self,
         topo: &mut Topology,
@@ -228,19 +151,6 @@ impl<P: Placer + ?Sized> Placer for Box<P> {
         tag: &std::sync::Arc<Tag>,
     ) -> Result<Deployed, RejectReason> {
         (**self).place_shared(topo, tag)
-    }
-
-    fn place_speculative(
-        &mut self,
-        topo: &mut Topology,
-        tag: &std::sync::Arc<Tag>,
-        trace: &mut PlacementTrace,
-    ) -> Result<Deployed, RejectReason> {
-        (**self).place_speculative(topo, tag, trace)
-    }
-
-    fn note_arrival(&mut self, tag: &std::sync::Arc<Tag>) {
-        (**self).note_arrival(tag)
     }
 
     fn place_incremental(
@@ -632,36 +542,6 @@ pub fn search_and_place_with<M, F>(
     ext_demand: (Kbps, Kbps),
     start_level: usize,
     search: SearchStrategy,
-    attempt: F,
-) -> Result<(), RejectReason>
-where
-    M: CutModel,
-    F: FnMut(&mut ReservationTxn<'_, M>, NodeId) -> bool,
-{
-    search_and_place_traced(
-        topo,
-        state,
-        total_vms,
-        ext_demand,
-        start_level,
-        search,
-        None,
-        attempt,
-    )
-}
-
-/// [`search_and_place_with`] that additionally records every attempted
-/// subtree into `trace` (see [`PlacementTrace`]) — the concurrent engine's
-/// evidence that a speculative placement read only the pods it attempted.
-#[allow(clippy::too_many_arguments)]
-pub fn search_and_place_traced<M, F>(
-    topo: &mut Topology,
-    state: &mut TenantState<M>,
-    total_vms: u64,
-    ext_demand: (Kbps, Kbps),
-    start_level: usize,
-    search: SearchStrategy,
-    mut trace: Option<&mut PlacementTrace>,
     mut attempt: F,
 ) -> Result<(), RejectReason>
 where
@@ -681,9 +561,6 @@ where
                 continue;
             }
         };
-        if let Some(t) = trace.as_deref_mut() {
-            t.attempts.push(st);
-        }
         let mut txn = ReservationTxn::begin(topo, state);
         if attempt(&mut txn, st) {
             // Reserve the tenant's external traffic above st

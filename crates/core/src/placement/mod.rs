@@ -26,18 +26,13 @@
 //!   free while preserving all bandwidth guarantees.
 
 mod cm;
-mod concurrent;
 mod engine;
 mod predictor;
 
 pub use cm::CmPlacer;
-pub use concurrent::{
-    replay_outcomes, run_events, run_events_serial, AdmitRecord, ConcurrentConfig,
-    ConcurrentOutcome, Event, EventOutcome,
-};
 pub use engine::{
-    place_incremental_replace, reject_reason, search_and_place, search_and_place_traced,
-    search_and_place_with, Deployed, Evacuation, PlacementTrace, Placer, SearchStrategy,
+    place_incremental_replace, reject_reason, search_and_place, search_and_place_with, Deployed,
+    Evacuation, Placer, SearchStrategy,
 };
 pub use predictor::DemandPredictor;
 

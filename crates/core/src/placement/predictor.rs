@@ -35,31 +35,16 @@ impl DemandPredictor {
     /// estimate (half current tenant, half history; pure current until any
     /// history exists) to use for its placement decisions.
     pub fn observe(&mut self, demand_kbps: f64) -> f64 {
-        // Delegate the blend to `peek` so the speculative pricing path can
-        // never drift from the observing one.
-        let mixed = self.peek(demand_kbps);
-        self.ewma = if self.observed == 0 {
+        let mixed = if self.observed == 0 {
+            self.ewma = demand_kbps;
             demand_kbps
         } else {
-            self.alpha * demand_kbps + (1.0 - self.alpha) * self.ewma
+            let mixed = 0.5 * demand_kbps + 0.5 * self.ewma;
+            self.ewma = self.alpha * demand_kbps + (1.0 - self.alpha) * self.ewma;
+            mixed
         };
         self.observed += 1;
         mixed
-    }
-
-    /// The blended estimate [`DemandPredictor::observe`] *would* return for
-    /// `demand_kbps`, without recording the observation. The concurrent
-    /// engine speculates placements out of order, so it prices each arrival
-    /// with `peek` and advances the EWMA exactly once per arrival (in
-    /// sequence order) via the placer's `note_arrival` hook — making the
-    /// predictor state a pure function of the arrival prefix, identical to
-    /// the serial engine's observe-per-arrival stream.
-    pub fn peek(&self, demand_kbps: f64) -> f64 {
-        if self.observed == 0 {
-            demand_kbps
-        } else {
-            0.5 * demand_kbps + 0.5 * self.ewma
-        }
     }
 
     /// Current EWMA estimate (0 until anything is observed).

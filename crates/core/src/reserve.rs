@@ -356,9 +356,7 @@ impl<M: CutModel> TenantState<M> {
     }
 
     /// Every uplink reservation held by this tenant, sorted by node id for
-    /// determinism. The concurrent engine serializes these into commit
-    /// records so worker replicas can replay an admission without the
-    /// placer.
+    /// determinism, so two ledgers compare entry for entry.
     pub fn reservations(&self) -> Vec<(NodeId, (Kbps, Kbps))> {
         let mut v: Vec<(NodeId, (Kbps, Kbps))> =
             self.reserved.iter().map(|(&n, &r)| (n, r)).collect();

@@ -91,7 +91,7 @@ pub struct SimResult {
     /// Peak number of concurrently deployed tenants.
     pub peak_tenants: usize,
     /// Wall-clock latency of every `admit` call (accepted and rejected),
-    /// in arrival order. Empty for schedule runs, which are not timed.
+    /// in arrival order.
     pub admit: OpLatencies,
 }
 

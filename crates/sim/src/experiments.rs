@@ -159,7 +159,7 @@ pub struct SweepCell {
 /// topology, RNG, and placer, so the results are identical
 /// for any thread count — the experiment drivers below all funnel through
 /// here, which is what parallelizes every figure harness.
-pub fn run_sweep_cells(pool: &TenantPool, cells: Vec<SweepCell>, threads: usize) -> Vec<SimResult> {
+pub fn run_sweep_cells(pool: &TenantPool, cells: &[SweepCell], threads: usize) -> Vec<SimResult> {
     crate::parallel::par_map_indexed(threads, cells, |_, cell| {
         run_sim(&cell.cfg, pool, cell.algo.placer())
     })
@@ -172,7 +172,7 @@ pub fn sweep_bmax(
     algo: Algo,
     bmax_mbps: &[f64],
 ) -> Vec<SweepPoint> {
-    let cells = bmax_mbps
+    let cells: Vec<SweepCell> = bmax_mbps
         .iter()
         .map(|&b| {
             let mut cfg = base.clone();
@@ -180,7 +180,7 @@ pub fn sweep_bmax(
             SweepCell { cfg, algo }
         })
         .collect();
-    let results = run_sweep_cells(pool, cells, crate::parallel::default_threads());
+    let results = run_sweep_cells(pool, &cells, crate::parallel::default_threads());
     bmax_mbps
         .iter()
         .zip(results)
@@ -195,7 +195,7 @@ pub fn sweep_load(
     algo: Algo,
     loads: &[f64],
 ) -> Vec<SweepPoint> {
-    let cells = loads
+    let cells: Vec<SweepCell> = loads
         .iter()
         .map(|&l| {
             let mut cfg = base.clone();
@@ -203,7 +203,7 @@ pub fn sweep_load(
             SweepCell { cfg, algo }
         })
         .collect();
-    let results = run_sweep_cells(pool, cells, crate::parallel::default_threads());
+    let results = run_sweep_cells(pool, &cells, crate::parallel::default_threads());
     loads
         .iter()
         .zip(results)
@@ -221,7 +221,7 @@ pub fn sweep_oversubscription(
     algo: Algo,
     ratios: &[f64],
 ) -> Vec<SweepPoint> {
-    let cells = ratios
+    let cells: Vec<SweepCell> = ratios
         .iter()
         .map(|&o| {
             let mut cfg = base.clone();
@@ -229,7 +229,7 @@ pub fn sweep_oversubscription(
             SweepCell { cfg, algo }
         })
         .collect();
-    let results = run_sweep_cells(pool, cells, crate::parallel::default_threads());
+    let results = run_sweep_cells(pool, &cells, crate::parallel::default_threads());
     ratios
         .iter()
         .zip(results)
@@ -245,14 +245,14 @@ pub fn ablation(pool: &TenantPool, base: &SimConfig) -> Vec<SimResult> {
         Algo::Cm(CmConfig::balance_only()),
         Algo::Ovoc,
     ];
-    let cells = variants
+    let cells: Vec<SweepCell> = variants
         .iter()
         .map(|&algo| SweepCell {
             cfg: base.clone(),
             algo,
         })
         .collect();
-    run_sweep_cells(pool, cells, crate::parallel::default_threads())
+    run_sweep_cells(pool, &cells, crate::parallel::default_threads())
 }
 
 /// Fig. 11: guarantee a required WCS and measure achieved WCS + rejected
@@ -288,7 +288,7 @@ pub fn ha_sweep(
             ]
         })
         .collect();
-    let results = run_sweep_cells(pool, cells, crate::parallel::default_threads());
+    let results = run_sweep_cells(pool, &cells, crate::parallel::default_threads());
     rwcs_list
         .iter()
         .zip(results.chunks_exact(2))
@@ -352,6 +352,39 @@ mod tests {
         );
         assert_eq!(pts.len(), 2);
         assert!(pts[0].x < pts[1].x);
+    }
+
+    /// Everything a sweep cell decides, floats by their exact `Debug`
+    /// rendering (so an unmeasured WCS's NaN compares equal to itself);
+    /// the wall-clock `admit` latencies are left out.
+    fn decisions(r: &SimResult) -> String {
+        format!(
+            "{} {:?} {:?} {:?} {}",
+            r.algo, r.rejections, r.wcs, r.wcs_by_level, r.peak_tenants
+        )
+    }
+
+    #[test]
+    fn sweep_results_are_identical_at_any_thread_count() {
+        let pool = mixed_pool(5);
+        let cells: Vec<SweepCell> = [
+            Algo::Cm(CmConfig::cm()),
+            Algo::Cm(CmConfig::cm_ha(0.5)),
+            Algo::Ovoc,
+        ]
+        .into_iter()
+        .map(|algo| SweepCell {
+            cfg: quick_cfg(),
+            algo,
+        })
+        .collect();
+        let serial = run_sweep_cells(&pool, &cells, 1);
+        let parallel = run_sweep_cells(&pool, &cells, 3);
+        assert_eq!(serial.len(), 3);
+        assert!(serial.iter().any(|r| r.rejections.rejected_tenants > 0));
+        let serial: Vec<String> = serial.iter().map(decisions).collect();
+        let parallel: Vec<String> = parallel.iter().map(decisions).collect();
+        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -27,10 +27,7 @@
 //! * [`run_churn`] — the autoscaling-churn loop (admit → scale out →
 //!   scale in → migrate → depart), which [`run_churn_traffic`] watches
 //!   with periodic datacenter-wide traffic solves and [`run_churn_faults`]
-//!   with fault injection and repair;
-//! * [`run_schedule_serial`] / [`run_schedule_concurrent`] — a
-//!   pre-generated event schedule through `cm-core`'s serial reference and
-//!   its concurrent engine.
+//!   with fault injection and repair.
 
 /// The discrete-event core: clock, queue, and event kinds.
 pub mod events;
@@ -44,8 +41,6 @@ pub mod lifecycle;
 pub mod metrics;
 /// Hand-rolled scoped worker pool for sweep parallelism.
 pub mod parallel;
-/// Workload schedules: arrival processes and tenant mixes.
-pub mod schedule;
 /// Incremental traffic engine with route caching and flow bundling.
 pub mod traffic;
 
@@ -60,7 +55,6 @@ pub use metrics::{
     reprice_by_level, wcs_from_placement, OpLatencies, RejectionCounts, WcsByLevel, WcsStats,
 };
 pub use parallel::{default_threads, par_map_indexed};
-pub use schedule::{build_schedule, run_schedule_concurrent, run_schedule_serial, Schedule};
 pub use traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport, TrafficStep};
 
 /// Debug-build invariant sweep: re-derive a conservation invariant from

@@ -124,9 +124,8 @@ impl WcsAccumulator {
 /// per-server counts: `1 − max_A N^t_A / N^t` over the domains `A` at
 /// `level` (0 = server). Matches
 /// [`Deployed::wcs_at_level`](cm_core::placement::Deployed::wcs_at_level)
-/// and exists so metrics can be derived from a recorded placement (e.g. an
-/// [`AdmitRecord`](cm_core::placement::AdmitRecord)) long after the live
-/// deployment is gone. `None` for empty/external tiers.
+/// and exists so metrics can be derived from a recorded placement long
+/// after the live deployment is gone. `None` for empty/external tiers.
 pub fn wcs_from_placement(
     topo: &Topology,
     placement: &[(NodeId, Vec<u32>)],

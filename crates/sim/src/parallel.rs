@@ -2,10 +2,9 @@
 //!
 //! **Why hand-rolled:** this workspace builds in a network-isolated
 //! container (see `third_party/`), so rayon/crossbeam are deliberately out
-//! of reach; scoped threads plus a mutex-guarded work queue cover
-//! everything the experiment sweeps need. Contributions must keep it that
-//! way — no new external concurrency dependencies. The primitives come
-//! from `cm_core::sync`, so `cm-race` can model-check this pool too.
+//! of reach; scoped threads plus one atomic work counter cover everything
+//! the experiment sweeps need. Contributions must keep it that way — no
+//! new external concurrency dependencies.
 //!
 //! [`par_map_indexed`] preserves determinism by construction: each task's
 //! result is stored at its input index, so the output order (and therefore
@@ -14,68 +13,64 @@
 //! simulation cell is, since each builds its own topology, RNG, and
 //! admission controller from scratch.
 
-// Acquisition order: the work queue is popped (a guard that dies at end of
-// statement) strictly before a result slot is written. Never write a slot
-// while holding the queue guard — cm-analyze checks inversions against
-// this header, and cm-race verifies it dynamically through the sync shim.
-// cm-analyze: lock-order(queue < slots)
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cm_core::sync::{scope, Mutex};
-use std::collections::VecDeque;
-
-/// Default worker count for experiment sweeps: `CM_SWEEP_THREADS` when
-/// set (0 or unparsable falls back), else the machine's available
+/// Default worker count for experiment sweeps: the machine's available
 /// parallelism.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("CM_SWEEP_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
 /// Apply `f` to every item on up to `threads` workers and return the
-/// results in input order. `f(i, item)` receives the item's index; results
-/// are merged by index, so the outcome is identical for any `threads`.
-pub fn par_map_indexed<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+/// results in input order. `f(i, &item)` receives the item's index;
+/// results are merged by index, so the outcome is identical for any
+/// `threads`.
+pub fn par_map_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
     let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
+    if threads <= 1 {
         return items
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = queue.lock().expect("queue lock").pop_front();
-                let Some((i, item)) = job else { break };
-                let r = f(i, item);
-                *slots[i].lock().expect("slot lock") = Some(r);
-            });
-        }
+    // Workers claim indices from one shared counter and keep their
+    // `(index, result)` pairs; the merge below puts each at its index.
+    let next = AtomicUsize::new(0);
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(i, item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("sweep worker panicked"))
+            .collect()
     });
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in claimed.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
     slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot lock")
-                .expect("every task ran to completion")
-        })
+        .map(|r| r.expect("every index is claimed exactly once"))
         .collect()
 }
 
@@ -88,20 +83,33 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1usize, 2, 3, 8, 64] {
-            let got = par_map_indexed(threads, items.clone(), |_, x| x * x);
+            let got = par_map_indexed(threads, &items, |_, x| x * x);
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
 
     #[test]
+    fn every_index_runs_exactly_once() {
+        let items: Vec<u32> = (0..37).collect();
+        for threads in [1usize, 2, 3, 64] {
+            let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            par_map_indexed(threads, &items, |i, _| {
+                calls[i].fetch_add(1, Ordering::SeqCst);
+            });
+            let counts: Vec<usize> = calls.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+            assert_eq!(counts, vec![1; items.len()], "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn index_is_passed_through() {
-        let got = par_map_indexed(4, vec!["a", "b", "c"], |i, s| format!("{i}{s}"));
+        let got = par_map_indexed(4, &["a", "b", "c"], |i, s| format!("{i}{s}"));
         assert_eq!(got, vec!["0a", "1b", "2c"]);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let got: Vec<u32> = par_map_indexed(4, Vec::<u32>::new(), |_, x| x);
+        let got: Vec<u32> = par_map_indexed(4, &[] as &[u32], |_, &x| x);
         assert!(got.is_empty());
     }
 }

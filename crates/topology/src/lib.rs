@@ -56,12 +56,10 @@
 //! correct by construction; [`Topology::check_invariants`] recomputes
 //! every aggregate brute-force for the property tests.
 
-mod shard;
 mod spec;
 mod tree;
 mod units;
 
-pub use shard::{PodPartition, ShardId, ShardSet};
 pub use spec::TreeSpec;
 pub use tree::{NodeId, Topology, TopologyError};
 pub use units::{gbps, kbps_to_gbps, kbps_to_mbps, mbps, Kbps, UNLIMITED_KBPS};
