@@ -4,7 +4,7 @@
 use cm_core::cut::CutModel;
 use cm_core::model::{PipeModel, VocModel};
 use cm_workloads::bing_like_pool;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_cuts(c: &mut Criterion) {
@@ -35,5 +35,9 @@ fn bench_cuts(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_cuts);
+/// Runs the cut-math benchmarks; `criterion_main!` calls it.
+pub fn benches() {
+    bench_cuts(&mut Criterion::default().configure_from_args());
+}
+
 criterion_main!(benches);

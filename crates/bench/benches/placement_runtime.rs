@@ -12,7 +12,7 @@ use cm_baselines::{OktopusVcPlacer, OvocPlacer, SecondNetPlacer};
 use cm_core::placement::{CmConfig, CmPlacer, Placer};
 use cm_topology::{Topology, TreeSpec};
 use cm_workloads::apps;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 /// A representative TAG of roughly `n` VMs: three tiers plus a DB-style
@@ -61,5 +61,9 @@ fn bench_placement(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_placement);
+/// Runs the placement-runtime benchmarks; `criterion_main!` calls it.
+pub fn benches() {
+    bench_placement(&mut Criterion::default().configure_from_args());
+}
+
 criterion_main!(benches);

@@ -322,11 +322,15 @@ impl Size {
 
 /// One placer's serial admission run (the `results` section).
 pub struct BenchRow {
+    /// Placer label, as the report prints it.
     pub name: &'static str,
+    /// Tenant arrivals offered.
     pub arrivals: usize,
+    /// Arrivals the placer admitted.
     pub admitted: usize,
     /// Of the whole simulation, not just the `admit` calls.
     pub wall_secs: f64,
+    /// Latency distribution of the `admit` calls.
     pub admit: OpLatencies,
 }
 
@@ -423,7 +427,9 @@ pub fn fault_churn(size: Size, pool: &TenantPool) -> Vec<FaultChurnReport> {
 
 /// One traffic run plus the scale it ran at.
 pub struct TrafficRun {
+    /// Servers in the datacenter the run used.
     pub servers: usize,
+    /// The churn run's traffic-step report.
     pub report: TrafficChurnReport,
 }
 

@@ -84,6 +84,8 @@
 //! }
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use cm_core::model::{Tag, TierId};
 use cm_core::placement::{place_incremental_replace, Deployed, Placer};
 use cm_topology::{Kbps, NodeId, Topology, TreeSpec};
@@ -513,8 +515,11 @@ impl<P: Placer> Cluster<P> {
     /// [`Fault::DegradeLink`] with `fraction` outside `[0, 1]`.
     pub fn inject_fault(&mut self, fault: Fault) -> Result<FaultReport, CmError> {
         let (failed_servers, domain_level) = match fault {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fault injection mutates the substrate, not a reservation"
+            )]
             Fault::Server(s) => {
-                // cm-analyze: allow(txn-discipline) -- fault injection mutates the substrate, not a reservation
                 let newly = if self.topo.fail_server(s)? {
                     vec![s]
                 } else {
@@ -522,12 +527,20 @@ impl<P: Placer> Cluster<P> {
                 };
                 (newly, 0u8)
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fault injection mutates the substrate, not a reservation"
+            )]
             Fault::Domain(n) => {
                 let level = self.topo.level(n);
-                (self.topo.fail_domain(n)?, level) // cm-analyze: allow(txn-discipline) -- fault injection mutates the substrate, not a reservation
+                (self.topo.fail_domain(n)?, level)
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fault injection mutates the substrate, not a reservation"
+            )]
             Fault::DegradeLink { node, fraction } => {
-                self.topo.degrade_link(node, fraction)?; // cm-analyze: allow(txn-discipline) -- fault injection mutates the substrate, not a reservation
+                self.topo.degrade_link(node, fraction)?;
                 (Vec::new(), 0u8)
             }
         };
@@ -582,17 +595,28 @@ impl<P: Placer> Cluster<P> {
     /// degraded) stay recorded and are returned as `degraded`.
     pub fn repair(&mut self, fault: Fault) -> Result<RepairReport, CmError> {
         let restored_servers = match fault {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bit-exact substrate repair, not a reservation"
+            )]
             Fault::Server(s) => {
-                // cm-analyze: allow(txn-discipline) -- bit-exact substrate repair, not a reservation
                 if self.topo.restore_server(s)? {
                     vec![s]
                 } else {
                     Vec::new()
                 }
             }
-            Fault::Domain(n) => self.topo.restore_domain(n)?, // cm-analyze: allow(txn-discipline) -- bit-exact substrate repair, not a reservation
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bit-exact substrate repair, not a reservation"
+            )]
+            Fault::Domain(n) => self.topo.restore_domain(n)?,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bit-exact substrate repair, not a reservation"
+            )]
             Fault::DegradeLink { node, .. } => {
-                self.topo.restore_link(node)?; // cm-analyze: allow(txn-discipline) -- bit-exact substrate repair, not a reservation
+                self.topo.restore_link(node)?;
                 Vec::new()
             }
         };
@@ -853,8 +877,9 @@ impl<P: Placer> Cluster<P> {
     /// tenants, and re-expand exactly the tenants whose placement version
     /// moved.
     fn sync_traffic_engine(&self, model: GuaranteeModel) -> RefMut<'_, TrafficEngine> {
-        let mut slot = self.traffic.borrow_mut();
-        let engine = slot.get_or_insert_with(|| TrafficEngine::new(&self.topo, model));
+        let mut engine = RefMut::map(self.traffic.borrow_mut(), |s| {
+            s.get_or_insert_with(|| TrafficEngine::new(&self.topo, model))
+        });
         engine.set_model(model);
         if self.traffic_fault_epoch.get() != self.fault_epoch {
             // Degraded/restored uplinks shrink/restore their fluid
@@ -888,7 +913,7 @@ impl<P: Placer> Cluster<P> {
             let placement = entry.deployed.placement(&self.topo);
             engine.upsert_tenant(&self.topo, id.raw(), entry.version, &entry.tag, &placement);
         }
-        RefMut::map(slot, |s| s.as_mut().expect("engine just ensured")) // cm-analyze: allow(no-unwrap-in-hot-path) -- the Option is filled unconditionally above; RefMut::map cannot propagate an error
+        engine
     }
 
     /// [`Cluster::traffic_report`] with explicit instantaneous

@@ -103,6 +103,10 @@ impl Default for CmPlacer {
     }
 }
 
+#[expect(
+    clippy::too_many_arguments,
+    reason = "Algorithm 1's steps take the search state (transaction, need, subtree, demand mix, spread, scratch) as explicit arguments"
+)]
 impl CmPlacer {
     /// Create a placer with the given configuration, labeled with the
     /// configuration's canonical name ([`CmConfig::label`]).
@@ -288,7 +292,6 @@ impl CmPlacer {
         res
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn grow_tier(
         &self,
         topo: &mut Topology,
@@ -333,9 +336,13 @@ impl CmPlacer {
             // Could not place the delta anywhere: restore the old model
             // (its prices are the ones currently reserved, so this cannot
             // fail).
+            #[expect(
+                clippy::expect_used,
+                reason = "rollback to the exact reserved prices cannot exceed capacity"
+            )]
             state
                 .replace_model(topo, Arc::clone(old_tag))
-                .expect("restoring the pre-growth model frees capacity"); // cm-analyze: allow(no-unwrap-in-hot-path) -- rollback to the exact reserved prices cannot exceed capacity
+                .expect("restoring the pre-growth model frees capacity");
         }
         res
     }
@@ -443,7 +450,12 @@ impl CmPlacer {
         let domain_of = |server: NodeId| -> NodeId {
             let mut n = server;
             while topo.level(n) < laa_level {
-                n = topo.parent(n).expect("LAA level is below the root"); // cm-analyze: allow(no-unwrap-in-hot-path) -- loop guard stops below laa_level, so a parent exists
+                #[expect(
+                    clippy::expect_used,
+                    reason = "loop guard stops below laa_level, so a parent exists"
+                )]
+                let up = topo.parent(n).expect("LAA level is below the root");
+                n = up;
             }
             n
         };
@@ -460,17 +472,27 @@ impl CmPlacer {
             *totals.entry(d).or_insert(0) += k;
         }
         for _ in 0..delta {
+            #[expect(
+                clippy::expect_used,
+                reason = "delta <= placed VM count is checked by the caller"
+            )]
             let (&max_domain, _) = totals
                 .iter()
                 .max_by_key(|&(&d, &t)| (t, std::cmp::Reverse(d)))
-                .expect("deployment holds fewer VMs than its model"); // cm-analyze: allow(no-unwrap-in-hot-path) -- delta <= placed VM count is checked by the caller
+                .expect("deployment holds fewer VMs than its model");
+            #[expect(
+                clippy::expect_used,
+                reason = "totals only tracks domains with rows, and max total > 0"
+            )]
             let row = rows
                 .iter_mut()
                 .find(|r| r.0 == max_domain && r.2 > 0)
-                .expect("the fullest domain has a populated server"); // cm-analyze: allow(no-unwrap-in-hot-path) -- totals only tracks domains with rows, and max total > 0
+                .expect("the fullest domain has a populated server");
             row.2 -= 1;
             row.3 += 1;
-            *totals.get_mut(&max_domain).expect("domain tracked") -= 1; // cm-analyze: allow(no-unwrap-in-hot-path) -- key came from iterating this map
+            #[expect(clippy::expect_used, reason = "key came from iterating this map")]
+            let total = totals.get_mut(&max_domain).expect("domain tracked");
+            *total -= 1;
         }
         if totals.values().any(|&t| t > cap) {
             return Err(RejectReason::InsufficientBandwidth);
@@ -492,7 +514,6 @@ impl CmPlacer {
     /// returning; if that fails, everything this call staged is rolled back
     /// (with `need` restored) and 0 is returned. Otherwise returns the
     /// number of VMs this call placed.
-    #[allow(clippy::too_many_arguments)]
     fn alloc(
         &self,
         txn: &mut ReservationTxn<'_, Tag>,
@@ -564,8 +585,12 @@ impl CmPlacer {
             need[t] -= k;
             left -= k;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "chunks sum to at most the free slots counted above"
+        )]
         txn.place_many(server, &chunks)
-            .expect("slot count was checked"); // cm-analyze: allow(no-unwrap-in-hot-path) -- chunks sum to at most the free slots counted above
+            .expect("slot count was checked");
         scratch.put_pairs(chunks);
         scratch.put_idxs(order);
     }
@@ -579,7 +604,6 @@ impl CmPlacer {
     /// hose tier or trunk endpoint can land under a single child, within
     /// HA headroom; under opportunistic HA, colocation must additionally be
     /// *desirable* (§4.5).
-    #[allow(clippy::too_many_arguments)]
     fn coloc_feasible(
         &self,
         topo: &Topology,
@@ -641,7 +665,6 @@ impl CmPlacer {
 
     /// `Colocate(g, st)`: repeatedly pick a verified bandwidth-saving group
     /// of tiers and recurse into the chosen child.
-    #[allow(clippy::too_many_arguments)]
     fn colocate(
         &self,
         txn: &mut ReservationTxn<'_, Tag>,
@@ -704,7 +727,6 @@ impl CmPlacer {
     /// `Balance` to pair with high-bandwidth VMs (§4.4, Fig. 6). Groups are
     /// seeded by the single tier or trunk-edge pair with the largest exact
     /// saving and grown greedily while the marginal saving stays positive.
-    #[allow(clippy::too_many_arguments)]
     fn find_tiers_to_coloc(
         &self,
         topo: &Topology,
@@ -827,7 +849,6 @@ impl CmPlacer {
     /// lets the receiver-side cap of Eq. 1's `min()` bind. The closed forms
     /// assume the paper's balanced case; the cut difference is
     /// authoritative.
-    #[allow(clippy::too_many_arguments)]
     fn build_group(
         &self,
         topo: &Topology,
@@ -1041,7 +1062,6 @@ impl CmPlacer {
 
     /// `Balance(g, st)`: place the remaining (non-saving) VMs so that each
     /// child's slot and bandwidth utilizations approach 100% together.
-    #[allow(clippy::too_many_arguments)]
     fn balance(
         &self,
         txn: &mut ReservationTxn<'_, Tag>,
@@ -1090,7 +1110,6 @@ impl CmPlacer {
     /// fills one child in three dimensions (slots, out-bw, in-bw); under
     /// opportunistic HA with saving undesirable, it returns a single VM for
     /// the child that stays most balanced (§4.5, third modification).
-    #[allow(clippy::too_many_arguments)]
     fn md_subset_sum(
         &self,
         topo: &Topology,
@@ -1152,8 +1171,7 @@ impl CmPlacer {
         // representative and reuse its (selection, score). On a fresh rack
         // that collapses the shortlist to a single fill.
         let memo_allowed = !matches!(self.cfg.ha, HaPolicy::Guaranteed { .. });
-        let mut memo_key: Option<FillKey> = None;
-        let mut memo_val: Option<(Vec<u32>, f64)> = None;
+        let mut memo: Option<(FillKey, Vec<u32>, f64)> = None;
         let mut best: Option<(f64, u64, NodeId, Vec<u32>)> = None;
         for &child in &children {
             let key = (
@@ -1162,27 +1180,29 @@ impl CmPlacer {
                 topo.uplink_capacity(child),
                 topo.uplink_avail(child),
             );
-            let (sel, score) = if memo_allowed && state.is_untouched(child) && memo_key == Some(key)
-            {
-                let (m_sel, m_score) = memo_val.as_ref().expect("memo key implies value"); // cm-analyze: allow(no-unwrap-in-hot-path) -- memo_key and memo_val are written together
-                let mut sel = scratch.u32s();
-                sel.extend_from_slice(m_sel);
-                (sel, *m_score)
-            } else {
-                let (sel, score) = self.greedy_fill(topo, state, tag, need, child, scratch);
-                if memo_allowed && state.is_untouched(child) {
-                    memo_key = Some(key);
-                    let mut copy = match memo_val.take() {
-                        Some((old, _)) => {
-                            scratch.put_u32s(old);
-                            scratch.u32s()
-                        }
-                        None => scratch.u32s(),
-                    };
-                    copy.extend_from_slice(&sel);
-                    memo_val = Some((copy, score));
+            let (sel, score) = match &memo {
+                Some((m_key, m_sel, m_score))
+                    if memo_allowed && state.is_untouched(child) && *m_key == key =>
+                {
+                    let mut sel = scratch.u32s();
+                    sel.extend_from_slice(m_sel);
+                    (sel, *m_score)
                 }
-                (sel, score)
+                _ => {
+                    let (sel, score) = self.greedy_fill(topo, state, tag, need, child, scratch);
+                    if memo_allowed && state.is_untouched(child) {
+                        let mut copy = match memo.take() {
+                            Some((_, old, _)) => {
+                                scratch.put_u32s(old);
+                                scratch.u32s()
+                            }
+                            None => scratch.u32s(),
+                        };
+                        copy.extend_from_slice(&sel);
+                        memo = Some((key, copy, score));
+                    }
+                    (sel, score)
+                }
             };
             let placed = need_total(&sel);
             if placed == 0 {
@@ -1202,7 +1222,7 @@ impl CmPlacer {
                 scratch.put_u32s(sel);
             }
         }
-        if let Some((v, _)) = memo_val {
+        if let Some((_, v, _)) = memo {
             scratch.put_u32s(v);
         }
         scratch.put_nodes(children);
@@ -1338,7 +1358,6 @@ impl CmPlacer {
 
     /// Plain slot-first-fit used when `Balance` is disabled (Fig. 10's
     /// Coloc-only ablation).
-    #[allow(clippy::too_many_arguments)]
     fn first_fit(
         &self,
         txn: &mut ReservationTxn<'_, Tag>,
@@ -1411,10 +1430,14 @@ impl CmPlacer {
         if topo.level(node) > laa_level {
             return u32::MAX;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "level(node) <= laa_level was checked above and path_to_root visits every level"
+        )]
         let domain = topo
             .path_to_root(node)
             .find(|&a| topo.level(a) == laa_level)
-            .expect("every node has an ancestor at laa_level"); // cm-analyze: allow(no-unwrap-in-hot-path) -- level(node) <= laa_level was checked above and path_to_root visits every level
+            .expect("every node has an ancestor at laa_level");
         let n = tag.tiers()[tier].size;
         if tag.tiers()[tier].external {
             return u32::MAX;

@@ -25,6 +25,8 @@
 //!   per-VM demand, EWMA-predicted from past arrivals), improving WCS for
 //!   free while preserving all bandwidth guarantees.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod cm;
 mod engine;
 mod predictor;

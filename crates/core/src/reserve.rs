@@ -20,6 +20,11 @@
 //! [`crate::txn::ReservationTxn`], which layers savepoints and exact
 //! commit/rollback on top of the primitives here.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the reservation layer `ReservationTxn` delegates to; every call is undo-logged"
+)]
+
 use crate::cut::CutModel;
 use crate::fasthash::FastMap;
 use cm_topology::{Kbps, NodeId, Topology, TopologyError};

@@ -616,7 +616,10 @@ fn even_share(g: f64, cnt: u32) -> f64 {
 /// each bundle as one flow of `net` under the canonical
 /// `(tenant, sequence)` key the component solver orders by. Every routed
 /// path is built once and moved into its [`FlowSpec`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one tenant's expansion reads the model, TAG, placement and topology and writes the route cache and fluid network"
+)]
 fn expand_tenant(
     model: GuaranteeModel,
     tag: &Arc<Tag>,
@@ -1016,6 +1019,10 @@ mod tests {
     /// engine built over the degraded topology, and restoring the links
     /// returns the original rates.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "degrades and restores uplinks directly to test the engine's capacity sync"
+    )]
     fn sync_link_caps_matches_fresh_engine_on_degraded_topology() {
         let mut topo = topo();
         let servers = topo.servers();

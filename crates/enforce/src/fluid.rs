@@ -26,6 +26,8 @@
 //! `O(flows × links)` scan (a different algorithm), and
 //! [`Fluid::verify_max_min`], the KKT definition of the allocation.
 
+#![warn(clippy::float_cmp)]
+
 /// One flow: a path over link indices plus its rate-control parameters.
 #[derive(Debug, Clone)]
 pub struct FlowSpec {
@@ -161,11 +163,15 @@ impl Fluid {
             self.link_flows[l].swap_remove(p);
             if p < self.link_flows[l].len() {
                 let moved = self.link_flows[l][p] as usize;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "link_flows[l] only holds flows whose path contains l (kept in sync on insert/remove)"
+                )]
                 let slot = self.flows[moved]
                     .path
                     .iter()
                     .position(|&ml| ml == l)
-                    .expect("indexed flow crosses the link"); // cm-analyze: allow(no-unwrap-in-hot-path) -- link_flows[l] only holds flows whose path contains l (kept in sync on insert/remove)
+                    .expect("indexed flow crosses the link");
                 self.flow_pos[moved][slot] = p as u32;
             }
         }
@@ -822,7 +828,7 @@ mod tests {
                 // remove_flow swap-removes: mirror that on the shadow list.
                 let shadow = live.swap_remove(victim);
                 assert_eq!(spec.path, shadow.path);
-                assert_eq!(spec.floor, shadow.floor);
+                assert_eq!(spec.floor.to_bits(), shadow.floor.to_bits());
             } else {
                 let f = mk(next(8), next(8), (step % 5) as f64 * 50.0);
                 live.push(f.clone());

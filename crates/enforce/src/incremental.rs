@@ -58,6 +58,8 @@
 //! indexes, freeze queues, the traversal's stamp maps — is pooled across
 //! steps and never cleared wholesale.
 
+#![warn(clippy::float_cmp)]
+
 use crate::fluid::{tol, FillScratch, FlowSpec, Fluid};
 
 /// Component label of a link no flow crosses.
@@ -271,7 +273,10 @@ impl IncrementalFluid {
     /// no component; the solve only reports it as changed. Returns whether
     /// the capacity actually changed.
     pub fn set_link_cap(&mut self, l: usize, cap_kbps: f64) -> bool {
-        // cm-analyze: allow(float-eq) -- intentional bit-exact "did the stored capacity change at all" dirty check; no arithmetic feeds either side
+        #[expect(
+            clippy::float_cmp,
+            reason = "intentional bit-exact \"did the stored capacity change at all\" dirty check; no arithmetic feeds either side"
+        )]
         if self.net.link_cap(l) == cap_kbps {
             return false;
         }

@@ -44,6 +44,8 @@
 //! [`fluid::Fluid::rates`] runs — the step that takes the engine to
 //! 100k+-server fat-trees.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 /// Tenant traffic reports and per-level utilization accounting.
 pub mod datacenter;
 /// Elasticity-aware bandwidth headroom for scaling tenants.

@@ -98,13 +98,23 @@ impl RouteCache {
             let mut a = src;
             while a != meet {
                 path.push(up[a.index()]);
-                a = topo.parent(a).expect("LCA is above src"); // cm-analyze: allow(no-unwrap-in-hot-path) -- lca() returns an ancestor of src, so the walk stops before the root
+                #[expect(
+                    clippy::expect_used,
+                    reason = "lca() returns an ancestor of src, so the walk stops before the root"
+                )]
+                let up_a = topo.parent(a).expect("LCA is above src");
+                a = up_a;
             }
             let mark = path.len();
             let mut b = dst;
             while b != meet {
                 path.push(up[b.index()] + 1);
-                b = topo.parent(b).expect("LCA is above dst"); // cm-analyze: allow(no-unwrap-in-hot-path) -- lca() returns an ancestor of dst, so the walk stops before the root
+                #[expect(
+                    clippy::expect_used,
+                    reason = "lca() returns an ancestor of dst, so the walk stops before the root"
+                )]
+                let up_b = topo.parent(b).expect("LCA is above dst");
+                b = up_b;
             }
             path[mark..].reverse();
             path

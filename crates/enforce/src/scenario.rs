@@ -22,13 +22,17 @@ pub struct Fig13Point {
 /// unreserved. Returns the steady-state throughputs under the given
 /// guarantee model (`Tag` = the paper's patched ElasticSwitch; `Hose`
 /// shows the failure mode).
+#[expect(
+    clippy::expect_used,
+    reason = "figure scenario with compile-time-constant builder inputs; covered by the scenario tests"
+)]
 pub fn fig13_throughput(senders: u32, model: GuaranteeModel) -> Fig13Point {
     let mut b = TagBuilder::new("fig13");
     let c1 = b.tier("C1", 1);
     let c2 = b.tier("C2", 1 + senders);
-    b.edge(c1, c2, 450_000, 450_000).expect("valid"); // cm-analyze: allow(no-unwrap-in-hot-path) -- figure scenario with compile-time-constant builder inputs; covered by the scenario tests
-    b.self_loop(c2, 450_000).expect("valid"); // cm-analyze: allow(no-unwrap-in-hot-path) -- figure scenario with compile-time-constant builder inputs; covered by the scenario tests
-    let tag = b.build().expect("valid TAG"); // cm-analyze: allow(no-unwrap-in-hot-path) -- figure scenario with compile-time-constant builder inputs; covered by the scenario tests
+    b.edge(c1, c2, 450_000, 450_000).expect("valid");
+    b.self_loop(c2, 450_000).expect("valid");
+    let tag = b.build().expect("valid TAG");
     let mut tiers = vec![c1, c2];
     tiers.extend(std::iter::repeat_n(c2, senders as usize));
     let enforcer = Enforcer::new(tag, tiers, model);
@@ -72,6 +76,10 @@ pub struct Fig4Point {
 /// `db_senders` greedy flows), the hose model splits the aggregate
 /// 600 Mbps guarantee by max-min across *senders* and fails to protect the
 /// web traffic; TAG keeps 500/100.
+#[expect(
+    clippy::expect_used,
+    reason = "figure scenario with compile-time-constant builder inputs; covered by the scenario tests"
+)]
 pub fn fig4_throughput(web_senders: u32, db_senders: u32, model: GuaranteeModel) -> Fig4Point {
     assert!(web_senders > 0 && db_senders > 0);
     let mut b = TagBuilder::new("fig4");
@@ -92,15 +100,15 @@ pub fn fig4_throughput(web_senders: u32, db_senders: u32, model: GuaranteeModel)
         500_000_u64.div_ceil(web_senders as u64),
         500_000,
     )
-    .expect("valid"); // cm-analyze: allow(no-unwrap-in-hot-path) -- figure scenario with compile-time-constant builder inputs; covered by the scenario tests
+    .expect("valid");
     b.edge(db, logic, 100_000_u64.div_ceil(db_senders as u64), 100_000)
-        .expect("valid"); // cm-analyze: allow(no-unwrap-in-hot-path) -- figure scenario with compile-time-constant builder inputs; covered by the scenario tests
-                          // DB-DB consistency traffic (B3 of Fig. 2(a)). Under the hose model it
-                          // inflates each DB VM's aggregate send hose (Fig. 2(b): B2 + B3), which
-                          // is exactly what lets a DB burst towards the logic VM dilute the web
-                          // tier's guarantee.
-    b.self_loop(db, 100_000).expect("valid"); // cm-analyze: allow(no-unwrap-in-hot-path) -- figure scenario with compile-time-constant builder inputs; covered by the scenario tests
-    let tag = b.build().expect("valid TAG"); // cm-analyze: allow(no-unwrap-in-hot-path) -- figure scenario with compile-time-constant builder inputs; covered by the scenario tests
+        .expect("valid");
+    // DB-DB consistency traffic (B3 of Fig. 2(a)). Under the hose model it
+    // inflates each DB VM's aggregate send hose (Fig. 2(b): B2 + B3), which
+    // is exactly what lets a DB burst towards the logic VM dilute the web
+    // tier's guarantee.
+    b.self_loop(db, 100_000).expect("valid");
+    let tag = b.build().expect("valid TAG");
 
     // VM 0..web_senders = web; then the logic VM; then DB VMs.
     let mut tiers: Vec<TierId> = std::iter::repeat_n(web, web_senders as usize).collect();

@@ -61,12 +61,11 @@ pub use traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport, Tra
 /// scratch and panic with the full violation text if it fails. Compiles to
 /// nothing in release builds.
 ///
-/// This is the *dynamic* half of the `txn-discipline` convention the
-/// static pass (`cargo run -p cm-analyze`) enforces lexically: the static
-/// rule keeps every [`cm_topology::Topology`] mutation inside the
-/// reservation layer, and this sweep re-derives the ledger those
-/// transactions maintain. Both halves report under the same rule name so a
-/// failure in either greps to the same entry in `ANALYSIS.md#txn-discipline`.
+/// This is the *dynamic* half of the `txn-discipline` convention. The
+/// static half is the `disallowed-methods` entry in the root `clippy.toml`,
+/// which keeps every [`cm_topology::Topology`] mutation inside the
+/// reservation layer; this sweep re-derives the ledger those transactions
+/// maintain, and panics under the convention's name.
 #[inline]
 pub fn debug_invariant_sweep<F>(check: F)
 where

@@ -13,7 +13,7 @@
 //! simulation cell is, since each builds its own topology, RNG, and
 //! admission controller from scratch.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Default worker count for experiment sweeps: the machine's available
 /// parallelism.
@@ -44,7 +44,11 @@ where
     }
     // Workers claim indices from one shared counter and keep their
     // `(index, result)` pairs; the merge below puts each at its index.
-    let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the pool's one lock-free counter: each `SeqCst` fetch_add hands out a distinct index, and the scope join publishes every result"
+    )]
+    let next = std::sync::atomic::AtomicUsize::new(0);
     let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
@@ -89,7 +93,12 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-index call counters shared by the pool's worker threads"
+    )]
     fn every_index_runs_exactly_once() {
+        use std::sync::atomic::AtomicUsize;
         let items: Vec<u32> = (0..37).collect();
         for threads in [1usize, 2, 3, 64] {
             let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();

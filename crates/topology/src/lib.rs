@@ -56,6 +56,11 @@
 //! correct by construction; [`Topology::check_invariants`] recomputes
 //! every aggregate brute-force for the property tests.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the defining crate: the mutators, their tests and their own maintenance"
+)]
+
 mod spec;
 mod tree;
 mod units;

@@ -15,6 +15,11 @@
 //!   statistics under both search implementations (the linear scan lives on
 //!   as [`SearchStrategy::LinearReference`], a test/benchmark-only mode).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the property test drives the topology's mutators directly to fuzz its aggregates"
+)]
+
 use cloudmirror::core::placement::{
     find_lowest_subtree, find_lowest_subtree_linear, CmConfig, CmPlacer, SearchStrategy,
 };
