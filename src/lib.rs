@@ -44,6 +44,12 @@
 //! cargo run --release -p cm-bench --bin reproduce_all
 //! ```
 
+#[cfg(test)]
+#[path = "../tests/lint_fixture/mod.rs"]
+mod lint_fixture;
+#[cfg(test)]
+mod rules;
+
 pub use cm_baselines as baselines;
 pub use cm_cluster as cluster;
 pub use cm_core as core;
@@ -63,3 +69,30 @@ pub use cm_core::{
     TagBuilder, TierId,
 };
 pub use cm_topology::{gbps, mbps, Kbps, Topology, TreeSpec};
+
+#[cfg(test)]
+mod tests {
+    use crate::lint_fixture::{check, Case};
+
+    /// A stated exception silences exactly the finding it names, counts as
+    /// fulfilled, and leaves the next item's finding alone.
+    #[test]
+    fn suppressed_findings_are_dropped_and_pragma_counts_as_used() {
+        check(&Case {
+            name: "expect-fulfilled",
+            homes: &[&["crates/enforce/src/lib.rs", "crates/enforce/src/route.rs"]],
+            source: r#"
+/// Every key is inserted before it is looked up.
+#[expect(clippy::unwrap_used, reason = "keys are inserted at build time")]
+pub fn cached(cache: &std::collections::HashMap<u64, u32>, key: u64) -> u32 {
+    *cache.get(&key).unwrap()
+}
+
+/// The exception does not reach past its item.
+pub fn uncached(cache: &std::collections::HashMap<u64, u32>, key: u64) -> u32 {
+    *cache.get(&key).unwrap() //~ clippy::unwrap_used
+}
+"#,
+        });
+    }
+}

@@ -2,33 +2,14 @@
 //! clippy with the lint that enforces it, at the line that breaks it, while
 //! the sanctioned shapes beside it stay silent.
 //!
-//! A case builds a throwaway crate from the real lint configuration — the
-//! root `Cargo.toml`'s `[workspace.lints]` tables, the root `clippy.toml`,
-//! and the inner `#![…]` attributes heading the real files the code would
-//! live in — plus the fixture source, runs `cargo clippy --all-targets` on
-//! it, and compares the reported `(lint, line)` set with the fixture's
-//! `//~ <lint>` markers. The crates share one target directory with
-//! `clean_workspace.rs`, so `cm-topology` (which the `txn-discipline` case
-//! calls into) is checked once.
+//! Each case is a throwaway crate built from the real lint configuration
+//! and checked by `lint_fixture::check`; the `txn-discipline` case calls
+//! into `cm-topology`.
 
+mod lint_fixture;
+
+use lint_fixture::{inner_attributes, markers, read, workspace_lints, Case};
 use std::collections::BTreeSet;
-use std::fs;
-use std::path::Path;
-use std::process::Command;
-
-const ROOT: &str = env!("CARGO_MANIFEST_DIR");
-
-/// `(lint, line)` pairs in the fixture's `src/lib.rs`.
-type Findings = BTreeSet<(String, usize)>;
-
-/// One convention: each set of real files whose inner attributes apply to
-/// its code (crate root first), and fixture code marking every expected
-/// finding with `//~ <lint>`.
-struct Case {
-    name: &'static str,
-    homes: &'static [&'static [&'static str]],
-    source: &'static str,
-}
 
 const ENFORCE_FLUID: &[&str] = &["crates/enforce/src/lib.rs", "crates/enforce/src/fluid.rs"];
 
@@ -186,100 +167,9 @@ pub fn fixed_long_ago(a: f64, b: f64) -> bool {
     },
 ];
 
-fn read(file: &str) -> String {
-    fs::read_to_string(Path::new(ROOT).join(file)).unwrap()
-}
-
-/// The root manifest's `[workspace.lints.*]` tables, verbatim.
-fn workspace_lints() -> String {
-    let mut out = String::new();
-    let mut inside = false;
-    for line in read("Cargo.toml").lines() {
-        if line.starts_with('[') {
-            inside = line.starts_with("[workspace.lints");
-        }
-        if inside {
-            out += line;
-            out += "\n";
-        }
-    }
-    out
-}
-
-/// The inner attributes (`#![…]`, possibly spanning lines) of `file`.
-fn inner_attributes(file: &str) -> String {
-    let mut out = String::new();
-    let mut open = false;
-    for line in read(file).lines() {
-        open |= line.starts_with("#![");
-        if open {
-            out += line;
-            out += "\n";
-            open = !line.ends_with(']');
-        }
-    }
-    out
-}
-
-/// `(lint, line)` of every `//~ <lint>` marker, `offset` lines into the file.
-fn markers(source: &str, offset: usize) -> Findings {
-    let lines = source.trim_start_matches('\n').lines().enumerate();
-    let marked = lines.filter_map(|(i, line)| Some((line.split_once("//~ ")?.1, offset + i + 1)));
-    marked
-        .map(|(lint, at)| (lint.trim().to_string(), at))
-        .collect()
-}
-
-/// `(lint, line)` of every diagnostic in `cargo --message-format=json`
-/// output whose primary span is in `src/lib.rs`.
-fn findings(stdout: &str) -> Findings {
-    let diagnostics = stdout.lines().filter_map(|msg| {
-        let lint = msg.split_once(r#""code":{"code":""#)?.1.split('"').next()?;
-        let line = msg.split_once("--> src/lib.rs:")?.1.split(':').next()?;
-        Some((lint.to_string(), line.parse().ok()?))
-    });
-    diagnostics.collect()
-}
-
-/// Run clippy on `name`'s fixture once per home, and compare each run's
-/// findings with the markers.
+/// Check the golden case called `name`.
 fn check(name: &str) {
-    let case = CASES.iter().find(|c| c.name == name).unwrap();
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let topology = Path::new(ROOT).join("crates/topology");
-    for (i, files) in case.homes.iter().enumerate() {
-        let crate_name = format!("{name}-{i}");
-        let dir = tmp.join("lint-golden").join(&crate_name);
-        fs::create_dir_all(dir.join("src")).unwrap();
-        let manifest = format!(
-            "[package]\nname = \"{crate_name}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n\
-             [dependencies]\ncm-topology = {{ path = {topology:?} }}\n\n\
-             [lints]\nworkspace = true\n\n[workspace]\n\n{}",
-            workspace_lints()
-        );
-        fs::write(dir.join("Cargo.toml"), manifest).unwrap();
-        let mut lib = String::from("//! Lint golden fixture.\n");
-        for file in *files {
-            lib += &inner_attributes(file);
-        }
-        let expected = markers(case.source, lib.lines().count());
-        lib += case.source.trim_start_matches('\n');
-        fs::write(dir.join("src/lib.rs"), lib).unwrap();
-
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let out = Command::new(cargo)
-            .args(["clippy", "--offline", "--quiet", "--all-targets"])
-            .arg("--message-format=json")
-            .current_dir(&dir)
-            .env("CARGO_TARGET_DIR", tmp.join("clippy"))
-            .env("CLIPPY_CONF_DIR", ROOT)
-            .output()
-            .expect("cargo clippy runs");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{crate_name}:\n{stderr}\n{stdout}");
-        assert_eq!(findings(&stdout), expected, "{crate_name} under {files:?}");
-    }
+    lint_fixture::check(CASES.iter().find(|c| c.name == name).unwrap());
 }
 
 #[test]
