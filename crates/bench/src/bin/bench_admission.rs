@@ -4,13 +4,10 @@
 //! (written to the working directory) — the workspace's performance
 //! trajectory artifact.
 //!
-//! Every number is regenerated in this run next to its baseline: beside
-//! the six production placers, `results` carries CloudMirror on the
-//! pre-descend **linear-scan reference** search
-//! ([`SearchStrategy::LinearReference`](cm_core::placement::SearchStrategy)),
-//! and `speedup_vs_linear_reference` is the ratio of the two rows.
-//! Parent-vs-change wall-clock is not judged here but by `benchmark/`,
-//! which runs both commits side by side.
+//! Every number is regenerated in this run: `results` carries the six
+//! production placers side by side on the same arrivals. Parent-vs-change
+//! wall-clock is not judged here but by `benchmark/`, which runs both
+//! commits side by side.
 //!
 //! Each section below is described once, as rows of `(key, value)`; the
 //! stdout table and the JSON are both rendered from those rows
@@ -187,14 +184,6 @@ fn main() -> ExitCode {
         head: vec![],
         rows: results.iter().map(result_row).collect(),
     });
-    let (cm, cm_ref) = (&results[0], &results[1]);
-    let speedup = cm.arrivals_per_sec() / cm_ref.arrivals_per_sec();
-    println!(
-        "\nCM admission: {:.0} arrivals/s — {speedup:.2}x vs the same-run linear-scan \
-         reference ({:.0}/s).",
-        cm.arrivals_per_sec(),
-        cm_ref.arrivals_per_sec(),
-    );
 
     let churn = lifecycle_churn(size, &pool);
     emit(Section {
@@ -228,7 +217,6 @@ fn main() -> ExitCode {
         ("mode", size.name().into()),
         ("datacenter", "paper_2048_servers".into()),
         ("pool", "bing_like_seed42".into()),
-        ("speedup_vs_linear_reference", Val::Float(speedup, 2)),
     ];
     std::fs::write("BENCH_placement.json", report_json(&head, &sections))
         .expect("write BENCH_placement.json");

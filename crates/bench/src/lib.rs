@@ -15,7 +15,7 @@
 //! fails on.
 
 use cm_baselines::{OktopusVcPlacer, OvocPlacer, SecondNetPlacer};
-use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer, SearchStrategy};
+use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer};
 use cm_enforce::GuaranteeModel;
 use cm_sim::faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
 use cm_sim::lifecycle::{run_churn, ChurnConfig, ChurnReport};
@@ -365,9 +365,8 @@ fn bench_one<P: Placer>(
     rows.swap_remove(rows.len() / 2)
 }
 
-/// The paper-default simulation per placer: CM first, then CM on the
-/// linear-scan reference search (the same-run baseline), the two
-/// ablations and the three baselines. The two CM rows take the median of
+/// The paper-default simulation per placer: CM first, then the two
+/// ablations and the three baselines. The CM row takes the median of
 /// three repetitions (one under `--quick`) to damp machine noise;
 /// SecondNet, orders of magnitude slower (paper §5.1), gets a twentieth
 /// of the arrivals.
@@ -380,15 +379,6 @@ pub fn admission_results(size: Size, pool: &TenantPool) -> Vec<BenchRow> {
     };
     vec![
         bench_one(|| CmPlacer::new(CmConfig::cm()), &cfg, pool, reps),
-        bench_one(
-            || {
-                CmPlacer::named(CmConfig::cm(), "CM (linear-scan reference)")
-                    .with_search_strategy(SearchStrategy::LinearReference)
-            },
-            &cfg,
-            pool,
-            reps,
-        ),
         bench_one(|| CmPlacer::new(CmConfig::coloc_only()), &cfg, pool, 1),
         bench_one(|| CmPlacer::new(CmConfig::balance_only()), &cfg, pool, 1),
         bench_one(OvocPlacer::new, &cfg, pool, 1),

@@ -999,12 +999,6 @@ impl<P: Placer> Cluster<P> {
         &self.placer
     }
 
-    /// Mutable access to the placement algorithm (search-strategy toggles,
-    /// ...).
-    pub fn placer_mut(&mut self) -> &mut P {
-        &mut self.placer
-    }
-
     /// Exhaustive self-check, for tests: topology invariants plus every
     /// live tenant's ledger against a from-scratch recomputation.
     pub fn check_invariants(&self) -> Result<(), String> {

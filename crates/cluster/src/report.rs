@@ -32,17 +32,6 @@ impl Utilization {
             self.slots_in_use as f64 / self.slots_total as f64
         }
     }
-
-    /// Fraction of level `l`'s bandwidth reserved (mean of the out and in
-    /// directions). `None` for the root level (no uplinks).
-    pub fn bandwidth_fraction(&self, level: usize) -> Option<f64> {
-        let cap = *self.capacity_by_level.get(level)?;
-        if cap == 0 {
-            return None;
-        }
-        let (o, i) = self.reserved_by_level[level];
-        Some((o + i) as f64 / (2 * cap) as f64)
-    }
 }
 
 /// One VM pair's enforced guarantee (see [`GuaranteeReport`]).

@@ -44,7 +44,6 @@
 //!
 //! * [`model`] — TAG, generalized VOC, VC and pipe models.
 //! * [`cut`] — the [`cut::CutModel`] trait: Eq. 1 / footnote 7 cut pricing.
-//! * [`coloc`] — the colocation-saving conditions (Eqs. 2–6).
 //! * [`reserve`] — per-tenant placement + bandwidth reservation ledger.
 //! * [`txn`] — transactional staging over the ledger: savepoints, commit,
 //!   exact rollback.
@@ -52,8 +51,6 @@
 //!   CloudMirror placer (Algorithm 1, §4.5 HA). Admission is serial: one
 //!   tenant at a time searches the tree, prices cuts and commits.
 
-/// Anti-colocation constraint tracking across fault domains.
-pub mod coloc;
 /// Min-cut bandwidth model over the tenant virtual network.
 pub mod cut;
 /// Small deterministic hash primitives for placement tie-breaking.

@@ -4,8 +4,7 @@ use crate::cut::CutModel;
 use crate::model::{Tag, TierId};
 use crate::placement::{
     need_is_zero, need_total, per_slot_avail_kbps, place_incremental_replace, restore_need,
-    search_and_place_with, wcs_cap, CmConfig, DemandPredictor, Deployed, HaPolicy, Placer,
-    RejectReason, SearchStrategy,
+    search_and_place, wcs_cap, CmConfig, DemandPredictor, Deployed, HaPolicy, Placer, RejectReason,
 };
 use crate::reserve::{PlacementEntry, TenantState};
 use crate::txn::ReservationTxn;
@@ -93,7 +92,6 @@ pub struct CmPlacer {
     cfg: CmConfig,
     label: &'static str,
     predictor: DemandPredictor,
-    search: SearchStrategy,
     scratch: Scratch,
 }
 
@@ -121,28 +119,8 @@ impl CmPlacer {
             cfg,
             label,
             predictor: DemandPredictor::default(),
-            search: SearchStrategy::default(),
             scratch: Scratch::default(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CmConfig {
-        &self.cfg
-    }
-
-    /// Select the `FindLowestSubtree` implementation. Production placers
-    /// keep the default descend search; the linear reference exists so
-    /// equivalence tests and before/after benchmarks can run the identical
-    /// algorithm on the pre-descend scan.
-    pub fn set_search_strategy(&mut self, search: SearchStrategy) {
-        self.search = search;
-    }
-
-    /// Builder-style [`CmPlacer::set_search_strategy`].
-    pub fn with_search_strategy(mut self, search: SearchStrategy) -> Self {
-        self.search = search;
-        self
     }
 
     /// Deploy a TAG tenant (`AllocTenant` in Algorithm 1).
@@ -178,22 +156,14 @@ impl CmPlacer {
         let start = self.start_level(topo, tag, demand_mix) as usize;
 
         let mut state = TenantState::new_shared(shared);
-        let res = search_and_place_with(
-            topo,
-            &mut state,
-            total_vms,
-            ext_demand,
-            start,
-            self.search,
-            |txn, st| {
-                let mut need = scratch.u32s();
-                need.extend_from_slice(&total_need);
-                self.alloc(txn, tag, &mut need, st, demand_mix, &spread, &mut scratch);
-                let done = need_is_zero(&need);
-                scratch.put_u32s(need);
-                done
-            },
-        );
+        let res = search_and_place(topo, &mut state, total_vms, ext_demand, start, |txn, st| {
+            let mut need = scratch.u32s();
+            need.extend_from_slice(&total_need);
+            self.alloc(txn, tag, &mut need, st, demand_mix, &spread, &mut scratch);
+            let done = need_is_zero(&need);
+            scratch.put_u32s(need);
+            done
+        });
         scratch.put_u32s(total_need);
         scratch.put_u64s(spread);
         self.scratch = scratch;
@@ -314,22 +284,14 @@ impl CmPlacer {
         let mut template = scratch.u32s();
         template.resize(grown.num_tiers(), 0);
         template[tier.index()] = delta;
-        let res = search_and_place_with(
-            topo,
-            state,
-            delta as u64,
-            (0, 0),
-            0,
-            self.search,
-            |txn, st| {
-                let mut need = scratch.u32s();
-                need.extend_from_slice(&template);
-                self.alloc(txn, grown, &mut need, st, demand_mix, &spread, scratch);
-                let done = need_is_zero(&need);
-                scratch.put_u32s(need);
-                done
-            },
-        );
+        let res = search_and_place(topo, state, delta as u64, (0, 0), 0, |txn, st| {
+            let mut need = scratch.u32s();
+            need.extend_from_slice(&template);
+            self.alloc(txn, grown, &mut need, st, demand_mix, &spread, scratch);
+            let done = need_is_zero(&need);
+            scratch.put_u32s(need);
+            done
+        });
         scratch.put_u32s(template);
         scratch.put_u64s(spread);
         if res.is_err() {

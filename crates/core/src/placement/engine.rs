@@ -470,45 +470,13 @@ pub fn reject_reason(topo: &Topology, total_vms: u64) -> RejectReason {
     }
 }
 
-/// Which `FindLowestSubtree` implementation [`search_and_place_with`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Descend from the root over the topology's subtree aggregates
-    /// ([`crate::placement::find_lowest_subtree`]) — the production path.
-    #[default]
-    Descend,
-    /// The pre-descend O(level-width × depth) scan
-    /// ([`crate::placement::find_lowest_subtree_linear`]), kept as the
-    /// reference for equivalence tests and before/after benchmarks.
-    LinearReference,
-}
-
-impl SearchStrategy {
-    /// Run the selected `FindLowestSubtree` implementation.
-    pub fn find(
-        self,
-        topo: &Topology,
-        level: usize,
-        total_vms: u64,
-        ext_demand: (Kbps, Kbps),
-    ) -> Option<NodeId> {
-        match self {
-            SearchStrategy::Descend => {
-                crate::placement::find_lowest_subtree(topo, level, total_vms, ext_demand)
-            }
-            SearchStrategy::LinearReference => {
-                crate::placement::find_lowest_subtree_linear(topo, level, total_vms, ext_demand)
-            }
-        }
-    }
-}
-
 /// The shared outer loop of Algorithm 1 (and of both baselines): starting
 /// at `start_level`, find the lowest subtree that can plausibly host the
-/// whole tenant (`find_lowest_subtree`), run `attempt` inside a fresh
-/// [`ReservationTxn`], and on success reserve the tenant's external demand
-/// on the path above the subtree. Any failure rolls the attempt back
-/// atomically and retries one level higher; a failure at the root rejects.
+/// whole tenant (`FindLowestSubtree`, [`Topology::descend_to_level`]),
+/// run `attempt` inside a fresh [`ReservationTxn`], and on success reserve
+/// the tenant's external demand on the path above the subtree. Any failure
+/// rolls the attempt back atomically and retries one level higher; a
+/// failure at the root rejects.
 ///
 /// `attempt` must stage the *entire* tenant under the given subtree through
 /// the transaction and return whether it managed to; partial placements it
@@ -519,33 +487,6 @@ pub fn search_and_place<M, F>(
     total_vms: u64,
     ext_demand: (Kbps, Kbps),
     start_level: usize,
-    attempt: F,
-) -> Result<(), RejectReason>
-where
-    M: CutModel,
-    F: FnMut(&mut ReservationTxn<'_, M>, NodeId) -> bool,
-{
-    search_and_place_with(
-        topo,
-        state,
-        total_vms,
-        ext_demand,
-        start_level,
-        SearchStrategy::Descend,
-        attempt,
-    )
-}
-
-/// [`search_and_place`] with an explicit [`SearchStrategy`] (the reference
-/// scan exists only for equivalence testing; production callers use the
-/// default-descend wrapper).
-pub fn search_and_place_with<M, F>(
-    topo: &mut Topology,
-    state: &mut TenantState<M>,
-    total_vms: u64,
-    ext_demand: (Kbps, Kbps),
-    start_level: usize,
-    search: SearchStrategy,
     mut attempt: F,
 ) -> Result<(), RejectReason>
 where
@@ -555,7 +496,7 @@ where
     let root_level = topo.num_levels() - 1;
     let mut level = start_level.min(root_level);
     loop {
-        let st = match search.find(topo, level, total_vms, ext_demand) {
+        let st = match topo.descend_to_level(level, total_vms, ext_demand) {
             Some(st) => st,
             None => {
                 if level >= root_level {

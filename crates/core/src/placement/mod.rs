@@ -33,8 +33,7 @@ mod predictor;
 
 pub use cm::CmPlacer;
 pub use engine::{
-    place_incremental_replace, reject_reason, search_and_place, search_and_place_with, Deployed,
-    Evacuation, Placer, SearchStrategy,
+    place_incremental_replace, reject_reason, search_and_place, Deployed, Evacuation, Placer,
 };
 pub use predictor::DemandPredictor;
 
@@ -215,58 +214,6 @@ pub(crate) fn per_slot_avail_kbps(
 pub fn wcs_cap(n: u32, rwcs: f64) -> u32 {
     let cap = (n as f64 * (1.0 - rwcs)).floor() as u32;
     cap.max(1)
-}
-
-/// `FindLowestSubtree(g, level)`: the best subtree at exactly `level` that
-/// can plausibly host a whole tenant — enough free slots for `total_vms` and
-/// enough available bandwidth on its root path for the tenant's external
-/// demand. Among candidates, most free slots wins ("likely to fit"), ties by
-/// id. Shared by CloudMirror and the baseline placers in `cm-baselines`.
-///
-/// Implemented by descending from the root over the topology's
-/// incrementally-maintained subtree aggregates
-/// ([`cm_topology::Topology::descend_to_level`]), O(branching × depth)
-/// instead of the O(level-width × depth) scan; the scan survives as
-/// [`find_lowest_subtree_linear`] for equivalence testing.
-pub fn find_lowest_subtree(
-    topo: &cm_topology::Topology,
-    level: usize,
-    total_vms: u64,
-    ext_demand: (cm_topology::Kbps, cm_topology::Kbps),
-) -> Option<cm_topology::NodeId> {
-    topo.descend_to_level(level, total_vms, ext_demand)
-}
-
-/// The pre-descend reference implementation of [`find_lowest_subtree`]: a
-/// linear scan over every node of the level with a full `avail_to_root`
-/// path walk per candidate. Kept (and exposed through
-/// [`SearchStrategy::LinearReference`]) so property and simulation tests
-/// can prove the descend search makes bit-identical admission decisions;
-/// not used by any production placer.
-pub fn find_lowest_subtree_linear(
-    topo: &cm_topology::Topology,
-    level: usize,
-    total_vms: u64,
-    ext_demand: (cm_topology::Kbps, cm_topology::Kbps),
-) -> Option<cm_topology::NodeId> {
-    if level >= topo.num_levels() {
-        return None;
-    }
-    let mut best: Option<(u64, cm_topology::NodeId)> = None;
-    for &n in topo.nodes_at_level(level) {
-        let free = topo.subtree_slots_free(n);
-        if free < total_vms {
-            continue;
-        }
-        let (up, dn) = topo.avail_to_root(n);
-        if up < ext_demand.0 || dn < ext_demand.1 {
-            continue;
-        }
-        if best.is_none_or(|(bf, _)| free > bf) {
-            best = Some((free, n));
-        }
-    }
-    best.map(|(_, n)| n)
 }
 
 #[cfg(test)]

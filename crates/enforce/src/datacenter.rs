@@ -95,12 +95,6 @@ impl TenantTraffic {
         }
     }
 
-    /// Restrict the tenant to an explicit active-pair pattern.
-    pub fn with_active(mut self, pairs: Vec<(usize, usize)>) -> Self {
-        self.active = Some(pairs);
-        self
-    }
-
     /// Append this tenant's active pair list (explicit pattern or every
     /// TAG-edge-connected pair, all greedy) into `out`, reusing `scratch`
     /// across calls. The old `all_pairs`/`pairs` pair allocated a fresh
@@ -243,7 +237,7 @@ pub struct TrafficReport {
     pub build_secs: f64,
     /// Seconds expanding tenants into flow classes: for the incremental
     /// engine, only tenants whose placement changed since the last solve
-    /// (including their route-cache fills); for the batch solver, all of
+    /// (including their routing); for the batch solver, all of
     /// `build_secs`.
     pub expand_secs: f64,
     /// Seconds assembling the fluid flow set from the routed bundles
@@ -326,7 +320,7 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
     // traffic engine models what the wire actually carries) — the
     // incremental engine's layout.
     let mut net = Fluid::new();
-    let mut route = RouteCache::build(topo, &mut net);
+    let route = RouteCache::build(topo, &mut net);
 
     let mut flows: Vec<PairFlow> = Vec::new();
     let mut summaries: Vec<TenantSummary> = Vec::with_capacity(tenants.len());

@@ -22,10 +22,10 @@
 //!   treats `m` identical flows and one `m`-weighted aggregate identically,
 //!   so per-pair rates are recovered exactly as `rate / m` — the O(VM²)
 //!   flow count collapses to O(server pairs).
-//! * **Route cache.** Server-pair paths come from the LCA-keyed
-//!   [`RouteCache`], over one fluid link per uplink direction — the tree
-//!   placement reserves on, so floors admission fitted on an uplink fit
-//!   on the wire.
+//! * **LCA routes.** Server-pair paths are walked through the pair's
+//!   lowest common ancestor by [`RouteCache::path`], over one fluid link
+//!   per uplink direction — the tree placement reserves on, so floors
+//!   admission fitted on an uplink fit on the wire.
 //!
 //! The fluid flow set is **persistent**: each bundle is one flow of an
 //! [`IncrementalFluid`] across steps, added on (re-)expansion and removed
@@ -372,11 +372,6 @@ impl TrafficEngine {
         self.tenants.iter().map(|(&id, t)| (id, t.version))
     }
 
-    /// Tenants currently cached.
-    pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Drop every cached tenant `keep` rejects (departures), removing
     /// their fluid flows — which dirties exactly the components those
     /// flows crossed.
@@ -420,7 +415,7 @@ impl TrafficEngine {
             tag,
             placement,
             topo,
-            &mut self.route,
+            &self.route,
             &mut self.net,
             version,
             id,
@@ -618,14 +613,14 @@ fn even_share(g: f64, cnt: u32) -> f64 {
 /// path is built once and moved into its [`FlowSpec`].
 #[expect(
     clippy::too_many_arguments,
-    reason = "one tenant's expansion reads the model, TAG, placement and topology and writes the route cache and fluid network"
+    reason = "one tenant's expansion reads the model, TAG, placement and topology and writes the fluid network"
 )]
 fn expand_tenant(
     model: GuaranteeModel,
     tag: &Arc<Tag>,
     placement: &[(NodeId, Vec<u32>)],
     topo: &Topology,
-    route: &mut RouteCache,
+    route: &RouteCache,
     net: &mut IncrementalFluid,
     version: u64,
     id: u64,

@@ -32,8 +32,8 @@
 //! Fig. 13/14 interference experiments *through the placement layer*
 //! instead of on synthetic 2-link topologies. [`engine`] makes that solve
 //! *incremental*: a persistent [`engine::TrafficEngine`] re-expands only
-//! tenants whose placement changed, memoizes server-pair routes in an
-//! LCA-keyed [`route::RouteCache`] and bundles same-class VM pairs into
+//! tenants whose placement changed, routes server pairs over their LCA
+//! ([`route::RouteCache::path`]) and bundles same-class VM pairs into
 //! aggregate flows. Both solvers run on the tree placement reserves on —
 //! one fluid link per uplink direction at that uplink's capacity, laid
 //! out by [`route::RouteCache::build`] — so a multi-rooted core is

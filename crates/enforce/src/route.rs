@@ -1,13 +1,12 @@
-//! The tree's fluid link layout and an LCA-keyed server-pair route cache.
+//! The tree's fluid link layout and its LCA routes between servers.
 //!
 //! Routing a VM pair over the physical tree is pure topology: the packet
 //! climbs from the source server to the pair's lowest common ancestor
-//! ([`cm_topology::Topology::lca`]) and descends to the destination. The
-//! batch solver recomputed that walk for every VM pair on every step;
-//! at datacenter scale the *distinct* server pairs are a tiny fraction of
-//! the VM pairs (many tenants, many VMs per server), so [`RouteCache`]
-//! memoizes the walk once per `(src server, dst server)` — as the fluid
-//! link ids it crosses — and every flow of any tenant reuses it.
+//! ([`cm_topology::Topology::lca`]) and descends to the destination.
+//! [`RouteCache::path`] walks that route as the fluid link ids it crosses,
+//! at most 2 × depth hops. The traffic engine asks for a path only when it
+//! (re-)expands a tenant, once per bundle of VM pairs that share a server
+//! pair, so the walk is not memoized.
 //!
 //! ## One fluid link per uplink direction
 //!
@@ -20,10 +19,9 @@
 //! here, so the two are identical by construction.
 
 use crate::fluid::Fluid;
-use cm_core::fasthash::FastMap;
 use cm_topology::{NodeId, Topology};
 
-/// Server-pair route memo + fluid link layout for one topology (see the
+/// Fluid link layout and server-pair routes for one topology (see the
 /// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct RouteCache {
@@ -32,8 +30,6 @@ pub struct RouteCache {
     up: Vec<u32>,
     /// Tree level of the node owning each fluid link.
     link_level: Vec<u8>,
-    /// `(src server << 32 | dst server)` → fluid link ids, path order.
-    paths: FastMap<u64, Vec<u32>>,
 }
 
 impl RouteCache {
@@ -54,11 +50,7 @@ impl RouteCache {
             net.link(cap_dn as f64);
             link_level.extend([topo.level(node); 2]);
         }
-        RouteCache {
-            up,
-            link_level,
-            paths: FastMap::default(),
-        }
+        RouteCache { up, link_level }
     }
 
     /// Tree level of the node owning fluid link `l`.
@@ -78,48 +70,37 @@ impl RouteCache {
         (up != u32::MAX).then(|| (up as usize, up as usize + 1))
     }
 
-    /// Distinct server pairs memoized so far.
-    pub fn cached_pairs(&self) -> usize {
-        self.paths.len()
-    }
-
     /// The fluid link ids of the route `src → dst` (both servers,
-    /// distinct), memoized by the pair: the up links of the ascending
-    /// nodes from `src` to the LCA, then the down links of the
-    /// destination-side nodes, in path order — returned as the path a
-    /// [`crate::fluid::FlowSpec`] takes.
-    pub fn path(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Vec<usize> {
+    /// distinct): the up links of the ascending nodes from `src` to the
+    /// LCA, then the down links of the destination-side nodes, in path
+    /// order — returned as the path a [`crate::fluid::FlowSpec`] takes.
+    pub fn path(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Vec<usize> {
         debug_assert!(topo.is_server(src) && topo.is_server(dst) && src != dst);
-        let key = (src.0 as u64) << 32 | dst.0 as u64;
-        let up = &self.up;
-        let links = self.paths.entry(key).or_insert_with(|| {
-            let meet = topo.lca(src, dst);
-            let mut path = Vec::new();
-            let mut a = src;
-            while a != meet {
-                path.push(up[a.index()]);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "lca() returns an ancestor of src, so the walk stops before the root"
-                )]
-                let up_a = topo.parent(a).expect("LCA is above src");
-                a = up_a;
-            }
-            let mark = path.len();
-            let mut b = dst;
-            while b != meet {
-                path.push(up[b.index()] + 1);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "lca() returns an ancestor of dst, so the walk stops before the root"
-                )]
-                let up_b = topo.parent(b).expect("LCA is above dst");
-                b = up_b;
-            }
-            path[mark..].reverse();
-            path
-        });
-        links.iter().map(|&l| l as usize).collect()
+        let meet = topo.lca(src, dst);
+        let mut path = Vec::new();
+        let mut a = src;
+        while a != meet {
+            path.push(self.up[a.index()] as usize);
+            #[expect(
+                clippy::expect_used,
+                reason = "lca() returns an ancestor of src, so the walk stops before the root"
+            )]
+            let up_a = topo.parent(a).expect("LCA is above src");
+            a = up_a;
+        }
+        let mark = path.len();
+        let mut b = dst;
+        while b != meet {
+            path.push(self.up[b.index()] as usize + 1);
+            #[expect(
+                clippy::expect_used,
+                reason = "lca() returns an ancestor of dst, so the walk stops before the root"
+            )]
+            let up_b = topo.parent(b).expect("LCA is above dst");
+            b = up_b;
+        }
+        path[mark..].reverse();
+        path
     }
 }
 
@@ -162,10 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn hops_follow_the_lca_route_and_are_memoized() {
+    fn hops_follow_the_lca_route() {
         let topo = topo();
         let mut net = Fluid::new();
-        let mut rc = RouteCache::build(&topo, &mut net);
+        let rc = RouteCache::build(&topo, &mut net);
         let s = topo.servers();
         let far = *s.last().unwrap();
         let (up0, _) = rc.links_of(s[0]).unwrap();
@@ -181,9 +162,5 @@ mod tests {
         assert!(p[..3].iter().all(|&l| l % 2 == 0), "first half ascends");
         assert!(p[3..].iter().all(|&l| l % 2 == 1), "second half descends");
         assert_eq!((p[0], p[5]), (up0, dn_far));
-        // Memoized: two queries, two entries (directional keys).
-        rc.path(&topo, s[0], s[1]);
-        rc.path(&topo, s[0], far);
-        assert_eq!(rc.cached_pairs(), 2);
     }
 }

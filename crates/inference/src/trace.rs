@@ -76,11 +76,6 @@ impl TrafficTrace {
             })
             .fold(0.0, f64::max)
     }
-
-    /// Sum over time-mean of all entries (total traced traffic).
-    pub fn total_mean_traffic(&self) -> f64 {
-        self.mean_matrix().iter().sum()
-    }
 }
 
 #[cfg(test)]

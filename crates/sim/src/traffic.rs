@@ -69,7 +69,7 @@ pub struct TrafficStep {
     /// Largest directional-link utilization.
     pub max_link_utilization: f64,
     /// Seconds spent re-expanding dirty tenants (guarantee partitioning,
-    /// bundling, route-cache fills).
+    /// bundling, routing).
     pub expand_secs: f64,
     /// Seconds spent in the fluid max-min solve.
     pub solve_secs: f64,

@@ -34,10 +34,8 @@
 //! * **`sub_slots_free`** — free slots per subtree (the original scheme);
 //! * **max-free-per-target-level** — for each node and each level `L`
 //!   below it, the largest `sub_slots_free` of any descendant subtree
-//!   rooted at `L`. Slot mutations update it along the parent path from
-//!   the *delta* of the on-path child's row (an entry that rose becomes
-//!   the new max outright; one that fell rescans the children only when
-//!   that child held the max), so the common case is O(depth).
+//!   rooted at `L`. A slot mutation recomputes each row on the server's
+//!   parent path from the children's rows.
 //! * **cached uplink availability** — `capacity − used` per direction,
 //!   updated by [`Topology::adjust_uplink`];
 //! * **per-level totals** — reserved bandwidth, capacity, and the §4.5
@@ -46,15 +44,15 @@
 //!   [`Topology::avail_half_sum_at_level`] O(1).
 //!
 //! [`Topology::descend_to_level`] implements `FindLowestSubtree` on top:
-//! it walks root→target-level choosing children by their max-free bound
-//! while threading the running path-minimum of available bandwidth, with
-//! exact lexicographic (free desc, id asc) dominance pruning — the same
-//! subtree the full linear scan would pick, in O(branching × depth) for
-//! the common case. Because the aggregates are maintained *inside*
-//! `alloc_slots`/`release_slots`/`adjust_uplink`, transactional rollback
-//! in `cm-core` (which replays exact inverse operations) keeps them
-//! correct by construction; [`Topology::check_invariants`] recomputes
-//! every aggregate brute-force for the property tests.
+//! a branch-and-bound walk root→target-level that visits children in id
+//! order, threads the running path-minimum of available bandwidth, and
+//! skips every child whose max-free bound cannot beat the incumbent — the
+//! same subtree the full linear scan would pick. Because the aggregates
+//! are maintained *inside* `alloc_slots`/`release_slots`/`adjust_uplink`,
+//! transactional rollback in `cm-core` (which replays exact inverse
+//! operations) keeps them correct by construction;
+//! [`Topology::check_invariants`] recomputes every aggregate brute-force
+//! for the property tests.
 
 #![expect(
     clippy::disallowed_methods,

@@ -155,8 +155,8 @@ pub struct Topology {
     /// `max_free[node_index * num_levels + target_level]`: the largest
     /// `sub_slots_free` of any descendant subtree rooted at `target_level`
     /// (the node's own `sub_slots_free` at its own level; 0 above it).
-    /// Maintained incrementally by `alloc_slots`/`release_slots` along the
-    /// parent path and used by [`Topology::descend_to_level`] to prune the
+    /// Recomputed along the parent path of every server whose free slots
+    /// change, and used by [`Topology::descend_to_level`] to prune the
     /// candidate search.
     max_free: Vec<u64>,
     /// Per-level sum of reserved uplink bandwidth `(up, down)`, maintained
@@ -232,21 +232,7 @@ impl Topology {
         // capacity/availability caches.
         topo.max_free = vec![0; topo.nodes.len() * num_levels];
         for i in (0..topo.nodes.len()).rev() {
-            let level = topo.nodes[i].level;
-            topo.max_free[i * num_levels + level as usize] = topo.nodes[i].sub_slots_free;
-            if level > 0 {
-                let (cs, cl) = (
-                    topo.nodes[i].children_start as usize,
-                    topo.nodes[i].children_len as usize,
-                );
-                for tl in 0..level as usize {
-                    let mut m = 0u64;
-                    for c in cs..cs + cl {
-                        m = m.max(topo.max_free[c * num_levels + tl]);
-                    }
-                    topo.max_free[i * num_levels + tl] = m;
-                }
-            }
+            topo.refresh_max_free_row(i);
         }
         for node in &topo.nodes {
             if let Some(u) = node.up {
@@ -459,9 +445,9 @@ impl Topology {
     /// Lowest common ancestor of two nodes: the deepest node whose subtree
     /// contains both (a node is its own ancestor, so `lca(n, n) == n`).
     /// O(depth); the single-rooted tree guarantees the walk meets at the
-    /// root at the latest. The traffic engine's route cache keys server-pair
-    /// paths by this node: the route is the up-chain of `a` to the LCA
-    /// joined with the reversed down-chain of `b`.
+    /// root at the latest. The traffic engine routes server pairs through
+    /// this node: the route is the up-chain of `a` to the LCA joined with
+    /// the reversed down-chain of `b`.
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
         let (mut a, mut b) = (a, b);
         while self.level(a) < self.level(b) {
@@ -547,89 +533,29 @@ impl Topology {
     }
 
     /// Re-derive the `max_free` aggregate along `server`'s parent path after
-    /// its free-slot count changed.
-    ///
-    /// Each ancestor updates from the *delta* of its on-path child's row:
-    /// an entry that rose becomes the new max outright; an entry that fell
-    /// triggers a max-rescan over the children only when the child was the
-    /// previous arg-max. The common case is O(depth) with no child scans at
-    /// all — the same asymptotic shape as the `sub_slots_free` walk.
+    /// its free-slot count changed: every node on the path recomputes its
+    /// row from its children's, O(depth² × fanout).
     fn refresh_max_free(&mut self, server: NodeId) {
-        const MAX_DEPTH: usize = 16;
-        let nl = self.levels.len();
-        if nl > MAX_DEPTH {
-            return self.refresh_max_free_full(server);
-        }
-        // `old_row`/`new_row` carry the on-path child's aggregate entries
-        // before and after its update (a child of a level-l node is always
-        // at level l−1, so its row covers every target level the parent
-        // aggregates).
-        let mut old_row = [0u64; MAX_DEPTH];
-        let mut new_row = [0u64; MAX_DEPTH];
-        let si = server.index() * nl;
-        old_row[0] = self.max_free[si];
-        new_row[0] = self.nodes[server.index()].sub_slots_free;
-        self.max_free[si] = new_row[0];
-        let mut cur = self.nodes[server.index()].parent;
-        while let Some(p) = cur {
-            let pi = p.index();
-            let level = self.nodes[pi].level as usize;
-            let base = pi * nl;
-            let mut p_old = [0u64; MAX_DEPTH];
-            let mut p_new = [0u64; MAX_DEPTH];
-            p_old[level] = self.max_free[base + level];
-            p_new[level] = self.nodes[pi].sub_slots_free;
-            self.max_free[base + level] = p_new[level];
-            for tl in 0..level {
-                let oldv = self.max_free[base + tl];
-                p_old[tl] = oldv;
-                let newv = if new_row[tl] > oldv {
-                    new_row[tl]
-                } else if old_row[tl] == oldv && new_row[tl] < oldv {
-                    // The on-path child held the max and dropped: rescan.
-                    let (cs, cl) = (
-                        self.nodes[pi].children_start as usize,
-                        self.nodes[pi].children_len as usize,
-                    );
-                    let mut m = 0u64;
-                    for c in cs..cs + cl {
-                        m = m.max(self.max_free[c * nl + tl]);
-                    }
-                    m
-                } else {
-                    oldv
-                };
-                p_new[tl] = newv;
-                self.max_free[base + tl] = newv;
-            }
-            old_row = p_old;
-            new_row = p_new;
-            cur = self.nodes[pi].parent;
+        let mut cur = Some(server);
+        while let Some(n) = cur {
+            self.refresh_max_free_row(n.index());
+            cur = self.nodes[n.index()].parent;
         }
     }
 
-    /// Full per-ancestor recomputation of `max_free` (fallback for trees
-    /// deeper than the fast path's fixed buffers).
-    fn refresh_max_free_full(&mut self, server: NodeId) {
+    /// Recompute node `i`'s `max_free` row: its own free slots at its own
+    /// level, the largest child entry at every level below.
+    fn refresh_max_free_row(&mut self, i: usize) {
         let nl = self.levels.len();
-        self.max_free[server.index() * nl] = self.nodes[server.index()].sub_slots_free;
-        let mut cur = self.nodes[server.index()].parent;
-        while let Some(p) = cur {
-            let pi = p.index();
-            let level = self.nodes[pi].level as usize;
-            let (cs, cl) = (
-                self.nodes[pi].children_start as usize,
-                self.nodes[pi].children_len as usize,
-            );
-            self.max_free[pi * nl + level] = self.nodes[pi].sub_slots_free;
-            for tl in 0..level {
-                let mut m = 0u64;
-                for c in cs..cs + cl {
-                    m = m.max(self.max_free[c * nl + tl]);
-                }
-                self.max_free[pi * nl + tl] = m;
-            }
-            cur = self.nodes[pi].parent;
+        let node = &self.nodes[i];
+        let (level, children) = (
+            node.level as usize,
+            node.children_start as usize..(node.children_start + node.children_len) as usize,
+        );
+        self.max_free[i * nl + level] = node.sub_slots_free;
+        for tl in 0..level {
+            let m = children.clone().map(|c| self.max_free[c * nl + tl]).max();
+            self.max_free[i * nl + tl] = m.unwrap_or(0);
         }
     }
 
@@ -712,21 +638,23 @@ impl Topology {
     /// break towards the smallest [`NodeId`].
     ///
     /// Equivalent to the linear scan over `nodes_at_level(level)` with
-    /// `avail_to_root` per candidate — but walks root→level guided by the
-    /// incrementally-maintained `max_free` aggregate while threading the
-    /// running path-minimum of available bandwidth, so the common case costs
-    /// O(branching × depth) instead of O(level-width × depth). Siblings are
-    /// only revisited when the greedy child fails the bandwidth check or a
-    /// tie must be broken (branch-and-bound, exact by construction:
-    /// `max_free` is a sharp upper bound on any candidate below a child, and
-    /// `NodeId` order agrees with left-to-right subtree order).
+    /// `avail_to_root` per candidate (the oracle in
+    /// `tests/search_equivalence.rs`), but a branch-and-bound walk from the
+    /// root that visits children in id order, threads the running path
+    /// minimum of available bandwidth, and skips every child whose
+    /// `max_free` bound cannot beat the incumbent. `max_free` is a sharp
+    /// upper bound on any candidate's free slots below a child, and id
+    /// order agrees with left-to-right subtree order, so a later candidate
+    /// must have strictly more free slots to win and the pruning is exact.
     pub fn descend_to_level(
         &self,
         level: usize,
         total_vms: u64,
         ext_demand: (Kbps, Kbps),
     ) -> Option<NodeId> {
-        if level >= self.levels.len() {
+        // The root's own row bounds every candidate at `level`; at the
+        // root's level it is the root's free slots.
+        if level >= self.levels.len() || self.max_subtree_free_at(self.root, level) < total_vms {
             return None;
         }
         let mut best: Option<(u64, NodeId)> = None;
@@ -741,6 +669,8 @@ impl Topology {
         best.map(|(_, n)| n)
     }
 
+    /// Only called on nodes whose bound passed the checks below (or on the
+    /// root, checked by the caller), so a node at `level` is the new best.
     fn descend_rec(
         &self,
         node: NodeId,
@@ -750,68 +680,20 @@ impl Topology {
         path_min: (Kbps, Kbps),
         best: &mut Option<(u64, NodeId)>,
     ) {
-        let ni = node.index();
-        if self.nodes[ni].level as usize == level {
-            let free = self.nodes[ni].sub_slots_free;
-            let wins = free >= total_vms
-                && best.is_none_or(|(bf, bid)| free > bf || (free == bf && node < bid));
-            if wins {
-                *best = Some((free, node));
-            }
+        let n = &self.nodes[node.index()];
+        if n.level as usize == level {
+            *best = Some((n.sub_slots_free, node));
             return;
         }
-        let (cs, cl) = (
-            self.nodes[ni].children_start as usize,
-            self.nodes[ni].children_len as usize,
-        );
-        let num_levels = self.levels.len();
-        // Visit children best-bound-first (bound ties left-to-right). The
-        // `max_free` aggregate is a sharp upper bound on any candidate's
-        // free slots below a child, and every id below a child exceeds the
-        // child's own id, so lexicographic (free desc, id asc) dominance
-        // pruning against the incumbent is exact. Visited children are
-        // tracked in bitmasks (no allocation); fanouts beyond 128 fall back
-        // to plain id order, which drops the early `break` but stays exact.
-        let ordered = cl <= 128;
-        let mut visited = [0u64; 2];
-        let mut order_pos = 0usize;
-        loop {
-            let picked = if ordered {
-                let mut pick: Option<(u64, usize)> = None;
-                for k in 0..cl {
-                    if visited[k / 64] >> (k % 64) & 1 == 1 {
-                        continue;
-                    }
-                    let bound = self.max_free[(cs + k) * num_levels + level];
-                    if pick.is_none_or(|(pb, _)| bound > pb) {
-                        pick = Some((bound, k));
-                    }
-                }
-                match pick {
-                    Some((bound, k)) => {
-                        visited[k / 64] |= 1 << (k % 64);
-                        Some((bound, k))
-                    }
-                    None => None,
-                }
-            } else if order_pos < cl {
-                let k = order_pos;
-                order_pos += 1;
-                Some((self.max_free[(cs + k) * num_levels + level], k))
-            } else {
-                None
-            };
-            let Some((bound, k)) = picked else { break };
-            let child = NodeId((cs + k) as u32);
-            if bound < total_vms || best.is_some_and(|(bf, _)| bound < bf) {
-                if ordered {
-                    break; // remaining children have no larger bounds
-                }
+        let nl = self.levels.len();
+        for c in n.children_start..n.children_start + n.children_len {
+            let bound = self.max_free[c as usize * nl + level];
+            // Every candidate below `c` comes after the incumbent in id
+            // order, so it must strictly beat the incumbent's free slots.
+            if bound < total_vms || best.is_some_and(|(bf, _)| bound <= bf) {
                 continue;
             }
-            if best.is_some_and(|(bf, bid)| bound == bf && bid < child) {
-                continue; // incumbent wins any tie below this child
-            }
+            let child = NodeId(c);
             let (au, ad) = self.uplink_avail(child).expect("non-root child");
             let pm = (path_min.0.min(au), path_min.1.min(ad));
             if pm.0 < ext_demand.0 || pm.1 < ext_demand.1 {
@@ -1436,74 +1318,6 @@ mod tests {
         );
     }
 
-    /// Reference linear scan for descend_to_level equivalence checks.
-    fn linear_find(t: &Topology, level: usize, vms: u64, ext: (Kbps, Kbps)) -> Option<NodeId> {
-        if level >= t.num_levels() {
-            return None;
-        }
-        let mut best: Option<(u64, NodeId)> = None;
-        for &n in t.nodes_at_level(level) {
-            let free = t.subtree_slots_free(n);
-            if free < vms {
-                continue;
-            }
-            let (up, dn) = t.avail_to_root(n);
-            if up < ext.0 || dn < ext.1 {
-                continue;
-            }
-            if best.is_none_or(|(bf, _)| free > bf) {
-                best = Some((free, n));
-            }
-        }
-        best.map(|(_, n)| n)
-    }
-
-    #[test]
-    fn descend_matches_linear_scan_on_fresh_tree() {
-        let t = paper();
-        for level in 0..t.num_levels() {
-            for vms in [0u64, 1, 25, 800, 2048 * 25, 2048 * 25 + 1] {
-                assert_eq!(
-                    t.descend_to_level(level, vms, (0, 0)),
-                    linear_find(&t, level, vms, (0, 0)),
-                    "level {level}, vms {vms}"
-                );
-            }
-        }
-        assert_eq!(t.descend_to_level(t.num_levels(), 1, (0, 0)), None);
-    }
-
-    #[test]
-    fn descend_matches_linear_scan_under_load() {
-        let mut t = paper();
-        // Unbalance slots and bandwidth deterministically.
-        for (i, &s) in t.servers().to_vec().iter().enumerate() {
-            t.alloc_slots(s, (i % 26) as u32).unwrap();
-            if i % 3 == 0 {
-                t.adjust_uplink(s, gbps(9.0) as i64, gbps(2.0) as i64)
-                    .unwrap();
-            }
-        }
-        for (i, &tor) in t.nodes_at_level(1).to_vec().iter().enumerate() {
-            if i % 2 == 0 {
-                t.adjust_uplink(tor, gbps(70.0) as i64, gbps(10.0) as i64)
-                    .unwrap();
-            }
-        }
-        t.check_invariants().unwrap();
-        for level in 0..t.num_levels() {
-            for vms in [1u64, 10, 25, 200, 1000] {
-                for ext in [(0, 0), (gbps(2.0), gbps(1.0)), (gbps(15.0), 0)] {
-                    assert_eq!(
-                        t.descend_to_level(level, vms, ext),
-                        linear_find(&t, level, vms, ext),
-                        "level {level}, vms {vms}, ext {ext:?}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn max_subtree_free_tracks_alloc_release() {
         let mut t = paper();
@@ -1614,14 +1428,18 @@ mod tests {
         assert_eq!(t.subtree_slots_free(t.root()), (2048 - 32) * 25);
         assert_eq!(t.uplink_capacity(tor), Some((0, 0)));
         t.check_invariants().unwrap();
-        // Placement search never lands inside the dead domain, and still
-        // agrees with the brute-force reference.
-        for level in 0..t.num_levels() {
-            let found = t.descend_to_level(level, 25, (0, 0));
-            assert_eq!(found, linear_find(&t, level, 25, (0, 0)));
-            if let Some(n) = found {
-                assert!(!t.is_ancestor(tor, n));
-            }
+        // Placement search never lands inside the dead domain: the first
+        // healthy rack wins every tie up to the racks, the first intact pod
+        // above them.
+        let rack = t.nodes_at_level(1)[1];
+        let expect = [
+            t.servers_under(rack)[0],
+            rack,
+            t.nodes_at_level(2)[1],
+            t.root(),
+        ];
+        for (level, want) in expect.into_iter().enumerate() {
+            assert_eq!(t.descend_to_level(level, 25, (0, 0)), Some(want));
         }
         let restored = t.restore_domain(tor).unwrap();
         assert_eq!(restored.len(), 32);

@@ -68,7 +68,7 @@ fn pool() -> Vec<Arc<Tag>> {
 }
 
 /// A from-scratch engine over the cluster's current placements (every
-/// tenant expanded fresh — no churn history, an empty route cache).
+/// tenant expanded fresh — no churn history).
 fn from_scratch_report(cluster: &Cluster<CmPlacer>, model: GuaranteeModel) -> TrafficReport {
     let topo = cluster.topology();
     let mut engine = TrafficEngine::new(topo, model);
