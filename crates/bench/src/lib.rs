@@ -1,18 +1,21 @@
 //! # cm-bench
 //!
-//! Reproduction harness: one binary per table/figure of the paper's
-//! evaluation (§5) plus Criterion benches for the §5.1 runtime claims.
+//! Reproduction harness for the paper's evaluation (§5).
 //!
-//! Every binary prints a self-describing table with the paper's expected
-//! qualitative shape noted, and accepts `--full` to run at the paper's
-//! scale (10,000 arrivals) instead of the faster default. All runs are
-//! seeded and deterministic.
+//! [`figures`] holds every table and figure as a registry entry that
+//! prints its tables and checks its own claims; the `reproduce` binary
+//! runs them in-process and exits non-zero when a claim fails. `--full`
+//! runs at the paper's scale (10,000 arrivals) instead of the faster
+//! default; `--only NAME` runs one entry. All runs are seeded and
+//! deterministic.
 //!
 //! The library also carries everything `bench_admission` shares with its
 //! tests: the [`Section`] writer that renders one row description as both
 //! the stdout table and `BENCH_placement.json`, the workloads behind the
 //! artifact's four sections, and the machine-independent gates the binary
 //! fails on.
+
+pub mod figures;
 
 use cm_baselines::{OktopusVcPlacer, OvocPlacer, SecondNetPlacer};
 use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer};
@@ -27,44 +30,7 @@ use cm_workloads::TenantPool;
 use std::fmt::{Debug, Write as _};
 use std::time::Instant;
 
-/// Command-line knobs shared by the harness binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct RunMode {
-    /// Paper-scale run (10,000 arrivals) instead of the quick default.
-    pub full: bool,
-}
-
-impl RunMode {
-    /// Parse from `std::env::args` (recognizes `--full`).
-    pub fn from_args() -> RunMode {
-        RunMode {
-            full: std::env::args().any(|a| a == "--full"),
-        }
-    }
-
-    /// Number of tenant arrivals per simulation point.
-    pub fn arrivals(&self) -> usize {
-        if self.full {
-            10_000
-        } else {
-            3_000
-        }
-    }
-
-    /// The default simulation configuration for this mode.
-    pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::paper_default();
-        cfg.arrivals = self.arrivals();
-        cfg
-    }
-}
-
-/// Print a markdown-ish table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", render_table(title, headers, rows));
-}
-
-/// The text [`print_table`] prints.
+/// Render a markdown-ish table.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for r in rows {
@@ -88,11 +54,6 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
         out += &line(r);
     }
     out
-}
-
-/// Format a rate as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 // ----------------------------------------------------------------------

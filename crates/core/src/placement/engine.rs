@@ -19,8 +19,8 @@
 //!   retry one level higher until the root rejects.
 //!
 //! Adding a new placement strategy is now one trait impl: write the
-//! per-subtree `attempt` policy, and the simulator, the figure harnesses,
-//! and the criterion benches pick it up unchanged.
+//! per-subtree `attempt` policy, and the simulator and the figure
+//! registry pick it up unchanged.
 
 use crate::cut::CutModel;
 use crate::model::{PipeModel, Tag, TierId, VocModel};

@@ -41,7 +41,7 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart
-//! cargo run --release -p cm-bench --bin reproduce_all
+//! cargo run --release -p cm-bench --bin reproduce
 //! ```
 
 #[cfg(test)]
