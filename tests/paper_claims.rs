@@ -3,10 +3,35 @@
 
 use cloudmirror::baselines::OvocPlacer;
 use cloudmirror::core::placement::wcs_cap;
+use cloudmirror::enforce::{fig13_throughput, fig4_throughput, GuaranteeModel};
 use cloudmirror::sim::experiments::table1;
 use cloudmirror::sim::{run_sim, SimConfig};
 use cloudmirror::workloads::{apps, bing_like_pool, mixed_pool};
 use cloudmirror::{mbps, CmConfig, CmPlacer, CutModel, Topology, TreeSpec};
+
+/// Table 1 / §2.2: VOC pricing dominates TAG pricing on the same
+/// placements, and increasingly so at higher tree levels.
+#[test]
+fn table1_tag_beats_voc_at_every_level() {
+    let pool = bing_like_pool(42);
+    let rows = table1(&pool, 1, mbps(400.0));
+    let (tag, voc, ovoc) = (&rows[0], &rows[1], &rows[2]);
+    for l in 0..3 {
+        assert!(
+            tag.gbps[l] <= voc.gbps[l] + 1e-9,
+            "level {l}: CM+TAG {} > CM+VOC {}",
+            tag.gbps[l],
+            voc.gbps[l]
+        );
+    }
+    // The aggregation-level gap is the paper's dramatic one (0.7 vs 14.7):
+    // OVOC must reserve strictly more than CM+TAG above the server level.
+    assert!(
+        tag.gbps[1] + tag.gbps[2] < voc.gbps[1] + voc.gbps[2],
+        "TAG must strictly win above the server level"
+    );
+    assert!(ovoc.gbps[1] > tag.gbps[1]);
+}
 
 /// Fig. 7/8 headline: "CloudMirror can handle 40% more bandwidth demand
 /// than the state of the art" — CM's rejected bandwidth must be well below
@@ -35,6 +60,56 @@ fn cm_rejects_less_bandwidth_than_ovoc() {
         cm.rejections.bw_rate(),
         ovoc.rejections.bw_rate()
     );
+}
+
+/// Fig. 3: the Storm split costs S·B under TAG and 2S·B under VOC.
+#[test]
+fn fig3_storm_cut_prices() {
+    let tag = apps::storm(10, 100);
+    let voc = cloudmirror::core::model::VocModel::from_tag(&tag);
+    let split = vec![10, 10, 0, 0];
+    assert_eq!(tag.cut_kbps(&split).0, 1000);
+    assert_eq!(voc.cut_kbps(&split).0, 2000);
+}
+
+/// Fig. 4: TAG holds 500/100 under congestion; the hose yields 300:300.
+#[test]
+fn fig4_guarantee_isolation() {
+    let tag = fig4_throughput(5, 5, GuaranteeModel::Tag);
+    assert!((tag.web_mbps - 500.0).abs() < 1.0);
+    assert!((tag.db_mbps - 100.0).abs() < 1.0);
+    let hose = fig4_throughput(5, 5, GuaranteeModel::Hose);
+    assert!((hose.web_mbps - 300.0).abs() < 1.0);
+    assert!((hose.db_mbps - 300.0).abs() < 1.0);
+}
+
+/// Fig. 6: the paper's rack request is placeable with Balance but not with
+/// blind colocation.
+#[test]
+fn fig6_balance_is_necessary() {
+    let tag = apps::fig6_request();
+    let mut topo = Topology::build(&TreeSpec::fig6_rack());
+    let mut cm = CmPlacer::new(CmConfig::cm());
+    assert!(cm.place_tag(&mut topo, &tag).is_ok(), "Fig. 6(d) must fit");
+
+    let mut topo = Topology::build(&TreeSpec::fig6_rack());
+    let mut coloc_only = CmPlacer::new(CmConfig::coloc_only());
+    assert!(
+        coloc_only.place_tag(&mut topo, &tag).is_err(),
+        "blind colocation strands component C (Fig. 6(c))"
+    );
+}
+
+/// Fig. 13: the TAG patch protects the 450 Mbps trunk guarantee for any
+/// number of competing intra-tier senders; the hose model does not.
+#[test]
+fn fig13_protection() {
+    for k in 1..=5 {
+        let p = fig13_throughput(k, GuaranteeModel::Tag);
+        assert!(p.x_to_z_mbps >= 450.0 - 1e-6, "k={k}: {}", p.x_to_z_mbps);
+    }
+    let p = fig13_throughput(5, GuaranteeModel::Hose);
+    assert!(p.x_to_z_mbps < 200.0);
 }
 
 /// Fig. 11/12: guaranteed HA achieves its floor; opportunistic HA lifts
