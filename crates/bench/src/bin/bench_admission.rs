@@ -1,6 +1,7 @@
 //! Admission macro-benchmark: run the paper-default simulation for every
-//! placer, then the lifecycle-churn, fault-recovery and traffic-engine
-//! workloads, and record all four as sections of `BENCH_placement.json`
+//! placer (with the CloudMirror placers' work counters), then the
+//! lifecycle-churn, fault-recovery and traffic-engine workloads, and record
+//! all five as sections of `BENCH_placement.json`
 //! (written to the working directory) — the workspace's performance
 //! trajectory artifact.
 //!
@@ -23,6 +24,7 @@ use cm_bench::{
     admission_results, fault_churn, gate_admission, gate_churn, gate_faults, gate_traffic,
     lifecycle_churn, report_json, traffic_bench, BenchRow, Fields, Section, Size, TrafficRun, Val,
 };
+use cm_core::placement::LevelCounters;
 use cm_sim::faults::FaultChurnReport;
 use cm_sim::lifecycle::ChurnReport;
 use cm_sim::metrics::OpLatencies;
@@ -52,6 +54,39 @@ fn result_row(r: &BenchRow) -> Fields {
         ("p50_us", us(&r.admit, 0.5)),
         ("p99_us", us(&r.admit, 0.99)),
     ]
+}
+
+const COUNTERS_NOTE: &str = "deterministic work counters of the CloudMirror placers over the \
+    same runs as `results`; per-level columns list servers first, joined by '/'. Each level a \
+    search visits ends placed, or stopped by slots (no subtree of the level has room) or by \
+    bandwidth (descend found no subtree with the path bandwidth, or the attempt's Alloc or its \
+    reservation above failed); attempts are the Alloc runs for a whole tenant, allocs every Alloc \
+    call at any depth. fills_* count Balance's greedy fills run and reused, groups_built \
+    FindTiersToColoc's build_group calls, uplink_prechecked the Colocate groups on a server the \
+    closed-form uplink check refused before staging, coloc_server_rollbacks those staged and then \
+    rolled back by the server's own uplink sync (gated to 0), memo_hits the Allocs answered by the \
+    failure memo";
+
+fn counters_row(r: &BenchRow) -> Option<Fields> {
+    let c = r.counters.as_ref()?;
+    let per_level = |f: fn(&LevelCounters) -> u64| {
+        let v: Vec<String> = c.levels.iter().map(|l| f(l).to_string()).collect();
+        Val::Str(v.join("/"))
+    };
+    Some(vec![
+        ("placer", r.name.into()),
+        ("attempts", per_level(|l| l.attempts)),
+        ("placed", per_level(|l| l.placed)),
+        ("slots", per_level(|l| l.slots)),
+        ("bandwidth", per_level(|l| l.bandwidth)),
+        ("allocs", per_level(|l| l.allocs)),
+        ("fills_run", Val::Int(c.fills_run)),
+        ("fills_reused", Val::Int(c.fills_reused)),
+        ("groups_built", Val::Int(c.groups_built)),
+        ("uplink_prechecked", Val::Int(c.uplink_prechecked)),
+        ("coloc_server_rollbacks", Val::Int(c.coloc_server_rollbacks)),
+        ("memo_hits", Val::Int(c.memo_hits)),
+    ])
 }
 
 const CHURN_NOTE: &str = "autoscaling churn over the Cluster lifecycle controller: steady-state \
@@ -183,6 +218,14 @@ fn main() -> ExitCode {
         note: None,
         head: vec![],
         rows: results.iter().map(result_row).collect(),
+    });
+
+    emit(Section {
+        key: "search_counters",
+        title: "Placer work counters (same runs as the admission table)",
+        note: Some(COUNTERS_NOTE),
+        head: vec![],
+        rows: results.iter().filter_map(counters_row).collect(),
     });
 
     let churn = lifecycle_churn(size, &pool);

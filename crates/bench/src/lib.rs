@@ -18,7 +18,7 @@
 pub mod figures;
 
 use cm_baselines::{OktopusVcPlacer, OvocPlacer, SecondNetPlacer};
-use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer};
+use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer, SearchCounters};
 use cm_enforce::GuaranteeModel;
 use cm_sim::faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
 use cm_sim::lifecycle::{run_churn, ChurnConfig, ChurnReport};
@@ -293,6 +293,8 @@ pub struct BenchRow {
     pub wall_secs: f64,
     /// Latency distribution of the `admit` calls.
     pub admit: OpLatencies,
+    /// The placer's work counters over the run; CloudMirror placers only.
+    pub counters: Option<SearchCounters>,
 }
 
 impl BenchRow {
@@ -302,28 +304,36 @@ impl BenchRow {
     }
 }
 
-/// Run `cfg` `reps` times and keep the median-by-wall-time repetition.
+/// Run `cfg` `reps` times and keep the median-by-wall-time repetition;
+/// `counters` reads the placer's work counters after a run.
 fn bench_one<P: Placer>(
     make: impl Fn() -> P,
     cfg: &SimConfig,
     pool: &TenantPool,
     reps: usize,
+    counters: fn(&P) -> Option<SearchCounters>,
 ) -> BenchRow {
     let mut rows: Vec<BenchRow> = (0..reps)
         .map(|_| {
+            let mut placer = make();
             let t0 = Instant::now();
-            let res = run_sim(cfg, pool, make());
+            let res = run_sim(cfg, pool, &mut placer);
             BenchRow {
                 name: res.algo,
                 arrivals: cfg.arrivals,
                 admitted: res.rejections.arrivals - res.rejections.rejected_tenants,
                 wall_secs: t0.elapsed().as_secs_f64(),
                 admit: res.admit,
+                counters: counters(&placer),
             }
         })
         .collect();
     rows.sort_by(|a, b| a.wall_secs.partial_cmp(&b.wall_secs).expect("finite"));
     rows.swap_remove(rows.len() / 2)
+}
+
+fn cm_counters(p: &CmPlacer) -> Option<SearchCounters> {
+    Some(p.counters().clone())
 }
 
 /// The paper-default simulation per placer: CM first, then the two
@@ -338,13 +348,14 @@ pub fn admission_results(size: Size, pool: &TenantPool) -> Vec<BenchRow> {
         arrivals: (cfg.arrivals / 20).max(50),
         ..cfg.clone()
     };
+    let cm = |cfg: CmConfig| move || CmPlacer::new(cfg);
     vec![
-        bench_one(|| CmPlacer::new(CmConfig::cm()), &cfg, pool, reps),
-        bench_one(|| CmPlacer::new(CmConfig::coloc_only()), &cfg, pool, 1),
-        bench_one(|| CmPlacer::new(CmConfig::balance_only()), &cfg, pool, 1),
-        bench_one(OvocPlacer::new, &cfg, pool, 1),
-        bench_one(OktopusVcPlacer::new, &cfg, pool, 1),
-        bench_one(SecondNetPlacer::new, &secondnet_cfg, pool, 1),
+        bench_one(cm(CmConfig::cm()), &cfg, pool, reps, cm_counters),
+        bench_one(cm(CmConfig::coloc_only()), &cfg, pool, 1, cm_counters),
+        bench_one(cm(CmConfig::balance_only()), &cfg, pool, 1, cm_counters),
+        bench_one(OvocPlacer::new, &cfg, pool, 1, |_| None),
+        bench_one(OktopusVcPlacer::new, &cfg, pool, 1, |_| None),
+        bench_one(SecondNetPlacer::new, &secondnet_cfg, pool, 1, |_| None),
     ]
 }
 
@@ -448,10 +459,18 @@ fn verdict(bad: Vec<String>) -> Result<(), String> {
     }
 }
 
-/// `results` is non-empty.
+/// `results` is non-empty, and no CloudMirror placer staged a `Colocate`
+/// group on a server only to roll it back on that server's uplink (the
+/// pre-check decides those without staging).
 pub fn gate_admission(results: &[BenchRow]) -> Result<(), String> {
     let mut bad = Vec::new();
     check!(bad, "results", !results.is_empty());
+    for r in results {
+        if let Some(c) = &r.counters {
+            let at = format!("results[{}]", r.name);
+            check!(bad, at, c.coloc_server_rollbacks == 0);
+        }
+    }
     verdict(bad)
 }
 
@@ -624,6 +643,16 @@ mod tests {
         assert_eq!(
             gate_admission(&[]),
             violated("results: `!results.is_empty()")
+        );
+        let mut doctored = admission_results(Size::Quick, &pool);
+        doctored[0]
+            .counters
+            .as_mut()
+            .expect("CM counts its work")
+            .coloc_server_rollbacks = 1;
+        assert_eq!(
+            gate_admission(&doctored),
+            violated("results[CM]: `c.coloc_server_rollbacks == 0")
         );
 
         // Two violations: both are listed, in report order.

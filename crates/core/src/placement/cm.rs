@@ -1,6 +1,7 @@
 //! The CloudMirror placement algorithm (Algorithm 1 + §4.5 extensions).
 
 use crate::cut::CutModel;
+use crate::fasthash::FastMap;
 use crate::model::{Tag, TierId};
 use crate::placement::{
     need_is_zero, need_total, per_slot_avail_kbps, place_incremental_replace, restore_need,
@@ -9,13 +10,42 @@ use crate::placement::{
 use crate::reserve::{PlacementEntry, TenantState};
 use crate::txn::ReservationTxn;
 use cm_topology::{NodeId, Topology};
+use std::cmp::Reverse;
 use std::sync::Arc;
 
-/// Reusable buffer pools for the placement hot path. Every temporary the
-/// recursive `Alloc`/`Colocate`/`Balance` machinery needs — child
-/// orderings, `need` vectors, subset-sum shortlists, incident-edge
-/// scratch — is drawn from (and returned to) these free lists, so
-/// steady-state admission performs no heap allocation of its own.
+/// Reusable working state of the placement hot path, so steady-state
+/// admission performs no heap allocation of its own:
+///
+/// * buffer pools — every temporary the recursive `Alloc`/`Colocate`/
+///   `Balance` machinery needs (child orderings, `need` vectors, subset-sum
+///   shortlists, incident-edge scratch, per-child fill caches) is drawn
+///   from and returned to these free lists;
+/// * the failure memo of the current search ([`FailMemo`]);
+/// * the work counters ([`SearchCounters`]).
+///
+/// Three shortcuts skip work whose outcome is already decided, each
+/// exactly:
+///
+/// * *Uplink pre-check.* Before `Colocate` stages a group on a server,
+///   [`server_uplink_fits`] decides the server's uplink sync in closed
+///   form: `cut(inside + group) − reserved` against the uplink's
+///   availability is the very test `sync_uplink` applies, so a group that
+///   would be staged, fail its own sync and roll back is excluded without
+///   touching the transaction.
+/// * *Fill reuse* ([`FillCache`]). `Balance` reuses a cached `greedy_fill`
+///   with the same [`FillKey`] and `min(need[t], free slots)` — the
+///   child's own last fill while neither changed, or an identical
+///   sibling's: the fill reads the child only through its key and `need`
+///   only through that clamp.
+/// * *Failure memo* ([`FailMemo`]). Within one search, an `Alloc(need)` on
+///   a subtree the tenant has not touched that placed nothing returns 0 on
+///   repeat. A failed `Alloc` rolls back, and nothing but this tenant's
+///   own staging changes a subtree mid-search, so an untouched subtree is
+///   in the same state as when it failed.
+///
+/// Under Eq. 7 (Guaranteed) HA the fill and `Alloc` also read fault-domain
+/// counts that can sit above the subtree, so the last two are off there,
+/// like the cross-child memo in `FindTiersToColoc`.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     u32s: Vec<Vec<u32>>,
@@ -23,6 +53,9 @@ struct Scratch {
     nodes: Vec<Vec<NodeId>>,
     idxs: Vec<Vec<usize>>,
     pairs: Vec<Vec<(usize, u32)>>,
+    fills: Vec<FillCache>,
+    failed: FailMemo,
+    counters: SearchCounters,
 }
 
 macro_rules! pool {
@@ -43,16 +76,409 @@ impl Scratch {
     pool!(nodes, put_nodes, nodes, NodeId);
     pool!(idxs, put_idxs, idxs, usize);
     pool!(pairs, put_pairs, pairs, (usize, u32));
+
+    fn fill_cache(&mut self, children: usize, tiers: usize) -> FillCache {
+        let mut c = self.fills.pop().unwrap_or_default();
+        c.reset(children, tiers);
+        c
+    }
+
+    fn put_fill_cache(&mut self, c: FillCache) {
+        self.fills.push(c);
+    }
+}
+
+/// Work one tree level saw, summed over searches. Every level a search
+/// visits ends in exactly one of `placed`, `slots` or `bandwidth`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelCounters {
+    /// Attempts: `Alloc` ran on a subtree of this level for the whole
+    /// tenant.
+    pub attempts: u64,
+    /// The attempt placed the tenant and reserved the path above.
+    pub placed: u64,
+    /// No subtree of this level had enough free slots, so the search
+    /// skipped the level without an attempt.
+    pub slots: u64,
+    /// Bandwidth stopped the level: no subtree with enough free slots had
+    /// the root-path bandwidth for the tenant's external demand (skipped
+    /// without an attempt), or the attempt's `Alloc` or its reservation
+    /// above failed. An attempt never fails on slots: descend only offers
+    /// subtrees with room for every VM. Under Eq. 7 HA this count also
+    /// holds attempts the caps stopped.
+    pub bandwidth: u64,
+    /// `Alloc` calls that ran on a node of this level, at any depth of any
+    /// attempt (failure-memo hits excluded).
+    pub allocs: u64,
+}
+
+/// Deterministic work counters of a [`CmPlacer`], summed over every
+/// search since the placer was created (admissions and scale-outs; shrinks
+/// do not search). Plain counts with no switch: they cost an add each.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// Per tree level, servers first.
+    pub levels: Vec<LevelCounters>,
+    /// `greedy_fill`s `Balance` ran.
+    pub fills_run: u64,
+    /// `greedy_fill`s `Balance` reused instead: a child's own last fill, or
+    /// an identical sibling's.
+    pub fills_reused: u64,
+    /// `build_group` calls of `FindTiersToColoc`.
+    pub groups_built: u64,
+    /// `Colocate` groups on a server the uplink pre-check refused, so they
+    /// were never staged.
+    pub uplink_prechecked: u64,
+    /// `Colocate` groups on a server that were staged and then rolled back
+    /// by that server's own uplink sync. The pre-check leaves none.
+    pub coloc_server_rollbacks: u64,
+    /// `Alloc` calls answered by the failure memo.
+    pub memo_hits: u64,
+}
+
+impl SearchCounters {
+    /// Count the levels in `skipped`, which the search passed over because
+    /// descend found no subtree there: for slots when no subtree of the
+    /// level has `total_vms` free slots, else for path bandwidth. `topo`
+    /// must be the tree descend saw.
+    fn skip(&mut self, topo: &Topology, skipped: std::ops::Range<usize>, total_vms: u64) {
+        for l in skipped {
+            if topo.max_subtree_free_at(topo.root(), l) < total_vms {
+                self.levels[l].slots += 1;
+            } else {
+                self.levels[l].bandwidth += 1;
+            }
+        }
+    }
 }
 
 /// Physical-state key of a balance candidate (free slots, total slots,
-/// uplink capacity, uplink availability) — equal keys on untouched
-/// children imply identical greedy fills.
+/// uplink capacity, uplink availability): outside Eq. 7, equal keys and
+/// equal `min(need[t], free slots)` imply identical greedy fills.
 type FillKey = (u64, u64, Option<(u64, u64)>, Option<(u64, u64)>);
 
+fn fill_key(topo: &Topology, child: NodeId) -> FillKey {
+    (
+        topo.subtree_slots_free(child),
+        topo.subtree_slots_total(child),
+        topo.uplink_capacity(child),
+        topo.uplink_avail(child),
+    )
+}
+
+/// Each child's last `greedy_fill` within one `Balance` call, indexed by
+/// the child's position under the subtree. An entry stays exact for its
+/// own key and clamp after the child changes, so any child may reuse it.
+#[derive(Debug, Clone, Default)]
+struct FillCache {
+    tiers: usize,
+    /// Per child: the key and score of its last fill.
+    last: Vec<Option<(FillKey, f64)>>,
+    /// Per child, `tiers` entries each: `min(need[t], free slots)` when
+    /// the fill ran, and its selection.
+    clamp: Vec<u32>,
+    sel: Vec<u32>,
+}
+
+impl FillCache {
+    fn reset(&mut self, children: usize, tiers: usize) {
+        self.tiers = tiers;
+        self.last.clear();
+        self.last.resize(children, None);
+        self.clamp.clear();
+        self.clamp.resize(children * tiers, 0);
+        self.sel.clear();
+        self.sel.resize(children * tiers, 0);
+    }
+
+    /// The fill of child `i` for `need`, if its last one is still exact.
+    fn get(&self, i: usize, key: FillKey, need: &[u32]) -> Option<(&[u32], f64)> {
+        let (k, score) = self.last[i]?;
+        let r = i * self.tiers..(i + 1) * self.tiers;
+        let same = k == key
+            && need
+                .iter()
+                .zip(&self.clamp[r.clone()])
+                .all(|(&n, &c)| (n as u64).min(key.0) == c as u64);
+        same.then(|| (&self.sel[r], score))
+    }
+
+    fn put(&mut self, i: usize, key: FillKey, need: &[u32], sel: &[u32], score: f64) {
+        let r = i * self.tiers..(i + 1) * self.tiers;
+        for (c, &n) in self.clamp[r.clone()].iter_mut().zip(need) {
+            *c = (n as u64).min(key.0) as u32;
+        }
+        self.sel[r].copy_from_slice(sel);
+        self.last[i] = Some((key, score));
+    }
+}
+
+/// The failure memo of one search: `(subtree, need)` pairs whose `Alloc`
+/// placed nothing while the tenant had not touched the subtree. Needs are
+/// keyed by a hash and compared in full, so a collision only costs a miss.
+#[derive(Debug, Clone, Default)]
+struct FailMemo {
+    /// `(subtree, hash of need)` → offset of the need in `needs`.
+    index: FastMap<(NodeId, u64), usize>,
+    needs: Vec<u32>,
+}
+
+impl FailMemo {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.needs.clear();
+    }
+
+    fn key(st: NodeId, need: &[u32]) -> (NodeId, u64) {
+        let h = need.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &c| {
+            (h ^ c as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (st, h)
+    }
+
+    fn contains(&self, st: NodeId, need: &[u32]) -> bool {
+        self.index
+            .get(&Self::key(st, need))
+            .is_some_and(|&at| &self.needs[at..at + need.len()] == need)
+    }
+
+    fn insert(&mut self, st: NodeId, need: &[u32]) {
+        self.index.insert(Self::key(st, need), self.needs.len());
+        self.needs.extend_from_slice(need);
+    }
+}
+
+/// Whether staging `group` on `server` would pass the server's uplink
+/// sync, decided without staging: the tenant's cut with the group inside
+/// (Eq. 1), minus what it reserves there now, must fit the uplink's
+/// availability in each direction. That is exactly the capacity test
+/// `ReservationTxn::sync_uplink` applies (only increases are checked, and
+/// availability saturates at zero on a link degraded below its
+/// reservations, so no increase fits there).
+fn server_uplink_fits(
+    topo: &Topology,
+    state: &TenantState<Tag>,
+    server: NodeId,
+    group: &[u32],
+    scratch: &mut Scratch,
+) -> bool {
+    let Some((avail_up, avail_dn)) = topo.uplink_avail(server) else {
+        return true; // a single-server tree: no uplink to sync
+    };
+    let mut cur = scratch.u32s();
+    state.fill_inside_counts(server, &mut cur);
+    for (c, &g) in cur.iter_mut().zip(group) {
+        *c += g;
+    }
+    let (want_up, want_dn) = state.model().cut_kbps(&cur);
+    scratch.put_u32s(cur);
+    let (have_up, have_dn) = state.reserved_on(server);
+    want_up.saturating_sub(have_up) <= avail_up && want_dn.saturating_sub(have_dn) <= avail_dn
+}
+
+/// `Colocate`'s candidate children of one subtree: those still holding
+/// free slots that neither failed to take a group nor yielded none, in
+/// (most free slots, id) order (keys are unique, so unstable sorts need no
+/// buffer), with the integer sums behind [`per_slot_avail_kbps`] over
+/// them. Built once per `Colocate` call;
+/// after that only the child `FindTiersToColoc` returns changes, so it is
+/// taken out while `Alloc` runs and re-inserted under its new key if it
+/// took VMs.
+struct ColocCands {
+    nodes: Vec<NodeId>,
+    /// Σ ⌊(avail up + avail down) / 2⌋ over `nodes`.
+    bw: u128,
+    /// Σ free slots over `nodes`.
+    slots: u64,
+    /// Children left out for good (debug builds rebuild the list from it).
+    #[cfg(debug_assertions)]
+    dropped: Vec<NodeId>,
+    #[cfg(debug_assertions)]
+    st: NodeId,
+}
+
+fn half_avail(topo: &Topology, n: NodeId) -> u128 {
+    topo.uplink_avail(n)
+        .map_or(0, |(u, d)| (u as u128 + d as u128) / 2)
+}
+
+fn by_free_slots(topo: &Topology, n: NodeId) -> (Reverse<u64>, NodeId) {
+    (Reverse(topo.subtree_slots_free(n)), n)
+}
+
+fn by_uplink_avail(topo: &Topology, n: NodeId) -> (Reverse<u64>, NodeId) {
+    let (u, d) = topo.uplink_avail(n).unwrap_or((0, 0));
+    (Reverse(u.min(d)), n)
+}
+
+/// Insert `n` into `v`, which is sorted by `key`, at its sorted position.
+fn insert_sorted<K: Ord>(v: &mut Vec<NodeId>, n: NodeId, key: impl Fn(NodeId) -> K) {
+    let k = key(n);
+    let at = v.partition_point(|&m| key(m) < k);
+    v.insert(at, n);
+}
+
+/// Remove `n` from `v`, if present.
+fn remove_node(v: &mut Vec<NodeId>, n: NodeId) {
+    if let Some(at) = v.iter().position(|&m| m == n) {
+        v.remove(at);
+    }
+}
+
+impl ColocCands {
+    fn build(topo: &Topology, st: NodeId, scratch: &mut Scratch) -> ColocCands {
+        let mut nodes = scratch.nodes();
+        nodes.extend(
+            topo.children(st)
+                .filter(|&n| topo.subtree_slots_free(n) > 0),
+        );
+        nodes.sort_unstable_by_key(|&n| by_free_slots(topo, n));
+        ColocCands {
+            bw: nodes.iter().map(|&n| half_avail(topo, n)).sum(),
+            slots: nodes.iter().map(|&n| topo.subtree_slots_free(n)).sum(),
+            nodes,
+            #[cfg(debug_assertions)]
+            dropped: scratch.nodes(),
+            #[cfg(debug_assertions)]
+            st,
+        }
+    }
+
+    fn release(self, scratch: &mut Scratch) {
+        scratch.put_nodes(self.nodes);
+        #[cfg(debug_assertions)]
+        scratch.put_nodes(self.dropped);
+    }
+
+    /// Add `n` under its current key, unless it has no free slot left.
+    fn insert(&mut self, topo: &Topology, n: NodeId) {
+        let free = topo.subtree_slots_free(n);
+        if free == 0 {
+            return;
+        }
+        insert_sorted(&mut self.nodes, n, |m| by_free_slots(topo, m));
+        self.bw += half_avail(topo, n);
+        self.slots += free;
+    }
+
+    /// Take out the first `k` children, each under its current key.
+    fn remove_first(&mut self, topo: &Topology, k: usize) {
+        for n in self.nodes.drain(..k) {
+            self.bw -= half_avail(topo, n);
+            self.slots -= topo.subtree_slots_free(n);
+        }
+    }
+
+    /// Debug builds: the list and sums equal the filter and sort they
+    /// replace, rebuilt from the subtree.
+    #[cfg(debug_assertions)]
+    fn check(&self, topo: &Topology) {
+        let mut rebuilt: Vec<NodeId> = topo
+            .children(self.st)
+            .filter(|c| !self.dropped.contains(c) && topo.subtree_slots_free(*c) > 0)
+            .collect();
+        rebuilt.sort_by_key(|&c| by_free_slots(topo, c));
+        debug_assert_eq!(self.nodes, rebuilt, "Colocate candidates drifted");
+        let bw: u128 = rebuilt.iter().map(|&c| half_avail(topo, c)).sum();
+        let slots: u64 = rebuilt.iter().map(|&c| topo.subtree_slots_free(c)).sum();
+        debug_assert_eq!((self.bw, self.slots), (bw, slots), "Colocate sums drifted");
+    }
+}
+
+/// `Balance`'s candidate children of one subtree: those with free slots
+/// whose `Alloc` has not come back empty, in id order and in both
+/// shortlist orders (most free slots; most available uplink bandwidth,
+/// the smaller direction). Built once per `Balance` call and maintained
+/// like [`ColocCands`].
+struct BalanceCands {
+    ids: Vec<NodeId>,
+    by_slots: Vec<NodeId>,
+    by_bw: Vec<NodeId>,
+    /// The subtree's first child: a child's index under it is its id
+    /// minus this one's (children are a contiguous id range).
+    first: u32,
+    #[cfg(debug_assertions)]
+    dropped: Vec<NodeId>,
+    #[cfg(debug_assertions)]
+    st: NodeId,
+}
+
+impl BalanceCands {
+    fn build(topo: &Topology, st: NodeId, scratch: &mut Scratch) -> BalanceCands {
+        let mut c = BalanceCands {
+            ids: scratch.nodes(),
+            by_slots: scratch.nodes(),
+            by_bw: scratch.nodes(),
+            first: topo.children(st).next().map_or(0, |n| n.0),
+            #[cfg(debug_assertions)]
+            dropped: scratch.nodes(),
+            #[cfg(debug_assertions)]
+            st,
+        };
+        c.ids.extend(
+            topo.children(st)
+                .filter(|&n| topo.subtree_slots_free(n) > 0),
+        );
+        c.by_slots.extend_from_slice(&c.ids);
+        c.by_slots.sort_unstable_by_key(|&n| by_free_slots(topo, n));
+        c.by_bw.extend_from_slice(&c.ids);
+        c.by_bw.sort_unstable_by_key(|&n| by_uplink_avail(topo, n));
+        c
+    }
+
+    fn release(self, scratch: &mut Scratch) {
+        scratch.put_nodes(self.ids);
+        scratch.put_nodes(self.by_slots);
+        scratch.put_nodes(self.by_bw);
+        #[cfg(debug_assertions)]
+        scratch.put_nodes(self.dropped);
+    }
+
+    fn index(&self, n: NodeId) -> usize {
+        (n.0 - self.first) as usize
+    }
+
+    /// Take `n` out of both orders (its keys are about to change).
+    fn take(&mut self, n: NodeId) {
+        remove_node(&mut self.by_slots, n);
+        remove_node(&mut self.by_bw, n);
+    }
+
+    /// Put `n`, taken out before its `Alloc`, back under its new keys; or
+    /// leave it out for good when the `Alloc` placed nothing or it has no
+    /// free slot left.
+    fn put_back(&mut self, topo: &Topology, n: NodeId, placed: bool) {
+        if placed && topo.subtree_slots_free(n) > 0 {
+            insert_sorted(&mut self.by_slots, n, |m| by_free_slots(topo, m));
+            insert_sorted(&mut self.by_bw, n, |m| by_uplink_avail(topo, m));
+        } else {
+            remove_node(&mut self.ids, n);
+            #[cfg(debug_assertions)]
+            self.dropped.push(n);
+        }
+    }
+
+    /// Debug builds: the id list equals the filter it replaces, and both
+    /// orders equal a fresh sort of it.
+    #[cfg(debug_assertions)]
+    fn check(&self, topo: &Topology) {
+        let rebuilt: Vec<NodeId> = topo
+            .children(self.st)
+            .filter(|c| !self.dropped.contains(c) && topo.subtree_slots_free(*c) > 0)
+            .collect();
+        debug_assert_eq!(self.ids, rebuilt, "Balance candidates drifted");
+        let mut s = rebuilt.clone();
+        s.sort_by_key(|&c| by_free_slots(topo, c));
+        debug_assert_eq!(self.by_slots, s, "Balance slot order drifted");
+        s.sort_by_key(|&c| by_uplink_avail(topo, c));
+        debug_assert_eq!(self.by_bw, s, "Balance bandwidth order drifted");
+    }
+}
+
 /// Collect the 4 smallest nodes of `nodes` under `key` into `out`, in key
-/// order — equivalent to `sort_by_key(key).take(4)` for total-order keys,
-/// without sorting or allocating.
+/// order — equivalent to `sort_by_key(key).take(4)` for total-order keys.
+/// Debug builds check `Balance`'s maintained shortlist against it.
+#[cfg(debug_assertions)]
 fn top4_by<K: Ord + Copy>(nodes: &[NodeId], out: &mut Vec<NodeId>, key: impl Fn(NodeId) -> K) {
     let mut best: [Option<(K, NodeId)>; 4] = [None; 4];
     for &c in nodes {
@@ -84,8 +510,9 @@ fn top4_by<K: Ord + Copy>(nodes: &[NodeId], out: &mut Vec<NodeId>, key: impl Fn(
 /// The CloudMirror VM scheduler.
 ///
 /// A placer is stateful only through its [`DemandPredictor`] (used by
-/// opportunistic HA) and its reusable scratch pools; placements themselves
-/// live in the returned [`TenantState`]s. See the
+/// opportunistic HA), its reusable scratch pools and its work counters
+/// ([`CmPlacer::counters`]); placements themselves live in the returned
+/// [`TenantState`]s. See the
 /// [module docs](crate::placement) for the algorithm.
 #[derive(Debug, Clone)]
 pub struct CmPlacer {
@@ -150,25 +577,95 @@ impl CmPlacer {
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut total_need = scratch.u32s();
         total_need.extend((0..tag.num_tiers()).map(|t| CutModel::tier_size(tag, t)));
-        let total_vms = need_total(&total_need);
         let ext_demand = tag.cut_kbps(&total_need);
         let spread = self.spread_unit_prices(tag, &mut scratch);
         let start = self.start_level(topo, tag, demand_mix) as usize;
 
         let mut state = TenantState::new_shared(shared);
-        let res = search_and_place(topo, &mut state, total_vms, ext_demand, start, |txn, st| {
-            let mut need = scratch.u32s();
-            need.extend_from_slice(&total_need);
-            self.alloc(txn, tag, &mut need, st, demand_mix, &spread, &mut scratch);
-            let done = need_is_zero(&need);
-            scratch.put_u32s(need);
-            done
-        });
+        let res = self.search(
+            topo,
+            &mut state,
+            tag,
+            &total_need,
+            ext_demand,
+            start,
+            demand_mix,
+            &spread,
+            &mut scratch,
+        );
         scratch.put_u32s(total_need);
         scratch.put_u64s(spread);
         self.scratch = scratch;
         res?;
         Ok(state)
+    }
+
+    /// The work counters of every search so far (see [`SearchCounters`]).
+    pub fn counters(&self) -> &SearchCounters {
+        &self.scratch.counters
+    }
+
+    /// Algorithm 1's search for `template` (VMs to place per tier) through
+    /// [`search_and_place`], with the per-level outcome counted: each
+    /// level the search visits ends placed, or stopped by slots or by
+    /// bandwidth (see [`LevelCounters`]). Starts a fresh failure memo.
+    fn search(
+        &self,
+        topo: &mut Topology,
+        state: &mut TenantState<Tag>,
+        tag: &Tag,
+        template: &[u32],
+        ext_demand: (u64, u64),
+        start: usize,
+        demand_mix: f64,
+        spread: &[u64],
+        scratch: &mut Scratch,
+    ) -> Result<(), RejectReason> {
+        let total_vms = need_total(template);
+        let levels = topo.num_levels();
+        if scratch.counters.levels.len() < levels {
+            scratch
+                .counters
+                .levels
+                .resize(levels, LevelCounters::default());
+        }
+        scratch.failed.clear();
+        // The next level descend visits, and the level of an attempt whose
+        // `Alloc` placed everything but whose path reservation is pending.
+        let mut next = start.min(levels - 1);
+        let mut pending: Option<usize> = None;
+        let res = search_and_place(topo, state, total_vms, ext_demand, start, |txn, st| {
+            let level = txn.topo().level(st) as usize;
+            let c = &mut scratch.counters;
+            if let Some(p) = pending.take() {
+                c.levels[p].bandwidth += 1; // its path reservation failed
+            }
+            c.skip(txn.topo(), next..level, total_vms);
+            next = level + 1;
+            c.levels[level].attempts += 1;
+            let mut need = scratch.u32s();
+            need.extend_from_slice(template);
+            self.alloc(txn, tag, &mut need, st, demand_mix, spread, scratch);
+            let done = need_is_zero(&need);
+            scratch.put_u32s(need);
+            if done {
+                pending = Some(level);
+            } else {
+                scratch.counters.levels[level].bandwidth += 1;
+            }
+            done
+        });
+        let c = &mut scratch.counters;
+        match (&res, pending) {
+            (Ok(()), Some(p)) => c.levels[p].placed += 1,
+            (Err(_), Some(p)) => c.levels[p].bandwidth += 1,
+            _ => {}
+        }
+        if res.is_err() {
+            // Rolled back: `topo` is the tree the last descends saw.
+            c.skip(topo, next..levels, total_vms);
+        }
+        res
     }
 
     /// The spread price of one VM of each tier (the cut it costs alone in
@@ -284,14 +781,17 @@ impl CmPlacer {
         let mut template = scratch.u32s();
         template.resize(grown.num_tiers(), 0);
         template[tier.index()] = delta;
-        let res = search_and_place(topo, state, delta as u64, (0, 0), 0, |txn, st| {
-            let mut need = scratch.u32s();
-            need.extend_from_slice(&template);
-            self.alloc(txn, grown, &mut need, st, demand_mix, &spread, scratch);
-            let done = need_is_zero(&need);
-            scratch.put_u32s(need);
-            done
-        });
+        let res = self.search(
+            topo,
+            state,
+            grown,
+            &template,
+            (0, 0),
+            0,
+            demand_mix,
+            &spread,
+            scratch,
+        );
         scratch.put_u32s(template);
         scratch.put_u64s(spread);
         if res.is_err() {
@@ -476,6 +976,12 @@ impl CmPlacer {
     /// returning; if that fails, everything this call staged is rolled back
     /// (with `need` restored) and 0 is returned. Otherwise returns the
     /// number of VMs this call placed.
+    ///
+    /// A call that places nothing stages nothing. On a subtree the tenant
+    /// has not touched, such a failure is remembered for the rest of the
+    /// search and answered from the failure memo on repeat (see
+    /// [`Scratch`]); debug builds still run the call and check it places
+    /// nothing.
     fn alloc(
         &self,
         txn: &mut ReservationTxn<'_, Tag>,
@@ -486,6 +992,32 @@ impl CmPlacer {
         spread: &[u64],
         scratch: &mut Scratch,
     ) -> u64 {
+        let memo = self.memos_allowed() && txn.state().is_untouched(st);
+        if memo && scratch.failed.contains(st, need) {
+            scratch.counters.memo_hits += 1;
+            #[cfg(debug_assertions)]
+            self.assert_places_nothing(txn, tag, need, st, demand_mix, spread, scratch);
+            return 0;
+        }
+        let placed = self.alloc_uncached(txn, tag, need, st, demand_mix, spread, scratch);
+        if placed == 0 && memo {
+            scratch.failed.insert(st, need);
+        }
+        placed
+    }
+
+    /// [`CmPlacer::alloc`] without the failure memo.
+    fn alloc_uncached(
+        &self,
+        txn: &mut ReservationTxn<'_, Tag>,
+        tag: &Tag,
+        need: &mut [u32],
+        st: NodeId,
+        demand_mix: f64,
+        spread: &[u64],
+        scratch: &mut Scratch,
+    ) -> u64 {
+        scratch.counters.levels[txn.topo().level(st) as usize].allocs += 1;
         let sp = txn.savepoint();
         let before = need_total(need);
         if txn.topo().is_server(st) {
@@ -511,6 +1043,41 @@ impl CmPlacer {
             return 0;
         }
         placed
+    }
+
+    /// Debug builds: run `Alloc(need)` on `st`, which a shortcut decided
+    /// places nothing, and check that it does. The work counters and the
+    /// failure memo are left as they were, so debug and release builds
+    /// count alike.
+    #[cfg(debug_assertions)]
+    fn assert_places_nothing(
+        &self,
+        txn: &mut ReservationTxn<'_, Tag>,
+        tag: &Tag,
+        need: &[u32],
+        st: NodeId,
+        demand_mix: f64,
+        spread: &[u64],
+        scratch: &mut Scratch,
+    ) {
+        let counters = scratch.counters.clone();
+        let failed = scratch.failed.clone();
+        let mut probe = scratch.u32s();
+        probe.extend_from_slice(need);
+        let placed = self.alloc_uncached(txn, tag, &mut probe, st, demand_mix, spread, scratch);
+        assert_eq!(
+            placed, 0,
+            "a shortcut skipped an Alloc on {st} that places VMs"
+        );
+        scratch.put_u32s(probe);
+        scratch.counters = counters;
+        scratch.failed = failed;
+    }
+
+    /// Whether the fill reuse and the failure memo may run: not under
+    /// Eq. 7 HA, whose caps read fault-domain counts outside the subtree.
+    fn memos_allowed(&self) -> bool {
+        !matches!(self.cfg.ha, HaPolicy::Guaranteed { .. })
     }
 
     /// Server-level allocation: fill free slots with the highest-demand
@@ -627,6 +1194,11 @@ impl CmPlacer {
 
     /// `Colocate(g, st)`: repeatedly pick a verified bandwidth-saving group
     /// of tiers and recurse into the chosen child.
+    ///
+    /// A child leaves the candidates once it yields no group for the
+    /// remainder, or its `Alloc` places nothing (a group on a server is
+    /// refused by the uplink pre-check before it is staged, see
+    /// [`server_uplink_fits`]).
     fn colocate(
         &self,
         txn: &mut ReservationTxn<'_, Tag>,
@@ -637,54 +1209,66 @@ impl CmPlacer {
         spread: &[u64],
         scratch: &mut Scratch,
     ) {
-        let mut excluded = scratch.nodes();
-        // Children that produced no saving group for the current remainder;
-        // they can only become attractive again once they receive VMs (which
-        // removes them from the set below).
-        let mut no_group = scratch.nodes();
+        let mut cands = ColocCands::build(txn.topo(), st, scratch);
         loop {
             let found = self.find_tiers_to_coloc(
                 txn.topo(),
                 txn.state(),
                 tag,
                 need,
-                st,
-                &excluded,
-                &mut no_group,
+                &mut cands,
                 spread,
                 scratch,
             );
             let Some((gsub, child)) = found else { break };
             debug_assert!(gsub.iter().zip(need.iter()).all(|(&g, &n)| g <= n));
-            for (t, &g) in gsub.iter().enumerate() {
-                need[t] -= g;
+            // The child heads the list; its keys change if it takes VMs.
+            cands.remove_first(txn.topo(), 1);
+            let on_server = txn.topo().is_server(child);
+            let placed = if on_server
+                && !server_uplink_fits(txn.topo(), txn.state(), child, &gsub, scratch)
+            {
+                scratch.counters.uplink_prechecked += 1;
+                #[cfg(debug_assertions)]
+                self.assert_places_nothing(txn, tag, &gsub, child, demand_mix, spread, scratch);
+                scratch.put_u32s(gsub);
+                0
+            } else {
+                for (t, &g) in gsub.iter().enumerate() {
+                    need[t] -= g;
+                }
+                let mut sub = gsub;
+                let placed = self.alloc(txn, tag, &mut sub, child, demand_mix, spread, scratch);
+                for (t, &s) in sub.iter().enumerate() {
+                    need[t] += s; // return the unplaced remainder
+                }
+                scratch.put_u32s(sub);
+                if on_server && placed == 0 {
+                    scratch.counters.coloc_server_rollbacks += 1;
+                }
+                placed
+            };
+            if placed > 0 {
+                cands.insert(txn.topo(), child);
+            } else {
+                #[cfg(debug_assertions)]
+                cands.dropped.push(child);
             }
-            let mut sub = gsub;
-            let placed = self.alloc(txn, tag, &mut sub, child, demand_mix, spread, scratch);
-            for (t, &s) in sub.iter().enumerate() {
-                need[t] += s; // return the unplaced remainder
-            }
-            scratch.put_u32s(sub);
-            if placed == 0 {
-                excluded.push(child);
-            } else if let Some(p) = no_group.iter().position(|&n| n == child) {
-                no_group.swap_remove(p);
-            }
-            // With nothing left to place, the next find would collect and
-            // scan children only to come back empty (`hi` is empty once
-            // every `need` entry is zero) — skip it.
+            // With nothing left to place, the next find would only come
+            // back empty (`hi` is empty once every `need` entry is zero).
             if need_is_zero(need) {
                 break;
             }
         }
-        scratch.put_nodes(excluded);
-        scratch.put_nodes(no_group);
+        cands.release(scratch);
     }
 
     /// `FindTiersToColoc`: build the best verified-saving colocation group
-    /// for some child of `st`.
+    /// for some candidate child of `st`, visiting `cands` in order.
+    /// Children that yield no group for the current remainder leave
+    /// `cands`; the returned child is left at its head.
     ///
-    /// Low-bandwidth tiers (per-VM demand at or below the children's
+    /// Low-bandwidth tiers (per-VM demand at or below the candidates'
     /// available bandwidth per free slot) are excluded — they are left for
     /// `Balance` to pair with high-bandwidth VMs (§4.4, Fig. 6). Groups are
     /// seeded by the single tier or trunk-edge pair with the largest exact
@@ -695,31 +1279,26 @@ impl CmPlacer {
         state: &TenantState<Tag>,
         tag: &Tag,
         need: &[u32],
-        st: NodeId,
-        excluded: &[NodeId],
-        no_group: &mut Vec<NodeId>,
+        cands: &mut ColocCands,
         spread: &[u64],
         scratch: &mut Scratch,
     ) -> Option<(Vec<u32>, NodeId)> {
-        let mut children = scratch.nodes();
-        children.extend(topo.children(st).filter(|c| {
-            !excluded.contains(c) && !no_group.contains(c) && topo.subtree_slots_free(*c) > 0
-        }));
-        if children.is_empty() {
-            scratch.put_nodes(children);
+        #[cfg(debug_assertions)]
+        cands.check(topo);
+        if cands.nodes.is_empty() {
             return None;
         }
 
-        // Low-bandwidth exclusion threshold (computed over all live
-        // children, not the shortlist, to keep the classification stable).
-        let thr = per_slot_avail_kbps(topo, children.iter().copied()).unwrap_or(0.0);
+        // Low-bandwidth exclusion threshold (computed over all candidates,
+        // not only the ones visited, to keep the classification stable) —
+        // `per_slot_avail_kbps` from the maintained sums.
+        let thr = cands.bw as f64 / cands.slots as f64;
         let mut hi = scratch.idxs();
         hi.extend(
             (0..need.len())
                 .filter(|&t| need[t] > 0 && tag.per_vm_demand(TierId(t as u16)) as f64 > thr),
         );
         if hi.is_empty() {
-            scratch.put_nodes(children);
             scratch.put_idxs(hi);
             return None;
         }
@@ -731,7 +1310,7 @@ impl CmPlacer {
         // fails, siblings with the same free count are skipped outright.
         // On a fresh rack that collapses the failing scan from
         // O(children × probes) to a single probe.
-        let memo_allowed = !matches!(self.cfg.ha, HaPolicy::Guaranteed { .. });
+        let memo_allowed = self.memos_allowed();
         // Free-slot counts beyond every cap `build_group` applies (`cap ≤
         // need_total`, and the trunk-seed halving ≤ `⌈slots/2⌉`) behave
         // identically, so the memo key saturates at twice the remaining
@@ -739,59 +1318,28 @@ impl CmPlacer {
         let slot_sat = 2 * need_total(need);
         let mut failed_slots: Option<u64> = None;
         let mut found: Option<(Vec<u32>, NodeId)> = None;
-        // Children are visited in (most free slots, id) order, selected
-        // lazily: the first child usually yields a group, so a full sort
-        // would order a list the loop never reads past.
-        let mut visited_mask = 0u64;
-        let mut next_sorted = 0usize;
-        if children.len() > 64 {
-            children.sort_by_key(|&c| (std::cmp::Reverse(topo.subtree_slots_free(c)), c));
-        }
-        loop {
-            let child = if children.len() > 64 {
-                if next_sorted >= children.len() {
-                    break;
-                }
-                let c = children[next_sorted];
-                next_sorted += 1;
-                c
-            } else {
-                let mut pick: Option<(u64, NodeId, usize)> = None;
-                for (i, &c) in children.iter().enumerate() {
-                    if visited_mask >> i & 1 == 1 {
-                        continue;
-                    }
-                    let free = topo.subtree_slots_free(c);
-                    let better = match pick {
-                        None => true,
-                        Some((bf, bc, _)) => free > bf || (free == bf && c < bc),
-                    };
-                    if better {
-                        pick = Some((free, c, i));
-                    }
-                }
-                let Some((_, c, i)) = pick else { break };
-                visited_mask |= 1u64 << i;
-                c
-            };
+        let mut no_group = 0;
+        for &child in &cands.nodes {
             let memo = memo_allowed && state.is_untouched(child);
             let key = topo.subtree_slots_free(child).min(slot_sat);
-            if memo && failed_slots == Some(key) {
-                no_group.push(child);
-                continue;
+            if !(memo && failed_slots == Some(key)) {
+                scratch.counters.groups_built += 1;
+                if let Some(group) =
+                    self.build_group(topo, state, tag, need, child, &hi, spread, scratch)
+                {
+                    found = Some((group, child));
+                    break;
+                }
+                if memo {
+                    failed_slots = Some(key);
+                }
             }
-            if let Some(group) =
-                self.build_group(topo, state, tag, need, child, &hi, spread, scratch)
-            {
-                found = Some((group, child));
-                break;
-            }
-            if memo {
-                failed_slots = Some(key);
-            }
-            no_group.push(child);
+            no_group += 1;
         }
-        scratch.put_nodes(children);
+        // Every child visited before the found one yielded no group.
+        #[cfg(debug_assertions)]
+        cands.dropped.extend_from_slice(&cands.nodes[..no_group]);
+        cands.remove_first(topo, no_group);
         scratch.put_idxs(hi);
         found
     }
@@ -1034,7 +1582,8 @@ impl CmPlacer {
         spread: &[u64],
         scratch: &mut Scratch,
     ) {
-        let mut excluded = scratch.nodes();
+        let mut cands = BalanceCands::build(txn.topo(), st, scratch);
+        let mut fills = scratch.fill_cache(txn.topo().children(st).len(), need.len());
         loop {
             let found = self.md_subset_sum(
                 txn.topo(),
@@ -1042,11 +1591,13 @@ impl CmPlacer {
                 tag,
                 need,
                 st,
-                &excluded,
+                &cands,
+                &mut fills,
                 demand_mix,
                 scratch,
             );
             let Some((gsub, child)) = found else { break };
+            cands.take(child);
             for (t, &g) in gsub.iter().enumerate() {
                 need[t] -= g;
             }
@@ -1056,16 +1607,15 @@ impl CmPlacer {
                 need[t] += s;
             }
             scratch.put_u32s(sub);
-            if placed == 0 {
-                excluded.push(child);
-            }
+            cands.put_back(txn.topo(), child, placed > 0);
             // A zero `need` makes every further fill empty; the subset-sum
             // scan would return `None` after pricing the whole shortlist.
             if need_is_zero(need) {
                 break;
             }
         }
-        scratch.put_nodes(excluded);
+        scratch.put_fill_cache(fills);
+        cands.release(scratch);
     }
 
     /// `MdSubsetSum`: pick the best child and VM set. Normal mode greedily
@@ -1079,91 +1629,79 @@ impl CmPlacer {
         tag: &Tag,
         need: &[u32],
         st: NodeId,
-        excluded: &[NodeId],
+        cands: &BalanceCands,
+        fills: &mut FillCache,
         demand_mix: f64,
         scratch: &mut Scratch,
     ) -> Option<(Vec<u32>, NodeId)> {
-        let mut children = scratch.nodes();
-        children.extend(
-            topo.children(st)
-                .filter(|c| !excluded.contains(c) && topo.subtree_slots_free(*c) > 0),
-        );
-        if children.is_empty() {
-            scratch.put_nodes(children);
+        #[cfg(debug_assertions)]
+        cands.check(topo);
+        if cands.ids.is_empty() {
             return None;
         }
         let spread = matches!(self.cfg.ha, HaPolicy::Opportunistic { .. })
             && !self.saving_desirable(topo, st, demand_mix);
         if spread {
-            let picked = self.single_vm_pick(topo, state, tag, need, &children, scratch);
-            scratch.put_nodes(children);
-            return picked;
+            return self.single_vm_pick(topo, state, tag, need, &cands.ids, scratch);
         }
 
         // Evaluating the greedy fill for every child per Balance iteration
         // is the dominant cost on wide trees; a shortlist of the best
         // candidates by free slots and by available uplink bandwidth keeps
         // the subset-sum quality while bounding the work.
-        if children.len() > 6 {
-            // Top-4 selections (the keys are total orders, so a selection
-            // scan yields exactly what the former full sorts produced).
-            let mut shortlist = scratch.nodes();
-            top4_by(&children, &mut shortlist, |c| {
-                (std::cmp::Reverse(topo.subtree_slots_free(c)), c)
-            });
-            let mut by_bw = scratch.nodes();
-            top4_by(&children, &mut by_bw, |c| {
-                let (u, d) = topo.uplink_avail(c).unwrap_or((0, 0));
-                (std::cmp::Reverse(u.min(d)), c)
-            });
-            for &c in by_bw.iter() {
+        let mut shortlist = scratch.nodes();
+        if cands.ids.len() > 6 {
+            shortlist.extend_from_slice(&cands.by_slots[..4]);
+            for &c in &cands.by_bw[..4] {
                 if !shortlist.contains(&c) {
                     shortlist.push(c);
                 }
             }
-            scratch.put_nodes(by_bw);
-            std::mem::swap(&mut children, &mut shortlist);
-            scratch.put_nodes(shortlist);
+            #[cfg(debug_assertions)]
+            {
+                let mut scan = Vec::new();
+                top4_by(&cands.ids, &mut scan, |c| by_free_slots(topo, c));
+                let mut by_bw = Vec::new();
+                top4_by(&cands.ids, &mut by_bw, |c| by_uplink_avail(topo, c));
+                for c in by_bw {
+                    if !scan.contains(&c) {
+                        scan.push(c);
+                    }
+                }
+                debug_assert_eq!(shortlist, scan, "Balance shortlist drifted");
+            }
+        } else {
+            shortlist.extend_from_slice(&cands.ids);
         }
 
-        // `greedy_fill` is a pure function of (need, the child's free/total
-        // slots and uplink state, HA headroom): among shortlisted children
-        // this tenant has not touched and no Eq. 7 cap applies to, children
-        // with identical physical state fill identically — evaluate one
-        // representative and reuse its (selection, score). On a fresh rack
-        // that collapses the shortlist to a single fill.
-        let memo_allowed = !matches!(self.cfg.ha, HaPolicy::Guaranteed { .. });
-        let mut memo: Option<(FillKey, Vec<u32>, f64)> = None;
+        // Outside Eq. 7, `greedy_fill` is a pure function of the child's
+        // `FillKey` and `min(need[t], free slots)`: a fill cached under the
+        // same key and clamp — the child's own from an earlier iteration, or
+        // a shortlisted sibling's — is reused. On a fresh rack that
+        // collapses the shortlist to a single fill.
+        let reuse = self.memos_allowed();
         let mut best: Option<(f64, u64, NodeId, Vec<u32>)> = None;
-        for &child in &children {
-            let key = (
-                topo.subtree_slots_free(child),
-                topo.subtree_slots_total(child),
-                topo.uplink_capacity(child),
-                topo.uplink_avail(child),
-            );
-            let (sel, score) = match &memo {
-                Some((m_key, m_sel, m_score))
-                    if memo_allowed && state.is_untouched(child) && *m_key == key =>
-                {
-                    let mut sel = scratch.u32s();
-                    sel.extend_from_slice(m_sel);
-                    (sel, *m_score)
+        for &child in &shortlist {
+            let key = fill_key(topo, child);
+            let mut sel = scratch.u32s();
+            let cached = if reuse {
+                (shortlist.iter()).find_map(|&c| fills.get(cands.index(c), key, need))
+            } else {
+                None
+            };
+            let score = match cached {
+                Some((cached_sel, score)) => {
+                    scratch.counters.fills_reused += 1;
+                    sel.extend_from_slice(cached_sel);
+                    score
                 }
-                _ => {
-                    let (sel, score) = self.greedy_fill(topo, state, tag, need, child, scratch);
-                    if memo_allowed && state.is_untouched(child) {
-                        let mut copy = match memo.take() {
-                            Some((_, old, _)) => {
-                                scratch.put_u32s(old);
-                                scratch.u32s()
-                            }
-                            None => scratch.u32s(),
-                        };
-                        copy.extend_from_slice(&sel);
-                        memo = Some((key, copy, score));
+                None => {
+                    scratch.counters.fills_run += 1;
+                    let score = self.greedy_fill(topo, state, tag, need, child, &mut sel);
+                    if reuse {
+                        fills.put(cands.index(child), key, need, &sel, score);
                     }
-                    (sel, score)
+                    score
                 }
             };
             let placed = need_total(&sel);
@@ -1184,10 +1722,7 @@ impl CmPlacer {
                 scratch.put_u32s(sel);
             }
         }
-        if let Some((_, v, _)) = memo {
-            scratch.put_u32s(v);
-        }
-        scratch.put_nodes(children);
+        scratch.put_nodes(shortlist);
         best.map(|(_, _, c, sel)| (sel, c))
     }
 
@@ -1239,8 +1774,8 @@ impl CmPlacer {
 
     /// Greedy 3-D subset-sum fill of one child. Iterates over tiers (not
     /// VMs), at each step adding the chunk that keeps the three utilization
-    /// ratios (slots, out-bw, in-bw) most balanced. Returns the selection
-    /// and the child's score `min(u_slot, (u_up+u_dn)/2)` after the fill —
+    /// ratios (slots, out-bw, in-bw) most balanced. Writes the selection
+    /// into `sel` and returns the child's score `min(u_slot, (u_up+u_dn)/2)` after the fill —
     /// "lead both slot and uplink utilization of child to approach 100%".
     fn greedy_fill(
         &self,
@@ -1249,13 +1784,13 @@ impl CmPlacer {
         tag: &Tag,
         need: &[u32],
         child: NodeId,
-        scratch: &mut Scratch,
-    ) -> (Vec<u32>, f64) {
+        sel: &mut Vec<u32>,
+    ) -> f64 {
         let total_slots = topo.subtree_slots_total(child).max(1);
         let mut rem_slots = topo.subtree_slots_free(child);
         let (cap_up, cap_dn) = topo.uplink_capacity(child).unwrap_or((u64::MAX, u64::MAX));
         let (mut rem_up, mut rem_dn) = topo.uplink_avail(child).unwrap_or((u64::MAX, u64::MAX));
-        let mut sel = scratch.u32s();
+        sel.clear();
         sel.resize(need.len(), 0);
 
         let inv_slots = 1.0 / total_slots as f64;
@@ -1315,7 +1850,7 @@ impl CmPlacer {
             }
         }
         let (us, uu, ud) = util(rem_slots, rem_up, rem_dn);
-        (sel, us.min((uu + ud) / 2.0))
+        us.min((uu + ud) / 2.0)
     }
 
     /// Plain slot-first-fit used when `Balance` is disabled (Fig. 10's
@@ -1503,6 +2038,7 @@ mod tests {
     use super::*;
     use crate::model::TagBuilder;
     use cm_topology::{mbps, TreeSpec};
+    use proptest::prelude::*;
 
     fn topo_small() -> Topology {
         // 2 pods × 2 racks × 4 servers, 4 slots each; 1 G NICs, 2 G ToR,
@@ -1863,5 +2399,151 @@ mod tests {
         }
         assert_eq!(topo.subtree_slots_free(topo.root()), 64 - 24);
         topo.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn counters_account_for_every_level_every_search_visits() {
+        // Every search starts at the server level and ends placed at some
+        // level, or rejected at the root; each level it visits ends in
+        // exactly one of placed / slots / bandwidth.
+        let mut topo = topo_small();
+        let mut placer = CmPlacer::new(CmConfig::cm());
+        let (mut admitted, mut rejected) = (0u64, 0u64);
+        for i in 0..40u32 {
+            let tag = if i % 3 == 0 {
+                three_tier(1 + i % 5, mbps(150.0), mbps(90.0), mbps(40.0))
+            } else {
+                hose(1 + i % 13, mbps(30.0 + 10.0 * (i % 7) as f64))
+            };
+            match placer.place_tag(&mut topo, &tag) {
+                Ok(_) => admitted += 1,
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            admitted > 0 && rejected > 0,
+            "{admitted} admitted, {rejected} rejected"
+        );
+        let c = placer.counters();
+        let levels = topo.num_levels() as u64;
+        let placed: u64 = c.levels.iter().map(|l| l.placed).sum();
+        let ended: u64 = c
+            .levels
+            .iter()
+            .map(|l| l.placed + l.slots + l.bandwidth)
+            .sum();
+        let visited: u64 = rejected * levels
+            + (c.levels.iter().enumerate())
+                .map(|(l, lc)| lc.placed * (l as u64 + 1))
+                .sum::<u64>();
+        assert_eq!(placed, admitted);
+        assert_eq!(ended, visited);
+        for l in &c.levels {
+            assert!(l.placed <= l.attempts && l.attempts <= l.placed + l.bandwidth);
+            assert!(l.attempts <= l.allocs);
+        }
+        assert_eq!(c.coloc_server_rollbacks, 0);
+    }
+
+    /// SplitMix64, for deriving one random scenario from a proptest seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A random two-tier TAG: hose tiers of 2–8 VMs joined by a trunk,
+    /// 20–420 Mbps per VM and edge.
+    fn random_tag(rng: &mut Rng) -> Tag {
+        let mut b = TagBuilder::new("t");
+        let u = b.tier("u", 2 + rng.below(7) as u32);
+        let v = b.tier("v", 2 + rng.below(7) as u32);
+        if rng.below(2) == 0 {
+            b.self_loop(u, mbps(20.0 + rng.below(400) as f64)).unwrap();
+        }
+        if rng.below(2) == 0 {
+            b.self_loop(v, mbps(20.0 + rng.below(400) as f64)).unwrap();
+        }
+        let (snd, rcv) = (rng.below(400) as f64, rng.below(400) as f64);
+        b.edge(u, v, mbps(20.0 + snd), mbps(20.0 + rcv)).unwrap();
+        b.build().unwrap()
+    }
+
+    /// Stage random VM counts of `state`'s tiers on random servers, each
+    /// server with its path reserved, and commit what fits.
+    fn load(topo: &mut Topology, state: &mut TenantState<Tag>, rng: &mut Rng, servers: u64) {
+        for _ in 0..1 + rng.below(4) {
+            let server = topo.servers()[rng.below(servers) as usize];
+            let tier = rng.below(2) as usize;
+            let free = topo.slots_free(server) as u64;
+            let room =
+                state.model().tier_size(tier) as u64 - state.count_of(topo.root(), tier) as u64;
+            let k = rng.below(free.min(room) + 1) as u32;
+            let mut txn = ReservationTxn::begin(topo, state);
+            txn.place(server, tier, k).unwrap();
+            if txn.sync_path_to_root(server).is_ok() {
+                txn.commit();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The Colocate uplink pre-check decides a server's sync exactly:
+        /// `server_uplink_fits` equals staging the group in a transaction,
+        /// syncing the server's uplink and rolling back — on randomly
+        /// loaded trees where the tenant may already hold VMs on the
+        /// server and a server uplink is degraded below its reservations.
+        #[test]
+        fn uplink_precheck_equals_staged_sync(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let mut topo = Topology::build(&TreeSpec::small(
+                1,
+                2,
+                4,
+                6,
+                [mbps(1000.0), mbps(2000.0), mbps(4000.0)],
+            ));
+            let servers = topo.servers().len() as u64;
+            let mut others: Vec<TenantState<Tag>> = Vec::new();
+            for _ in 0..rng.below(5) {
+                let mut st = TenantState::new(random_tag(&mut rng));
+                load(&mut topo, &mut st, &mut rng, servers);
+                others.push(st);
+            }
+            let mut state = TenantState::new(random_tag(&mut rng));
+            load(&mut topo, &mut state, &mut rng, servers);
+            let degraded = topo.servers()[rng.below(servers) as usize];
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the degraded uplink is the case under test, not a fault scenario"
+            )]
+            topo.degrade_link(degraded, rng.below(60) as f64 / 100.0).unwrap();
+            let mut scratch = Scratch::default();
+            for i in 0..servers as usize {
+                let server = topo.servers()[i];
+                let free = topo.slots_free(server) as u64;
+                for _ in 0..4 {
+                    let gu = rng.below(free + 1) as u32;
+                    let gv = rng.below(free - gu as u64 + 1) as u32;
+                    let group = [gu, gv];
+                    let fits = server_uplink_fits(&topo, &state, server, &group, &mut scratch);
+                    let staged = {
+                        let mut txn = ReservationTxn::begin(&mut topo, &mut state);
+                        txn.place_many(server, &[(0, gu), (1, gv)]).unwrap();
+                        txn.sync_uplink(server).is_ok()
+                    };
+                    prop_assert_eq!(fits, staged, "server {} group {:?}", server, group);
+                }
+            }
+            topo.check_invariants().unwrap();
+        }
     }
 }

@@ -31,7 +31,7 @@ mod cm;
 mod engine;
 mod predictor;
 
-pub use cm::CmPlacer;
+pub use cm::{CmPlacer, LevelCounters, SearchCounters};
 pub use engine::{
     place_incremental_replace, reject_reason, search_and_place, Deployed, Evacuation, Placer,
 };
