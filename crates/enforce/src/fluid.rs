@@ -10,10 +10,12 @@
 //!
 //! Progressive filling is implemented **once**, in the crate-private
 //! kernel `Fluid::fill`: it solves the subproblem of a caller-supplied
-//! ordered flow list over an ascending link list, indexing the flows per
-//! link and advancing a single fill level, so a solve costs
-//! `O(Σ|path| + links × rounds)` where every round provably freezes at
-//! least one flow. It has two callers. [`Fluid::rates`] /
+//! ordered flow list over an ascending link list. It reads each flow's
+//! spec once into flat per-flow paths and per-link flow lists, then
+//! advances a single fill level; a round visits only the links that still
+//! carry an active flow, so a solve costs `O(Σ|path| + Σ_rounds live
+//! links)` where every round provably freezes at least one flow. It has
+//! two callers. [`Fluid::rates`] /
 //! [`Fluid::rates_into`] pass every flow and every link — the batch solve
 //! of [`crate::datacenter`]. Under *churn*, where most of the network is
 //! unchanged between calls, [`crate::incremental::IncrementalFluid`] wraps
@@ -71,26 +73,100 @@ impl FlowSpec {
     }
 }
 
+/// Rows of `u32`s stored flat: row `r` is `items[at[r]..at[r + 1]]`.
+#[derive(Debug)]
+pub(crate) struct Rows {
+    at: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows {
+            at: vec![0],
+            items: Vec::new(),
+        }
+    }
+}
+
+impl Rows {
+    /// Row `r`.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[u32] {
+        &self.items[self.at[r] as usize..self.at[r + 1] as usize]
+    }
+
+    fn clear(&mut self) {
+        self.at.truncate(1);
+        self.items.clear();
+    }
+
+    /// Close the row being pushed to `items`.
+    fn end_row(&mut self) {
+        self.at.push(self.items.len() as u32);
+    }
+
+    /// Make `out` the transpose over `cols` columns (every item is below
+    /// `cols`): row `c` of `out` lists the rows holding `c`, ascending.
+    /// A counting sort — the counts land at `out.at[c + 2]`, so after the
+    /// prefix sum `out.at[c + 1]` is row `c`'s start and serves as its
+    /// write cursor, ending as its end.
+    fn transpose_into(&self, cols: usize, out: &mut Rows) {
+        out.at.clear();
+        out.at.resize(cols + 2, 0);
+        for &c in &self.items {
+            out.at[c as usize + 2] += 1;
+        }
+        for k in 2..cols + 2 {
+            out.at[k] += out.at[k - 1];
+        }
+        out.items.clear();
+        out.items.resize(self.items.len(), 0);
+        for r in 0..self.at.len() - 1 {
+            for &c in self.row(r) {
+                let cursor = &mut out.at[c as usize + 1];
+                out.items[*cursor as usize] = r as u32;
+                *cursor += 1;
+            }
+        }
+        out.at.truncate(cols + 1);
+    }
+}
+
 /// Scratch of the max-min kernel (`Fluid::fill`): pooled by a caller that
 /// solves repeatedly, so steady-state solves allocate nothing. "Local"
 /// indices are positions in the flow and link lists handed to the kernel.
+/// The kernel reads each listed flow's spec once, into the flat arrays
+/// below; every later pass, its caller's write-back included, reads only
+/// those.
 #[derive(Debug, Default)]
 pub(crate) struct FillScratch {
     /// Flow-list position → solved rate (the kernel's output).
     pub(crate) rate: Vec<f64>,
+    /// Flow-list position → demand.
+    pub(crate) demand: Vec<f64>,
+    weight: Vec<f64>,
+    /// Flow-list position → its local links.
+    pub(crate) paths: Rows,
+    /// Local link → its flows (flow-list positions, ascending).
+    pub(crate) lflows: Rows,
     /// Global link → local link, valid for the last solved link list.
-    pub(crate) link_local: Vec<u32>,
+    link_local: Vec<u32>,
     /// Local link → capacity.
     pub(crate) lcaps: Vec<f64>,
-    /// Local link → its flows (local indices, flow-list order).
-    pub(crate) lflows: Vec<Vec<u32>>,
     active: Vec<bool>,
     finite: Vec<u32>,
     used: Vec<f64>,
     residual: Vec<f64>,
     wsum: Vec<f64>,
     wcount: Vec<u32>,
+    /// Local links with `wcount > 0`, ascending.
+    live: Vec<u32>,
     to_freeze: Vec<u32>,
+    /// Filling rounds of the last solve.
+    pub(crate) rounds: usize,
+    /// Σ over the last solve's rounds of the live-list length.
+    pub(crate) link_visits: usize,
 }
 
 /// A fluid network: capacitated links and flows.
@@ -255,9 +331,12 @@ impl Fluid {
         out
     }
 
-    /// [`Fluid::rates`] writing into a caller-owned vector, whose
-    /// allocation is reused across calls: the max-min kernel (`Fluid::fill`)
-    /// over every flow in index order and every link.
+    /// [`Fluid::rates`] writing into a caller-owned vector: the max-min
+    /// kernel (`Fluid::fill`) over every flow in index order and every
+    /// link. Only `out`'s allocation is reused across calls; each call
+    /// still allocates the two index lists and the kernel's scratch, which
+    /// is fine for this batch and test-oracle path (the churn path,
+    /// [`crate::incremental::IncrementalFluid`], pools all of it).
     pub fn rates_into(&self, out: &mut Vec<f64>) {
         let flows: Vec<u32> = (0..self.flows.len() as u32).collect();
         let links: Vec<u32> = (0..self.caps.len() as u32).collect();
@@ -283,11 +362,17 @@ impl Fluid {
     /// lists, the listed flows' specs and the listed links' capacities:
     /// links are visited ascending and each link's flows in list order, so
     /// neither the rest of the network nor the churn history behind
-    /// `link_flows` reaches the arithmetic. `s.link_local`, `s.lcaps` and
-    /// `s.lflows` are left describing `links` for the caller's write-back.
+    /// `link_flows` reaches the arithmetic.
+    ///
+    /// Each listed spec is read once, into `s`'s flat per-flow paths and
+    /// per-link flow lists, which stay behind for the caller's write-back.
+    /// A filling round then costs O(live links) — the links that still
+    /// carry an active flow, kept as an ascending list compacted once per
+    /// round — plus the frozen flows' path lengths. A drained link has
+    /// weight sum exactly 0.0, so skipping it changes no value and no
+    /// tie-break; debug builds check every round against the full scan.
     pub(crate) fn fill(&self, flows: &[u32], links: &[u32], s: &mut FillScratch) {
         let (n, nll) = (flows.len(), links.len());
-        let spec = |i: usize| &self.flows[flows[i] as usize];
         if s.link_local.len() < self.caps.len() {
             s.link_local.resize(self.caps.len(), 0);
         }
@@ -296,39 +381,61 @@ impl Fluid {
             s.link_local[l as usize] = li as u32;
             s.lcaps.push(self.caps[l as usize]);
         }
-        if s.lflows.len() < nll {
-            s.lflows.resize_with(nll, Vec::new);
-        }
-        for lf in &mut s.lflows[..nll] {
-            lf.clear();
-        }
-        for i in 0..n {
-            for &l in &spec(i).path {
-                let li = s.link_local[l] as usize;
+        // Flatten: local paths and parameters in one read of each spec,
+        // then the per-link flow lists from the paths.
+        s.paths.clear();
+        s.rate.clear();
+        s.demand.clear();
+        s.weight.clear();
+        for &fi in flows {
+            let f = &self.flows[fi as usize];
+            for &l in &f.path {
+                let li = s.link_local[l];
                 debug_assert_eq!(
-                    links.get(li).copied(),
+                    links.get(li as usize).copied(),
                     Some(l as u32),
                     "flow path leaves the link list"
                 );
-                s.lflows[li].push(i as u32);
+                s.paths.items.push(li);
             }
+            s.paths.end_row();
+            // Phase 1 starts from the floors, capped by demand.
+            s.rate.push(f.floor.min(f.demand));
+            s.demand.push(f.demand);
+            s.weight.push(f.weight);
         }
+        s.paths.transpose_into(nll, &mut s.lflows);
+
+        let FillScratch {
+            rate,
+            demand,
+            weight,
+            paths,
+            lflows,
+            lcaps,
+            active,
+            finite,
+            used,
+            residual,
+            wsum,
+            wcount,
+            live,
+            to_freeze,
+            ..
+        } = s;
 
         // Phase 1: floors capped by demand, defensively scaled on
         // oversubscribed links (worst link first, like the reference).
-        s.rate.clear();
-        s.rate
-            .extend((0..n).map(|i| spec(i).floor.min(spec(i).demand)));
-        s.used.clear();
-        s.used.resize(nll, 0.0);
+        used.clear();
+        used.resize(nll, 0.0);
         loop {
-            for li in 0..nll {
-                s.used[li] = s.lflows[li].iter().map(|&i| s.rate[i as usize]).sum();
+            for (li, u) in used.iter_mut().enumerate() {
+                *u = lflows.row(li).iter().map(|&i| rate[i as usize]).sum();
             }
             let mut worst: Option<(usize, f64)> = None;
-            for (li, &u) in s.used.iter().enumerate() {
-                if u > s.lcaps[li] * (1.0 + 1e-9) {
-                    let scale = s.lcaps[li] / u;
+            for (li, &u) in used.iter().enumerate() {
+                if u > lcaps[li] * (1.0 + 1e-9) {
+                    let scale = lcaps[li] / u;
                     if worst.is_none_or(|(_, sc)| scale < sc) {
                         worst = Some((li, scale));
                     }
@@ -336,71 +443,106 @@ impl Fluid {
             }
             match worst {
                 Some((li, scale)) => {
-                    for &i in &s.lflows[li] {
-                        s.rate[i as usize] *= scale;
+                    for &i in lflows.row(li) {
+                        rate[i as usize] *= scale;
                     }
                 }
                 None => break,
             }
         }
-        s.residual.clear();
-        s.residual
-            .extend(s.lcaps.iter().zip(&s.used).map(|(&c, &u)| (c - u).max(0.0)));
+        residual.clear();
+        residual.extend(
+            lcaps
+                .iter()
+                .zip(used.iter())
+                .map(|(&c, &u)| (c - u).max(0.0)),
+        );
 
         // Phase 2: weighted progressive filling of the residual, driven by
         // one fill level. While flow `i` is active its rate is implicitly
-        // `rate[i] + weight_i × fill`; only the freeze event materializes
-        // it, so a round costs O(links) plus the frozen flows' path
-        // lengths — never a sweep over all flows.
-        s.active.clear();
-        s.active
-            .extend((0..n).map(|i| s.rate[i] + 1e-9 < spec(i).demand));
+        // `rate[i] + weight[i] × fill`; only the freeze event materializes
+        // it, so a round costs O(live links) plus the frozen flows' path
+        // lengths — never a sweep over all flows or all links.
+        active.clear();
+        active.extend((0..n).map(|i| rate[i] + 1e-9 < demand[i]));
         // Active weight sum and active flow count per link. The count going
         // to zero resets the sum to exactly 0.0, so accumulated float error
         // can never leave a ghost positive weight on a drained link.
-        s.wsum.clear();
-        s.wsum.resize(nll, 0.0);
-        s.wcount.clear();
-        s.wcount.resize(nll, 0);
+        wsum.clear();
+        wsum.resize(nll, 0.0);
+        wcount.clear();
+        wcount.resize(nll, 0);
         // Finite-demand active flows (greedy flows never appear here).
-        s.finite.clear();
+        finite.clear();
         for i in 0..n {
-            if s.active[i] {
-                let f = spec(i);
-                for &l in &f.path {
-                    let li = s.link_local[l] as usize;
-                    s.wsum[li] += f.weight;
-                    s.wcount[li] += 1;
+            if active[i] {
+                for &li in paths.row(i) {
+                    wsum[li as usize] += weight[i];
+                    wcount[li as usize] += 1;
                 }
-                if f.demand.is_finite() {
-                    s.finite.push(i as u32);
+                if demand[i].is_finite() {
+                    finite.push(i as u32);
                 }
             }
         }
-        let mut remaining = s.active.iter().filter(|&&a| a).count();
+        live.clear();
+        live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
+        let mut remaining = active.iter().filter(|&&a| a).count();
         let mut fill = 0.0f64;
+        let (mut rounds, mut link_visits) = (0usize, 0usize);
         while remaining > 0 {
             // Next event: the tightest link saturates, or the tightest
-            // finite-demand flow reaches its demand.
+            // finite-demand flow reaches its demand. The same pass drops
+            // the links the last round drained (weight sum exactly 0.0, so
+            // they could not have been the event).
             let mut t = f64::INFINITY;
             let mut event_link: Option<usize> = None;
             let mut event_flow: Option<u32> = None;
-            for (li, &w) in s.wsum.iter().enumerate() {
+            live.retain(|&li| {
+                let li = li as usize;
+                if wcount[li] == 0 {
+                    return false;
+                }
+                let w = wsum[li];
                 if w > 0.0 {
-                    let tl = s.residual[li] / w;
+                    let tl = residual[li] / w;
                     if tl < t {
                         t = tl;
                         event_link = Some(li);
                     }
                 }
+                true
+            });
+            #[cfg(debug_assertions)]
+            {
+                assert!(
+                    live.iter()
+                        .copied()
+                        .eq((0..nll as u32).filter(|&li| wcount[li as usize] > 0)),
+                    "live-link list differs from the links with active flows"
+                );
+                let (mut full_t, mut full_link) = (f64::INFINITY, None);
+                for (li, &w) in wsum.iter().enumerate() {
+                    if w > 0.0 && residual[li] / w < full_t {
+                        full_t = residual[li] / w;
+                        full_link = Some(li);
+                    }
+                }
+                assert_eq!(
+                    (full_link, full_t.to_bits()),
+                    (event_link, t.to_bits()),
+                    "live-link scan chose another event than the full scan"
+                );
             }
-            for &i in &s.finite {
-                let f = spec(i as usize);
-                let tf = (f.demand - (s.rate[i as usize] + f.weight * fill)) / f.weight;
+            rounds += 1;
+            link_visits += live.len();
+            for &i in finite.iter() {
+                let i = i as usize;
+                let tf = (demand[i] - (rate[i] + weight[i] * fill)) / weight[i];
                 if tf < t {
                     t = tf;
                     event_link = None;
-                    event_flow = Some(i);
+                    event_flow = Some(i as u32);
                 }
             }
             if !t.is_finite() {
@@ -409,61 +551,54 @@ impl Fluid {
             }
             let t = t.max(0.0);
             fill += t;
-            for (li, r) in s.residual.iter_mut().enumerate() {
-                if s.wsum[li] > 0.0 {
-                    *r -= s.wsum[li] * t;
+            // One pass over the live links: drain each residual, pin the
+            // event's link at exactly zero (float error must not leave it
+            // epsilon above the saturation threshold and stall the round),
+            // and queue the active flows of every saturated link.
+            to_freeze.clear();
+            for &li in live.iter() {
+                let li = li as usize;
+                if wsum[li] > 0.0 {
+                    residual[li] -= wsum[li] * t;
+                }
+                if event_link == Some(li) {
+                    residual[li] = 0.0;
+                }
+                if residual[li] <= 1e-6 {
+                    to_freeze.extend(lflows.row(li).iter().filter(|&&i| active[i as usize]));
                 }
             }
-            // The event's link lands on exactly zero by construction; pin it
-            // there so float error cannot leave it epsilon above the
-            // saturation threshold (that would stall the round).
-            if let Some(li) = event_link {
-                s.residual[li] = 0.0;
-            }
-            // Freeze every active flow on a saturated link, the event flow,
-            // and any finite flow that reached demand this round.
-            s.to_freeze.clear();
-            for (li, r) in s.residual.iter().enumerate() {
-                if s.wcount[li] > 0 && *r <= 1e-6 {
-                    for &i in &s.lflows[li] {
-                        if s.active[i as usize] {
-                            s.to_freeze.push(i);
-                        }
-                    }
-                }
-            }
+            // Then the event flow, and any finite flow that reached demand.
             if let Some(i) = event_flow {
-                s.to_freeze.push(i);
+                to_freeze.push(i);
             }
-            for &i in &s.finite {
-                let f = spec(i as usize);
-                if s.active[i as usize] && s.rate[i as usize] + f.weight * fill + 1e-6 >= f.demand {
-                    s.to_freeze.push(i);
+            for &i in finite.iter() {
+                let iu = i as usize;
+                if active[iu] && rate[iu] + weight[iu] * fill + 1e-6 >= demand[iu] {
+                    to_freeze.push(i);
                 }
             }
             let mut frozen = 0usize;
-            for k in 0..s.to_freeze.len() {
-                let i = s.to_freeze[k] as usize;
-                if !s.active[i] {
+            for &i in to_freeze.iter() {
+                let i = i as usize;
+                if !active[i] {
                     continue; // reachable via several saturated links
                 }
-                s.active[i] = false;
-                let f = spec(i);
-                s.rate[i] = (s.rate[i] + f.weight * fill).min(f.demand);
-                for &l in &f.path {
-                    let li = s.link_local[l] as usize;
-                    s.wsum[li] -= f.weight;
-                    s.wcount[li] -= 1;
-                    if s.wcount[li] == 0 {
-                        s.wsum[li] = 0.0;
+                active[i] = false;
+                rate[i] = (rate[i] + weight[i] * fill).min(demand[i]);
+                for &li in paths.row(i) {
+                    let li = li as usize;
+                    wsum[li] -= weight[i];
+                    wcount[li] -= 1;
+                    if wcount[li] == 0 {
+                        wsum[li] = 0.0;
                     }
                 }
                 remaining -= 1;
                 frozen += 1;
             }
-            if !s.finite.is_empty() {
-                let active = &s.active;
-                s.finite.retain(|&i| active[i as usize]);
+            if !finite.is_empty() {
+                finite.retain(|&i| active[i as usize]);
             }
             debug_assert!(
                 frozen > 0,
@@ -474,10 +609,12 @@ impl Fluid {
         // are unbounded in the fluid limit; report the filled level reached
         // (matches the reference's early exit).
         for i in 0..n {
-            if s.active[i] {
-                s.rate[i] += spec(i).weight * fill;
+            if active[i] {
+                rate[i] += weight[i] * fill;
             }
         }
+        s.rounds = rounds;
+        s.link_visits = link_visits;
     }
 
     /// Whether `rates` is work-conserving: no link exceeds its capacity and

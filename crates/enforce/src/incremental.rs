@@ -19,11 +19,14 @@
 //! * **Dirty-set solving.** Only the walked components are re-solved;
 //!   every other component keeps its previous rates **verbatim**.
 //! * **Localized rounds.** Even an all-dirty step is far cheaper than one
-//!   global [`Fluid::rates`] call: each progressive-filling round scans
-//!   only the component's links instead of every link in the network, so
-//!   total cost is `Σ_c rounds_c × links_c` instead of
-//!   `rounds_total × links_total` — orders of magnitude less on a fat-tree
-//!   where placement keeps tenants in rack/pod-scoped components.
+//!   global [`Fluid::rates`] call: each progressive-filling round visits
+//!   only the component's links that still carry an active flow, never
+//!   every link in the network, so total cost is at most
+//!   `Σ_c rounds_c × links_c` instead of `rounds_total × links_total` —
+//!   orders of magnitude less on a fat-tree where placement keeps tenants
+//!   in rack/pod-scoped components, and well under it inside one giant
+//!   component, whose server links drain early. [`SolveStats`] counts the
+//!   rounds and the link visits.
 //!
 //! ## What is cached, and why each cache is exact
 //!
@@ -54,9 +57,11 @@
 //! and its links ascending. The allocation is therefore a pure function
 //! of the surviving flow set: a solver that churned through any history
 //! holds **bit-identical** rates, usage and verdicts to a fresh one fed
-//! the same final state. All solver scratch — rate vectors, per-link
-//! indexes, freeze queues, the traversal's stamp maps — is pooled across
-//! steps and never cleared wholesale.
+//! the same final state. All solver scratch — sort keys, rate vectors,
+//! the kernel's flat paths and per-link flow lists, freeze queues, the
+//! traversal's stamp maps — is pooled across steps and never cleared
+//! wholesale, so a steady-state solve allocates nothing
+//! (this crate's `tests/solve_allocations.rs` counts).
 
 #![warn(clippy::float_cmp)]
 
@@ -72,6 +77,15 @@ pub struct SolveStats {
     pub components_dirty: usize,
     /// Connected components among links carrying at least one flow.
     pub components_total: usize,
+    /// Progressive-filling rounds the max-min kernel ran over the dirty
+    /// components; each round freezes at least one flow, so this is at
+    /// most the number of flows re-solved.
+    pub fill_rounds: usize,
+    /// Σ over those rounds of the links still carrying an active flow: the
+    /// links a round visits. At most `fill_rounds` × the dirty components'
+    /// links, and below it as soon as some link drains before the last
+    /// round. Like every field here, a deterministic count.
+    pub link_visits: usize,
 }
 
 /// A [`Fluid`] network solved component-by-component under churn (see the
@@ -145,13 +159,15 @@ struct Scratch {
     dirty_flows: Vec<u32>,
     /// The dirty components, ascending by lowest link.
     comps: Vec<Comp>,
+    /// The component's packed `(tenant, sequence, dense index)` keys.
+    sort_keys: Vec<u128>,
     /// The component's flows (dense indices, canonical order).
     comp_flows: Vec<u32>,
     /// Component link (position in its `changed_links` slice) → saturated
     /// after the solve.
     lsat: Vec<bool>,
-    /// The kernel's scratch: rates and the per-link index of the component
-    /// just solved.
+    /// The kernel's scratch: rates and the flat paths and per-link flow
+    /// lists of the component just solved.
     fill: FillScratch,
 }
 
@@ -426,26 +442,28 @@ impl IncrementalFluid {
         let n_dirty = s.comps.len();
         self.components = self.components - old_components + n_dirty;
 
+        let mut stats = SolveStats {
+            components_dirty: n_dirty,
+            components_total: self.components,
+            ..SolveStats::default()
+        };
         for k in 0..n_dirty {
             let comp = self.scratch.comps[k];
-            self.solve_component(comp);
+            self.solve_component(comp, &mut stats);
         }
         // Each component contributed its keys ascending; merge them.
         if n_dirty > 1 {
             self.resolved_keys.sort_unstable();
             self.resolved_keys.dedup();
         }
-        SolveStats {
-            components_dirty: n_dirty,
-            components_total: self.components,
-        }
+        stats
     }
 
     /// Solve one dirty component: order its flows canonically, run the
     /// max-min kernel over them and the component's (ascending) links,
     /// then write back the rates and everything cached from them (usage,
     /// flags, label).
-    fn solve_component(&mut self, comp: Comp) {
+    fn solve_component(&mut self, comp: Comp, stats: &mut SolveStats) {
         let Self {
             net,
             scratch: s,
@@ -463,24 +481,36 @@ impl IncrementalFluid {
         } = self;
         let net: &Fluid = net;
         // Sort by the canonical key so the local order is independent of
-        // the churn history that built the link lists.
+        // the churn history that built the link lists: packed
+        // `(tenant, sequence, dense index)` keys, sorted contiguously.
+        s.sort_keys.clear();
+        s.sort_keys.extend(
+            s.dirty_flows[comp.flows.0 as usize..comp.flows.1 as usize]
+                .iter()
+                .map(|&fi| {
+                    let (group, seq) = keys[fi as usize];
+                    u128::from(group) << 64 | u128::from(seq) << 32 | u128::from(fi)
+                }),
+        );
+        s.sort_keys.sort_unstable();
         s.comp_flows.clear();
-        s.comp_flows
-            .extend_from_slice(&s.dirty_flows[comp.flows.0 as usize..comp.flows.1 as usize]);
-        s.comp_flows.sort_unstable_by_key(|&fi| keys[fi as usize]);
-        for &fi in &s.comp_flows {
-            let group = keys[fi as usize].0;
+        for &key in &s.sort_keys {
+            s.comp_flows.push(key as u32);
+            let group = (key >> 64) as u64;
             if resolved_keys.last() != Some(&group) {
                 resolved_keys.push(group);
             }
         }
         let links = &changed_links[comp.links.0 as usize..comp.links.1 as usize];
         net.fill(&s.comp_flows, links, &mut s.fill);
+        stats.fill_rounds += s.fill.rounds;
+        stats.link_visits += s.fill.link_visits;
 
         // Write back the rates, then recompute whole everything cached
         // from them: per-link usage (canonical order), saturation, the
-        // over-capacity flag and the label; per-flow starvation.
-        // Predicates and tolerances are `Fluid::is_work_conserving`'s.
+        // over-capacity flag and the label; per-flow starvation. Only the
+        // kernel's flat arrays are read. Predicates and tolerances are
+        // `Fluid::is_work_conserving`'s.
         let k = &s.fill;
         for (i, &fi) in s.comp_flows.iter().enumerate() {
             rates[fi as usize] = k.rate[i];
@@ -488,7 +518,7 @@ impl IncrementalFluid {
         s.lsat.clear();
         for (li, &gl) in links.iter().enumerate() {
             let mut u = 0.0f64;
-            for &i in &k.lflows[li] {
+            for &i in k.lflows.row(li) {
                 u += k.rate[i as usize];
             }
             let (gl, cap) = (gl as usize, k.lcaps[li]);
@@ -498,9 +528,9 @@ impl IncrementalFluid {
             label[gl] = comp.lowest;
         }
         for (i, &fi) in s.comp_flows.iter().enumerate() {
-            let f = &net.flows()[fi as usize];
-            let met = k.rate[i] + tol(f.demand.min(1e12)) >= f.demand;
-            let hungry = !met && !f.path.iter().any(|&l| s.lsat[k.link_local[l] as usize]);
+            let demand = k.demand[i];
+            let met = k.rate[i] + tol(demand.min(1e12)) >= demand;
+            let hungry = !met && !k.paths.row(i).iter().any(|&li| s.lsat[li as usize]);
             set_flag(&mut starved[fi as usize], flows_starved, hungry);
         }
     }
@@ -739,6 +769,38 @@ mod tests {
             }
             stats
         }
+    }
+
+    /// The kernel's counters on one three-tier component: four server
+    /// uplinks under two ToR uplinks under a pod uplink. The server links
+    /// saturate first and leave the live list while the fill continues
+    /// above them, so the rounds visit strictly fewer links than a full
+    /// scan per round would.
+    #[test]
+    fn kernel_counters_bound_rounds_and_link_visits() {
+        let caps = [300.0, 450.0, 500.0, 700.0, 1000.0, 1300.0, 4000.0];
+        let (mut inc, _) = nets(&caps);
+        let paths: [&[usize]; 6] = [
+            &[0, 1],
+            &[0, 4, 2, 5],
+            &[1, 4, 6],
+            &[2, 3],
+            &[3, 5, 6],
+            &[4],
+        ];
+        for (seq, path) in paths.iter().enumerate() {
+            let spec = FlowSpec::greedy(path.to_vec()).with_guarantee(50.0 * (seq + 1) as f64);
+            inc.add_flow(spec, (1, seq as u32));
+        }
+        let s = inc.solve();
+        assert_eq!((s.components_dirty, s.components_total), (1, 1));
+        let (flows, links) = (inc.num_flows(), caps.len());
+        assert!(s.fill_rounds >= 1 && s.fill_rounds <= flows, "{s:?}");
+        assert!(s.link_visits < s.fill_rounds * links, "{s:?}");
+        assert_eq!((s.fill_rounds, s.link_visits), (3, 7 + 5 + 3), "{s:?}");
+        // A clean solve runs no round.
+        let s = inc.solve();
+        assert_eq!((s.fill_rounds, s.link_visits), (0, 0));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 use cloudmirror::enforce::datacenter::{self, TenantTraffic};
 use cloudmirror::enforce::{Fluid, TrafficEngine};
 use cloudmirror::topology::NodeId;
+use cloudmirror::workloads::bing_like_pool;
 use cloudmirror::{
-    mbps, Cluster, CmConfig, CmPlacer, Fault, GuaranteeModel, Tag, TagBuilder, TenantId, TierId,
-    TrafficReport, TreeSpec,
+    gbps, mbps, Cluster, CmConfig, CmPlacer, Fault, GuaranteeModel, Tag, TagBuilder, TenantId,
+    TierId, TrafficReport, TreeSpec,
 };
 use std::sync::Arc;
 
@@ -403,4 +404,111 @@ fn long_churn_does_not_drift_single_path() {
         cluster.repair(fault).unwrap();
     }
     cluster.check_invariants().unwrap();
+}
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn mix(&mut self, word: u64) {
+        for b in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Fold one traffic step into `d`: every fluid flow's key and rate bits
+/// in canonical key order, every link's usage bits, the violation count
+/// and the work-conservation verdict.
+fn digest_step(cluster: &Cluster<CmPlacer>, report: &TrafficReport, d: &mut Digest) {
+    cluster.with_traffic_engine(|engine| {
+        let net = engine.network();
+        let mut order: Vec<usize> = (0..net.num_flows()).collect();
+        order.sort_unstable_by_key(|&i| net.keys()[i]);
+        for i in order {
+            let (tenant, seq) = net.keys()[i];
+            d.mix(tenant);
+            d.mix(u64::from(seq));
+            d.mix(net.rates()[i].to_bits());
+        }
+        for u in net.link_usage() {
+            d.mix(u.to_bits());
+        }
+    });
+    d.mix(report.violations as u64);
+    d.mix(u64::from(report.work_conserving));
+}
+
+/// Every rate of the max-min kernel, pinned bit for bit where it works
+/// hardest: the 8×8×32 paper tree (25 slots per server, 10/80/80 Gbps
+/// uplinks) held at 740 live tenants of the bing-like pool at B_max =
+/// 800 Mbps (about 78 % of slots), so most bundled flows share one giant
+/// component. After the fill, every op of a depart-oldest / admit / scale
+/// out-and-in churn is followed by a traffic step, and the digest folds
+/// in each step's rates, link usage, violations and verdict. The value
+/// was recorded before the kernel's live-link rounds and flat scratch
+/// landed; any reordering of a float sum shows here. Debug builds check a
+/// short prefix of the stream, release builds the whole stream.
+#[test]
+fn spine_churn_rates_are_pinned() {
+    const TARGET_LIVE: usize = 740;
+    let spec = TreeSpec {
+        fanout_top_down: vec![8, 8, 32],
+        uplink_kbps: vec![gbps(10.0), gbps(80.0), gbps(80.0)],
+        slots_per_server: 25,
+    };
+    let pool = bing_like_pool(4).scaled_to_bmax(mbps(800.0));
+    let tenants = pool.tenants();
+    let mut cluster = Cluster::new(&spec, CmPlacer::new(CmConfig::cm()));
+    let mut rng = Rng(23);
+    let mut live: std::collections::VecDeque<TenantId> = Default::default();
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    while live.len() < TARGET_LIVE {
+        let tag = &tenants[rng.below(tenants.len() as u64) as usize];
+        if let Ok(h) = cluster.admit(tag) {
+            live.push_back(h.id());
+        }
+    }
+    let util = cluster.utilization();
+    let fill = util.slots_in_use as f64 / util.slots_total as f64;
+    assert!((0.74..0.82).contains(&fill), "slot fill {fill}");
+
+    let (short, full) = (6, 120);
+    let arrivals = if cfg!(debug_assertions) { short } else { full };
+    let step = |cluster: &Cluster<CmPlacer>, d: &mut Digest| {
+        let report = cluster.traffic_step_as(GuaranteeModel::Tag);
+        digest_step(cluster, &report, d);
+    };
+    step(&cluster, &mut d);
+    let mut marks = Vec::new();
+    for arrival in 1..=arrivals {
+        if live.len() >= TARGET_LIVE {
+            let id = live.pop_front().expect("the datacenter holds tenants");
+            cluster.depart(id).expect("live tenant departs");
+            step(&cluster, &mut d);
+        }
+        let tag = &tenants[rng.below(tenants.len() as u64) as usize];
+        if let Ok(h) = cluster.admit(tag) {
+            live.push_back(h.id());
+        }
+        step(&cluster, &mut d);
+        let id = live[rng.below(live.len() as u64) as usize];
+        let tiers: Vec<TierId> = cluster.tag_of(id).unwrap().internal_tiers().collect();
+        if !tiers.is_empty() {
+            let tier = tiers[rng.below(tiers.len() as u64) as usize];
+            let delta = 1 + rng.below(4) as i64;
+            for delta in [delta, -delta] {
+                let ok = cluster.scale_tier(id, tier, delta).is_ok();
+                step(&cluster, &mut d);
+                if !ok {
+                    break;
+                }
+            }
+        }
+        if arrival == short || arrival == full {
+            marks.push((arrival, d.0));
+        }
+    }
+    let want: [(usize, u64); 2] = [(short, 11720178079518582413), (full, 2400785733669381534)];
+    assert_eq!(marks, want[..marks.len()]);
 }
