@@ -35,7 +35,9 @@
 //!   every live tenant's flows over the physical tree through an embedded
 //!   persistent [`TrafficEngine`] that re-expands only tenants whose
 //!   placement changed, on the tree placement reserves on (one fluid link
-//!   per uplink direction).
+//!   per uplink direction); [`Cluster::traffic_report_active`] runs
+//!   explicit per-tenant communication patterns on a fresh engine of its
+//!   own.
 //!
 //! Every operation is transactional: on `Err` the topology and the tenant
 //! are exactly as before. The error surface is one type, [`CmError`]
@@ -97,9 +99,7 @@ use std::sync::Arc;
 // report's hose classification; the traffic-report types come back from
 // [`Cluster::traffic_report`]).
 pub use cm_core::placement::RejectReason;
-pub use cm_enforce::datacenter::{
-    LevelUtilization, PairFlow, TenantSummary, TenantTraffic, TrafficReport,
-};
+pub use cm_enforce::datacenter::{LevelUtilization, PairFlow, TenantSummary, TrafficReport};
 pub use cm_enforce::GuaranteeModel;
 
 use cm_enforce::TrafficEngine;
@@ -364,7 +364,7 @@ impl<P: Placer> Cluster<P> {
     }
 
     /// Switch the guarantee model of future [`Cluster::guarantee_report`]s
-    /// in place.
+    /// and traffic reports in place.
     pub fn set_guarantee_model(&mut self, model: GuaranteeModel) {
         self.guarantee_model = model;
     }
@@ -798,21 +798,7 @@ impl<P: Placer> Cluster<P> {
     ) -> Result<GuaranteeReport, CmError> {
         let entry = self.tenants.get(&id).ok_or(CmError::UnknownTenant(id))?;
         let placement = entry.deployed.placement(&self.topo);
-        let vms = placement
-            .iter()
-            .map(|(_, c)| c.iter().sum::<u32>() as usize)
-            .sum::<usize>();
-        if let Some(&(src, dst)) = active
-            .iter()
-            .find(|&&(s, d)| s >= vms || d >= vms || s == d)
-        {
-            return Err(CmError::InvalidPair {
-                tenant: id,
-                src,
-                dst,
-                vms,
-            });
-        }
+        check_pattern(id, &placement, active)?;
         Ok(report::build_report(
             id,
             &entry.tag,
@@ -823,26 +809,22 @@ impl<P: Placer> Cluster<P> {
     }
 
     /// Run **every** live tenant's flows over the physical tree and solve
-    /// one shared weighted max-min network
-    /// ([`cm_enforce::datacenter::solve`]): active TAG edges expand into
+    /// one shared weighted max-min network: active TAG edges expand into
     /// VM-pair flows, each pair is routed over its real uplink/downlink
     /// path, floors come from the cluster's guarantee model, and achieved
     /// rates are scored against the TAG-intended guarantees. This is the
     /// paper's end-to-end claim — placement *plus* enforcement — as one
-    /// queryable artifact.
-    pub fn traffic_report(&self) -> TrafficReport {
-        self.traffic_report_as(self.guarantee_model)
-    }
-
-    /// [`Cluster::traffic_report`] under an explicit guarantee model (run
-    /// `Hose` against `Tag` on the same placements to reproduce the
-    /// Fig. 13/14 dilution through the placement layer).
+    /// queryable artifact. (Switch the model with
+    /// [`Cluster::set_guarantee_model`] to run `Hose` against `Tag` on the
+    /// same placements: the Fig. 13/14 dilution through the placement
+    /// layer.)
     ///
     /// Served by the embedded incremental [`TrafficEngine`]: only tenants
     /// whose placement changed since the last traffic query are
     /// re-expanded and re-routed.
-    pub fn traffic_report_as(&self, model: GuaranteeModel) -> TrafficReport {
-        self.sync_traffic_engine(model).solve_detailed(&self.topo)
+    pub fn traffic_report(&self) -> TrafficReport {
+        self.sync_traffic_engine(self.guarantee_model)
+            .solve_detailed(&self.topo)
     }
 
     /// The hot churn-step variant of [`Cluster::traffic_report`]:
@@ -922,56 +904,39 @@ impl<P: Placer> Cluster<P> {
     /// tenant defaults to all edge-connected pairs. VM indices follow the
     /// reports' server-major order; stale indices or self-pairs are a
     /// [`CmError::InvalidPair`], unknown tenants a
-    /// [`CmError::UnknownTenant`].
+    /// [`CmError::UnknownTenant`] (the first offending entry is reported).
+    /// A tenant named twice sends on the last pattern given; an empty
+    /// pattern silences it.
+    ///
+    /// The report comes from a fresh [`TrafficEngine`] built over the live
+    /// registry for this call — O(live tenants), like any from-scratch
+    /// solve — so the embedded engine behind [`Cluster::traffic_step`] is
+    /// never touched, whether the call succeeds or fails.
     pub fn traffic_report_active(
         &self,
         active: &[(TenantId, Vec<(usize, usize)>)],
     ) -> Result<TrafficReport, CmError> {
-        let mut tenants = self.collect_traffic(self.guarantee_model);
+        let mut patterns = BTreeMap::new();
         for (id, pairs) in active {
-            if !self.tenants.contains_key(id) {
-                return Err(CmError::UnknownTenant(*id));
-            }
-            let t = tenants
-                .iter_mut()
-                .find(|t| t.id == id.raw())
-                .ok_or(CmError::UnknownTenant(*id))?;
-            let vms = t.vm_tier.len();
-            if let Some(&(src, dst)) = pairs.iter().find(|&&(s, d)| s >= vms || d >= vms || s == d)
-            {
-                return Err(CmError::InvalidPair {
-                    tenant: *id,
-                    src,
-                    dst,
-                    vms,
-                });
-            }
-            t.active = Some(pairs.clone());
+            let entry = self.tenants.get(id).ok_or(CmError::UnknownTenant(*id))?;
+            let placement = entry.deployed.placement(&self.topo);
+            check_pattern(*id, &placement, pairs)?;
+            patterns.insert(*id, (placement, pairs));
         }
-        Ok(cm_enforce::datacenter::solve(&self.topo, &tenants))
-    }
-
-    /// Every live tenant's placement expanded into a [`TenantTraffic`]
-    /// (ascending id order, so reports are deterministic). Uses the same
-    /// [`cm_enforce::datacenter::expand_placement`] as the guarantee
-    /// reports, so VM indices in traffic patterns and guarantee reports can
-    /// never diverge.
-    fn collect_traffic(&self, model: GuaranteeModel) -> Vec<TenantTraffic> {
-        self.tenants
-            .iter()
-            .map(|(id, entry)| {
-                let placement = entry.deployed.placement(&self.topo);
-                let (vm_tier, vm_server) = cm_enforce::datacenter::expand_placement(&placement);
-                TenantTraffic {
-                    id: id.raw(),
-                    tag: Arc::clone(&entry.tag),
-                    vm_tier,
-                    vm_server,
-                    model,
-                    active: None,
+        let mut engine = TrafficEngine::new(&self.topo, self.guarantee_model);
+        for (&id, entry) in &self.tenants {
+            let (raw, version, tag) = (id.raw(), entry.version, &entry.tag);
+            match patterns.remove(&id) {
+                Some((placement, pairs)) => {
+                    engine.upsert_tenant_pairs(&self.topo, raw, version, tag, &placement, pairs);
                 }
-            })
-            .collect()
+                None => {
+                    let placement = entry.deployed.placement(&self.topo);
+                    engine.upsert_tenant(&self.topo, raw, version, tag, &placement);
+                }
+            }
+        }
+        Ok(engine.solve_detailed(&self.topo))
     }
 
     /// Number of live tenants.
@@ -1015,6 +980,28 @@ impl<P: Placer> Cluster<P> {
             }
         }
         Ok(())
+    }
+}
+
+/// An explicit pattern must name VMs of the placement, never one VM twice
+/// in a pair.
+fn check_pattern(
+    id: TenantId,
+    placement: &[(NodeId, Vec<u32>)],
+    pairs: &[(usize, usize)],
+) -> Result<(), CmError> {
+    let vms = placement
+        .iter()
+        .map(|(_, c)| c.iter().sum::<u32>() as usize)
+        .sum::<usize>();
+    match pairs.iter().find(|&&(s, d)| s >= vms || d >= vms || s == d) {
+        Some(&(src, dst)) => Err(CmError::InvalidPair {
+            tenant: id,
+            src,
+            dst,
+            vms,
+        }),
+        None => Ok(()),
     }
 }
 

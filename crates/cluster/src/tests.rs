@@ -5,6 +5,8 @@ use cm_core::placement::{CmConfig, CmPlacer};
 use cm_core::TierId;
 use cm_enforce::GuaranteeModel;
 use cm_topology::{mbps, TreeSpec};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn small_spec() -> TreeSpec {
     TreeSpec::small(2, 2, 4, 4, [mbps(1000.0), mbps(2000.0), mbps(4000.0)])
@@ -262,7 +264,9 @@ fn traffic_report_solves_all_live_tenants() {
     }
     // The same placements under hose enforcement re-partition the floors
     // but keep the identical pair population.
-    let hose = cluster.traffic_report_as(GuaranteeModel::Hose);
+    cluster.set_guarantee_model(GuaranteeModel::Hose);
+    let hose = cluster.traffic_report();
+    cluster.set_guarantee_model(GuaranteeModel::Tag);
     assert_eq!(hose.flows.len(), r.flows.len());
     assert_eq!(hose.cross_flows, r.cross_flows);
 
@@ -290,22 +294,152 @@ fn traffic_report_solves_all_live_tenants() {
 
 #[test]
 fn traffic_vm_indexing_matches_guarantee_reports() {
-    // The standalone `TenantTraffic::from_placement` constructor must
-    // expand placements in exactly the server-major/tier-major order the
-    // cluster's reports (and `collect_traffic`) use — VM indices in active
-    // patterns are interchangeable between the two APIs.
+    // The traffic and guarantee reports index VMs the same way, so one
+    // pattern names the same pairs in both: equal `(src, dst)` sets,
+    // colocation read the same way, and — both partitioning the same pair
+    // list with `Enforcer::partition` — bit-equal floors.
     let mut cluster = Cluster::new(&small_spec(), CmPlacer::new(CmConfig::cm()));
     let h = cluster.admit(web_db(5, 3)).unwrap();
-    let report = cluster.guarantee_report(h.id()).unwrap();
-    let placement = cluster.placement_of(h.id()).unwrap();
-    let traffic = crate::TenantTraffic::from_placement(
-        h.id().raw(),
-        std::sync::Arc::clone(cluster.tag_of(h.id()).unwrap()),
-        &placement,
-        GuaranteeModel::Tag,
-    );
-    assert_eq!(traffic.vm_tier, report.vm_tier);
-    assert_eq!(traffic.vm_server, report.vm_server);
+    cluster.admit(web_db(2, 2)).unwrap();
+    // Every VM sends to the next two: trunk, self-loop and edgeless pairs,
+    // colocated and cross-server.
+    let pattern: Vec<(usize, usize)> = (0..8)
+        .flat_map(|s| [(s, (s + 1) % 8), (s, (s + 3) % 8)])
+        .collect();
+    for model in [GuaranteeModel::Tag, GuaranteeModel::Hose] {
+        cluster.set_guarantee_model(model);
+        let guarantees = cluster.guarantee_report_active(h.id(), &pattern).unwrap();
+        let traffic = cluster
+            .traffic_report_active(&[(h.id(), pattern.clone())])
+            .unwrap();
+        let flows: Vec<_> = traffic
+            .flows
+            .iter()
+            .filter(|f| f.tenant == h.id().raw())
+            .collect();
+        assert_eq!(flows.len(), guarantees.pairs.len());
+        let mut want: Vec<_> = guarantees.pairs.iter().map(|p| (p.src, p.dst)).collect();
+        let mut got: Vec<_> = flows.iter().map(|f| (f.src, f.dst)).collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want);
+        for p in &guarantees.pairs {
+            let f = traffic.pair(h.id().raw(), p.src, p.dst).unwrap();
+            assert_eq!(f.colocated, !p.crosses_network, "{p:?}");
+            assert_eq!(f.floor_kbps.to_bits(), p.kbps.to_bits(), "{p:?}");
+        }
+        assert!(flows.iter().any(|f| f.colocated) && flows.iter().any(|f| !f.colocated));
+    }
+}
+
+/// The embedded engine's current rate bits.
+fn engine_rates(cluster: &Cluster<CmPlacer>) -> Vec<u64> {
+    cluster.with_traffic_engine(|e| e.network().rates().iter().map(|r| r.to_bits()).collect())
+}
+
+/// What `traffic_report_active` must answer for `active`: the first
+/// unknown tenant or out-of-range or self pair, in input order.
+fn expected_pattern_error(
+    cluster: &Cluster<CmPlacer>,
+    active: &[(TenantId, Vec<(usize, usize)>)],
+) -> Option<CmError> {
+    for (id, pairs) in active {
+        let Ok(placement) = cluster.placement_of(*id) else {
+            return Some(CmError::UnknownTenant(*id));
+        };
+        let vms: usize = placement
+            .iter()
+            .map(|(_, c)| c.iter().sum::<u32>() as usize)
+            .sum();
+        if let Some(&(src, dst)) = pairs.iter().find(|&&(s, d)| s >= vms || d >= vms || s == d) {
+            return Some(CmError::InvalidPair {
+                tenant: *id,
+                src,
+                dst,
+                vms,
+            });
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Hostile patterns — unknown tenants, out-of-range and self pairs,
+    /// a tenant named twice, empty patterns — never panic: each call is
+    /// `Ok` or the typed error of its first bad entry, and either way the
+    /// embedded engine is untouched (the next step re-solves nothing and
+    /// keeps every rate bit). A tenant named twice sends on its last
+    /// pattern, and the same input with only the valid entries is `Ok`.
+    #[test]
+    fn hostile_traffic_patterns_are_typed_and_leave_the_engine_alone(
+        entries in prop::collection::vec(
+            (0usize..4, prop::collection::vec((0usize..64, 0usize..64), 0..5), 0usize..12),
+            0..5,
+        )
+    ) {
+        let mut cluster = Cluster::new(&small_spec(), CmPlacer::new(CmConfig::cm()));
+        let ids: Vec<TenantId> = [web_db(4, 2), web_db(2, 2), web_db(3, 1)]
+            .into_iter()
+            .map(|tag| cluster.admit(tag).unwrap().id())
+            .collect();
+        let ghost = TenantId::from_raw(99);
+        // Entry `k` names live tenant `k`, or an unknown one for `k == 3`.
+        // Its raw pairs fold into valid pairs of the tenant's VMs; one
+        // entry in four then gains a pair past the VMs or a self-pair.
+        let active: Vec<(TenantId, Vec<(usize, usize)>)> = entries
+            .into_iter()
+            .map(|(k, raw, hostile)| {
+                let id = ids.get(k).copied().unwrap_or(ghost);
+                let vms = cluster.guarantee_report(id).map_or(6, |r| r.vm_tier.len());
+                let mut pairs: Vec<(usize, usize)> = raw
+                    .into_iter()
+                    .map(|(a, b)| (a % vms, (a % vms + 1 + b % (vms - 1)) % vms))
+                    .collect();
+                match hostile {
+                    0 => pairs.push((vms, 0)),
+                    1 => pairs.push((0, vms + 3)),
+                    2 => pairs.push((1, 1)),
+                    _ => {}
+                }
+                (id, pairs)
+            })
+            .collect();
+        let valid: Vec<(TenantId, Vec<(usize, usize)>)> = active
+            .iter()
+            .filter(|entry| expected_pattern_error(&cluster, std::slice::from_ref(entry)).is_none())
+            .cloned()
+            .collect();
+        let first = cluster.traffic_step();
+        let rates = engine_rates(&cluster);
+
+        let got = cluster.traffic_report_active(&active);
+        match expected_pattern_error(&cluster, &active) {
+            Some(err) => prop_assert_eq!(got.unwrap_err(), err),
+            None => {
+                let got = got.unwrap();
+                // Last pattern wins: the report equals the deduplicated
+                // input's, and each named tenant sends on its last pattern.
+                let last: BTreeMap<TenantId, Vec<(usize, usize)>> =
+                    active.iter().cloned().collect();
+                for (id, pairs) in &last {
+                    let t = got.tenants.iter().find(|t| t.id == id.raw()).unwrap();
+                    prop_assert_eq!(t.pairs, pairs.len());
+                }
+                let dedup: Vec<_> = last.into_iter().collect();
+                let want = cluster.traffic_report_active(&dedup).unwrap();
+                prop_assert_eq!(got.flows, want.flows);
+            }
+        }
+        let valid_report = cluster.traffic_report_active(&valid);
+        prop_assert!(valid_report.is_ok());
+
+        let next = cluster.traffic_step();
+        prop_assert_eq!(next.components_dirty, 0);
+        prop_assert_eq!(next.components_total, first.components_total);
+        prop_assert_eq!(engine_rates(&cluster), rates);
+    }
 }
 
 #[test]

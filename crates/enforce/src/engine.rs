@@ -1,11 +1,11 @@
 //! Persistent incremental traffic engine: every phase of a step costs
 //! what *churned*, not what is installed.
 //!
-//! [`crate::datacenter::solve`] re-expands every live tenant's VM pairs,
-//! re-partitions every guarantee and re-routes every pair on every call —
-//! at paper scale ~94 % of a churn step is that redundant rebuild, while
-//! the fluid solve itself takes milliseconds. [`TrafficEngine`] keeps the
-//! expensive state across steps:
+//! Re-expanding every live tenant's VM pairs, re-partitioning every
+//! guarantee and re-routing every pair on every step would spend ~94 % of
+//! a paper-scale churn step on redundant rebuilding, while the fluid solve
+//! itself takes milliseconds. [`TrafficEngine`] keeps the expensive state
+//! across steps:
 //!
 //! * **Per-tenant flow state.** Each tenant's placement expands once into
 //!   routed, bundled flow classes; a tenant is re-expanded only when its
@@ -26,6 +26,15 @@
 //!   lowest common ancestor by [`RouteCache::path`], over one fluid link
 //!   per uplink direction — the tree placement reserves on, so floors
 //!   admission fitted on an uplink fit on the wire.
+//!
+//! A tenant can also send on an **explicit pattern**: exactly a given
+//! list of `(src VM, dst VM)` pairs, each greedy — the instantaneous
+//! patterns of Figs. 13/14 ([`TrafficEngine::upsert_tenant_pairs`]).
+//! Demand-aware partitioning has no closed form there: floors come from
+//! [`crate::elastic::Enforcer::partition`] under the engine's model,
+//! intents from the same call under [`GuaranteeModel::Tag`], and every
+//! pair is its own 1×1 bundle or colocated class. Scoring, per-pair output
+//! and the solve are the same code for both expansions.
 //!
 //! The fluid flow set is **persistent**: each bundle is one flow of an
 //! [`IncrementalFluid`] across steps, added on (re-)expansion and removed
@@ -70,8 +79,10 @@
 //! verdicts to a fresh engine fed the same final state. The differential
 //! tests pin it.
 
-use crate::datacenter::{violation_tol, LevelUtilization, PairFlow, TenantSummary, TrafficReport};
-use crate::elastic::GuaranteeModel;
+use crate::datacenter::{
+    expand_placement, violation_tol, LevelUtilization, PairFlow, TenantSummary, TrafficReport,
+};
+use crate::elastic::{Enforcer, GuaranteeModel};
 use crate::fluid::{FlowSpec, Fluid};
 use crate::incremental::IncrementalFluid;
 use crate::route::RouteCache;
@@ -404,22 +415,79 @@ impl TrafficEngine {
         if self.tenants.get(&id).is_some_and(|t| t.version == version) {
             return;
         }
+        self.expand(topo, id, version, tag, placement, None);
+    }
+
+    /// [`TrafficEngine::upsert_tenant`] on an explicit communication
+    /// pattern: exactly the `(src VM, dst VM)` pairs of `pairs` are active,
+    /// each greedy (see the [module docs](self)); a repeated pair is a
+    /// separate flow. The tenant is always re-expanded, as the version
+    /// does not identify a pattern, and is cached under `version` like any
+    /// other: a later `upsert_tenant` at that version keeps the pattern.
+    ///
+    /// # Panics
+    /// Panics if a pair indexes past the placement's VMs or names one VM
+    /// twice (the cluster layer validates patterns before calling).
+    pub fn upsert_tenant_pairs(
+        &mut self,
+        topo: &Topology,
+        id: u64,
+        version: u64,
+        tag: &Arc<Tag>,
+        placement: &[(NodeId, Vec<u32>)],
+        pairs: &[(usize, usize)],
+    ) {
+        self.expand(topo, id, version, tag, placement, Some(pairs));
+    }
+
+    /// Replace tenant `id`'s cached expansion: on `pairs`, or on every
+    /// TAG-edge-connected pair if `None`. Timed as the step's expansion.
+    fn expand(
+        &mut self,
+        topo: &Topology,
+        id: u64,
+        version: u64,
+        tag: &Arc<Tag>,
+        placement: &[(NodeId, Vec<u32>)],
+        pairs: Option<&[(usize, usize)]>,
+    ) {
         let t = Instant::now();
         if let Some(old) = self.tenants.remove(&id) {
             for b in &old.bundles {
                 self.net.remove_flow(b.flow);
             }
         }
-        let expanded = expand_tenant(
-            self.model,
-            tag,
-            placement,
+        let vms = placement
+            .iter()
+            .map(|(_, c)| c.iter().sum::<u32>() as usize)
+            .sum();
+        let mut x = Expansion {
+            model: self.model,
             topo,
-            &self.route,
-            &mut self.net,
-            version,
-            id,
-        );
+            route: &self.route,
+            net: &mut self.net,
+            tenant: EngineTenant {
+                version,
+                colocated_pairs: 0,
+                bundles: Vec::new(),
+                colocated: Vec::new(),
+                summary: TenantSummary {
+                    id,
+                    vms,
+                    pairs: 0,
+                    cross_pairs: 0,
+                    intent_kbps: 0.0,
+                    achieved_kbps: 0.0,
+                    violations: 0,
+                    worst_shortfall_kbps: 0.0,
+                },
+            },
+        };
+        match pairs {
+            None => expand_all_pairs(&mut x, tag, placement),
+            Some(pairs) => expand_pairs(&mut x, tag, placement, pairs),
+        }
+        let expanded = x.tenant;
         self.pending_flowless += usize::from(expanded.bundles.is_empty());
         self.tenants.insert(id, expanded);
         self.pending_expand += t.elapsed().as_secs_f64();
@@ -606,25 +674,68 @@ fn even_share(g: f64, cnt: u32) -> f64 {
     }
 }
 
-/// Expand one tenant's placement into bundled flow classes with
-/// closed-form class floors (see the [module docs](self)), materializing
-/// each bundle as one flow of `net` under the canonical
-/// `(tenant, sequence)` key the component solver orders by. Every routed
-/// path is built once and moved into its [`FlowSpec`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one tenant's expansion reads the model, TAG, placement and topology and writes the fluid network"
-)]
-fn expand_tenant(
+/// One tenant's expansion in progress: the tenant's new cached state plus
+/// what routing its bundles into the fluid network needs.
+struct Expansion<'a> {
     model: GuaranteeModel,
-    tag: &Arc<Tag>,
-    placement: &[(NodeId, Vec<u32>)],
-    topo: &Topology,
-    route: &RouteCache,
-    net: &mut IncrementalFluid,
-    version: u64,
-    id: u64,
-) -> EngineTenant {
+    topo: &'a Topology,
+    route: &'a RouteCache,
+    net: &'a mut IncrementalFluid,
+    tenant: EngineTenant,
+}
+
+impl Expansion<'_> {
+    /// Record a colocated class (dropped if it has no member pair).
+    fn colocated(&mut self, co: CoClass) {
+        let m = co.members() as usize;
+        self.tenant.summary.pairs += m;
+        self.tenant.colocated_pairs += m;
+        if m > 0 {
+            self.tenant.colocated.push(co);
+        }
+    }
+
+    /// Route the bundle of every pair of the sender run `src` on server
+    /// `servers.0` and the receiver run `dst` on server `servers.1` (runs
+    /// are `(first VM, count)`) and add it as one fluid flow of aggregate
+    /// floor and weight, under the canonical `(tenant, sequence)` key the
+    /// component solver orders by. The routed path is built once and moved
+    /// into its [`FlowSpec`].
+    fn bundle(
+        &mut self,
+        servers: (NodeId, NodeId),
+        src: (u32, u32),
+        dst: (u32, u32),
+        floor: f64,
+        intent: f64,
+    ) {
+        let members = src.1 * dst.1;
+        let m = members as f64;
+        let w = if floor > 0.0 { floor } else { 1.0 };
+        let mut spec = FlowSpec::greedy(self.route.path(self.topo, servers.0, servers.1));
+        spec.floor = m * floor;
+        spec.weight = m * w;
+        let t = &mut self.tenant;
+        let seq = t.bundles.len() as u32;
+        t.bundles.push(Bundle {
+            src: src.0,
+            src_cnt: src.1,
+            dst: dst.0,
+            dst_cnt: dst.1,
+            floor,
+            intent,
+            flow: self.net.add_flow(spec, (t.summary.id, seq)),
+        });
+        t.summary.pairs += members as usize;
+        t.summary.cross_pairs += members as usize;
+        t.summary.intent_kbps += intent * m;
+    }
+}
+
+/// Expand one tenant's placement on every TAG-edge-connected pair into
+/// bundled flow classes with closed-form class floors (see the
+/// [module docs](self)).
+fn expand_all_pairs(x: &mut Expansion<'_>, tag: &Tag, placement: &[(NodeId, Vec<u32>)]) {
     let nt = tag.num_tiers();
     let edges = tag.edges();
 
@@ -643,7 +754,6 @@ fn expand_tenant(
         }
         runs.push((*server, per_tier));
     }
-    let vms = idx as usize;
 
     // Closed-form class floors per directed TAG edge. Intents are the
     // Tag-model partition under either model; floors follow the
@@ -661,7 +771,7 @@ fn expand_tenant(
             even_share(e.snd_kbps as f64, snd_peers).min(even_share(e.rcv_kbps as f64, rcv_peers)),
         );
     }
-    let floors: Vec<f64> = match model {
+    let floors: Vec<f64> = match x.model {
         GuaranteeModel::Tag => intents.clone(),
         GuaranteeModel::Hose => {
             // Under plain hose semantics a VM's single send (receive) hose
@@ -687,22 +797,6 @@ fn expand_tenant(
         }
     };
 
-    let mut tenant = EngineTenant {
-        version,
-        colocated_pairs: 0,
-        bundles: Vec::new(),
-        colocated: Vec::new(),
-        summary: TenantSummary {
-            id,
-            vms,
-            pairs: 0,
-            cross_pairs: 0,
-            intent_kbps: 0.0,
-            achieved_kbps: 0.0,
-            violations: 0,
-            worst_shortfall_kbps: 0.0,
-        },
-    };
     for (ei, e) in edges.iter().enumerate() {
         let (u, v) = (e.from.index(), e.to.index());
         if n[u] == 0 || n[v] == 0 {
@@ -720,7 +814,7 @@ fn expand_tenant(
                     continue;
                 }
                 if src_server == dst_server {
-                    let co = CoClass {
+                    x.colocated(CoClass {
                         src,
                         src_cnt,
                         dst,
@@ -728,117 +822,77 @@ fn expand_tenant(
                         diagonal: u == v,
                         floor,
                         intent,
-                    };
-                    let m = co.members() as usize;
-                    tenant.summary.pairs += m;
-                    tenant.colocated_pairs += m;
-                    if m > 0 {
-                        tenant.colocated.push(co);
-                    }
-                    continue;
+                    });
+                } else {
+                    x.bundle(
+                        (src_server, dst_server),
+                        (src, src_cnt),
+                        (dst, dst_cnt),
+                        floor,
+                        intent,
+                    );
                 }
-                let members = src_cnt * dst_cnt;
-                let m = members as f64;
-                let w = if floor > 0.0 { floor } else { 1.0 };
-                let mut spec = FlowSpec::greedy(route.path(topo, src_server, dst_server));
-                spec.floor = m * floor;
-                spec.weight = m * w;
-                let seq = tenant.bundles.len() as u32;
-                tenant.bundles.push(Bundle {
-                    src,
-                    src_cnt,
-                    dst,
-                    dst_cnt,
-                    floor,
-                    intent,
-                    flow: net.add_flow(spec, (id, seq)),
-                });
-                tenant.summary.pairs += members as usize;
-                tenant.summary.cross_pairs += members as usize;
-                tenant.summary.intent_kbps += intent * m;
             }
         }
     }
-    tenant
 }
+
+/// Expand one tenant's placement on the explicit pattern `pairs`: floors
+/// and intents from [`Enforcer::partition`] over the pair list, one 1×1
+/// bundle per cross-server pair and one colocated class per colocated
+/// pair, in pattern order (see the [module docs](self)).
+fn expand_pairs(
+    x: &mut Expansion<'_>,
+    tag: &Arc<Tag>,
+    placement: &[(NodeId, Vec<u32>)],
+    pairs: &[(usize, usize)],
+) {
+    let (vm_tier, vm_server) = expand_placement(placement);
+    assert!(
+        pairs
+            .iter()
+            .all(|&(s, d)| s < vm_tier.len() && d < vm_tier.len() && s != d),
+        "pattern names a VM outside the placement or a self-pair"
+    );
+    let greedy: Vec<(usize, usize, f64)> =
+        pairs.iter().map(|&(s, d)| (s, d, f64::INFINITY)).collect();
+    let partition =
+        |model| Enforcer::new_shared(Arc::clone(tag), vm_tier.clone(), model).partition(&greedy);
+    let floors = partition(x.model);
+    // Under the Tag model the floors already are the intents.
+    let intents = (x.model != GuaranteeModel::Tag).then(|| partition(GuaranteeModel::Tag));
+    for (i, &(s, d)) in pairs.iter().enumerate() {
+        let floor = floors[i].kbps;
+        let intent = intents.as_ref().map_or(floor, |v| v[i].kbps);
+        if vm_server[s] == vm_server[d] {
+            x.colocated(CoClass {
+                src: s as u32,
+                src_cnt: 1,
+                dst: d as u32,
+                dst_cnt: 1,
+                diagonal: false,
+                floor,
+                intent,
+            });
+        } else {
+            let servers = (vm_server[s], vm_server[d]);
+            x.bundle(servers, (s as u32, 1), (d as u32, 1), floor, intent);
+        }
+    }
+}
+
+/// Test fixtures shared with the engine's differential tests against the
+/// batch reference (`tests/engine_differential.rs`).
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
+    use super::common::{assert_report_close, random_placement, random_tag, topo, Rng};
     use super::*;
-    use crate::datacenter::{self, TenantTraffic};
-    use crate::elastic::Enforcer;
-    use cm_core::model::{TagBuilder, TierId};
-    use cm_topology::{mbps, TreeSpec};
-
-    fn topo() -> Topology {
-        Topology::build(&TreeSpec::small(
-            2,
-            2,
-            2,
-            4,
-            [mbps(1000.0), mbps(4000.0), mbps(8000.0)],
-        ))
-    }
-
-    /// Deterministic xorshift for test-local randomness.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self, m: u64) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0 % m
-        }
-    }
-
-    /// Random small TAG: 2–4 tiers, random trunks and self-loops.
-    fn random_tag(rng: &mut Rng) -> Arc<Tag> {
-        loop {
-            let mut b = TagBuilder::new("rand");
-            let nt = 2 + rng.next(3) as usize;
-            let tiers: Vec<TierId> = (0..nt)
-                .map(|i| b.tier(format!("t{i}"), 1 + rng.next(4) as u32))
-                .collect();
-            let mut added = 0;
-            for u in 0..nt {
-                for v in 0..nt {
-                    if rng.next(3) != 0 {
-                        continue;
-                    }
-                    let bw = 1000 * (1 + rng.next(50));
-                    let ok = if u == v {
-                        b.self_loop(tiers[u], bw).is_ok()
-                    } else {
-                        b.edge(tiers[u], tiers[v], bw, 1000 * (1 + rng.next(50)))
-                            .is_ok()
-                    };
-                    if ok {
-                        added += 1;
-                    }
-                }
-            }
-            if added > 0 {
-                if let Ok(tag) = b.build() {
-                    return Arc::new(tag);
-                }
-            }
-        }
-    }
-
-    /// Scatter a TAG's VMs over servers: returns the canonical placement
-    /// shape (ascending server order, per-tier counts).
-    fn random_placement(rng: &mut Rng, tag: &Tag, servers: &[NodeId]) -> Vec<(NodeId, Vec<u32>)> {
-        let nt = tag.num_tiers();
-        let mut counts: std::collections::BTreeMap<NodeId, Vec<u32>> = Default::default();
-        for t in tag.internal_tiers() {
-            let size = tag.tier(t).size;
-            for _ in 0..size {
-                let s = servers[rng.next(servers.len() as u64) as usize];
-                counts.entry(s).or_insert_with(|| vec![0; nt])[t.index()] += 1;
-            }
-        }
-        counts.into_iter().collect()
-    }
+    use cm_core::model::TagBuilder;
+    use cm_topology::mbps;
 
     /// The closed-form class floors must equal `Enforcer::partition`
     /// bit-exactly, for both models, across random TAGs and placements.
@@ -855,12 +909,12 @@ mod tests {
                 engine.upsert_tenant(&topo, 1, 1, &tag, &placement);
                 let report = engine.solve_detailed(&topo);
 
-                let tt = TenantTraffic::from_placement(1, Arc::clone(&tag), &placement, model);
-                let enforcer = Enforcer::new_shared(Arc::clone(&tag), tt.vm_tier.clone(), model);
+                let (vm_tier, _) = expand_placement(&placement);
+                let enforcer = Enforcer::new_shared(Arc::clone(&tag), vm_tier.clone(), model);
                 let pairs: Vec<(usize, usize, f64)> = {
                     // Reconstruct the all-pairs list the enforcer sees.
                     let mut by_tier: Vec<Vec<usize>> = vec![Vec::new(); tag.num_tiers()];
-                    for (i, &t) in tt.vm_tier.iter().enumerate() {
+                    for (i, &t) in vm_tier.iter().enumerate() {
                         by_tier[t.index()].push(i);
                     }
                     let mut out = Vec::new();
@@ -893,72 +947,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Bundling exactness: the engine's per-pair rates, violations and
-    /// aggregates match the unbundled batch solver within float tolerance,
-    /// across random tenant mixes — including the oversubscribed-floor
-    /// regime where phase-1 scaling kicks in.
-    #[test]
-    fn bundled_solve_matches_batch_solver() {
-        let topo = topo();
-        let servers = topo.servers();
-        let mut rng = Rng(0xBEEF);
-        for round in 0..20 {
-            let model = if round % 2 == 0 {
-                GuaranteeModel::Tag
-            } else {
-                GuaranteeModel::Hose
-            };
-            let mut engine = TrafficEngine::new(&topo, model);
-            let mut tenants = Vec::new();
-            for id in 0..3u64 {
-                let tag = random_tag(&mut rng);
-                let placement = random_placement(&mut rng, &tag, servers);
-                engine.upsert_tenant(&topo, id, 1, &tag, &placement);
-                tenants.push(TenantTraffic::from_placement(id, tag, &placement, model));
-            }
-            let got = engine.solve_detailed(&topo);
-            let want = datacenter::solve(&topo, &tenants);
-            assert_report_close(&got, &want, &format!("round {round}"));
-        }
-    }
-
-    /// Oversubscribed floors (phase-1 scaling, the `R < F` recovery
-    /// regime): many high-guarantee pairs squeezed through one NIC.
-    #[test]
-    fn bundling_is_exact_under_oversubscribed_floors() {
-        // 1-slot topology is too small; use the 4-slot default and pile
-        // two fat tiers onto two servers so floors exceed the NIC.
-        let topo = topo();
-        let servers = topo.servers();
-        let mut b = TagBuilder::new("fat");
-        let a = b.tier("a", 4);
-        let z = b.tier("z", 4);
-        // 4×4 pairs × 500 Mbps floors ≫ the 1 Gbps NIC.
-        b.sym_edge(a, z, mbps(2000.0)).unwrap();
-        let tag = Arc::new(b.build().unwrap());
-        let placement = vec![(servers[0], vec![4, 0]), (servers[7], vec![0, 4])];
-        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag);
-        engine.upsert_tenant(&topo, 5, 1, &tag, &placement);
-        let got = engine.solve_detailed(&topo);
-        let want = datacenter::solve(
-            &topo,
-            &[TenantTraffic::from_placement(
-                5,
-                Arc::clone(&tag),
-                &placement,
-                GuaranteeModel::Tag,
-            )],
-        );
-        // Floors oversubscribe: phase-1 scaling must have engaged.
-        let f = want.pair(5, 0, 4).unwrap();
-        assert!(f.rate_kbps < f.floor_kbps, "scaling regime not reached");
-        assert_report_close(&got, &want, "oversubscribed");
-        // And the whole thing collapsed to 2 aggregate fluid flows
-        // (one per direction) from 32 VM pairs.
-        assert_eq!(got.cross_flows, 32);
-        assert_eq!(got.fluid_flows, 2);
     }
 
     /// Incremental re-expansion under churn, compared against a fresh
@@ -1080,79 +1068,5 @@ mod tests {
         assert_report_close(&back, &healthy, "restored");
         // And a no-op sync touches nothing.
         assert_eq!(engine.sync_link_caps(&topo), 0);
-    }
-
-    /// Model switching drops cached tenants so floors re-derive.
-    #[test]
-    fn set_model_invalidates_cached_tenants() {
-        let topo = topo();
-        let servers = topo.servers();
-        let mut rng = Rng(99);
-        let tag = random_tag(&mut rng);
-        let placement = random_placement(&mut rng, &tag, servers);
-        let mut engine = TrafficEngine::new(&topo, GuaranteeModel::Tag);
-        engine.upsert_tenant(&topo, 1, 1, &tag, &placement);
-        assert_eq!(engine.version_of(1), Some(1));
-        engine.set_model(GuaranteeModel::Hose);
-        assert_eq!(engine.version_of(1), None);
-        engine.upsert_tenant(&topo, 1, 1, &tag, &placement);
-        let hose = engine.solve_detailed(&topo);
-        let want = datacenter::solve(
-            &topo,
-            &[TenantTraffic::from_placement(
-                1,
-                Arc::clone(&tag),
-                &placement,
-                GuaranteeModel::Hose,
-            )],
-        );
-        assert_report_close(&hose, &want, "post-switch");
-    }
-
-    /// Compare an engine report against a batch-solver report: same pair
-    /// set, tolerance-equal rates/floors/intents, equal violations and
-    /// work-conservation, tolerance-equal aggregates.
-    fn assert_report_close(got: &TrafficReport, want: &TrafficReport, ctx: &str) {
-        assert_eq!(got.flows.len(), want.flows.len(), "{ctx}: pair count");
-        assert_eq!(got.cross_flows, want.cross_flows, "{ctx}");
-        assert_eq!(got.colocated_flows, want.colocated_flows, "{ctx}");
-        for w in &want.flows {
-            let g = got
-                .pair(w.tenant, w.src, w.dst)
-                .unwrap_or_else(|| panic!("{ctx}: missing pair {w:?}"));
-            let close = |a: f64, b: f64| (a - b).abs() < 1e-6 * (1.0 + b.abs());
-            assert!(
-                close(g.floor_kbps, w.floor_kbps),
-                "{ctx}: floor {g:?} vs {w:?}"
-            );
-            assert!(
-                close(g.intent_kbps, w.intent_kbps),
-                "{ctx}: intent {g:?} vs {w:?}"
-            );
-            assert!(
-                close(g.rate_kbps, w.rate_kbps),
-                "{ctx}: rate {g:?} vs {w:?}"
-            );
-            assert_eq!(g.colocated, w.colocated, "{ctx}");
-        }
-        assert_eq!(got.violations, want.violations, "{ctx}");
-        assert_eq!(got.work_conserving, want.work_conserving, "{ctx}");
-        assert!(
-            (got.total_rate_kbps - want.total_rate_kbps).abs()
-                < 1e-6 * (1.0 + want.total_rate_kbps),
-            "{ctx}: total {} vs {}",
-            got.total_rate_kbps,
-            want.total_rate_kbps
-        );
-        for (g, w) in got.levels.iter().zip(&want.levels) {
-            assert_eq!(g.links, w.links, "{ctx}");
-            assert!(
-                (g.mean_utilization - w.mean_utilization).abs() < 1e-6,
-                "{ctx}: level {} mean {} vs {}",
-                g.level,
-                g.mean_utilization,
-                w.mean_utilization
-            );
-        }
     }
 }

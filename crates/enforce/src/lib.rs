@@ -26,42 +26,48 @@
 //! exactly; ElasticSwitch's converged state is modeled by floors
 //! (guarantees) plus guarantee-weighted filling of the spare.
 //!
-//! [`datacenter`] scales the substitution to the whole datacenter: every
+//! [`engine`] scales the substitution to the whole datacenter: every
 //! admitted tenant's placement expands into VM-pair flows routed over the
 //! physical tree and solved as one shared weighted max-min network — the
 //! Fig. 13/14 interference experiments *through the placement layer*
-//! instead of on synthetic 2-link topologies. [`engine`] makes that solve
-//! *incremental*: a persistent [`engine::TrafficEngine`] re-expands only
-//! tenants whose placement changed, routes server pairs over their LCA
+//! instead of on synthetic 2-link topologies. A persistent
+//! [`engine::TrafficEngine`] re-expands only tenants whose placement
+//! changed, routes server pairs over their LCA
 //! ([`route::RouteCache::path`]) and bundles same-class VM pairs into
-//! aggregate flows. Both solvers run on the tree placement reserves on —
-//! one fluid link per uplink direction at that uplink's capacity, laid
-//! out by [`route::RouteCache::build`] — so a multi-rooted core is
-//! modelled as placement sees it, as aggregate uplinks. The fluid solve
-//! itself is incremental too: [`incremental::IncrementalFluid`] partitions the
-//! flow/link graph into connected components and re-solves only the ones
-//! churn touched, each with the same max-min kernel the global
-//! [`fluid::Fluid::rates`] runs — the step that takes the engine to
-//! 100k+-server fat-trees.
+//! aggregate flows; a tenant may also send on an explicit communication
+//! pattern instead of all its TAG-edge pairs. It solves on the tree
+//! placement reserves on — one fluid link per uplink direction at that
+//! uplink's capacity, laid out by [`route::RouteCache::build`] — so a
+//! multi-rooted core is modelled as placement sees it, as aggregate
+//! uplinks. The fluid solve itself is incremental too:
+//! [`incremental::IncrementalFluid`] partitions the flow/link graph into
+//! connected components and re-solves only the ones churn touched, each
+//! with the same max-min kernel [`fluid::Fluid::rates`] runs — the step
+//! that takes the engine to 100k+-server fat-trees. [`datacenter`] holds
+//! the report types and the canonical VM indexing.
+//!
+//! The references these solvers are tested against — a batch solver with
+//! one fluid flow per VM pair, and two max-min oracles — live in the
+//! dev-only `cm-testkit` crate.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-/// Tenant traffic reports and per-level utilization accounting.
+/// Traffic reports, per-level utilization and the canonical VM indexing.
 pub mod datacenter;
-/// Elasticity-aware bandwidth headroom for scaling tenants.
+/// ElasticSwitch Guarantee Partitioning, with and without the TAG patch.
 pub mod elastic;
-/// The enforcement engine: admission of tenant traffic onto physical links.
+/// The persistent incremental traffic engine: tenants' flows over the tree.
 pub mod engine;
 /// Exact progressive-filling max-min fairness solver.
 pub mod fluid;
 /// Component-scoped incremental wrapper around the fluid solver.
 pub mod incremental;
-/// Physical routing: the tree's fluid link layout and LCA path memo.
+/// Physical routing: the tree's fluid link layout and LCA routes.
 pub mod route;
 /// Canned enforcement scenarios reproducing the paper's figures.
 pub mod scenario;
 
-pub use datacenter::{LevelUtilization, PairFlow, TenantSummary, TenantTraffic, TrafficReport};
+pub use datacenter::{LevelUtilization, PairFlow, TenantSummary, TrafficReport};
 pub use elastic::{split_guarantee, Enforcer, GuaranteeModel, PairGuarantee};
 pub use engine::TrafficEngine;
 pub use fluid::{FlowSpec, Fluid};

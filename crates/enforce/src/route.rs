@@ -14,9 +14,9 @@
 //! uplink of the tree, at that uplink's full capacity: up then down, in
 //! node order. This is the tree placement reserves on. A multi-rooted core
 //! is modelled as placement sees it, as aggregate uplinks, so floors that
-//! admission fitted on an uplink fit on its fluid link too. The
-//! incremental engine and the batch solver both lay out their networks
-//! here, so the two are identical by construction.
+//! admission fitted on an uplink fit on its fluid link too. The traffic
+//! engine and the batch reference solver its tests compare against both
+//! lay out their networks here, so the two are identical by construction.
 
 use crate::fluid::Fluid;
 use cm_topology::{NodeId, Topology};

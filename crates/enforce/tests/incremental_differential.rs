@@ -8,11 +8,12 @@
 //!    surviving flow set (tolerance-equal: the global solve advances one
 //!    fill level across all components, so summation order differs),
 //! 3. the invariants themselves: work conservation always, and the full
-//!    max-min definition ([`Fluid::verify_max_min`]) on the churned
+//!    max-min definition ([`verify_max_min`]) on the churned
 //!    solver's own rates *and* the global ones whenever the floors are
 //!    admissible (the verifier assumes per-link floor sums fit).
 
 use cm_enforce::{FlowSpec, Fluid, IncrementalFluid};
+use cm_testkit::fluid::verify_max_min;
 use proptest::prelude::*;
 
 /// One churn op against the incremental solver.
@@ -125,13 +126,9 @@ fn check_solve(churned: &mut IncrementalFluid, live: &[(u32, (u64, u32), FlowSpe
         }
     }
     if floor_used.iter().zip(caps).all(|(&u, &c)| u <= c) {
-        churned
-            .fluid()
-            .verify_max_min(churned.rates())
+        verify_max_min(churned.fluid(), churned.rates())
             .unwrap_or_else(|e| panic!("churned verify: {e}"));
-        global
-            .verify_max_min(&reference)
-            .unwrap_or_else(|e| panic!("global verify: {e}"));
+        verify_max_min(&global, &reference).unwrap_or_else(|e| panic!("global verify: {e}"));
     }
 }
 

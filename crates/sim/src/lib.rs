@@ -41,7 +41,7 @@ pub mod lifecycle;
 pub mod metrics;
 /// Hand-rolled scoped worker pool for sweep parallelism.
 pub mod parallel;
-/// Incremental traffic engine with route caching and flow bundling.
+/// Lifecycle churn with periodic cluster-wide traffic steps.
 pub mod traffic;
 
 pub use cm_cluster::{

@@ -6,10 +6,9 @@
 //! Every solve is additionally checked against a global from-scratch
 //! [`Fluid::rates`] over the engine's own flow set and — whenever the
 //! floors fit their links — against the max-min definition itself
-//! ([`Fluid::verify_max_min`]), and against the batch
-//! [`datacenter::solve`] reference periodically.
+//! ([`verify_max_min`]), and against the batch [`datacenter::solve`]
+//! reference periodically (both from the dev-only `cm-testkit`).
 
-use cloudmirror::enforce::datacenter::{self, TenantTraffic};
 use cloudmirror::enforce::{Fluid, TrafficEngine};
 use cloudmirror::topology::NodeId;
 use cloudmirror::workloads::bing_like_pool;
@@ -17,6 +16,8 @@ use cloudmirror::{
     gbps, mbps, Cluster, CmConfig, CmPlacer, Fault, GuaranteeModel, Tag, TagBuilder, TenantId,
     TierId, TrafficReport, TreeSpec,
 };
+use cm_testkit::datacenter::{self, TenantTraffic};
+use cm_testkit::fluid::verify_max_min;
 use std::sync::Arc;
 
 /// Deterministic xorshift64* stream driving the churn decisions.
@@ -206,7 +207,7 @@ fn assert_matches_global_fluid(engine: &TrafficEngine, step: usize) {
         }
     }
     if (0..net.num_links()).all(|l| floor_used[l] <= net.link_cap(l)) {
-        net.verify_max_min(got)
+        verify_max_min(net, got)
             .unwrap_or_else(|e| panic!("step {step}: engine rates are not max-min: {e}"));
     }
 }
@@ -254,7 +255,7 @@ fn churn_differential(model: GuaranteeModel, seed: u64) {
             _ => {}
         }
 
-        let got = cluster.traffic_report_as(model);
+        let got = cluster.traffic_report();
         if model == GuaranteeModel::Tag {
             assert_eq!(got.violations, 0, "step {step}: admitted floors hold");
         }
@@ -289,10 +290,10 @@ fn quiescent_steps_resolve_zero_components() {
     for tag in pool() {
         cluster.admit(&tag).unwrap();
     }
-    let first = cluster.traffic_report_as(GuaranteeModel::Tag);
+    let first = cluster.traffic_report();
     assert!(first.components_dirty > 0);
     assert!(first.components_total > 0);
-    let second = cluster.traffic_report_as(GuaranteeModel::Tag);
+    let second = cluster.traffic_report();
     assert_eq!(second.components_dirty, 0, "no churn → nothing dirty");
     assert_eq!(second.components_total, first.components_total);
     assert_equivalent(&second, &first, 1);
