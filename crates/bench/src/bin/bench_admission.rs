@@ -1,24 +1,24 @@
-//! Admission macro-benchmark: run the paper-default simulation for every
-//! placer (with the CloudMirror placers' work counters), then the
-//! lifecycle-churn, fault-recovery and traffic-engine workloads, and record
-//! all five as sections of `BENCH_placement.json`
-//! (written to the working directory) — the workspace's performance
-//! trajectory artifact.
+//! Admission cost golden: run the paper-default simulation (10,000
+//! arrivals) for every placer, with the CloudMirror placers' work
+//! counters, then the lifecycle-churn, fault-recovery and traffic-engine
+//! workloads, and record all five as sections of `BENCH_placement.json`,
+//! written to the working directory.
 //!
-//! Every number is regenerated in this run: `results` carries the six
-//! production placers side by side on the same arrivals. Parent-vs-change
-//! wall-clock is not judged here but by `benchmark/`, which runs both
-//! commits side by side.
+//! Every number is a decision or a deterministic work count: no clock is
+//! read, so two runs write byte-identical files and the committed file is
+//! a golden. CI regenerates it from the repository root and fails on any
+//! diff; a change that moves a count updates the file on purpose.
+//! Wall-clock time is judged by `benchmark/`, which runs parent and change
+//! side by side.
 //!
 //! Each section below is described once, as rows of `(key, value)`; the
 //! stdout table and the JSON are both rendered from those rows
 //! ([`Section`]). After the JSON is written the binary gates itself on the
-//! machine-independent facts of the run (`cm_bench::gate_*`: drained
-//! churns, zero CM+HA survivability violations, work-conserving traffic
-//! steps, …) and exits non-zero listing every violated gate.
+//! facts of the run (`cm_bench::gate_*`: drained churns, zero CM+HA
+//! survivability violations, work-conserving traffic steps, …) and exits
+//! non-zero listing every violated gate.
 //!
-//! Modes: default 2,000 arrivals; `--full` the paper's 10,000; `--quick`
-//! a 300-arrival CI smoke run.
+//! The binary takes no arguments; any argument prints usage and exits 2.
 
 use cm_bench::{
     admission_results, fault_churn, gate_admission, gate_churn, gate_faults, gate_traffic,
@@ -27,32 +27,18 @@ use cm_bench::{
 use cm_core::placement::LevelCounters;
 use cm_sim::faults::FaultChurnReport;
 use cm_sim::lifecycle::ChurnReport;
-use cm_sim::metrics::OpLatencies;
-use cm_sim::TrafficStep;
 use cm_workloads::bing_like_pool;
 use std::process::ExitCode;
 
-/// `lat`'s `q`-quantile in µs; `Null` when nothing was sampled.
-fn us(lat: &OpLatencies, q: f64) -> Val {
-    lat.quantile_us(q).map_or(Val::Null, |us| Val::Float(us, 2))
-}
-
-/// `lat`'s `q`-quantile in ms; `Null` when nothing was sampled.
-fn ms(lat: &OpLatencies, q: f64) -> Val {
-    lat.quantile_us(q)
-        .map_or(Val::Null, |us| Val::Float(us / 1000.0, 3))
-}
+const USAGE: &str = "usage: bench_admission\n\
+    Takes no arguments. Runs the paper's 10,000 arrivals and writes \
+    BENCH_placement.json to the working directory.";
 
 fn result_row(r: &BenchRow) -> Fields {
     vec![
         ("placer", r.name.into()),
         ("arrivals", r.arrivals.into()),
         ("admitted", r.admitted.into()),
-        ("wall_secs", Val::Float(r.wall_secs, 4)),
-        ("arrivals_per_sec", Val::Float(r.arrivals_per_sec(), 1)),
-        ("admit_secs", Val::Float(r.admit.total_secs(), 4)),
-        ("p50_us", us(&r.admit, 0.5)),
-        ("p99_us", us(&r.admit, 0.99)),
     ]
 }
 
@@ -102,13 +88,6 @@ fn churn_row(r: &ChurnReport) -> Fields {
         ("scale_rejected", r.scale_rejected.into()),
         ("migrates", r.migrates.into()),
         ("departs", r.departs.into()),
-        ("wall_secs", Val::Float(r.wall_secs, 4)),
-        ("ops_per_sec", Val::Float(r.ops_per_sec(), 1)),
-        ("admit_p50_us", us(&r.admit, 0.5)),
-        ("admit_p99_us", us(&r.admit, 0.99)),
-        ("scale_p50_us", us(&r.scale, 0.5)),
-        ("scale_p99_us", us(&r.scale, 0.99)),
-        ("depart_p99_us", us(&r.depart, 0.99)),
     ]
 }
 
@@ -118,8 +97,7 @@ const FAULTS_NOTE: &str = "lifecycle churn with a rotating fault schedule (ToR-l
     of n VMs admitted at rwcs may lose at most max(1, floor(n*(1-rwcs))) VMs to one domain) — \
     CM+HA enforces the bound at admission and must record zero survivability_violations, plain CM \
     is judged against the same bound it never enforced; violation_seconds sums traffic-guarantee \
-    violations measured by the fluid solve over degraded arrivals at one arrival per second; \
-    repair latency covers the topology restore plus every tenant re-placement it triggered";
+    violations measured by the fluid solve over degraded arrivals at one arrival per second";
 
 fn fault_row(r: &FaultChurnReport) -> Fields {
     vec![
@@ -140,28 +118,23 @@ fn fault_row(r: &FaultChurnReport) -> Fields {
         ("worst_survival", Val::Float(r.worst_survival, 4)),
         ("repairs", r.repairs.into()),
         ("repair_failures", r.repair_failures.into()),
-        ("repair_p50_ms", ms(&r.repair, 0.5)),
-        ("repair_p99_ms", ms(&r.repair, 0.99)),
         ("degraded_arrivals", r.degraded_arrivals.into()),
         ("violation_seconds", Val::Float(r.violation_seconds, 1)),
-        ("wall_secs", Val::Float(r.churn.wall_secs, 4)),
     ]
 }
 
 const TRAFFIC_NOTE: &str = "incremental traffic engine stepped through lifecycle churn: dirty \
-    tenants re-expand their TAG edges into bundled flows kept live in a persistent fluid network \
-    (expand), one component-scoped guarantee-weighted max-min solve over only the churn-dirty \
-    connected components, each by the same kernel as the global solve (solve), achieved rates \
-    scored against TAG intents (score); *_p99_ms are per-phase p99s, step_p99_ms the whole engine step; \
-    components_dirty_mean / components_total gauge how much of the graph each step re-solves, \
-    tenants_rescored_mean / links_rescored_mean how much of it each step re-scores (deterministic \
-    counts: tenant summaries and per-link usages recomputed; everything else is served from \
-    caches); violations count pairs whose achieved rate falls below the TAG-intended guarantee";
+    tenants re-expand their TAG edges into bundled flows kept live in a persistent fluid network, \
+    one component-scoped guarantee-weighted max-min solve runs over only the churn-dirty \
+    connected components, each by the same kernel as the global solve, and achieved rates are \
+    scored against TAG intents; components_dirty_mean / components_total gauge how much of the \
+    graph each step re-solves, tenants_rescored_mean / links_rescored_mean how much of it each \
+    step re-scores (deterministic counts: tenant summaries and per-link usages recomputed; \
+    everything else is served from caches); violations count pairs whose achieved rate falls \
+    below the TAG-intended guarantee";
 
 fn traffic_row(t: &TrafficRun) -> Fields {
     let r = &t.report;
-    let solve = r.solve_latencies();
-    let p99 = |phase: fn(&TrafficStep) -> f64| ms(&r.phase_latencies(phase), 0.99);
     let violating = r.steps.iter().map(|s| s.violating_tenants).max();
     let utilization = r.steps.iter().map(|s| s.max_link_utilization);
     vec![
@@ -171,9 +144,6 @@ fn traffic_row(t: &TrafficRun) -> Fields {
         ("steps", r.steps.len().into()),
         ("flows_mean", Val::Float(r.flows_mean(), 1)),
         ("flows_max", r.flows_max().into()),
-        ("expand_p99_ms", p99(|s| s.expand_secs)),
-        ("solve_p50_ms", ms(&solve, 0.5)),
-        ("solve_p99_ms", ms(&solve, 0.99)),
         (
             "components_dirty_mean",
             Val::Float(r.components_dirty_mean(), 1),
@@ -187,8 +157,6 @@ fn traffic_row(t: &TrafficRun) -> Fields {
             "links_rescored_mean",
             Val::Float(r.links_rescored_mean(), 1),
         ),
-        ("score_p99_ms", p99(|s| s.score_secs)),
-        ("step_p99_ms", ms(&r.step_latencies(), 0.99)),
         ("violations", r.violations_total().into()),
         ("violating_tenants_max", violating.unwrap_or(0).into()),
         ("work_conserving_steps", r.work_conserving_steps().into()),
@@ -200,11 +168,15 @@ fn traffic_row(t: &TrafficRun) -> Fields {
 }
 
 fn main() -> ExitCode {
-    let size = Size::from_args();
+    if std::env::args().len() > 1 {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    }
+    let size = Size::Full;
     let pool = bing_like_pool(42);
 
-    // Each table prints as soon as its workload finishes (`--full` takes
-    // minutes); the JSON is written once, from the same sections.
+    // Each table prints as soon as its workload finishes; the JSON is
+    // written once, from the same sections.
     let mut sections = Vec::new();
     let mut emit = |section: Section| {
         section.print();
@@ -216,7 +188,6 @@ fn main() -> ExitCode {
         key: "results",
         title: "Admission throughput (paper datacenter, bing-like pool)",
         note: None,
-        head: vec![],
         rows: results.iter().map(result_row).collect(),
     });
 
@@ -224,7 +195,6 @@ fn main() -> ExitCode {
         key: "search_counters",
         title: "Placer work counters (same runs as the admission table)",
         note: Some(COUNTERS_NOTE),
-        head: vec![],
         rows: results.iter().filter_map(counters_row).collect(),
     });
 
@@ -233,7 +203,6 @@ fn main() -> ExitCode {
         key: "lifecycle_churn",
         title: "Lifecycle churn (Cluster: admit / scale ±n / migrate / depart)",
         note: Some(CHURN_NOTE),
-        head: vec![],
         rows: churn.iter().map(churn_row).collect(),
     });
 
@@ -242,7 +211,6 @@ fn main() -> ExitCode {
         key: "fault_recovery",
         title: "Fault injection & recovery (ToR kills / server kills / link degrades mid-churn)",
         note: Some(FAULTS_NOTE),
-        head: vec![],
         rows: faults.iter().map(fault_row).collect(),
     });
 
@@ -251,13 +219,11 @@ fn main() -> ExitCode {
         key: "traffic",
         title: "Datacenter traffic (incremental engine stepped through churn)",
         note: Some(TRAFFIC_NOTE),
-        head: vec![],
         rows: traffic.iter().map(traffic_row).collect(),
     });
 
     let head = vec![
         ("benchmark", "bench_admission".into()),
-        ("mode", size.name().into()),
         ("datacenter", "paper_2048_servers".into()),
         ("pool", "bing_like_seed42".into()),
     ];

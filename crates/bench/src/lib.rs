@@ -12,8 +12,11 @@
 //! The library also carries everything `bench_admission` shares with its
 //! tests: the [`Section`] writer that renders one row description as both
 //! the stdout table and `BENCH_placement.json`, the workloads behind the
-//! artifact's four sections, and the machine-independent gates the binary
-//! fails on.
+//! artifact's sections, and the gates the binary fails on. Every number
+//! in the artifact is a decision or a deterministic work count, never a
+//! clock reading, so the committed file is a golden that a fresh run
+//! reproduces byte for byte; wall-clock time is measured by the standalone
+//! `benchmark/` package.
 
 pub mod figures;
 
@@ -22,13 +25,11 @@ use cm_core::placement::{CmConfig, CmPlacer, HaPolicy, Placer, SearchCounters};
 use cm_enforce::GuaranteeModel;
 use cm_sim::faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
 use cm_sim::lifecycle::{run_churn, ChurnConfig, ChurnReport};
-use cm_sim::metrics::OpLatencies;
 use cm_sim::traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport};
 use cm_sim::{run_sim, SimConfig};
 use cm_topology::{gbps, TreeSpec};
 use cm_workloads::TenantPool;
 use std::fmt::{Debug, Write as _};
-use std::time::Instant;
 
 /// Render a markdown-ish table.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -70,10 +71,6 @@ pub enum Val {
     Int(u64),
     /// A measurement and its printed decimals.
     Float(f64, usize),
-    /// A flag.
-    Bool(bool),
-    /// Nothing measured (e.g. a quantile of zero samples).
-    Null,
 }
 
 impl From<usize> for Val {
@@ -94,15 +91,12 @@ impl Val {
             Val::Str(s) => s.clone(),
             Val::Int(n) => n.to_string(),
             Val::Float(x, decimals) => format!("{x:.decimals$}"),
-            Val::Bool(b) => b.to_string(),
-            Val::Null => "-".to_string(),
         }
     }
 
     fn json(&self) -> String {
         match self {
             Val::Str(s) => json_str(s),
-            Val::Null => "null".to_string(),
             other => other.cell(),
         }
     }
@@ -148,22 +142,16 @@ pub struct Section {
     pub key: &'static str,
     /// Table title.
     pub title: &'static str,
-    /// `Some`: the JSON is `{head…, "note", "entries": rows}`; `None`: the
-    /// bare array of rows (and `head` is ignored).
+    /// `Some`: the JSON is `{"note", "entries": rows}`; `None`: the bare
+    /// array of rows.
     pub note: Option<&'static str>,
-    /// Section-level scalars, written before the note.
-    pub head: Fields,
     /// One entry per measured configuration, all with the same keys.
     pub rows: Vec<Fields>,
 }
 
 impl Section {
-    /// The stdout table: title plus head scalars, one column per key.
+    /// The stdout table: the title, then one column per key.
     pub fn table(&self) -> String {
-        let mut title = self.title.to_string();
-        for (k, v) in &self.head {
-            let _ = write!(title, "; {k} = {}", v.cell());
-        }
         let keys: Vec<&str> = self
             .rows
             .first()
@@ -173,7 +161,7 @@ impl Section {
             .iter()
             .map(|r| r.iter().map(|(_, v)| v.cell()).collect())
             .collect();
-        render_table(&title, &keys, &cells)
+        render_table(self.title, &keys, &cells)
     }
 
     /// Print [`Section::table`].
@@ -199,11 +187,7 @@ impl Section {
             out.push_str(&array("  "));
             return;
         };
-        out.push_str("{\n");
-        for (k, v) in &self.head {
-            let _ = writeln!(out, "    {}: {},", json_str(k), v.json());
-        }
-        let _ = writeln!(out, "    \"note\": {},", json_str(note));
+        let _ = writeln!(out, "{{\n    \"note\": {},", json_str(note));
         let _ = write!(out, "    \"entries\": {}\n  }}", array("    "));
     }
 }
@@ -226,48 +210,28 @@ pub fn report_json(head: &Fields, sections: &[Section]) -> String {
 // bench_admission: the workloads behind BENCH_placement.json's sections
 // ----------------------------------------------------------------------
 
-/// `bench_admission`'s run size: the CI smoke run (`--quick`), the
-/// default, or the paper's scale (`--full`).
+/// `bench_admission`'s run size: the paper's 10,000 arrivals, which the
+/// binary always runs, or a small run for the gate tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Size {
     /// 300 arrivals.
     Quick,
-    /// 2,000 arrivals.
-    Default,
     /// The paper's 10,000 arrivals.
     Full,
 }
 
 impl Size {
-    /// Parse from `std::env::args` (`--quick` wins over `--full`).
-    pub fn from_args() -> Size {
-        let has = |flag: &str| std::env::args().any(|a| a == flag);
-        if has("--quick") {
-            Size::Quick
-        } else if has("--full") {
-            Size::Full
-        } else {
-            Size::Default
-        }
-    }
-
-    fn pick<T>(self, quick: T, default: T, full: T) -> T {
+    fn pick<T>(self, quick: T, full: T) -> T {
         match self {
             Size::Quick => quick,
-            Size::Default => default,
             Size::Full => full,
         }
-    }
-
-    /// The report's `mode` field.
-    pub fn name(self) -> &'static str {
-        self.pick("quick", "default", "full")
     }
 
     /// The paper-default simulation at this size's arrival count.
     fn sim_config(self) -> SimConfig {
         SimConfig {
-            arrivals: self.pick(300, 2_000, 10_000),
+            arrivals: self.pick(300, 10_000),
             ..SimConfig::paper_default()
         }
     }
@@ -275,7 +239,7 @@ impl Size {
     /// Tenants of the churn and fault workloads.
     fn churn_config(self) -> ChurnConfig {
         ChurnConfig {
-            tenants: self.pick(80, 400, 1_200),
+            tenants: self.pick(80, 1_200),
             ..ChurnConfig::paper_default()
         }
     }
@@ -289,47 +253,24 @@ pub struct BenchRow {
     pub arrivals: usize,
     /// Arrivals the placer admitted.
     pub admitted: usize,
-    /// Of the whole simulation, not just the `admit` calls.
-    pub wall_secs: f64,
-    /// Latency distribution of the `admit` calls.
-    pub admit: OpLatencies,
     /// The placer's work counters over the run; CloudMirror placers only.
     pub counters: Option<SearchCounters>,
 }
 
-impl BenchRow {
-    /// Arrivals per wall-clock second.
-    pub fn arrivals_per_sec(&self) -> f64 {
-        self.arrivals as f64 / self.wall_secs
-    }
-}
-
-/// Run `cfg` `reps` times and keep the median-by-wall-time repetition;
-/// `counters` reads the placer's work counters after a run.
+/// Run `cfg` once; `counters` reads the placer's work counters after it.
 fn bench_one<P: Placer>(
-    make: impl Fn() -> P,
+    mut placer: P,
     cfg: &SimConfig,
     pool: &TenantPool,
-    reps: usize,
     counters: fn(&P) -> Option<SearchCounters>,
 ) -> BenchRow {
-    let mut rows: Vec<BenchRow> = (0..reps)
-        .map(|_| {
-            let mut placer = make();
-            let t0 = Instant::now();
-            let res = run_sim(cfg, pool, &mut placer);
-            BenchRow {
-                name: res.algo,
-                arrivals: cfg.arrivals,
-                admitted: res.rejections.arrivals - res.rejections.rejected_tenants,
-                wall_secs: t0.elapsed().as_secs_f64(),
-                admit: res.admit,
-                counters: counters(&placer),
-            }
-        })
-        .collect();
-    rows.sort_by(|a, b| a.wall_secs.partial_cmp(&b.wall_secs).expect("finite"));
-    rows.swap_remove(rows.len() / 2)
+    let res = run_sim(cfg, pool, &mut placer);
+    BenchRow {
+        name: res.algo,
+        arrivals: cfg.arrivals,
+        admitted: res.rejections.arrivals - res.rejections.rejected_tenants,
+        counters: counters(&placer),
+    }
 }
 
 fn cm_counters(p: &CmPlacer) -> Option<SearchCounters> {
@@ -337,25 +278,22 @@ fn cm_counters(p: &CmPlacer) -> Option<SearchCounters> {
 }
 
 /// The paper-default simulation per placer: CM first, then the two
-/// ablations and the three baselines. The CM row takes the median of
-/// three repetitions (one under `--quick`) to damp machine noise;
-/// SecondNet, orders of magnitude slower (paper §5.1), gets a twentieth
-/// of the arrivals.
+/// ablations and the three baselines. SecondNet, orders of magnitude
+/// slower (paper §5.1), gets a twentieth of the arrivals.
 pub fn admission_results(size: Size, pool: &TenantPool) -> Vec<BenchRow> {
     let cfg = size.sim_config();
-    let reps = size.pick(1, 3, 3);
     let secondnet_cfg = SimConfig {
         arrivals: (cfg.arrivals / 20).max(50),
         ..cfg.clone()
     };
-    let cm = |cfg: CmConfig| move || CmPlacer::new(cfg);
+    let cm = CmPlacer::new;
     vec![
-        bench_one(cm(CmConfig::cm()), &cfg, pool, reps, cm_counters),
-        bench_one(cm(CmConfig::coloc_only()), &cfg, pool, 1, cm_counters),
-        bench_one(cm(CmConfig::balance_only()), &cfg, pool, 1, cm_counters),
-        bench_one(OvocPlacer::new, &cfg, pool, 1, |_| None),
-        bench_one(OktopusVcPlacer::new, &cfg, pool, 1, |_| None),
-        bench_one(SecondNetPlacer::new, &secondnet_cfg, pool, 1, |_| None),
+        bench_one(cm(CmConfig::cm()), &cfg, pool, cm_counters),
+        bench_one(cm(CmConfig::coloc_only()), &cfg, pool, cm_counters),
+        bench_one(cm(CmConfig::balance_only()), &cfg, pool, cm_counters),
+        bench_one(OvocPlacer::new(), &cfg, pool, |_| None),
+        bench_one(OktopusVcPlacer::new(), &cfg, pool, |_| None),
+        bench_one(SecondNetPlacer::new(), &secondnet_cfg, pool, |_| None),
     ]
 }
 
@@ -404,8 +342,8 @@ pub struct TrafficRun {
 pub fn traffic_bench(size: Size, pool: &TenantPool) -> Vec<TrafficRun> {
     let run = |model, fat_tree: Option<u32>| {
         let mut cfg = TrafficChurnConfig::paper_default(model);
-        cfg.churn.tenants = size.pick(60, 200, 400);
-        cfg.solve_every = size.pick(20, 25, 40);
+        cfg.churn.tenants = size.pick(60, 400);
+        cfg.solve_every = size.pick(20, 40);
         if let Some(fanout) = fat_tree {
             cfg.churn.spec = TreeSpec {
                 fanout_top_down: vec![32, fanout, fanout],
@@ -570,14 +508,11 @@ mod tests {
             ("name", "a\"b\\c\n\u{1}".into()),
             ("count", 3.into()),
             ("ratio", Val::Float(2.0 / 3.0, 3)),
-            ("ok", Val::Bool(true)),
-            ("p99_ms", Val::Null),
         ];
         Section {
             key: "demo",
             title: "Demo",
             note: Some("a \"note\""),
-            head: vec![("hardware_threads", 2.into())],
             rows: vec![row],
         }
     }
@@ -592,23 +527,21 @@ mod tests {
         };
         let sections = [empty("bare", None), demo(), empty("empty", Some(""))];
         let golden = r#"{
-  "mode": "quick",
+  "benchmark": "demo",
   "bare": [],
   "demo": {
-    "hardware_threads": 2,
     "note": "a \"note\"",
     "entries": [
-      {"name": "a\"b\\c\n\u0001", "count": 3, "ratio": 0.667, "ok": true, "p99_ms": null}
+      {"name": "a\"b\\c\n\u0001", "count": 3, "ratio": 0.667}
     ]
   },
   "empty": {
-    "hardware_threads": 2,
     "note": "",
     "entries": []
   }
 }
 "#;
-        let head = vec![("mode", "quick".into())];
+        let head = vec![("benchmark", "demo".into())];
         assert_eq!(report_json(&head, &sections), golden);
     }
 
@@ -620,7 +553,6 @@ mod tests {
         let columns: Vec<&str> = header.split('|').map(str::trim).collect();
         let keys: Vec<&str> = section.rows[0].iter().map(|(k, _)| *k).collect();
         assert_eq!(columns[1..columns.len() - 1], keys[..]);
-        assert!(table.contains("Demo; hardware_threads = 2"), "{table}");
 
         let mut json = String::new();
         section.write_json(&mut json);

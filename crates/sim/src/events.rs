@@ -6,7 +6,7 @@
 //! and the tenant registry. `tests/cluster_decisions.rs` pins the
 //! decisions of every placer with golden fingerprints.
 
-use crate::metrics::{OpLatencies, RejectionCounts, WcsAccumulator, WcsByLevel, WcsStats};
+use crate::metrics::{RejectionCounts, WcsAccumulator, WcsByLevel, WcsStats};
 use cm_cluster::{Cluster, TenantId};
 use cm_core::placement::{Placer, RejectReason};
 use cm_topology::{Kbps, Topology, TreeSpec};
@@ -15,7 +15,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -90,9 +89,6 @@ pub struct SimResult {
     pub wcs_by_level: Vec<WcsStats>,
     /// Peak number of concurrently deployed tenants.
     pub peak_tenants: usize,
-    /// Wall-clock latency of every `admit` call (accepted and rejected),
-    /// in arrival order.
-    pub admit: OpLatencies,
 }
 
 #[derive(PartialEq)]
@@ -130,7 +126,6 @@ pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimR
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let mut counts = RejectionCounts::default();
-    let mut admit = OpLatencies::default();
     let mut wcs_acc = WcsAccumulator::default();
     let mut wcs_levels = WcsByLevel::new(cluster.topology());
     let mut departures: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
@@ -156,10 +151,7 @@ pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimR
         counts.arrivals += 1;
         counts.total_vms += vms;
         counts.total_bw_kbps += bw;
-        let t0 = Instant::now();
-        let outcome = cluster.admit(tag);
-        admit.push(t0.elapsed().as_secs_f64());
-        match outcome {
+        match cluster.admit(tag) {
             Ok(handle) => {
                 let deployed = cluster.deployed(handle.id()).expect("just admitted");
                 let sizes = deployed.tier_sizes();
@@ -214,7 +206,6 @@ pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimR
         wcs: wcs_acc.finish(),
         wcs_by_level: wcs_levels.finish(),
         peak_tenants: peak,
-        admit,
     }
 }
 
@@ -249,7 +240,6 @@ mod tests {
         let pool = mixed_pool(1);
         let r = run_sim(&small_cfg(), &pool, CmPlacer::default());
         assert_eq!(r.rejections.arrivals, 150);
-        assert_eq!(r.admit.count(), 150);
         assert!(r.peak_tenants > 0);
         assert!(r.rejections.tenant_rate() <= 1.0);
         // Per-level WCS: one entry per fault-domain level, and the entry at

@@ -133,7 +133,7 @@ impl Algo {
         }
     }
 
-    /// Instantiate the placer.
+    /// A fresh placer of this algorithm.
     pub fn placer(&self) -> Box<dyn Placer> {
         match *self {
             Algo::Cm(cfg) => Box::new(CmPlacer::new(cfg)),
@@ -354,14 +354,11 @@ mod tests {
         assert!(pts[0].x < pts[1].x);
     }
 
-    /// Everything a sweep cell decides, floats by their exact `Debug`
-    /// rendering (so an unmeasured WCS's NaN compares equal to itself);
-    /// the wall-clock `admit` latencies are left out.
+    /// Everything a sweep cell decides: the whole result, floats by their
+    /// exact `Debug` rendering (so an unmeasured WCS's NaN compares equal
+    /// to itself).
     fn decisions(r: &SimResult) -> String {
-        format!(
-            "{} {:?} {:?} {:?} {}",
-            r.algo, r.rejections, r.wcs, r.wcs_by_level, r.peak_tenants
-        )
+        format!("{r:?}")
     }
 
     #[test]

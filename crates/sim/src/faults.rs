@@ -22,14 +22,12 @@
 //! the dead links are measured at zero capacity.
 
 use crate::lifecycle::{churn_loop, ChurnConfig, ChurnObserver, ChurnReport};
-use crate::metrics::OpLatencies;
 use cm_cluster::{Cluster, Fault, TenantId};
 use cm_core::placement::{wcs_cap, Placer};
 use cm_workloads::TenantPool;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 /// Configuration of one fault-injection churn run.
 #[derive(Debug, Clone)]
@@ -67,8 +65,7 @@ impl FaultChurnConfig {
 /// Everything one fault-injection churn run produces.
 #[derive(Debug, Clone)]
 pub struct FaultChurnReport {
-    /// The underlying lifecycle-churn outcome (placer name, op counts,
-    /// latencies, wall-clock seconds).
+    /// The underlying lifecycle-churn outcome (placer name, op counts).
     pub churn: ChurnReport,
     /// Fault domains killed.
     pub domain_kills: usize,
@@ -94,9 +91,6 @@ pub struct FaultChurnReport {
     pub repairs: usize,
     /// Tenant repairs that failed (capacity gone) across all rounds.
     pub repair_failures: usize,
-    /// Wall-clock latency of each repair round (topology restore plus
-    /// every tenant re-placement it triggered).
-    pub repair: OpLatencies,
     /// Arrivals that ran inside a degraded window.
     pub degraded_arrivals: usize,
     /// Σ traffic-guarantee violations over degraded arrivals, at one
@@ -143,9 +137,7 @@ struct FaultInjector<'a> {
 
 impl FaultInjector<'_> {
     fn repair<P: Placer>(&mut self, cluster: &mut Cluster<P>, fault: Fault) {
-        let t0 = Instant::now();
         let r = cluster.repair(fault).expect("repairing an injected fault");
-        self.report.repair.push(t0.elapsed().as_secs_f64());
         self.report.repairs += 1;
         self.report.repair_failures += r.degraded.len();
     }
@@ -239,7 +231,6 @@ pub fn run_churn_faults<P: Placer>(
             worst_survival: 1.0,
             repairs: 0,
             repair_failures: 0,
-            repair: OpLatencies::default(),
             degraded_arrivals: 0,
             violation_seconds: 0.0,
         },
@@ -299,12 +290,11 @@ mod tests {
             "plain CM concentrates tiers and must break the same bound"
         );
         // Every fault was repaired; both runs drained pristine (checked by
-        // the driver's debug asserts) and repairs were measured.
+        // the driver's debug asserts).
         assert_eq!(
             r_ha.repairs,
             r_ha.domain_kills + r_ha.server_kills + r_ha.degrades
         );
-        assert!(r_ha.repair.quantile_us(0.99).unwrap() >= 0.0);
     }
 
     /// The schedule is deterministic: same seed, same faults, same damage.

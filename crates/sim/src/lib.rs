@@ -33,15 +33,15 @@
 pub mod events;
 /// End-to-end experiment drivers behind the paper's figures.
 pub mod experiments;
-/// Fault injection and recovery: failures, repairs, survivability accounting.
+/// Churn with fault injection and repair, judged against the Eq. 7 bound.
 pub mod faults;
-/// Tenant lifecycle churn: arrivals, departures, and slot reuse.
+/// The autoscaling-churn loop: admit, scale out and in, migrate, depart.
 pub mod lifecycle;
-/// Experiment metrics: acceptance, utilization, latency summaries.
+/// Experiment metrics: rejection accounting, WCS statistics, model repricing.
 pub mod metrics;
 /// Hand-rolled scoped worker pool for sweep parallelism.
 pub mod parallel;
-/// Lifecycle churn with periodic cluster-wide traffic steps.
+/// Churn with periodic cluster-wide traffic steps and their work counts.
 pub mod traffic;
 
 pub use cm_cluster::{
@@ -51,9 +51,7 @@ pub use cm_cluster::{
 pub use events::{run_sim, SimConfig, SimResult};
 pub use faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
 pub use lifecycle::{run_churn, ChurnConfig, ChurnReport};
-pub use metrics::{
-    reprice_by_level, wcs_from_placement, OpLatencies, RejectionCounts, WcsByLevel, WcsStats,
-};
+pub use metrics::{reprice_by_level, wcs_from_placement, RejectionCounts, WcsByLevel, WcsStats};
 pub use parallel::{default_threads, par_map_indexed};
 pub use traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport, TrafficStep};
 

@@ -1,5 +1,5 @@
-//! Measurement machinery: rejection accounting, WCS statistics, latency
-//! samples, and model repricing of placements (Table 1).
+//! Measurement machinery: rejection accounting, WCS statistics, and model
+//! repricing of placements (Table 1).
 
 use cm_core::cut::CutModel;
 use cm_topology::{Kbps, NodeId, Topology};
@@ -195,41 +195,6 @@ impl WcsByLevel {
     /// Finish into per-level summary statistics, indexed by level.
     pub fn finish(&self) -> Vec<WcsStats> {
         self.accs.iter().map(WcsAccumulator::finish).collect()
-    }
-}
-
-/// Wall-clock latency samples of one operation class (admissions, scale
-/// operations, repair rounds, traffic-step phases, …).
-#[derive(Debug, Clone, Default)]
-pub struct OpLatencies {
-    secs: Vec<f64>,
-}
-
-impl OpLatencies {
-    /// Record one observation, in seconds.
-    pub fn push(&mut self, secs: f64) {
-        self.secs.push(secs);
-    }
-
-    /// Number of operations observed.
-    pub fn count(&self) -> usize {
-        self.secs.len()
-    }
-
-    /// Total seconds across the class.
-    pub fn total_secs(&self) -> f64 {
-        self.secs.iter().sum()
-    }
-
-    /// Nearest-rank `q`-quantile in microseconds (`None` when empty).
-    pub fn quantile_us(&self, q: f64) -> Option<f64> {
-        if self.secs.is_empty() {
-            return None;
-        }
-        let mut sorted = self.secs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1] * 1e6)
     }
 }
 

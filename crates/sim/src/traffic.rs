@@ -9,14 +9,15 @@
 //! edges into bundled flows, each bundle is routed over its physical
 //! uplink/downlink path (one fluid link per uplink direction, the tree
 //! placement reserves on), and one shared weighted max-min network is
-//! solved — per-step expand/solve/score times, flow counts,
-//! guarantee-compliance violations and link utilization are recorded. `bench_admission` writes the result as
-//! the `traffic` section of `BENCH_placement.json`, comparing the paper's
-//! TAG-patched enforcement against the plain hose-model baseline on
-//! identical placements.
+//! solved. Each step records its flow counts, its deterministic work
+//! counts (components re-solved, tenants and links re-scored),
+//! guarantee-compliance violations and link utilization; the engine's
+//! phase times are left to the standalone `benchmark/` package.
+//! `bench_admission` writes the result as the `traffic` section of
+//! `BENCH_placement.json`, comparing the paper's TAG-patched enforcement
+//! against the plain hose-model baseline on identical placements.
 
 use crate::lifecycle::{churn_loop, ChurnConfig, ChurnObserver, ChurnReport};
-use crate::metrics::OpLatencies;
 use cm_cluster::{Cluster, GuaranteeModel};
 use cm_core::placement::Placer;
 use cm_workloads::TenantPool;
@@ -68,11 +69,6 @@ pub struct TrafficStep {
     pub total_rate_kbps: f64,
     /// Largest directional-link utilization.
     pub max_link_utilization: f64,
-    /// Seconds spent re-expanding dirty tenants (guarantee partitioning,
-    /// bundling, routing).
-    pub expand_secs: f64,
-    /// Seconds spent in the fluid max-min solve.
-    pub solve_secs: f64,
     /// Connected components re-solved this step (churn-touched).
     pub components_dirty: usize,
     /// Connected components in the flow/link graph at this step.
@@ -82,15 +78,6 @@ pub struct TrafficStep {
     /// Fluid links whose usage was recomputed this step (deterministic
     /// work count).
     pub links_rescored: usize,
-    /// Seconds spent scoring achieved rates against TAG intents.
-    pub score_secs: f64,
-}
-
-impl TrafficStep {
-    /// Full per-step engine seconds (expand + solve + score).
-    pub fn step_secs(&self) -> f64 {
-        self.expand_secs + self.solve_secs + self.score_secs
-    }
 }
 
 /// Everything one traffic-churn run produces.
@@ -98,43 +85,13 @@ impl TrafficStep {
 pub struct TrafficChurnReport {
     /// Guarantee model the floors were enforced under.
     pub model: GuaranteeModel,
-    /// The underlying lifecycle-churn outcome (placer name, op counts,
-    /// latencies).
+    /// The underlying lifecycle-churn outcome (placer name, op counts).
     pub churn: ChurnReport,
     /// One entry per traffic solve, in arrival order.
     pub steps: Vec<TrafficStep>,
 }
 
 impl TrafficChurnReport {
-    /// Latencies of the fluid max-min solve alone, for percentile queries.
-    pub fn solve_latencies(&self) -> OpLatencies {
-        let mut lat = OpLatencies::default();
-        for s in &self.steps {
-            lat.push(s.solve_secs);
-        }
-        lat
-    }
-
-    /// Latencies of the full per-step engine run (expand + route + solve
-    /// + score), for percentile queries.
-    pub fn step_latencies(&self) -> OpLatencies {
-        let mut lat = OpLatencies::default();
-        for s in &self.steps {
-            lat.push(s.step_secs());
-        }
-        lat
-    }
-
-    /// Latencies of one engine phase, selected by `f` (percentile queries
-    /// over the expand/route/score breakdown).
-    pub fn phase_latencies(&self, f: impl Fn(&TrafficStep) -> f64) -> OpLatencies {
-        let mut lat = OpLatencies::default();
-        for s in &self.steps {
-            lat.push(f(s));
-        }
-        lat
-    }
-
     /// Largest cross-network flow count any step solved.
     pub fn flows_max(&self) -> usize {
         self.steps.iter().map(|s| s.cross_flows).max().unwrap_or(0)
@@ -208,13 +165,10 @@ impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
             work_conserving: r.work_conserving,
             total_rate_kbps: r.total_rate_kbps,
             max_link_utilization: r.max_link_utilization(),
-            expand_secs: r.expand_secs,
-            solve_secs: r.solve_secs,
             components_dirty: r.components_dirty,
             components_total: r.components_total,
             tenants_rescored: r.tenants_rescored,
             links_rescored: r.links_rescored,
-            score_secs: r.score_secs,
         });
     }
 }

@@ -26,14 +26,11 @@ use cm_workloads::bing_like_pool;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Everything a simulation decides, floats by their exact `Debug`
-/// rendering (so an unmeasured WCS's NaN compares equal to itself); the
-/// wall-clock `admit` latencies are left out.
+/// Everything a simulation decides: the whole result, floats by their
+/// exact `Debug` rendering (so an unmeasured WCS's NaN compares equal to
+/// itself).
 fn decisions(r: &SimResult) -> String {
-    format!(
-        "{} {:?} {:?} {:?} {}",
-        r.algo, r.rejections, r.wcs, r.wcs_by_level, r.peak_tenants
-    )
+    format!("{r:?}")
 }
 
 /// The stress test proper: paper datacenter, seeds 1–6, one placer;

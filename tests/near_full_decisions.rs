@@ -11,9 +11,12 @@
 //!
 //! The digest folds in every admit's placement (server ids × per-tier
 //! counts), every scale outcome and the placement after every scale-out;
-//! the reject counts are pinned beside it. Debug builds check a short
-//! prefix of the stream, release builds the whole stream as well.
+//! the reject counts are pinned beside it, and so are the placer's work
+//! counters, so a search that does more work for the same decisions fails
+//! here too. Debug builds check a short prefix of the stream, release
+//! builds the whole stream as well.
 
+use cloudmirror::core::placement::{LevelCounters, SearchCounters};
 use cloudmirror::workloads::bing_like_pool;
 use cloudmirror::{gbps, mbps, Cluster, CmPlacer, TenantId, TierId, TreeSpec};
 use std::collections::VecDeque;
@@ -58,6 +61,7 @@ struct Mark {
     scale_rejects: u64,
     live: usize,
     slots_in_use: u64,
+    counters: SearchCounters,
 }
 
 const TARGET_LIVE: usize = 900;
@@ -87,6 +91,7 @@ fn run(arrivals: usize, marks: &[usize]) -> Vec<Mark> {
         scale_rejects: 0,
         live: 0,
         slots_in_use: 0,
+        counters: SearchCounters::default(),
     };
     let mut out = Vec::new();
 
@@ -121,7 +126,10 @@ fn run(arrivals: usize, marks: &[usize]) -> Vec<Mark> {
     m.digest = d.0;
     m.live = live.len();
     m.slots_in_use = cluster.utilization().slots_in_use;
-    out.push(Mark { ..m });
+    out.push(Mark {
+        counters: cluster.placer().counters().clone(),
+        ..m
+    });
 
     for arrival in 1..=arrivals {
         if live.len() >= TARGET_LIVE {
@@ -169,13 +177,44 @@ fn run(arrivals: usize, marks: &[usize]) -> Vec<Mark> {
             m.digest = d.0;
             m.live = live.len();
             m.slots_in_use = cluster.utilization().slots_in_use;
-            out.push(Mark { ..m });
+            out.push(Mark {
+                counters: cluster.placer().counters().clone(),
+                ..m
+            });
         }
     }
     cluster
         .check_invariants()
         .expect("books balance after churn");
     out
+}
+
+/// `SearchCounters` from per-level `[attempts, placed, slots, bandwidth,
+/// allocs]` (servers first) and `[fills_run, fills_reused, groups_built,
+/// uplink_prechecked, coloc_server_rollbacks, memo_hits]`.
+fn counters(levels: [[u64; 5]; 4], rest: [u64; 6]) -> SearchCounters {
+    let [fills_run, fills_reused, groups_built, uplink_prechecked, coloc_server_rollbacks, memo_hits] =
+        rest;
+    SearchCounters {
+        levels: levels
+            .iter()
+            .map(
+                |&[attempts, placed, slots, bandwidth, allocs]| LevelCounters {
+                    attempts,
+                    placed,
+                    slots,
+                    bandwidth,
+                    allocs,
+                },
+            )
+            .collect(),
+        fills_run,
+        fills_reused,
+        groups_built,
+        uplink_prechecked,
+        coloc_server_rollbacks,
+        memo_hits,
+    }
 }
 
 #[test]
@@ -197,6 +236,15 @@ fn near_full_cm_decisions_are_pinned() {
             scale_rejects: 0,
             live: TARGET_LIVE,
             slots_in_use: 47441,
+            counters: counters(
+                [
+                    [431, 431, 469, 0, 5886],
+                    [455, 405, 14, 50, 2100],
+                    [64, 32, 0, 32, 206],
+                    [32, 32, 0, 0, 32],
+                ],
+                [21985, 21224, 13269, 8983, 0, 235],
+            ),
         },
         Mark {
             arrivals: short,
@@ -207,6 +255,15 @@ fn near_full_cm_decisions_are_pinned() {
             scale_rejects: 18,
             live: TARGET_LIVE,
             slots_in_use: 47412,
+            counters: counters(
+                [
+                    [493, 480, 509, 13, 8030],
+                    [504, 412, 18, 92, 4705],
+                    [109, 36, 1, 73, 532],
+                    [74, 70, 0, 4, 74],
+                ],
+                [42883, 36218, 27495, 18717, 0, 528],
+            ),
         },
         Mark {
             arrivals: full,
@@ -217,6 +274,15 @@ fn near_full_cm_decisions_are_pinned() {
             scale_rejects: 1501,
             live: TARGET_LIVE,
             slots_in_use: 47020,
+            counters: counters(
+                [
+                    [3325, 2910, 2094, 415, 66414],
+                    [2343, 1515, 166, 828, 24805],
+                    [985, 586, 9, 399, 3321],
+                    [408, 327, 0, 81, 408],
+                ],
+                [319214, 238838, 107297, 64793, 0, 2144],
+            ),
         },
     ];
     assert_eq!(marks, want[..marks.len()]);

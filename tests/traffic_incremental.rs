@@ -448,8 +448,11 @@ fn digest_step(cluster: &Cluster<CmPlacer>, report: &TrafficReport, d: &mut Dige
 /// out-and-in churn is followed by a traffic step, and the digest folds
 /// in each step's rates, link usage, violations and verdict. The value
 /// was recorded before the kernel's live-link rounds and flat scratch
-/// landed; any reordering of a float sum shows here. Debug builds check a
-/// short prefix of the stream, release builds the whole stream.
+/// landed; any reordering of a float sum shows here. A second digest pins
+/// the engine's work: each step's dirty components, re-scored tenants and
+/// links, and fluid flows, so a step that re-solves or re-scores more than
+/// churn touched fails here even when its rates are equal. Debug builds
+/// check a short prefix of the stream, release builds the whole stream.
 #[test]
 fn spine_churn_rates_are_pinned() {
     const TARGET_LIVE: usize = 740;
@@ -464,6 +467,7 @@ fn spine_churn_rates_are_pinned() {
     let mut rng = Rng(23);
     let mut live: std::collections::VecDeque<TenantId> = Default::default();
     let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    let mut cost = Digest(0xcbf2_9ce4_8422_2325);
     while live.len() < TARGET_LIVE {
         let tag = &tenants[rng.below(tenants.len() as u64) as usize];
         if let Ok(h) = cluster.admit(tag) {
@@ -476,23 +480,31 @@ fn spine_churn_rates_are_pinned() {
 
     let (short, full) = (6, 120);
     let arrivals = if cfg!(debug_assertions) { short } else { full };
-    let step = |cluster: &Cluster<CmPlacer>, d: &mut Digest| {
+    let step = |cluster: &Cluster<CmPlacer>, d: &mut Digest, cost: &mut Digest| {
         let report = cluster.traffic_step_as(GuaranteeModel::Tag);
         digest_step(cluster, &report, d);
+        for work in [
+            report.components_dirty,
+            report.tenants_rescored,
+            report.links_rescored,
+            report.fluid_flows,
+        ] {
+            cost.mix(work as u64);
+        }
     };
-    step(&cluster, &mut d);
+    step(&cluster, &mut d, &mut cost);
     let mut marks = Vec::new();
     for arrival in 1..=arrivals {
         if live.len() >= TARGET_LIVE {
             let id = live.pop_front().expect("the datacenter holds tenants");
             cluster.depart(id).expect("live tenant departs");
-            step(&cluster, &mut d);
+            step(&cluster, &mut d, &mut cost);
         }
         let tag = &tenants[rng.below(tenants.len() as u64) as usize];
         if let Ok(h) = cluster.admit(tag) {
             live.push_back(h.id());
         }
-        step(&cluster, &mut d);
+        step(&cluster, &mut d, &mut cost);
         let id = live[rng.below(live.len() as u64) as usize];
         let tiers: Vec<TierId> = cluster.tag_of(id).unwrap().internal_tiers().collect();
         if !tiers.is_empty() {
@@ -500,16 +512,19 @@ fn spine_churn_rates_are_pinned() {
             let delta = 1 + rng.below(4) as i64;
             for delta in [delta, -delta] {
                 let ok = cluster.scale_tier(id, tier, delta).is_ok();
-                step(&cluster, &mut d);
+                step(&cluster, &mut d, &mut cost);
                 if !ok {
                     break;
                 }
             }
         }
         if arrival == short || arrival == full {
-            marks.push((arrival, d.0));
+            marks.push((arrival, d.0, cost.0));
         }
     }
-    let want: [(usize, u64); 2] = [(short, 11720178079518582413), (full, 2400785733669381534)];
+    let want: [(usize, u64, u64); 2] = [
+        (short, 11720178079518582413, 2665718136445795918),
+        (full, 2400785733669381534, 14358269852110048625),
+    ];
     assert_eq!(marks, want[..marks.len()]);
 }
