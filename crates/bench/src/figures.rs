@@ -12,7 +12,7 @@ use crate::render_table;
 use cm_baselines::{OvocPlacer, SecondNetPlacer};
 use cm_core::cut::CutModel;
 use cm_core::model::VocModel;
-use cm_core::placement::{wcs_cap, CmConfig, CmPlacer, Placer};
+use cm_core::placement::{self, CmConfig, CmPlacer, Placer};
 use cm_enforce::{fig13_throughput, fig4_throughput, GuaranteeModel};
 use cm_inference::{
     adjusted_mutual_information, feature_similarity, louvain, synthesize_trace, SynthConfig,
@@ -227,15 +227,14 @@ fn bw_rate(r: &SimResult) -> f64 {
 }
 
 /// The lowest worst-case survivability Eq. 7 admits at `rwcs` over the
-/// pool's tiers that the WCS statistics measure (size ≥ 2):
-/// `1 − wcs_cap(n, rwcs)/n`. Eq. 7's `max(1, ·)` lets a small tier fall
-/// below `rwcs` itself — a 2-VM tier may lose one VM at any requirement.
+/// pool's tiers that the WCS statistics measure (size ≥ 2): the least
+/// [`placement::wcs_floor`] over their sizes.
 fn wcs_floor(rwcs: f64, pool: &TenantPool) -> f64 {
     pool.tenants()
         .iter()
         .flat_map(|tag| tag.placeable_counts())
         .filter(|&n| n >= 2)
-        .map(|n| 1.0 - wcs_cap(n, rwcs) as f64 / n as f64)
+        .map(|n| placement::wcs_floor(n, rwcs))
         .fold(1.0, f64::min)
 }
 

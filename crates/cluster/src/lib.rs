@@ -239,11 +239,6 @@ pub struct TenantDamage {
     pub tenant: TenantId,
     /// Tier sizes immediately before this fault's evacuation.
     pub pre_sizes: Vec<u32>,
-    /// Worst-case survivability per tier of the pre-fault placement,
-    /// measured at the tree level of the fault domain
-    /// (`1 − max_A N^t_A / N^t`, §4.5) — the survivability this fault was
-    /// *guaranteed* not to undercut. `None` for unplaced tiers.
-    pub pre_wcs: Vec<Option<f64>>,
     /// VMs lost per tier (indexed like the TAG's tiers).
     pub lost: Vec<u32>,
     /// Total VMs lost.
@@ -510,38 +505,33 @@ impl<P: Placer> Cluster<P> {
     /// wholesale. The fixed-hose baselines keep their admitted model, so
     /// an evacuation that no longer satisfies it also evicts.
     ///
-    /// # Panics
-    ///
-    /// [`Fault::DegradeLink`] with `fraction` outside `[0, 1]`.
+    /// A node outside the tree or a [`Fault::DegradeLink`] `fraction`
+    /// outside `[0, 1]` is [`CmError::Topology`], with nothing changed.
     pub fn inject_fault(&mut self, fault: Fault) -> Result<FaultReport, CmError> {
-        let (failed_servers, domain_level) = match fault {
+        let failed_servers = match fault {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "fault injection mutates the substrate, not a reservation"
             )]
             Fault::Server(s) => {
-                let newly = if self.topo.fail_server(s)? {
+                if self.topo.fail_server(s)? {
                     vec![s]
                 } else {
                     Vec::new()
-                };
-                (newly, 0u8)
+                }
             }
             #[expect(
                 clippy::disallowed_methods,
                 reason = "fault injection mutates the substrate, not a reservation"
             )]
-            Fault::Domain(n) => {
-                let level = self.topo.level(n);
-                (self.topo.fail_domain(n)?, level)
-            }
+            Fault::Domain(n) => self.topo.fail_domain(n)?,
             #[expect(
                 clippy::disallowed_methods,
                 reason = "fault injection mutates the substrate, not a reservation"
             )]
             Fault::DegradeLink { node, fraction } => {
                 self.topo.degrade_link(node, fraction)?;
-                (Vec::new(), 0u8)
+                Vec::new()
             }
         };
         self.fault_epoch += 1;
@@ -549,7 +539,6 @@ impl<P: Placer> Cluster<P> {
         if !failed_servers.is_empty() {
             for (&id, entry) in self.tenants.iter_mut() {
                 let pre = Arc::clone(&entry.tag);
-                let pre_wcs = entry.deployed.wcs_at_level(&self.topo, domain_level);
                 let pre_sizes = entry.deployed.tier_sizes();
                 let Some(ev) = entry.deployed.evacuate_failed(&mut self.topo) else {
                     continue;
@@ -570,7 +559,6 @@ impl<P: Placer> Cluster<P> {
                 tenants.push(TenantDamage {
                     tenant: id,
                     pre_sizes,
-                    pre_wcs,
                     lost: ev.lost,
                     lost_vms: ev.lost_vms,
                     reclaimed_kbps: ev.reclaimed_kbps,

@@ -731,3 +731,118 @@ fn release_all_empties_the_cluster() {
     assert!(cluster.is_empty());
     assert_pristine(&cluster);
 }
+
+/// Everything an `Err` must leave as it was: the substrate (failure state
+/// included), the fault epoch, the damage ledger and every placement.
+fn snapshot<P: cm_core::placement::Placer>(cluster: &Cluster<P>) -> String {
+    let placements: Vec<_> = cluster
+        .tenant_ids()
+        .map(|id| cluster.placement_of(id))
+        .collect();
+    format!(
+        "{:?}\n{}\n{:?}\n{placements:?}",
+        cluster.topology(),
+        cluster.fault_epoch(),
+        cluster.faulted_tenants().collect::<Vec<_>>(),
+    )
+}
+
+#[test]
+fn hostile_faults_are_typed_errors_and_change_nothing() {
+    use crate::Fault;
+    use cm_topology::{NodeId, TopologyError};
+    let mut cluster = Cluster::new(&small_spec(), CmPlacer::new(CmConfig::cm()));
+    cluster.admit(web_db(4, 2)).unwrap();
+    let tor = cluster.topology().nodes_at_level(1)[0];
+    let root = cluster.topology().root();
+    let ghost = NodeId(99_999);
+    let before = snapshot(&cluster);
+    let hostile = [
+        Fault::DegradeLink {
+            node: tor,
+            fraction: 1.5,
+        },
+        Fault::DegradeLink {
+            node: tor,
+            fraction: f64::NAN,
+        },
+        Fault::DegradeLink {
+            node: tor,
+            fraction: -0.5,
+        },
+        Fault::DegradeLink {
+            node: ghost,
+            fraction: 0.5,
+        },
+        Fault::Server(ghost),
+        Fault::Domain(ghost),
+        // The root has no uplink, so it is no fault domain either.
+        Fault::DegradeLink {
+            node: root,
+            fraction: 0.5,
+        },
+        Fault::Domain(root),
+    ];
+    for fault in hostile {
+        let node = match fault {
+            Fault::Server(n) | Fault::Domain(n) | Fault::DegradeLink { node: n, .. } => n,
+        };
+        assert_eq!(
+            cluster.inject_fault(fault).unwrap_err(),
+            CmError::Topology(TopologyError::InvalidFault { node }),
+            "{fault:?}"
+        );
+        cluster.check_invariants().unwrap();
+        assert_eq!(snapshot(&cluster), before, "{fault:?}");
+    }
+    // Repairs of nodes outside the tree, or of the root, are refused the
+    // same way.
+    for (fault, node) in [
+        (Fault::Server(ghost), ghost),
+        (Fault::Domain(ghost), ghost),
+        (Fault::Domain(root), root),
+    ] {
+        assert_eq!(
+            cluster.repair(fault).unwrap_err(),
+            CmError::Topology(TopologyError::InvalidFault { node }),
+        );
+        assert_eq!(snapshot(&cluster), before, "{fault:?}");
+    }
+}
+
+#[test]
+fn laa_level_above_the_root_makes_the_tree_one_fault_domain() {
+    use cm_core::placement::HaPolicy;
+    // Server, ToR and root: three levels, so level 9 is far above the top.
+    let spec = TreeSpec {
+        fanout_top_down: vec![2, 4],
+        uplink_kbps: vec![mbps(1000.0), mbps(4000.0)],
+        slots_per_server: 4,
+    };
+    let cfg = CmConfig {
+        ha: HaPolicy::Guaranteed {
+            rwcs: 0.5,
+            laa_level: 9,
+        },
+        ..CmConfig::default()
+    };
+    let mut cluster = Cluster::new(&spec, CmPlacer::new(cfg));
+    let before = snapshot(&cluster);
+    // Eq. 7 caps a 4-VM tier at 2 VMs per domain, and the one domain is
+    // the whole tree.
+    let mut b = TagBuilder::new("four");
+    let t = b.tier("t", 4);
+    b.self_loop(t, mbps(10.0)).unwrap();
+    let err = cluster.admit(b.build().unwrap()).unwrap_err();
+    assert!(matches!(err, CmError::Rejected(_)), "{err:?}");
+    cluster.check_invariants().unwrap();
+    assert_eq!(snapshot(&cluster), before);
+    // max(1, ·) admits a single VM anywhere.
+    let mut b = TagBuilder::new("one");
+    let t = b.tier("t", 1);
+    b.self_loop(t, mbps(10.0)).unwrap();
+    let h = cluster.admit(b.build().unwrap()).unwrap();
+    assert_eq!(cluster.utilization().slots_in_use, 1);
+    cluster.depart(h.id()).unwrap();
+    assert_pristine(&cluster);
+}

@@ -3,6 +3,7 @@
 use crate::cut::CutModel;
 use crate::fasthash::FastMap;
 use crate::model::{Tag, TierId};
+use crate::placement::engine::uplinks_above;
 use crate::placement::{
     need_is_zero, need_total, per_slot_avail_kbps, place_incremental_replace, restore_need,
     search_and_place, wcs_cap, CmConfig, DemandPredictor, Deployed, HaPolicy, Placer, RejectReason,
@@ -507,6 +508,15 @@ fn top4_by<K: Ord + Copy>(nodes: &[NodeId], out: &mut Vec<NodeId>, key: impl Fn(
     out.extend(best.iter().flatten().map(|&(_, c)| c));
 }
 
+/// The Eq. 7 fault domain holding `node` (at or below `laa_level`): its
+/// ancestor at `laa_level`, or the root when `laa_level` is at or above
+/// the root, which makes the whole tree one domain.
+fn fault_domain(topo: &Topology, node: NodeId, laa_level: u8) -> NodeId {
+    topo.path_to_root(node)
+        .find(|&a| topo.level(a) >= laa_level)
+        .unwrap_or(topo.root())
+}
+
 /// The CloudMirror VM scheduler.
 ///
 /// A placer is stateful only through its [`DemandPredictor`] (used by
@@ -843,7 +853,7 @@ impl CmPlacer {
             // No HA guarantee: remove from the least-populated servers
             // first, so large colocated blocks (the bandwidth savers)
             // survive.
-            HaPolicy::None | HaPolicy::Opportunistic { .. } => {
+            HaPolicy::None | HaPolicy::Opportunistic => {
                 placement.sort_by_key(|&(s, k)| (k, s));
                 let mut removal: Vec<PlacementEntry> = Vec::new();
                 let mut left = delta;
@@ -863,6 +873,7 @@ impl CmPlacer {
                 removal
             }
         };
+        let affected = uplinks_above(topo, removal.iter().map(|e| e.server));
         let mut txn = ReservationTxn::begin(topo, state);
         for e in &removal {
             txn.unplace(e.server, e.tier, e.count);
@@ -872,16 +883,7 @@ impl CmPlacer {
         // when the inside count drops below N/2, so this can fail). Any
         // failure drops the uncommitted transaction, restoring the VMs and
         // reservations exactly.
-        let mut affected: Vec<NodeId> = Vec::new();
-        for e in &removal {
-            for n in txn.topo().path_to_root(e.server) {
-                if !affected.contains(&n) {
-                    affected.push(n);
-                }
-            }
-        }
-        affected.sort_by_key(|&n| (txn.topo().level(n), n));
-        for &n in &affected {
+        for n in affected {
             if txn.sync_uplink(n).is_err() {
                 return Err(RejectReason::InsufficientBandwidth);
             }
@@ -909,23 +911,11 @@ impl CmPlacer {
         cap: u32,
         laa_level: u8,
     ) -> Result<Vec<PlacementEntry>, RejectReason> {
-        let domain_of = |server: NodeId| -> NodeId {
-            let mut n = server;
-            while topo.level(n) < laa_level {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "loop guard stops below laa_level, so a parent exists"
-                )]
-                let up = topo.parent(n).expect("LAA level is below the root");
-                n = up;
-            }
-            n
-        };
         // (domain, server, remaining, removed), servers sorted by
         // (count, id) for the within-domain order.
         let mut rows: Vec<(NodeId, NodeId, u32, u32)> = placement
             .iter()
-            .map(|&(s, k)| (domain_of(s), s, k, 0u32))
+            .map(|&(s, k)| (fault_domain(topo, s, laa_level), s, k, 0u32))
             .collect();
         rows.sort_by_key(|&(d, s, k, _)| (d, k, s));
         // Per-domain totals, maintained incrementally as VMs drain.
@@ -1143,7 +1133,7 @@ impl CmPlacer {
         demand_mix: f64,
         scratch: &mut Scratch,
     ) -> bool {
-        if matches!(self.cfg.ha, HaPolicy::Opportunistic { .. })
+        if matches!(self.cfg.ha, HaPolicy::Opportunistic)
             && !self.saving_desirable(topo, st, demand_mix)
         {
             return false;
@@ -1639,7 +1629,7 @@ impl CmPlacer {
         if cands.ids.is_empty() {
             return None;
         }
-        let spread = matches!(self.cfg.ha, HaPolicy::Opportunistic { .. })
+        let spread = matches!(self.cfg.ha, HaPolicy::Opportunistic)
             && !self.saving_desirable(topo, st, demand_mix);
         if spread {
             return self.single_vm_pick(topo, state, tag, need, &cands.ids, scratch);
@@ -1911,8 +1901,8 @@ impl CmPlacer {
 
     /// Eq. 7 headroom: how many more VMs of `tier` may be placed under
     /// `node` without violating the guaranteed-WCS cap of the fault domain
-    /// (the ancestor at `laa_level`) containing it. Unbounded when no
-    /// guarantee applies.
+    /// ([`fault_domain`]) containing it. Unbounded when no guarantee
+    /// applies.
     fn ha_headroom(
         &self,
         topo: &Topology,
@@ -1927,18 +1917,11 @@ impl CmPlacer {
         if topo.level(node) > laa_level {
             return u32::MAX;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "level(node) <= laa_level was checked above and path_to_root visits every level"
-        )]
-        let domain = topo
-            .path_to_root(node)
-            .find(|&a| topo.level(a) == laa_level)
-            .expect("every node has an ancestor at laa_level");
         let n = tag.tiers()[tier].size;
         if tag.tiers()[tier].external {
             return u32::MAX;
         }
+        let domain = fault_domain(topo, node, laa_level);
         wcs_cap(n, rwcs).saturating_sub(state.count_of(domain, tier))
     }
 
@@ -1968,12 +1951,14 @@ impl CmPlacer {
                     .internal_tiers()
                     .any(|t| wcs_cap(tag.tier(t).size, rwcs) < tag.tier(t).size);
                 if needs_spread {
-                    (laa_level + 1).min((topo.num_levels() - 1) as u8)
+                    laa_level
+                        .saturating_add(1)
+                        .min((topo.num_levels() - 1) as u8)
                 } else {
                     0
                 }
             }
-            HaPolicy::Opportunistic { .. } => {
+            HaPolicy::Opportunistic => {
                 let top = (topo.num_levels() - 1) as u8;
                 // Every level partitions the servers, so the level's free
                 // slots are the root's; the bandwidth numerator is the

@@ -413,6 +413,19 @@ fn evacuate_tag(
     false
 }
 
+/// Every uplink on the root paths of `servers`, each once, bottom-up in
+/// `(level, id)` order: the links to re-sync after VMs leave those
+/// servers.
+pub(crate) fn uplinks_above(topo: &Topology, servers: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut links: Vec<NodeId> = servers
+        .flat_map(|s| topo.path_to_root(s))
+        .filter(|&n| n != topo.root())
+        .collect();
+    links.sort_by_key(|&n| (topo.level(n), n));
+    links.dedup();
+    links
+}
+
 /// Model-preserving evacuation for the baselines: unplace the casualties
 /// and re-sync every link on a casualty's root path under the unchanged
 /// model. Returns whether the tenant had to be evicted.
@@ -424,16 +437,7 @@ fn evacuate_generic<M: CutModel>(
     for e in entries {
         s.unplace(topo, e.server, e.tier, e.count);
     }
-    let mut affected: Vec<NodeId> = Vec::new();
-    for e in entries {
-        affected.extend(topo.path_to_root(e.server));
-    }
-    affected.sort_by_key(|&n| (topo.level(n), n));
-    affected.dedup();
-    for n in affected {
-        if n == topo.root() {
-            continue;
-        }
+    for n in uplinks_above(topo, entries.iter().map(|e| e.server)) {
         if s.sync_uplink(topo, n).is_err() {
             s.clear(topo);
             return true;

@@ -18,8 +18,9 @@
 //!
 //! High availability (§4.5) comes in two flavours:
 //! * [`HaPolicy::Guaranteed`] enforces Eq. 7 — no more than
-//!   `max(1, ⌊N·(1−RWCS)⌋)` VMs of a tier under any single fault domain
-//!   (subtree at level `laa_level`);
+//!   [`wcs_cap`](crate::placement::wcs_cap)`(N, RWCS) =
+//!   max(1, ⌊N·(1−RWCS)⌋)` VMs of a tier under any single fault domain
+//!   (subtree at level `laa_level`, clamped to the root);
 //! * [`HaPolicy::Opportunistic`] spreads VMs whenever bandwidth saving is
 //!   not *desirable* (available bandwidth per free slot exceeds the expected
 //!   per-VM demand, EWMA-predicted from past arrivals), improving WCS for
@@ -44,9 +45,10 @@ pub enum HaPolicy {
     /// paper's "CM").
     None,
     /// Guarantee worst-case survivability: at most
-    /// `max(1, ⌊N^t·(1−rwcs)⌋)` VMs of tier `t` under any subtree at
-    /// `laa_level` (Eq. 7). The paper's "CM+HA"; default `laa_level` is the
-    /// server level (0).
+    /// [`wcs_cap`]`(N^t, rwcs)` VMs of tier `t` under any subtree at
+    /// `laa_level` (Eq. 7). The paper's "CM+HA"; [`CmConfig::cm_ha`] sets
+    /// the server level (0). A level at or above the root makes the whole
+    /// tree one fault domain.
     Guaranteed {
         /// Required worst-case survivability in `[0, 1)`.
         rwcs: f64,
@@ -54,23 +56,9 @@ pub enum HaPolicy {
         laa_level: u8,
     },
     /// Opportunistically spread VMs when bandwidth saving is not desirable
-    /// (the paper's "CM+oppHA"). `laa_level` only affects WCS reporting.
-    Opportunistic {
-        /// Level at which survivability is of interest (0 = server).
-        laa_level: u8,
-    },
-}
-
-impl HaPolicy {
-    /// The anti-affinity level if the policy has one.
-    pub fn laa_level(&self) -> Option<u8> {
-        match self {
-            HaPolicy::None => None,
-            HaPolicy::Guaranteed { laa_level, .. } | HaPolicy::Opportunistic { laa_level } => {
-                Some(*laa_level)
-            }
-        }
-    }
+    /// (the paper's "CM+oppHA"). It promises no survivability, so it has no
+    /// fault-domain level.
+    Opportunistic,
 }
 
 /// Configuration of the CloudMirror placer.
@@ -114,7 +102,7 @@ impl CmConfig {
     /// The paper's CM+oppHA.
     pub fn cm_opp_ha() -> Self {
         CmConfig {
-            ha: HaPolicy::Opportunistic { laa_level: 0 },
+            ha: HaPolicy::Opportunistic,
             ..Self::default()
         }
     }
@@ -142,7 +130,7 @@ impl CmConfig {
         match (self.colocate, self.balance, self.ha) {
             (true, true, HaPolicy::None) => "CM",
             (_, _, HaPolicy::Guaranteed { .. }) => "CM+HA",
-            (_, _, HaPolicy::Opportunistic { .. }) => "CM+oppHA",
+            (_, _, HaPolicy::Opportunistic) => "CM+oppHA",
             (true, false, _) => "Coloc",
             (false, true, _) => "Balance",
             (false, false, _) => "FirstFit",
@@ -208,12 +196,20 @@ pub(crate) fn per_slot_avail_kbps(
 }
 
 /// Eq. 7 cap: the most VMs of a tier of size `n` that may share one fault
-/// domain while preserving `rwcs` worst-case survivability. Public so the
-/// fault-recovery drivers can re-derive the admitted survivability bound a
-/// placement is judged against after a domain kill.
+/// domain while preserving `rwcs` worst-case survivability. A tier that
+/// lost `lost` VMs to one fault domain kept its admitted bound iff
+/// `lost <= wcs_cap(n, rwcs)` — the one exact judge of Eq. 7.
 pub fn wcs_cap(n: u32, rwcs: f64) -> u32 {
     let cap = (n as f64 * (1.0 - rwcs)).floor() as u32;
     cap.max(1)
+}
+
+/// The worst-case survivability Eq. 7 admits for a tier of `n ≥ 1` VMs,
+/// `1 − wcs_cap(n, rwcs)/n`. Eq. 7's `max(1, ·)` lets a small tier fall
+/// below `rwcs` itself: a 2-VM tier may lose one VM at any requirement.
+/// For reporting; judge a loss with [`wcs_cap`].
+pub fn wcs_floor(n: u32, rwcs: f64) -> f64 {
+    1.0 - wcs_cap(n, rwcs) as f64 / n as f64
 }
 
 #[cfg(test)]
@@ -229,6 +225,20 @@ mod tests {
         // max(1, ...) floor: even total anti-affinity allows one VM.
         assert_eq!(wcs_cap(10, 0.99), 1);
         assert_eq!(wcs_cap(1, 0.5), 1);
+        assert_eq!(wcs_floor(8, 0.75), 0.75);
+        assert_eq!(wcs_floor(2, 0.75), 0.5);
+        // The integer judge `lost <= wcs_cap` answers exactly what the
+        // float survival-vs-floor test with a 1e-9 epsilon answered, on
+        // every tier size up to 4096 and every possible loss.
+        for rwcs in [0.0, 0.25, 0.5, 0.75, 0.99] {
+            for n in 1..=4096u32 {
+                let (cap, floor) = (wcs_cap(n, rwcs), wcs_floor(n, rwcs));
+                for lost in 0..=n {
+                    let old_violated = (n - lost) as f64 / n as f64 + 1e-9 < floor;
+                    assert_eq!(lost > cap, old_violated, "n {n}, lost {lost}, rwcs {rwcs}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -243,8 +253,7 @@ mod tests {
                 laa_level: 0
             }
         );
-        assert_eq!(HaPolicy::None.laa_level(), None);
-        assert_eq!(CmConfig::cm_opp_ha().ha.laa_level(), Some(0));
+        assert_eq!(CmConfig::cm_opp_ha().ha, HaPolicy::Opportunistic);
     }
 
     #[test]

@@ -454,8 +454,11 @@ impl<M: CutModel> TenantState<M> {
     /// Worst-case survivability per tier at `level` (§4.5): the smallest
     /// fraction of a tier's VMs that survive the failure of any single
     /// subtree at that level, `1 − max_A N^t_A / N^t`. Returns one entry per
-    /// tier with at least one VM (`None` for empty/external tiers).
+    /// tier with at least one VM (`None` for empty/external tiers). A
+    /// level at or above the root measures the root, the one domain Eq. 7
+    /// sees there.
     pub fn wcs_at_level(&self, topo: &Topology, level: u8) -> Vec<Option<f64>> {
+        let level = level.min(topo.level(topo.root()));
         let t = self.model.num_tiers();
         let mut max_in_domain = vec![0u32; t];
         for (&node, c) in &self.counts {
@@ -625,6 +628,13 @@ mod tests {
         // At ToR level both servers share a ToR: WCS = 0.
         let wcs_tor = st.wcs_at_level(&topo, 1);
         assert_eq!(wcs_tor[0], Some(0.0));
+        // A level above the root measures the root.
+        let root_level = topo.level(topo.root());
+        assert_eq!(
+            st.wcs_at_level(&topo, 9),
+            st.wcs_at_level(&topo, root_level)
+        );
+        assert_eq!(st.wcs_at_level(&topo, 9)[0], Some(0.0));
     }
 
     #[test]

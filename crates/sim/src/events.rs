@@ -6,7 +6,7 @@
 //! and the tenant registry. `tests/cluster_decisions.rs` pins the
 //! decisions of every placer with golden fingerprints.
 
-use crate::metrics::{RejectionCounts, WcsAccumulator, WcsByLevel, WcsStats};
+use crate::metrics::{RejectionCounts, WcsAccumulator, WcsStats};
 use cm_cluster::{Cluster, TenantId};
 use cm_core::placement::{Placer, RejectReason};
 use cm_topology::{Kbps, Topology, TreeSpec};
@@ -33,8 +33,6 @@ pub struct SimConfig {
     pub bmax_kbps: Kbps,
     /// The datacenter.
     pub spec: TreeSpec,
-    /// Fault-domain level for WCS measurement (0 = server).
-    pub wcs_level: u8,
 }
 
 impl SimConfig {
@@ -49,7 +47,6 @@ impl SimConfig {
             td_mean: 1_000.0,
             bmax_kbps: 800_000,
             spec: TreeSpec::paper_datacenter(),
-            wcs_level: 0,
         }
     }
 
@@ -80,13 +77,9 @@ pub struct SimResult {
     pub algo: &'static str,
     /// Rejection accounting.
     pub rejections: RejectionCounts,
-    /// WCS across deployed components at `wcs_level`.
+    /// WCS across deployed components at the server level, measured at
+    /// admission (Figs. 11–12).
     pub wcs: WcsStats,
-    /// WCS across deployed components at **every** fault-domain level,
-    /// indexed by level (0 = server, 1 = ToR, …) — one fault anywhere in
-    /// the tree has a measured survivability story, not just the
-    /// configured `wcs_level`.
-    pub wcs_by_level: Vec<WcsStats>,
     /// Peak number of concurrently deployed tenants.
     pub peak_tenants: usize,
 }
@@ -127,7 +120,6 @@ pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimR
 
     let mut counts = RejectionCounts::default();
     let mut wcs_acc = WcsAccumulator::default();
-    let mut wcs_levels = WcsByLevel::new(cluster.topology());
     let mut departures: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
     let mut live: std::collections::HashMap<u64, TenantId> = std::collections::HashMap::new();
     let mut peak = 0usize;
@@ -154,15 +146,9 @@ pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimR
         match cluster.admit(tag) {
             Ok(handle) => {
                 let deployed = cluster.deployed(handle.id()).expect("just admitted");
-                let sizes = deployed.tier_sizes();
                 wcs_acc.record(
-                    &deployed.wcs_at_level(cluster.topology(), cfg.wcs_level),
-                    &sizes,
-                );
-                wcs_levels.record(
-                    cluster.topology(),
-                    &deployed.placement(cluster.topology()),
-                    &sizes,
+                    &deployed.wcs_at_level(cluster.topology(), 0),
+                    &deployed.tier_sizes(),
                 );
                 let dwell = exp_sample(&mut rng, 1.0 / cfg.td_mean);
                 departures.push(Reverse(Departure {
@@ -204,7 +190,6 @@ pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimR
         algo,
         rejections: counts,
         wcs: wcs_acc.finish(),
-        wcs_by_level: wcs_levels.finish(),
         peak_tenants: peak,
     }
 }
@@ -231,7 +216,6 @@ mod tests {
             td_mean: 100.0,
             bmax_kbps: mbps(100.0),
             spec: TreeSpec::small(2, 4, 8, 8, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]),
-            wcs_level: 0,
         }
     }
 
@@ -242,13 +226,6 @@ mod tests {
         assert_eq!(r.rejections.arrivals, 150);
         assert!(r.peak_tenants > 0);
         assert!(r.rejections.tenant_rate() <= 1.0);
-        // Per-level WCS: one entry per fault-domain level, and the entry at
-        // the configured level matches the classic single-level stats.
-        assert_eq!(r.wcs_by_level.len(), 3);
-        assert_eq!(r.wcs_by_level[0], r.wcs);
-        // Larger fault domains can only lower survivability.
-        assert!(r.wcs_by_level[1].mean <= r.wcs_by_level[0].mean + 1e-12);
-        assert!(r.wcs_by_level[2].mean <= r.wcs_by_level[1].mean + 1e-12);
         // The debug asserts inside run_sim verify the ledger drained clean.
     }
 

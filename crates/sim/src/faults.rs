@@ -9,8 +9,8 @@
 //! Every domain kill is scored against the paper's Eq. 7 bound: a
 //! tier of `n` VMs placed under `rwcs` worst-case survivability may lose at
 //! most `wcs_cap(n, rwcs) = max(1, ⌊n·(1−rwcs)⌋)` VMs to any single fault
-//! domain, so its *measured* surviving fraction must stay at or above
-//! `1 − wcs_cap(n, rwcs)/n`. CM+HA (with `laa_level` at the killed level)
+//! domain, so its *measured* surviving fraction stays at or above
+//! `wcs_floor(n, rwcs)`. CM+HA (with `laa_level` at the killed level)
 //! enforces the cap at admission and must record **zero** violations; plain
 //! CM never enforced it and is judged against the same number — the gap is
 //! the survivability the paper's §4.5 buys.
@@ -81,8 +81,9 @@ pub struct FaultChurnReport {
     pub tenants_evicted: usize,
     /// Per-tier Eq. 7 judgments made on domain kills.
     pub survivability_checks: usize,
-    /// Judgments where the measured surviving fraction fell below the
-    /// `rwcs` bound. Zero for CM+HA with `laa_level` at the killed level.
+    /// Judgments where a tier of `n` VMs lost more than
+    /// `wcs_cap(n, rwcs)` of them. Zero for CM+HA with `laa_level` at the
+    /// killed level.
     pub survivability_violations: usize,
     /// Worst measured surviving fraction across all judged tiers (1.0
     /// when nothing was judged).
@@ -115,11 +116,10 @@ fn judge_domain_kill(
             if pre == 0 || d.lost[t] == 0 {
                 continue;
             }
-            let surviving = (pre - d.lost[t].min(pre)) as f64 / pre as f64;
-            let bound = 1.0 - wcs_cap(pre, rwcs) as f64 / pre as f64;
+            let lost = d.lost[t].min(pre);
             out.survivability_checks += 1;
-            out.worst_survival = out.worst_survival.min(surviving);
-            if surviving + 1e-9 < bound {
+            out.worst_survival = out.worst_survival.min((pre - lost) as f64 / pre as f64);
+            if lost > wcs_cap(pre, rwcs) {
                 out.survivability_violations += 1;
             }
         }

@@ -8,8 +8,8 @@
 //!
 //! * **rejection rates** — of tenants, of their VMs, and of their aggregate
 //!   bandwidth (Figs. 7–10);
-//! * **worst-case survivability** (WCS) of deployed components at a chosen
-//!   fault-domain level (Figs. 11–12);
+//! * **worst-case survivability** (WCS) of deployed components at the
+//!   server level (Figs. 11–12);
 //! * **reserved bandwidth per topology level** under different pricing
 //!   models for the *same* placement (Table 1).
 //!
@@ -51,7 +51,7 @@ pub use cm_cluster::{
 pub use events::{run_sim, SimConfig, SimResult};
 pub use faults::{run_churn_faults, FaultChurnConfig, FaultChurnReport};
 pub use lifecycle::{run_churn, ChurnConfig, ChurnReport};
-pub use metrics::{reprice_by_level, wcs_from_placement, RejectionCounts, WcsByLevel, WcsStats};
+pub use metrics::{reprice_by_level, RejectionCounts, WcsStats};
 pub use parallel::{default_threads, par_map_indexed};
 pub use traffic::{run_churn_traffic, TrafficChurnConfig, TrafficChurnReport, TrafficStep};
 

@@ -120,84 +120,6 @@ impl WcsAccumulator {
     }
 }
 
-/// Per-tier WCS of a placement at one fault-domain level, recomputed from
-/// per-server counts: `1 − max_A N^t_A / N^t` over the domains `A` at
-/// `level` (0 = server). Matches
-/// [`Deployed::wcs_at_level`](cm_core::placement::Deployed::wcs_at_level)
-/// and exists so metrics can be derived from a recorded placement long
-/// after the live deployment is gone. `None` for empty/external tiers.
-pub fn wcs_from_placement(
-    topo: &Topology,
-    placement: &[(NodeId, Vec<u32>)],
-    tier_sizes: &[u32],
-    level: u8,
-) -> Vec<Option<f64>> {
-    let mut per_domain: HashMap<NodeId, Vec<u32>> = HashMap::new();
-    for (server, c) in placement {
-        let domain = topo
-            .path_to_root(*server)
-            .find(|&a| topo.level(a) == level)
-            .expect("every server has an ancestor at each level below the root");
-        let e = per_domain
-            .entry(domain)
-            .or_insert_with(|| vec![0; tier_sizes.len()]);
-        for (i, &x) in c.iter().enumerate() {
-            e[i] += x;
-        }
-    }
-    let mut max_in_domain = vec![0u32; tier_sizes.len()];
-    for c in per_domain.values() {
-        for (i, &x) in c.iter().enumerate() {
-            max_in_domain[i] = max_in_domain[i].max(x);
-        }
-    }
-    tier_sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            if n == 0 {
-                None
-            } else {
-                Some(1.0 - max_in_domain[i] as f64 / n as f64)
-            }
-        })
-        .collect()
-}
-
-/// Incremental accumulator for one [`WcsStats`] **per fault-domain level**
-/// (0 = server, 1 = ToR, …, up to but excluding the root) — the Figs.
-/// 11–12 measurement generalized so survivability is visible at every
-/// level a fault can hit, not just the configured one.
-#[derive(Debug, Clone)]
-pub struct WcsByLevel {
-    accs: Vec<WcsAccumulator>,
-}
-
-impl WcsByLevel {
-    /// One accumulator per fault-domain level of `topo` (every level
-    /// below the root; losing the root loses everything).
-    pub fn new(topo: &Topology) -> Self {
-        WcsByLevel {
-            accs: vec![WcsAccumulator::default(); topo.num_levels() - 1],
-        }
-    }
-
-    /// Record one placement's WCS at every level.
-    pub fn record(&mut self, topo: &Topology, placement: &[(NodeId, Vec<u32>)], sizes: &[u32]) {
-        for (level, acc) in self.accs.iter_mut().enumerate() {
-            acc.record(
-                &wcs_from_placement(topo, placement, sizes, level as u8),
-                sizes,
-            );
-        }
-    }
-
-    /// Finish into per-level summary statistics, indexed by level.
-    pub fn finish(&self) -> Vec<WcsStats> {
-        self.accs.iter().map(WcsAccumulator::finish).collect()
-    }
-}
-
 /// One tenant to re-price: its per-server tier counts plus the pricing
 /// model to apply (see [`reprice_by_level`]).
 pub type PricedPlacement<'a> = (&'a [(NodeId, Vec<u32>)], &'a dyn CutModel);
@@ -238,6 +160,7 @@ pub fn reprice_by_level(topo: &Topology, deployments: &[PricedPlacement<'_>]) ->
 mod tests {
     use super::*;
     use cm_core::model::{TagBuilder, VocModel};
+    use cm_core::TenantState;
     use cm_topology::{mbps, TreeSpec};
 
     #[test]
@@ -272,38 +195,47 @@ mod tests {
 
     #[test]
     fn wcs_from_placement_reports_every_level() {
-        let topo = Topology::build(&TreeSpec::small(
+        let mut topo = Topology::build(&TreeSpec::small(
             1,
             2,
             2,
             16,
             [mbps(1000.0), mbps(1000.0), mbps(1000.0)],
         ));
-        let servers = topo.servers();
+        let servers = topo.servers().to_vec();
+        let mut b = TagBuilder::new("two-tier");
+        let x = b.tier("x", 4);
+        let y = b.tier("y", 4);
+        let ext = b.external("ext");
+        b.sym_edge(x, y, 100).unwrap();
+        b.sym_edge(y, ext, 100).unwrap();
+        let tag = b.build().unwrap();
         let sizes = [4u32, 4, 0];
-        let placement = vec![
-            (servers[0], vec![3, 0, 0]),
-            (servers[1], vec![1, 2, 0]),
-            (servers[2], vec![0, 2, 0]),
-        ];
+        let mut st = TenantState::new(tag);
+        st.place(&mut topo, servers[0], 0, 3).unwrap();
+        st.place(&mut topo, servers[1], 0, 1).unwrap();
+        st.place(&mut topo, servers[1], 1, 2).unwrap();
+        st.place(&mut topo, servers[2], 1, 2).unwrap();
         // Server level: worst domains hold 3/4 and 2/4.
-        assert_eq!(
-            wcs_from_placement(&topo, &placement, &sizes, 0),
-            vec![Some(0.25), Some(0.5), None]
-        );
+        assert_eq!(st.wcs_at_level(&topo, 0), vec![Some(0.25), Some(0.5), None]);
         // Rack level: rack 0 holds all of tier 0 (WCS 0) and half of tier 1.
-        assert_eq!(
-            wcs_from_placement(&topo, &placement, &sizes, 1),
-            vec![Some(0.0), Some(0.5), None]
-        );
-        // Pod level: the single pod holds everything.
-        assert_eq!(
-            wcs_from_placement(&topo, &placement, &sizes, 2),
-            vec![Some(0.0), Some(0.0), None]
-        );
-        let mut by_level = WcsByLevel::new(&topo);
-        by_level.record(&topo, &placement, &sizes);
-        let stats = by_level.finish();
+        assert_eq!(st.wcs_at_level(&topo, 1), vec![Some(0.0), Some(0.5), None]);
+        // Pod level: the single pod holds everything; a level above the
+        // root measures the root.
+        for level in [2, 3, 9] {
+            assert_eq!(
+                st.wcs_at_level(&topo, level),
+                vec![Some(0.0), Some(0.0), None]
+            );
+        }
+        // One accumulator per fault-domain level below the root.
+        let stats: Vec<WcsStats> = (0..topo.num_levels() - 1)
+            .map(|level| {
+                let mut acc = WcsAccumulator::default();
+                acc.record(&st.wcs_at_level(&topo, level as u8), &sizes);
+                acc.finish()
+            })
+            .collect();
         assert_eq!(stats.len(), 3);
         assert_eq!(stats[0].components, 2);
         assert_eq!(stats[1].min, 0.0);

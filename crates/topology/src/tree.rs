@@ -59,6 +59,13 @@ pub enum TopologyError {
         /// The failed node.
         node: NodeId,
     },
+    /// A failure or repair named a node outside the tree or the root's
+    /// uplink (it has none), or a link fraction outside `[0, 1]` (NaN
+    /// included). Nothing was changed.
+    InvalidFault {
+        /// The node the call named.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -83,6 +90,12 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::NodeFailed { node } => {
                 write!(f, "{node} is failed")
+            }
+            TopologyError::InvalidFault { node } => {
+                write!(
+                    f,
+                    "{node}: no such node or uplink, or link fraction outside [0, 1]"
+                )
             }
         }
     }
@@ -826,12 +839,22 @@ impl Topology {
             .collect()
     }
 
+    /// [`TopologyError::InvalidFault`] unless `n` is a node of this tree.
+    fn check_node(&self, n: NodeId) -> Result<(), TopologyError> {
+        if n.index() < self.nodes.len() {
+            Ok(())
+        } else {
+            Err(TopologyError::InvalidFault { node: n })
+        }
+    }
+
     /// Mark a server failed: its free slots leave every subtree aggregate
     /// (so `descend_to_level` and the placers can no longer see them) and
     /// new allocations are rejected. Slots already allocated stay in the
     /// `slots_used` ledger so tenants can still release (evacuate) them.
     /// Returns `false` when the server was already failed (no-op).
     pub fn fail_server(&mut self, server: NodeId) -> Result<bool, TopologyError> {
+        self.check_node(server)?;
         let node = &self.nodes[server.index()];
         if node.level != 0 {
             return Err(TopologyError::NotAServer { node: server });
@@ -857,6 +880,7 @@ impl Topology {
     /// repair time re-enters the subtree aggregates. Returns `false` when
     /// the server was not failed (no-op).
     pub fn restore_server(&mut self, server: NodeId) -> Result<bool, TopologyError> {
+        self.check_node(server)?;
         let node = &self.nodes[server.index()];
         if node.level != 0 {
             return Err(TopologyError::NotAServer { node: server });
@@ -883,22 +907,21 @@ impl Topology {
     /// Reservations accepted before the fault are kept even when they now
     /// exceed the degraded cap — availability saturates at zero, so no
     /// *new* reservation can cross the link, and the per-level caches
-    /// follow the degraded capacity.
-    ///
-    /// # Panics
-    /// Panics when `fraction` is not within `[0, 1]`.
+    /// follow the degraded capacity. The root, or a `fraction` outside
+    /// `[0, 1]`, is [`TopologyError::InvalidFault`].
     pub fn degrade_link(&mut self, n: NodeId, fraction: f64) -> Result<(), TopologyError> {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "link fraction must be within [0, 1]"
-        );
-        let level = self.nodes[n.index()].level as usize;
-        let nominal = self.spec.uplink_kbps[level];
+        self.check_node(n)?;
+        if !(0.0..=1.0).contains(&fraction) {
+            return Err(TopologyError::InvalidFault { node: n });
+        }
         let node = &mut self.nodes[n.index()];
+        // The root has no uplink to degrade.
         let up = node
             .up
             .as_mut()
-            .ok_or(TopologyError::InsufficientBandwidth { node: n })?;
+            .ok_or(TopologyError::InvalidFault { node: n })?;
+        let level = node.level as usize;
+        let nominal = self.spec.uplink_kbps[level];
         let new_cap = (nominal as f64 * fraction).round() as Kbps;
         let old_cap = up.cap_up;
         let was_degraded = node.link_fraction != 1.0;

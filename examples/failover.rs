@@ -13,7 +13,7 @@
 //! cargo run --release --example failover
 //! ```
 
-use cloudmirror::core::placement::wcs_cap;
+use cloudmirror::core::placement::{wcs_cap, wcs_floor};
 use cloudmirror::topology::NodeId;
 use cloudmirror::{
     mbps, Cluster, CmConfig, CmError, CmPlacer, Fault, HaPolicy, TagBuilder, TreeSpec,
@@ -71,13 +71,12 @@ fn main() -> Result<(), CmError> {
                 continue;
             }
             let lost = damage.lost[t].min(pre);
-            let bound = 1.0 - wcs_cap(pre, RWCS) as f64 / pre as f64;
             println!(
                 "  tier {t}: {}/{pre} survive ({:.0}%) vs admitted bound {:.0}%{}",
                 pre - lost,
                 100.0 * (pre - lost) as f64 / pre as f64,
-                100.0 * bound,
-                if ((pre - lost) as f64 / pre as f64) + 1e-9 < bound {
+                100.0 * wcs_floor(pre, RWCS),
+                if lost > wcs_cap(pre, RWCS) {
                     "  <- VIOLATED"
                 } else {
                     ""

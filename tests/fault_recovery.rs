@@ -89,16 +89,16 @@ fn tor_kill_separates_cm_from_cm_ha_and_repair_is_bit_identical() {
             if pre == 0 {
                 continue;
             }
-            let surviving = (pre - damage.lost[t].min(pre)) as f64 / pre as f64;
-            let bound = 1.0 - wcs_cap(pre, RWCS) as f64 / pre as f64;
-            if surviving + 1e-9 < bound {
+            let (lost, cap) = (damage.lost[t].min(pre), wcs_cap(pre, RWCS));
+            if lost > cap {
                 violated = true;
             }
             if enforced {
                 assert!(
-                    surviving + 1e-9 >= bound,
-                    "{label} tier {t}: survived {surviving} < admitted bound {bound}"
+                    lost <= cap,
+                    "{label} tier {t}: lost {lost} of {pre} > admitted Eq. 7 cap {cap}"
                 );
+                let surviving = (pre - lost) as f64 / pre as f64;
                 assert!(surviving >= RWCS, "{label}: Eq. 7 keeps ≥ rwcs per tier");
             }
         }

@@ -2,7 +2,7 @@
 //! table/figure it reproduces.
 
 use cloudmirror::baselines::OvocPlacer;
-use cloudmirror::core::placement::wcs_cap;
+use cloudmirror::core::placement::wcs_floor;
 use cloudmirror::enforce::{fig13_throughput, fig4_throughput, GuaranteeModel};
 use cloudmirror::sim::experiments::table1;
 use cloudmirror::sim::{run_sim, SimConfig};
@@ -46,7 +46,6 @@ fn cm_rejects_less_bandwidth_than_ovoc() {
         td_mean: 300.0,
         bmax_kbps: mbps(1200.0),
         spec: TreeSpec::paper_datacenter(),
-        wcs_level: 0,
     };
     let cm = run_sim(&cfg, &pool, CmPlacer::default());
     let ovoc = run_sim(&cfg, &pool, OvocPlacer::new());
@@ -126,7 +125,7 @@ fn ha_variants_behave_as_figs_11_12() {
         .iter()
         .flat_map(|tag| tag.placeable_counts())
         .filter(|&n| n >= 2)
-        .map(|n| 1.0 - wcs_cap(n, 0.5) as f64 / n as f64)
+        .map(|n| wcs_floor(n, 0.5))
         .fold(1.0, f64::min);
     assert_eq!(floor, 0.5, "Eq. 7 at 50 % admits no lower floor");
     let mut cm_bw_sum = 0.0;
@@ -139,7 +138,6 @@ fn ha_variants_behave_as_figs_11_12() {
             td_mean: 100.0,
             bmax_kbps: mbps(200.0),
             spec: TreeSpec::small(2, 4, 8, 8, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]),
-            wcs_level: 0,
         };
         let cm = run_sim(&cfg, &pool, CmPlacer::default());
         let ha = run_sim(&cfg, &pool, CmPlacer::new(CmConfig::cm_ha(0.5)));

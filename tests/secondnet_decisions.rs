@@ -72,7 +72,6 @@ fn constrained_small_datacenter_decisions_unchanged() {
             td_mean: 100.0,
             bmax_kbps: mbps(300.0),
             spec: TreeSpec::small(2, 4, 8, 8, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]),
-            wcs_level: 0,
         };
         assert_eq!(
             fingerprint(&cfg),
