@@ -313,8 +313,10 @@ pub struct Cluster<P: Placer> {
     /// Damage ledger: every tenant that lost VMs to a fault and has not
     /// been fully repaired (or departed) since.
     faults: BTreeMap<TenantId, FaultRecord>,
-    /// Bumped on every [`Cluster::inject_fault`] / [`Cluster::repair`];
-    /// the embedded traffic engine diffs it to re-sync link capacities.
+    /// Bumped by every [`Cluster::inject_fault`] / [`Cluster::repair`]
+    /// that changed the substrate (a server failed or came back, or an
+    /// uplink's capacity moved); the embedded traffic engine diffs it to
+    /// re-sync link capacities.
     fault_epoch: u64,
     guarantee_model: GuaranteeModel,
     /// Persistent incremental traffic engine, built lazily on the first
@@ -508,6 +510,7 @@ impl<P: Placer> Cluster<P> {
     /// A node outside the tree or a [`Fault::DegradeLink`] `fraction`
     /// outside `[0, 1]` is [`CmError::Topology`], with nothing changed.
     pub fn inject_fault(&mut self, fault: Fault) -> Result<FaultReport, CmError> {
+        let caps_before = self.faulted_uplink(fault);
         let failed_servers = match fault {
             #[expect(
                 clippy::disallowed_methods,
@@ -534,7 +537,7 @@ impl<P: Placer> Cluster<P> {
                 Vec::new()
             }
         };
-        self.fault_epoch += 1;
+        self.bump_fault_epoch(!failed_servers.is_empty(), caps_before, fault);
         let mut tenants = Vec::new();
         if !failed_servers.is_empty() {
             for (&id, entry) in self.tenants.iter_mut() {
@@ -582,6 +585,7 @@ impl<P: Placer> Cluster<P> {
     /// still gone (another fault active, or the datacenter filled up while
     /// degraded) stay recorded and are returned as `degraded`.
     pub fn repair(&mut self, fault: Fault) -> Result<RepairReport, CmError> {
+        let caps_before = self.faulted_uplink(fault);
         let restored_servers = match fault {
             #[expect(
                 clippy::disallowed_methods,
@@ -608,7 +612,7 @@ impl<P: Placer> Cluster<P> {
                 Vec::new()
             }
         };
-        self.fault_epoch += 1;
+        self.bump_fault_epoch(!restored_servers.is_empty(), caps_before, fault);
         let mut repaired = Vec::new();
         let mut degraded = Vec::new();
         for id in self.faults.keys().copied().collect::<Vec<_>>() {
@@ -623,6 +627,27 @@ impl<P: Placer> Cluster<P> {
             repaired,
             degraded,
         })
+    }
+
+    /// The `(up, down)` capacity of the uplink `fault` degrades or kills
+    /// (none for a server fault, a node outside the tree, or the root).
+    fn faulted_uplink(&self, fault: Fault) -> Option<(Kbps, Kbps)> {
+        match fault {
+            Fault::Server(_) => None,
+            Fault::Domain(n) | Fault::DegradeLink { node: n, .. } => (n.index()
+                < self.topo.num_nodes())
+            .then(|| self.topo.uplink_capacity(n))
+            .flatten(),
+        }
+    }
+
+    /// Move `fault_epoch` if the substrate changed: a server failed or
+    /// came back (`servers`), or the faulted uplink's capacity moved from
+    /// `caps_before`.
+    fn bump_fault_epoch(&mut self, servers: bool, caps_before: Option<(Kbps, Kbps)>, fault: Fault) {
+        if servers || self.faulted_uplink(fault) != caps_before {
+            self.fault_epoch += 1;
+        }
     }
 
     /// Re-place exactly the VMs a damaged tenant lost, growing it back to
@@ -711,7 +736,10 @@ impl<P: Placer> Cluster<P> {
     }
 
     /// Monotonic counter bumped by every [`Cluster::inject_fault`] and
-    /// [`Cluster::repair`].
+    /// [`Cluster::repair`] that changed the substrate: a server newly
+    /// failed or restored, or an uplink capacity changed. A fault that
+    /// changes nothing (a second kill of a dead server, a repair of a
+    /// healthy one) leaves it, so the traffic engine re-syncs nothing.
     pub fn fault_epoch(&self) -> u64 {
         self.fault_epoch
     }

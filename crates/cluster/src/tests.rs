@@ -846,3 +846,54 @@ fn laa_level_above_the_root_makes_the_tree_one_fault_domain() {
     cluster.depart(h.id()).unwrap();
     assert_pristine(&cluster);
 }
+
+/// The fault epoch moves exactly when the substrate changed: a second
+/// kill of a dead server, a repair of a healthy one, a degrade to the
+/// current capacity and the repair of a link at nominal each return `Ok`
+/// and leave it, so the next traffic step re-syncs nothing.
+#[test]
+fn fault_epoch_moves_only_when_the_substrate_changes() {
+    use crate::Fault;
+    let mut cluster = Cluster::new(&small_spec(), CmPlacer::new(CmConfig::cm()));
+    cluster.admit(web_db(4, 2)).unwrap();
+    let server = cluster.topology().nodes_at_level(0)[0];
+    let tor = cluster.topology().nodes_at_level(1)[0];
+    let mut epoch = cluster.fault_epoch();
+    let mut expect = |cluster: &Cluster<CmPlacer>, moved: bool, what: &str| {
+        let now = cluster.fault_epoch();
+        assert_eq!(now != epoch, moved, "{what}: epoch {epoch} -> {now}");
+        epoch = now;
+    };
+
+    cluster.inject_fault(Fault::Server(server)).unwrap();
+    expect(&cluster, true, "first kill");
+    let again = cluster.inject_fault(Fault::Server(server)).unwrap();
+    assert!(again.failed_servers.is_empty());
+    expect(&cluster, false, "repeated kill");
+    cluster.repair(Fault::Server(server)).unwrap();
+    expect(&cluster, true, "repair of the dead server");
+    let healthy = cluster.repair(Fault::Server(server)).unwrap();
+    assert!(healthy.restored_servers.is_empty());
+    expect(&cluster, false, "repair of a healthy server");
+
+    let half = Fault::DegradeLink {
+        node: tor,
+        fraction: 0.5,
+    };
+    cluster.inject_fault(half).unwrap();
+    expect(&cluster, true, "degrade");
+    cluster.inject_fault(half).unwrap();
+    expect(&cluster, false, "same degrade again");
+    cluster.repair(half).unwrap();
+    expect(&cluster, true, "link repair");
+    cluster.repair(half).unwrap();
+    expect(&cluster, false, "repair of a nominal link");
+
+    cluster.inject_fault(Fault::Domain(tor)).unwrap();
+    expect(&cluster, true, "domain kill");
+    cluster.inject_fault(Fault::Domain(tor)).unwrap();
+    expect(&cluster, false, "repeated domain kill");
+    cluster.repair(Fault::Domain(tor)).unwrap();
+    expect(&cluster, true, "domain repair");
+    cluster.check_invariants().unwrap();
+}

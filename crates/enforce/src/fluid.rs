@@ -9,18 +9,19 @@
 //! ElasticSwitch's probing converges to.
 //!
 //! Progressive filling is implemented **once**, in the crate-private
-//! kernel `Fluid::fill`: it solves the subproblem of a caller-supplied
-//! ordered flow list over an ascending link list. It reads each flow's
-//! spec once into flat per-flow paths and per-link flow lists, then
-//! advances a single fill level; a round visits only the links that still
-//! carry an active flow, so a solve costs `O(Σ|path| + Σ_rounds live
-//! links)` where every round provably freezes at least one flow. It has
-//! two callers. [`crate::incremental::IncrementalFluid`], the traffic
-//! engine's solver, wraps a `Fluid` and passes one connected component at
-//! a time, re-solving only the components churn touched (see that
-//! module's docs for the partition and determinism invariants).
-//! [`Fluid::rates`] passes every flow and every link; the hand-built
-//! networks of [`crate::scenario`] and the tests solve that way.
+//! kernel `Fluid::fill`, over a `Layout`: an ordered flow list and an
+//! ascending link list, already flattened into local per-flow paths,
+//! per-flow parameters and per-link floor sums. The kernel reads no
+//! [`FlowSpec`]; it advances a single fill level, and a round visits only
+//! the links that still carry an active flow, so a solve costs
+//! `O(Σ|path| + Σ_rounds live links)` where every round provably freezes
+//! at least one flow. It has two callers.
+//! [`crate::incremental::IncrementalFluid`], the traffic engine's solver,
+//! keeps one layout per connected component across solves and patches
+//! only the components churn touched (see that module's docs for the
+//! partition and determinism invariants). [`Fluid::rates`] builds one
+//! layout over every flow and every link; the hand-built networks of
+//! [`crate::scenario`] and the tests solve that way.
 //!
 //! The kernel is tested against two independent oracles that share no
 //! code with it and live in the `fluid` module of the dev-only
@@ -28,6 +29,8 @@
 //! different algorithm) and the KKT definition of the allocation.
 
 #![warn(clippy::float_cmp)]
+
+use std::ops::Range;
 
 /// One flow: a path over link indices plus its rate-control parameters.
 #[derive(Debug, Clone)]
@@ -72,6 +75,34 @@ impl FlowSpec {
     }
 }
 
+/// Make room for `n` elements in `v` at once, with an eighth to spare: a
+/// pooled buffer grows in one step, not through a chain of doublings
+/// whose abandoned halves outlive the step.
+pub(crate) fn reserve_for<T>(v: &mut Vec<T>, n: usize) {
+    if v.capacity() < n {
+        v.reserve_exact(n + n / 8 - v.len());
+    }
+}
+
+/// Give back the memory of a buffer holding over four times `n` elements
+/// (and more than 64), keeping room for `n` and an eighth.
+fn fit<T>(v: &mut Vec<T>, n: usize) {
+    if v.capacity() > 4 * n.max(16) {
+        v.clear();
+        v.shrink_to(n + n / 8);
+    }
+}
+
+/// Give most of a buffer back when it exceeds 64 KiB and holds over four
+/// times its `len`: a one-off peak (the first solve, a large merge) must
+/// not keep its memory for the rest of the run.
+pub(crate) fn trim<T>(v: &mut Vec<T>) {
+    let cap = v.capacity();
+    if cap * std::mem::size_of::<T>() > 1 << 16 && cap > 4 * v.len() {
+        v.shrink_to(2 * v.len());
+    }
+}
+
 /// Rows of `u32`s stored flat: row `r` is `items[at[r]..at[r + 1]]`.
 #[derive(Debug)]
 pub(crate) struct Rows {
@@ -95,13 +126,26 @@ impl Rows {
         &self.items[self.at[r] as usize..self.at[r + 1] as usize]
     }
 
-    fn clear(&mut self) {
-        self.at.truncate(1);
+    /// Number of items in all rows.
+    pub(crate) fn num_items(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.at.clear();
+        self.at.push(0);
         self.items.clear();
     }
 
-    /// Close the row being pushed to `items`.
-    fn end_row(&mut self) {
+    /// Append a row.
+    #[inline]
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
+        self.items.extend(row);
         self.at.push(self.items.len() as u32);
     }
 
@@ -110,7 +154,9 @@ impl Rows {
     /// A counting sort — the counts land at `out.at[c + 2]`, so after the
     /// prefix sum `out.at[c + 1]` is row `c`'s start and serves as its
     /// write cursor, ending as its end.
-    fn transpose_into(&self, cols: usize, out: &mut Rows) {
+    pub(crate) fn transpose_into(&self, cols: usize, out: &mut Rows) {
+        reserve_for(&mut out.at, cols + 2);
+        reserve_for(&mut out.items, self.items.len());
         out.at.clear();
         out.at.resize(cols + 2, 0);
         for &c in &self.items {
@@ -121,7 +167,7 @@ impl Rows {
         }
         out.items.clear();
         out.items.resize(self.items.len(), 0);
-        for r in 0..self.at.len() - 1 {
+        for r in 0..self.len() {
             for &c in self.row(r) {
                 let cursor = &mut out.at[c as usize + 1];
                 out.items[*cursor as usize] = r as u32;
@@ -130,32 +176,259 @@ impl Rows {
         }
         out.at.truncate(cols + 1);
     }
+
+    /// Bit-equality, for debug re-derivations.
+    #[cfg(debug_assertions)]
+    pub(crate) fn same(&self, other: &Rows) -> bool {
+        self.at == other.at && self.items == other.items
+    }
+}
+
+/// The kernel's input: a subproblem of the network flattened once. "Local"
+/// indices are positions in `flows` and `links`. The kernel's result is a
+/// pure function of this value and the listed links' capacities.
+#[derive(Debug, Default)]
+pub(crate) struct Layout {
+    /// The flows, in the order sums are taken: stable ids in the
+    /// incremental solver, flow indices in [`Fluid::rates`].
+    pub(crate) flows: Vec<u32>,
+    /// The links, ascending (global indices). Every link of every listed
+    /// flow's path is here, and no unlisted flow crosses one.
+    pub(crate) links: Vec<u32>,
+    /// Flow position → its local links, in its spec's path order.
+    pub(crate) paths: Rows,
+    /// Flow position → starting rate, `floor.min(demand)`.
+    pub(crate) init: Vec<f64>,
+    /// Flow position → demand.
+    pub(crate) demand: Vec<f64>,
+    /// Flow position → weight.
+    pub(crate) weight: Vec<f64>,
+    /// Local link → Σ `init` of its flows in flow order: phase 1's first
+    /// usage sums.
+    pub(crate) floor_sum: Vec<f64>,
+}
+
+impl Layout {
+    /// Empty the layout, keeping every allocation.
+    pub(crate) fn clear(&mut self) {
+        self.flows.clear();
+        self.links.clear();
+        self.paths.clear();
+        self.init.clear();
+        self.demand.clear();
+        self.weight.clear();
+        self.floor_sum.clear();
+    }
+
+    /// Empty the layout and make room for `flows` flows crossing `items`
+    /// links in all over `links` links.
+    pub(crate) fn clear_for(&mut self, flows: usize, items: usize, links: usize) {
+        self.clear();
+        reserve_for(&mut self.flows, flows);
+        reserve_for(&mut self.paths.at, flows + 1);
+        reserve_for(&mut self.paths.items, items);
+        reserve_for(&mut self.init, flows);
+        reserve_for(&mut self.demand, flows);
+        reserve_for(&mut self.weight, flows);
+        reserve_for(&mut self.links, links);
+        reserve_for(&mut self.floor_sum, links);
+    }
+
+    /// [`Layout::clear_for`] on a pooled entry that may have held a much
+    /// larger component: a buffer over four times too big gives its memory
+    /// back first.
+    pub(crate) fn clear_fit(&mut self, flows: usize, items: usize, links: usize) {
+        fit(&mut self.flows, flows);
+        fit(&mut self.paths.at, flows + 1);
+        fit(&mut self.paths.items, items);
+        fit(&mut self.init, flows);
+        fit(&mut self.demand, flows);
+        fit(&mut self.weight, flows);
+        fit(&mut self.links, links);
+        fit(&mut self.floor_sum, links);
+        self.clear_for(flows, items, links);
+    }
+
+    /// [`trim`] every buffer.
+    pub(crate) fn trim(&mut self) {
+        trim(&mut self.flows);
+        trim(&mut self.links);
+        trim(&mut self.paths.at);
+        trim(&mut self.paths.items);
+        trim(&mut self.init);
+        trim(&mut self.demand);
+        trim(&mut self.weight);
+        trim(&mut self.floor_sum);
+    }
+
+    /// Append flow `id`, read from its spec; `local` maps a global link of
+    /// its path to a position in `links`.
+    pub(crate) fn push_spec(&mut self, id: u32, f: &FlowSpec, local: impl Fn(usize) -> u32) {
+        self.flows.push(id);
+        self.paths.push_row(f.path.iter().map(|&l| local(l)));
+        self.init.push(f.floor.min(f.demand));
+        self.demand.push(f.demand);
+        self.weight.push(f.weight);
+    }
+
+    /// Append flow positions `range` of `from`; `local` maps one of
+    /// `from`'s local links to a position in `links`.
+    #[inline]
+    pub(crate) fn extend_from(
+        &mut self,
+        from: &Layout,
+        range: Range<usize>,
+        local: impl Fn(u32) -> u32,
+    ) {
+        let (a, b) = (from.paths.at[range.start], from.paths.at[range.end]);
+        let base = self.paths.items.len() as u32;
+        self.paths.items.extend(
+            from.paths.items[a as usize..b as usize]
+                .iter()
+                .map(|&li| local(li)),
+        );
+        self.paths.at.extend(
+            from.paths.at[range.start + 1..=range.end]
+                .iter()
+                .map(|&at| at - a + base),
+        );
+        self.flows.extend_from_slice(&from.flows[range.clone()]);
+        self.init.extend_from_slice(&from.init[range.clone()]);
+        self.demand.extend_from_slice(&from.demand[range.clone()]);
+        self.weight.extend_from_slice(&from.weight[range]);
+    }
+
+    /// Keep the flow positions `keep` accepts (it is handed the position
+    /// and the flow), in order, mapping each kept path's local links
+    /// through `remap` (`None`: unchanged). `links` and `floor_sum` are
+    /// the caller's to rewrite.
+    pub(crate) fn retain_flows(
+        &mut self,
+        mut keep: impl FnMut(usize, u32) -> bool,
+        remap: Option<&[u32]>,
+    ) {
+        let (mut w, mut wi, mut start) = (0, 0, 0);
+        for r in 0..self.flows.len() {
+            let end = self.paths.at[r + 1] as usize;
+            if keep(r, self.flows[r]) {
+                // Writes trail reads: `w <= r` and `wi <= start`.
+                match remap {
+                    Some(m) => {
+                        for k in start..end {
+                            self.paths.items[wi + k - start] = m[self.paths.items[k] as usize];
+                        }
+                    }
+                    None => self.paths.items.copy_within(start..end, wi),
+                }
+                wi += end - start;
+                self.flows[w] = self.flows[r];
+                self.init[w] = self.init[r];
+                self.demand[w] = self.demand[r];
+                self.weight[w] = self.weight[r];
+                w += 1;
+                self.paths.at[w] = wi as u32;
+            }
+            start = end;
+        }
+        self.flows.truncate(w);
+        self.init.truncate(w);
+        self.demand.truncate(w);
+        self.weight.truncate(w);
+        self.paths.at.truncate(w + 1);
+        self.paths.items.truncate(wi);
+    }
+
+    /// Insert the flows of `ins`, whose paths use `self`'s local links:
+    /// flow `j` of `ins` goes before the current flow `pos[j]` (`pos`
+    /// ascending, `ins` in the order wanted among equal positions). Walks
+    /// back from the end, moving each block of current flows once.
+    pub(crate) fn insert_flows(&mut self, pos: &[u32], ins: &Layout) {
+        let (n, m) = (self.flows.len(), ins.flows.len());
+        let items = self.paths.items.len() + ins.paths.items.len();
+        reserve_for(&mut self.flows, n + m);
+        reserve_for(&mut self.init, n + m);
+        reserve_for(&mut self.demand, n + m);
+        reserve_for(&mut self.weight, n + m);
+        reserve_for(&mut self.paths.at, n + m + 1);
+        reserve_for(&mut self.paths.items, items);
+        self.flows.resize(n + m, 0);
+        self.init.resize(n + m, 0.0);
+        self.demand.resize(n + m, 0.0);
+        self.weight.resize(n + m, 0.0);
+        self.paths.at.resize(n + m + 1, 0);
+        self.paths.items.resize(items, 0);
+        let at = &mut self.paths.at;
+        let mut end = n;
+        for j in (0..m).rev() {
+            // Flows `p..end` move right by the `j + 1` flows inserted
+            // before them, and their items by those flows' items. Every
+            // `at` entry read here is below every one written so far.
+            let p = pos[j] as usize;
+            let (shift, ishift) = (j + 1, ins.paths.at[j + 1]);
+            let (a, b) = (at[p] as usize, at[end] as usize);
+            self.paths.items.copy_within(a..b, a + ishift as usize);
+            for r in (p..end).rev() {
+                at[r + 1 + shift] = at[r + 1] + ishift;
+            }
+            self.flows.copy_within(p..end, p + shift);
+            self.init.copy_within(p..end, p + shift);
+            self.demand.copy_within(p..end, p + shift);
+            self.weight.copy_within(p..end, p + shift);
+            // Flow `j` of `ins` lands at `p + j`, after the `j` inserted
+            // before it.
+            let (ia, ib) = (ins.paths.at[j] as usize, ins.paths.at[j + 1] as usize);
+            self.paths.items[a + ia..a + ib].copy_from_slice(&ins.paths.items[ia..ib]);
+            at[p + j + 1] = (a + ib) as u32;
+            self.flows[p + j] = ins.flows[j];
+            self.init[p + j] = ins.init[j];
+            self.demand[p + j] = ins.demand[j];
+            self.weight[p + j] = ins.weight[j];
+            end = p;
+        }
+    }
+
+    /// Recompute `floor_sum` for every link (a global index) `stale`
+    /// selects, summing `init` over its row of `lflows` (the transpose of
+    /// `paths`); sized to `links` first, new entries zero.
+    pub(crate) fn sum_floors(&mut self, lflows: &Rows, stale: impl Fn(u32) -> bool) {
+        self.floor_sum.resize(self.links.len(), 0.0);
+        for li in 0..self.links.len() {
+            if stale(self.links[li]) {
+                self.floor_sum[li] = lflows.row(li).iter().map(|&i| self.init[i as usize]).sum();
+            }
+        }
+    }
+
+    /// Whether `self` and `other` are the same layout, floats compared by
+    /// their bits: the debug re-derivation check.
+    #[cfg(debug_assertions)]
+    pub(crate) fn same(&self, other: &Layout) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        self.flows == other.flows
+            && self.links == other.links
+            && self.paths.same(&other.paths)
+            && bits(&self.init) == bits(&other.init)
+            && bits(&self.demand) == bits(&other.demand)
+            && bits(&self.weight) == bits(&other.weight)
+            && bits(&self.floor_sum) == bits(&other.floor_sum)
+    }
 }
 
 /// Scratch of the max-min kernel (`Fluid::fill`): pooled by a caller that
-/// solves repeatedly, so steady-state solves allocate nothing. "Local"
-/// indices are positions in the flow and link lists handed to the kernel.
-/// The kernel reads each listed flow's spec once, into the flat arrays
-/// below; every later pass, its caller's write-back included, reads only
-/// those.
+/// solves repeatedly, so steady-state solves allocate nothing. Indices are
+/// local to the [`Layout`] solved.
 #[derive(Debug, Default)]
 pub(crate) struct FillScratch {
-    /// Flow-list position → solved rate (the kernel's output).
+    /// Flow position → solved rate (the kernel's output).
     pub(crate) rate: Vec<f64>,
-    /// Flow-list position → demand.
-    pub(crate) demand: Vec<f64>,
-    weight: Vec<f64>,
-    /// Flow-list position → its local links.
-    pub(crate) paths: Rows,
-    /// Local link → its flows (flow-list positions, ascending).
-    pub(crate) lflows: Rows,
-    /// Global link → local link, valid for the last solved link list.
-    link_local: Vec<u32>,
     /// Local link → capacity.
     pub(crate) lcaps: Vec<f64>,
     active: Vec<bool>,
     finite: Vec<u32>,
     used: Vec<f64>,
+    /// Local links whose phase-1 sum a scaling made stale.
+    stale: Vec<bool>,
+    stale_links: Vec<u32>,
     residual: Vec<f64>,
     wsum: Vec<f64>,
     wcount: Vec<u32>,
@@ -168,25 +441,14 @@ pub(crate) struct FillScratch {
     pub(crate) link_visits: usize,
 }
 
-/// A fluid network: capacitated links and flows.
-///
-/// The per-link flow index is **maintained incrementally**: [`Fluid::flow`]
-/// registers the new flow on each of its links, [`Fluid::remove_flow`]
-/// detaches it in O(|path|), and [`Fluid::clear_flows`] drops every flow
-/// while retaining links, capacities and the per-link vectors' allocations.
-/// It is what [`crate::incremental::IncrementalFluid`] walks to find the
-/// component a churned link belongs to; its order follows the churn
-/// history and never reaches the solver's arithmetic (the kernel indexes
-/// the flows it is handed in the order it is handed them).
+/// A fluid network: capacitated links and flows. It keeps no per-link
+/// index of its flows: [`Fluid::rates`] flattens them per call, and
+/// [`crate::incremental::IncrementalFluid`] keeps its own per-component
+/// layouts.
 #[derive(Debug, Clone, Default)]
 pub struct Fluid {
     caps: Vec<f64>,
     flows: Vec<FlowSpec>,
-    /// `link_flows[l]` = indices of the flows crossing link `l`.
-    link_flows: Vec<Vec<u32>>,
-    /// `flow_pos[f][k]` = position of flow `f` inside
-    /// `link_flows[flows[f].path[k]]`, so removal never scans a link list.
-    flow_pos: Vec<Vec<u32>>,
 }
 
 impl Fluid {
@@ -199,7 +461,6 @@ impl Fluid {
     pub fn link(&mut self, cap_kbps: f64) -> usize {
         assert!(cap_kbps >= 0.0);
         self.caps.push(cap_kbps);
-        self.link_flows.push(Vec::new());
         self.caps.len() - 1
     }
 
@@ -213,66 +474,20 @@ impl Fluid {
             );
         }
         assert!(f.floor >= 0.0 && f.weight > 0.0);
-        let id = self.flows.len() as u32;
-        let mut pos = Vec::with_capacity(f.path.len());
-        for &l in &f.path {
-            pos.push(self.link_flows[l].len() as u32);
-            self.link_flows[l].push(id);
-        }
-        self.flow_pos.push(pos);
         self.flows.push(f);
         self.flows.len() - 1
     }
 
-    /// Remove flow `i` in O(|path|): it is detached from every link it
-    /// crosses and the **last** flow takes over its index (swap-remove), so
-    /// callers tracking flow indices must apply that single rename.
-    /// Returns the removed spec.
+    /// Remove flow `i`: the **last** flow takes over its index
+    /// (swap-remove), so callers tracking flow indices must apply that
+    /// single rename. Returns the removed spec.
     pub fn remove_flow(&mut self, i: usize) -> FlowSpec {
-        let path_len = self.flows[i].path.len();
-        // Detach `i` from its links; each swap-removed hole is patched by
-        // fixing the moved flow's cached position for that link.
-        for k in 0..path_len {
-            let l = self.flows[i].path[k];
-            let p = self.flow_pos[i][k] as usize;
-            self.link_flows[l].swap_remove(p);
-            if p < self.link_flows[l].len() {
-                let moved = self.link_flows[l][p] as usize;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "link_flows[l] only holds flows whose path contains l (kept in sync on insert/remove)"
-                )]
-                let slot = self.flows[moved]
-                    .path
-                    .iter()
-                    .position(|&ml| ml == l)
-                    .expect("indexed flow crosses the link");
-                self.flow_pos[moved][slot] = p as u32;
-            }
-        }
-        let spec = self.flows.swap_remove(i);
-        let _ = self.flow_pos.swap_remove(i);
-        // The former last flow now lives at index `i`: update every link
-        // list entry that still names it by its old index.
-        if i < self.flows.len() {
-            for (k, &l) in self.flows[i].path.iter().enumerate() {
-                let p = self.flow_pos[i][k] as usize;
-                self.link_flows[l][p] = i as u32;
-            }
-        }
-        spec
+        self.flows.swap_remove(i)
     }
 
-    /// Drop every flow while keeping all links and their capacities. The
-    /// per-link index vectors and the outer flow vectors keep their
-    /// allocations; a refill still allocates each new flow's path (moved in
-    /// with its [`FlowSpec`]) and its per-link position row.
+    /// Drop every flow while keeping all links and their capacities.
     pub fn clear_flows(&mut self) {
         self.flows.clear();
-        self.flow_pos.clear();
-        for lf in &mut self.link_flows {
-            lf.clear();
-        }
     }
 
     /// Number of flows.
@@ -302,13 +517,6 @@ impl Fluid {
         &self.flows
     }
 
-    /// Indices of the flows currently crossing link `l` (arbitrary order;
-    /// maintained incrementally by `flow`/`remove_flow`). The incremental
-    /// component solver walks these to gather a component's flow set.
-    pub fn link_flows(&self, l: usize) -> &[u32] {
-        &self.link_flows[l]
-    }
-
     /// Compute the weighted max-min fair allocation with floors.
     ///
     /// Phase 1 grants every flow its floor (capped by demand). Floors are
@@ -326,14 +534,23 @@ impl Fluid {
     /// debug-asserted work-conserving: every flow is demand-capped or
     /// crosses a saturated link.
     ///
-    /// This runs the max-min kernel (`Fluid::fill`) over every flow in
-    /// index order and every link, allocating its scratch per call; the
-    /// churn path, [`crate::incremental::IncrementalFluid`], pools it.
+    /// This lays out every flow in index order over every link and runs
+    /// the max-min kernel (`Fluid::fill`) on it, allocating its scratch per
+    /// call; the churn path, [`crate::incremental::IncrementalFluid`],
+    /// keeps its layouts and pools its scratch.
     pub fn rates(&self) -> Vec<f64> {
-        let flows: Vec<u32> = (0..self.flows.len() as u32).collect();
-        let links: Vec<u32> = (0..self.caps.len() as u32).collect();
+        let mut lay = Layout {
+            links: (0..self.caps.len() as u32).collect(),
+            ..Layout::default()
+        };
+        for (i, f) in self.flows.iter().enumerate() {
+            lay.push_spec(i as u32, f, |l| l as u32);
+        }
+        let mut lflows = Rows::default();
+        lay.paths.transpose_into(lay.links.len(), &mut lflows);
+        lay.sum_floors(&lflows, |_| true);
         let mut scratch = FillScratch::default();
-        self.fill(&flows, &links, &mut scratch);
+        self.fill(&lay, &lflows, &mut scratch);
         debug_assert!(
             self.is_work_conserving(&scratch.rate),
             "allocation is not work-conserving"
@@ -343,68 +560,38 @@ impl Fluid {
 
     /// The max-min kernel — the one place progressive filling is
     /// implemented (see [`Fluid::rates`] for the two phases and the
-    /// termination argument). Solves the subproblem of `flows` (flow
-    /// indices, in the order the caller wants sums taken) over `links`
-    /// (ascending; must hold every link of every listed flow's path, and
-    /// no flow outside `flows` may cross them) and leaves flow `flows[i]`'s
-    /// rate in `s.rate[i]`. The result is a pure function of the two
-    /// lists, the listed flows' specs and the listed links' capacities:
-    /// links are visited ascending and each link's flows in list order, so
-    /// neither the rest of the network nor the churn history behind
-    /// `link_flows` reaches the arithmetic.
+    /// termination argument). Solves `lay` (its `lflows`, the transpose of
+    /// its paths over its links, comes from the caller, who may have built
+    /// it already) and leaves flow position `i`'s rate in `s.rate[i]`. The
+    /// result is a pure function of the layout and its links' capacities:
+    /// links are visited ascending and each link's flows in layout order,
+    /// so nothing else in the network, and no churn history, reaches the
+    /// arithmetic.
     ///
-    /// Each listed spec is read once, into `s`'s flat per-flow paths and
-    /// per-link flow lists, which stay behind for the caller's write-back.
-    /// A filling round then costs O(live links) — the links that still
-    /// carry an active flow, kept as an ascending list compacted once per
-    /// round — plus the frozen flows' path lengths. A drained link has
-    /// weight sum exactly 0.0, so skipping it changes no value and no
-    /// tie-break; debug builds check every round against the full scan.
-    pub(crate) fn fill(&self, flows: &[u32], links: &[u32], s: &mut FillScratch) {
-        let (n, nll) = (flows.len(), links.len());
-        if s.link_local.len() < self.caps.len() {
-            s.link_local.resize(self.caps.len(), 0);
-        }
-        s.lcaps.clear();
-        for (li, &l) in links.iter().enumerate() {
-            s.link_local[l as usize] = li as u32;
-            s.lcaps.push(self.caps[l as usize]);
-        }
-        // Flatten: local paths and parameters in one read of each spec,
-        // then the per-link flow lists from the paths.
-        s.paths.clear();
-        s.rate.clear();
-        s.demand.clear();
-        s.weight.clear();
-        for &fi in flows {
-            let f = &self.flows[fi as usize];
-            for &l in &f.path {
-                let li = s.link_local[l];
-                debug_assert_eq!(
-                    links.get(li as usize).copied(),
-                    Some(l as u32),
-                    "flow path leaves the link list"
-                );
-                s.paths.items.push(li);
-            }
-            s.paths.end_row();
-            // Phase 1 starts from the floors, capped by demand.
-            s.rate.push(f.floor.min(f.demand));
-            s.demand.push(f.demand);
-            s.weight.push(f.weight);
-        }
-        s.paths.transpose_into(nll, &mut s.lflows);
-
-        let FillScratch {
-            rate,
+    /// Phase 1 starts from the layout's floor sums and re-sums only the
+    /// rows a scaling touched; every other row holds the same values in
+    /// the same order, so its sum is the same bits. A filling round then
+    /// costs O(live links) — the links that still carry an active flow,
+    /// kept as an ascending list compacted once per round — plus the
+    /// frozen flows' path lengths. A drained link has weight sum exactly
+    /// 0.0, so skipping it changes no value and no tie-break; debug builds
+    /// check every round against the full scan.
+    pub(crate) fn fill(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch) {
+        let (n, nll) = (lay.flows.len(), lay.links.len());
+        let Layout {
+            paths,
             demand,
             weight,
-            paths,
-            lflows,
+            ..
+        } = lay;
+        let FillScratch {
+            rate,
             lcaps,
             active,
             finite,
             used,
+            stale,
+            stale_links,
             residual,
             wsum,
             wcount,
@@ -412,14 +599,28 @@ impl Fluid {
             to_freeze,
             ..
         } = s;
+        lcaps.clear();
+        lcaps.extend(lay.links.iter().map(|&l| self.caps[l as usize]));
+        rate.clear();
+        rate.extend_from_slice(&lay.init);
+        let row_sum = |rate: &[f64], li: usize| -> f64 {
+            lflows.row(li).iter().map(|&i| rate[i as usize]).sum()
+        };
 
         // Phase 1: floors capped by demand, defensively scaled on
         // oversubscribed links (worst link first, like the reference).
         used.clear();
-        used.resize(nll, 0.0);
+        used.extend_from_slice(&lay.floor_sum);
+        stale.clear();
+        stale.resize(nll, false);
         loop {
-            for (li, u) in used.iter_mut().enumerate() {
-                *u = lflows.row(li).iter().map(|&i| rate[i as usize]).sum();
+            #[cfg(debug_assertions)]
+            for (li, u) in used.iter().enumerate() {
+                assert_eq!(
+                    u.to_bits(),
+                    row_sum(rate, li).to_bits(),
+                    "phase-1 sum of local link {li} is stale"
+                );
             }
             let mut worst: Option<(usize, f64)> = None;
             for (li, &u) in used.iter().enumerate() {
@@ -430,14 +631,20 @@ impl Fluid {
                     }
                 }
             }
-            match worst {
-                Some((li, scale)) => {
-                    for &i in lflows.row(li) {
-                        rate[i as usize] *= scale;
+            let Some((li, scale)) = worst else { break };
+            for &i in lflows.row(li) {
+                rate[i as usize] *= scale;
+                for &pl in paths.row(i as usize) {
+                    if !std::mem::replace(&mut stale[pl as usize], true) {
+                        stale_links.push(pl);
                     }
                 }
-                None => break,
             }
+            for &pl in stale_links.iter() {
+                used[pl as usize] = row_sum(rate, pl as usize);
+                stale[pl as usize] = false;
+            }
+            stale_links.clear();
         }
         residual.clear();
         residual.extend(
@@ -858,7 +1065,7 @@ mod tests {
     /// handed one (flows in a caller-chosen order, links ascending) and
     /// must produce, bit for bit, what `rates` produces on a network
     /// holding only that component in that order — nothing of the other
-    /// component, and nothing of the per-link index order, may reach the
+    /// component, and nothing of the flows' index order, may reach the
     /// arithmetic.
     #[test]
     fn kernel_on_one_component_matches_a_network_holding_only_it() {
@@ -893,8 +1100,8 @@ mod tests {
                 net.flow(f.clone());
             }
         }
-        // Scramble the per-link index: remove and re-add a B flow, which
-        // swap-renames the last flow (an A flow) and reorders link lists.
+        // Scramble the flow indices: remove and re-add a B flow, which
+        // swap-renames the last flow (an A flow).
         let moved = net.num_flows() as u32 - 1;
         assert_eq!(a_ids.last(), Some(&moved));
         let spec = net.remove_flow(1);
@@ -903,8 +1110,22 @@ mod tests {
         // Hand the kernel A in reverse order.
         a_ids.reverse();
 
+        // Lay A out over its links {0, 2, 3} and solve it alone.
+        let a_links: [u32; 3] = [0, 2, 3];
+        let mut lay = Layout {
+            links: a_links.to_vec(),
+            ..Layout::default()
+        };
+        for &fi in &a_ids {
+            lay.push_spec(fi, &net.flows()[fi as usize], |l| {
+                a_links.iter().position(|&al| al as usize == l).unwrap() as u32
+            });
+        }
+        let mut lflows = Rows::default();
+        lay.paths.transpose_into(lay.links.len(), &mut lflows);
+        lay.sum_floors(&lflows, |_| true);
         let mut scratch = FillScratch::default();
-        net.fill(&a_ids, &[0, 2, 3], &mut scratch);
+        net.fill(&lay, &lflows, &mut scratch);
 
         let mut only_a = Fluid::new();
         for &c in &caps {

@@ -4,20 +4,34 @@
 //! Weighted max-min fairness decomposes exactly over the connected
 //! components of the flow/link graph: a component's allocation depends
 //! only on its own flows and links, never on the rest of the network.
-//! [`IncrementalFluid`] exploits that in three respects:
+//! [`IncrementalFluid`] exploits that in four respects:
 //!
-//! * **Dirty region by traversal.** Every link on the path of a flow added
-//!   or removed since the last solve, and every link whose capacity
-//!   changed, is *touched*. From each touched link that still carries a
-//!   flow the solve walks link → flows → path links; what it reaches is
-//!   exactly one current connected component, and the union of the walks
-//!   is exactly the set of components whose subproblem changed: a removed
-//!   flow touches every link it crossed, so every remnant of a component
-//!   the removal split contains a touched link, and a component with no
-//!   touched link faced the identical subproblem last step. Nothing
-//!   outside the walks is read.
-//! * **Dirty-set solving.** Only the walked components are re-solved;
-//!   every other component keeps its previous rates **verbatim**.
+//! * **Persistent layouts.** Each component keeps the kernel's input
+//!   between solves (a `Layout`, see [`crate::fluid`]): its flows in
+//!   canonical order as stable ids, its links ascending, the local-path
+//!   CSR, each flow's starting rate, demand and weight, and phase 1's
+//!   per-link floor sums. Layouts live in a pooled slab and are found
+//!   through the component's label.
+//! * **Dirty set by label.** Every link on the path of a flow added or
+//!   removed since the last solve, and every link whose capacity changed,
+//!   is *touched*; the components to re-solve are the labels of the
+//!   touched links. A removed flow touches every link it crossed, so every
+//!   remnant of a component the removal split holds a touched link, and a
+//!   component with no touched link faced the identical subproblem last
+//!   step.
+//! * **Patched, not rebuilt.** The dirty layouts the step's added flows
+//!   join (a union-find over the touched labels) become one candidate:
+//!   the largest of them, patched in place — removed flows dropped, local
+//!   links remapped, and the other layouts' flows and the added flows
+//!   merged in by key. The added flows are sorted by key, the only sort of
+//!   flows left; each other source is already in key order. Only the
+//!   added flows' specs are read ([`SolveStats::flows_flattened`]). A
+//!   candidate that lost a flow may fall apart: a union-find over its
+//!   flat paths finds its connected pieces, stopping as soon as the
+//!   touched links are joined, which proves it whole. Each piece is a
+//!   stable filter of the candidate, so it is still in canonical order
+//!   with ascending links. A component whose flows did not change (a
+//!   capacity change alone) comes through the patch as it was.
 //! * **Localized rounds.** Even an all-dirty step is far cheaper than one
 //!   global [`Fluid::rates`] call: each progressive-filling round visits
 //!   only the component's links that still carry an active flow, never
@@ -30,23 +44,27 @@
 //!
 //! ## What is cached, and why each cache is exact
 //!
-//! Beside the rates the solver keeps, per link, the **usage** (Σ rate of
-//! the link's flows), an **over-capacity** flag and a **component label**
-//! (the lowest link of the link's component); per flow, a **starved** flag
+//! Beside the rates and the layouts the solver keeps, per link, the
+//! **load** (number of flows crossing it), the **usage** (Σ rate of the
+//! link's flows), an **over-capacity** flag and a **component label** (the
+//! lowest link of the link's component); per flow, a **starved** flag
 //! (below demand with no saturated link on its path); and three integers:
 //! links over capacity, flows starved, and the number of components.
-//! Every one of them is a *pure function of the
-//! current flow set and capacities, recomputed whole* for the links and
-//! flows of each component the step re-solved (and reset for a touched
-//! link left without flows) — never adjusted by a float delta. A clean
-//! component's flows, rates and capacities did not change, so neither did
-//! anything derived from them; the counters move only by the exact integer
+//! Every one of them but the load is a *pure function of the current flow
+//! set and capacities, recomputed whole* for the links and flows of each
+//! component the step re-solved (and reset for a touched link left
+//! without flows) — never adjusted by a float delta. A clean component's
+//! flows, rates and capacities did not change, so neither did anything
+//! derived from them; the counters move only by the exact integer
 //! difference of the flags that were rewritten. Usage is summed in the
 //! canonical flow order below, so it too is independent of churn history.
+//! A layout's floor sum is re-summed only for a touched link: any other
+//! link of the candidate holds the same flows in the same order. The
+//! load is an integer moved by ±1 per flow.
 //! [`IncrementalFluid::is_work_conserving`] is therefore two integer
 //! comparisons, and the component count is
-//! `old − (old components the walks and the emptied links covered) +
-//! (components walked)`. Debug builds re-derive all of it from scratch
+//! `old − (components in the dirty set) + (components re-solved)`. Debug
+//! builds re-derive all of it, every stored layout included, from scratch
 //! after every engine solve and assert bit-equality.
 //!
 //! ## Determinism
@@ -57,18 +75,28 @@
 //! and its links ascending. The allocation is therefore a pure function
 //! of the surviving flow set: a solver that churned through any history
 //! holds **bit-identical** rates, usage and verdicts to a fresh one fed
-//! the same final state. All solver scratch — sort keys, rate vectors,
-//! the kernel's flat paths and per-link flow lists, freeze queues, the
-//! traversal's stamp maps — is pooled across steps and never cleared
-//! wholesale, so a steady-state solve allocates nothing
-//! (this crate's `tests/solve_allocations.rs` counts).
+//! the same final state. Keys are meant to be distinct; two equal keys are
+//! ordered by stable id, which does depend on history. All solver
+//! scratch — the union-find, the sorted added keys, the merge heap, the
+//! kernel's transpose and rate vectors, freeze queues — and every retired
+//! layout of up to 4,096 flows are pooled across steps and never cleared
+//! wholesale, so a steady-state solve allocates nothing (this crate's
+//! `tests/solve_allocations.rs` counts). A larger retired layout, and
+//! scratch a one-off peak left over four times too big, give their
+//! memory back instead of holding it for the rest of the run.
 
 #![warn(clippy::float_cmp)]
 
-use crate::fluid::{tol, FillScratch, FlowSpec, Fluid};
+use crate::fluid::{tol, trim, FillScratch, FlowSpec, Fluid, Layout, Rows};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Component label of a link no flow crosses.
 const NO_COMPONENT: u32 = u32::MAX;
+
+/// A free stable id; as a slab entry, the added flows among the merge's
+/// sources, or the piece that stays in the candidate.
+const NONE: u32 = u32::MAX;
 
 /// What one [`IncrementalFluid::solve`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -86,6 +114,9 @@ pub struct SolveStats {
     /// links, and below it as soon as some link drains before the last
     /// round. Like every field here, a deterministic count.
     pub link_visits: usize,
+    /// Flow specs the solve read: the flows added since the last solve.
+    /// Every other flow of a dirty component comes from its stored layout.
+    pub flows_flattened: usize,
 }
 
 /// A [`Fluid`] network solved component-by-component under churn (see the
@@ -94,35 +125,16 @@ pub struct SolveStats {
 #[derive(Debug)]
 pub struct IncrementalFluid {
     net: Fluid,
-    /// Stable id → dense flow index (`u32::MAX` when free).
-    slots: Vec<u32>,
-    /// Free stable ids available for reuse.
-    free: Vec<u32>,
-    /// Dense flow index → stable id.
-    slot_of: Vec<u32>,
-    /// Dense flow index → canonical sort key (tenant id, sequence).
-    keys: Vec<(u64, u32)>,
-    /// Dense flow index → last solved rate.
-    rates: Vec<f64>,
-    /// Dense flow index → at the last solve the flow sat below its demand
-    /// with no saturated link on its path.
-    starved: Vec<bool>,
-    /// Flows with `starved` set.
-    flows_starved: usize,
-    /// Links on the path of a flow added/removed, or re-capped, since the
-    /// last solve.
-    touched: Vec<bool>,
-    touched_links: Vec<u32>,
-    /// Per-link Σ rate of the link's flows, in canonical key order (0.0
-    /// for a link no flow crosses).
-    used: Vec<f64>,
-    /// Per-link "usage exceeds capacity beyond tolerance".
-    over: Vec<bool>,
-    /// Links with `over` set.
-    links_over: usize,
-    /// Per-link lowest link of the link's component (`NO_COMPONENT` for a
-    /// link no flow crosses).
-    label: Vec<u32>,
+    flows: FlowState,
+    links: LinkState,
+    /// The components' layouts: a slab whose spare entries keep their
+    /// allocations.
+    layouts: Vec<Layout>,
+    /// Spare slab entries.
+    spare: Vec<u32>,
+    /// Per link: the slab entry of the layout of the component it labels
+    /// (meaningful where `label[l] == l`).
+    layout_at: Vec<u32>,
     /// Connected components among links carrying at least one flow.
     components: usize,
     /// Links whose usage or capacity the last solve may have changed: each
@@ -135,40 +147,185 @@ pub struct IncrementalFluid {
     scratch: Scratch,
 }
 
-/// One dirty component: its slice of `changed_links` and of the
-/// traversal's flow arena.
+/// Per-flow state: dense-indexed (aligned with the network's flows) unless
+/// noted.
+#[derive(Debug, Default)]
+struct FlowState {
+    /// Stable id → dense flow index (`NONE` when free).
+    slots: Vec<u32>,
+    /// Stable ids free for reuse.
+    free: Vec<u32>,
+    /// Stable ids removed since the last solve. They become reusable only
+    /// after it, so no stored layout can name an id that a newer flow
+    /// took over within one step.
+    freed: Vec<u32>,
+    /// Dense flow index → stable id.
+    slot_of: Vec<u32>,
+    /// Stable id → canonical sort key (tenant id, sequence). A removed
+    /// flow's key stays until its id is reused, after the next solve.
+    keys: Vec<(u64, u32)>,
+    /// Dense flow index → last solved rate.
+    rates: Vec<f64>,
+    /// Dense flow index → at the last solve the flow sat below its demand
+    /// with no saturated link on its path.
+    starved: Vec<bool>,
+    /// Flows with `starved` set.
+    starved_count: usize,
+    /// Stable ids added since the last solve.
+    added: Vec<u32>,
+    /// Whether a flow was removed since the last solve.
+    removed: bool,
+}
+
+impl FlowState {
+    /// Whether stable id `id` names a live flow.
+    #[inline]
+    fn live(&self, id: u32) -> bool {
+        self.slots[id as usize] != NONE
+    }
+
+    /// The packed `(tenant, sequence, stable id)` merge key of flow `id`,
+    /// live or removed since the last solve.
+    #[inline]
+    fn key(&self, id: u32) -> u128 {
+        let (group, seq) = self.keys[id as usize];
+        u128::from(group) << 64 | u128::from(seq) << 32 | u128::from(id)
+    }
+}
+
+/// Per-link state, indexed by link.
+#[derive(Debug)]
+struct LinkState {
+    /// Number of live flows crossing the link.
+    load: Vec<u32>,
+    /// On the path of a flow added/removed, or re-capped, since the last
+    /// solve.
+    touched: Vec<bool>,
+    touched_list: Vec<u32>,
+    /// Σ rate of the link's flows, in canonical key order (0.0 for a link
+    /// no flow crosses).
+    used: Vec<f64>,
+    /// "Usage exceeds capacity beyond tolerance".
+    over: Vec<bool>,
+    /// Links with `over` set.
+    over_count: usize,
+    /// Lowest link of the link's component (`NO_COMPONENT` for a link no
+    /// flow crosses).
+    label: Vec<u32>,
+}
+
+impl LinkState {
+    fn touch(&mut self, l: usize) {
+        if !self.touched[l] {
+            self.touched[l] = true;
+            self.touched_list.push(l as u32);
+        }
+    }
+
+    /// The union-find node link `l` (carrying a flow) belongs to: its
+    /// component's label, or the link itself if it carried no flow at the
+    /// last solve.
+    #[inline]
+    fn node(&self, l: usize) -> u32 {
+        match self.label[l] {
+            NO_COMPONENT => l as u32,
+            lab => lab,
+        }
+    }
+}
+
+/// One group of a solve: dirty components and added flows the union-find
+/// joined, as ranges of the scratch lists.
 #[derive(Debug, Clone, Copy)]
-struct Comp {
-    /// Lowest link of the component (its label and its sort key).
-    lowest: u32,
-    links: (u32, u32),
-    flows: (u32, u32),
+struct Group {
+    dirty: (usize, usize),
+    new_links: (usize, usize),
+    new_flows: (usize, usize),
 }
 
 /// Pooled solver scratch, reused across steps and components.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Monotone stamp for the epoch-stamped maps below; stale entries are
-    /// strictly below it, so the maps are never cleared.
+    /// Monotone stamp for `node_seen`; stale entries are strictly below
+    /// it, so the map is never cleared.
     stamp: u64,
-    /// Link → stamp of the solve whose traversal reached it.
-    link_seen: Vec<u64>,
-    /// Dense flow index → stamp of the solve whose traversal reached it.
-    flow_seen: Vec<u64>,
-    /// Flows of every dirty component (dense indices, traversal order).
-    dirty_flows: Vec<u32>,
-    /// The dirty components, ascending by lowest link.
-    comps: Vec<Comp>,
-    /// The component's packed `(tenant, sequence, dense index)` keys.
-    sort_keys: Vec<u128>,
-    /// The component's flows (dense indices, canonical order).
-    comp_flows: Vec<u32>,
-    /// Component link (position in its `changed_links` slice) → saturated
-    /// after the solve.
+    /// Link → stamp of the solve that made it a union-find node.
+    node_seen: Vec<u64>,
+    /// Union-find parent of a node; a root is the lowest node of its set.
+    parent: Vec<u32>,
+    /// `(root, label)` of every dirty component.
+    dirty: Vec<(u32, u32)>,
+    /// `(root, link)` of every touched link that carries a flow now and
+    /// carried none at the last solve (only added flows cross it).
+    new_links: Vec<(u32, u32)>,
+    /// Packed keys of the added flows, ascending.
+    new_keys: Vec<u128>,
+    /// `(root, position in new_keys)` of every added flow, ascending.
+    new_flows: Vec<(u32, u32)>,
+    /// The group's candidate: the largest dirty layout, parked here while
+    /// it is patched, or the group's new layout.
+    cand: Layout,
+    /// The candidate's links with the floor sum their layout held (0.0
+    /// for a new link; a touched link's is re-summed).
+    cand_links: Vec<(u32, f64)>,
+    /// Link → candidate-local link.
+    link_local: Vec<u32>,
+    /// The flows that join the largest dirty layout, in key order, with
+    /// candidate-local paths.
+    ins: Layout,
+    /// Where each of `ins` goes among the candidate's flows.
+    pos: Vec<u32>,
+    /// The heads of the sources merged into `ins`:
+    /// `(packed key, slab entry or NONE for the added flows, position)`.
+    heap: BinaryHeap<Reverse<(u128, u32, u32)>>,
+    /// Largest dirty layout's local link → candidate-local link; then
+    /// candidate-local link → piece-local link.
+    remap: Vec<u32>,
+    /// Transpose of the layout being solved.
+    lflows: Rows,
+    /// Union-find over the candidate's local links.
+    uf: Vec<u32>,
+    /// Candidate-local link → its set holds a touched link.
+    marked: Vec<bool>,
+    /// Candidate-local link → its piece.
+    link_piece: Vec<u32>,
+    /// Candidate flow → its piece.
+    flow_piece: Vec<u32>,
+    /// Slab entries of the group's results, one per piece.
+    pieces: Vec<u32>,
+    /// `(flows, path items, links)` per piece.
+    piece_size: Vec<(u32, u32, u32)>,
+    /// Local link → saturated after the solve.
     lsat: Vec<bool>,
-    /// The kernel's scratch: rates and the flat paths and per-link flow
-    /// lists of the component just solved.
+    /// The kernel's scratch.
     fill: FillScratch,
+}
+
+impl Scratch {
+    /// Make `x` a union-find node of this solve; false if it already is.
+    fn node(&mut self, x: u32) -> bool {
+        let seen = &mut self.node_seen[x as usize];
+        if *seen == self.stamp {
+            return false;
+        }
+        *seen = self.stamp;
+        self.parent[x as usize] = x;
+        true
+    }
+}
+
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
+    }
+    x
+}
+
+/// Join the sets of `a` and `b`, the larger root under the smaller.
+fn union(parent: &mut [u32], a: u32, b: u32) {
+    let (a, b) = (find(parent, a), find(parent, b));
+    parent[a.max(b) as usize] = a.min(b);
 }
 
 /// Rewrite a cached flag, moving its counter by the exact difference.
@@ -184,6 +341,33 @@ fn set_flag(flag: &mut bool, count: &mut usize, on: bool) {
     }
 }
 
+/// The end of the run of `v[from..]` under root `root`.
+fn run_end<T>(v: &[(u32, T)], from: usize, root: u32) -> usize {
+    from + v[from..].iter().take_while(|e| e.0 == root).count()
+}
+
+/// Retired layout entries keep their buffers up to this many flows. A
+/// larger entry gives its memory back: it would hold it for whatever
+/// small component takes the entry next.
+const KEEP_FLOWS: usize = 4096;
+
+/// Return a read layout's entry to the spare pool.
+fn retire(layouts: &mut [Layout], spare: &mut Vec<u32>, slot: u32) {
+    let lay = &mut layouts[slot as usize];
+    if lay.flows.capacity() > KEEP_FLOWS {
+        *lay = Layout::default();
+    }
+    spare.push(slot);
+}
+
+/// A spare slab entry, or a new one.
+fn take_spare(layouts: &mut Vec<Layout>, spare: &mut Vec<u32>) -> u32 {
+    spare.pop().unwrap_or_else(|| {
+        layouts.push(Layout::default());
+        (layouts.len() - 1) as u32
+    })
+}
+
 impl IncrementalFluid {
     /// Wrap a network whose links are laid out but which carries no flows
     /// yet (the [`crate::route::RouteCache::build`] contract).
@@ -192,19 +376,19 @@ impl IncrementalFluid {
         let nl = net.num_links();
         IncrementalFluid {
             net,
-            slots: Vec::new(),
-            free: Vec::new(),
-            slot_of: Vec::new(),
-            keys: Vec::new(),
-            rates: Vec::new(),
-            starved: Vec::new(),
-            flows_starved: 0,
-            touched: vec![false; nl],
-            touched_links: Vec::new(),
-            used: vec![0.0; nl],
-            over: vec![false; nl],
-            links_over: 0,
-            label: vec![NO_COMPONENT; nl],
+            flows: FlowState::default(),
+            links: LinkState {
+                load: vec![0; nl],
+                touched: vec![false; nl],
+                touched_list: Vec::new(),
+                used: vec![0.0; nl],
+                over: vec![false; nl],
+                over_count: 0,
+                label: vec![NO_COMPONENT; nl],
+            },
+            layouts: Vec::new(),
+            spare: Vec::new(),
+            layout_at: vec![NONE; nl],
             components: 0,
             changed_links: Vec::new(),
             resolved_keys: Vec::new(),
@@ -228,58 +412,56 @@ impl IncrementalFluid {
         self.net.num_links()
     }
 
-    fn touch(&mut self, l: usize) {
-        if !self.touched[l] {
-            self.touched[l] = true;
-            self.touched_links.push(l as u32);
-        }
-    }
-
     /// Add a flow under a canonical `(tenant, sequence)` ordering key;
     /// returns a stable id valid until `remove_flow`/`clear_flows`.
     pub fn add_flow(&mut self, spec: FlowSpec, key: (u64, u32)) -> u32 {
-        for k in 0..spec.path.len() {
-            self.touch(spec.path[k]);
-        }
         let dense = self.net.flow(spec) as u32;
-        debug_assert_eq!(dense as usize, self.slot_of.len());
-        let stable = match self.free.pop() {
+        for &l in &self.net.flows()[dense as usize].path {
+            self.links.touch(l);
+            self.links.load[l] += 1;
+        }
+        let f = &mut self.flows;
+        debug_assert_eq!(dense as usize, f.slot_of.len());
+        let stable = match f.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = dense;
+                f.slots[s as usize] = dense;
+                f.keys[s as usize] = key;
                 s
             }
             None => {
-                self.slots.push(dense);
-                (self.slots.len() - 1) as u32
+                f.slots.push(dense);
+                f.keys.push(key);
+                (f.slots.len() - 1) as u32
             }
         };
-        self.slot_of.push(stable);
-        self.keys.push(key);
-        self.rates.push(0.0);
-        self.starved.push(false);
+        f.slot_of.push(stable);
+        f.rates.push(0.0);
+        f.starved.push(false);
+        f.added.push(stable);
         stable
     }
 
     /// Remove the flow behind stable id `id`. Its links are touched: the
     /// next solve re-solves whatever components remain on them.
     pub fn remove_flow(&mut self, id: u32) {
-        let dense = self.slots[id as usize] as usize;
-        for k in 0..self.net.flows()[dense].path.len() {
-            let l = self.net.flows()[dense].path[k];
-            self.touch(l);
+        let f = &mut self.flows;
+        let dense = f.slots[id as usize] as usize;
+        let spec = self.net.remove_flow(dense);
+        for &l in &spec.path {
+            self.links.touch(l);
+            self.links.load[l] -= 1;
         }
-        self.net.remove_flow(dense);
-        self.slots[id as usize] = u32::MAX;
-        self.free.push(id);
+        f.slots[id as usize] = NONE;
+        f.freed.push(id);
+        f.removed = true;
         // Mirror the network's swap-remove on the dense-indexed state.
-        self.slot_of.swap_remove(dense);
-        self.keys.swap_remove(dense);
-        self.rates.swap_remove(dense);
-        if self.starved.swap_remove(dense) {
-            self.flows_starved -= 1;
+        f.slot_of.swap_remove(dense);
+        f.rates.swap_remove(dense);
+        if f.starved.swap_remove(dense) {
+            f.starved_count -= 1;
         }
-        if dense < self.slot_of.len() {
-            self.slots[self.slot_of[dense] as usize] = dense as u32;
+        if dense < f.slot_of.len() {
+            f.slots[f.slot_of[dense] as usize] = dense as u32;
         }
     }
 
@@ -297,28 +479,37 @@ impl IncrementalFluid {
             return false;
         }
         self.net.set_link_cap(l, cap_kbps);
-        self.touch(l);
+        self.links.touch(l);
         true
     }
 
-    /// Drop every flow; links, capacities and scratch allocations survive.
-    /// Every link's usage returns to zero, so a caller caching anything
-    /// derived from [`IncrementalFluid::link_usage`] refreshes all of it.
+    /// Drop every flow; links, capacities and scratch allocations survive,
+    /// and every layout returns to the pool. Every link's usage returns to
+    /// zero, so a caller caching anything derived from
+    /// [`IncrementalFluid::link_usage`] refreshes all of it.
     pub fn clear_flows(&mut self) {
         self.net.clear_flows();
-        self.slots.clear();
-        self.free.clear();
-        self.slot_of.clear();
-        self.keys.clear();
-        self.rates.clear();
-        self.starved.clear();
-        self.flows_starved = 0;
-        self.touched.fill(false);
-        self.touched_links.clear();
-        self.used.fill(0.0);
-        self.over.fill(false);
-        self.links_over = 0;
-        self.label.fill(NO_COMPONENT);
+        let f = &mut self.flows;
+        f.slots.clear();
+        f.free.clear();
+        f.freed.clear();
+        f.slot_of.clear();
+        f.keys.clear();
+        f.rates.clear();
+        f.starved.clear();
+        f.starved_count = 0;
+        f.added.clear();
+        f.removed = false;
+        let ls = &mut self.links;
+        ls.load.fill(0);
+        ls.touched.fill(false);
+        ls.touched_list.clear();
+        ls.used.fill(0.0);
+        ls.over.fill(false);
+        ls.over_count = 0;
+        ls.label.fill(NO_COMPONENT);
+        self.spare.clear();
+        self.spare.extend(0..self.layouts.len() as u32);
         self.components = 0;
         self.changed_links.clear();
         self.resolved_keys.clear();
@@ -326,27 +517,29 @@ impl IncrementalFluid {
 
     /// Last solved rate of the flow behind stable id `id`.
     pub fn rate_of(&self, id: u32) -> f64 {
-        self.rates[self.slots[id as usize] as usize]
+        self.flows.rates[self.flows.slots[id as usize] as usize]
     }
 
     /// Last solved rates in dense order (aligned with
     /// `self.fluid().flows()`).
     pub fn rates(&self) -> &[f64] {
-        &self.rates
+        &self.flows.rates
     }
 
-    /// Canonical `(tenant, sequence)` keys in dense order (aligned with
-    /// [`IncrementalFluid::rates`]): which flow belongs to whom, for tests
-    /// that rebuild the component structure from scratch.
-    pub fn keys(&self) -> &[(u64, u32)] {
-        &self.keys
+    /// Canonical `(tenant, sequence)` key of the flow at dense index
+    /// `dense` (aligned with [`IncrementalFluid::rates`]): which flow
+    /// belongs to whom, for tests that rebuild the component structure
+    /// from scratch.
+    pub fn key(&self, dense: usize) -> (u64, u32) {
+        let id = self.flows.slot_of[dense];
+        self.flows.keys[id as usize]
     }
 
     /// Per-link usage as of the last solve: Σ rate of the link's flows,
     /// summed in canonical key order (so a churned solver and a fresh one
     /// agree bit for bit), 0.0 for a link no flow crosses.
     pub fn link_usage(&self) -> &[f64] {
-        &self.used
+        &self.links.used
     }
 
     /// Links whose usage or capacity the last solve may have changed: the
@@ -369,241 +562,669 @@ impl IncrementalFluid {
     /// and no flow below its demand without a saturated link on its path.
     /// Both are cached counts (see the [module docs](self)).
     pub fn is_work_conserving(&self) -> bool {
-        self.links_over == 0 && self.flows_starved == 0
+        self.links.over_count == 0 && self.flows.starved_count == 0
     }
 
     /// Re-solve every dirty component, keep every clean component's rates
     /// verbatim, and return what was done. See the [module docs](self).
     pub fn solve(&mut self) -> SolveStats {
-        let nl = self.net.num_links();
-        let s = &mut self.scratch;
-        s.link_seen.resize(nl, 0);
-        if s.flow_seen.len() < self.net.num_flows() {
-            s.flow_seen.resize(self.net.num_flows(), 0);
+        let old_dirty = self.collect_dirty();
+        let mut stats = SolveStats::default();
+        let (mut d, mut nl, mut nf) = (0, 0, 0);
+        // Groups ascending by root. Every added flow's root is a dirty
+        // label's or a new link's, and the lists are sorted by root.
+        while d < self.scratch.dirty.len() || nl < self.scratch.new_links.len() {
+            let s = &self.scratch;
+            let root = match (s.dirty.get(d), s.new_links.get(nl)) {
+                (Some(a), Some(b)) => a.0.min(b.0),
+                (Some(a), None) => a.0,
+                (None, b) => b.map_or(NONE, |b| b.0),
+            };
+            let group = Group {
+                dirty: (d, run_end(&s.dirty, d, root)),
+                new_links: (nl, run_end(&s.new_links, nl, root)),
+                new_flows: (nf, run_end(&s.new_flows, nf, root)),
+            };
+            (d, nl, nf) = (group.dirty.1, group.new_links.1, group.new_flows.1);
+            self.solve_group(group, &mut stats);
         }
-        s.stamp += 1;
-        let stamp = s.stamp;
-        s.dirty_flows.clear();
-        s.comps.clear();
-        self.changed_links.clear();
-        self.resolved_keys.clear();
-
-        // Walk the dirty region. Every link of an old component that
-        // changed is either walked or was touched and left flowless, so
-        // the old components lost are counted by their lowest links.
-        let mut old_components = 0usize;
-        for ti in 0..self.touched_links.len() {
-            let l = self.touched_links[ti] as usize;
-            self.touched[l] = false;
-            if self.net.link_flows(l).is_empty() {
-                old_components += usize::from(self.label[l] == l as u32);
-                self.label[l] = NO_COMPONENT;
-                self.used[l] = 0.0;
-                set_flag(&mut self.over[l], &mut self.links_over, false);
-                self.changed_links.push(l as u32);
-                continue;
-            }
-            if s.link_seen[l] == stamp {
-                continue;
-            }
-            let (l0, f0) = (self.changed_links.len(), s.dirty_flows.len());
-            s.link_seen[l] = stamp;
-            self.changed_links.push(l as u32);
-            let mut head = l0;
-            while head < self.changed_links.len() {
-                let cur = self.changed_links[head] as usize;
-                head += 1;
-                old_components += usize::from(self.label[cur] == cur as u32);
-                for &fi in self.net.link_flows(cur) {
-                    if s.flow_seen[fi as usize] == stamp {
-                        continue;
-                    }
-                    s.flow_seen[fi as usize] = stamp;
-                    s.dirty_flows.push(fi);
-                    for &pl in &self.net.flows()[fi as usize].path {
-                        if s.link_seen[pl] != stamp {
-                            s.link_seen[pl] = stamp;
-                            self.changed_links.push(pl as u32);
-                        }
-                    }
-                }
-            }
-            // Ascending links within the component, components ascending
-            // by lowest link: the canonical order, whatever the history.
-            self.changed_links[l0..].sort_unstable();
-            s.comps.push(Comp {
-                lowest: self.changed_links[l0],
-                links: (l0 as u32, self.changed_links.len() as u32),
-                flows: (f0 as u32, s.dirty_flows.len() as u32),
-            });
-        }
-        self.touched_links.clear();
-        s.comps.sort_unstable_by_key(|c| c.lowest);
-        let n_dirty = s.comps.len();
-        self.components = self.components - old_components + n_dirty;
-
-        let mut stats = SolveStats {
-            components_dirty: n_dirty,
-            components_total: self.components,
-            ..SolveStats::default()
-        };
-        for k in 0..n_dirty {
-            let comp = self.scratch.comps[k];
-            self.solve_component(comp, &mut stats);
-        }
+        self.components = self.components - old_dirty + stats.components_dirty;
+        stats.components_total = self.components;
         // Each component contributed its keys ascending; merge them.
-        if n_dirty > 1 {
+        if stats.components_dirty > 1 {
             self.resolved_keys.sort_unstable();
             self.resolved_keys.dedup();
         }
+        let (f, ls) = (&mut self.flows, &mut self.links);
+        for &l in &ls.touched_list {
+            ls.touched[l as usize] = false;
+        }
+        ls.touched_list.clear();
+        f.added.clear();
+        f.free.append(&mut f.freed);
+        f.removed = false;
+        let s = &mut self.scratch;
+        trim(&mut s.new_keys);
+        trim(&mut s.new_flows);
+        s.ins.trim();
         stats
     }
 
-    /// Solve one dirty component: order its flows canonically, run the
-    /// max-min kernel over them and the component's (ascending) links,
-    /// then write back the rates and everything cached from them (usage,
-    /// flags, label).
-    fn solve_component(&mut self, comp: Comp, stats: &mut SolveStats) {
+    /// Find the dirty set and group it: reset and report the touched links
+    /// left without flows, make every other touched link's component (or
+    /// the link itself, if it carried no flow before) a union-find node,
+    /// join the nodes each added flow crosses, and list the dirty
+    /// components, new links and added flows sorted by their root.
+    /// Returns the number of dirty components.
+    fn collect_dirty(&mut self) -> usize {
+        let nl = self.net.num_links();
         let Self {
             net,
-            scratch: s,
-            keys,
-            rates,
-            starved,
-            flows_starved,
-            used,
-            over,
-            links_over,
-            label,
+            flows,
+            links: ls,
             changed_links,
             resolved_keys,
+            scratch: s,
             ..
         } = self;
-        let net: &Fluid = net;
-        // Sort by the canonical key so the local order is independent of
-        // the churn history that built the link lists: packed
-        // `(tenant, sequence, dense index)` keys, sorted contiguously.
-        s.sort_keys.clear();
-        s.sort_keys.extend(
-            s.dirty_flows[comp.flows.0 as usize..comp.flows.1 as usize]
+        s.stamp += 1;
+        s.node_seen.resize(nl, 0);
+        s.parent.resize(nl, 0);
+        s.link_local.resize(nl, 0);
+        s.dirty.clear();
+        s.new_links.clear();
+        s.new_keys.clear();
+        s.new_flows.clear();
+        changed_links.clear();
+        resolved_keys.clear();
+        for ti in 0..ls.touched_list.len() {
+            let l = ls.touched_list[ti] as usize;
+            let lab = ls.label[l];
+            if lab != NO_COMPONENT && s.node(lab) {
+                s.dirty.push((lab, lab));
+            }
+            if ls.load[l] == 0 {
+                ls.label[l] = NO_COMPONENT;
+                ls.used[l] = 0.0;
+                set_flag(&mut ls.over[l], &mut ls.over_count, false);
+                changed_links.push(l as u32);
+            } else if lab == NO_COMPONENT {
+                s.node(l as u32);
+                s.new_links.push((l as u32, l as u32));
+            }
+        }
+        // A flow removed again before this solve is dead; a flow on no
+        // link belongs to no component.
+        let added_path = |id: u32| match flows.slots[id as usize] {
+            NONE => None,
+            d => Some(&net.flows()[d as usize].path).filter(|p| !p.is_empty()),
+        };
+        for &id in &flows.added {
+            if let Some(path) = added_path(id) {
+                let a = ls.node(path[0]);
+                for &l in &path[1..] {
+                    union(&mut s.parent, a, ls.node(l));
+                }
+            }
+        }
+        for e in &mut s.dirty {
+            e.0 = find(&mut s.parent, e.1);
+        }
+        for e in &mut s.new_links {
+            e.0 = find(&mut s.parent, e.1);
+        }
+        // The added flows by root, then key: sorted by key once, then by
+        // (root, rank in key order).
+        s.new_keys.extend(
+            flows
+                .added
                 .iter()
-                .map(|&fi| {
-                    let (group, seq) = keys[fi as usize];
-                    u128::from(group) << 64 | u128::from(seq) << 32 | u128::from(fi)
-                }),
+                .filter(|&&id| added_path(id).is_some())
+                .map(|&id| flows.key(id)),
         );
-        s.sort_keys.sort_unstable();
-        s.comp_flows.clear();
-        for &key in &s.sort_keys {
-            s.comp_flows.push(key as u32);
-            let group = (key >> 64) as u64;
-            if resolved_keys.last() != Some(&group) {
-                resolved_keys.push(group);
-            }
+        s.new_keys.sort_unstable();
+        for (rank, &key) in s.new_keys.iter().enumerate() {
+            let path = &net.flows()[flows.slots[key as u32 as usize] as usize].path;
+            let root = find(&mut s.parent, ls.node(path[0]));
+            s.new_flows.push((root, rank as u32));
         }
-        let links = &changed_links[comp.links.0 as usize..comp.links.1 as usize];
-        net.fill(&s.comp_flows, links, &mut s.fill);
-        stats.fill_rounds += s.fill.rounds;
-        stats.link_visits += s.fill.link_visits;
+        s.dirty.sort_unstable();
+        s.new_links.sort_unstable();
+        s.new_flows.sort_unstable();
+        s.dirty.len()
+    }
 
-        // Write back the rates, then recompute whole everything cached
-        // from them: per-link usage (canonical order), saturation, the
-        // over-capacity flag and the label; per-flow starvation. Only the
-        // kernel's flat arrays are read. Predicates and tolerances are
-        // `Fluid::is_work_conserving`'s.
-        let k = &s.fill;
-        for (i, &fi) in s.comp_flows.iter().enumerate() {
-            rates[fi as usize] = k.rate[i];
-        }
-        s.lsat.clear();
-        for (li, &gl) in links.iter().enumerate() {
-            let mut u = 0.0f64;
-            for &i in k.lflows.row(li) {
-                u += k.rate[i as usize];
+    /// Re-solve one group: patch its largest dirty layout in place into
+    /// the group's candidate (or build it, if the group has no layout),
+    /// split that into connected pieces if it lost a flow, and solve each
+    /// piece. A layout whose flows did not change (a capacity change
+    /// alone) comes through the patch as it was.
+    fn solve_group(&mut self, g: Group, stats: &mut SolveStats) {
+        let Self {
+            net,
+            flows,
+            links: ls,
+            layouts,
+            spare,
+            layout_at,
+            scratch: s,
+            ..
+        } = self;
+        let (net, flows, ls): (&Fluid, &FlowState, &LinkState) = (net, flows, ls);
+        let dirty = &s.dirty[g.dirty.0..g.dirty.1];
+        let new_flows = &s.new_flows[g.new_flows.0..g.new_flows.1];
+        s.pieces.clear();
+
+        // The candidate's links: the dirty layouts' links that still carry
+        // a flow, with their floor sums, and the group's new links.
+        s.cand_links.clear();
+        let mut big: Option<u32> = None;
+        for &(_, lab) in dirty {
+            let slot = layout_at[lab as usize];
+            let lay = &layouts[slot as usize];
+            s.cand_links.extend(
+                lay.links
+                    .iter()
+                    .zip(&lay.floor_sum)
+                    .filter(|(&l, _)| ls.load[l as usize] > 0)
+                    .map(|(&l, &f)| (l, f)),
+            );
+            if big.is_none_or(|b| layouts[b as usize].flows.len() < lay.flows.len()) {
+                big = Some(slot);
             }
-            let (gl, cap) = (gl as usize, k.lcaps[li]);
-            s.lsat.push(u >= cap - tol(cap));
-            used[gl] = u;
-            set_flag(&mut over[gl], links_over, u > cap + tol(cap));
-            label[gl] = comp.lowest;
         }
-        for (i, &fi) in s.comp_flows.iter().enumerate() {
-            let demand = k.demand[i];
-            let met = k.rate[i] + tol(demand.min(1e12)) >= demand;
-            let hungry = !met && !k.paths.row(i).iter().any(|&li| s.lsat[li as usize]);
-            set_flag(&mut starved[fi as usize], flows_starved, hungry);
+        let new_links = &s.new_links[g.new_links.0..g.new_links.1];
+        s.cand_links
+            .extend(new_links.iter().map(|&(_, l)| (l, 0.0)));
+        if dirty.len() + new_links.len() > 1 {
+            s.cand_links.sort_unstable_by_key(|&(l, _)| l);
+        }
+        for (li, &(l, _)) in s.cand_links.iter().enumerate() {
+            s.link_local[l as usize] = li as u32;
+        }
+
+        // What joins the largest dirty layout, in key order and in
+        // candidate-local links: the other dirty layouts' surviving flows
+        // and the group's added flows. Each source is in key order; a heap
+        // of their heads merges them.
+        let mut lost = 0;
+        let next = |slot: u32, mut i: usize, lost: &mut usize| {
+            let key = match slot {
+                NONE => s.new_keys[new_flows.get(i)?.1 as usize],
+                _ => {
+                    let lay = &layouts[slot as usize];
+                    while !flows.live(*lay.flows.get(i)?) {
+                        *lost += 1;
+                        i += 1;
+                    }
+                    flows.key(lay.flows[i])
+                }
+            };
+            Some(Reverse((key, slot, i as u32)))
+        };
+        let heap = &mut s.heap;
+        heap.clear();
+        let (mut ins_flows, mut ins_items) = (new_flows.len(), 0);
+        for &(_, lab) in dirty {
+            let slot = layout_at[lab as usize];
+            if Some(slot) != big {
+                let lay = &layouts[slot as usize];
+                ins_flows += lay.flows.len();
+                ins_items += lay.paths.num_items();
+                heap.extend(next(slot, 0, &mut lost));
+            }
+        }
+        heap.extend(next(NONE, 0, &mut lost));
+        let new_spec = |j: usize| {
+            let id = s.new_keys[new_flows[j].1 as usize] as u32;
+            (id, &net.flows()[flows.slots[id as usize] as usize])
+        };
+        ins_items += (0..new_flows.len())
+            .map(|j| new_spec(j).1.path.len())
+            .sum::<usize>();
+        let link_local = &s.link_local;
+        let ins = &mut s.ins;
+        ins.clear_for(ins_flows, ins_items, 0);
+        while let Some(Reverse((_, slot, i))) = heap.pop() {
+            let i = i as usize;
+            if slot == NONE {
+                let (id, spec) = new_spec(i);
+                ins.push_spec(id, spec, |l| link_local[l]);
+            } else {
+                let from = &layouts[slot as usize];
+                ins.extend_from(from, i..i + 1, |li| {
+                    link_local[from.links[li as usize] as usize]
+                });
+            }
+            heap.extend(next(slot, i + 1, &mut lost));
+        }
+        stats.flows_flattened += new_flows.len();
+
+        // The candidate: the largest dirty layout, parked here and patched
+        // in place — removed flows dropped, local links remapped, the rest
+        // inserted by key — or, with no layout in the group, a spare entry
+        // filled with `ins`.
+        let home = match big {
+            Some(b) => b,
+            None => take_spare(layouts, spare),
+        };
+        let cand = &mut s.cand;
+        std::mem::swap(cand, &mut layouts[home as usize]);
+        match big {
+            Some(_) => {
+                let same_links = cand.links.len() == s.cand_links.len()
+                    && cand
+                        .links
+                        .iter()
+                        .zip(&s.cand_links)
+                        .all(|(&a, &(b, _))| a == b);
+                if flows.removed || !same_links {
+                    // A dropped link's entry is stale, but only removed
+                    // flows crossed it.
+                    s.remap.clear();
+                    s.remap
+                        .extend(cand.links.iter().map(|&l| link_local[l as usize]));
+                    let before = cand.flows.len();
+                    let remap = (!same_links).then_some(&s.remap[..]);
+                    cand.retain_flows(|_, id| flows.live(id), remap);
+                    lost += before - cand.flows.len();
+                }
+                s.pos.clear();
+                let mut at = 0;
+                for &id in &ins.flows {
+                    let key = flows.key(id);
+                    at += cand.flows[at..].partition_point(|&x| flows.key(x) < key);
+                    s.pos.push(at as u32);
+                }
+                cand.insert_flows(&s.pos, ins);
+            }
+            None => {
+                cand.clear_fit(ins.flows.len(), ins.paths.num_items(), s.cand_links.len());
+                cand.extend_from(ins, 0..ins.flows.len(), |li| li);
+            }
+        }
+        cand.links.clear();
+        cand.links.extend(s.cand_links.iter().map(|&(l, _)| l));
+        cand.floor_sum.clear();
+        cand.floor_sum.extend(s.cand_links.iter().map(|&(_, f)| f));
+
+        // The other dirty layouts are read: recycle their entries.
+        for &(_, lab) in dirty {
+            let slot = layout_at[lab as usize];
+            if Some(slot) != big {
+                retire(layouts, spare, slot);
+            }
+        }
+        if cand.flows.is_empty() {
+            std::mem::swap(cand, &mut layouts[home as usize]);
+            retire(layouts, spare, home);
+            return;
+        }
+        // A candidate that lost a flow may fall apart. Its transpose,
+        // which the kernel needs anyway if it stays whole, guides the
+        // search.
+        let pieces = match lost {
+            0 => 1,
+            _ => {
+                cand.paths.transpose_into(cand.links.len(), &mut s.lflows);
+                split(
+                    cand,
+                    &s.lflows,
+                    |l| ls.touched[l as usize],
+                    &mut s.uf,
+                    &mut s.marked,
+                    &mut s.link_piece,
+                    &mut s.flow_piece,
+                    &mut s.piece_size,
+                )
+            }
+        };
+        if pieces > 1 {
+            self.spread_pieces();
+        }
+        let s = &mut self.scratch;
+        std::mem::swap(&mut s.cand, &mut self.layouts[home as usize]);
+        s.pieces.push(home);
+        self.solve_pieces(lost > 0 && pieces == 1, stats);
+    }
+
+    /// Split the candidate into its pieces: each piece but the largest is
+    /// copied into its own layout, a stable filter of the candidate's
+    /// links and flows with paths remapped to piece-local links and floor
+    /// sums carried over; the candidate then keeps the largest in place.
+    fn spread_pieces(&mut self) {
+        let Self {
+            layouts,
+            spare,
+            scratch: s,
+            ..
+        } = self;
+        let n = s.piece_size.len();
+        let mut largest = 0;
+        for p in 1..n {
+            if s.piece_size[p].0 > s.piece_size[largest].0 {
+                largest = p;
+            }
+        }
+        s.pieces.clear();
+        for (p, &(flows, items, links)) in s.piece_size.iter().enumerate() {
+            let slot = match p == largest {
+                true => NONE,
+                false => take_spare(layouts, spare),
+            };
+            s.pieces.push(slot);
+            if slot != NONE {
+                layouts[slot as usize].clear_fit(flows as usize, items as usize, links as usize);
+            }
+        }
+        // `remap`: candidate-local link → piece-local link.
+        let cand = &mut s.cand;
+        s.remap.clear();
+        for size in &mut s.piece_size {
+            size.2 = 0;
+        }
+        for li in 0..cand.links.len() {
+            let p = s.link_piece[li] as usize;
+            s.remap.push(s.piece_size[p].2);
+            s.piece_size[p].2 += 1;
+            if p != largest {
+                let lay = &mut layouts[s.pieces[p] as usize];
+                lay.links.push(cand.links[li]);
+                lay.floor_sum.push(cand.floor_sum[li]);
+            }
+        }
+        // Runs of consecutive flows in one piece are copied at once.
+        let remap = &s.remap;
+        let mut i = 0;
+        while i < cand.flows.len() {
+            let p = s.flow_piece[i];
+            let run = i + s.flow_piece[i..].iter().take_while(|&&q| q == p).count();
+            if p as usize != largest {
+                let lay = &mut layouts[s.pieces[p as usize] as usize];
+                lay.extend_from(cand, i..run, |li| remap[li as usize]);
+            }
+            i = run;
+        }
+        let largest = largest as u32;
+        cand.retain_flows(|i, _| s.flow_piece[i] == largest, Some(remap));
+        let mut w = 0;
+        for li in 0..cand.links.len() {
+            if s.link_piece[li] == largest {
+                cand.links[w] = cand.links[li];
+                cand.floor_sum[w] = cand.floor_sum[li];
+                w += 1;
+            }
+        }
+        cand.links.truncate(w);
+        cand.floor_sum.truncate(w);
+        // The largest piece stays in the candidate, bound for the group's
+        // home entry; the caller appends it.
+        s.pieces.remove(largest as usize);
+    }
+
+    /// Run the max-min kernel on each result layout of the group, then
+    /// write back the rates and recompute whole everything cached from
+    /// them: per-link usage (canonical order), saturation, the
+    /// over-capacity flag and the label; per-flow starvation. Predicates
+    /// and tolerances are `Fluid::is_work_conserving`'s. Each layout first
+    /// gets its transpose (unless the one piece already has it, in
+    /// `scratch.lflows`) and re-sums the floor sums of its touched links.
+    fn solve_pieces(&mut self, transposed: bool, stats: &mut SolveStats) {
+        let Self {
+            net,
+            flows,
+            links: ls,
+            layouts,
+            layout_at,
+            changed_links,
+            resolved_keys,
+            scratch: s,
+            ..
+        } = self;
+        for &slot in &s.pieces {
+            let lay = &mut layouts[slot as usize];
+            if !transposed {
+                lay.paths.transpose_into(lay.links.len(), &mut s.lflows);
+            }
+            lay.sum_floors(&s.lflows, |l| ls.touched[l as usize]);
+            let lay = &*lay;
+            let k = &mut s.fill;
+            net.fill(lay, &s.lflows, k);
+            stats.components_dirty += 1;
+            stats.fill_rounds += k.rounds;
+            stats.link_visits += k.link_visits;
+            let lowest = lay.links[0];
+            layout_at[lowest as usize] = slot;
+            s.lsat.clear();
+            for (li, &gl) in lay.links.iter().enumerate() {
+                let mut u = 0.0f64;
+                for &i in s.lflows.row(li) {
+                    u += k.rate[i as usize];
+                }
+                let cap = k.lcaps[li];
+                s.lsat.push(u >= cap - tol(cap));
+                let gl = gl as usize;
+                ls.used[gl] = u;
+                set_flag(&mut ls.over[gl], &mut ls.over_count, u > cap + tol(cap));
+                ls.label[gl] = lowest;
+                changed_links.push(gl as u32);
+            }
+            for (i, &id) in lay.flows.iter().enumerate() {
+                let d = flows.slots[id as usize] as usize;
+                let rate = k.rate[i];
+                flows.rates[d] = rate;
+                let group = flows.keys[id as usize].0;
+                if resolved_keys.last() != Some(&group) {
+                    resolved_keys.push(group);
+                }
+                let demand = lay.demand[i];
+                let met = rate + tol(demand.min(1e12)) >= demand;
+                let hungry = !met && !lay.paths.row(i).iter().any(|&li| s.lsat[li as usize]);
+                set_flag(&mut flows.starved[d], &mut flows.starved_count, hungry);
+            }
         }
     }
 
     /// Re-derive every cache from the current flows, rates and capacities
-    /// and assert bit-equality with the cached state: usage in canonical
-    /// order, both flag sets and their counters, and the component labels
-    /// and count (from a throw-away union-find over every flow's path).
-    /// O(network); debug builds run it after every engine solve.
+    /// and assert bit-equality with the cached state: load and usage in
+    /// canonical order, both flag sets and their counters, the component
+    /// labels and count (from a throw-away union-find over every flow's
+    /// path), and every component's stored layout (flow order, links,
+    /// paths, parameters and floor sums, rebuilt from the specs). O(network);
+    /// debug builds run it after every engine solve.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_caches_exact(&self) {
+        let (f, ls) = (&self.flows, &self.links);
+        let specs = self.net.flows();
         let nl = self.net.num_links();
         let caps = |l: usize| self.net.link_cap(l);
+        let canonical = |&fi: &u32| {
+            let id = f.slot_of[fi as usize];
+            (f.keys[id as usize], id)
+        };
+        let mut on_link: Vec<Vec<u32>> = vec![Vec::new(); nl];
+        for (fi, spec) in specs.iter().enumerate() {
+            for &l in &spec.path {
+                on_link[l].push(fi as u32);
+            }
+        }
         let mut over = 0usize;
-        let mut order: Vec<u32> = Vec::new();
-        for l in 0..nl {
-            order.clear();
-            order.extend_from_slice(self.net.link_flows(l));
-            order.sort_unstable_by_key(|&fi| self.keys[fi as usize]);
-            let u = order
-                .iter()
-                .fold(0.0f64, |u, &fi| u + self.rates[fi as usize]);
-            assert_eq!(u.to_bits(), self.used[l].to_bits(), "usage of link {l}");
+        for (l, flows) in on_link.iter_mut().enumerate() {
+            assert_eq!(ls.load[l] as usize, flows.len(), "load of link {l}");
+            flows.sort_unstable_by_key(canonical);
+            let u = flows.iter().fold(0.0f64, |u, &fi| u + f.rates[fi as usize]);
+            assert_eq!(u.to_bits(), ls.used[l].to_bits(), "usage of link {l}");
             assert_eq!(
-                self.over[l],
+                ls.over[l],
                 u > caps(l) + tol(caps(l)),
                 "over flag of link {l}"
             );
-            over += usize::from(self.over[l]);
+            over += usize::from(ls.over[l]);
         }
-        assert_eq!(over, self.links_over, "links over capacity");
-        let sat = |l: usize| self.used[l] >= caps(l) - tol(caps(l));
+        assert_eq!(over, ls.over_count, "links over capacity");
+        let sat = |l: usize| ls.used[l] >= caps(l) - tol(caps(l));
         let mut hungry = 0usize;
-        for (fi, f) in self.net.flows().iter().enumerate() {
-            let fed = f.path.is_empty()
-                || self.rates[fi] + tol(f.demand.min(1e12)) >= f.demand
-                || f.path.iter().any(|&l| sat(l));
-            assert_eq!(self.starved[fi], !fed, "starved flag of flow {fi}");
+        for (fi, spec) in specs.iter().enumerate() {
+            let fed = spec.path.is_empty()
+                || f.rates[fi] + tol(spec.demand.min(1e12)) >= spec.demand
+                || spec.path.iter().any(|&l| sat(l));
+            assert_eq!(f.starved[fi], !fed, "starved flag of flow {fi}");
             hungry += usize::from(!fed);
         }
-        assert_eq!(hungry, self.flows_starved, "flows starved");
+        assert_eq!(hungry, f.starved_count, "flows starved");
 
         // Attach the larger root under the smaller: a root is then the
         // lowest link of its set, i.e. the label.
         let mut parent: Vec<u32> = (0..nl as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for f in self.net.flows() {
-            for &l in f.path.iter().skip(1) {
-                let (a, b) = (
-                    find(&mut parent, f.path[0] as u32),
-                    find(&mut parent, l as u32),
-                );
-                parent[a.max(b) as usize] = a.min(b);
+        for spec in specs {
+            for &l in spec.path.iter().skip(1) {
+                union(&mut parent, spec.path[0] as u32, l as u32);
             }
         }
+        let mut label = vec![NO_COMPONENT; nl];
         let mut components = 0usize;
         for l in 0..nl {
-            let want = if self.net.link_flows(l).is_empty() {
-                NO_COMPONENT
-            } else {
-                find(&mut parent, l as u32)
-            };
-            assert_eq!(self.label[l], want, "component label of link {l}");
-            components += usize::from(want == l as u32);
+            if !on_link[l].is_empty() {
+                label[l] = find(&mut parent, l as u32);
+            }
+            assert_eq!(ls.label[l], label[l], "component label of link {l}");
+            components += usize::from(label[l] == l as u32);
         }
         assert_eq!(components, self.components, "component count");
+
+        // Every component's layout, rebuilt from the specs: flows in
+        // canonical order, links ascending, each floor sum in flow order.
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); nl];
+        for (fi, spec) in specs.iter().enumerate() {
+            if let Some(&l0) = spec.path.first() {
+                members[label[l0] as usize].push(fi as u32);
+            }
+        }
+        let mut in_use = vec![false; self.layouts.len()];
+        for (l, flows) in members.iter_mut().enumerate() {
+            if label[l] != l as u32 {
+                continue;
+            }
+            let slot = self.layout_at[l] as usize;
+            assert!(
+                !std::mem::replace(&mut in_use[slot], true),
+                "layout entry {slot} holds two components"
+            );
+            flows.sort_unstable_by_key(canonical);
+            let links: Vec<u32> = (0..nl as u32)
+                .filter(|&x| label[x as usize] == l as u32)
+                .collect();
+            let local = |gl: usize| links.partition_point(|&x| (x as usize) < gl);
+            let mut want = Layout {
+                links: links.clone(),
+                ..Layout::default()
+            };
+            let mut floors: Vec<Vec<f64>> = vec![Vec::new(); links.len()];
+            for &fi in flows.iter() {
+                let spec = &specs[fi as usize];
+                want.push_spec(f.slot_of[fi as usize], spec, |gl| local(gl) as u32);
+                for &gl in &spec.path {
+                    floors[local(gl)].push(spec.floor.min(spec.demand));
+                }
+            }
+            want.floor_sum = floors.iter().map(|row| row.iter().sum()).collect();
+            assert!(self.layouts[slot].same(&want), "layout of component {l}");
+        }
+        assert_eq!(
+            in_use.iter().filter(|&&u| u).count() + self.spare.len(),
+            self.layouts.len(),
+            "every layout entry holds a component or is spare"
+        );
+        assert!(
+            self.spare.iter().all(|&slot| !in_use[slot as usize]),
+            "a spare layout entry holds a component"
+        );
     }
+}
+
+/// Number the candidate's connected pieces in order of their lowest link
+/// (a union-find over its local links, each flow joining its path's), set
+/// `link_piece` to each local link's piece and `flow_piece` to each flow's,
+/// and size each piece as `(flows, path items, links)`. Returns the number
+/// of pieces.
+///
+/// Every link of the candidate reaches a touched link without crossing a
+/// removed flow: its old component was connected, and on a path to the
+/// touched links the first removed flow met starts at a touched link. So
+/// the candidate is connected as soon as its touched links are, and the
+/// search stops there (returning 1, with nothing set). It reads the flows
+/// on touched links first (`lflows` is the candidate's transpose), which
+/// usually join them without the rest.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the candidate, its transpose and the touched-link test, then five pooled scratch buffers"
+)]
+fn split(
+    cand: &Layout,
+    lflows: &Rows,
+    touched: impl Fn(u32) -> bool,
+    uf: &mut Vec<u32>,
+    marked: &mut Vec<bool>,
+    link_piece: &mut Vec<u32>,
+    flow_piece: &mut Vec<u32>,
+    piece_size: &mut Vec<(u32, u32, u32)>,
+) -> usize {
+    let nll = cand.links.len();
+    uf.clear();
+    uf.extend(0..nll as u32);
+    // `marked[root]`: the set holds a touched link; `sets` counts those.
+    marked.clear();
+    marked.extend(cand.links.iter().map(|&l| touched(l)));
+    let mut sets = marked.iter().filter(|&&m| m).count();
+    let mut join = |i: usize, sets: &mut usize| {
+        let path = cand.paths.row(i);
+        for &li in &path[1..] {
+            let (a, b) = (find(uf, path[0]), find(uf, li));
+            if a != b {
+                let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
+                uf[hi] = lo as u32;
+                *sets -= usize::from(marked[lo] && marked[hi]);
+                marked[lo] |= marked[hi];
+            }
+        }
+    };
+    let on_touched = (0..nll).filter(|&li| touched(cand.links[li]));
+    for i in on_touched
+        .flat_map(|li| lflows.row(li).iter().map(|&i| i as usize))
+        .chain(0..cand.flows.len())
+    {
+        if sets <= 1 {
+            return 1;
+        }
+        join(i, &mut sets);
+    }
+    if sets <= 1 {
+        return 1;
+    }
+    // A root is the lowest link of its set, so it is numbered first.
+    link_piece.clear();
+    piece_size.clear();
+    for li in 0..nll {
+        let root = find(uf, li as u32) as usize;
+        let p = match root == li {
+            true => {
+                piece_size.push((0, 0, 0));
+                piece_size.len() as u32 - 1
+            }
+            false => link_piece[root],
+        };
+        link_piece.push(p);
+        piece_size[p as usize].2 += 1;
+    }
+    flow_piece.clear();
+    for i in 0..cand.flows.len() {
+        let path = cand.paths.row(i);
+        let p = link_piece[path[0] as usize];
+        flow_piece.push(p);
+        piece_size[p as usize].0 += 1;
+        piece_size[p as usize].1 += path.len() as u32;
+    }
+    piece_size.len()
 }
 
 #[cfg(test)]
@@ -815,6 +1436,7 @@ mod tests {
         c.remove(bridge);
         let s = c.solve_and_check();
         assert_eq!((s.components_dirty, s.components_total), (2, 2));
+        assert_eq!(s.flows_flattened, 0, "a split reads no spec");
         assert_eq!(c.inc.resolved_keys(), [1, 3]);
         let mut changed = c.inc.changed_links().to_vec();
         changed.sort_unstable();
@@ -832,6 +1454,7 @@ mod tests {
         c.add(&[0, 1, 2], 200.0, (3, 0));
         let s = c.solve_and_check();
         assert_eq!((s.components_dirty, s.components_total), (1, 2));
+        assert_eq!(s.flows_flattened, 1, "a merge reads only the bridge");
         assert_eq!(c.inc.resolved_keys(), [1, 2, 3]);
     }
 
@@ -869,6 +1492,7 @@ mod tests {
         c.set_cap(1, 300.0);
         let s = c.solve_and_check();
         assert_eq!((s.components_dirty, s.components_total), (1, 2));
+        assert_eq!(s.flows_flattened, 0, "the stored layout is solved as is");
         assert!(c.inc.link_usage()[1] <= 300.0 + tol(300.0));
         assert_eq!(c.inc.resolved_keys(), [1]);
         // An idle link's capacity belongs to no component: nothing
@@ -881,5 +1505,96 @@ mod tests {
         // Restoring brings the first allocation back bit for bit.
         c.set_cap(1, 600.0);
         assert_eq!(c.solve_and_check().components_dirty, 1);
+    }
+
+    /// Replacing k flows of an N-flow component (N ≫ k) reads the k new
+    /// specs and nothing else: every other flow of the component comes
+    /// from its stored layout. A merge reads only the bridging flow's
+    /// spec, a split none.
+    #[test]
+    fn a_solve_flattens_only_the_added_flows() {
+        // Five leaf links under a shared core link 5, and link 6 alone.
+        let mut c = Churned::new(&[900.0, 800.0, 700.0, 600.0, 500.0, 4000.0, 300.0]);
+        let ids: Vec<u32> = (0..200u32)
+            .map(|seq| {
+                let leaf = (seq % 5) as usize;
+                c.add(
+                    &[leaf, 5],
+                    f64::from(seq % 7) * 3.0,
+                    (u64::from(seq % 11), seq),
+                )
+            })
+            .collect();
+        c.add(&[6], 50.0, (20, 0));
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.flows_flattened), (2, 201));
+
+        // k = 3 of N = 200, the new keys landing among the old ones.
+        for &id in &ids[10..13] {
+            c.remove(id);
+        }
+        for seq in 200..203u32 {
+            c.add(&[(seq % 5) as usize, 5], 5.0, (3, seq));
+        }
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (1, 2));
+        assert_eq!(s.flows_flattened, 3);
+
+        // A bridge merges link 6's component in; only its spec is read.
+        let bridge = c.add(&[4, 6], 10.0, (7, 500));
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (1, 1));
+        assert_eq!(s.flows_flattened, 1);
+
+        // Its removal splits them again without reading a spec.
+        c.remove(bridge);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (2, 2));
+        assert_eq!(s.flows_flattened, 0);
+
+        // A capacity change alone re-solves the stored layout.
+        c.set_cap(5, 1500.0);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.flows_flattened), (1, 0));
+    }
+
+    /// A stable id freed and reused within one step must not be mistaken
+    /// for the flow that held it: the removed flow leaves its layout, and
+    /// the new one joins its own component.
+    #[test]
+    fn an_id_removed_and_added_in_one_step_is_not_reused() {
+        let mut c = Churned::new(&[900.0, 600.0, 500.0]);
+        let a = c.add(&[0, 1], 100.0, (1, 0));
+        c.add(&[1], 40.0, (1, 1));
+        c.solve_and_check();
+        c.remove(a);
+        let b = c.add(&[2], 70.0, (2, 0));
+        assert_ne!(a, b, "a freed id waits for the next solve");
+        let s = c.solve_and_check();
+        assert_eq!(s.components_total, 2);
+        // After the solve the id is free again.
+        c.remove(b);
+        c.solve_and_check();
+        assert_eq!(c.add(&[2], 70.0, (2, 1)), b);
+        c.solve_and_check();
+    }
+
+    /// A retired entry that held a large component is reused, shrunk, for
+    /// a small one, and a large merged-away layout's entry for a piece.
+    #[test]
+    fn a_large_retired_entry_is_reused_for_a_small_component() {
+        let mut c = Churned::new(&[900.0, 800.0, 700.0, 600.0]);
+        let big: Vec<u32> = (0..300u32)
+            .map(|seq| c.add(&[0, 1], f64::from(seq % 5), (1, seq)))
+            .collect();
+        c.solve_and_check();
+        for id in big {
+            c.remove(id);
+        }
+        c.solve_and_check();
+        c.add(&[2], 10.0, (2, 0));
+        c.add(&[3], 20.0, (3, 0));
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.components_total), (2, 2));
     }
 }

@@ -41,8 +41,9 @@
 //! multi-rooted core is modelled as placement sees it, as aggregate
 //! uplinks. The fluid solve itself is incremental too:
 //! [`incremental::IncrementalFluid`] partitions the flow/link graph into
-//! connected components and re-solves only the ones churn touched, each
-//! with the same max-min kernel [`fluid::Fluid::rates`] runs — the step
+//! connected components, keeps each one's flattened kernel input between
+//! solves and re-solves only the ones churn touched, each with the same
+//! max-min kernel [`fluid::Fluid::rates`] runs — the step
 //! that takes the engine to 100k+-server fat-trees. [`datacenter`] holds
 //! the report types and the canonical VM indexing.
 //!

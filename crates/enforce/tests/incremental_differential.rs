@@ -1,6 +1,6 @@
 //! Differential property test for [`IncrementalFluid`]: random add/remove
-//! churn sequences with interleaved solves, checked three ways every
-//! solve —
+//! churn and capacity changes with interleaved solves, checked three ways
+//! every solve —
 //!
 //! 1. the churned solver against a fresh solver fed only the surviving
 //!    flows: **bit-equal** rates, whatever the history,
@@ -28,6 +28,9 @@ enum Op {
     },
     /// Remove the k-th (mod live count) surviving flow.
     Remove(usize),
+    /// Set a link's capacity to this fraction of its starting capacity
+    /// (0 kills it, 1 restores it).
+    SetCap { link: usize, fraction: f64 },
     /// Solve and run the differential checks.
     Solve,
 }
@@ -38,19 +41,22 @@ struct ChurnRecipe {
     ops: Vec<Op>,
 }
 
+/// Capacity fractions a `SetCap` picks from.
+const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 1.5];
+
 fn arb_op(links: usize) -> impl Strategy<Value = Op> {
     (
-        0u8..8,
+        0u8..10,
         1u64..(1 << links as u64),
         0u8..3,
         10.0f64..500.0,
         0.0f64..300.0,
-        0usize..64,
+        (0usize..64, 0usize..FRACTIONS.len()),
     )
-        .prop_map(|(which, path_mask, kind, demand, guarantee, k)| {
+        .prop_map(move |(which, path_mask, kind, demand, guarantee, (k, f))| {
             match which {
-                // Half the stream adds flows, a quarter removes, a
-                // quarter solves-and-checks.
+                // Two fifths of the stream add flows, a fifth removes, a
+                // fifth changes a capacity, a fifth solves-and-checks.
                 0..=3 => Op::Add {
                     path_mask,
                     demand: match kind {
@@ -61,6 +67,10 @@ fn arb_op(links: usize) -> impl Strategy<Value = Op> {
                     guarantee,
                 },
                 4..=5 => Op::Remove(k),
+                6..=7 => Op::SetCap {
+                    link: k % links,
+                    fraction: FRACTIONS[f],
+                },
                 _ => Op::Solve,
             }
         })
@@ -81,7 +91,10 @@ fn close(x: f64, y: f64) -> bool {
 }
 
 /// Solve the churned solver and run every differential check against the
-/// surviving flow set (`live`: stable id, canonical key, spec).
+/// surviving flow set (`live`: stable id, canonical key, spec) over the
+/// current capacities: the fresh solver is built over `caps`, so a
+/// component that only changed capacity must re-read them from its stored
+/// layout to agree.
 fn check_solve(churned: &mut IncrementalFluid, live: &[(u32, (u64, u32), FlowSpec)], caps: &[f64]) {
     churned.solve();
     // A fresh solver and a global from-scratch reference over the
@@ -139,6 +152,7 @@ fn run(recipe: &ChurnRecipe) {
         base.link(c);
     }
     let mut churned = IncrementalFluid::new(base);
+    let mut caps = recipe.caps.clone();
     let mut live: Vec<(u32, (u64, u32), FlowSpec)> = Vec::new();
     let mut seq = 0u32;
     for op in &recipe.ops {
@@ -166,11 +180,15 @@ fn run(recipe: &ChurnRecipe) {
                 let (id, _, _) = live.swap_remove(k % live.len());
                 churned.remove_flow(id);
             }
-            Op::Solve => check_solve(&mut churned, &live, &recipe.caps),
+            Op::SetCap { link, fraction } => {
+                caps[*link] = recipe.caps[*link] * fraction;
+                churned.set_link_cap(*link, caps[*link]);
+            }
+            Op::Solve => check_solve(&mut churned, &live, &caps),
         }
     }
     // Always end on a checked solve so trailing churn is covered.
-    check_solve(&mut churned, &live, &recipe.caps);
+    check_solve(&mut churned, &live, &caps);
 }
 
 proptest! {

@@ -1,9 +1,10 @@
 //! Steady-state solves allocate nothing.
 //!
 //! [`IncrementalFluid`] pools every piece of solver scratch — the
-//! traversal's stamp maps, the canonical-order keys, the max-min kernel's
-//! flat paths and per-link flow lists — across steps. Once a churn pattern
-//! has been seen, solving it again must not touch the heap. A counting
+//! union-find over the dirty labels, the sorted added keys, the merge
+//! heap, the max-min kernel's transpose and rate vectors — and every
+//! retired component layout across steps. Once a churn pattern has been
+//! seen, solving it again must not touch the heap. A counting
 //! global allocator (std only, counting per thread so the test harness's
 //! own threads cannot interfere) checks exactly the `solve` calls.
 

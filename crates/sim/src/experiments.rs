@@ -401,9 +401,20 @@ mod tests {
         cfg.arrivals = 80;
         let rows = ha_sweep(&pool, &cfg, &[0.25, 0.5]);
         for (rwcs_pct, cm, _ovoc) in &rows {
+            // Eq. 7's exact floor: the least `wcs_floor` over the pool's
+            // tier sizes the WCS statistics measure (n ≥ 2).
+            let floor = pool
+                .tenants()
+                .iter()
+                .flat_map(|tag| tag.placeable_counts())
+                .filter(|&n| n >= 2)
+                .map(|n| cm_core::placement::wcs_floor(n, rwcs_pct / 100.0))
+                .fold(1.0, f64::min);
             if cm.wcs.components > 0 {
                 assert!(
-                    cm.wcs.min * 100.0 >= rwcs_pct - 1e-6 - 100.0 / 2.0_f64.max(1.0), // bounded below by Eq. 7 cap with small-tier slack
+                    cm.wcs.min >= floor,
+                    "rwcs {rwcs_pct}%: min WCS {} under Eq. 7's floor {floor}",
+                    cm.wcs.min
                 );
             }
         }

@@ -241,25 +241,32 @@ fn fat_tree_churn_step(fanout: u32) -> ChurnStep {
         .expect("a near-empty datacenter has room for one VM");
     let warm = cluster.traffic_step();
 
-    // Walk link → flows → path links from the scaled tenant's flows.
+    // Walk link → flows → path links from the scaled tenant's flows, over
+    // a link → flows adjacency rebuilt from the paths.
     let (span_links, span_tenants) = cluster.with_traffic_engine(|engine| {
         let net = engine.network();
-        let (flows, keys) = (net.fluid().flows(), net.keys());
+        let flows = net.fluid().flows();
+        let mut link_flows: Vec<Vec<usize>> = vec![Vec::new(); net.num_links()];
+        for (fi, f) in flows.iter().enumerate() {
+            for &l in &f.path {
+                link_flows[l].push(fi);
+            }
+        }
         let mut flow_seen = vec![false; flows.len()];
         let mut link_seen = vec![false; net.num_links()];
         let mut queue: Vec<usize> = Vec::new();
         let mut tenants = std::collections::BTreeSet::new();
-        for fi in (0..flows.len()).filter(|&fi| keys[fi].0 == id.raw()) {
+        for fi in (0..flows.len()).filter(|&fi| net.key(fi).0 == id.raw()) {
             flow_seen[fi] = true;
             queue.push(fi);
         }
         while let Some(fi) = queue.pop() {
-            tenants.insert(keys[fi].0);
+            tenants.insert(net.key(fi).0);
             for &l in &flows[fi].path {
                 if !std::mem::replace(&mut link_seen[l], true) {
-                    for &next in net.fluid().link_flows(l) {
-                        if !std::mem::replace(&mut flow_seen[next as usize], true) {
-                            queue.push(next as usize);
+                    for &next in &link_flows[l] {
+                        if !std::mem::replace(&mut flow_seen[next], true) {
+                            queue.push(next);
                         }
                     }
                 }

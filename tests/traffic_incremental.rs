@@ -425,9 +425,9 @@ fn digest_step(cluster: &Cluster<CmPlacer>, report: &TrafficReport, d: &mut Dige
     cluster.with_traffic_engine(|engine| {
         let net = engine.network();
         let mut order: Vec<usize> = (0..net.num_flows()).collect();
-        order.sort_unstable_by_key(|&i| net.keys()[i]);
+        order.sort_unstable_by_key(|&i| net.key(i));
         for i in order {
-            let (tenant, seq) = net.keys()[i];
+            let (tenant, seq) = net.key(i);
             d.mix(tenant);
             d.mix(u64::from(seq));
             d.mix(net.rates()[i].to_bits());
