@@ -12,10 +12,16 @@
 //! kernel `Fluid::fill`, over a `Layout`: an ordered flow list and an
 //! ascending link list, already flattened into local per-flow paths,
 //! per-flow parameters and per-link floor sums. The kernel reads no
-//! [`FlowSpec`]; it advances a single fill level, and a round visits only
-//! the links that still carry an active flow, so a solve costs
-//! `O(Σ|path| + Σ_rounds live links)` where every round provably freezes
-//! at least one flow. It has two callers.
+//! [`FlowSpec`]; it advances a single fill level, and every round
+//! provably freezes at least one flow. On a layout of fewer than
+//! `LAZY_FROM` live links (links still carrying an active flow) a round
+//! scans and drains every live link, so a solve costs
+//! `O(Σ|path| + Σ_rounds live links)`. From `LAZY_FROM` on, a round reads
+//! only the links a min-heap of saturation levels says may be its event
+//! or saturate, and the links of the flows it freezes; each read replays
+//! the fill steps the link missed, so every residual takes the same float
+//! operations as under eager draining and the rates are the same bits.
+//! It has two callers.
 //! [`crate::incremental::IncrementalFluid`], the traffic engine's solver,
 //! keeps one layout per connected component across solves and patches
 //! only the components churn touched (see that module's docs for the
@@ -30,6 +36,8 @@
 
 #![warn(clippy::float_cmp)]
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// One flow: a path over link indices plus its rate-control parameters.
@@ -435,10 +443,181 @@ pub(crate) struct FillScratch {
     /// Local links with `wcount > 0`, ascending.
     live: Vec<u32>,
     to_freeze: Vec<u32>,
+    /// Lazy rounds: each round's fill step `t`, in order.
+    steps: Vec<f64>,
+    /// Lazy rounds: local link → how many of `steps` its residual has
+    /// taken.
+    drained: Vec<u32>,
+    /// Lazy rounds: every live link once, keyed by the fill level at which
+    /// it saturates (a lower bound, see `Fluid::fill`).
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Lazy rounds: the links popped this round.
+    popped: Vec<u32>,
+    /// Lazy rounds: the links this round saturates.
+    saturated: Vec<u32>,
+    /// Lazy rounds, debug builds: every residual drained eagerly, to check
+    /// each lazy round against.
+    #[cfg(debug_assertions)]
+    shadow: Vec<f64>,
     /// Filling rounds of the last solve.
     pub(crate) rounds: usize,
-    /// Σ over the last solve's rounds of the live-list length.
+    /// Links the last solve's rounds read: Σ of the live-list length over
+    /// eager rounds; the heap pops plus the links first touched by a
+    /// freeze in a round, over lazy ones.
     pub(crate) link_visits: usize,
+}
+
+/// Phase 2 switches from eager to lazy draining at this many live links.
+/// Measured with both loops run on every solve of a benchmark stream
+/// (release build, 2-core x86 host): lazy rounds took 52 % less time than
+/// eager ones on `spine_2k`'s layouts of 1,024 live links or more and
+/// 0–30 % less on layouts of 512–1,023; on layouts of 256–511 they took
+/// from 19 % less (`spine_131k`) to 5 % more (`fault_repair`), and below
+/// 256 they took 13–24 % more, the heap costing more than the passes it
+/// saves. The crossover is thus near 512; 1,024 leaves a factor of two of
+/// margin, and the gain sits in the giant components above it.
+const LAZY_FROM: usize = 1024;
+
+/// A lazy round's heap entry: a level (see [`ordered`]) above a local
+/// link, so entries order by level, then by link.
+type Key = u128;
+
+fn key(level: f64, li: u32) -> Key {
+    u128::from(ordered(level)) << 32 | u128::from(li)
+}
+
+/// `x`'s bits, mapped so that unsigned order is `x`'s order (no NaN
+/// reaches here).
+#[inline]
+fn ordered(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
+}
+
+/// The fill level at which a link holding `residual` under active weight
+/// `wsum` reaches the saturation threshold, from level `fill`: `−∞` if it
+/// already has, `+∞` if it never drains.
+#[inline]
+fn saturation_level(residual: f64, wsum: f64, fill: f64) -> f64 {
+    if residual <= 1e-6 {
+        f64::NEG_INFINITY
+    } else if wsum > 0.0 {
+        fill + (residual - 1e-6) / wsum
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// How far a heap key may sit above the exact level it bounds, at level
+/// `x`. A key and the exact ratio read later differ only by rounding: a
+/// replay of `k` steps and the fill's `k` additions each round by at most
+/// 2⁻⁵³ relative, so they part by at most about `(2k + 3) · 2⁻⁵³ · |x|`,
+/// under `1e-9 · |x|` for any `k` below four million rounds (a round
+/// freezes a flow, so `k` is at most the flows). The `1e-12` covers `x`
+/// near zero. Debug builds check every lazy round against the eager one.
+#[inline]
+fn slack(x: f64) -> f64 {
+    1e-9 * x.abs() + 1e-12
+}
+
+/// Apply to link `li`'s residual the fill steps it has not taken, in
+/// order, as eager rounds would have: `residual -= wsum × t` per step,
+/// none while `wsum ≤ 0`. `wsum` has not changed since the link's last
+/// catch-up: a freeze catches a link up before it changes its sum.
+#[inline]
+fn catch_up(residual: &mut [f64], drained: &mut [u32], steps: &[f64], li: usize, wsum: f64) {
+    if wsum > 0.0 {
+        let mut r = residual[li];
+        for &t in &steps[drained[li] as usize..] {
+            r -= wsum * t;
+        }
+        residual[li] = r;
+    }
+    drained[li] = steps.len() as u32;
+}
+
+/// The finite-demand flow that reaches its demand first, if it does so
+/// before step `t` (which it then replaces) at fill level `fill`.
+fn demand_event(lay: &Layout, rate: &[f64], finite: &[u32], fill: f64, t: &mut f64) -> Option<u32> {
+    let mut event = None;
+    for &i in finite {
+        let i = i as usize;
+        let tf = (lay.demand[i] - (rate[i] + lay.weight[i] * fill)) / lay.weight[i];
+        if tf < *t {
+            *t = tf;
+            event = Some(i as u32);
+        }
+    }
+    event
+}
+
+/// After the saturated links' flows in `to_freeze`, queue the event
+/// flow, then every finite flow within 1e-6 of its demand at level
+/// `fill`: the order flows freeze in.
+fn queue_demands(
+    lay: &Layout,
+    fill: f64,
+    event_flow: Option<u32>,
+    finite: &[u32],
+    active: &[bool],
+    rate: &[f64],
+    to_freeze: &mut Vec<u32>,
+) {
+    to_freeze.extend(event_flow);
+    for &i in finite {
+        let iu = i as usize;
+        if active[iu] && rate[iu] + lay.weight[iu] * fill + 1e-6 >= lay.demand[iu] {
+            to_freeze.push(i);
+        }
+    }
+}
+
+/// Freeze at level `fill` every still-active flow of `to_freeze`, in
+/// order: it takes its rate and leaves its links' weight sums, `touch`
+/// seeing each link and its sum just before the sum changes. Returns how
+/// many froze.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "both round loops share it over disjoint borrows of the kernel's scratch"
+)]
+fn freeze(
+    lay: &Layout,
+    fill: f64,
+    to_freeze: &[u32],
+    active: &mut [bool],
+    rate: &mut [f64],
+    wsum: &mut [f64],
+    wcount: &mut [u32],
+    mut touch: impl FnMut(u32, f64),
+) -> usize {
+    let mut frozen = 0usize;
+    for &i in to_freeze {
+        let i = i as usize;
+        if !active[i] {
+            continue; // reachable via several saturated links
+        }
+        active[i] = false;
+        rate[i] = (rate[i] + lay.weight[i] * fill).min(lay.demand[i]);
+        for &li in lay.paths.row(i) {
+            touch(li, wsum[li as usize]);
+            let li = li as usize;
+            wsum[li] -= lay.weight[i];
+            wcount[li] -= 1;
+            if wcount[li] == 0 {
+                wsum[li] = 0.0;
+            }
+        }
+        frozen += 1;
+    }
+    debug_assert!(
+        frozen > 0,
+        "filling round froze no flow: termination invariant broken"
+    );
+    frozen
 }
 
 /// A fluid network: capacitated links and flows. It keeps no per-link
@@ -457,14 +636,20 @@ impl Fluid {
         Self::default()
     }
 
-    /// Add a link with the given capacity (kbps); returns its index.
+    /// Add a link with the given capacity (kbps, finite and nonnegative);
+    /// returns its index.
     pub fn link(&mut self, cap_kbps: f64) -> usize {
-        assert!(cap_kbps >= 0.0);
+        assert!(
+            cap_kbps >= 0.0 && cap_kbps.is_finite(),
+            "link capacity must be finite and nonnegative: {cap_kbps}"
+        );
         self.caps.push(cap_kbps);
         self.caps.len() - 1
     }
 
-    /// Add a flow; returns its index.
+    /// Add a flow; returns its index. Its weight must be finite and
+    /// positive, its floor finite and nonnegative, and its demand not NaN
+    /// (infinite is a greedy flow): the kernel's arithmetic assumes so.
     pub fn flow(&mut self, f: FlowSpec) -> usize {
         for (i, &l) in f.path.iter().enumerate() {
             assert!(l < self.caps.len(), "flow references unknown link {l}");
@@ -473,7 +658,17 @@ impl Fluid {
                 "flow path repeats link {l}; paths must be duplicate-free"
             );
         }
-        assert!(f.floor >= 0.0 && f.weight > 0.0);
+        assert!(
+            f.floor >= 0.0 && f.floor.is_finite(),
+            "flow floor must be finite and nonnegative: {}",
+            f.floor
+        );
+        assert!(
+            f.weight > 0.0 && f.weight.is_finite(),
+            "flow weight must be finite and positive: {}",
+            f.weight
+        );
+        assert!(!f.demand.is_nan(), "flow demand must not be NaN");
         self.flows.push(f);
         self.flows.len() - 1
     }
@@ -505,10 +700,14 @@ impl Fluid {
         self.caps[l]
     }
 
-    /// Change the capacity of link `l` (kbps) — fault injection / repair.
-    /// Rates computed before the change are stale; the caller re-solves.
+    /// Change the capacity of link `l` (kbps, finite and nonnegative) —
+    /// fault injection / repair. Rates computed before the change are
+    /// stale; the caller re-solves.
     pub fn set_link_cap(&mut self, l: usize, cap_kbps: f64) {
-        assert!(cap_kbps >= 0.0);
+        assert!(
+            cap_kbps >= 0.0 && cap_kbps.is_finite(),
+            "link capacity must be finite and nonnegative: {cap_kbps}"
+        );
         self.caps[l] = cap_kbps;
     }
 
@@ -539,6 +738,19 @@ impl Fluid {
     /// call; the churn path, [`crate::incremental::IncrementalFluid`],
     /// keeps its layouts and pools its scratch.
     pub fn rates(&self) -> Vec<f64> {
+        let (lay, lflows) = self.layout();
+        let mut scratch = FillScratch::default();
+        self.fill(&lay, &lflows, &mut scratch);
+        debug_assert!(
+            self.is_work_conserving(&scratch.rate),
+            "allocation is not work-conserving"
+        );
+        scratch.rate
+    }
+
+    /// Every flow in index order over every link, laid out for the
+    /// kernel, with the transpose of its paths.
+    fn layout(&self) -> (Layout, Rows) {
         let mut lay = Layout {
             links: (0..self.caps.len() as u32).collect(),
             ..Layout::default()
@@ -549,13 +761,7 @@ impl Fluid {
         let mut lflows = Rows::default();
         lay.paths.transpose_into(lay.links.len(), &mut lflows);
         lay.sum_floors(&lflows, |_| true);
-        let mut scratch = FillScratch::default();
-        self.fill(&lay, &lflows, &mut scratch);
-        debug_assert!(
-            self.is_work_conserving(&scratch.rate),
-            "allocation is not work-conserving"
-        );
-        scratch.rate
+        (lay, lflows)
     }
 
     /// The max-min kernel — the one place progressive filling is
@@ -570,13 +776,39 @@ impl Fluid {
     ///
     /// Phase 1 starts from the layout's floor sums and re-sums only the
     /// rows a scaling touched; every other row holds the same values in
-    /// the same order, so its sum is the same bits. A filling round then
-    /// costs O(live links) — the links that still carry an active flow,
-    /// kept as an ascending list compacted once per round — plus the
-    /// frozen flows' path lengths. A drained link has weight sum exactly
-    /// 0.0, so skipping it changes no value and no tie-break; debug builds
-    /// check every round against the full scan.
+    /// the same order, so its sum is the same bits. Phase 2's rounds run
+    /// one of two ways, chosen by the live links (those still carrying an
+    /// active flow) when it starts, and both give the same bits:
+    ///
+    /// * **Eager**, below `LAZY_FROM` live links: a round scans the live
+    ///   links, kept as an ascending list compacted once per round, for the
+    ///   event, then drains every one of them. It costs O(live links) plus
+    ///   the frozen flows' path lengths. A drained link has weight sum
+    ///   exactly 0.0, so skipping it changes no value and no tie-break;
+    ///   debug builds check every round against the full scan.
+    /// * **Lazy**, from `LAZY_FROM` live links on: a link's residual is
+    ///   drained only when a round reads it, by replaying in order every
+    ///   fill step since its last read (`catch_up`), so it goes through the
+    ///   same float operations, with the same weight sum, as an eager
+    ///   round's. A min-heap holds every live link keyed by the fill level
+    ///   at which it reaches the saturation threshold (`saturation_level`).
+    ///   A round pops the links whose key could beat the best exact ratio
+    ///   read so far, then those that may saturate at the new level, and
+    ///   reads them; a popped link that does not saturate is keyed afresh.
+    ///   The saturated links' flows freeze in ascending link order, as
+    ///   eagerly. A link a freeze touches is caught up before its weight
+    ///   sum changes and keeps its key: a lower weight sum only raises the
+    ///   true level, so the old key stays a lower bound (within `slack`). A round costs its pops and replays plus the frozen
+    ///   flows' path lengths, not the live links. Debug builds drain a
+    ///   shadow of every residual eagerly and check each lazy round's
+    ///   event, step, saturated links and every residual read against it.
     pub(crate) fn fill(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch) {
+        self.fill_with(lay, lflows, s, None);
+    }
+
+    /// [`Fluid::fill`], its rounds lazy if `lazy` says so (`None`: from
+    /// `LAZY_FROM` live links on).
+    fn fill_with(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch, lazy: Option<bool>) {
         let (n, nll) = (lay.flows.len(), lay.links.len());
         let Layout {
             paths,
@@ -596,7 +828,6 @@ impl Fluid {
             wsum,
             wcount,
             live,
-            to_freeze,
             ..
         } = s;
         lcaps.clear();
@@ -657,8 +888,7 @@ impl Fluid {
         // Phase 2: weighted progressive filling of the residual, driven by
         // one fill level. While flow `i` is active its rate is implicitly
         // `rate[i] + weight[i] × fill`; only the freeze event materializes
-        // it, so a round costs O(live links) plus the frozen flows' path
-        // lengths — never a sweep over all flows or all links.
+        // it, so a round never sweeps all flows or all links.
         active.clear();
         active.extend((0..n).map(|i| rate[i] + 1e-9 < demand[i]));
         // Active weight sum and active flow count per link. The count going
@@ -683,7 +913,38 @@ impl Fluid {
         }
         live.clear();
         live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
-        let mut remaining = active.iter().filter(|&&a| a).count();
+        let remaining = active.iter().filter(|&&a| a).count();
+        let fill = if lazy.unwrap_or(live.len() >= LAZY_FROM) {
+            s.lazy_rounds(lay, lflows, remaining)
+        } else {
+            s.eager_rounds(lay, lflows, remaining)
+        };
+        // Flows still active hit no capacitated link and no demand: they
+        // are unbounded in the fluid limit; report the filled level reached
+        // (matches the reference's early exit).
+        for ((r, &a), &w) in s.rate.iter_mut().zip(&s.active).zip(weight) {
+            if a {
+                *r += w * fill;
+            }
+        }
+    }
+}
+
+impl FillScratch {
+    /// Phase 2's rounds, each draining every live link; returns the fill
+    /// level reached.
+    fn eager_rounds(&mut self, lay: &Layout, lflows: &Rows, mut remaining: usize) -> f64 {
+        let FillScratch {
+            rate,
+            active,
+            finite,
+            residual,
+            wsum,
+            wcount,
+            live,
+            to_freeze,
+            ..
+        } = self;
         let mut fill = 0.0f64;
         let (mut rounds, mut link_visits) = (0usize, 0usize);
         while remaining > 0 {
@@ -693,7 +954,6 @@ impl Fluid {
             // they could not have been the event).
             let mut t = f64::INFINITY;
             let mut event_link: Option<usize> = None;
-            let mut event_flow: Option<u32> = None;
             live.retain(|&li| {
                 let li = li as usize;
                 if wcount[li] == 0 {
@@ -714,32 +974,20 @@ impl Fluid {
                 assert!(
                     live.iter()
                         .copied()
-                        .eq((0..nll as u32).filter(|&li| wcount[li as usize] > 0)),
+                        .eq((0..wcount.len() as u32).filter(|&li| wcount[li as usize] > 0)),
                     "live-link list differs from the links with active flows"
                 );
-                let (mut full_t, mut full_link) = (f64::INFINITY, None);
-                for (li, &w) in wsum.iter().enumerate() {
-                    if w > 0.0 && residual[li] / w < full_t {
-                        full_t = residual[li] / w;
-                        full_link = Some(li);
-                    }
-                }
                 assert_eq!(
-                    (full_link, full_t.to_bits()),
+                    full_scan(residual, wsum),
                     (event_link, t.to_bits()),
                     "live-link scan chose another event than the full scan"
                 );
             }
             rounds += 1;
             link_visits += live.len();
-            for &i in finite.iter() {
-                let i = i as usize;
-                let tf = (demand[i] - (rate[i] + weight[i] * fill)) / weight[i];
-                if tf < t {
-                    t = tf;
-                    event_link = None;
-                    event_flow = Some(i as u32);
-                }
+            let event_flow = demand_event(lay, rate, finite, fill, &mut t);
+            if event_flow.is_some() {
+                event_link = None;
             }
             if !t.is_finite() {
                 // Only unconstrained infinite-demand flows remain.
@@ -764,55 +1012,223 @@ impl Fluid {
                     to_freeze.extend(lflows.row(li).iter().filter(|&&i| active[i as usize]));
                 }
             }
-            // Then the event flow, and any finite flow that reached demand.
-            if let Some(i) = event_flow {
-                to_freeze.push(i);
-            }
-            for &i in finite.iter() {
-                let iu = i as usize;
-                if active[iu] && rate[iu] + weight[iu] * fill + 1e-6 >= demand[iu] {
-                    to_freeze.push(i);
-                }
-            }
-            let mut frozen = 0usize;
-            for &i in to_freeze.iter() {
-                let i = i as usize;
-                if !active[i] {
-                    continue; // reachable via several saturated links
-                }
-                active[i] = false;
-                rate[i] = (rate[i] + weight[i] * fill).min(demand[i]);
-                for &li in paths.row(i) {
-                    let li = li as usize;
-                    wsum[li] -= weight[i];
-                    wcount[li] -= 1;
-                    if wcount[li] == 0 {
-                        wsum[li] = 0.0;
-                    }
-                }
-                remaining -= 1;
-                frozen += 1;
-            }
+            queue_demands(lay, fill, event_flow, finite, active, rate, to_freeze);
+            remaining -= freeze(lay, fill, to_freeze, active, rate, wsum, wcount, |_, _| {});
             if !finite.is_empty() {
                 finite.retain(|&i| active[i as usize]);
             }
-            debug_assert!(
-                frozen > 0,
-                "filling round froze no flow: termination invariant broken"
-            );
         }
-        // Flows still active hit no capacitated link and no demand: they
-        // are unbounded in the fluid limit; report the filled level reached
-        // (matches the reference's early exit).
-        for i in 0..n {
-            if active[i] {
-                rate[i] += weight[i] * fill;
-            }
-        }
-        s.rounds = rounds;
-        s.link_visits = link_visits;
+        self.rounds = rounds;
+        self.link_visits = link_visits;
+        fill
     }
 
+    /// Phase 2's rounds, each reading only the links it may act on (see
+    /// [`Fluid::fill`]); returns the fill level reached, bit for bit the
+    /// eager rounds' with the same rates.
+    fn lazy_rounds(&mut self, lay: &Layout, lflows: &Rows, mut remaining: usize) -> f64 {
+        let nll = lay.links.len();
+        let FillScratch {
+            rate,
+            active,
+            finite,
+            residual,
+            wsum,
+            wcount,
+            live,
+            to_freeze,
+            steps,
+            drained,
+            heap,
+            popped,
+            saturated,
+            #[cfg(debug_assertions)]
+            shadow,
+            ..
+        } = self;
+        fit(steps, lay.flows.len() + 1);
+        steps.clear();
+        fit(drained, nll);
+        drained.clear();
+        drained.resize(nll, 0);
+        let mut keys = std::mem::take(heap).into_vec();
+        fit(&mut keys, live.len());
+        keys.clear();
+        keys.extend(live.iter().map(|&li| {
+            let l = li as usize;
+            Reverse(key(saturation_level(residual[l], wsum[l], 0.0), li))
+        }));
+        *heap = BinaryHeap::from(keys);
+        #[cfg(debug_assertions)]
+        {
+            shadow.clear();
+            shadow.extend_from_slice(residual);
+        }
+        let mut fill = 0.0f64;
+        let (mut rounds, mut link_visits) = (0usize, 0usize);
+        while remaining > 0 {
+            // The link event: pop every link whose key could beat the best
+            // exact ratio read so far, and read it.
+            let mut t = f64::INFINITY;
+            let mut event_link: Option<usize> = None;
+            popped.clear();
+            let mut bound = ordered(f64::INFINITY);
+            while let Some(&Reverse(k)) = heap.peek() {
+                if (k >> 32) as u64 >= bound {
+                    break;
+                }
+                heap.pop();
+                link_visits += 1;
+                let li = k as u32 as usize;
+                if wcount[li] == 0 {
+                    continue; // drained by a freeze since it was keyed
+                }
+                catch_up(residual, drained, steps, li, wsum[li]);
+                popped.push(li as u32);
+                let w = wsum[li];
+                if w > 0.0 {
+                    let tl = residual[li] / w;
+                    if tl < t || (tl <= t && event_link.is_some_and(|e| li < e)) {
+                        t = tl;
+                        event_link = Some(li);
+                        // Past this, a key cannot reach a ratio of `t`.
+                        bound = ordered(fill + t + slack(fill + t)).saturating_add(1);
+                    }
+                }
+            }
+            #[cfg(debug_assertions)]
+            {
+                for &li in popped.iter() {
+                    let li = li as usize;
+                    assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
+                }
+                assert_eq!(
+                    full_scan(shadow, wsum),
+                    (event_link, t.to_bits()),
+                    "lazy round chose another event than the eager full scan"
+                );
+            }
+            rounds += 1;
+            let event_flow = demand_event(lay, rate, finite, fill, &mut t);
+            if event_flow.is_some() {
+                event_link = None;
+            }
+            if !t.is_finite() {
+                break;
+            }
+            let t = t.max(0.0);
+            fill += t;
+            steps.push(t);
+            // Saturation: pop every link that may reach the threshold at
+            // the new level; drain the popped links, pin the event's link
+            // at exactly zero, and key again each one that did not
+            // saturate.
+            let bound = ordered(fill + slack(fill));
+            while let Some(&Reverse(k)) = heap.peek() {
+                if (k >> 32) as u64 > bound {
+                    break;
+                }
+                heap.pop();
+                link_visits += 1;
+                if wcount[k as u32 as usize] > 0 {
+                    popped.push(k as u32);
+                }
+            }
+            saturated.clear();
+            for &li in popped.iter() {
+                let l = li as usize;
+                catch_up(residual, drained, steps, l, wsum[l]);
+                if event_link == Some(l) {
+                    residual[l] = 0.0;
+                }
+                if residual[l] <= 1e-6 {
+                    saturated.push(li);
+                } else {
+                    heap.push(Reverse(key(
+                        saturation_level(residual[l], wsum[l], fill),
+                        li,
+                    )));
+                }
+            }
+            saturated.sort_unstable();
+            #[cfg(debug_assertions)]
+            {
+                let mut lazy_sat = saturated.iter();
+                for li in 0..nll {
+                    if wcount[li] > 0 {
+                        if wsum[li] > 0.0 {
+                            shadow[li] -= wsum[li] * t;
+                        }
+                        if event_link == Some(li) {
+                            shadow[li] = 0.0;
+                        }
+                        if shadow[li] <= 1e-6 {
+                            assert_eq!(lazy_sat.next(), Some(&(li as u32)), "unsaturated lazily");
+                        }
+                    }
+                }
+                assert_eq!(lazy_sat.next(), None, "saturated lazily, not eagerly");
+                for &li in popped.iter() {
+                    let li = li as usize;
+                    assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
+                }
+            }
+            // Freeze in the eager order: the saturated links' flows by
+            // ascending link, then the flow events.
+            to_freeze.clear();
+            for &li in saturated.iter() {
+                to_freeze.extend(
+                    lflows
+                        .row(li as usize)
+                        .iter()
+                        .filter(|&&i| active[i as usize]),
+                );
+            }
+            queue_demands(lay, fill, event_flow, finite, active, rate, to_freeze);
+            // A link a freeze touches first this round takes the round's
+            // steps before its weight sum changes.
+            let done = steps.len() as u32;
+            remaining -= freeze(lay, fill, to_freeze, active, rate, wsum, wcount, |li, w| {
+                let li = li as usize;
+                if drained[li] < done {
+                    link_visits += 1;
+                    catch_up(residual, drained, steps, li, w);
+                    #[cfg(debug_assertions)]
+                    {
+                        assert!(
+                            residual[li] > 1e-6,
+                            "link {li} saturated unpopped: the key slack failed"
+                        );
+                        assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
+                    }
+                }
+            });
+            if !finite.is_empty() {
+                finite.retain(|&i| active[i as usize]);
+            }
+        }
+        self.rounds = rounds;
+        self.link_visits = link_visits;
+        fill
+    }
+}
+
+/// The eager event over every link, for debug checks: the first link of
+/// least `residual / wsum` among those with `wsum > 0`, and that ratio's
+/// bits.
+#[cfg(debug_assertions)]
+fn full_scan(residual: &[f64], wsum: &[f64]) -> (Option<usize>, u64) {
+    let (mut t, mut link) = (f64::INFINITY, None);
+    for (li, &w) in wsum.iter().enumerate() {
+        if w > 0.0 && residual[li] / w < t {
+            t = residual[li] / w;
+            link = Some(li);
+        }
+    }
+    (link, t.to_bits())
+}
+
+impl Fluid {
     /// Whether `rates` is work-conserving: no link exceeds its capacity and
     /// every flow with a nonempty path is either demand-capped or crosses a
     /// saturated link (i.e. no flow could be increased without violating a
@@ -839,6 +1255,18 @@ impl Fluid {
     }
 }
 
+#[cfg(test)]
+impl Fluid {
+    /// Solve the whole network with the eager or the lazy rounds (`None`:
+    /// the kernel's choice): the rates, the rounds and the link visits.
+    pub(crate) fn solve_with(&self, lazy: Option<bool>) -> (Vec<f64>, usize, usize) {
+        let (lay, lflows) = self.layout();
+        let mut s = FillScratch::default();
+        self.fill_with(&lay, &lflows, &mut s, lazy);
+        (s.rate, s.rounds, s.link_visits)
+    }
+}
+
 /// Absolute + relative comparison slack for kbps-scale quantities (shared
 /// with the incremental component solver's cached verdicts).
 #[inline]
@@ -853,6 +1281,141 @@ pub(crate) fn tol(magnitude: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A random network of `links` links, from `seed`. Capacities come
+    /// from a short list (equal ratios, so ties must go to the lowest
+    /// link) or are zero; a flow climbs a tree of fan-out 8 from a random
+    /// link, so large networks are one large component; weights are
+    /// log-uniform in [1e-3, 1e6]; a third of the demands are finite;
+    /// floors reach a few hundred kbps, so small links oversubscribe and
+    /// phase 1 scales.
+    fn random_network(links: usize, seed: u64) -> Fluid {
+        let mut rng = proptest::TestRng::new(seed);
+        let mut unit = move || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let caps = [0.0, 1.0, 100.0, 250.0, 1000.0, 1000.0, 4000.0, 1e5];
+        let mut net = Fluid::new();
+        for _ in 0..links {
+            let c = if unit() < 0.75 {
+                caps[(unit() * caps.len() as f64) as usize]
+            } else {
+                (unit() * 1e4).round()
+            };
+            net.link(c);
+        }
+        let flows = links + (unit() * 2.0 * links as f64) as usize;
+        for _ in 0..flows {
+            let mut l = (unit() * links as f64) as usize;
+            let mut path = vec![l];
+            for _ in 0..(unit() * 4.0) as usize {
+                if l == 0 {
+                    break;
+                }
+                l /= 8;
+                path.push(l);
+            }
+            let extra = (unit() * links as f64) as usize;
+            if unit() < 0.3 && !path.contains(&extra) {
+                path.push(extra);
+            }
+            let mut f = FlowSpec::greedy(path);
+            f.weight = 10f64.powf(unit() * 9.0 - 3.0);
+            f.floor = if unit() < 0.5 { 0.0 } else { unit() * 300.0 };
+            if unit() < 1.0 / 3.0 {
+                f.demand = unit() * 600.0;
+            }
+            net.flow(f);
+        }
+        net
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Eager and lazy rounds on the same layout: bit-equal rates and
+        /// the same number of rounds, on both sides of `LAZY_FROM`; the
+        /// kernel's own choice agrees with both.
+        #[test]
+        fn lazy_rounds_match_eager_rounds_bit_for_bit(
+            links in prop::sample::select(vec![1usize, 2, 3, 8, 40, 300, 1023, 1024, 1800, 3000]),
+            seed in any::<u64>(),
+        ) {
+            let net = random_network(links, seed);
+            let (eager, eager_rounds, _) = net.solve_with(Some(false));
+            let (lazy, lazy_rounds, _) = net.solve_with(Some(true));
+            prop_assert_eq!(bits(&eager), bits(&lazy), "{} links, seed {}", links, seed);
+            prop_assert_eq!(eager_rounds, lazy_rounds);
+            prop_assert_eq!(bits(&net.solve_with(None).0), bits(&eager));
+        }
+    }
+
+    /// A link whose weight sum cancels to 0.0 while it still carries an
+    /// active flow: `1e17 + 1` rounds to `1e17`, so when the heavy flow
+    /// freezes (its private link saturates first) the shared link keeps
+    /// the light flow at weight sum 0.0. It never drains and is never the
+    /// event; both round loops must agree, and the light flow still fills
+    /// its own link.
+    #[test]
+    fn a_cancelled_weight_sum_agrees_eagerly_and_lazily() {
+        let mut net = Fluid::new();
+        let (private, shared, own) = (net.link(10.0), net.link(1000.0), net.link(500.0));
+        let mut heavy = FlowSpec::greedy(vec![private, shared]);
+        heavy.weight = 1e17;
+        net.flow(heavy);
+        net.flow(FlowSpec::greedy(vec![shared, own]));
+        let (eager, eager_rounds, _) = net.solve_with(Some(false));
+        let (lazy, lazy_rounds, _) = net.solve_with(Some(true));
+        assert_eq!(bits(&eager), bits(&lazy));
+        assert_eq!((eager_rounds, lazy_rounds), (2, 2));
+        assert!((eager[0] - 10.0).abs() < 1e-9, "{eager:?}");
+        assert!((eager[1] - 500.0).abs() < 1e-9, "{eager:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "link capacity must be finite")]
+    fn an_infinite_link_capacity_is_rejected() {
+        Fluid::new().link(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "link capacity must be finite")]
+    fn an_infinite_capacity_change_is_rejected() {
+        let mut net = Fluid::new();
+        let l = net.link(100.0);
+        net.set_link_cap(l, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow weight must be finite")]
+    fn an_infinite_weight_is_rejected() {
+        let mut net = Fluid::new();
+        let l = net.link(100.0);
+        let mut f = FlowSpec::greedy(vec![l]);
+        f.weight = f64::INFINITY;
+        net.flow(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow floor must be finite")]
+    fn an_infinite_floor_is_rejected() {
+        let mut net = Fluid::new();
+        let l = net.link(100.0);
+        net.flow(FlowSpec::greedy(vec![l]).with_guarantee(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow demand must not be NaN")]
+    fn a_nan_demand_is_rejected() {
+        let mut net = Fluid::new();
+        let l = net.link(100.0);
+        let mut f = FlowSpec::greedy(vec![l]);
+        f.demand = f64::NAN;
+        net.flow(f);
+    }
 
     #[test]
     fn single_link_equal_split() {

@@ -33,14 +33,17 @@
 //!   with ascending links. A component whose flows did not change (a
 //!   capacity change alone) comes through the patch as it was.
 //! * **Localized rounds.** Even an all-dirty step is far cheaper than one
-//!   global [`Fluid::rates`] call: each progressive-filling round visits
-//!   only the component's links that still carry an active flow, never
-//!   every link in the network, so total cost is at most
-//!   `Σ_c rounds_c × links_c` instead of `rounds_total × links_total` —
-//!   orders of magnitude less on a fat-tree where placement keeps tenants
-//!   in rack/pod-scoped components, and well under it inside one giant
-//!   component, whose server links drain early. [`SolveStats`] counts the
-//!   rounds and the link visits.
+//!   global [`Fluid::rates`] call: each progressive-filling round reads
+//!   only links of the component it solves, never every link in the
+//!   network, so total cost is at most `Σ_c rounds_c × links_c` instead
+//!   of `rounds_total × links_total` — orders of magnitude less on a
+//!   fat-tree where placement keeps tenants in rack/pod-scoped
+//!   components. A small component's round scans the links that still
+//!   carry an active flow. A giant one's round (from 1,024 such links)
+//!   drains lazily: it reads only the links a heap says may be its event
+//!   or saturate, and those its freezes touch, with every rate the same
+//!   bits (see [`crate::fluid`]). [`SolveStats`] counts the rounds and
+//!   the link visits.
 //!
 //! ## What is cached, and why each cache is exact
 //!
@@ -109,10 +112,12 @@ pub struct SolveStats {
     /// components; each round freezes at least one flow, so this is at
     /// most the number of flows re-solved.
     pub fill_rounds: usize,
-    /// Σ over those rounds of the links still carrying an active flow: the
-    /// links a round visits. At most `fill_rounds` × the dirty components'
-    /// links, and below it as soon as some link drains before the last
-    /// round. Like every field here, a deterministic count.
+    /// Σ over those rounds of the links a round reads. An eager round (a
+    /// component of fewer than 1,024 links carrying an active flow) reads
+    /// every such link; a lazy round reads the links it pops from its heap
+    /// and the links its freezes touch first. At most `fill_rounds` × the
+    /// dirty components' links. Like every field here, a deterministic
+    /// count.
     pub link_visits: usize,
     /// Flow specs the solve read: the flows added since the last solve.
     /// Every other flow of a dirty component comes from its stored layout.
@@ -1422,6 +1427,55 @@ mod tests {
         // A clean solve runs no round.
         let s = inc.solve();
         assert_eq!((s.fill_rounds, s.link_visits), (0, 0));
+    }
+
+    /// Over `LAZY_FROM` live links the kernel's rounds run lazily: exactly
+    /// as many rounds as the eager loop, reading a tenth of its links or
+    /// fewer. One component of 1,168 links — 1,024 server links of
+    /// distinct capacities under 128 ToR uplinks under 16 pod uplinks —
+    /// carrying 2,000 flows between servers under different ToRs: the
+    /// server links saturate one or two a round while the rest stay live.
+    #[test]
+    fn lazy_rounds_run_the_eager_rounds_on_a_tenth_of_the_link_visits() {
+        let caps: Vec<f64> = (0..1168)
+            .map(|l| match l {
+                0..1024 => 500.0 + (l * 7919 % 1024) as f64,
+                1024..1152 => 20000.0 + (l % 5) as f64 * 250.0,
+                _ => 80000.0,
+            })
+            .collect();
+        let (mut inc, mut net) = nets(&caps);
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let mut ids = Vec::new();
+        for seq in 0..2000 {
+            let a = next(1024);
+            let b = ((a / 8 + 1 + next(127)) % 128) * 8 + next(8);
+            let (ta, tb) = (1024 + a / 8, 1024 + b / 8);
+            let mut path = vec![a, b, ta, tb];
+            if (ta - 1024) / 8 != (tb - 1024) / 8 {
+                path.extend([1152 + (ta - 1024) / 8, 1152 + (tb - 1024) / 8]);
+            }
+            let spec = FlowSpec::greedy(path).with_guarantee(1.0 + next(40) as f64);
+            net.flow(spec.clone());
+            ids.push(inc.add_flow(spec, (1, seq)));
+        }
+        let s = inc.solve();
+        assert_eq!((s.components_dirty, s.components_total), (1, 1));
+        let (rates, rounds, visits) = net.solve_with(Some(false));
+        assert_eq!(s.fill_rounds, rounds, "{s:?}");
+        assert!(
+            10 * s.link_visits < visits,
+            "{s:?} against {visits} eager visits"
+        );
+        for (seq, (&id, &want)) in ids.iter().zip(&rates).enumerate() {
+            assert_eq!(inc.rate_of(id).to_bits(), want.to_bits(), "flow {seq}");
+        }
     }
 
     #[test]

@@ -128,3 +128,56 @@ fn steady_state_solves_allocate_nothing() {
         assert_eq!(cycle(&mut inc), 0, "steady-state cycle {k} allocated");
     }
 }
+
+/// The same above the kernel's lazy-round crossover (1,024 live links): a
+/// star of 1,200 links, a hub under 1,199 spokes of distinct capacities,
+/// one flow per spoke through the hub. A round saturates one spoke, so
+/// the kernel's fill-step history grows to over a thousand steps and its
+/// heap holds every spoke.
+#[test]
+fn steady_state_lazy_solves_allocate_nothing() {
+    const SPOKES: usize = 1199;
+    let mut net = Fluid::new();
+    let hub = net.link(1e9);
+    for k in 0..SPOKES {
+        net.link(500.0 + (k * 7919 % SPOKES) as f64);
+    }
+    let mut inc = IncrementalFluid::new(net);
+    let spec = |k: usize| FlowSpec::greedy(vec![1 + k, hub]).with_guarantee(1.0 + (k % 13) as f64);
+    let mut ids: Vec<u32> = (0..SPOKES)
+        .map(|k| inc.add_flow(spec(k), (1, k as u32)))
+        .collect();
+
+    // One churn cycle: a flow leaves and comes back, and a spoke is halved
+    // and restored. Returns the allocations its solves made.
+    let mut cycle = |inc: &mut IncrementalFluid| {
+        let mut allocated = 0;
+        let mut solve = |inc: &mut IncrementalFluid| {
+            let before = allocations();
+            let stats = inc.solve();
+            allocated += allocations() - before;
+            assert!(inc.is_work_conserving());
+            // Lazy rounds read a few links each; eager ones would read
+            // every live spoke.
+            assert!(
+                stats.fill_rounds >= 1000 && stats.link_visits < 8 * stats.fill_rounds,
+                "{stats:?}"
+            );
+            stats
+        };
+        inc.remove_flow(ids[600]);
+        solve(inc);
+        ids[600] = inc.add_flow(spec(600), (1, 600));
+        solve(inc);
+        inc.set_link_cap(1 + 300, 250.0);
+        solve(inc);
+        inc.set_link_cap(1 + 300, 500.0 + (300 * 7919 % SPOKES) as f64);
+        solve(inc);
+        allocated
+    };
+    let warm_up: u64 = (0..2).map(|_| cycle(&mut inc)).sum();
+    assert!(warm_up > 0, "the first solves size the scratch pools");
+    for k in 0..5 {
+        assert_eq!(cycle(&mut inc), 0, "steady-state cycle {k} allocated");
+    }
+}
