@@ -298,10 +298,37 @@ struct TenantEntry {
     tag: Arc<Tag>,
     deployed: Deployed,
     /// Placement version, bumped on every successful placement-changing
-    /// operation (scale, resize, migrate). The embedded traffic engine
-    /// diffs these to find the dirty set — tenants whose cached flow
-    /// state must be re-expanded.
+    /// operation (scale, resize, migrate, evacuation, repair). The
+    /// embedded traffic engine re-expands a queued tenant only if its
+    /// cached expansion is at another version.
     version: u64,
+    /// Whether the tenant's id is in the engine's dirty list
+    /// ([`TrafficSync::dirty`]), so the list holds it once.
+    queued: Cell<bool>,
+}
+
+/// The embedded traffic engine plus what the registry and the substrate
+/// did since it last synced.
+struct TrafficSync {
+    engine: TrafficEngine,
+    /// Ids of the tenants a registry mutation touched since the last sync
+    /// (admitted, departed, scaled, resized, migrated, evacuated or
+    /// repaired), each once, in touch order.
+    dirty: Vec<u64>,
+    /// Nodes whose uplink capacity a fault or repair may have moved since
+    /// the last sync.
+    faulted: Vec<NodeId>,
+    /// The cluster's `fault_epoch` the engine last synced at.
+    fault_epoch: u64,
+}
+
+impl TrafficSync {
+    /// Queue `id` for the next sync unless it is queued already.
+    fn touch(&mut self, id: TenantId, queued: &Cell<bool>) {
+        if !queued.replace(true) {
+            self.dirty.push(id.raw());
+        }
+    }
 }
 
 /// The unified tenant-lifecycle controller (see the [module docs](self)).
@@ -315,18 +342,18 @@ pub struct Cluster<P: Placer> {
     faults: BTreeMap<TenantId, FaultRecord>,
     /// Bumped by every [`Cluster::inject_fault`] / [`Cluster::repair`]
     /// that changed the substrate (a server failed or came back, or an
-    /// uplink's capacity moved); the embedded traffic engine diffs it to
-    /// re-sync link capacities.
+    /// uplink's capacity moved); when it moved, the embedded traffic
+    /// engine re-reads the capacities of the uplinks queued since.
     fault_epoch: u64,
     guarantee_model: GuaranteeModel,
     /// Persistent incremental traffic engine, built lazily on the first
-    /// traffic query and kept in sync via tenant version diffing.
-    /// `RefCell` keeps the traffic queries `&self` (they are logically
-    /// reads; the engine mutation is cache maintenance) — the `Cluster`
-    /// is a single-threaded controller, so losing `Sync` costs nothing.
-    traffic: RefCell<Option<TrafficEngine>>,
-    /// The `fault_epoch` the engine's link capacities last reflected.
-    traffic_fault_epoch: Cell<u64>,
+    /// traffic query. While it exists, every registry mutation queues the
+    /// tenants it touched and every fault the uplink it moved, and the
+    /// next query syncs exactly those. `RefCell` keeps the traffic
+    /// queries `&self` (they are logically reads; the engine mutation is
+    /// cache maintenance) — the `Cluster` is a single-threaded
+    /// controller, so losing `Sync` costs nothing.
+    traffic: RefCell<Option<TrafficSync>>,
 }
 
 impl<P: Placer> Cluster<P> {
@@ -348,7 +375,6 @@ impl<P: Placer> Cluster<P> {
             fault_epoch: 0,
             guarantee_model: GuaranteeModel::Tag,
             traffic: RefCell::new(None),
-            traffic_fault_epoch: Cell::new(0),
         }
     }
 
@@ -378,14 +404,16 @@ impl<P: Placer> Cluster<P> {
         let deployed = self.placer.place_shared(&mut self.topo, &tag)?;
         let id = TenantId(self.next_id);
         self.next_id += 1;
-        self.tenants.insert(
-            id,
-            TenantEntry {
-                tag: Arc::clone(&tag),
-                deployed,
-                version: 1,
-            },
-        );
+        let entry = TenantEntry {
+            tag: Arc::clone(&tag),
+            deployed,
+            version: 1,
+            queued: Cell::new(false),
+        };
+        if let Some(sync) = self.traffic.get_mut() {
+            sync.touch(id, &entry.queued);
+        }
+        self.tenants.insert(id, entry);
         Ok(TenantHandle { id, tag })
     }
 
@@ -393,6 +421,9 @@ impl<P: Placer> Cluster<P> {
     /// becomes invalid; it is never reused.
     pub fn depart(&mut self, id: TenantId) -> Result<(), CmError> {
         let entry = self.tenants.remove(&id).ok_or(CmError::UnknownTenant(id))?;
+        if let Some(sync) = self.traffic.get_mut() {
+            sync.touch(id, &entry.queued);
+        }
         self.faults.remove(&id);
         entry.deployed.release(&mut self.topo);
         Ok(())
@@ -426,6 +457,9 @@ impl<P: Placer> Cluster<P> {
             }
         };
         resize_entry(&mut self.topo, &mut self.placer, entry, tier, target)?;
+        if let Some(sync) = self.traffic.get_mut() {
+            sync.touch(id, &entry.queued);
+        }
         Ok(target)
     }
 
@@ -450,7 +484,11 @@ impl<P: Placer> Cluster<P> {
                 delta: -(entry.tag.tier(tier).size as i64),
             });
         }
-        resize_entry(&mut self.topo, &mut self.placer, entry, tier, new_size)
+        resize_entry(&mut self.topo, &mut self.placer, entry, tier, new_size)?;
+        if let Some(sync) = self.traffic.get_mut() {
+            sync.touch(id, &entry.queued);
+        }
+        Ok(())
     }
 
     /// Re-place the tenant from scratch with the placer's current view of
@@ -476,6 +514,9 @@ impl<P: Placer> Cluster<P> {
             &entry.tag,
         )?;
         entry.version += 1;
+        if let Some(sync) = self.traffic.get_mut() {
+            sync.touch(id, &entry.queued);
+        }
         Ok(())
     }
 
@@ -484,7 +525,11 @@ impl<P: Placer> Cluster<P> {
     pub fn release_all(&mut self) {
         let tenants = std::mem::take(&mut self.tenants);
         self.faults.clear();
-        for (_, entry) in tenants {
+        let mut sync = self.traffic.get_mut().as_mut();
+        for (id, entry) in tenants {
+            if let Some(sync) = sync.as_deref_mut() {
+                sync.touch(id, &entry.queued);
+            }
             entry.deployed.release(&mut self.topo);
         }
     }
@@ -538,6 +583,7 @@ impl<P: Placer> Cluster<P> {
             }
         };
         self.bump_fault_epoch(!failed_servers.is_empty(), caps_before, fault);
+        let mut sync = self.traffic.get_mut().as_mut();
         let mut tenants = Vec::new();
         if !failed_servers.is_empty() {
             for (&id, entry) in self.tenants.iter_mut() {
@@ -554,6 +600,9 @@ impl<P: Placer> Cluster<P> {
                     entry.tag = s.model_arc();
                 }
                 entry.version += 1;
+                if let Some(sync) = sync.as_deref_mut() {
+                    sync.touch(id, &entry.queued);
+                }
                 let record = self.faults.entry(id).or_insert(FaultRecord {
                     pre_fault_tag: pre,
                     evicted: false,
@@ -643,10 +692,18 @@ impl<P: Placer> Cluster<P> {
 
     /// Move `fault_epoch` if the substrate changed: a server failed or
     /// came back (`servers`), or the faulted uplink's capacity moved from
-    /// `caps_before`.
+    /// `caps_before` — then the engine, if one exists, queues that uplink's
+    /// node for its next capacity sync.
     fn bump_fault_epoch(&mut self, servers: bool, caps_before: Option<(Kbps, Kbps)>, fault: Fault) {
-        if servers || self.faulted_uplink(fault) != caps_before {
+        let moved = self.faulted_uplink(fault) != caps_before;
+        if servers || moved {
             self.fault_epoch += 1;
+        }
+        // Only a domain or link fault moves an uplink's capacity.
+        if let (true, Some(sync), Fault::Domain(n) | Fault::DegradeLink { node: n, .. }) =
+            (moved, self.traffic.get_mut(), fault)
+        {
+            sync.faulted.push(n);
         }
     }
 
@@ -674,6 +731,11 @@ impl<P: Placer> Cluster<P> {
             .tenants
             .get_mut(&id)
             .ok_or(CmError::UnknownTenant(id))?;
+        // Queued whatever the outcome: a failed tier-by-tier regrowth keeps
+        // the tiers it regrew.
+        if let Some(sync) = self.traffic.get_mut() {
+            sync.touch(id, &entry.queued);
+        }
         if evicted || entry.deployed.total_placed(&self.topo) == 0 {
             let deployed = self
                 .placer
@@ -870,28 +932,83 @@ impl<P: Placer> Cluster<P> {
     }
 
     /// Bring the embedded engine in sync with the live registry: create it
-    /// on first use, switch its guarantee model, re-sync link capacities
-    /// if a fault or repair landed since the last query, drop departed
-    /// tenants, and re-expand exactly the tenants whose placement version
-    /// moved.
+    /// on first use, switch its guarantee model, re-read the capacities of
+    /// the uplinks a fault or repair moved since the last query, drop the
+    /// queued tenants that departed and re-expand the queued tenants whose
+    /// placement version moved — both in ascending id order, reading no
+    /// registry entry that was not queued. An engine just built or just
+    /// switched to another model holds no tenant and expands every live
+    /// one. Debug builds check the queue against a full merge of the
+    /// registry with the engine's cache.
     fn sync_traffic_engine(&self, model: GuaranteeModel) -> RefMut<'_, TrafficEngine> {
-        let mut engine = RefMut::map(self.traffic.borrow_mut(), |s| {
-            s.get_or_insert_with(|| TrafficEngine::new(&self.topo, model))
-        });
+        RefMut::map(self.traffic.borrow_mut(), |slot| {
+            let fresh = slot.is_none();
+            let sync = slot.get_or_insert_with(|| TrafficSync {
+                engine: TrafficEngine::new(&self.topo, model),
+                dirty: Vec::new(),
+                faulted: Vec::new(),
+                fault_epoch: self.fault_epoch,
+            });
+            self.sync_traffic(sync, model, fresh);
+            &mut sync.engine
+        })
+    }
+
+    /// The body of [`Cluster::sync_traffic_engine`], on the engine and its
+    /// queues (`fresh`: the engine was just built).
+    fn sync_traffic(&self, sync: &mut TrafficSync, model: GuaranteeModel, fresh: bool) {
+        let engine = &mut sync.engine;
+        let rebuilt = fresh || engine.model() != model;
         engine.set_model(model);
-        if self.traffic_fault_epoch.get() != self.fault_epoch {
+        if sync.fault_epoch != self.fault_epoch {
             // Degraded/restored uplinks shrink/restore their fluid
             // sub-links in place, dirtying only the components they carry
-            // (a freshly built engine read the current caps already and
-            // syncs zero links).
-            engine.sync_link_caps(&self.topo);
-            self.traffic_fault_epoch.set(self.fault_epoch);
+            // (a freshly built engine read the current caps already).
+            engine.sync_link_caps(&self.topo, &sync.faulted);
+            sync.faulted.clear();
+            sync.fault_epoch = self.fault_epoch;
         }
-        // The registry and the engine's cache are both id-ordered: one
-        // merge finds the departed (cached only) and the new or moved
-        // (missing, or cached at another version).
+        // `queued` keeps each id in the list once: sorting suffices.
+        let dirty = &mut sync.dirty;
+        dirty.sort_unstable();
+        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "id queued twice");
+        let entry_of = |id: u64| self.tenants.get(&TenantId(id));
+        if rebuilt {
+            for entry in dirty.iter().filter_map(|&id| entry_of(id)) {
+                entry.queued.set(false);
+            }
+            for (&id, entry) in &self.tenants {
+                let placement = entry.deployed.placement(&self.topo);
+                engine.upsert_tenant(&self.topo, id.raw(), entry.version, &entry.tag, &placement);
+            }
+        } else {
+            #[cfg(debug_assertions)]
+            self.assert_dirty_list_complete(engine, dirty);
+            for &id in dirty.iter().filter(|&&id| entry_of(id).is_none()) {
+                engine.remove_tenant(id);
+            }
+            for &id in dirty.iter() {
+                let Some(entry) = entry_of(id) else {
+                    continue;
+                };
+                entry.queued.set(false);
+                if engine.version_of(id) != Some(entry.version) {
+                    let placement = entry.deployed.placement(&self.topo);
+                    engine.upsert_tenant(&self.topo, id, entry.version, &entry.tag, &placement);
+                }
+            }
+        }
+        dirty.clear();
+    }
+
+    /// The departed and stale tenants a full merge of the registry with
+    /// the engine's cache finds must be exactly those of the (sorted)
+    /// dirty list: a registry mutation that changed a tenant without
+    /// queueing it would leave the engine stale.
+    #[cfg(debug_assertions)]
+    fn assert_dirty_list_complete(&self, engine: &TrafficEngine, dirty: &[u64]) {
         let mut departed: Vec<u64> = Vec::new();
-        let mut stale: Vec<(TenantId, &TenantEntry)> = Vec::new();
+        let mut stale: Vec<u64> = Vec::new();
         let mut cached = engine.versions().peekable();
         for (&id, entry) in &self.tenants {
             while let Some(&(old, _)) = cached.peek().filter(|c| c.0 < id.raw()) {
@@ -900,18 +1017,28 @@ impl<P: Placer> Cluster<P> {
             }
             if cached.next_if_eq(&(id.raw(), entry.version)).is_none() {
                 cached.next_if(|c| c.0 == id.raw());
-                stale.push((id, entry));
+                stale.push(id.raw());
             }
         }
         departed.extend(cached.map(|c| c.0));
-        if !departed.is_empty() {
-            engine.retain_tenants(|id| departed.binary_search(&id).is_err());
-        }
-        for (id, entry) in stale {
-            let placement = entry.deployed.placement(&self.topo);
-            engine.upsert_tenant(&self.topo, id.raw(), entry.version, &entry.tag, &placement);
-        }
-        engine
+        let queued_departed: Vec<u64> = dirty
+            .iter()
+            .copied()
+            .filter(|&id| {
+                !self.tenants.contains_key(&TenantId(id)) && engine.version_of(id).is_some()
+            })
+            .collect();
+        let queued_stale: Vec<u64> = dirty
+            .iter()
+            .copied()
+            .filter(|&id| {
+                self.tenants
+                    .get(&TenantId(id))
+                    .is_some_and(|e| engine.version_of(id) != Some(e.version))
+            })
+            .collect();
+        assert_eq!(queued_departed, departed, "departed tenants not queued");
+        assert_eq!(queued_stale, stale, "stale tenants not queued");
     }
 
     /// [`Cluster::traffic_report`] with explicit instantaneous

@@ -15,7 +15,10 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Reusable working state of the placement hot path, so steady-state
-/// admission performs no heap allocation of its own:
+/// admission keeps nothing on the heap but the deployment it returns
+/// (`crates/core/tests/admission_allocations.rs` pins it). It still
+/// allocates within the call: the reservation transaction's undo log is
+/// built and freed per attempt, and the deployment's own maps grow.
 ///
 /// * buffer pools — every temporary the recursive `Alloc`/`Colocate`/
 ///   `Balance` machinery needs (child orderings, `need` vectors, subset-sum

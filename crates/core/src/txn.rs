@@ -170,12 +170,15 @@ impl<'a, M: CutModel> ReservationTxn<'a, M> {
     /// unwound, leaving the transaction where it was.
     pub fn sync_path_to_root(&mut self, node: NodeId) -> Result<(), TopologyError> {
         let sp = self.savepoint();
-        let path: Vec<NodeId> = self.topo.path_to_root(node).collect();
-        for n in path {
+        // Walked parent by parent: collecting the path first would put a
+        // heap allocation on every admission.
+        let mut next = Some(node);
+        while let Some(n) = next {
             if let Err(e) = self.sync_uplink(n) {
                 self.rollback_to(sp);
                 return Err(e);
             }
+            next = self.topo.parent(n);
         }
         Ok(())
     }

@@ -14,6 +14,7 @@
 
 use cm_core::model::TierId;
 use cm_topology::NodeId;
+use std::sync::Arc;
 
 /// Expand a per-server placement (`(server, VMs per tier)`, the shape
 /// `Deployed::placement` returns) into per-VM `(tier, server)`
@@ -102,8 +103,11 @@ pub struct LevelUtilization {
 /// Everything one datacenter solve produces.
 #[derive(Debug, Clone)]
 pub struct TrafficReport {
-    /// Per-tenant compliance summaries, ascending by tenant id.
-    pub tenants: Vec<TenantSummary>,
+    /// Per-tenant compliance summaries, ascending by tenant id. Shared:
+    /// a [`crate::TrafficEngine`] hands out its own summary vector, which
+    /// it copies on its next change only while this report still holds
+    /// it (read it as a slice).
+    pub tenants: Arc<Vec<TenantSummary>>,
     /// Every active pair with its floor, intent and achieved rate.
     pub flows: Vec<PairFlow>,
     /// Link utilization aggregated per tree level.

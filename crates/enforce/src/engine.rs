@@ -50,24 +50,30 @@
 //! it covers — never a float `+= delta` — so a churned engine and a fresh
 //! one hold the same bits:
 //!
-//! * **Tenant summaries.** Each tenant keeps its [`TenantSummary`]. It is
-//!   re-scored when the solver lists the tenant among
-//!   [`IncrementalFluid::resolved_keys`] (one of its flows was in a
-//!   re-solved component; a tenant not listed kept every rate verbatim)
-//!   and initialised at expansion (which is final for a tenant with no
-//!   cross-server flow). The report's `tenants` and its totals are one
-//!   id-ordered fold over the cached summaries.
+//! * **Tenant summaries.** The engine keeps one id-ordered vector of
+//!   [`TenantSummary`], one entry per cached tenant: inserted or replaced
+//!   at expansion (which is final for a tenant with no cross-server flow),
+//!   removed on departure, and re-scored in place when the solver lists
+//!   the tenant among [`IncrementalFluid::resolved_keys`] (one of its
+//!   flows was in a re-solved component; a tenant not listed kept every
+//!   rate verbatim). The report's `tenants` is that vector, shared
+//!   copy-on-write: a step copies it only if the caller still holds the
+//!   previous report. The integer totals (cross and colocated pairs,
+//!   violations) are exact ± counters; `total_rate_kbps` is one id-ordered
+//!   fold over the vector — the only pass over every live tenant a step
+//!   makes.
 //! * **Link usage and work conservation** are the solver's (see
 //!   [`crate::incremental`]): usage per link, and the verdict as two
 //!   integer counters.
-//! * **Level utilisation.** Links are cut into fixed blocks of
-//!   256 consecutive ids (`UTIL_BLOCK`); each block keeps, per tree level,
-//!   `(Σ util, max, saturated)`. A block is
-//!   recomputed when it holds one of
+//! * **Level utilisation.** A fixed-shape fold tree keeps, per tree level,
+//!   `(Σ util, max, saturated)`: its leaves are blocks of `UTIL_BLOCK`
+//!   consecutive link ids, and each inner node folds `UTIL_FANOUT`
+//!   consecutive nodes of the layer below, up to one root holding the
+//!   totals. A step recomputes the leaves holding one of
 //!   [`IncrementalFluid::changed_links`] (usage or capacity may have
-//!   moved; every other block's inputs are unchanged), then all blocks
-//!   are folded in order. The association is fixed by the link layout,
-//!   not by history.
+//!   moved; every other leaf's inputs are unchanged), then their
+//!   ancestors, each node whole from its children. The association is
+//!   fixed by the link layout, not by history.
 //!
 //! Debug builds recompute all of the above from scratch after every solve
 //! and assert bit-equality ([`TrafficEngine::solve`] pays nothing for it
@@ -92,11 +98,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Consecutive fluid links per utilisation block (see the
-/// [module docs](self)): small enough that a rack-scoped step refreshes a
-/// handful of blocks, large enough that folding all of them is ~1k adds
-/// per level at 131k servers.
-const UTIL_BLOCK: usize = 256;
+/// Consecutive fluid links per leaf of the utilisation fold tree (see the
+/// [module docs](self)): a rack-scoped step refreshes a handful of
+/// leaves, each a short scan.
+const UTIL_BLOCK: usize = 32;
+
+/// Children per inner node of the utilisation fold tree: at 131k servers
+/// (266,304 links, 8,322 leaves) the tree has four layers, so a changed
+/// leaf refolds at most three ancestors of up to 32 children each.
+const UTIL_FANOUT: usize = 32;
 
 /// One bundled flow class: every `(src VM, dst VM)` pair of one TAG edge
 /// between one ordered server pair. All members share floor, intent, route
@@ -149,7 +159,8 @@ impl CoClass {
     }
 }
 
-/// Cached expanded/routed state of one tenant.
+/// Cached expanded/routed state of one tenant. Its line of the report
+/// lives in the engine's summary vector.
 #[derive(Debug, Clone)]
 struct EngineTenant {
     /// Placement version this expansion reflects.
@@ -157,9 +168,6 @@ struct EngineTenant {
     colocated_pairs: usize,
     bundles: Vec<Bundle>,
     colocated: Vec<CoClass>,
-    /// The tenant's line of the report: placement-derived fields fixed at
-    /// expansion, rate-derived fields as of the last re-score.
-    summary: TenantSummary,
 }
 
 impl EngineTenant {
@@ -171,15 +179,13 @@ impl EngineTenant {
         self.bundles.iter().map(move |b| (b, net.rate_of(b.flow)))
     }
 
-    /// The tenant's summary scored against the solver's current rates,
-    /// recovering per-pair rates as aggregate / members.
-    fn scored(&self, net: &IncrementalFluid) -> TenantSummary {
-        let mut summary = TenantSummary {
-            achieved_kbps: 0.0,
-            violations: 0,
-            worst_shortfall_kbps: 0.0,
-            ..self.summary.clone()
-        };
+    /// Re-score the tenant's `summary` against the solver's current rates,
+    /// recovering per-pair rates as aggregate / members. The
+    /// placement-derived fields, fixed at expansion, are kept.
+    fn score(&self, net: &IncrementalFluid, summary: &mut TenantSummary) {
+        summary.achieved_kbps = 0.0;
+        summary.violations = 0;
+        summary.worst_shortfall_kbps = 0.0;
         for (b, aggregate) in self.bundle_rates(net) {
             let m = b.members();
             let per_pair = aggregate / m as f64;
@@ -190,13 +196,11 @@ impl EngineTenant {
                     summary.worst_shortfall_kbps.max(b.intent - per_pair);
             }
         }
-        summary
     }
 
-    /// Append every VM pair of the tenant with its current rate (the
+    /// Append every VM pair of tenant `id` with its current rate (the
     /// `solve_detailed` path; O(pairs) by definition).
-    fn pair_flows(&self, net: &IncrementalFluid, flows: &mut Vec<PairFlow>) {
-        let id = self.summary.id;
+    fn pair_flows(&self, id: u64, net: &IncrementalFluid, flows: &mut Vec<PairFlow>) {
         for c in &self.colocated {
             for s in c.src..c.src + c.src_cnt {
                 for d in c.dst..c.dst + c.dst_cnt {
@@ -256,6 +260,145 @@ impl UtilAgg {
     }
 }
 
+/// Level utilisation as a fixed-shape fold tree (see the
+/// [module docs](self)). Every node is a pure function of the links below
+/// it, recomputed whole, so the tree's bits depend on the current usages
+/// and capacities only.
+#[derive(Debug)]
+struct UtilTree {
+    /// Links per tree level: static, and the stride of every node.
+    links: Vec<usize>,
+    /// `layers[0]` has one node per block of `UTIL_BLOCK` consecutive
+    /// links; each node of `layers[i + 1]` folds `UTIL_FANOUT` consecutive
+    /// nodes of `layers[i]`; the last layer is the root alone. Node-major,
+    /// one entry per level.
+    layers: Vec<Vec<UtilAgg>>,
+    /// Pooled ids of one layer's nodes a step recomputes.
+    stale: Vec<u32>,
+}
+
+impl UtilTree {
+    /// The tree of an idle network over `route`'s links: every node
+    /// all-zero.
+    fn new(route: &RouteCache, num_links: usize, num_levels: usize) -> Self {
+        // Every level but the root's owns uplinks.
+        let mut links = vec![0usize; num_levels - 1];
+        for l in 0..num_links {
+            links[route.link_level(l) as usize] += 1;
+        }
+        let mut nodes = num_links.div_ceil(UTIL_BLOCK).max(1);
+        let mut layers = vec![vec![UtilAgg::default(); nodes * links.len()]];
+        while nodes > 1 {
+            nodes = nodes.div_ceil(UTIL_FANOUT);
+            layers.push(vec![UtilAgg::default(); nodes * links.len()]);
+        }
+        UtilTree {
+            links,
+            layers,
+            stale: Vec::new(),
+        }
+    }
+
+    /// Every usage is zero again: so is every node.
+    fn clear(&mut self) {
+        for layer in &mut self.layers {
+            layer.fill(UtilAgg::default());
+        }
+    }
+
+    /// Recompute the leaves holding a link of `changed`, then their
+    /// ancestors, layer by layer.
+    fn refresh(&mut self, route: &RouteCache, fluid: &Fluid, used: &[f64], changed: &[u32]) {
+        let stride = self.links.len();
+        self.stale.clear();
+        self.stale
+            .extend(changed.iter().map(|&l| l / UTIL_BLOCK as u32));
+        self.stale.sort_unstable();
+        self.stale.dedup();
+        for &b in &self.stale {
+            let b = b as usize;
+            let out = &mut self.layers[0][b * stride..(b + 1) * stride];
+            aggregate_block(route, fluid, used, b, out);
+        }
+        for i in 1..self.layers.len() {
+            if self.stale.is_empty() {
+                break;
+            }
+            // Parents of a sorted id list are sorted: dedup suffices.
+            for n in &mut self.stale {
+                *n /= UTIL_FANOUT as u32;
+            }
+            self.stale.dedup();
+            let (below, above) = self.layers.split_at_mut(i);
+            for &n in &self.stale {
+                let n = n as usize;
+                fold_children(
+                    &below[i - 1],
+                    n,
+                    &mut above[0][n * stride..(n + 1) * stride],
+                );
+            }
+        }
+    }
+
+    /// The per-level totals: the root's entries.
+    fn levels(&self) -> Vec<LevelUtilization> {
+        let root = self.layers.last().map_or(&[][..], Vec::as_slice);
+        root.iter()
+            .zip(&self.links)
+            .enumerate()
+            .map(|(level, (total, &links))| LevelUtilization {
+                level,
+                links,
+                mean_utilization: if links > 0 {
+                    total.sum / links as f64
+                } else {
+                    0.0
+                },
+                max_utilization: total.max,
+                saturated: total.saturated,
+            })
+            .collect()
+    }
+
+    /// Rebuild every node from scratch and assert bit-equality with the
+    /// cached tree.
+    #[cfg(debug_assertions)]
+    fn assert_exact(&self, route: &RouteCache, fluid: &Fluid, used: &[f64]) {
+        let stride = self.links.len();
+        let mut want = self.layers.clone();
+        for b in 0..want[0].len() / stride.max(1) {
+            aggregate_block(
+                route,
+                fluid,
+                used,
+                b,
+                &mut want[0][b * stride..(b + 1) * stride],
+            );
+        }
+        for i in 1..want.len() {
+            let (below, above) = want.split_at_mut(i);
+            for n in 0..above[0].len() / stride.max(1) {
+                fold_children(
+                    &below[i - 1],
+                    n,
+                    &mut above[0][n * stride..(n + 1) * stride],
+                );
+            }
+        }
+        for (i, (w, g)) in want.iter().zip(&self.layers).enumerate() {
+            for (k, (w, g)) in w.iter().zip(g).enumerate() {
+                assert_eq!(
+                    (w.sum.to_bits(), w.max.to_bits(), w.saturated),
+                    (g.sum.to_bits(), g.max.to_bits(), g.saturated),
+                    "utilisation layer {i}, node {}",
+                    k / stride
+                );
+            }
+        }
+    }
+}
+
 /// Aggregate block `b`'s links from scratch into `out`, one entry per
 /// tree level. A pure function of the block's usages and capacities —
 /// production and the debug cross-check both call it, so their
@@ -269,6 +412,21 @@ fn aggregate_block(route: &RouteCache, fluid: &Fluid, used: &[f64], b: usize, ou
     }
 }
 
+/// Fold node `n`'s children — `UTIL_FANOUT` consecutive nodes of
+/// `children`, fewer at the right edge — in order into `out`, node `n`'s
+/// entries, from zero.
+fn fold_children(children: &[UtilAgg], n: usize, out: &mut [UtilAgg]) {
+    let stride = out.len();
+    out.fill(UtilAgg::default());
+    let first = n * UTIL_FANOUT * stride;
+    let end = ((n + 1) * UTIL_FANOUT * stride).min(children.len());
+    for child in children[first..end].chunks_exact(stride) {
+        for (o, c) in out.iter_mut().zip(child) {
+            o.add_block(c);
+        }
+    }
+}
+
 /// The persistent incremental engine (see the [module docs](self)).
 #[derive(Debug)]
 pub struct TrafficEngine {
@@ -278,19 +436,22 @@ pub struct TrafficEngine {
     num_levels: usize,
     /// Ascending-id order gives every report a canonical tenant order.
     tenants: BTreeMap<u64, EngineTenant>,
+    /// One summary per cached tenant, ascending by id: the reports'
+    /// `tenants`, shared copy-on-write with the last one handed out.
+    summaries: Arc<Vec<TenantSummary>>,
+    /// Σ cross-network pairs over the cached tenants.
+    cross_pairs: usize,
+    /// Σ colocated pairs over the cached tenants.
+    colocated_pairs: usize,
+    /// Σ violations over the summaries.
+    violations: usize,
     /// Expansion seconds accumulated by `upsert_tenant` since the last
     /// solve (the dirty-set work of the step).
     pending_expand: f64,
     /// Tenants expanded since the last solve with no cross-server flow:
     /// scored at expansion, so the solver will never list them.
     pending_flowless: usize,
-    /// Links per tree level: static, and its length is the stride of
-    /// `util_blocks`.
-    util_links: Vec<usize>,
-    /// Per-block utilisation aggregates, block-major, one entry per level.
-    util_blocks: Vec<UtilAgg>,
-    /// Pooled list of the blocks a step recomputes.
-    stale_blocks: Vec<u32>,
+    util: UtilTree,
 }
 
 impl TrafficEngine {
@@ -300,24 +461,20 @@ impl TrafficEngine {
         let mut net = Fluid::new();
         let route = RouteCache::build(topo, &mut net);
         let num_levels = topo.num_levels();
-        // Every level but the root's owns uplinks.
-        let mut util_links = vec![0usize; num_levels - 1];
-        for l in 0..net.num_links() {
-            util_links[route.link_level(l) as usize] += 1;
-        }
-        // An idle network aggregates to all-zero blocks.
-        let blocks = net.num_links().div_ceil(UTIL_BLOCK);
+        let util = UtilTree::new(&route, net.num_links(), num_levels);
         TrafficEngine {
             model,
             route,
             net: IncrementalFluid::new(net),
             num_levels,
             tenants: BTreeMap::new(),
+            summaries: Arc::default(),
+            cross_pairs: 0,
+            colocated_pairs: 0,
+            violations: 0,
             pending_expand: 0.0,
             pending_flowless: 0,
-            util_blocks: vec![UtilAgg::default(); blocks * util_links.len()],
-            util_links,
-            stale_blocks: Vec::new(),
+            util,
         }
     }
 
@@ -334,31 +491,33 @@ impl TrafficEngine {
     }
 
     /// Switch the enforcement model. Floors are placement-dependent state,
-    /// so every cached tenant is dropped; the next sync re-expands them
-    /// (their versions read as unknown).
+    /// so every cached tenant is dropped; the caller re-upserts them (their
+    /// versions read as unknown).
     pub fn set_model(&mut self, model: GuaranteeModel) {
         if model != self.model {
             self.model = model;
             self.tenants.clear();
+            self.summaries = Arc::default();
+            (self.cross_pairs, self.colocated_pairs, self.violations) = (0, 0, 0);
             self.net.clear_flows();
-            // Every usage is zero again: so is every block.
-            self.util_blocks.fill(UtilAgg::default());
+            self.util.clear();
         }
     }
 
-    /// Re-read every uplink capacity from `topo` into the fluid layout —
-    /// the fault-injection hook. A degraded (or restored) uplink updates
-    /// its two fluid links, dirtying exactly the components whose flows
-    /// cross them; everything else keeps its rates. Returns how many fluid
-    /// links changed capacity.
+    /// Re-read the capacities of the uplinks of `nodes` from `topo` into
+    /// the fluid layout — the fault-injection hook: the caller names every
+    /// node whose uplink capacity may have moved since the last sync. A
+    /// degraded (or restored) uplink updates its two fluid links, dirtying
+    /// exactly the components whose flows cross them; everything else
+    /// keeps its rates. Returns how many fluid links changed capacity.
+    /// Debug builds then re-read every uplink and assert none differs.
     ///
     /// Flows of VMs *lost* to a fault are dropped separately, by the
-    /// version-diffed re-expansion (`upsert_tenant`) after the evacuation
-    /// shrank the placement.
-    pub fn sync_link_caps(&mut self, topo: &Topology) -> usize {
+    /// re-expansion (`upsert_tenant`) after the evacuation shrank the
+    /// placement.
+    pub fn sync_link_caps(&mut self, topo: &Topology, nodes: &[NodeId]) -> usize {
         let mut changed = 0;
-        for idx in 0..topo.num_nodes() {
-            let n = NodeId(idx as u32);
+        for &n in nodes {
             let Some((cap_up, cap_dn)) = topo.uplink_capacity(n) else {
                 continue;
             };
@@ -368,6 +527,20 @@ impl TrafficEngine {
             changed += usize::from(self.net.set_link_cap(up, cap_up as f64));
             changed += usize::from(self.net.set_link_cap(dn, cap_dn as f64));
         }
+        #[cfg(debug_assertions)]
+        for idx in 0..topo.num_nodes() {
+            let n = NodeId(idx as u32);
+            if let (Some((cap_up, cap_dn)), Some((up, dn))) =
+                (topo.uplink_capacity(n), self.route.links_of(n))
+            {
+                let fluid = self.net.fluid();
+                assert_eq!(
+                    (fluid.link_cap(up).to_bits(), fluid.link_cap(dn).to_bits()),
+                    ((cap_up as f64).to_bits(), (cap_dn as f64).to_bits()),
+                    "uplink of {n:?} changed capacity without being synced"
+                );
+            }
+        }
         changed
     }
 
@@ -376,27 +549,32 @@ impl TrafficEngine {
         self.tenants.get(&id).map(|t| t.version)
     }
 
-    /// Every cached tenant as `(id, placement version)`, ascending by id —
+    /// Every cached tenant as `(id, placement version)`, ascending by id:
     /// what a caller holding its own id-ordered registry merges against to
-    /// find departures and stale expansions in one pass.
+    /// find departures and stale expansions in one pass (a from-scratch
+    /// cross-check of a caller that tracks them itself).
     pub fn versions(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.tenants.iter().map(|(&id, t)| (id, t.version))
     }
 
-    /// Drop every cached tenant `keep` rejects (departures), removing
-    /// their fluid flows — which dirties exactly the components those
-    /// flows crossed.
-    pub fn retain_tenants(&mut self, mut keep: impl FnMut(u64) -> bool) {
-        let net = &mut self.net;
-        self.tenants.retain(|&id, t| {
-            let k = keep(id);
-            if !k {
-                for b in &t.bundles {
-                    net.remove_flow(b.flow);
-                }
-            }
-            k
-        });
+    /// Drop cached tenant `id` (a departure), removing its fluid flows —
+    /// which dirties exactly the components those flows crossed. Returns
+    /// whether it was cached.
+    pub fn remove_tenant(&mut self, id: u64) -> bool {
+        let Some(t) = self.tenants.remove(&id) else {
+            return false;
+        };
+        for b in &t.bundles {
+            self.net.remove_flow(b.flow);
+        }
+        self.colocated_pairs -= t.colocated_pairs;
+        let summaries = Arc::make_mut(&mut self.summaries);
+        if let Ok(i) = summaries.binary_search_by_key(&id, |s| s.id) {
+            let s = summaries.remove(i);
+            self.cross_pairs -= s.cross_pairs;
+            self.violations -= s.violations;
+        }
+        true
     }
 
     /// Expand (or re-expand) tenant `id` at placement `placement` (the
@@ -452,11 +630,11 @@ impl TrafficEngine {
         pairs: Option<&[(usize, usize)]>,
     ) {
         let t = Instant::now();
-        if let Some(old) = self.tenants.remove(&id) {
-            for b in &old.bundles {
-                self.net.remove_flow(b.flow);
-            }
+        let old = self.tenants.get(&id);
+        for b in old.iter().flat_map(|t| &t.bundles) {
+            self.net.remove_flow(b.flow);
         }
+        self.colocated_pairs -= old.map_or(0, |t| t.colocated_pairs);
         let vms = placement
             .iter()
             .map(|(_, c)| c.iter().sum::<u32>() as usize)
@@ -471,25 +649,42 @@ impl TrafficEngine {
                 colocated_pairs: 0,
                 bundles: Vec::new(),
                 colocated: Vec::new(),
-                summary: TenantSummary {
-                    id,
-                    vms,
-                    pairs: 0,
-                    cross_pairs: 0,
-                    intent_kbps: 0.0,
-                    achieved_kbps: 0.0,
-                    violations: 0,
-                    worst_shortfall_kbps: 0.0,
-                },
+            },
+            summary: TenantSummary {
+                id,
+                vms,
+                pairs: 0,
+                cross_pairs: 0,
+                intent_kbps: 0.0,
+                achieved_kbps: 0.0,
+                violations: 0,
+                worst_shortfall_kbps: 0.0,
             },
         };
         match pairs {
             None => expand_all_pairs(&mut x, tag, placement),
             Some(pairs) => expand_pairs(&mut x, tag, placement, pairs),
         }
-        let expanded = x.tenant;
+        let (expanded, summary) = (x.tenant, x.summary);
         self.pending_flowless += usize::from(expanded.bundles.is_empty());
-        self.tenants.insert(id, expanded);
+        self.colocated_pairs += expanded.colocated_pairs;
+        self.cross_pairs += summary.cross_pairs;
+        // Replaced in place: the map's shape moves only on a new id.
+        match self.tenants.get_mut(&id) {
+            Some(slot) => *slot = expanded,
+            None => {
+                self.tenants.insert(id, expanded);
+            }
+        }
+        let summaries = Arc::make_mut(&mut self.summaries);
+        match summaries.binary_search_by_key(&id, |s| s.id) {
+            Ok(i) => {
+                let old = std::mem::replace(&mut summaries[i], summary);
+                self.cross_pairs -= old.cross_pairs;
+                self.violations -= old.violations;
+            }
+            Err(i) => summaries.insert(i, summary),
+        }
         self.pending_expand += t.elapsed().as_secs_f64();
     }
 
@@ -511,7 +706,7 @@ impl TrafficEngine {
         self.pending_expand = 0.0;
 
         // The fluid flow set is persistent (maintained by
-        // `upsert_tenant`/`retain_tenants`); nothing to rebuild here.
+        // `upsert_tenant`/`remove_tenant`); nothing to rebuild here.
         let fluid_flows = self.net.num_flows();
         let route_secs = 0.0;
 
@@ -521,85 +716,58 @@ impl TrafficEngine {
 
         // Score phase: refresh exactly the caches the solve invalidated —
         // the summaries of tenants with a re-solved flow, the utilisation
-        // blocks holding a changed link — then fold the caches in order.
+        // leaves holding a changed link and their ancestors.
         let t_score = Instant::now();
-        for id in self.net.resolved_keys() {
-            if let Some(tenant) = self.tenants.get_mut(id) {
-                tenant.summary = tenant.scored(&self.net);
+        let resolved = self.net.resolved_keys();
+        if !resolved.is_empty() {
+            let summaries = Arc::make_mut(&mut self.summaries);
+            for id in resolved {
+                let (Some(tenant), Ok(i)) = (
+                    self.tenants.get(id),
+                    summaries.binary_search_by_key(id, |s| s.id),
+                ) else {
+                    continue;
+                };
+                let summary = &mut summaries[i];
+                self.violations -= summary.violations;
+                tenant.score(&self.net, summary);
+                self.violations += summary.violations;
             }
         }
-        let tenants_rescored = self.net.resolved_keys().len() + self.pending_flowless;
+        let tenants_rescored = resolved.len() + self.pending_flowless;
         self.pending_flowless = 0;
-        let stride = self.util_links.len();
-        self.stale_blocks.clear();
-        self.stale_blocks.extend(
-            self.net
-                .changed_links()
-                .iter()
-                .map(|&l| l / UTIL_BLOCK as u32),
+        self.util.refresh(
+            &self.route,
+            self.net.fluid(),
+            self.net.link_usage(),
+            self.net.changed_links(),
         );
-        self.stale_blocks.sort_unstable();
-        self.stale_blocks.dedup();
-        for &b in &self.stale_blocks {
-            let b = b as usize;
-            let out = &mut self.util_blocks[b * stride..(b + 1) * stride];
-            aggregate_block(&self.route, self.net.fluid(), self.net.link_usage(), b, out);
-        }
 
-        let mut summaries = Vec::with_capacity(self.tenants.len());
-        let mut flows: Vec<PairFlow> = Vec::new();
-        let mut cross_flows = 0usize;
-        let mut colocated_flows = 0usize;
-        let mut total_rate_kbps = 0.0;
-        let mut violations = 0usize;
-        for tenant in self.tenants.values() {
-            cross_flows += tenant.summary.cross_pairs;
-            colocated_flows += tenant.colocated_pairs;
-            total_rate_kbps += tenant.summary.achieved_kbps;
-            violations += tenant.summary.violations;
-            summaries.push(tenant.summary.clone());
-            if detailed {
-                tenant.pair_flows(&self.net, &mut flows);
-            }
-        }
-
-        // Link utilization per tree level.
-        let mut totals = vec![UtilAgg::default(); stride];
-        for block in self.util_blocks.chunks_exact(stride) {
-            for (total, agg) in totals.iter_mut().zip(block) {
-                total.add_block(agg);
-            }
-        }
-        let levels: Vec<LevelUtilization> = totals
+        let total_rate_kbps = self
+            .summaries
             .iter()
-            .zip(&self.util_links)
-            .enumerate()
-            .map(|(level, (total, &links))| LevelUtilization {
-                level,
-                links,
-                mean_utilization: if links > 0 {
-                    total.sum / links as f64
-                } else {
-                    0.0
-                },
-                max_utilization: total.max,
-                saturated: total.saturated,
-            })
-            .collect();
+            .fold(0.0, |total, s| total + s.achieved_kbps);
+        let mut flows: Vec<PairFlow> = Vec::new();
+        if detailed {
+            for (&id, tenant) in &self.tenants {
+                tenant.pair_flows(id, &self.net, &mut flows);
+            }
+        }
+        let levels = self.util.levels();
         let score_secs = t_score.elapsed().as_secs_f64();
 
         #[cfg(debug_assertions)]
         self.assert_caches_exact();
 
         TrafficReport {
-            tenants: summaries,
+            tenants: Arc::clone(&self.summaries),
             flows,
             levels,
-            cross_flows,
-            colocated_flows,
+            cross_flows: self.cross_pairs,
+            colocated_flows: self.colocated_pairs,
             total_rate_kbps,
             work_conserving: self.net.is_work_conserving(),
-            violations,
+            violations: self.violations,
             fluid_flows,
             build_secs: expand_secs + route_secs,
             expand_secs,
@@ -617,15 +785,23 @@ impl TrafficEngine {
     }
 
     /// Recompute from scratch everything scoring caches — the solver's
-    /// usage, flags and components, every tenant summary, every
-    /// utilisation block — and assert bit-equality with the cached state.
-    /// Debug builds run it after every solve, which makes every debug test
-    /// that steps an engine a differential test of the caches.
+    /// usage, flags and components, every tenant summary, the integer
+    /// totals, every node of the utilisation tree — and assert
+    /// bit-equality with the cached state. Debug builds run it after every
+    /// solve, which makes every debug test that steps an engine a
+    /// differential test of the caches.
     #[cfg(debug_assertions)]
     fn assert_caches_exact(&self) {
         self.net.assert_caches_exact();
-        for (id, tenant) in &self.tenants {
-            let (want, got) = (tenant.scored(&self.net), &tenant.summary);
+        assert!(
+            self.tenants.keys().eq(self.summaries.iter().map(|s| &s.id)),
+            "summary vector out of step with the cached tenants"
+        );
+        let (mut cross, mut colocated, mut violations) = (0, 0, 0);
+        for (tenant, got) in self.tenants.values().zip(self.summaries.iter()) {
+            let id = got.id;
+            let mut want = got.clone();
+            tenant.score(&self.net, &mut want);
             assert_eq!(want.violations, got.violations, "tenant {id} violations");
             assert_eq!(
                 (
@@ -638,28 +814,19 @@ impl TrafficEngine {
                 ),
                 "tenant {id} summary"
             );
+            cross += got.cross_pairs;
+            colocated += tenant.colocated_pairs;
+            violations += got.violations;
         }
-        let stride = self.util_links.len();
-        let mut want = vec![UtilAgg::default(); stride];
-        for (b, got) in self.util_blocks.chunks_exact(stride).enumerate() {
-            aggregate_block(
-                &self.route,
-                self.net.fluid(),
-                self.net.link_usage(),
-                b,
-                &mut want,
-            );
-            for (w, g) in want.iter().zip(got) {
-                assert_eq!(
-                    (w.sum.to_bits(), w.max.to_bits(), w.saturated),
-                    (g.sum.to_bits(), g.max.to_bits(), g.saturated),
-                    "utilisation block {b}"
-                );
-            }
-        }
+        assert_eq!(
+            (cross, colocated, violations),
+            (self.cross_pairs, self.colocated_pairs, self.violations),
+            "pair and violation counters"
+        );
+        self.util
+            .assert_exact(&self.route, self.net.fluid(), self.net.link_usage());
     }
 }
-
 /// The closed-form all-pairs guarantee split: `Enforcer::partition` on a
 /// group of `cnt` greedy (infinite-demand) peers performs exactly one
 /// max-min round handing each `g / cnt` — unless `g` is below the split's
@@ -674,21 +841,22 @@ fn even_share(g: f64, cnt: u32) -> f64 {
     }
 }
 
-/// One tenant's expansion in progress: the tenant's new cached state plus
-/// what routing its bundles into the fluid network needs.
+/// One tenant's expansion in progress: the tenant's new cached state and
+/// summary plus what routing its bundles into the fluid network needs.
 struct Expansion<'a> {
     model: GuaranteeModel,
     topo: &'a Topology,
     route: &'a RouteCache,
     net: &'a mut IncrementalFluid,
     tenant: EngineTenant,
+    summary: TenantSummary,
 }
 
 impl Expansion<'_> {
     /// Record a colocated class (dropped if it has no member pair).
     fn colocated(&mut self, co: CoClass) {
         let m = co.members() as usize;
-        self.tenant.summary.pairs += m;
+        self.summary.pairs += m;
         self.tenant.colocated_pairs += m;
         if m > 0 {
             self.tenant.colocated.push(co);
@@ -715,7 +883,7 @@ impl Expansion<'_> {
         let mut spec = FlowSpec::greedy(self.route.path(self.topo, servers.0, servers.1));
         spec.floor = m * floor;
         spec.weight = m * w;
-        let t = &mut self.tenant;
+        let (t, summary) = (&mut self.tenant, &mut self.summary);
         let seq = t.bundles.len() as u32;
         t.bundles.push(Bundle {
             src: src.0,
@@ -724,11 +892,11 @@ impl Expansion<'_> {
             dst_cnt: dst.1,
             floor,
             intent,
-            flow: self.net.add_flow(spec, (t.summary.id, seq)),
+            flow: self.net.add_flow(spec, (summary.id, seq)),
         });
-        t.summary.pairs += members as usize;
-        t.summary.cross_pairs += members as usize;
-        t.summary.intent_kbps += intent * m;
+        summary.pairs += members as usize;
+        summary.cross_pairs += members as usize;
+        summary.intent_kbps += intent * m;
     }
 }
 
@@ -964,13 +1132,13 @@ mod tests {
             let id = rng.next(6);
             if state.contains_key(&id) && rng.next(3) == 0 {
                 state.remove(&id);
+                engine.remove_tenant(id);
             } else {
                 let tag = random_tag(&mut rng);
                 let placement = random_placement(&mut rng, &tag, servers);
                 let version = step as u64 + 1;
                 state.insert(id, (version, Arc::clone(&tag), placement));
             }
-            engine.retain_tenants(|id| state.contains_key(&id));
             for (&id, (version, tag, placement)) in &state {
                 engine.upsert_tenant(&topo, id, *version, tag, placement);
             }
@@ -1041,8 +1209,9 @@ mod tests {
             .collect();
         topo.degrade_link(tors[0], 0.0).unwrap();
         topo.degrade_link(tors[2], 0.5).unwrap();
-        let changed = engine.sync_link_caps(&topo);
-        assert!(changed > 0, "two degraded uplinks must change fluid caps");
+        let faulted = [tors[0], tors[2]];
+        let changed = engine.sync_link_caps(&topo, &faulted);
+        assert_eq!(changed, 4, "two degraded uplinks change four fluid caps");
         let got = engine.solve_detailed(&topo);
         let mut fresh = TrafficEngine::new(&topo, GuaranteeModel::Tag);
         for (id, tag, placement) in &state {
@@ -1063,10 +1232,12 @@ mod tests {
         // Restore: back to the healthy rates (same solver state shape).
         topo.restore_link(tors[0]).unwrap();
         topo.restore_link(tors[2]).unwrap();
-        assert!(engine.sync_link_caps(&topo) > 0);
+        assert_eq!(engine.sync_link_caps(&topo, &faulted), 4);
         let back = engine.solve_detailed(&topo);
         assert_report_close(&back, &healthy, "restored");
-        // And a no-op sync touches nothing.
-        assert_eq!(engine.sync_link_caps(&topo), 0);
+        // And a no-op sync touches nothing, whichever uplinks it names.
+        assert_eq!(engine.sync_link_caps(&topo, &faulted), 0);
+        let every: Vec<NodeId> = (0..topo.num_nodes() as u32).map(NodeId).collect();
+        assert_eq!(engine.sync_link_caps(&topo, &every), 0);
     }
 }

@@ -283,7 +283,7 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
     let cross_flows = fluid_to_pair.len();
     let colocated_flows = flows.len() - cross_flows;
     TrafficReport {
-        tenants: summaries,
+        tenants: Arc::new(summaries),
         flows,
         levels,
         cross_flows,

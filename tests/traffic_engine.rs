@@ -426,7 +426,7 @@ fn floors_that_fit_the_uplink_hold_on_it() {
     // engine equals a fresh one bit for bit.
     churned.upsert_tenant(&topo, 99, 1, &tag, &placement(1));
     churned.solve(&topo);
-    churned.retain_tenants(|id| id != 99);
+    churned.remove_tenant(99);
     churned.upsert_tenant(&topo, 2, 2, &tag, &placement(1));
     let got = churned.solve_detailed(&topo);
     let want = engine_with(&tenants).solve_detailed(&topo);

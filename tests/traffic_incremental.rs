@@ -112,12 +112,6 @@ fn close(x: f64, y: f64) -> bool {
 /// Churned-engine output vs a fresh engine: every count and verdict equal,
 /// every float — solver-derived or placement state — bit-equal.
 fn assert_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize) {
-    assert_eq!(got.cross_flows, fresh.cross_flows, "step {step}");
-    assert_eq!(got.colocated_flows, fresh.colocated_flows, "step {step}");
-    assert_eq!(got.fluid_flows, fresh.fluid_flows, "step {step}");
-    assert_eq!(got.violations, fresh.violations, "step {step}");
-    assert_eq!(got.work_conserving, fresh.work_conserving, "step {step}");
-    assert_bits(got.total_rate_kbps, fresh.total_rate_kbps, "total", step);
     assert_eq!(got.flows.len(), fresh.flows.len(), "step {step}");
     for (a, b) in got.flows.iter().zip(&fresh.flows) {
         assert_eq!(
@@ -129,8 +123,21 @@ fn assert_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize) {
         assert_bits(a.floor_kbps, b.floor_kbps, "floor", step);
         assert_bits(a.intent_kbps, b.intent_kbps, "intent", step);
     }
+    assert_summary_equivalent(got, fresh, step);
+}
+
+/// [`assert_equivalent`] minus the per-pair list, which a summary-only
+/// step leaves empty: every total, verdict, tenant summary and level
+/// field.
+fn assert_summary_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize) {
+    assert_eq!(got.cross_flows, fresh.cross_flows, "step {step}");
+    assert_eq!(got.colocated_flows, fresh.colocated_flows, "step {step}");
+    assert_eq!(got.fluid_flows, fresh.fluid_flows, "step {step}");
+    assert_eq!(got.violations, fresh.violations, "step {step}");
+    assert_eq!(got.work_conserving, fresh.work_conserving, "step {step}");
+    assert_bits(got.total_rate_kbps, fresh.total_rate_kbps, "total", step);
     assert_eq!(got.tenants.len(), fresh.tenants.len(), "step {step}");
-    for (a, b) in got.tenants.iter().zip(&fresh.tenants) {
+    for (a, b) in got.tenants.iter().zip(fresh.tenants.iter()) {
         assert_eq!(
             (a.id, a.vms, a.pairs, a.cross_pairs, a.violations),
             (b.id, b.vms, b.pairs, b.cross_pairs, b.violations),
@@ -138,8 +145,20 @@ fn assert_equivalent(got: &TrafficReport, fresh: &TrafficReport, step: usize) {
         );
         assert_bits(a.intent_kbps, b.intent_kbps, "tenant intent", step);
         assert_bits(a.achieved_kbps, b.achieved_kbps, "tenant achieved", step);
+        assert_bits(
+            a.worst_shortfall_kbps,
+            b.worst_shortfall_kbps,
+            "tenant worst shortfall",
+            step,
+        );
     }
+    assert_eq!(got.levels.len(), fresh.levels.len(), "step {step}");
     for (a, b) in got.levels.iter().zip(&fresh.levels) {
+        assert_eq!(
+            (a.level, a.links, a.saturated),
+            (b.level, b.links, b.saturated),
+            "step {step}: level"
+        );
         assert_bits(a.mean_utilization, b.mean_utilization, "level mean", step);
         assert_bits(a.max_utilization, b.max_utilization, "level max", step);
     }
@@ -402,6 +421,149 @@ fn long_churn_does_not_drift_single_path() {
     assert!(faults >= 40, "only {faults} faults landed");
     assert!(cluster.tenant_count() > 0, "churn kept a live population");
     if let Some((fault, _)) = outstanding {
+        cluster.repair(fault).unwrap();
+    }
+    cluster.check_invariants().unwrap();
+}
+
+/// Ops of the batched differential, counted when they change the
+/// cluster.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Admit,
+    Depart,
+    AdmitDepart,
+    Scale,
+    Resize,
+    Migrate,
+    FaultServer,
+    FaultDomain,
+    FaultDegrade,
+    Repair,
+    RepairTenant,
+    FlipModel,
+    ReleaseAll,
+}
+
+/// Changes pile up between steps: 1–4 random ops run before each traffic
+/// step — admit, depart, an admit departed before any step saw it, scale,
+/// resize, migrate, a server, domain or degraded-uplink fault, a repair,
+/// a single tenant's repair, a guarantee-model flip, and `release_all`
+/// followed by fresh admits — so one sync absorbs a tenant touched
+/// several times, or touched and gone. After every step (summary-only,
+/// a detailed report every fourth) the embedded engine must equal a
+/// from-scratch engine over the same placements bit for bit: every
+/// summary, total, level field and work-conservation verdict. Each op
+/// kind must have changed the cluster at least once.
+#[test]
+fn batched_ops_between_steps_match_from_scratch() {
+    const STEPS: usize = 500;
+    let spec = TreeSpec::small(2, 3, 4, 4, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]);
+    let mut cluster = Cluster::new(&spec, CmPlacer::new(CmConfig::cm()));
+    let servers: Vec<NodeId> = cluster.topology().servers().to_vec();
+    let at_level = |level: u8| -> Vec<NodeId> {
+        let topo = cluster.topology();
+        (0..topo.num_nodes() as u32)
+            .map(NodeId)
+            .filter(|&n| topo.level(n) == level)
+            .collect()
+    };
+    let (racks, pods) = (at_level(1), at_level(2));
+    let pool = pool();
+    let mut rng = Rng(0xBA7C);
+    let mut model = GuaranteeModel::Tag;
+    let mut faults: Vec<Fault> = Vec::new();
+    let mut done = [0usize; Op::ReleaseAll as usize + 1];
+    let pick = |of: &[NodeId], rng: &mut Rng| of[rng.below(of.len() as u64) as usize];
+    for step in 0..STEPS {
+        for _ in 0..1 + rng.below(4) {
+            let live: Vec<TenantId> = cluster.tenant_ids().collect();
+            let any = |rng: &mut Rng| live[rng.below(live.len() as u64) as usize];
+            let tag = &pool[rng.below(pool.len() as u64) as usize];
+            let damaged = cluster.faulted_tenants().next();
+            let roll = rng.below(100);
+            let (op, ok) = match roll {
+                _ if live.is_empty() => (Op::Admit, cluster.admit(tag).is_ok()),
+                0..=25 if live.len() < 12 => (Op::Admit, cluster.admit(tag).is_ok()),
+                0..=35 => (Op::Depart, cluster.depart(any(&mut rng)).is_ok()),
+                36..=40 => match cluster.admit(tag) {
+                    Ok(h) => (Op::AdmitDepart, cluster.depart(h.id()).is_ok()),
+                    Err(_) => (Op::AdmitDepart, false),
+                },
+                41..=58 => {
+                    let id = any(&mut rng);
+                    let tiers: Vec<TierId> = cluster.tag_of(id).unwrap().internal_tiers().collect();
+                    let tier = tiers[rng.below(tiers.len() as u64) as usize];
+                    if roll <= 52 {
+                        let delta = 1 + rng.below(2) as i64;
+                        let delta = if rng.below(2) == 0 { delta } else { -delta };
+                        (Op::Scale, cluster.scale_tier(id, tier, delta).is_ok())
+                    } else {
+                        let size = 1 + rng.below(4) as u32;
+                        let ok = cluster.tag_of(id).unwrap().tier(tier).size != size
+                            && cluster.resize_tier(id, tier, size).is_ok();
+                        (Op::Resize, ok)
+                    }
+                }
+                59..=64 => (Op::Migrate, cluster.migrate(any(&mut rng)).is_ok()),
+                65..=72 if faults.len() < 2 => {
+                    let (op, fault) = match rng.below(3) {
+                        0 => (Op::FaultServer, Fault::Server(pick(&servers, &mut rng))),
+                        1 => (Op::FaultDomain, Fault::Domain(pick(&racks, &mut rng))),
+                        _ => (
+                            Op::FaultDegrade,
+                            Fault::DegradeLink {
+                                node: pick(&pods, &mut rng),
+                                fraction: 0.25,
+                            },
+                        ),
+                    };
+                    let before = cluster.fault_epoch();
+                    cluster.inject_fault(fault).unwrap();
+                    faults.push(fault);
+                    (op, cluster.fault_epoch() != before)
+                }
+                73..=80 if !faults.is_empty() => {
+                    let fault = faults.remove(0);
+                    let report = cluster.repair(fault).unwrap();
+                    (Op::Repair, !report.repaired.is_empty())
+                }
+                81..=88 => match damaged {
+                    Some(id) => (Op::RepairTenant, cluster.repair_tenant(id).is_ok()),
+                    None => (Op::Admit, cluster.admit(tag).is_ok()),
+                },
+                89..=93 => {
+                    model = match model {
+                        GuaranteeModel::Tag => GuaranteeModel::Hose,
+                        GuaranteeModel::Hose => GuaranteeModel::Tag,
+                    };
+                    cluster.set_guarantee_model(model);
+                    (Op::FlipModel, true)
+                }
+                94 => {
+                    cluster.release_all();
+                    for _ in 0..1 + rng.below(3) {
+                        let _ = cluster.admit(&pool[rng.below(pool.len() as u64) as usize]);
+                    }
+                    (Op::ReleaseAll, true)
+                }
+                _ => (Op::Admit, cluster.admit(tag).is_ok()),
+            };
+            done[op as usize] += usize::from(ok);
+        }
+
+        let fresh = from_scratch_report(&cluster, model);
+        if step % 4 == 0 {
+            assert_equivalent(&cluster.traffic_report(), &fresh, step);
+        } else {
+            assert_summary_equivalent(&cluster.traffic_step(), &fresh, step);
+        }
+    }
+    assert!(
+        done.iter().all(|&n| n > 0),
+        "an op kind never landed: {done:?}"
+    );
+    for fault in faults {
         cluster.repair(fault).unwrap();
     }
     cluster.check_invariants().unwrap();
