@@ -4,7 +4,7 @@ use cm_core::cut::CutModel;
 use cm_core::model::{Tag, VocModel};
 use cm_core::placement::{search_and_place, Deployed, Placer, RejectReason};
 use cm_core::reserve::TenantState;
-use cm_core::txn::ReservationTxn;
+use cm_core::txn::{ReservationTxn, UndoLog};
 use cm_topology::{NodeId, Topology};
 
 /// Oktopus-style placer for (generalized) VOC models.
@@ -61,7 +61,8 @@ impl OvocPlacer {
         // the inner loop stays allocation-free at steady state, like the
         // CloudMirror placer's scratch pools.
         let mut counts_buf: Vec<u32> = Vec::new();
-        search_and_place(topo, &mut state, total_vms, ext, 0, |txn, st| {
+        let mut log = UndoLog::default();
+        search_and_place(topo, &mut state, &mut log, total_vms, ext, 0, |txn, st| {
             for &c in &order {
                 let size = txn.state().model().tier_size(c);
                 if alloc_cluster(txn, c, size, st, &mut counts_buf) < size {

@@ -43,7 +43,7 @@ use cm_core::fasthash::FastMap;
 use cm_core::model::{PipeModel, Tag};
 use cm_core::placement::{search_and_place, Deployed, Placer, RejectReason};
 use cm_core::reserve::TenantState;
-use cm_core::txn::ReservationTxn;
+use cm_core::txn::{ReservationTxn, UndoLog};
 use cm_topology::{NodeId, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -140,7 +140,8 @@ impl SecondNetPlacer {
         });
 
         let mut state = TenantState::new_shared(model);
-        search_and_place(topo, &mut state, total_vms, ext, 0, |txn, st| {
+        let mut log = UndoLog::default();
+        search_and_place(topo, &mut state, &mut log, total_vms, ext, 0, |txn, st| {
             self.try_place_under(txn, &order, st)
         })?;
         Ok(state)

@@ -51,7 +51,9 @@ const COUNTERS_NOTE: &str = "deterministic work counters of the CloudMirror plac
     FindTiersToColoc's build_group calls, uplink_prechecked the Colocate groups on a server the \
     closed-form uplink check refused before staging, coloc_server_rollbacks those staged and then \
     rolled back by the server's own uplink sync (gated to 0), memo_hits the Allocs answered by the \
-    failure memo";
+    failure memo, edges_priced the Eq. 1 edge crossings FindTiersToColoc's probes priced (side \
+    sums walked plus pair probes' shared-edge corrections; memo and empty-subtree table reads \
+    price none)";
 
 fn counters_row(r: &BenchRow) -> Option<Fields> {
     let c = r.counters.as_ref()?;
@@ -72,6 +74,7 @@ fn counters_row(r: &BenchRow) -> Option<Fields> {
         ("uplink_prechecked", Val::Int(c.uplink_prechecked)),
         ("coloc_server_rollbacks", Val::Int(c.coloc_server_rollbacks)),
         ("memo_hits", Val::Int(c.memo_hits)),
+        ("edges_priced", Val::Int(c.edges_priced)),
     ])
 }
 

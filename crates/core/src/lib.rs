@@ -68,4 +68,4 @@ pub use cut::CutModel;
 pub use model::{Tag, TagBuilder, TierId};
 pub use placement::{CmConfig, CmPlacer, Deployed, Evacuation, HaPolicy, Placer, RejectReason};
 pub use reserve::TenantState;
-pub use txn::{ReservationTxn, Savepoint};
+pub use txn::{ReservationTxn, Savepoint, UndoLog};

@@ -18,6 +18,7 @@
 //! self-loops is the pipe model (§3).
 
 use crate::cut::CutModel;
+use crate::fasthash::FastMap;
 use cm_topology::Kbps;
 use std::fmt;
 
@@ -252,14 +253,20 @@ impl TagBuilder {
         let mut per_vm_snd = vec![0u64; self.tiers.len()];
         let mut per_vm_rcv = vec![0u64; self.tiers.len()];
         let mut incident = vec![Vec::new(); self.tiers.len()];
+        let mut by_ends = FastMap::default();
         for (i, e) in self.edges.iter().enumerate() {
             per_vm_snd[e.from.index()] += e.snd_kbps;
             per_vm_rcv[e.to.index()] += e.rcv_kbps;
             incident[e.from.index()].push(i as u16);
             if !e.is_self_loop() {
                 incident[e.to.index()].push(i as u16);
+                by_ends.insert((e.from, e.to), i as u16);
             }
         }
+        // `edge()` rejects duplicates, so each ordered pair names one edge.
+        let twin = (self.edges.iter())
+            .map(|e| by_ends.get(&(e.to, e.from)).copied())
+            .collect();
         let mut tag = Tag {
             name: self.name,
             tiers: self.tiers,
@@ -267,6 +274,7 @@ impl TagBuilder {
             per_vm_snd,
             per_vm_rcv,
             incident,
+            twin,
             hot: Vec::new(),
         };
         tag.rebuild_hot();
@@ -308,6 +316,9 @@ pub struct Tag {
     per_vm_rcv: Vec<Kbps>,
     /// Edge indices incident to each tier (self-loops listed once).
     incident: Vec<Vec<u16>>,
+    /// Per edge, the index of its reverse edge (`None` for self-loops and
+    /// one-way trunks). Sizes and rates never change it.
+    twin: Vec<Option<u16>>,
     /// Flat per-edge parameters for the hot crossing path.
     hot: Vec<HotEdge>,
 }
@@ -555,6 +566,13 @@ impl Tag {
     /// (self-loops listed once).
     pub fn incident_edges(&self, t: TierId) -> &[u16] {
         &self.incident[t.index()]
+    }
+
+    /// The index of edge `ei`'s reverse edge (`to -> from`), if the TAG has
+    /// one; `None` for a self-loop. Besides `ei` itself, the twin is the
+    /// only edge the two endpoint tiers' incident lists share.
+    pub(crate) fn twin(&self, ei: usize) -> Option<usize> {
+        self.twin[ei].map(usize::from)
     }
 
     /// The `(out + in)` crossing contribution of a single edge to the cut
@@ -831,6 +849,44 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn twin_is_the_reverse_edge_and_survives_resizing_and_scaling() {
+        let mut b = TagBuilder::new("twins");
+        let a = b.tier("a", 4);
+        let c = b.tier("c", 3);
+        let d = b.tier("d", 5);
+        let ext = b.external("internet");
+        b.sym_edge(a, c, 100).unwrap();
+        b.edge(c, d, 30, 20).unwrap(); // one way
+        b.self_loop(d, 40).unwrap();
+        b.edge(d, a, 10, 15).unwrap();
+        b.edge(a, d, 25, 5).unwrap();
+        b.edge(ext, a, 7, 9).unwrap(); // one way, from outside
+        b.edge(d, ext, 3, 0).unwrap();
+        b.edge(ext, d, 2, 6).unwrap();
+        let tag = b.build().unwrap();
+        let check = |tag: &Tag| {
+            let edges = tag.edges();
+            for (ei, e) in edges.iter().enumerate() {
+                let reverse = edges
+                    .iter()
+                    .position(|r| !e.is_self_loop() && r.from == e.to && r.to == e.from);
+                assert_eq!(tag.twin(ei), reverse, "edge {ei} {}->{}", e.from, e.to);
+                if let Some(r) = reverse {
+                    assert_eq!(tag.twin(r), Some(ei));
+                }
+            }
+        };
+        check(&tag);
+        assert_eq!(tag.twin(2), None); // c -> d
+        assert_eq!(tag.twin(3), None); // d's self-loop
+        let (resized, scaled) = (tag.resized(a, 9), tag.scaled(2.5));
+        for t in [&resized, &scaled] {
+            check(t);
+            assert!((0..tag.edges().len()).all(|ei| t.twin(ei) == tag.twin(ei)));
         }
     }
 

@@ -9,26 +9,35 @@ use crate::placement::{
     search_and_place, wcs_cap, CmConfig, DemandPredictor, Deployed, HaPolicy, Placer, RejectReason,
 };
 use crate::reserve::{PlacementEntry, TenantState};
-use crate::txn::ReservationTxn;
+use crate::txn::{ReservationTxn, UndoLog};
 use cm_topology::{NodeId, Topology};
 use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Reusable working state of the placement hot path, so steady-state
 /// admission keeps nothing on the heap but the deployment it returns
-/// (`crates/core/tests/admission_allocations.rs` pins it). It still
-/// allocates within the call: the reservation transaction's undo log is
-/// built and freed per attempt, and the deployment's own maps grow.
+/// (`crates/core/tests/admission_allocations.rs` pins it). Within the call
+/// only the deployment's own maps allocate, as they grow.
 ///
 /// * buffer pools — every temporary the recursive `Alloc`/`Colocate`/
 ///   `Balance` machinery needs (child orderings, `need` vectors, subset-sum
 ///   shortlists, incident-edge scratch, per-child fill caches) is drawn
 ///   from and returned to these free lists;
+/// * the undo log every attempt's [`ReservationTxn`] logs into, lent to
+///   [`search_and_place`] and handed back empty;
+/// * the side sums of `FindTiersToColoc`'s probes ([`SideSums`]);
 /// * the failure memo of the current search ([`FailMemo`]);
 /// * the work counters ([`SearchCounters`]).
 ///
-/// Three shortcuts skip work whose outcome is already decided, each
+/// Four shortcuts skip work whose outcome is already decided, each
 /// exactly:
+///
+/// * *Side sums* ([`SideSums`]). A colocation probe's `after` price is a
+///   per-tier sum over the tier's incident edges, memoized for the child's
+///   counts; a trunk-edge pair re-prices only the edge and its twin. While
+///   the child holds none of the tenant's VMs the sums depend on the TAG
+///   alone, so one table serves the whole search. Every sum is an exact
+///   `u64`, so each probe prices what the incident walk priced.
 ///
 /// * *Uplink pre-check.* Before `Colocate` stages a group on a server,
 ///   [`server_uplink_fits`] decides the server's uplink sync in closed
@@ -49,7 +58,10 @@ use std::sync::Arc;
 ///
 /// Under Eq. 7 (Guaranteed) HA the fill and `Alloc` also read fault-domain
 /// counts that can sit above the subtree, so the last two are off there,
-/// like the cross-child memo in `FindTiersToColoc`.
+/// like the cross-child memo in `FindTiersToColoc`. Side sums read only
+/// the TAG and the child's counts, so they hold under every policy. Debug
+/// builds check the side sums, the pre-check and the memo against the
+/// work they skip.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     u32s: Vec<Vec<u32>>,
@@ -58,6 +70,8 @@ struct Scratch {
     idxs: Vec<Vec<usize>>,
     pairs: Vec<Vec<(usize, u32)>>,
     fills: Vec<FillCache>,
+    log: UndoLog<Tag>,
+    sides: SideSums,
     failed: FailMemo,
     counters: SearchCounters,
 }
@@ -138,6 +152,11 @@ pub struct SearchCounters {
     pub coloc_server_rollbacks: u64,
     /// `Alloc` calls answered by the failure memo.
     pub memo_hits: u64,
+    /// Eq. 1 edge crossings `FindTiersToColoc`'s probes priced: each side
+    /// sum priced by its incident walk, and the shared-edge corrections of
+    /// each pair probe. Side sums read from a memo or from the search's
+    /// empty-subtree table price nothing.
+    pub edges_priced: u64,
 }
 
 impl SearchCounters {
@@ -250,6 +269,175 @@ impl FailMemo {
         self.index.insert(Self::key(st, need), self.needs.len());
         self.needs.extend_from_slice(need);
     }
+}
+
+/// `side(t, k)` for every tier of one TAG, priced on demand: tier `t`'s
+/// entries `k = 0..=size(t)` sit at `start[t]..`.
+#[derive(Debug, Clone, Default)]
+struct SideTable {
+    start: Vec<usize>,
+    sums: Vec<Option<u64>>,
+}
+
+impl SideTable {
+    /// Forget every entry and lay the table out for `tag`.
+    fn reset(&mut self, tag: &Tag) {
+        self.start.clear();
+        self.sums.clear();
+        for t in 0..tag.num_tiers() {
+            self.start.push(self.sums.len());
+            let entries = self.sums.len() + CutModel::tier_size(tag, t) as usize + 1;
+            self.sums.resize(entries, None);
+        }
+        self.start.push(self.sums.len());
+    }
+
+    /// The slot of `side(t, k)`; `None` past the tier's size.
+    fn slot(&mut self, t: usize, k: u32) -> Option<&mut Option<u64>> {
+        let at = self.start[t] + k as usize;
+        (at < self.start[t + 1]).then(|| &mut self.sums[at])
+    }
+
+    fn forget(&mut self, t: usize) {
+        self.sums[self.start[t]..self.start[t + 1]].fill(None);
+    }
+}
+
+/// `side(t, k)` by the full incident walk: the summed Eq. 1 crossings of
+/// `incident(t)` with `k` more VMs of tier `t` inside (restores `cur`).
+fn price_side(tag: &Tag, cur: &mut [u32], t: usize, k: u32) -> u64 {
+    cur[t] += k;
+    let sum = (tag.incident_edges(TierId(t as u16)).iter())
+        .map(|&ei| tag.edge_crossing_idx(ei as usize, cur))
+        .sum();
+    cur[t] -= k;
+    sum
+}
+
+/// The exact side sums behind `build_group`'s probes. A probe adding `k`
+/// VMs of tier `t` to the child's counts `cur` changes only the crossings
+/// of `incident(t)`, so its `after` price is `side(t, k)`; a pair probe's
+/// is `side(u, ku) + side(v, kv)` with the edges both tiers list — the
+/// probed edge and its [`Tag::twin`] — re-priced with both tiers grown.
+/// Sides are memoized for the current `cur`; while `cur` is empty they
+/// depend on the TAG alone and come from a table kept for the whole
+/// search. Every value is an exact `u64` sum, so the probes price exactly
+/// what the incident walks priced; debug builds re-walk every read.
+#[derive(Debug, Clone, Default)]
+struct SideSums {
+    /// Sides at an empty subtree, for the current search's TAG.
+    empty: SideTable,
+    /// Sides at the current call's `cur`, when it is not empty.
+    memo: SideTable,
+    /// Whether `cur` is empty, so that `empty` is the table to read.
+    cur_empty: bool,
+    /// Edge crossings priced (see [`SearchCounters::edges_priced`]).
+    priced: u64,
+}
+
+impl SideSums {
+    /// Forget the empty-subtree table: a search may price another TAG.
+    fn start_search(&mut self, tag: &Tag) {
+        self.empty.reset(tag);
+    }
+
+    /// Start pricing against a child whose counts are `cur`.
+    fn start_call(&mut self, tag: &Tag, cur: &[u32]) {
+        self.cur_empty = cur.iter().all(|&c| c == 0);
+        if !self.cur_empty {
+            self.memo.reset(tag);
+        }
+    }
+
+    /// Add `k` VMs of tier `t` to `cur` for good, forgetting the sides it
+    /// changes: those of `t` and of every tier sharing an edge with it.
+    fn grow(&mut self, tag: &Tag, cur: &mut [u32], t: usize, k: u32) {
+        cur[t] += k;
+        if self.cur_empty {
+            self.cur_empty = false;
+            self.memo.reset(tag);
+            return;
+        }
+        self.memo.forget(t);
+        for &ei in tag.incident_edges(TierId(t as u16)) {
+            let e = &tag.edges()[ei as usize];
+            self.memo.forget(e.from.index());
+            self.memo.forget(e.to.index());
+        }
+    }
+
+    /// `side(t, k)` at `cur`.
+    fn side(&mut self, tag: &Tag, cur: &mut [u32], t: usize, k: u32) -> u64 {
+        let table = if self.cur_empty {
+            &mut self.empty
+        } else {
+            &mut self.memo
+        };
+        let sum = match table.slot(t, k) {
+            Some(&mut Some(sum)) => sum,
+            slot => {
+                let sum = price_side(tag, cur, t, k);
+                self.priced += tag.incident_edges(TierId(t as u16)).len() as u64;
+                if let Some(slot) = slot {
+                    *slot = Some(sum);
+                }
+                sum
+            }
+        };
+        debug_assert_eq!(sum, price_side(tag, cur, t, k), "side({t}, {k}) at {cur:?}");
+        sum
+    }
+
+    /// The `after` price of the pair probe that adds `ku` VMs of edge
+    /// `ei`'s sender tier and `kv` of its receiver tier to `cur`: the
+    /// crossings of `incident(u) ∪ incident(v)` with both tiers grown.
+    fn pair(&mut self, tag: &Tag, cur: &mut [u32], ei: usize, ku: u32, kv: u32) -> u64 {
+        let e = &tag.edges()[ei];
+        let (u, v) = (e.from.index(), e.to.index());
+        debug_assert_ne!(u, v);
+        let sides = self.side(tag, cur, u, ku) + self.side(tag, cur, v, kv);
+        // Each side priced the shared edges with only its own tier grown.
+        let (mut alone, mut both) = (0u64, 0u64);
+        for s in std::iter::once(ei).chain(tag.twin(ei)) {
+            cur[u] += ku;
+            alone += tag.edge_crossing_idx(s, cur);
+            cur[v] += kv;
+            both += tag.edge_crossing_idx(s, cur);
+            cur[u] -= ku;
+            alone += tag.edge_crossing_idx(s, cur);
+            cur[v] -= kv;
+            self.priced += 3;
+        }
+        let after = sides - alone + both;
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            after,
+            pair_by_walk(tag, cur, u, ku, v, kv),
+            "pair probe {ei} at {cur:?}"
+        );
+        after
+    }
+}
+
+/// Debug builds: a pair probe's `after` price by walking `incident(u)`
+/// and then `incident(v)` minus the edges it shares with `u`.
+#[cfg(debug_assertions)]
+fn pair_by_walk(tag: &Tag, cur: &mut [u32], u: usize, ku: u32, v: usize, kv: u32) -> u64 {
+    cur[u] += ku;
+    cur[v] += kv;
+    let mut after = 0u64;
+    for &ei in tag.incident_edges(TierId(u as u16)) {
+        after += tag.edge_crossing_idx(ei as usize, cur);
+    }
+    for &ei in tag.incident_edges(TierId(v as u16)) {
+        let e = &tag.edges()[ei as usize];
+        if e.from.index() != u && e.to.index() != u {
+            after += tag.edge_crossing_idx(ei as usize, cur);
+        }
+    }
+    cur[u] -= ku;
+    cur[v] -= kv;
+    after
 }
 
 /// Whether staging `group` on `server` would pass the server's uplink
@@ -643,31 +831,42 @@ impl CmPlacer {
                 .resize(levels, LevelCounters::default());
         }
         scratch.failed.clear();
+        scratch.sides.start_search(tag);
+        let mut log = std::mem::take(&mut scratch.log);
         // The next level descend visits, and the level of an attempt whose
         // `Alloc` placed everything but whose path reservation is pending.
         let mut next = start.min(levels - 1);
         let mut pending: Option<usize> = None;
-        let res = search_and_place(topo, state, total_vms, ext_demand, start, |txn, st| {
-            let level = txn.topo().level(st) as usize;
-            let c = &mut scratch.counters;
-            if let Some(p) = pending.take() {
-                c.levels[p].bandwidth += 1; // its path reservation failed
-            }
-            c.skip(txn.topo(), next..level, total_vms);
-            next = level + 1;
-            c.levels[level].attempts += 1;
-            let mut need = scratch.u32s();
-            need.extend_from_slice(template);
-            self.alloc(txn, tag, &mut need, st, demand_mix, spread, scratch);
-            let done = need_is_zero(&need);
-            scratch.put_u32s(need);
-            if done {
-                pending = Some(level);
-            } else {
-                scratch.counters.levels[level].bandwidth += 1;
-            }
-            done
-        });
+        let res = search_and_place(
+            topo,
+            state,
+            &mut log,
+            total_vms,
+            ext_demand,
+            start,
+            |txn, st| {
+                let level = txn.topo().level(st) as usize;
+                let c = &mut scratch.counters;
+                if let Some(p) = pending.take() {
+                    c.levels[p].bandwidth += 1; // its path reservation failed
+                }
+                c.skip(txn.topo(), next..level, total_vms);
+                next = level + 1;
+                c.levels[level].attempts += 1;
+                let mut need = scratch.u32s();
+                need.extend_from_slice(template);
+                self.alloc(txn, tag, &mut need, st, demand_mix, spread, scratch);
+                let done = need_is_zero(&need);
+                scratch.put_u32s(need);
+                if done {
+                    pending = Some(level);
+                } else {
+                    scratch.counters.levels[level].bandwidth += 1;
+                }
+                done
+            },
+        );
+        scratch.log = log;
         let c = &mut scratch.counters;
         match (&res, pending) {
             (Ok(()), Some(p)) => c.levels[p].placed += 1,
@@ -1031,17 +1230,16 @@ impl CmPlacer {
         }
         let placed = before - need_total(need);
         if placed > 0 && txn.sync_uplink(st).is_err() {
-            let undone = txn.rollback_to(sp);
-            restore_need(&undone, need);
+            restore_need(txn.rollback_to(sp), need);
             return 0;
         }
         placed
     }
 
     /// Debug builds: run `Alloc(need)` on `st`, which a shortcut decided
-    /// places nothing, and check that it does. The work counters and the
-    /// failure memo are left as they were, so debug and release builds
-    /// count alike.
+    /// places nothing, and check that it does. The work counters, the
+    /// failure memo and the side-sum tables are left as they were, so debug
+    /// and release builds count alike.
     #[cfg(debug_assertions)]
     fn assert_places_nothing(
         &self,
@@ -1055,6 +1253,7 @@ impl CmPlacer {
     ) {
         let counters = scratch.counters.clone();
         let failed = scratch.failed.clone();
+        let sides = scratch.sides.clone();
         let mut probe = scratch.u32s();
         probe.extend_from_slice(need);
         let placed = self.alloc_uncached(txn, tag, &mut probe, st, demand_mix, spread, scratch);
@@ -1065,6 +1264,7 @@ impl CmPlacer {
         scratch.put_u32s(probe);
         scratch.counters = counters;
         scratch.failed = failed;
+        scratch.sides = sides;
     }
 
     /// Whether the fill reuse and the failure memo may run: not under
@@ -1342,9 +1542,13 @@ impl CmPlacer {
     ///
     /// Savings are evaluated *incrementally*: adding VMs of tier `t` only
     /// changes the Eq. 1 contribution of edges incident to `t`, so each
-    /// candidate costs O(degree) instead of O(edges). The total equals the
-    /// full cut-difference [`CutModel::coloc_saving_kbps`] exactly
-    /// (telescoping over the incident-edge deltas).
+    /// candidate's `after` price is a side sum ([`SideSums`]): memoized per
+    /// tier for the child's counts, read from the search's table when the
+    /// child holds none of the tenant's VMs, and for a trunk-edge pair the
+    /// two tiers' sides corrected on the edges they share (the edge and its
+    /// twin). The total equals the full cut-difference
+    /// [`CutModel::coloc_saving_kbps`] exactly (telescoping over the
+    /// incident-edge deltas).
     ///
     /// Note: the exact cut-difference saving can be positive even when
     /// every per-edge Eq. 2/Eq. 4 closed form reports zero — for unbalanced
@@ -1379,19 +1583,21 @@ impl CmPlacer {
                 .min(headroom[t].saturating_sub(group[t]))
         };
         let all_edges = tag.edges();
+        let mut sides = std::mem::take(&mut scratch.sides);
+        sides.start_call(tag, &cur);
 
         // Every candidate's saving is `k·spread + before − after` over the
         // edges incident to the touched tiers. `cache[e]` holds each edge's
         // crossing at the *current* `cur`, and `isum[t]` the sum over
         // `incident(t)` — so the `before` side of every probe is a lookup,
-        // only the `after` side prices edges, and `k·spread + before` is a
+        // only the `after` side is priced, and `k·spread + before` is a
         // free exact upper bound (crossings are non-negative) that skips
         // provably non-winning candidates outright. All pruning is against
         // the incumbent with the original strict comparisons, so the chosen
         // seed and growth steps are bit-identical to the exhaustive probes.
         let mut cache = scratch.u64s();
         let mut isum = scratch.u64s();
-        if cur.iter().all(|&c| c == 0) {
+        if sides.cur_empty {
             // Every crossing of an empty subtree is zero (Eq. 1 with no VM
             // inside) — no need to price them.
             cache.resize(all_edges.len(), 0);
@@ -1405,16 +1611,9 @@ impl CmPlacer {
                     .sum::<u64>()
             }));
         }
-        // Exact saving of adding k VMs of tier t (restores `cur`).
-        let probe_one = |cur: &mut [u32], isum: &[u64], t: usize, k: u32| -> i64 {
-            cur[t] += k;
-            let after: u64 = tag
-                .incident_edges(TierId(t as u16))
-                .iter()
-                .map(|&ei| tag.edge_crossing_idx(ei as usize, cur))
-                .sum();
-            cur[t] -= k;
-            (k as u64 * spread_unit[t] + isum[t]) as i64 - after as i64
+        // Exact saving of adding k VMs of tier t.
+        let probe_one = |sides: &mut SideSums, cur: &mut [u32], isum: &[u64], t: usize, k: u32| {
+            (k as u64 * spread_unit[t] + isum[t]) as i64 - sides.side(tag, cur, t, k) as i64
         };
         // Re-price the edges incident to `t` after `cur` changed for good.
         fn refresh_tier(tag: &Tag, cur: &[u32], cache: &mut [u64], isum: &mut [u64], t: usize) {
@@ -1445,7 +1644,7 @@ impl CmPlacer {
             if ub <= 0 || best_seed.as_ref().is_some_and(|&(_, bs)| ub <= bs) {
                 continue;
             }
-            let s = probe_one(&mut cur, &isum, t, k);
+            let s = probe_one(&mut sides, &mut cur, &isum, t, k);
             if s > 0 && best_seed.as_ref().is_none_or(|&(_, bs)| s > bs) {
                 best_seed = Some(([(t, k), (t, 0)], s));
             }
@@ -1462,7 +1661,7 @@ impl CmPlacer {
                 hi.contains(&t)
             }
         };
-        for e in all_edges {
+        for (ei, e) in all_edges.iter().enumerate() {
             if e.is_self_loop() {
                 continue;
             }
@@ -1481,33 +1680,18 @@ impl CmPlacer {
             if ub <= 0 || best_seed.as_ref().is_some_and(|&(_, bs)| ub <= bs) {
                 continue;
             }
-            // Exact pair probe: `after` walks incident(u) ∪ incident(v)
-            // (v's pass skips the shared u–v edges, whose cached `before`
-            // contribution is likewise deducted once).
-            cur[u] += ku;
-            cur[v] += kv;
-            let mut after = 0u64;
-            let mut shared = 0u64;
-            for &ei in tag.incident_edges(TierId(u as u16)) {
-                after += tag.edge_crossing_idx(ei as usize, &cur);
-            }
-            for &ei in tag.incident_edges(TierId(v as u16)) {
-                let e2 = &all_edges[ei as usize];
-                if e2.from.index() == u || e2.to.index() == u {
-                    shared += cache[ei as usize];
-                    continue;
-                }
-                after += tag.edge_crossing_idx(ei as usize, &cur);
-            }
-            cur[u] -= ku;
-            cur[v] -= kv;
+            // `before` counts the shared edges (this one and its twin) once.
+            let shared = cache[ei] + tag.twin(ei).map_or(0, |tw| cache[tw]);
             let before = isum[u] + isum[v] - shared;
+            let after = sides.pair(tag, &mut cur, ei, ku, kv);
             let s = spread as i64 + before as i64 - after as i64;
             if s > 0 && best_seed.as_ref().is_none_or(|&(_, bs)| s > bs) {
                 best_seed = Some(([(u, ku), (v, kv)], s));
             }
         }
         let Some((seed, _)) = best_seed else {
+            scratch.counters.edges_priced += std::mem::take(&mut sides.priced);
+            scratch.sides = sides;
             scratch.put_u32s(headroom);
             scratch.put_u32s(cur);
             scratch.put_u32s(group);
@@ -1520,8 +1704,8 @@ impl CmPlacer {
                 continue;
             }
             group[t] += k;
-            cur[t] += k;
             used += k;
+            sides.grow(tag, &mut cur, t, k);
             refresh_tier(tag, &cur, &mut cache, &mut isum, t);
         }
 
@@ -1537,7 +1721,7 @@ impl CmPlacer {
                 if ub <= 0 || best.is_some_and(|(_, _, bs)| ub <= bs) {
                     continue;
                 }
-                let s = probe_one(&mut cur, &isum, t, k);
+                let s = probe_one(&mut sides, &mut cur, &isum, t, k);
                 if s > 0 && best.is_none_or(|(_, _, bs)| s > bs) {
                     best = Some((t, k, s));
                 }
@@ -1545,13 +1729,15 @@ impl CmPlacer {
             match best {
                 Some((t, k, _)) => {
                     group[t] += k;
-                    cur[t] += k;
                     used += k;
+                    sides.grow(tag, &mut cur, t, k);
                     refresh_tier(tag, &cur, &mut cache, &mut isum, t);
                 }
                 None => break,
             }
         }
+        scratch.counters.edges_priced += std::mem::take(&mut sides.priced);
+        scratch.sides = sides;
         scratch.put_u32s(headroom);
         scratch.put_u32s(cur);
         scratch.put_u64s(cache);
@@ -2481,8 +2667,116 @@ mod tests {
         }
     }
 
+    /// A random TAG of 2–6 internal tiers of 1–9 VMs plus up to two
+    /// external ones (sized or unbounded): every ordered pair of distinct
+    /// tiers gets an edge with probability 2/5 (so one- and two-way
+    /// trunks), every internal tier a self-loop with probability 1/2.
+    fn random_wide_tag(rng: &mut Rng) -> Tag {
+        let mut b = TagBuilder::new("wide");
+        let mut tiers = Vec::new();
+        for i in 0..2 + rng.below(5) {
+            tiers.push(b.tier(format!("t{i}"), 1 + rng.below(9) as u32));
+        }
+        for i in 0..rng.below(3) {
+            tiers.push(match rng.below(2) {
+                0 => b.external(format!("x{i}")),
+                _ => b.external_sized(format!("x{i}"), 1 + rng.below(6) as u32),
+            });
+        }
+        let rate = |rng: &mut Rng| mbps(rng.below(300) as f64);
+        for &u in &tiers {
+            for &v in &tiers {
+                if u != v && rng.below(5) < 2 {
+                    b.edge(u, v, rate(rng), rate(rng)).unwrap();
+                }
+            }
+            if rng.below(2) == 0 {
+                let _ = b.self_loop(u, rate(rng)); // refused on external tiers
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Eq. 1 crossings at `inside` of every edge with an endpoint in
+    /// `tiers`, each edge once — read off the edge list, not the incident
+    /// lists or twins the placer uses.
+    fn crossings_touching(tag: &Tag, inside: &[u32], tiers: &[usize]) -> u64 {
+        (tag.edges().iter())
+            .filter(|e| tiers.contains(&e.from.index()) || tiers.contains(&e.to.index()))
+            .map(|e| tag.edge_crossing_kbps(e, inside))
+            .sum()
+    }
+
+    /// `inside` with `k` more VMs of tier `t`.
+    fn plus(inside: &[u32], t: usize, k: u32) -> Vec<u32> {
+        let mut v = inside.to_vec();
+        v[t] += k;
+        v
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Side sums price exactly what the full incident walks price: on
+        /// random TAGs, every pair probe of a trunk edge equals the
+        /// crossings of both tiers' edges with both grown, and every side
+        /// equals its tier's crossings with the tier grown — for empty
+        /// children (the search's table) and partly filled ones (the
+        /// per-call memo), across growth steps — and every entry the
+        /// empty-subtree table kept equals a fresh pricing.
+        #[test]
+        fn side_sums_equal_the_incident_walks(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let tag = random_wide_tag(&mut rng);
+            let n = tag.num_tiers();
+            let size = |t: usize| CutModel::tier_size(&tag, t);
+            let trunks: Vec<usize> = (0..tag.edges().len())
+                .filter(|&ei| !tag.edges()[ei].is_self_loop())
+                .collect();
+            let mut sides = SideSums::default();
+            sides.start_search(&tag);
+            for _ in 0..6 {
+                let mut cur: Vec<u32> = (0..n)
+                    .map(|t| match rng.below(2) {
+                        0 => 0,
+                        _ => rng.below(size(t) as u64 + 1) as u32,
+                    })
+                    .collect();
+                sides.start_call(&tag, &cur);
+                for _ in 0..3 {
+                    let room = |cur: &[u32], t: usize| size(t) - cur[t];
+                    for _ in 0..12 {
+                        let t = rng.below(n as u64) as usize;
+                        let k = rng.below(room(&cur, t) as u64 + 1) as u32;
+                        let want = crossings_touching(&tag, &plus(&cur, t, k), &[t]);
+                        prop_assert_eq!(sides.side(&tag, &mut cur, t, k), want);
+                        if trunks.is_empty() {
+                            continue;
+                        }
+                        let ei = trunks[rng.below(trunks.len() as u64) as usize];
+                        let (u, v) = (tag.edges()[ei].from.index(), tag.edges()[ei].to.index());
+                        let ku = rng.below(room(&cur, u) as u64 + 1) as u32;
+                        let kv = rng.below(room(&cur, v) as u64 + 1) as u32;
+                        let both = plus(&plus(&cur, u, ku), v, kv);
+                        let want = crossings_touching(&tag, &both, &[u, v]);
+                        let got = sides.pair(&tag, &mut cur, ei, ku, kv);
+                        prop_assert_eq!(got, want, "edge {} ku {} kv {} at {:?}", ei, ku, kv, cur);
+                    }
+                    let t = rng.below(n as u64) as usize;
+                    let k = rng.below(room(&cur, t) as u64 + 1) as u32;
+                    sides.grow(&tag, &mut cur, t, k);
+                }
+            }
+            let empty = vec![0; n];
+            for t in 0..n {
+                for k in 0..=size(t) {
+                    if let Some(&mut Some(sum)) = sides.empty.slot(t, k) {
+                        let want = crossings_touching(&tag, &plus(&empty, t, k), &[t]);
+                        prop_assert_eq!(sum, want, "table entry side({}, {})", t, k);
+                    }
+                }
+            }
+        }
 
         /// The Colocate uplink pre-check decides a server's sync exactly:
         /// `server_uplink_fits` equals staging the group in a transaction,

@@ -26,7 +26,7 @@ use crate::cut::CutModel;
 use crate::model::{PipeModel, Tag, TierId, VocModel};
 use crate::placement::RejectReason;
 use crate::reserve::{PlacementEntry, TenantState};
-use crate::txn::ReservationTxn;
+use crate::txn::{ReservationTxn, UndoLog};
 use cm_topology::{Kbps, NodeId, Topology};
 
 /// A placement algorithm that can deploy TAG tenants.
@@ -484,10 +484,12 @@ pub fn reject_reason(topo: &Topology, total_vms: u64) -> RejectReason {
 ///
 /// `attempt` must stage the *entire* tenant under the given subtree through
 /// the transaction and return whether it managed to; partial placements it
-/// leaves staged are unwound by the engine.
+/// leaves staged are unwound by the engine. Every attempt logs into `log`'s
+/// buffer, which is left empty.
 pub fn search_and_place<M, F>(
     topo: &mut Topology,
     state: &mut TenantState<M>,
+    log: &mut UndoLog<M>,
     total_vms: u64,
     ext_demand: (Kbps, Kbps),
     start_level: usize,
@@ -510,7 +512,7 @@ where
                 continue;
             }
         };
-        let mut txn = ReservationTxn::begin(topo, state);
+        let mut txn = ReservationTxn::begin_with(topo, state, std::mem::take(log));
         if attempt(&mut txn, st) {
             // Reserve the tenant's external traffic above st
             // (`ReserveBW(map, root)`).
@@ -519,11 +521,11 @@ where
                 None => true,
             };
             if ok {
-                txn.commit();
+                *log = txn.commit();
                 return Ok(());
             }
         }
-        drop(txn); // roll back the failed attempt
+        *log = txn.abort(); // roll back the failed attempt
         if st == topo.root() {
             return Err(reject_reason(topo, total_vms));
         }
@@ -580,9 +582,15 @@ mod tests {
         ));
         let tag = hose(40, 1); // more VMs than the 32 slots
         let mut st = TenantState::new(tag.clone());
-        let err = search_and_place(&mut topo, &mut st, 40, (0, 0), 0, |_txn, _st| {
-            panic!("no subtree can host 40 VMs; attempt must never run")
-        })
+        let err = search_and_place(
+            &mut topo,
+            &mut st,
+            &mut UndoLog::default(),
+            40,
+            (0, 0),
+            0,
+            |_txn, _st| panic!("no subtree can host 40 VMs; attempt must never run"),
+        )
         .unwrap_err();
         assert_eq!(err, RejectReason::InsufficientSlots);
         topo.check_invariants().unwrap();
@@ -600,14 +608,22 @@ mod tests {
         let tag = hose(4, mbps(900.0)); // cut price far beyond any uplink
         let mut st = TenantState::new(tag.clone());
         let mut attempts = 0;
-        let err = search_and_place(&mut topo, &mut st, 4, (0, 0), 0, |txn, node| {
-            attempts += 1;
-            // Stage a partial placement, then report failure: the engine
-            // must unwind it before climbing.
-            let server = txn.topo().servers_under(node)[0];
-            txn.place(server, 0, 1).unwrap();
-            false
-        })
+        let err = search_and_place(
+            &mut topo,
+            &mut st,
+            &mut UndoLog::default(),
+            4,
+            (0, 0),
+            0,
+            |txn, node| {
+                attempts += 1;
+                // Stage a partial placement, then report failure: the engine
+                // must unwind it before climbing.
+                let server = txn.topo().servers_under(node)[0];
+                txn.place(server, 0, 1).unwrap();
+                false
+            },
+        )
         .unwrap_err();
         assert_eq!(err, RejectReason::InsufficientBandwidth);
         assert!(attempts > 1, "the search must climb levels");

@@ -168,7 +168,10 @@ pub(crate) fn need_total(need: &[u32]) -> u64 {
 }
 
 /// Restore `need` after a rolled-back placement map.
-pub(crate) fn restore_need(map: &[crate::reserve::PlacementEntry], need: &mut [u32]) {
+pub(crate) fn restore_need(
+    map: impl IntoIterator<Item = crate::reserve::PlacementEntry>,
+    need: &mut [u32],
+) {
     for e in map {
         need[e.tier] += e.count;
     }
@@ -266,7 +269,7 @@ mod tests {
             tier: 2,
             count: 3,
         }];
-        restore_need(&map, &mut need);
+        restore_need(map, &mut need);
         assert_eq!(need, vec![2, 0, 6]);
     }
 }

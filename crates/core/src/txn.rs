@@ -26,6 +26,11 @@
 //! Savepoints make the recursive placers cheap to express: `Alloc` takes a
 //! savepoint per subtree, and a failed child unwinds only its own staging
 //! while siblings keep theirs.
+//!
+//! The log's buffer can outlive the transaction:
+//! [`search_and_place`](crate::placement::search_and_place) takes an
+//! [`UndoLog`] from its caller and hands it back empty after every
+//! attempt, so a placer that keeps one stages no heap blocks per attempt.
 
 use crate::cut::CutModel;
 use crate::reserve::{PlacementEntry, TenantState};
@@ -45,6 +50,18 @@ pub struct ReservationTxn<'a, M: CutModel> {
     committed: bool,
 }
 
+/// The buffer of a transaction's undo log, empty between transactions
+/// (see the [module docs](self)).
+#[derive(Debug, Clone)]
+pub struct UndoLog<M>(Vec<TxnOp<M>>);
+
+impl<M> Default for UndoLog<M> {
+    fn default() -> Self {
+        UndoLog(Vec::new())
+    }
+}
+
+#[derive(Debug, Clone)]
 enum TxnOp<M> {
     /// Inverse: unplace the entry.
     Place(PlacementEntry),
@@ -61,10 +78,21 @@ impl<'a, M: CutModel> ReservationTxn<'a, M> {
     /// Open a transaction. Until [`ReservationTxn::commit`], dropping it
     /// rolls back every staged change.
     pub fn begin(topo: &'a mut Topology, state: &'a mut TenantState<M>) -> Self {
+        Self::begin_with(topo, state, UndoLog::default())
+    }
+
+    /// [`ReservationTxn::begin`] logging into `log`'s buffer, which
+    /// [`ReservationTxn::commit`] or [`ReservationTxn::abort`] returns.
+    pub(crate) fn begin_with(
+        topo: &'a mut Topology,
+        state: &'a mut TenantState<M>,
+        log: UndoLog<M>,
+    ) -> Self {
+        debug_assert!(log.0.is_empty(), "an undo log outlived its transaction");
         ReservationTxn {
             topo,
             state,
-            log: Vec::new(),
+            log: log.0,
             committed: false,
         }
     }
@@ -194,24 +222,31 @@ impl<'a, M: CutModel> ReservationTxn<'a, M> {
     }
 
     /// Unwind every change staged after `sp`, restoring both ledgers to
-    /// their state at the savepoint. Returns the placements that were
-    /// undone (removals staged with [`ReservationTxn::unplace`] are
-    /// reverted too, but not reported), so callers can restore demand
-    /// counters.
-    pub fn rollback_to(&mut self, sp: Savepoint) -> Vec<PlacementEntry> {
-        let mut undone = Vec::new();
-        while self.log.len() > sp.0 {
-            let op = self.log.pop().expect("log length checked");
-            if let Some(e) = Self::undo(self.topo, self.state, op) {
-                undone.push(e);
-            }
+    /// their state at the savepoint. The returned iterator yields the
+    /// placements undone, newest first (removals staged with
+    /// [`ReservationTxn::unplace`] are reverted too, but not reported), so
+    /// callers can restore demand counters; dropping it finishes the
+    /// unwind, so `txn.rollback_to(sp);` alone rolls everything back.
+    pub fn rollback_to(&mut self, sp: Savepoint) -> Undone<'_, 'a, M> {
+        Undone {
+            txn: self,
+            to: sp.0,
         }
-        undone
     }
 
-    /// Keep every staged change.
-    pub fn commit(mut self) {
+    /// Keep every staged change; returns the log's buffer, empty.
+    pub fn commit(mut self) -> UndoLog<M> {
         self.committed = true;
+        let mut log = std::mem::take(&mut self.log);
+        log.clear();
+        UndoLog(log)
+    }
+
+    /// Roll back every staged change, like dropping the transaction, and
+    /// return the log's buffer, empty.
+    pub(crate) fn abort(mut self) -> UndoLog<M> {
+        self.rollback_to(Savepoint(0));
+        UndoLog(std::mem::take(&mut self.log))
     }
 
     /// Apply the inverse of one op. Returns the entry when the op was a
@@ -244,6 +279,34 @@ impl<'a, M: CutModel> ReservationTxn<'a, M> {
                 None
             }
         }
+    }
+}
+
+/// The unwind of [`ReservationTxn::rollback_to`]: each step undoes one
+/// logged op, yielding the placements; dropping it undoes the rest.
+pub struct Undone<'t, 'a, M: CutModel> {
+    txn: &'t mut ReservationTxn<'a, M>,
+    to: usize,
+}
+
+impl<M: CutModel> Iterator for Undone<'_, '_, M> {
+    type Item = PlacementEntry;
+
+    fn next(&mut self) -> Option<PlacementEntry> {
+        let txn = &mut *self.txn;
+        while txn.log.len() > self.to {
+            let op = txn.log.pop()?;
+            if let Some(e) = ReservationTxn::undo(txn.topo, txn.state, op) {
+                return Some(e);
+            }
+        }
+        None
+    }
+}
+
+impl<M: CutModel> Drop for Undone<'_, '_, M> {
+    fn drop(&mut self) {
+        while self.next().is_some() {}
     }
 }
 
@@ -338,7 +401,7 @@ mod tests {
         let sp = txn.savepoint();
         txn.place(s1, 0, 1).unwrap();
         txn.sync_uplink(s1).unwrap();
-        let undone = txn.rollback_to(sp);
+        let undone: Vec<_> = txn.rollback_to(sp).collect();
         assert_eq!(
             undone,
             vec![PlacementEntry {

@@ -1,13 +1,14 @@
 //! What steady-state admission keeps on the heap is its deployment.
 //!
 //! `CmPlacer` draws the temporaries of its search — child orderings,
-//! `need` vectors, subset-sum shortlists, fill caches, the failure memo —
-//! from pools it keeps across calls. Once a churn pattern has been seen,
-//! the bytes an admit leaves allocated are exactly those its returned
-//! [`Deployed`] frees on release: no pool grows and nothing leaks. (An
-//! admit is not allocation-free: the reservation transaction's undo log
-//! and the deployment's own maps grow and free blocks within the call;
-//! the test pins that count too, so it cannot grow unnoticed.) A counting
+//! `need` vectors, subset-sum shortlists, fill caches, the failure memo,
+//! the side-sum tables, the transactions' undo log — from pools it keeps
+//! across calls. Once a churn pattern has been seen, the bytes an admit
+//! leaves allocated are exactly those its returned [`Deployed`] frees on
+//! release: no pool grows and nothing leaks. (An admit is not
+//! allocation-free: the deployment's own maps grow within the call and
+//! free the blocks they outgrow; the test pins that count too, so it
+//! cannot grow unnoticed.) A counting
 //! global allocator (std only, per thread so the harness's own threads
 //! cannot interfere) checks exactly the `place_shared` and `release`
 //! calls of a warm admit/depart churn. Debug builds add consistency checks
@@ -190,10 +191,10 @@ fn warm_admission_keeps_only_what_its_deployment_holds() {
     }
     assert!(admits > MEASURED / 2, "churn admitted only {admits}");
     assert!(released > MEASURED / 2, "churn released only {released}");
-    // Today's transient blocks per admit: the undo log's growth and
-    // free, and the deployment's maps growing. A pool that stops pooling
-    // shows here.
-    assert!(transient <= 8, "an admit freed {transient} blocks");
+    // Today's transient blocks per admit: the deployment's maps growing.
+    // A pool that stops pooling shows here (with a fresh undo log per
+    // attempt and a `Vec` per rollback, admits freed up to 5).
+    assert!(transient <= 2, "an admit freed {transient} blocks");
     for (d, _) in live {
         d.release(&mut topo);
     }

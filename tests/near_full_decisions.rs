@@ -190,9 +190,10 @@ fn run(arrivals: usize, marks: &[usize]) -> Vec<Mark> {
 }
 
 /// `SearchCounters` from per-level `[attempts, placed, slots, bandwidth,
-/// allocs]` (servers first) and `[fills_run, fills_reused, groups_built,
-/// uplink_prechecked, coloc_server_rollbacks, memo_hits]`.
-fn counters(levels: [[u64; 5]; 4], rest: [u64; 6]) -> SearchCounters {
+/// allocs]` (servers first), `[fills_run, fills_reused, groups_built,
+/// uplink_prechecked, coloc_server_rollbacks, memo_hits]` and
+/// `edges_priced`.
+fn counters(levels: [[u64; 5]; 4], rest: [u64; 6], edges_priced: u64) -> SearchCounters {
     let [fills_run, fills_reused, groups_built, uplink_prechecked, coloc_server_rollbacks, memo_hits] =
         rest;
     SearchCounters {
@@ -214,6 +215,7 @@ fn counters(levels: [[u64; 5]; 4], rest: [u64; 6]) -> SearchCounters {
         uplink_prechecked,
         coloc_server_rollbacks,
         memo_hits,
+        edges_priced,
     }
 }
 
@@ -244,6 +246,7 @@ fn near_full_cm_decisions_are_pinned() {
                     [32, 32, 0, 0, 32],
                 ],
                 [21985, 21224, 13269, 8983, 0, 235],
+                1042058,
             ),
         },
         Mark {
@@ -263,6 +266,7 @@ fn near_full_cm_decisions_are_pinned() {
                     [74, 70, 0, 4, 74],
                 ],
                 [42883, 36218, 27495, 18717, 0, 528],
+                1744026,
             ),
         },
         Mark {
@@ -282,6 +286,7 @@ fn near_full_cm_decisions_are_pinned() {
                     [408, 327, 0, 81, 408],
                 ],
                 [319214, 238838, 107297, 64793, 0, 2144],
+                11074801,
             ),
         },
     ];
