@@ -133,8 +133,12 @@ const TRAFFIC_NOTE: &str = "incremental traffic engine stepped through lifecycle
     scored against TAG intents; components_dirty_mean / components_total gauge how much of the \
     graph each step re-solves, tenants_rescored_mean / links_rescored_mean how much of it each \
     step re-scores (deterministic counts: tenant summaries and per-link usages recomputed; \
-    everything else is served from caches); violations count pairs whose achieved rate falls \
-    below the TAG-intended guarantee";
+    everything else is served from caches); fill_rounds_mean counts the max-min filling rounds \
+    each step ran, rounds_reused_mean the rounds of the components' last fills it resumed past \
+    instead of running, flows_reused_mean the re-solved flows those rounds froze, which kept \
+    their rates, and full_solves_mean the components solved from round 0 without a log to \
+    resume from (new, split, or phase 1 scaled a floor); violations count pairs whose achieved \
+    rate falls below the TAG-intended guarantee";
 
 fn traffic_row(t: &TrafficRun) -> Fields {
     let r = &t.report;
@@ -160,6 +164,10 @@ fn traffic_row(t: &TrafficRun) -> Fields {
             "links_rescored_mean",
             Val::Float(r.links_rescored_mean(), 1),
         ),
+        ("fill_rounds_mean", Val::Float(r.fill_rounds_mean(), 1)),
+        ("rounds_reused_mean", Val::Float(r.rounds_reused_mean(), 1)),
+        ("flows_reused_mean", Val::Float(r.flows_reused_mean(), 1)),
+        ("full_solves_mean", Val::Float(r.full_solves_mean(), 1)),
         ("violations", r.violations_total().into()),
         ("violating_tenants_max", violating.unwrap_or(0).into()),
         ("work_conserving_steps", r.work_conserving_steps().into()),

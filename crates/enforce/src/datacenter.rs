@@ -159,6 +159,17 @@ pub struct TrafficReport {
     /// re-solved components and touched links left without flows.
     /// Deterministic like `tenants_rescored`.
     pub links_rescored: usize,
+    /// Filling rounds the solve ran ([`crate::SolveStats::fill_rounds`]).
+    pub fill_rounds: usize,
+    /// Rounds of the re-solved components' last fills the solve reused
+    /// instead of running ([`crate::SolveStats::rounds_reused`]).
+    pub rounds_reused: usize,
+    /// Flows of re-solved components that kept their rate
+    /// ([`crate::SolveStats::flows_reused`]).
+    pub flows_reused: usize,
+    /// Re-solved components solved from round 0 without looking for a
+    /// round to resume at ([`crate::SolveStats::full_solves`]).
+    pub full_solves: usize,
     /// Reads `0.0`: no uplink is split into hashed lanes any more. Kept
     /// for `benchmark/`; the benchmark-only follow-up deletes it.
     pub ecmp_max_utilization: f64,

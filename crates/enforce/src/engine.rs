@@ -778,6 +778,10 @@ impl TrafficEngine {
             components_total: stats.components_total,
             tenants_rescored,
             links_rescored: self.net.changed_links().len(),
+            fill_rounds: stats.fill_rounds,
+            rounds_reused: stats.rounds_reused,
+            flows_reused: stats.flows_reused,
+            full_solves: stats.full_solves,
             ecmp_max_utilization: 0.0,
             ecmp_mean_utilization: 0.0,
             score_secs,

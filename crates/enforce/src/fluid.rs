@@ -21,6 +21,8 @@
 //! or saturate, and the links of the flows it freezes; each read replays
 //! the fill steps the link missed, so every residual takes the same float
 //! operations as under eager draining and the rates are the same bits.
+//! A layout's fill can resume from the log of its last one at the first
+//! round its changes could alter (see [`Fluid::fill`]).
 //! It has two callers.
 //! [`crate::incremental::IncrementalFluid`], the traffic engine's solver,
 //! keeps one layout per connected component across solves and patches
@@ -192,6 +194,203 @@ impl Rows {
     }
 }
 
+/// [`FillLog::froze`] of a flow still active when phase 2 ended;
+/// [`FillLog::sat`] of a link that never saturated.
+pub(crate) const NEVER: u32 = u32::MAX;
+/// [`FillLog::froze`] of a flow new to the layout since its last fill.
+pub(crate) const ADDED: u32 = u32::MAX - 1;
+/// [`FillLog::sat`] of a link whose log is void: touched since the last
+/// fill, or new to the layout; [`FillLog::remap`] of a link whose log is
+/// dropped.
+pub(crate) const CHANGED: u32 = u32::MAX - 1;
+/// A flow event in [`Round::event`]: its stable id under this bit.
+const FLOW_EVENT: u32 = 1 << 31;
+
+/// A link's phase-2 state: residual, active weight sum and active count.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LinkAt {
+    residual: f64,
+    wsum: f64,
+    wcount: u32,
+}
+
+/// One logged filling round.
+#[derive(Debug, Clone, Copy)]
+struct Round {
+    /// The fill level after it.
+    fill: f64,
+    /// Its fill step.
+    t: f64,
+    /// Its event: a global link, or a stable flow id under `FLOW_EVENT`.
+    event: u32,
+}
+
+/// A breakpoint: a link's state after a round that froze one of its
+/// flows.
+#[derive(Debug, Clone, Copy)]
+struct Bp {
+    residual: f64,
+    wsum: f64,
+    wcount: u32,
+    round: u32,
+    /// The local link.
+    link: u32,
+}
+
+/// The log of a layout's last fill (see [`Fluid::fill`]): enough to
+/// restore the kernel's state at the start of any logged round. Pooled
+/// with its layout.
+#[derive(Debug, Default)]
+pub(crate) struct FillLog {
+    /// Whether the log describes the layout's last fill.
+    ok: bool,
+    /// Whether that fill's phase 1 scaled a link.
+    scaled: bool,
+    /// Flow position → 1 + the round it froze in; 0 if it was inactive
+    /// when phase 2 began, `NEVER` if it never froze, `ADDED` if it is
+    /// new to the layout.
+    pub(crate) froze: Vec<u32>,
+    /// Local link → its state when phase 2 began.
+    pub(crate) start: Vec<LinkAt>,
+    /// Local link → the round it saturated in, `NEVER`, or `CHANGED`.
+    pub(crate) sat: Vec<u32>,
+    rounds: Vec<Round>,
+    /// The breakpoints, in round order.
+    bps: Vec<Bp>,
+    /// Set by the layout's patch: the local link each link of the logged
+    /// fill became, or `CHANGED` (it was touched, or left the layout).
+    pub(crate) remap: Vec<u32>,
+    /// Set by the layout's patch: no round from this one on may be reused
+    /// (a removed flow froze in it, or a touched link saturated in it).
+    pub(crate) cut: u32,
+    /// Set by the layout's patch: the positions of the flows it added,
+    /// ascending.
+    pub(crate) added: Vec<u32>,
+}
+
+impl FillLog {
+    /// Empty the log, keeping every allocation.
+    fn clear(&mut self) {
+        self.ok = false;
+        self.froze.clear();
+        self.start.clear();
+        self.sat.clear();
+        self.rounds.clear();
+        self.bps.clear();
+        self.remap.clear();
+        self.cut = u32::MAX;
+        self.added.clear();
+    }
+
+    /// Void the log: the layout's next fill starts from round 0.
+    pub(crate) fn forget(&mut self) {
+        self.ok = false;
+    }
+
+    /// Whether the log describes the layout's last fill.
+    pub(crate) fn ok(&self) -> bool {
+        self.ok
+    }
+
+    /// The rate of flow position `i` of `lay`, frozen in a logged round
+    /// (or idle when phase 2 began, or new and idle): what the freeze
+    /// gave it, by the freeze's own arithmetic (phase 1 scaled nothing).
+    #[inline]
+    pub(crate) fn kept_rate(&self, lay: &Layout, i: usize) -> f64 {
+        match self.froze[i] {
+            0 => lay.init[i],
+            f => {
+                (lay.init[i] + lay.weight[i] * self.rounds[f as usize - 1].fill).min(lay.demand[i])
+            }
+        }
+    }
+
+    /// End a round: log a breakpoint for each link it touched, from the
+    /// links' state `(residual, wsum, wcount)`, note each link it
+    /// saturated, and log the round.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "both round loops share it over disjoint borrows of the kernel's scratch"
+    )]
+    fn end_round(
+        &mut self,
+        touched: &mut Touched,
+        (residual, wsum, wcount): (&[f64], &[f64], &[u32]),
+        lay: &Layout,
+        fill: f64,
+        t: f64,
+        event_link: Option<usize>,
+        event_flow: Option<u32>,
+    ) {
+        let round = self.rounds.len() as u32;
+        for &link in &touched.links {
+            let l = link as usize;
+            touched.mark[l] = false;
+            let (residual, wsum, wcount) = (residual[l], wsum[l], wcount[l]);
+            if wcount == 0 && residual <= 1e-6 {
+                self.sat[l] = round;
+            }
+            self.bps.push(Bp {
+                residual,
+                wsum,
+                wcount,
+                round,
+                link,
+            });
+        }
+        touched.links.clear();
+        let event = match (event_flow, event_link) {
+            (Some(i), _) => lay.flows[i as usize] | FLOW_EVENT,
+            (None, Some(l)) => lay.links[l],
+            (None, None) => NEVER,
+        };
+        self.rounds.push(Round { fill, t, event });
+    }
+
+    /// Whether `self` and `other` log the same fill, floats by their bits
+    /// (breakpoints compared by round and link, their order within a round
+    /// being free): the debug re-derivation check.
+    #[cfg(debug_assertions)]
+    pub(crate) fn same(&self, other: &FillLog) -> bool {
+        // Each round's breakpoints, one per link, in any order.
+        let bp = |b: &Bp| {
+            (
+                b.round,
+                b.link,
+                b.residual.to_bits(),
+                b.wsum.to_bits(),
+                b.wcount,
+            )
+        };
+        let same_bps = self.bps.len() == other.bps.len()
+            && self.bps.chunk_by(|a, b| a.round == b.round).all(|group| {
+                let r = group[0].round;
+                let from = other.bps.partition_point(|b| b.round < r);
+                let theirs = &other.bps[from..other.bps.partition_point(|b| b.round <= r)];
+                theirs.len() == group.len()
+                    && group.iter().all(|a| theirs.iter().any(|b| bp(a) == bp(b)))
+            });
+        self.ok == other.ok && (!self.ok || self.same_fill(other, same_bps))
+    }
+
+    #[cfg(debug_assertions)]
+    fn same_fill(&self, other: &FillLog, same_bps: bool) -> bool {
+        let at = |a: &LinkAt| (a.residual.to_bits(), a.wsum.to_bits(), a.wcount);
+        let round = |r: &Round| (r.fill.to_bits(), r.t.to_bits(), r.event);
+        self.scaled == other.scaled
+            && self.froze == other.froze
+            && self.start.iter().map(at).eq(other.start.iter().map(at))
+            && self.sat == other.sat
+            && self
+                .rounds
+                .iter()
+                .map(round)
+                .eq(other.rounds.iter().map(round))
+            && self.bps.windows(2).all(|w| w[0].round <= w[1].round)
+            && same_bps
+    }
+}
+
 /// The kernel's input: a subproblem of the network flattened once. "Local"
 /// indices are positions in `flows` and `links`. The kernel's result is a
 /// pure function of this value and the listed links' capacities.
@@ -214,6 +413,10 @@ pub(crate) struct Layout {
     /// Local link → Σ `init` of its flows in flow order: phase 1's first
     /// usage sums.
     pub(crate) floor_sum: Vec<f64>,
+    /// The log of the layout's last fill. Its per-flow entries move with
+    /// the flows; its per-link entries are the caller's to rewrite, like
+    /// `floor_sum`.
+    pub(crate) log: FillLog,
 }
 
 impl Layout {
@@ -226,6 +429,7 @@ impl Layout {
         self.demand.clear();
         self.weight.clear();
         self.floor_sum.clear();
+        self.log.clear();
     }
 
     /// Empty the layout and make room for `flows` flows crossing `items`
@@ -252,8 +456,13 @@ impl Layout {
         fit(&mut self.init, flows);
         fit(&mut self.demand, flows);
         fit(&mut self.weight, flows);
+        fit(&mut self.log.froze, flows);
+        fit(&mut self.log.rounds, flows);
+        fit(&mut self.log.bps, items);
         fit(&mut self.links, links);
         fit(&mut self.floor_sum, links);
+        fit(&mut self.log.start, links);
+        fit(&mut self.log.sat, links);
         self.clear_for(flows, items, links);
     }
 
@@ -270,17 +479,19 @@ impl Layout {
     }
 
     /// Append flow `id`, read from its spec; `local` maps a global link of
-    /// its path to a position in `links`.
+    /// its path to a position in `links`. The layout's log is void.
     pub(crate) fn push_spec(&mut self, id: u32, f: &FlowSpec, local: impl Fn(usize) -> u32) {
         self.flows.push(id);
         self.paths.push_row(f.path.iter().map(|&l| local(l)));
         self.init.push(f.floor.min(f.demand));
         self.demand.push(f.demand);
         self.weight.push(f.weight);
+        self.log.ok = false;
     }
 
     /// Append flow positions `range` of `from`; `local` maps one of
-    /// `from`'s local links to a position in `links`.
+    /// `from`'s local links to a position in `links`. The layout's log is
+    /// void.
     #[inline]
     pub(crate) fn extend_from(
         &mut self,
@@ -304,18 +515,23 @@ impl Layout {
         self.init.extend_from_slice(&from.init[range.clone()]);
         self.demand.extend_from_slice(&from.demand[range.clone()]);
         self.weight.extend_from_slice(&from.weight[range]);
+        self.log.ok = false;
     }
 
     /// Keep the flow positions `keep` accepts (it is handed the position
     /// and the flow), in order, mapping each kept path's local links
-    /// through `remap` (`None`: unchanged). `links` and `floor_sum` are
-    /// the caller's to rewrite.
+    /// through `remap` (`None`: unchanged). `links`, `floor_sum` and the
+    /// log's per-link entries are the caller's to rewrite. Returns the
+    /// least [`FillLog::froze`] of a dropped flow (`NEVER` if none, or if
+    /// the log is void).
     pub(crate) fn retain_flows(
         &mut self,
         mut keep: impl FnMut(usize, u32) -> bool,
         remap: Option<&[u32]>,
-    ) {
+    ) -> u32 {
         let (mut w, mut wi, mut start) = (0, 0, 0);
+        let mut dropped = NEVER;
+        let logged = self.log.ok;
         for r in 0..self.flows.len() {
             let end = self.paths.at[r + 1] as usize;
             if keep(r, self.flows[r]) {
@@ -333,8 +549,13 @@ impl Layout {
                 self.init[w] = self.init[r];
                 self.demand[w] = self.demand[r];
                 self.weight[w] = self.weight[r];
+                if logged {
+                    self.log.froze[w] = self.log.froze[r];
+                }
                 w += 1;
                 self.paths.at[w] = wi as u32;
+            } else if logged {
+                dropped = dropped.min(self.log.froze[r]);
             }
             start = end;
         }
@@ -342,21 +563,31 @@ impl Layout {
         self.init.truncate(w);
         self.demand.truncate(w);
         self.weight.truncate(w);
+        if logged {
+            self.log.froze.truncate(w);
+        }
         self.paths.at.truncate(w + 1);
         self.paths.items.truncate(wi);
+        dropped
     }
 
     /// Insert the flows of `ins`, whose paths use `self`'s local links:
     /// flow `j` of `ins` goes before the current flow `pos[j]` (`pos`
     /// ascending, `ins` in the order wanted among equal positions). Walks
-    /// back from the end, moving each block of current flows once.
+    /// back from the end, moving each block of current flows once. The
+    /// inserted flows are new to the layout's log, if it has one.
     pub(crate) fn insert_flows(&mut self, pos: &[u32], ins: &Layout) {
         let (n, m) = (self.flows.len(), ins.flows.len());
+        let logged = self.log.ok;
         let items = self.paths.items.len() + ins.paths.items.len();
         reserve_for(&mut self.flows, n + m);
         reserve_for(&mut self.init, n + m);
         reserve_for(&mut self.demand, n + m);
         reserve_for(&mut self.weight, n + m);
+        if logged {
+            reserve_for(&mut self.log.froze, n + m);
+            self.log.froze.resize(n + m, 0);
+        }
         reserve_for(&mut self.paths.at, n + m + 1);
         reserve_for(&mut self.paths.items, items);
         self.flows.resize(n + m, 0);
@@ -382,6 +613,10 @@ impl Layout {
             self.init.copy_within(p..end, p + shift);
             self.demand.copy_within(p..end, p + shift);
             self.weight.copy_within(p..end, p + shift);
+            if logged {
+                self.log.froze.copy_within(p..end, p + shift);
+                self.log.froze[p + j] = ADDED;
+            }
             // Flow `j` of `ins` lands at `p + j`, after the `j` inserted
             // before it.
             let (ia, ib) = (ins.paths.at[j] as usize, ins.paths.at[j + 1] as usize);
@@ -408,7 +643,8 @@ impl Layout {
     }
 
     /// Whether `self` and `other` are the same layout, floats compared by
-    /// their bits: the debug re-derivation check.
+    /// their bits: the debug re-derivation check. The logs are compared
+    /// apart ([`FillLog::same`]).
     #[cfg(debug_assertions)]
     pub(crate) fn same(&self, other: &Layout) -> bool {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -459,6 +695,27 @@ pub(crate) struct FillScratch {
     /// each lazy round against.
     #[cfg(debug_assertions)]
     shadow: Vec<f64>,
+    /// A changed link's logged freezes: `(round, its place in the round,
+    /// position)`.
+    order: Vec<(u32, u32, u32)>,
+    /// The links this round's freezes touched.
+    touched: Touched,
+    /// The changed links' breakpoints a restore replayed.
+    rbp: Vec<Bp>,
+    /// Local links whose log the last solve found void.
+    pub(crate) changed: Vec<u32>,
+    /// The changed links by the first logged round each could act in,
+    /// with their phase-2 start.
+    first: Vec<(u32, u32, LinkAt)>,
+    /// Flows new to the layout that were idle when phase 2 began: the
+    /// only flows a resumed solve re-solves without a `froze` above
+    /// `reused`. Ascending.
+    pub(crate) idle: Vec<u32>,
+    /// Logged rounds the last solve reused instead of running.
+    pub(crate) reused: usize,
+    /// Whether the last solve had to start from round 0 (phase 1 scaled a
+    /// link, now or in the logged fill, or there was no log).
+    pub(crate) full: bool,
     /// Filling rounds of the last solve.
     pub(crate) rounds: usize,
     /// Links the last solve's rounds read: Σ of the live-list length over
@@ -466,6 +723,20 @@ pub(crate) struct FillScratch {
     /// freeze in a round, over lazy ones.
     pub(crate) link_visits: usize,
 }
+
+/// The links a round's freezes touched, for its breakpoints.
+#[derive(Debug, Default)]
+struct Touched {
+    /// Local link → touched this round; empty when the layout keeps no
+    /// log.
+    mark: Vec<bool>,
+    /// The links touched this round, in the order first touched.
+    links: Vec<u32>,
+}
+
+/// A layout of fewer flows keeps no fill log: its solves start from round
+/// 0, which costs it little, and spare it the log's upkeep.
+pub(crate) const RESUME_FROM: usize = 64;
 
 /// Phase 2 switches from eager to lazy draining at this many live links.
 /// Measured with both loops run on every solve of a benchmark stream
@@ -576,10 +847,12 @@ fn queue_demands(
     }
 }
 
-/// Freeze at level `fill` every still-active flow of `to_freeze`, in
-/// order: it takes its rate and leaves its links' weight sums, `touch`
-/// seeing each link and its sum just before the sum changes. Returns how
-/// many froze.
+/// Freeze at level `fill`, in round `round`, every still-active flow of
+/// `to_freeze`, in order: it takes its rate and leaves its links' weight
+/// sums, `touch` seeing each link and its sum just before the sum changes.
+/// The log takes each flow's round, and `touched` each link the round
+/// touches ([`FillLog::end_round`] logs their breakpoints), unless its
+/// `mark` is empty: the layout keeps no log. Returns how many froze.
 #[expect(
     clippy::too_many_arguments,
     reason = "both round loops share it over disjoint borrows of the kernel's scratch"
@@ -592,9 +865,13 @@ fn freeze(
     rate: &mut [f64],
     wsum: &mut [f64],
     wcount: &mut [u32],
+    log: &mut FillLog,
+    touched: &mut Touched,
+    round: u32,
     mut touch: impl FnMut(u32, f64),
 ) -> usize {
     let mut frozen = 0usize;
+    let logged = !touched.mark.is_empty();
     for &i in to_freeze {
         let i = i as usize;
         if !active[i] {
@@ -602,8 +879,14 @@ fn freeze(
         }
         active[i] = false;
         rate[i] = (rate[i] + lay.weight[i] * fill).min(lay.demand[i]);
+        if logged {
+            log.froze[i] = round + 1;
+        }
         for &li in lay.paths.row(i) {
             touch(li, wsum[li as usize]);
+            if logged && !std::mem::replace(&mut touched.mark[li as usize], true) {
+                touched.links.push(li);
+            }
             let li = li as usize;
             wsum[li] -= lay.weight[i];
             wcount[li] -= 1;
@@ -740,7 +1023,7 @@ impl Fluid {
     pub fn rates(&self) -> Vec<f64> {
         let (lay, lflows) = self.layout();
         let mut scratch = FillScratch::default();
-        self.fill(&lay, &lflows, &mut scratch);
+        self.fill(&lay, &lflows, &mut scratch, &mut FillLog::default());
         debug_assert!(
             self.is_work_conserving(&scratch.rate),
             "allocation is not work-conserving"
@@ -802,32 +1085,43 @@ impl Fluid {
     ///   flows' path lengths, not the live links. Debug builds drain a
     ///   shadow of every residual eagerly and check each lazy round's
     ///   event, step, saturated links and every residual read against it.
-    pub(crate) fn fill(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch) {
-        self.fill_with(lay, lflows, s, None);
+    ///
+    /// Phase 2 also writes `log`, the layout's fill log: each round's
+    /// level, step and event, each flow's freeze round, each link's
+    /// phase-2 start and saturation round, and a breakpoint (residual,
+    /// weight sum, active count) for each link after each round that
+    /// froze one of its flows. When `log` describes the layout's last fill
+    /// and neither fill's phase 1 scaled a link, phase 2 first finds the
+    /// first logged round the layout's changes since could alter
+    /// (`divergence`), restores the state at its start from the log
+    /// (`restore`), and runs only the rounds from there on; the rounds
+    /// before it would repeat the logged ones bit for bit (see the
+    /// incremental module's "Resumed fills"). The kernel, eager or lazy,
+    /// is the one a fill from round 0 would pick. A layout of fewer than
+    /// `RESUME_FROM` flows keeps no log.
+    pub(crate) fn fill(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch, log: &mut FillLog) {
+        self.fill_with(lay, lflows, s, log, None);
     }
 
     /// [`Fluid::fill`], its rounds lazy if `lazy` says so (`None`: from
     /// `LAZY_FROM` live links on).
-    fn fill_with(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch, lazy: Option<bool>) {
-        let (n, nll) = (lay.flows.len(), lay.links.len());
-        let Layout {
-            paths,
-            demand,
-            weight,
-            ..
-        } = lay;
+    fn fill_with(
+        &self,
+        lay: &Layout,
+        lflows: &Rows,
+        s: &mut FillScratch,
+        log: &mut FillLog,
+        lazy: Option<bool>,
+    ) {
+        let nll = lay.links.len();
+        let Layout { paths, weight, .. } = lay;
         let FillScratch {
             rate,
             lcaps,
-            active,
-            finite,
             used,
             stale,
             stale_links,
             residual,
-            wsum,
-            wcount,
-            live,
             ..
         } = s;
         lcaps.clear();
@@ -844,6 +1138,7 @@ impl Fluid {
         used.extend_from_slice(&lay.floor_sum);
         stale.clear();
         stale.resize(nll, false);
+        let mut scaled = false;
         loop {
             #[cfg(debug_assertions)]
             for (li, u) in used.iter().enumerate() {
@@ -863,6 +1158,7 @@ impl Fluid {
                 }
             }
             let Some((li, scale)) = worst else { break };
+            scaled = true;
             for &i in lflows.row(li) {
                 rate[i as usize] *= scale;
                 for &pl in paths.row(i as usize) {
@@ -888,37 +1184,49 @@ impl Fluid {
         // Phase 2: weighted progressive filling of the residual, driven by
         // one fill level. While flow `i` is active its rate is implicitly
         // `rate[i] + weight[i] × fill`; only the freeze event materializes
-        // it, so a round never sweeps all flows or all links.
-        active.clear();
-        active.extend((0..n).map(|i| rate[i] + 1e-9 < demand[i]));
-        // Active weight sum and active flow count per link. The count going
-        // to zero resets the sum to exactly 0.0, so accumulated float error
-        // can never leave a ghost positive weight on a drained link.
-        wsum.clear();
-        wsum.resize(nll, 0.0);
-        wcount.clear();
-        wcount.resize(nll, 0);
-        // Finite-demand active flows (greedy flows never appear here).
-        finite.clear();
-        for i in 0..n {
-            if active[i] {
-                for &li in paths.row(i) {
-                    wsum[li as usize] += weight[i];
-                    wcount[li as usize] += 1;
-                }
-                if demand[i].is_finite() {
-                    finite.push(i as u32);
+        // it, so a round never sweeps all flows or all links. It starts at
+        // the first logged round this layout's changes could alter.
+        s.full = !log.ok || log.scaled || scaled || lay.flows.len() < RESUME_FROM;
+        s.reused = if s.full {
+            0
+        } else {
+            s.divergence(lay, lflows, log)
+        };
+        log.scaled = scaled;
+        let live_at_start = match s.reused {
+            0 => s.start_phase2(lay, log),
+            k => s.restore(lay, lflows, log, k),
+        };
+        let fill = log.rounds.last().map_or(0.0, |r| r.fill);
+        let remaining = s.active.iter().filter(|&&a| a).count();
+        let fill = if lazy.unwrap_or(live_at_start >= LAZY_FROM) {
+            if s.reused == 0 {
+                fit(&mut s.steps, lay.flows.len() + 1);
+                s.steps.clear();
+                fit(&mut s.drained, nll);
+                s.drained.clear();
+                s.drained.resize(nll, 0);
+            }
+            s.lazy_keys(log);
+            s.lazy_rounds(lay, lflows, remaining, fill, log)
+        } else {
+            if s.reused > 0 {
+                let FillScratch {
+                    residual,
+                    wsum,
+                    live,
+                    steps,
+                    drained,
+                    ..
+                } = s;
+                for &li in live.iter() {
+                    catch_up(residual, drained, steps, li as usize, wsum[li as usize]);
                 }
             }
-        }
-        live.clear();
-        live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
-        let remaining = active.iter().filter(|&&a| a).count();
-        let fill = if lazy.unwrap_or(live.len() >= LAZY_FROM) {
-            s.lazy_rounds(lay, lflows, remaining)
-        } else {
-            s.eager_rounds(lay, lflows, remaining)
+            s.eager_rounds(lay, lflows, remaining, fill, log)
         };
+        log.cut = u32::MAX;
+        log.added.clear();
         // Flows still active hit no capacitated link and no demand: they
         // are unbounded in the fluid limit; report the filled level reached
         // (matches the reference's early exit).
@@ -930,10 +1238,449 @@ impl Fluid {
     }
 }
 
+/// A changed link's phase-2 start in `lay`: its residual after phase 1
+/// (which scaled nothing) and the weights of its flows then active, summed
+/// in flow order as the kernel sums them.
+fn link_start(lay: &Layout, lflows: &Rows, residual: &[f64], li: usize) -> LinkAt {
+    let mut at = LinkAt {
+        residual: residual[li],
+        ..LinkAt::default()
+    };
+    for &i in lflows.row(li) {
+        let i = i as usize;
+        if lay.init[i] + 1e-9 < lay.demand[i] {
+            at.wsum += lay.weight[i];
+            at.wcount += 1;
+        }
+    }
+    at
+}
+
+/// Replay changed local link `li` from its phase-2 start `at` through the
+/// logged rounds before `until`, with the kernel's arithmetic: a round
+/// drains it by its step, then its flows that froze in that round leave
+/// its sums in the round's freeze order, and `on_bp` sees it after each
+/// round that froze one of them. Returns the first round it could change:
+/// its ratio within `slack` of the round's step (the event, or a tie with
+/// it), or its drained residual at the saturation threshold; `until` if
+/// none. `at` is then its state entering round `until` (or left idle).
+///
+/// A round freezes the flows of its saturated links by ascending link,
+/// each link's in flow order, then its event flow, then the flows at
+/// their demand in flow order. Every link that saturated before `until`
+/// kept its log (a changed link that saturated cuts the reuse there), so
+/// `sat` and the logged events give each flow its place.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the layout, the logged rounds, freezes and saturations, the link, and pooled scratch"
+)]
+fn replay(
+    lay: &Layout,
+    lflows: &Rows,
+    rounds: &[Round],
+    froze: &[u32],
+    sat: &[u32],
+    li: usize,
+    at: &mut LinkAt,
+    until: usize,
+    order: &mut Vec<(u32, u32, u32)>,
+    mut on_bp: impl FnMut(u32, &LinkAt),
+) -> usize {
+    let nll = lay.links.len() as u32;
+    let place = |r: u32, i: u32| {
+        let by = lay
+            .paths
+            .row(i as usize)
+            .iter()
+            .copied()
+            .filter(|&l| sat[l as usize] == r)
+            .min();
+        by.unwrap_or(
+            match rounds[r as usize].event == lay.flows[i as usize] | FLOW_EVENT {
+                true => nll,
+                false => nll + 1,
+            },
+        )
+    };
+    order.clear();
+    order.extend(lflows.row(li).iter().filter_map(|&i| {
+        let f = froze[i as usize];
+        (f != 0 && f as usize <= until).then_some((f - 1, 0, i))
+    }));
+    order.sort_unstable();
+    // Only flows that froze in the same round need their place in it.
+    for run in order
+        .chunk_by_mut(|a, b| a.0 == b.0)
+        .filter(|run| run.len() > 1)
+    {
+        for e in run.iter_mut() {
+            e.1 = place(e.0, e.2);
+        }
+        run.sort_unstable();
+    }
+    let mut next = order.iter().map(|&(_, _, i)| i as usize).peekable();
+    for (j, r) in rounds[..until].iter().enumerate() {
+        if at.wcount == 0 {
+            break;
+        }
+        if at.wsum > 0.0 {
+            if at.residual / at.wsum <= r.t + slack(r.t) {
+                return j;
+            }
+            at.residual -= at.wsum * r.t;
+        }
+        if at.residual <= 1e-6 {
+            return j;
+        }
+        let mut froze_one = false;
+        while let Some(i) = next.next_if(|&i| froze[i] as usize == j + 1) {
+            at.wsum -= lay.weight[i];
+            at.wcount -= 1;
+            if at.wcount == 0 {
+                at.wsum = 0.0;
+            }
+            froze_one = true;
+        }
+        if froze_one {
+            on_bp(j as u32, at);
+        }
+    }
+    until
+}
+
 impl FillScratch {
-    /// Phase 2's rounds, each draining every live link; returns the fill
-    /// level reached.
-    fn eager_rounds(&mut self, lay: &Layout, lflows: &Rows, mut remaining: usize) -> f64 {
+    /// The first logged round the layout's changes since its last fill
+    /// could alter: the least of the patch's `cut`, the logged round
+    /// count, each changed link's [`replay`] and the round in which each
+    /// added finite-demand flow could reach its demand (its level within
+    /// `slack` of the round's step, or within 1e-6 of the demand after
+    /// it). Every round before it runs exactly as logged. Lists the
+    /// changed links in `changed`.
+    fn divergence(&mut self, lay: &Layout, lflows: &Rows, log: &FillLog) -> usize {
+        let mut k = (log.cut as usize).min(log.rounds.len());
+        self.changed.clear();
+        self.changed
+            .extend((0..lay.links.len() as u32).filter(|&li| log.sat[li as usize] == CHANGED));
+        // Replay the changed links by the first round each could act in,
+        // were none of its flows to freeze (freezes only slow its drain),
+        // so that a small k* is found first and bounds the rest.
+        self.first.clear();
+        for &li in &self.changed {
+            let at = link_start(lay, lflows, &self.residual, li as usize);
+            let level = match (at.wcount, at.wsum > 0.0) {
+                (0, _) => continue,
+                (_, false) if at.residual > 1e-6 => continue,
+                (_, false) => f64::NEG_INFINITY,
+                (_, true) => {
+                    let level = (at.residual - 1e-6) / at.wsum;
+                    level - 1e-6 * (level.abs() + 1.0)
+                }
+            };
+            let first = log.rounds.partition_point(|r| r.fill < level);
+            self.first.push((first as u32, li, at));
+        }
+        self.first
+            .sort_unstable_by_key(|&(first, li, _)| (first, li));
+        for &(first, li, mut at) in &self.first {
+            if first as usize >= k {
+                break;
+            }
+            let (froze, sat) = (&log.froze, &log.sat);
+            k = replay(
+                lay,
+                lflows,
+                &log.rounds,
+                froze,
+                sat,
+                li as usize,
+                &mut at,
+                k,
+                &mut self.order,
+                |_, _| {},
+            );
+        }
+        for &i in &log.added {
+            let i = i as usize;
+            let (d, w, r0) = (lay.demand[i], lay.weight[i], lay.init[i]);
+            if !d.is_finite() || r0 + 1e-9 >= d {
+                continue;
+            }
+            let mut before = 0.0;
+            for (j, r) in log.rounds[..k].iter().enumerate() {
+                let tf = (d - (r0 + w * before)) / w;
+                if tf <= r.t + slack(r.t) || r0 + w * r.fill + 1e-6 >= d {
+                    k = j;
+                    break;
+                }
+                before = r.fill;
+            }
+        }
+        k
+    }
+
+    /// Phase 2's state at round 0, logged as the layout's fresh log.
+    /// Returns the live links.
+    fn start_phase2(&mut self, lay: &Layout, log: &mut FillLog) -> usize {
+        let (n, nll) = (lay.flows.len(), lay.links.len());
+        let FillScratch {
+            rate,
+            active,
+            finite,
+            residual,
+            wsum,
+            wcount,
+            live,
+            idle,
+            touched,
+            ..
+        } = self;
+        idle.clear();
+        touched.mark.clear();
+        touched.links.clear();
+        active.clear();
+        active.extend((0..n).map(|i| rate[i] + 1e-9 < lay.demand[i]));
+        // Active weight sum and active flow count per link. The count going
+        // to zero resets the sum to exactly 0.0, so accumulated float error
+        // can never leave a ghost positive weight on a drained link.
+        wsum.clear();
+        wsum.resize(nll, 0.0);
+        wcount.clear();
+        wcount.resize(nll, 0);
+        // Finite-demand active flows (greedy flows never appear here).
+        finite.clear();
+        for (i, _) in active.iter().enumerate().filter(|&(_, &a)| a) {
+            for &li in lay.paths.row(i) {
+                wsum[li as usize] += lay.weight[i];
+                wcount[li as usize] += 1;
+            }
+            if lay.demand[i].is_finite() {
+                finite.push(i as u32);
+            }
+        }
+        live.clear();
+        live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
+        log.rounds.clear();
+        log.bps.clear();
+        log.ok = n >= RESUME_FROM;
+        if !log.ok {
+            return live.len();
+        }
+        touched.mark.resize(nll, false);
+        log.froze.clear();
+        log.froze
+            .extend(active.iter().map(|&a| if a { NEVER } else { 0 }));
+        log.start.clear();
+        log.start.extend((0..nll).map(|li| LinkAt {
+            residual: residual[li],
+            wsum: wsum[li],
+            wcount: wcount[li],
+        }));
+        log.sat.clear();
+        log.sat.resize(nll, NEVER);
+        live.len()
+    }
+
+    /// Phase 2's state at the start of logged round `k` (at least 1): an
+    /// unchanged link takes its last breakpoint before `k` (or its phase-2
+    /// start) and the steps since, to be replayed as it is read
+    /// (`drained`); a changed link takes what its [`replay`] reaches; a
+    /// flow frozen before `k` keeps its rate, every other one is active
+    /// again. The log keeps what it held before round `k`, its
+    /// breakpoints renumbered to the layout's links and still in round
+    /// order. Returns the live links at phase 2's start, which pick the
+    /// kernel.
+    fn restore(&mut self, lay: &Layout, lflows: &Rows, log: &mut FillLog, k: usize) -> usize {
+        let nll = lay.links.len();
+        let FillScratch {
+            active,
+            finite,
+            residual,
+            wsum,
+            wcount,
+            live,
+            order,
+            steps,
+            drained,
+            idle,
+            touched,
+            rbp,
+            ..
+        } = self;
+        let FillLog {
+            froze,
+            start,
+            sat,
+            rounds,
+            bps,
+            remap,
+            ..
+        } = log;
+        let kk = k as u32;
+        wsum.clear();
+        wsum.resize(nll, 0.0);
+        wcount.clear();
+        wcount.resize(nll, 0);
+        drained.clear();
+        drained.resize(nll, 0);
+        touched.mark.clear();
+        touched.mark.resize(nll, false);
+        touched.links.clear();
+        rbp.clear();
+        let mut live_at_start = 0;
+        for li in 0..nll {
+            let at = if sat[li] == CHANGED {
+                let mut at = link_start(lay, lflows, residual, li);
+                start[li] = at;
+                sat[li] = NEVER;
+                replay(
+                    lay,
+                    lflows,
+                    rounds,
+                    froze,
+                    sat,
+                    li,
+                    &mut at,
+                    k,
+                    order,
+                    |round, at| {
+                        rbp.push(Bp {
+                            residual: at.residual,
+                            wsum: at.wsum,
+                            wcount: at.wcount,
+                            round,
+                            link: li as u32,
+                        });
+                    },
+                );
+                drained[li] = kk;
+                at
+            } else {
+                if sat[li] >= kk {
+                    sat[li] = NEVER;
+                }
+                start[li]
+            };
+            live_at_start += usize::from(start[li].wcount > 0);
+            residual[li] = at.residual;
+            wsum[li] = at.wsum;
+            wcount[li] = at.wcount;
+        }
+        // The breakpoints before round `k` of the links kept unchanged, in
+        // one pass: renumbered, each setting its link's state (the last
+        // one before `k` wins); then the changed links' merged in by round.
+        let end = bps.partition_point(|b| b.round < kk);
+        let mut w = 0;
+        for r in 0..end {
+            let b = bps[r];
+            let to = remap[b.link as usize];
+            if to == CHANGED {
+                continue;
+            }
+            let l = to as usize;
+            (residual[l], wsum[l], wcount[l]) = (b.residual, b.wsum, b.wcount);
+            drained[l] = b.round + 1;
+            bps[w] = Bp { link: to, ..b };
+            w += 1;
+        }
+        rbp.sort_unstable_by_key(|b| (b.round, b.link));
+        let total = w + rbp.len();
+        bps.truncate(w);
+        bps.extend_from_slice(rbp);
+        let (mut i, mut j) = (w, rbp.len());
+        for o in (0..total).rev() {
+            if j == 0 {
+                break;
+            }
+            if i > 0 && bps[i - 1].round > rbp[j - 1].round {
+                bps[o] = bps[i - 1];
+                i -= 1;
+            } else {
+                bps[o] = rbp[j - 1];
+                j -= 1;
+            }
+        }
+        live.clear();
+        live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
+        // A flow frozen before `k` stays frozen (its rate is
+        // [`FillLog::kept_rate`]); an added one idle from the start keeps
+        // its starting rate; every other one is active again.
+        active.clear();
+        finite.clear();
+        idle.clear();
+        for (i, f) in froze.iter_mut().enumerate() {
+            let on = *f > kk && (*f != ADDED || lay.init[i] + 1e-9 < lay.demand[i]);
+            if on {
+                *f = NEVER;
+                if lay.demand[i].is_finite() {
+                    finite.push(i as u32);
+                }
+            } else if *f == ADDED {
+                *f = 0;
+                idle.push(i as u32);
+            }
+            active.push(on);
+        }
+        rounds.truncate(k);
+        steps.clear();
+        steps.extend(rounds.iter().map(|r| r.t));
+        live_at_start
+    }
+
+    /// Lazy rounds' heap: every live link keyed by the level at which it
+    /// saturates, from its residual as of the steps it has taken.
+    fn lazy_keys(&mut self, log: &FillLog) {
+        let FillScratch {
+            residual,
+            wsum,
+            live,
+            drained,
+            heap,
+            #[cfg(debug_assertions)]
+            shadow,
+            #[cfg(debug_assertions)]
+            steps,
+            ..
+        } = self;
+        let level = |d: u32| match d {
+            0 => 0.0,
+            d => log.rounds[d as usize - 1].fill,
+        };
+        let mut keys = std::mem::take(heap).into_vec();
+        fit(&mut keys, residual.len());
+        keys.clear();
+        keys.extend(live.iter().map(|&li| {
+            let l = li as usize;
+            Reverse(key(
+                saturation_level(residual[l], wsum[l], level(drained[l])),
+                li,
+            ))
+        }));
+        *heap = BinaryHeap::from(keys);
+        #[cfg(debug_assertions)]
+        {
+            shadow.clear();
+            shadow.extend_from_slice(residual);
+            for &li in live.iter() {
+                let l = li as usize;
+                if wsum[l] > 0.0 {
+                    for &t in &steps[drained[l] as usize..] {
+                        shadow[l] -= wsum[l] * t;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phase 2's rounds from level `fill`, each draining every live link;
+    /// returns the fill level reached.
+    fn eager_rounds(
+        &mut self,
+        lay: &Layout,
+        lflows: &Rows,
+        mut remaining: usize,
+        mut fill: f64,
+        log: &mut FillLog,
+    ) -> f64 {
         let FillScratch {
             rate,
             active,
@@ -943,9 +1690,9 @@ impl FillScratch {
             wcount,
             live,
             to_freeze,
+            touched,
             ..
         } = self;
-        let mut fill = 0.0f64;
         let (mut rounds, mut link_visits) = (0usize, 0usize);
         while remaining > 0 {
             // Next event: the tightest link saturates, or the tightest
@@ -1013,7 +1760,31 @@ impl FillScratch {
                 }
             }
             queue_demands(lay, fill, event_flow, finite, active, rate, to_freeze);
-            remaining -= freeze(lay, fill, to_freeze, active, rate, wsum, wcount, |_, _| {});
+            let round = log.rounds.len() as u32;
+            remaining -= freeze(
+                lay,
+                fill,
+                to_freeze,
+                active,
+                rate,
+                wsum,
+                wcount,
+                log,
+                touched,
+                round,
+                |_, _| {},
+            );
+            if !touched.mark.is_empty() {
+                log.end_round(
+                    touched,
+                    (residual, wsum, wcount),
+                    lay,
+                    fill,
+                    t,
+                    event_link,
+                    event_flow,
+                );
+            }
             if !finite.is_empty() {
                 finite.retain(|&i| active[i as usize]);
             }
@@ -1023,10 +1794,18 @@ impl FillScratch {
         fill
     }
 
-    /// Phase 2's rounds, each reading only the links it may act on (see
-    /// [`Fluid::fill`]); returns the fill level reached, bit for bit the
-    /// eager rounds' with the same rates.
-    fn lazy_rounds(&mut self, lay: &Layout, lflows: &Rows, mut remaining: usize) -> f64 {
+    /// Phase 2's rounds from level `fill`, each reading only the links it
+    /// may act on (see [`Fluid::fill`]); returns the fill level reached,
+    /// bit for bit the eager rounds' with the same rates.
+    fn lazy_rounds(
+        &mut self,
+        lay: &Layout,
+        lflows: &Rows,
+        mut remaining: usize,
+        mut fill: f64,
+        log: &mut FillLog,
+    ) -> f64 {
+        #[cfg(debug_assertions)]
         let nll = lay.links.len();
         let FillScratch {
             rate,
@@ -1035,36 +1814,17 @@ impl FillScratch {
             residual,
             wsum,
             wcount,
-            live,
             to_freeze,
             steps,
             drained,
             heap,
             popped,
             saturated,
+            touched,
             #[cfg(debug_assertions)]
             shadow,
             ..
         } = self;
-        fit(steps, lay.flows.len() + 1);
-        steps.clear();
-        fit(drained, nll);
-        drained.clear();
-        drained.resize(nll, 0);
-        let mut keys = std::mem::take(heap).into_vec();
-        fit(&mut keys, live.len());
-        keys.clear();
-        keys.extend(live.iter().map(|&li| {
-            let l = li as usize;
-            Reverse(key(saturation_level(residual[l], wsum[l], 0.0), li))
-        }));
-        *heap = BinaryHeap::from(keys);
-        #[cfg(debug_assertions)]
-        {
-            shadow.clear();
-            shadow.extend_from_slice(residual);
-        }
-        let mut fill = 0.0f64;
         let (mut rounds, mut link_visits) = (0usize, 0usize);
         while remaining > 0 {
             // The link event: pop every link whose key could beat the best
@@ -1188,21 +1948,45 @@ impl FillScratch {
             // A link a freeze touches first this round takes the round's
             // steps before its weight sum changes.
             let done = steps.len() as u32;
-            remaining -= freeze(lay, fill, to_freeze, active, rate, wsum, wcount, |li, w| {
-                let li = li as usize;
-                if drained[li] < done {
-                    link_visits += 1;
-                    catch_up(residual, drained, steps, li, w);
-                    #[cfg(debug_assertions)]
-                    {
-                        assert!(
-                            residual[li] > 1e-6,
-                            "link {li} saturated unpopped: the key slack failed"
-                        );
-                        assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
+            let round = log.rounds.len() as u32;
+            remaining -= freeze(
+                lay,
+                fill,
+                to_freeze,
+                active,
+                rate,
+                wsum,
+                wcount,
+                log,
+                touched,
+                round,
+                |li, w| {
+                    let li = li as usize;
+                    if drained[li] < done {
+                        link_visits += 1;
+                        catch_up(residual, drained, steps, li, w);
+                        #[cfg(debug_assertions)]
+                        {
+                            assert!(
+                                residual[li] > 1e-6,
+                                "link {li} saturated unpopped: the key slack failed"
+                            );
+                            assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
+                        }
                     }
-                }
-            });
+                },
+            );
+            if !touched.mark.is_empty() {
+                log.end_round(
+                    touched,
+                    (residual, wsum, wcount),
+                    lay,
+                    fill,
+                    t,
+                    event_link,
+                    event_flow,
+                );
+            }
             if !finite.is_empty() {
                 finite.retain(|&i| active[i as usize]);
             }
@@ -1262,7 +2046,7 @@ impl Fluid {
     pub(crate) fn solve_with(&self, lazy: Option<bool>) -> (Vec<f64>, usize, usize) {
         let (lay, lflows) = self.layout();
         let mut s = FillScratch::default();
-        self.fill_with(&lay, &lflows, &mut s, lazy);
+        self.fill_with(&lay, &lflows, &mut s, &mut FillLog::default(), lazy);
         (s.rate, s.rounds, s.link_visits)
     }
 }
@@ -1688,7 +2472,7 @@ mod tests {
         lay.paths.transpose_into(lay.links.len(), &mut lflows);
         lay.sum_floors(&lflows, |_| true);
         let mut scratch = FillScratch::default();
-        net.fill(&lay, &lflows, &mut scratch);
+        net.fill(&lay, &lflows, &mut scratch, &mut FillLog::default());
 
         let mut only_a = Fluid::new();
         for &c in &caps {

@@ -44,19 +44,79 @@
 //!   or saturate, and those its freezes touch, with every rate the same
 //!   bits (see [`crate::fluid`]). [`SolveStats`] counts the rounds and
 //!   the link visits.
+//! * **Resumed fills.** A component re-solves from the first round of its
+//!   last fill that the step's churn could change, not from round 0; see
+//!   below.
+//!
+//! ## Resumed fills
+//!
+//! A layout of at least 64 flows keeps a log of its last fill (the
+//! kernel's `FillLog`):
+//!
+//! * per round: the fill level after it, its step and its event;
+//! * per flow: the round it froze in, or that it was idle when phase 2
+//!   began, or that it never froze;
+//! * per link: its residual, active weight sum and active count when
+//!   phase 2 began; the round it saturated in; and a *breakpoint*, those
+//!   three values again, after each round that froze one of its flows.
+//!   The breakpoints of all links form one list in round order.
+//!
+//! The per-flow entries move through the patch with the flows, like the
+//! starting rates; the per-link ones are carried and renumbered with the
+//! links, like the floor sums. A link touched this step (a flow added or
+//! removed on it, or a new capacity) or new to the layout (a new link, or
+//! one of a layout merged in) is *changed*, its entries void; a flow new
+//! to the layout, merged-in ones included, is *added*.
+//!
+//! The solve finds k\*, the first logged round the changes could alter,
+//! as the least of: the round a removed flow froze in; the round a
+//! touched link saturated in; for each changed link, the round at which
+//! its new residual and weight sum, replayed through the logged rounds
+//! with the kernel's arithmetic and freeze order, come within `slack` of
+//! the round's step (the event, or a tie with it) or drain to the
+//! saturation threshold; and for each added finite-demand flow, the round
+//! in which it could reach its demand. The kernel then restores its state
+//! at k\* and runs only the rounds from k\* on
+//! ([`SolveStats::rounds_reused`]). A component that split, whose phase 1
+//! scaled a floor (in this fill or the logged one), or that has no log
+//! (a new one, a piece of a split, or one of fewer than 64 flows) fills
+//! from round 0 ([`SolveStats::full_solves`]).
+//!
+//! The reused prefix is exact, not approximate. Before k\* every round
+//! has the logged event, step and freezes: an unchanged link carries the
+//! same flows, so the same sums; a changed link is neither the event nor
+//! tied with it nor saturated; no removed flow froze and no touched link
+//! saturated; no added flow reached its demand. So the state at k\* is
+//! the state a fill from round 0 reaches there: an unchanged link's is its
+//! last breakpoint before k\* plus the logged steps since (replayed as it
+//! is read, as lazy rounds replay), a changed link's is what its replay
+//! reached, and a flow frozen before k\* keeps the rate its round's fill
+//! level gives it. The log a resumed fill leaves is, entry for entry, the
+//! one a fill from round 0 leaves. Debug builds run that full fill beside
+//! every resumed one and assert equal rate and log bits.
+//!
+//! A resumed fill changed only the flows frozen from k\* on: only those
+//! are written back and listed in [`IncrementalFluid::resolved_keys`], and
+//! only the changed links and the links of those flows are re-summed and
+//! listed in [`IncrementalFluid::changed_links`]. A kept flow's rate and
+//! demand did not change, so its starvation is re-judged only where one of
+//! its links flipped its (cached) saturation.
 //!
 //! ## What is cached, and why each cache is exact
 //!
 //! Beside the rates and the layouts the solver keeps, per link, the
 //! **load** (number of flows crossing it), the **usage** (Σ rate of the
-//! link's flows), an **over-capacity** flag and a **component label** (the
+//! link's flows), an **over-capacity** flag, a **saturated** flag (for a
+//! link carrying a flow) and a **component label** (the
 //! lowest link of the link's component); per flow, a **starved** flag
 //! (below demand with no saturated link on its path); and three integers:
 //! links over capacity, flows starved, and the number of components.
 //! Every one of them but the load is a *pure function of the current flow
 //! set and capacities, recomputed whole* for the links and flows of each
 //! component the step re-solved (and reset for a touched link left
-//! without flows) — never adjusted by a float delta. A clean component's
+//! without flows) — never adjusted by a float delta. A resumed fill
+//! recomputes them for what it changed (see above), and a layout's fill
+//! log is re-derived like the layout. A clean component's
 //! flows, rates and capacities did not change, so neither did anything
 //! derived from them; the counters move only by the exact integer
 //! difference of the flags that were rewritten. Usage is summed in the
@@ -67,22 +127,25 @@
 //! [`IncrementalFluid::is_work_conserving`] is therefore two integer
 //! comparisons, and the component count is
 //! `old − (components in the dirty set) + (components re-solved)`. Debug
-//! builds re-derive all of it, every stored layout included, from scratch
-//! after every engine solve and assert bit-equality.
+//! builds re-derive all of it, every stored layout and fill log included,
+//! from scratch after every engine solve and assert bit-equality.
 //!
 //! ## Determinism
 //!
 //! Every dirty component is solved by the one max-min kernel the global
 //! [`Fluid::rates`] uses (`Fluid::fill`, see [`crate::fluid`]), handed the
 //! component's flows ordered by a caller-supplied `(tenant, sequence)` key
-//! and its links ascending. The allocation is therefore a pure function
-//! of the surviving flow set: a solver that churned through any history
+//! and its links ascending; a resumed fill reuses only rounds that a fill
+//! from round 0 repeats bit for bit. The allocation is therefore a pure
+//! function of the surviving flow set: a solver that churned through any
+//! history
 //! holds **bit-identical** rates, usage and verdicts to a fresh one fed
 //! the same final state. Keys are meant to be distinct; two equal keys are
 //! ordered by stable id, which does depend on history. All solver
 //! scratch — the union-find, the sorted added keys, the merge heap, the
-//! kernel's transpose and rate vectors, freeze queues — and every retired
-//! layout of up to 4,096 flows are pooled across steps and never cleared
+//! kernel's transpose and rate vectors, freeze queues — every fill log,
+//! and every retired layout of up to 4,096 flows are pooled across steps
+//! and never cleared
 //! wholesale, so a steady-state solve allocates nothing (this crate's
 //! `tests/solve_allocations.rs` counts). A larger retired layout, and
 //! scratch a one-off peak left over four times too big, give their
@@ -90,7 +153,7 @@
 
 #![warn(clippy::float_cmp)]
 
-use crate::fluid::{tol, trim, FillScratch, FlowSpec, Fluid, Layout, Rows};
+use crate::fluid::{tol, trim, FillScratch, FlowSpec, Fluid, Layout, LinkAt, Rows, CHANGED, NEVER};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -122,6 +185,19 @@ pub struct SolveStats {
     /// Flow specs the solve read: the flows added since the last solve.
     /// Every other flow of a dirty component comes from its stored layout.
     pub flows_flattened: usize,
+    /// Rounds of the dirty components' last fills that their solves
+    /// reused instead of running: each resumed at the first round its
+    /// churn could change. `fill_rounds + rounds_reused` is what solving
+    /// every dirty component from round 0 would run.
+    pub rounds_reused: usize,
+    /// Flows of the dirty components that kept their rate, frozen in a
+    /// reused round, and were neither written back nor re-scored.
+    pub flows_reused: usize,
+    /// Dirty components solved from round 0 without looking for a round
+    /// to resume at: one without a log (new, a piece of a split, or of
+    /// fewer than 64 flows), or one whose phase 1 scaled a link, then or
+    /// now.
+    pub full_solves: usize,
 }
 
 /// A [`Fluid`] network solved component-by-component under churn (see the
@@ -212,6 +288,9 @@ struct LinkState {
     used: Vec<f64>,
     /// "Usage exceeds capacity beyond tolerance".
     over: Vec<bool>,
+    /// "Usage reaches capacity within tolerance", for a link carrying a
+    /// flow.
+    sat: Vec<bool>,
     /// Links with `over` set.
     over_count: usize,
     /// Lowest link of the link's component (`NO_COMPONENT` for a link no
@@ -271,8 +350,11 @@ struct Scratch {
     /// it is patched, or the group's new layout.
     cand: Layout,
     /// The candidate's links with the floor sum their layout held (0.0
-    /// for a new link; a touched link's is re-summed).
-    cand_links: Vec<(u32, f64)>,
+    /// for a new link; a touched link's is re-summed) and their position
+    /// in the largest dirty layout (`NONE`: from another, or new).
+    cand_links: Vec<(u32, f64, u32)>,
+    /// The candidate's links' fill-log entries, gathered.
+    link_log: Vec<(LinkAt, u32)>,
     /// Link → candidate-local link.
     link_local: Vec<u32>,
     /// The flows that join the largest dirty layout, in key order, with
@@ -302,6 +384,15 @@ struct Scratch {
     piece_size: Vec<(u32, u32, u32)>,
     /// Local link → saturated after the solve.
     lsat: Vec<bool>,
+    /// Local link → its usage is rewritten.
+    lmark: Vec<bool>,
+    /// The flows a resumed fill re-solved.
+    resolved: Vec<u32>,
+    /// Local links whose saturation a resumed fill flipped.
+    flipped: Vec<u32>,
+    /// Debug builds: the full fill each resumed one is checked against.
+    #[cfg(debug_assertions)]
+    full: (FillScratch, crate::fluid::FillLog),
     /// The kernel's scratch.
     fill: FillScratch,
 }
@@ -388,6 +479,7 @@ impl IncrementalFluid {
                 touched_list: Vec::new(),
                 used: vec![0.0; nl],
                 over: vec![false; nl],
+                sat: vec![false; nl],
                 over_count: 0,
                 label: vec![NO_COMPONENT; nl],
             },
@@ -511,6 +603,7 @@ impl IncrementalFluid {
         ls.touched_list.clear();
         ls.used.fill(0.0);
         ls.over.fill(false);
+        ls.sat.fill(false);
         ls.over_count = 0;
         ls.label.fill(NO_COMPONENT);
         self.spare.clear();
@@ -722,29 +815,36 @@ impl IncrementalFluid {
 
         // The candidate's links: the dirty layouts' links that still carry
         // a flow, with their floor sums, and the group's new links.
-        s.cand_links.clear();
         let mut big: Option<u32> = None;
         for &(_, lab) in dirty {
             let slot = layout_at[lab as usize];
+            if big.is_none_or(|b| {
+                layouts[b as usize].flows.len() < layouts[slot as usize].flows.len()
+            }) {
+                big = Some(slot);
+            }
+        }
+        s.cand_links.clear();
+        for &(_, lab) in dirty {
+            let slot = layout_at[lab as usize];
             let lay = &layouts[slot as usize];
+            let mine = Some(slot) == big;
             s.cand_links.extend(
                 lay.links
                     .iter()
                     .zip(&lay.floor_sum)
-                    .filter(|(&l, _)| ls.load[l as usize] > 0)
-                    .map(|(&l, &f)| (l, f)),
+                    .enumerate()
+                    .filter(|(_, (&l, _))| ls.load[l as usize] > 0)
+                    .map(|(li, (&l, &f))| (l, f, if mine { li as u32 } else { NONE })),
             );
-            if big.is_none_or(|b| layouts[b as usize].flows.len() < lay.flows.len()) {
-                big = Some(slot);
-            }
         }
         let new_links = &s.new_links[g.new_links.0..g.new_links.1];
         s.cand_links
-            .extend(new_links.iter().map(|&(_, l)| (l, 0.0)));
+            .extend(new_links.iter().map(|&(_, l)| (l, 0.0, NONE)));
         if dirty.len() + new_links.len() > 1 {
-            s.cand_links.sort_unstable_by_key(|&(l, _)| l);
+            s.cand_links.sort_unstable_by_key(|&(l, _, _)| l);
         }
-        for (li, &(l, _)) in s.cand_links.iter().enumerate() {
+        for (li, &(l, _, _)) in s.cand_links.iter().enumerate() {
             s.link_local[l as usize] = li as u32;
         }
 
@@ -822,7 +922,10 @@ impl IncrementalFluid {
                         .links
                         .iter()
                         .zip(&s.cand_links)
-                        .all(|(&a, &(b, _))| a == b);
+                        .all(|(&a, &(b, _, _))| a == b);
+                // No logged round from the first in which a removed flow
+                // froze, or a touched link saturated, can be reused.
+                let mut cut = u32::MAX;
                 if flows.removed || !same_links {
                     // A dropped link's entry is stale, but only removed
                     // flows crossed it.
@@ -831,8 +934,39 @@ impl IncrementalFluid {
                         .extend(cand.links.iter().map(|&l| link_local[l as usize]));
                     let before = cand.flows.len();
                     let remap = (!same_links).then_some(&s.remap[..]);
-                    cand.retain_flows(|_, id| flows.live(id), remap);
+                    let dropped = cand.retain_flows(|_, id| flows.live(id), remap);
+                    if dropped != 0 && dropped != NEVER {
+                        cut = dropped - 1;
+                    }
                     lost += before - cand.flows.len();
+                }
+                // The log's links: a link of this layout keeps its log
+                // unless it was touched; any other link is changed.
+                let log = &mut cand.log;
+                if log.ok() {
+                    for (li, &l) in cand.links.iter().enumerate() {
+                        if ls.touched[l as usize] && log.sat[li] != NEVER {
+                            cut = cut.min(log.sat[li]);
+                        }
+                    }
+                    log.cut = cut;
+                    log.remap.clear();
+                    log.remap.resize(cand.links.len(), CHANGED);
+                    s.link_log.clear();
+                    for (li, &(l, _, from)) in s.cand_links.iter().enumerate() {
+                        s.link_log.push(match from {
+                            NONE => (LinkAt::default(), CHANGED),
+                            _ if ls.touched[l as usize] => (log.start[from as usize], CHANGED),
+                            _ => {
+                                log.remap[from as usize] = li as u32;
+                                (log.start[from as usize], log.sat[from as usize])
+                            }
+                        });
+                    }
+                    log.start.clear();
+                    log.start.extend(s.link_log.iter().map(|e| e.0));
+                    log.sat.clear();
+                    log.sat.extend(s.link_log.iter().map(|e| e.1));
                 }
                 s.pos.clear();
                 let mut at = 0;
@@ -842,6 +976,9 @@ impl IncrementalFluid {
                     s.pos.push(at as u32);
                 }
                 cand.insert_flows(&s.pos, ins);
+                let added = &mut cand.log.added;
+                added.clear();
+                added.extend(s.pos.iter().enumerate().map(|(j, &p)| p + j as u32));
             }
             None => {
                 cand.clear_fit(ins.flows.len(), ins.paths.num_items(), s.cand_links.len());
@@ -849,9 +986,10 @@ impl IncrementalFluid {
             }
         }
         cand.links.clear();
-        cand.links.extend(s.cand_links.iter().map(|&(l, _)| l));
+        cand.links.extend(s.cand_links.iter().map(|&(l, _, _)| l));
         cand.floor_sum.clear();
-        cand.floor_sum.extend(s.cand_links.iter().map(|&(_, f)| f));
+        cand.floor_sum
+            .extend(s.cand_links.iter().map(|&(_, f, _)| f));
 
         // The other dirty layouts are read: recycle their entries.
         for &(_, lab) in dirty {
@@ -962,18 +1100,23 @@ impl IncrementalFluid {
         }
         cand.links.truncate(w);
         cand.floor_sum.truncate(w);
+        cand.log.forget();
         // The largest piece stays in the candidate, bound for the group's
         // home entry; the caller appends it.
         s.pieces.remove(largest as usize);
     }
 
     /// Run the max-min kernel on each result layout of the group, then
-    /// write back the rates and recompute whole everything cached from
-    /// them: per-link usage (canonical order), saturation, the
-    /// over-capacity flag and the label; per-flow starvation. Predicates
-    /// and tolerances are `Fluid::is_work_conserving`'s. Each layout first
-    /// gets its transpose (unless the one piece already has it, in
-    /// `scratch.lflows`) and re-sums the floor sums of its touched links.
+    /// write back what it changed and recompute whole everything cached
+    /// from it: per-link usage (canonical order), saturation, the
+    /// over-capacity flag and the label; per-flow starvation. A fill that
+    /// resumed at round k\* changed only the flows frozen from k\* on and
+    /// the changed links: only those flows are written back, and only
+    /// their links and the changed ones are re-summed, their flows'
+    /// starvation re-judged. Predicates and tolerances are
+    /// `Fluid::is_work_conserving`'s. Each layout first gets its transpose
+    /// (unless the one piece already has it, in `scratch.lflows`) and
+    /// re-sums the floor sums of its touched links.
     fn solve_pieces(&mut self, transposed: bool, stats: &mut SolveStats) {
         let Self {
             net,
@@ -992,40 +1135,110 @@ impl IncrementalFluid {
                 lay.paths.transpose_into(lay.links.len(), &mut s.lflows);
             }
             lay.sum_floors(&s.lflows, |l| ls.touched[l as usize]);
-            let lay = &*lay;
+            let mut log = std::mem::take(&mut lay.log);
             let k = &mut s.fill;
-            net.fill(lay, &s.lflows, k);
+            net.fill(lay, &s.lflows, k, &mut log);
+            lay.log = log;
+            let lay = &*lay;
             stats.components_dirty += 1;
             stats.fill_rounds += k.rounds;
+            stats.rounds_reused += k.reused;
+            stats.full_solves += usize::from(k.full);
             stats.link_visits += k.link_visits;
             let lowest = lay.links[0];
             layout_at[lowest as usize] = slot;
-            s.lsat.clear();
-            for (li, &gl) in lay.links.iter().enumerate() {
-                let mut u = 0.0f64;
-                for &i in s.lflows.row(li) {
-                    u += k.rate[i as usize];
+            let nll = lay.links.len();
+            let partial = k.reused > 0;
+            let (froze, kk) = (&lay.log.froze, k.reused as u32);
+            let mut idle = k.idle.iter().copied().peekable();
+            s.lmark.clear();
+            s.resolved.clear();
+            if partial {
+                s.lmark.resize(nll, false);
+                for &li in &k.changed {
+                    s.lmark[li as usize] = true;
                 }
-                let cap = k.lcaps[li];
-                s.lsat.push(u >= cap - tol(cap));
-                let gl = gl as usize;
-                ls.used[gl] = u;
-                set_flag(&mut ls.over[gl], &mut ls.over_count, u > cap + tol(cap));
-                ls.label[gl] = lowest;
-                changed_links.push(gl as u32);
             }
             for (i, &id) in lay.flows.iter().enumerate() {
-                let d = flows.slots[id as usize] as usize;
-                let rate = k.rate[i];
-                flows.rates[d] = rate;
+                let resolved = !partial || froze[i] > kk || idle.next_if_eq(&(i as u32)).is_some();
+                if !resolved {
+                    // It kept the rate its logged freeze gave it.
+                    k.rate[i] = lay.log.kept_rate(lay, i);
+                    stats.flows_reused += 1;
+                    continue;
+                }
+                flows.rates[flows.slots[id as usize] as usize] = k.rate[i];
                 let group = flows.keys[id as usize].0;
                 if resolved_keys.last() != Some(&group) {
                     resolved_keys.push(group);
                 }
+                if partial {
+                    s.resolved.push(i as u32);
+                    for &li in lay.paths.row(i) {
+                        s.lmark[li as usize] = true;
+                    }
+                }
+            }
+            s.lsat.clear();
+            s.flipped.clear();
+            for (li, &gl) in lay.links.iter().enumerate() {
+                let gl = gl as usize;
+                ls.label[gl] = lowest;
+                if !partial || s.lmark[li] {
+                    let mut u = 0.0f64;
+                    for &i in s.lflows.row(li) {
+                        u += k.rate[i as usize];
+                    }
+                    let cap = k.lcaps[li];
+                    let sat = u >= cap - tol(cap);
+                    if partial && sat != ls.sat[gl] {
+                        s.flipped.push(li as u32);
+                    }
+                    ls.used[gl] = u;
+                    ls.sat[gl] = sat;
+                    set_flag(&mut ls.over[gl], &mut ls.over_count, u > cap + tol(cap));
+                    changed_links.push(gl as u32);
+                }
+                s.lsat.push(ls.sat[gl]);
+            }
+            // Starvation: a re-solved flow's, and a kept flow's whose link
+            // flipped its saturation (its own rate and demand did not
+            // change).
+            let mut judge = |i: usize| {
+                let d = flows.slots[lay.flows[i] as usize] as usize;
                 let demand = lay.demand[i];
-                let met = rate + tol(demand.min(1e12)) >= demand;
+                let met = k.rate[i] + tol(demand.min(1e12)) >= demand;
                 let hungry = !met && !lay.paths.row(i).iter().any(|&li| s.lsat[li as usize]);
                 set_flag(&mut flows.starved[d], &mut flows.starved_count, hungry);
+            };
+            if partial {
+                s.resolved.iter().for_each(|&i| judge(i as usize));
+                for &li in &s.flipped {
+                    s.lflows
+                        .row(li as usize)
+                        .iter()
+                        .for_each(|&i| judge(i as usize));
+                }
+            } else {
+                (0..lay.flows.len()).for_each(judge);
+            }
+            // Debug builds check a resumed fill against the full one.
+            #[cfg(debug_assertions)]
+            if partial {
+                let full = &mut s.full;
+                full.1.forget();
+                net.fill(lay, &s.lflows, &mut full.0, &mut full.1);
+                for (i, &id) in lay.flows.iter().enumerate() {
+                    let want = full.0.rate[i].to_bits();
+                    let stored = flows.rates[flows.slots[id as usize] as usize];
+                    assert_eq!(stored.to_bits(), want, "resumed fill: rate of flow {i}");
+                    assert_eq!(
+                        k.rate[i].to_bits(),
+                        want,
+                        "resumed fill: kept rate of flow {i}"
+                    );
+                }
+                assert!(lay.log.same(&full.1), "resumed fill: log");
             }
         }
     }
@@ -1064,6 +1277,13 @@ impl IncrementalFluid {
                 u > caps(l) + tol(caps(l)),
                 "over flag of link {l}"
             );
+            if !flows.is_empty() {
+                assert_eq!(
+                    ls.sat[l],
+                    u >= caps(l) - tol(caps(l)),
+                    "sat flag of link {l}"
+                );
+            }
             over += usize::from(ls.over[l]);
         }
         assert_eq!(over, ls.over_count, "links over capacity");
@@ -1134,6 +1354,15 @@ impl IncrementalFluid {
             }
             want.floor_sum = floors.iter().map(|row| row.iter().sum()).collect();
             assert!(self.layouts[slot].same(&want), "layout of component {l}");
+            let mut lflows = Rows::default();
+            want.paths.transpose_into(want.links.len(), &mut lflows);
+            let mut log = crate::fluid::FillLog::default();
+            self.net
+                .fill(&want, &lflows, &mut FillScratch::default(), &mut log);
+            assert!(
+                self.layouts[slot].log.same(&log),
+                "fill log of component {l}"
+            );
         }
         assert_eq!(
             in_use.iter().filter(|&&u| u).count() + self.spare.len(),
@@ -1346,6 +1575,12 @@ mod tests {
 
         fn add(&mut self, path: &[usize], floor: f64, key: (u64, u32)) -> u32 {
             let spec = FlowSpec::greedy(path.to_vec()).with_guarantee(floor);
+            let id = self.inc.add_flow(spec.clone(), key);
+            self.live.push((id, spec, key));
+            id
+        }
+
+        fn add_spec(&mut self, spec: FlowSpec, key: (u64, u32)) -> u32 {
             let id = self.inc.add_flow(spec.clone(), key);
             self.live.push((id, spec, key));
             id
@@ -1631,6 +1866,69 @@ mod tests {
         c.solve_and_check();
         assert_eq!(c.add(&[2], 70.0, (2, 1)), b);
         c.solve_and_check();
+    }
+
+    /// One resumable component: 70 server links, link `i` carrying flow
+    /// `i` (weight 1e4, no floor) up to a hub (link 70) no round
+    /// saturates; link 71 is as wide and idle. Link `i`
+    /// saturates in round `i`, at fill level `100 + i`: round 0 steps
+    /// 100, every later round 1. Flow 60 weighs `w60`.
+    fn ladder(w60: f64) -> (Churned, Vec<u32>) {
+        let hub = 70;
+        let mut caps: Vec<f64> = (0..70).map(|i| (100.0 + i as f64) * 1e4).collect();
+        caps.extend([1e12, 1e12]);
+        let mut c = Churned::new(&caps);
+        let ids = (0..70u32)
+            .map(|i| {
+                let mut spec = FlowSpec::greedy(vec![i as usize, hub]);
+                spec.weight = if i == 60 { w60 } else { 1e4 };
+                c.add_spec(spec, (1, i))
+            })
+            .collect();
+        let s = c.solve_and_check();
+        assert_eq!((s.fill_rounds, s.rounds_reused), (70, 0));
+        (c, ids)
+    }
+
+    /// A changed link whose ratio comes within `slack` of a round's step
+    /// without reaching it: link 60's new capacity puts it 5e-10 above
+    /// round 30's step of 1, where it drains to 5e-6, above the saturation
+    /// threshold. Round 30 is not reused: a tie would go to the lower
+    /// link, but the detector does not rely on float ties.
+    #[test]
+    fn a_changed_link_tying_a_round_within_slack_resumes_there() {
+        let (mut c, _) = ladder(1e4);
+        c.set_cap(60, (130.0 + 5e-10) * 1e4);
+        let s = c.solve_and_check();
+        assert_eq!(s.rounds_reused, 30, "{s:?}");
+    }
+
+    /// A changed link that saturates in a round it does not tie: flow 60
+    /// weighs 1, so link 60's ratio sits 5e-7 above round 30's step (far
+    /// past `slack`) and that round drains it to 5e-7, under the
+    /// saturation threshold.
+    #[test]
+    fn a_changed_link_saturating_in_a_round_resumes_there() {
+        let (mut c, _) = ladder(1.0);
+        c.set_cap(60, 130.0 + 5e-7);
+        let s = c.solve_and_check();
+        assert_eq!(s.rounds_reused, 30, "{s:?}");
+    }
+
+    /// A removed flow that froze at its demand in round 31 (level 130.5,
+    /// between links 30 and 31): its removal changes that round's step,
+    /// though none of its links saturated.
+    #[test]
+    fn a_removed_flow_resumes_at_the_round_it_froze_in() {
+        let (mut c, _) = ladder(1e4);
+        let mut spec = FlowSpec::greedy(vec![71, 70]);
+        spec.weight = 1e4;
+        spec.demand = 130.5 * 1e4;
+        let capped = c.add_spec(spec, (2, 0));
+        c.solve_and_check();
+        c.remove(capped);
+        let s = c.solve_and_check();
+        assert_eq!(s.rounds_reused, 31, "{s:?}");
     }
 
     /// A retired entry that held a large component is reused, shrunk, for

@@ -11,8 +11,12 @@
 //!    max-min definition ([`verify_max_min`]) on the churned
 //!    solver's own rates *and* the global ones whenever the floors are
 //!    admissible (the verifier assumes per-link floor sums fit).
+//!
+//! A second property aims the churn at the end of a fill, where a solve
+//! resumes from its component's fill log instead of running every round:
+//! the same checks hold, and some solve must have resumed.
 
-use cm_enforce::{FlowSpec, Fluid, IncrementalFluid};
+use cm_enforce::{FlowSpec, Fluid, IncrementalFluid, SolveStats};
 use cm_testkit::fluid::verify_max_min;
 use proptest::prelude::*;
 
@@ -95,8 +99,12 @@ fn close(x: f64, y: f64) -> bool {
 /// current capacities: the fresh solver is built over `caps`, so a
 /// component that only changed capacity must re-read them from its stored
 /// layout to agree.
-fn check_solve(churned: &mut IncrementalFluid, live: &[(u32, (u64, u32), FlowSpec)], caps: &[f64]) {
-    churned.solve();
+fn check_solve(
+    churned: &mut IncrementalFluid,
+    live: &[(u32, (u64, u32), FlowSpec)],
+    caps: &[f64],
+) -> SolveStats {
+    let stats = churned.solve();
     // A fresh solver and a global from-scratch reference over the
     // surviving set.
     let mut global = Fluid::new();
@@ -143,6 +151,7 @@ fn check_solve(churned: &mut IncrementalFluid, live: &[(u32, (u64, u32), FlowSpe
             .unwrap_or_else(|e| panic!("churned verify: {e}"));
         verify_max_min(&global, &reference).unwrap_or_else(|e| panic!("global verify: {e}"));
     }
+    stats
 }
 
 /// Run the churn, checking after every solve.
@@ -184,11 +193,131 @@ fn run(recipe: &ChurnRecipe) {
                 caps[*link] = recipe.caps[*link] * fraction;
                 churned.set_link_cap(*link, caps[*link]);
             }
-            Op::Solve => check_solve(&mut churned, &live, &caps),
+            Op::Solve => {
+                check_solve(&mut churned, &live, &caps);
+            }
         }
     }
     // Always end on a checked solve so trailing churn is covered.
     check_solve(&mut churned, &live, &caps);
+}
+
+/// Churn that lands late in a fill.
+#[derive(Debug, Clone)]
+enum LateOp {
+    /// Add a flow on late server link `k` (mod the late ones) with this
+    /// guarantee.
+    Add(usize, f64),
+    /// Remove the `k`-th (mod count) flow on a late server link.
+    Remove(usize),
+    /// Scale late server link `k`'s capacity.
+    SetCap(usize, f64),
+    /// Add a flow from the small component to late server link `k`,
+    /// merging it into the large one.
+    Bridge(usize),
+}
+
+/// Server links of the late-churn network; its last `LATE` saturate last.
+const SERVERS: usize = 80;
+const LATE: usize = 12;
+
+fn arb_late_op() -> impl Strategy<Value = LateOp> {
+    (0u8..4, 0usize..64, 0.0f64..30.0, 0.85f64..1.2).prop_map(|(which, k, g, f)| match which {
+        0 => LateOp::Add(k, g),
+        1 => LateOp::Remove(k),
+        2 => LateOp::SetCap(k, f),
+        _ => LateOp::Bridge(k),
+    })
+}
+
+/// One large component that saturates its server links one a round, in
+/// capacity order (a unit-weight flow per server link, under one of four
+/// ToR uplinks and a shared core link, none of which saturates), beside a
+/// small component of two links; then churn on the server links that
+/// saturate last. Every solve is checked against a fresh solver, and the
+/// first one must resume.
+fn run_late(spread: f64, ops: &[LateOp]) {
+    let (tor, core, small) = (SERVERS, SERVERS + 4, SERVERS + 5);
+    let mut caps: Vec<f64> = (0..SERVERS).map(|i| 1000.0 + spread * i as f64).collect();
+    caps.extend([1e9; 5]);
+    caps.extend([1e9, 1e5]);
+    let mut net = Fluid::new();
+    for &c in &caps {
+        net.link(c);
+    }
+    let mut churned = IncrementalFluid::new(net);
+    let mut live: Vec<(u32, (u64, u32), FlowSpec)> = Vec::new();
+    let mut seq = 0u32;
+    let mut add = |churned: &mut IncrementalFluid, live: &mut Vec<_>, path: Vec<usize>, g: f64| {
+        seq += 1;
+        let mut spec = FlowSpec::greedy(path);
+        spec.floor = g;
+        let key = (u64::from(seq % 5), seq);
+        live.push((churned.add_flow(spec.clone(), key), key, spec));
+    };
+    for i in 0..SERVERS {
+        add(
+            &mut churned,
+            &mut live,
+            vec![i, tor + i % 4, core],
+            1.0 + (i % 7) as f64,
+        );
+    }
+    add(&mut churned, &mut live, vec![small, small + 1], 5.0);
+    add(&mut churned, &mut live, vec![small + 1], 3.0);
+    check_solve(&mut churned, &live, &caps);
+    let late = |k: usize| SERVERS - 1 - k % LATE;
+    // Widening the link that saturates last moves only the last round: it
+    // is always resumed. The ops after it may move any round.
+    let mut reused = 0;
+    for op in std::iter::once(&LateOp::SetCap(0, 1.1)).chain(ops) {
+        match *op {
+            LateOp::Add(k, g) => {
+                let l = late(k);
+                add(&mut churned, &mut live, vec![l, tor + l % 4, core], g);
+            }
+            LateOp::Remove(k) => {
+                let on_late: Vec<usize> = (0..live.len())
+                    .filter(|&j| live[j].2.path[0] >= SERVERS - LATE && live[j].2.path[0] < SERVERS)
+                    .collect();
+                if let Some(&j) = on_late.get(k % on_late.len().max(1)) {
+                    churned.remove_flow(live.swap_remove(j).0);
+                }
+            }
+            LateOp::SetCap(k, f) => {
+                let l = late(k);
+                caps[l] *= f;
+                churned.set_link_cap(l, caps[l]);
+            }
+            LateOp::Bridge(k) => {
+                let l = late(k);
+                add(
+                    &mut churned,
+                    &mut live,
+                    vec![small, l, tor + l % 4, core],
+                    2.0,
+                );
+            }
+        }
+        reused += check_solve(&mut churned, &live, &caps).rounds_reused;
+    }
+    assert!(reused > 0, "no solve resumed");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Churn confined to the server links that saturate last — flows
+    /// added and removed, new capacities, a small component merged in —
+    /// resumes solves late in their fills, and every one stays bit-equal
+    /// to a fresh solver.
+    #[test]
+    fn late_churn_resumes_bit_equal_to_fresh(
+        spread in 3.0f64..40.0,
+        ops in prop::collection::vec(arb_late_op(), 1..8),
+    ) {
+        run_late(spread, &ops);
+    }
 }
 
 proptest! {

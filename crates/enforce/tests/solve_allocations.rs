@@ -133,7 +133,8 @@ fn steady_state_solves_allocate_nothing() {
 /// star of 1,200 links, a hub under 1,199 spokes of distinct capacities,
 /// one flow per spoke through the hub. A round saturates one spoke, so
 /// the kernel's fill-step history grows to over a thousand steps and its
-/// heap holds every spoke.
+/// heap holds every spoke; every solve resumes its fill log, so resumed
+/// solves allocate nothing either.
 #[test]
 fn steady_state_lazy_solves_allocate_nothing() {
     const SPOKES: usize = 1199;
@@ -149,20 +150,26 @@ fn steady_state_lazy_solves_allocate_nothing() {
         .collect();
 
     // One churn cycle: a flow leaves and comes back, and a spoke is halved
-    // and restored. Returns the allocations its solves made.
+    // and restored. Returns the allocations its solves made and how many
+    // of them resumed their component's fill past the rounds the change
+    // cannot reach.
     let mut cycle = |inc: &mut IncrementalFluid| {
-        let mut allocated = 0;
+        let (mut allocated, mut resumed) = (0, 0);
         let mut solve = |inc: &mut IncrementalFluid| {
             let before = allocations();
             let stats = inc.solve();
             allocated += allocations() - before;
             assert!(inc.is_work_conserving());
             // Lazy rounds read a few links each; eager ones would read
-            // every live spoke.
+            // every live spoke. A solve resumed at a later round reuses
+            // the rounds before it: it would run over a thousand from
+            // round 0.
             assert!(
-                stats.fill_rounds >= 1000 && stats.link_visits < 8 * stats.fill_rounds,
+                stats.fill_rounds + stats.rounds_reused >= 1000
+                    && stats.link_visits < 8 * stats.fill_rounds,
                 "{stats:?}"
             );
+            resumed += usize::from(stats.rounds_reused > 0);
             stats
         };
         inc.remove_flow(ids[600]);
@@ -173,11 +180,13 @@ fn steady_state_lazy_solves_allocate_nothing() {
         solve(inc);
         inc.set_link_cap(1 + 300, 500.0 + (300 * 7919 % SPOKES) as f64);
         solve(inc);
-        allocated
+        (allocated, resumed)
     };
-    let warm_up: u64 = (0..2).map(|_| cycle(&mut inc)).sum();
+    let warm_up: u64 = (0..2).map(|_| cycle(&mut inc).0).sum();
     assert!(warm_up > 0, "the first solves size the scratch pools");
     for k in 0..5 {
-        assert_eq!(cycle(&mut inc), 0, "steady-state cycle {k} allocated");
+        let (allocated, resumed) = cycle(&mut inc);
+        assert_eq!(allocated, 0, "steady-state cycle {k} allocated");
+        assert_eq!(resumed, 4, "steady-state cycle {k}");
     }
 }

@@ -78,6 +78,15 @@ pub struct TrafficStep {
     /// Fluid links whose usage was recomputed this step (deterministic
     /// work count).
     pub links_rescored: usize,
+    /// Filling rounds the step's solve ran (deterministic work count).
+    pub fill_rounds: usize,
+    /// Logged rounds the step's solve reused instead of running.
+    pub rounds_reused: usize,
+    /// Re-solved flows that kept their rate, frozen in a reused round.
+    pub flows_reused: usize,
+    /// Components the step solved from round 0 without looking for a
+    /// round to resume at.
+    pub full_solves: usize,
 }
 
 /// Everything one traffic-churn run produces.
@@ -125,6 +134,26 @@ impl TrafficChurnReport {
         self.count_mean(|s| s.links_rescored)
     }
 
+    /// Mean filling rounds run per solve step.
+    pub fn fill_rounds_mean(&self) -> f64 {
+        self.count_mean(|s| s.fill_rounds)
+    }
+
+    /// Mean logged rounds reused per solve step.
+    pub fn rounds_reused_mean(&self) -> f64 {
+        self.count_mean(|s| s.rounds_reused)
+    }
+
+    /// Mean flows kept from a reused round per solve step.
+    pub fn flows_reused_mean(&self) -> f64 {
+        self.count_mean(|s| s.flows_reused)
+    }
+
+    /// Mean components solved from round 0 per solve step.
+    pub fn full_solves_mean(&self) -> f64 {
+        self.count_mean(|s| s.full_solves)
+    }
+
     /// Component count of the final snapshot's flow/link graph.
     pub fn components_total_last(&self) -> usize {
         self.steps.last().map_or(0, |s| s.components_total)
@@ -169,6 +198,10 @@ impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
             components_total: r.components_total,
             tenants_rescored: r.tenants_rescored,
             links_rescored: r.links_rescored,
+            fill_rounds: r.fill_rounds,
+            rounds_reused: r.rounds_reused,
+            flows_reused: r.flows_reused,
+            full_solves: r.full_solves,
         });
     }
 }

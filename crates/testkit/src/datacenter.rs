@@ -301,6 +301,10 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
         components_total: 1,
         tenants_rescored: tenants.len(),
         links_rescored: net.num_links(),
+        fill_rounds: 0,
+        rounds_reused: 0,
+        flows_reused: 0,
+        full_solves: 1,
         ecmp_max_utilization: 0.0,
         ecmp_mean_utilization: 0.0,
         score_secs: 0.0,
