@@ -244,6 +244,9 @@ struct Bp {
 pub(crate) struct FillLog {
     /// Whether the log describes the layout's last fill.
     ok: bool,
+    /// Whether the layout's fills write the log: set by its owner before
+    /// a fill (see [`FillLog::keep`]).
+    keep: bool,
     /// Whether that fill's phase 1 scaled a link.
     scaled: bool,
     /// Flow position → 1 + the round it froze in; 0 if it was inactive
@@ -257,14 +260,16 @@ pub(crate) struct FillLog {
     rounds: Vec<Round>,
     /// The breakpoints, in round order.
     bps: Vec<Bp>,
-    /// Set by the layout's patch: the local link each link of the logged
-    /// fill became, or `CHANGED` (it was touched, or left the layout).
+    /// Set by the layout's patch (and split): the local link each link of
+    /// the logged fill became, or `CHANGED` (it was touched, or left the
+    /// layout).
     pub(crate) remap: Vec<u32>,
-    /// Set by the layout's patch: no round from this one on may be reused
-    /// (a removed flow froze in it, or a touched link saturated in it).
+    /// Set by the layout's patch (and split): no round from this one on
+    /// may be reused (a removed flow, or one of another piece of a split,
+    /// froze in it, or a touched link saturated in it).
     pub(crate) cut: u32,
-    /// Set by the layout's patch: the positions of the flows it added,
-    /// ascending.
+    /// Set by the layout's patch (and split): the positions of the flows
+    /// it added, ascending.
     pub(crate) added: Vec<u32>,
 }
 
@@ -272,6 +277,7 @@ impl FillLog {
     /// Empty the log, keeping every allocation.
     fn clear(&mut self) {
         self.ok = false;
+        self.keep = false;
         self.froze.clear();
         self.start.clear();
         self.sat.clear();
@@ -283,6 +289,7 @@ impl FillLog {
     }
 
     /// Void the log: the layout's next fill starts from round 0.
+    #[cfg(debug_assertions)]
     pub(crate) fn forget(&mut self) {
         self.ok = false;
     }
@@ -292,17 +299,18 @@ impl FillLog {
         self.ok
     }
 
-    /// The rate of flow position `i` of `lay`, frozen in a logged round
-    /// (or idle when phase 2 began, or new and idle): what the freeze
-    /// gave it, by the freeze's own arithmetic (phase 1 scaled nothing).
-    #[inline]
-    pub(crate) fn kept_rate(&self, lay: &Layout, i: usize) -> f64 {
-        match self.froze[i] {
-            0 => lay.init[i],
-            f => {
-                (lay.init[i] + lay.weight[i] * self.rounds[f as usize - 1].fill).min(lay.demand[i])
-            }
-        }
+    /// Whether the layout's next fills write the log. A log not kept is
+    /// void, so that fill starts from round 0; a kept one lets the fill
+    /// after it resume.
+    pub(crate) fn keep(&mut self, on: bool) {
+        self.keep = on;
+        self.ok &= on;
+    }
+
+    /// Whether the layout's fills write the log.
+    #[cfg(debug_assertions)]
+    pub(crate) fn kept(&self) -> bool {
+        self.keep
     }
 
     /// End a round: log a breakpoint for each link it touched, from the
@@ -522,8 +530,9 @@ impl Layout {
     /// and the flow), in order, mapping each kept path's local links
     /// through `remap` (`None`: unchanged). `links`, `floor_sum` and the
     /// log's per-link entries are the caller's to rewrite. Returns the
-    /// least [`FillLog::froze`] of a dropped flow (`NEVER` if none, or if
-    /// the log is void).
+    /// least [`FillLog::froze`] of a dropped flow that froze in a logged
+    /// round (`NEVER` if none, or if the log is void): a flow idle from
+    /// phase 2's start moved no round, its links alone changed.
     pub(crate) fn retain_flows(
         &mut self,
         mut keep: impl FnMut(usize, u32) -> bool,
@@ -554,7 +563,7 @@ impl Layout {
                 }
                 w += 1;
                 self.paths.at[w] = wi as u32;
-            } else if logged {
+            } else if logged && self.log.froze[r] != 0 {
                 dropped = dropped.min(self.log.froze[r]);
             }
             start = end;
@@ -707,10 +716,10 @@ pub(crate) struct FillScratch {
     /// The changed links by the first logged round each could act in,
     /// with their phase-2 start.
     first: Vec<(u32, u32, LinkAt)>,
-    /// Flows new to the layout that were idle when phase 2 began: the
-    /// only flows a resumed solve re-solves without a `froze` above
-    /// `reused`. Ascending.
-    pub(crate) idle: Vec<u32>,
+    /// The flows the last solve re-solved, if it resumed: those active
+    /// again from round `reused` on, and those new to the layout and idle
+    /// from phase 2's start. Ascending.
+    pub(crate) reopened: Vec<u32>,
     /// Logged rounds the last solve reused instead of running.
     pub(crate) reused: usize,
     /// Whether the last solve had to start from round 0 (phase 1 scaled a
@@ -727,16 +736,11 @@ pub(crate) struct FillScratch {
 /// The links a round's freezes touched, for its breakpoints.
 #[derive(Debug, Default)]
 struct Touched {
-    /// Local link → touched this round; empty when the layout keeps no
-    /// log.
+    /// Local link → touched this round (logged fills only).
     mark: Vec<bool>,
     /// The links touched this round, in the order first touched.
     links: Vec<u32>,
 }
-
-/// A layout of fewer flows keeps no fill log: its solves start from round
-/// 0, which costs it little, and spare it the log's upkeep.
-pub(crate) const RESUME_FROM: usize = 64;
 
 /// Phase 2 switches from eager to lazy draining at this many live links.
 /// Measured with both loops run on every solve of a benchmark stream
@@ -851,8 +855,8 @@ fn queue_demands(
 /// `to_freeze`, in order: it takes its rate and leaves its links' weight
 /// sums, `touch` seeing each link and its sum just before the sum changes.
 /// The log takes each flow's round, and `touched` each link the round
-/// touches ([`FillLog::end_round`] logs their breakpoints), unless its
-/// `mark` is empty: the layout keeps no log. Returns how many froze.
+/// touches ([`FillLog::end_round`] logs their breakpoints), if the fill
+/// writes the log. Returns how many froze.
 #[expect(
     clippy::too_many_arguments,
     reason = "both round loops share it over disjoint borrows of the kernel's scratch"
@@ -871,7 +875,7 @@ fn freeze(
     mut touch: impl FnMut(u32, f64),
 ) -> usize {
     let mut frozen = 0usize;
-    let logged = !touched.mark.is_empty();
+    let logged = log.ok;
     for &i in to_freeze {
         let i = i as usize;
         if !active[i] {
@@ -1097,8 +1101,8 @@ impl Fluid {
     /// (`restore`), and runs only the rounds from there on; the rounds
     /// before it would repeat the logged ones bit for bit (see the
     /// incremental module's "Resumed fills"). The kernel, eager or lazy,
-    /// is the one a fill from round 0 would pick. A layout of fewer than
-    /// `RESUME_FROM` flows keeps no log.
+    /// is the one a fill from round 0 would pick. Only a log its owner
+    /// keeps ([`FillLog::keep`]) is written.
     pub(crate) fn fill(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch, log: &mut FillLog) {
         self.fill_with(lay, lflows, s, log, None);
     }
@@ -1186,7 +1190,7 @@ impl Fluid {
         // `rate[i] + weight[i] × fill`; only the freeze event materializes
         // it, so a round never sweeps all flows or all links. It starts at
         // the first logged round this layout's changes could alter.
-        s.full = !log.ok || log.scaled || scaled || lay.flows.len() < RESUME_FROM;
+        s.full = !log.ok || log.scaled || scaled;
         s.reused = if s.full {
             0
         } else {
@@ -1305,7 +1309,7 @@ fn replay(
     order.clear();
     order.extend(lflows.row(li).iter().filter_map(|&i| {
         let f = froze[i as usize];
-        (f != 0 && f as usize <= until).then_some((f - 1, 0, i))
+        (f != 0 && f as usize <= until).then(|| (f - 1, 0, i))
     }));
     order.sort_unstable();
     // Only flows that froze in the same round need their place in it.
@@ -1418,8 +1422,8 @@ impl FillScratch {
         k
     }
 
-    /// Phase 2's state at round 0, logged as the layout's fresh log.
-    /// Returns the live links.
+    /// Phase 2's state at round 0, logged as the layout's fresh log if
+    /// the log is kept. Returns the live links.
     fn start_phase2(&mut self, lay: &Layout, log: &mut FillLog) -> usize {
         let (n, nll) = (lay.flows.len(), lay.links.len());
         let FillScratch {
@@ -1430,11 +1434,9 @@ impl FillScratch {
             wsum,
             wcount,
             live,
-            idle,
             touched,
             ..
         } = self;
-        idle.clear();
         touched.mark.clear();
         touched.links.clear();
         active.clear();
@@ -1461,7 +1463,7 @@ impl FillScratch {
         live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
         log.rounds.clear();
         log.bps.clear();
-        log.ok = n >= RESUME_FROM;
+        log.ok = log.keep;
         if !log.ok {
             return live.len();
         }
@@ -1484,14 +1486,15 @@ impl FillScratch {
     /// unchanged link takes its last breakpoint before `k` (or its phase-2
     /// start) and the steps since, to be replayed as it is read
     /// (`drained`); a changed link takes what its [`replay`] reaches; a
-    /// flow frozen before `k` keeps its rate, every other one is active
-    /// again. The log keeps what it held before round `k`, its
-    /// breakpoints renumbered to the layout's links and still in round
-    /// order. Returns the live links at phase 2's start, which pick the
-    /// kernel.
+    /// flow frozen before `k` takes back the rate its freeze gave it,
+    /// every other one is active again (`reopened`). The log keeps what
+    /// it held before round `k`, its breakpoints renumbered to the
+    /// layout's links and still in round order. Returns the live links at
+    /// phase 2's start, which pick the kernel.
     fn restore(&mut self, lay: &Layout, lflows: &Rows, log: &mut FillLog, k: usize) -> usize {
         let nll = lay.links.len();
         let FillScratch {
+            rate,
             active,
             finite,
             residual,
@@ -1501,7 +1504,7 @@ impl FillScratch {
             order,
             steps,
             drained,
-            idle,
+            reopened,
             touched,
             rbp,
             ..
@@ -1601,12 +1604,13 @@ impl FillScratch {
         }
         live.clear();
         live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
-        // A flow frozen before `k` stays frozen (its rate is
-        // [`FillLog::kept_rate`]); an added one idle from the start keeps
-        // its starting rate; every other one is active again.
+        // A flow frozen before `k` stays frozen at the rate its round's
+        // level gave it, by the freeze's arithmetic (phase 1 scaled
+        // nothing, so `rate` holds its start); an added one idle from the
+        // start keeps its starting rate; every other one is active again.
         active.clear();
         finite.clear();
-        idle.clear();
+        reopened.clear();
         for (i, f) in froze.iter_mut().enumerate() {
             let on = *f > kk && (*f != ADDED || lay.init[i] + 1e-9 < lay.demand[i]);
             if on {
@@ -1614,9 +1618,13 @@ impl FillScratch {
                 if lay.demand[i].is_finite() {
                     finite.push(i as u32);
                 }
+                reopened.push(i as u32);
             } else if *f == ADDED {
                 *f = 0;
-                idle.push(i as u32);
+                reopened.push(i as u32);
+            } else if *f > 0 {
+                let fill = rounds[*f as usize - 1].fill;
+                rate[i] = (rate[i] + lay.weight[i] * fill).min(lay.demand[i]);
             }
             active.push(on);
         }
@@ -1774,7 +1782,7 @@ impl FillScratch {
                 round,
                 |_, _| {},
             );
-            if !touched.mark.is_empty() {
+            if log.ok {
                 log.end_round(
                     touched,
                     (residual, wsum, wcount),
@@ -1976,7 +1984,7 @@ impl FillScratch {
                     }
                 },
             );
-            if !touched.mark.is_empty() {
+            if log.ok {
                 log.end_round(
                     touched,
                     (residual, wsum, wcount),

@@ -50,8 +50,10 @@
 //!
 //! ## Resumed fills
 //!
-//! A layout of at least 64 flows keeps a log of its last fill (the
-//! kernel's `FillLog`):
+//! A layout of at least 4,096 flows (by default; see
+//! [`IncrementalFluid::set_resume_from`] and `RESUME_FROM` for the
+//! measurement behind it) keeps a log of its last fill (the kernel's
+//! `FillLog`):
 //!
 //! * per round: the fill level after it, its step and its event;
 //! * per flow: the round it froze in, or that it was idle when phase 2
@@ -77,10 +79,15 @@
 //! saturation threshold; and for each added finite-demand flow, the round
 //! in which it could reach its demand. The kernel then restores its state
 //! at k\* and runs only the rounds from k\* on
-//! ([`SolveStats::rounds_reused`]). A component that split, whose phase 1
-//! scaled a floor (in this fill or the logged one), or that has no log
-//! (a new one, a piece of a split, or one of fewer than 64 flows) fills
-//! from round 0 ([`SolveStats::full_solves`]).
+//! ([`SolveStats::rounds_reused`]). The largest piece of a split keeps
+//! the log: the flows of the other pieces count as removed, so k\* is at
+//! most the first round one of them froze in, and until then every
+//! round's event and freezes lay in the largest piece, so they are the
+//! rounds its own fill runs; the other pieces' links leave the log. A
+//! component whose phase 1 scaled a floor (in this fill or the logged
+//! one), or that has no log (a new one, one of the other pieces of a
+//! split, or a small one) fills from round 0
+//! ([`SolveStats::full_solves`]).
 //!
 //! The reused prefix is exact, not approximate. Before k\* every round
 //! has the logged event, step and freezes: an unchanged link carries the
@@ -194,8 +201,8 @@ pub struct SolveStats {
     /// reused round, and were neither written back nor re-scored.
     pub flows_reused: usize,
     /// Dirty components solved from round 0 without looking for a round
-    /// to resume at: one without a log (new, a piece of a split, or of
-    /// fewer than 64 flows), or one whose phase 1 scaled a link, then or
+    /// to resume at: one without a log (new, a piece of a split other than
+    /// the largest, or small), or one whose phase 1 scaled a link, then or
     /// now.
     pub full_solves: usize,
 }
@@ -225,6 +232,8 @@ pub struct IncrementalFluid {
     /// Ascending distinct first key components of the flows the last
     /// solve re-solved.
     resolved_keys: Vec<u64>,
+    /// The least flows of a layout that keeps a fill log.
+    resume_from: usize,
     scratch: Scratch,
 }
 
@@ -382,12 +391,8 @@ struct Scratch {
     pieces: Vec<u32>,
     /// `(flows, path items, links)` per piece.
     piece_size: Vec<(u32, u32, u32)>,
-    /// Local link → saturated after the solve.
-    lsat: Vec<bool>,
     /// Local link → its usage is rewritten.
     lmark: Vec<bool>,
-    /// The flows a resumed fill re-solved.
-    resolved: Vec<u32>,
     /// Local links whose saturation a resumed fill flipped.
     flipped: Vec<u32>,
     /// Debug builds: the full fill each resumed one is checked against.
@@ -447,6 +452,20 @@ fn run_end<T>(v: &[(u32, T)], from: usize, root: u32) -> usize {
 /// small component takes the entry next.
 const KEEP_FLOWS: usize = 4096;
 
+/// By default a layout of fewer flows keeps no fill log
+/// ([`crate::fluid::FillLog`]): its fills start from round 0. Measured by
+/// running each dirty layout's fill again, logged and unlogged from round
+/// 0 in alternating order (release build, 2-core x86 host; `child --seed
+/// 1`, `fault_repair` 900 arrivals, `spine_2k` and `spine_131k` 170), with
+/// every layout of 64 flows or more logging: summed per size band (64–255,
+/// 256–1,023 and 1,024–4,095 flows), a logged fill took 30–90 % longer
+/// than an unlogged one, and a resumed fill 0.8–2.8× as long as an
+/// unlogged one, no saving overall. From 4,096 flows on, the log cost
+/// 20–24 % and a resumed fill took 44–70 % of an unlogged one; those
+/// giant components held 96–99 % of `fault_repair`'s and `spine_2k`'s fill
+/// time. `spine_131k` has none.
+const RESUME_FROM: usize = 4096;
+
 /// Return a read layout's entry to the spare pool.
 fn retire(layouts: &mut [Layout], spare: &mut Vec<u32>, slot: u32) {
     let lay = &mut layouts[slot as usize];
@@ -489,8 +508,17 @@ impl IncrementalFluid {
             components: 0,
             changed_links: Vec::new(),
             resolved_keys: Vec::new(),
+            resume_from: RESUME_FROM,
             scratch: Scratch::default(),
         }
+    }
+
+    /// Keep a fill log, and so resume re-solves, only for components of
+    /// at least `flows` flows (4,096 unless set). Rates do not depend on
+    /// it, only the cost of a re-solve: it lets tests drive resumed fills
+    /// on small networks, where the debug shadow checks each one.
+    pub fn set_resume_from(&mut self, flows: usize) {
+        self.resume_from = flows;
     }
 
     /// The wrapped network (flows in dense order, aligned with
@@ -935,7 +963,7 @@ impl IncrementalFluid {
                     let before = cand.flows.len();
                     let remap = (!same_links).then_some(&s.remap[..]);
                     let dropped = cand.retain_flows(|_, id| flows.live(id), remap);
-                    if dropped != 0 && dropped != NEVER {
+                    if dropped != NEVER {
                         cut = dropped - 1;
                     }
                     lost += before - cand.flows.len();
@@ -1034,7 +1062,8 @@ impl IncrementalFluid {
     /// Split the candidate into its pieces: each piece but the largest is
     /// copied into its own layout, a stable filter of the candidate's
     /// links and flows with paths remapped to piece-local links and floor
-    /// sums carried over; the candidate then keeps the largest in place.
+    /// sums carried over; the candidate then keeps the largest in place,
+    /// with its fill log (see the module's "Resumed fills").
     fn spread_pieces(&mut self) {
         let Self {
             layouts,
@@ -1089,18 +1118,55 @@ impl IncrementalFluid {
             i = run;
         }
         let largest = largest as u32;
-        cand.retain_flows(|i, _| s.flow_piece[i] == largest, Some(remap));
+        let dropped = cand.retain_flows(|i, _| s.flow_piece[i] == largest, Some(remap));
+        let log = &mut cand.log;
+        // The largest piece keeps its log: until the first round in which
+        // a flow of another piece froze, every round's event and freezes
+        // lay in this piece, so they are the rounds its own fill runs.
+        if log.ok() {
+            if dropped != NEVER {
+                log.cut = log.cut.min(dropped - 1);
+            }
+            for to in &mut log.remap {
+                if *to != CHANGED {
+                    *to = match s.link_piece[*to as usize] == largest {
+                        true => remap[*to as usize],
+                        false => CHANGED,
+                    };
+                }
+            }
+            // The added flows' positions in the piece.
+            let (mut kept, mut w, mut next) = (0, 0, 0);
+            for (i, &p) in s.flow_piece.iter().enumerate() {
+                if log.added.get(next) == Some(&(i as u32)) {
+                    next += 1;
+                    if p == largest {
+                        log.added[w] = kept;
+                        w += 1;
+                    }
+                }
+                kept += u32::from(p == largest);
+            }
+            log.added.truncate(w);
+        }
         let mut w = 0;
         for li in 0..cand.links.len() {
             if s.link_piece[li] == largest {
                 cand.links[w] = cand.links[li];
                 cand.floor_sum[w] = cand.floor_sum[li];
+                if log.ok() {
+                    log.start[w] = log.start[li];
+                    log.sat[w] = log.sat[li];
+                }
                 w += 1;
             }
         }
         cand.links.truncate(w);
         cand.floor_sum.truncate(w);
-        cand.log.forget();
+        if log.ok() {
+            log.start.truncate(w);
+            log.sat.truncate(w);
+        }
         // The largest piece stays in the candidate, bound for the group's
         // home entry; the caller appends it.
         s.pieces.remove(largest as usize);
@@ -1126,6 +1192,7 @@ impl IncrementalFluid {
             layout_at,
             changed_links,
             resolved_keys,
+            resume_from,
             scratch: s,
             ..
         } = self;
@@ -1135,6 +1202,7 @@ impl IncrementalFluid {
                 lay.paths.transpose_into(lay.links.len(), &mut s.lflows);
             }
             lay.sum_floors(&s.lflows, |l| ls.touched[l as usize]);
+            lay.log.keep(lay.flows.len() >= *resume_from);
             let mut log = std::mem::take(&mut lay.log);
             let k = &mut s.fill;
             net.fill(lay, &s.lflows, k, &mut log);
@@ -1149,37 +1217,22 @@ impl IncrementalFluid {
             layout_at[lowest as usize] = slot;
             let nll = lay.links.len();
             let partial = k.reused > 0;
-            let (froze, kk) = (&lay.log.froze, k.reused as u32);
-            let mut idle = k.idle.iter().copied().peekable();
+            // A resumed fill re-solved only the `reopened` flows; every
+            // other one kept the rate its logged freeze gave it. Only the
+            // changed links and those of re-solved flows are re-summed.
             s.lmark.clear();
-            s.resolved.clear();
             if partial {
                 s.lmark.resize(nll, false);
                 for &li in &k.changed {
                     s.lmark[li as usize] = true;
                 }
-            }
-            for (i, &id) in lay.flows.iter().enumerate() {
-                let resolved = !partial || froze[i] > kk || idle.next_if_eq(&(i as u32)).is_some();
-                if !resolved {
-                    // It kept the rate its logged freeze gave it.
-                    k.rate[i] = lay.log.kept_rate(lay, i);
-                    stats.flows_reused += 1;
-                    continue;
-                }
-                flows.rates[flows.slots[id as usize] as usize] = k.rate[i];
-                let group = flows.keys[id as usize].0;
-                if resolved_keys.last() != Some(&group) {
-                    resolved_keys.push(group);
-                }
-                if partial {
-                    s.resolved.push(i as u32);
-                    for &li in lay.paths.row(i) {
+                for &i in &k.reopened {
+                    for &li in lay.paths.row(i as usize) {
                         s.lmark[li as usize] = true;
                     }
                 }
+                stats.flows_reused += lay.flows.len() - k.reopened.len();
             }
-            s.lsat.clear();
             s.flipped.clear();
             for (li, &gl) in lay.links.iter().enumerate() {
                 let gl = gl as usize;
@@ -1199,34 +1252,49 @@ impl IncrementalFluid {
                     set_flag(&mut ls.over[gl], &mut ls.over_count, u > cap + tol(cap));
                     changed_links.push(gl as u32);
                 }
-                s.lsat.push(ls.sat[gl]);
             }
-            // Starvation: a re-solved flow's, and a kept flow's whose link
-            // flipped its saturation (its own rate and demand did not
-            // change).
-            let mut judge = |i: usize| {
-                let d = flows.slots[lay.flows[i] as usize] as usize;
+            // Write back a re-solved flow's rate, and judge its
+            // starvation; a kept flow's is judged again only where one of
+            // its links flipped its saturation (its own rate and demand did
+            // not change).
+            let mut settle = |i: usize, resolved: bool| {
+                let id = lay.flows[i] as usize;
+                let d = flows.slots[id] as usize;
+                let rate = k.rate[i];
+                if resolved {
+                    flows.rates[d] = rate;
+                    let group = flows.keys[id].0;
+                    if resolved_keys.last() != Some(&group) {
+                        resolved_keys.push(group);
+                    }
+                }
                 let demand = lay.demand[i];
-                let met = k.rate[i] + tol(demand.min(1e12)) >= demand;
-                let hungry = !met && !lay.paths.row(i).iter().any(|&li| s.lsat[li as usize]);
+                let met = rate + tol(demand.min(1e12)) >= demand;
+                let hungry = !met
+                    && !lay
+                        .paths
+                        .row(i)
+                        .iter()
+                        .any(|&li| ls.sat[lay.links[li as usize] as usize]);
                 set_flag(&mut flows.starved[d], &mut flows.starved_count, hungry);
             };
             if partial {
-                s.resolved.iter().for_each(|&i| judge(i as usize));
+                k.reopened.iter().for_each(|&i| settle(i as usize, true));
                 for &li in &s.flipped {
                     s.lflows
                         .row(li as usize)
                         .iter()
-                        .for_each(|&i| judge(i as usize));
+                        .for_each(|&i| settle(i as usize, false));
                 }
             } else {
-                (0..lay.flows.len()).for_each(judge);
+                (0..lay.flows.len()).for_each(|i| settle(i, true));
             }
             // Debug builds check a resumed fill against the full one.
             #[cfg(debug_assertions)]
             if partial {
                 let full = &mut s.full;
                 full.1.forget();
+                full.1.keep(true);
                 net.fill(lay, &s.lflows, &mut full.0, &mut full.1);
                 for (i, &id) in lay.flows.iter().enumerate() {
                     let want = full.0.rate[i].to_bits();
@@ -1357,6 +1425,7 @@ impl IncrementalFluid {
             let mut lflows = Rows::default();
             want.paths.transpose_into(want.links.len(), &mut lflows);
             let mut log = crate::fluid::FillLog::default();
+            log.keep(self.layouts[slot].log.kept());
             self.net
                 .fill(&want, &lflows, &mut FillScratch::default(), &mut log);
             assert!(
@@ -1564,8 +1633,10 @@ mod tests {
     }
 
     impl Churned {
+        /// Every component keeps a fill log, so re-solves resume.
         fn new(caps: &[f64]) -> Self {
-            let (inc, _) = nets(caps);
+            let (mut inc, _) = nets(caps);
+            inc.set_resume_from(1);
             Churned {
                 caps: caps.to_vec(),
                 inc,
@@ -1929,6 +2000,56 @@ mod tests {
         c.remove(capped);
         let s = c.solve_and_check();
         assert_eq!(s.rounds_reused, 31, "{s:?}");
+    }
+
+    /// A flow idle from phase 2's start (its floor meets its demand)
+    /// removed beside the one of the last test: the idle one froze in no
+    /// round, so the resume still stops at round 31, where the other
+    /// froze.
+    #[test]
+    fn a_removed_idle_flow_leaves_the_frozen_ones_cut() {
+        let (mut c, _) = ladder(1e4);
+        let mut spec = FlowSpec::greedy(vec![71, 70]);
+        spec.weight = 1e4;
+        spec.demand = 130.5 * 1e4;
+        let capped = c.add_spec(spec, (2, 0));
+        let mut spec = FlowSpec::greedy(vec![71, 70]).with_guarantee(10.0);
+        spec.demand = 5.0;
+        let idle = c.add_spec(spec, (2, 1));
+        c.solve_and_check();
+        c.remove(capped);
+        c.remove(idle);
+        let s = c.solve_and_check();
+        assert_eq!(s.rounds_reused, 31, "{s:?}");
+    }
+
+    /// A split's largest piece keeps its log up to the first round in
+    /// which a flow of another piece froze. Flow C (links 71, 72) freezes
+    /// at level 120.5 in round 21, where link 72 saturates; bridge B
+    /// (links 71 and the hub) freezes when link 71 saturates, at level
+    /// 140.5 in round 42. Removing B leaves C's piece apart: the ladder's
+    /// piece resumes at round 21.
+    #[test]
+    fn the_largest_piece_of_a_split_resumes_where_another_piece_froze() {
+        let mut caps: Vec<f64> = (0..70).map(|i| (100.0 + i as f64) * 1e4).collect();
+        caps.extend([1e12, 261e4, 120.5e4]);
+        let mut c = Churned::new(&caps);
+        for i in 0..70u32 {
+            let mut spec = FlowSpec::greedy(vec![i as usize, 70]);
+            spec.weight = 1e4;
+            c.add_spec(spec, (1, i));
+        }
+        let mut spec = FlowSpec::greedy(vec![71, 70]);
+        spec.weight = 1e4;
+        let bridge = c.add_spec(spec, (2, 0));
+        let mut spec = FlowSpec::greedy(vec![71, 72]);
+        spec.weight = 1e4;
+        c.add_spec(spec, (3, 0));
+        let s = c.solve_and_check();
+        assert_eq!(s.fill_rounds, 72, "{s:?}");
+        c.remove(bridge);
+        let s = c.solve_and_check();
+        assert_eq!((s.components_dirty, s.rounds_reused), (2, 21), "{s:?}");
     }
 
     /// A retired entry that held a large component is reused, shrunk, for

@@ -161,6 +161,7 @@ fn run(recipe: &ChurnRecipe) {
         base.link(c);
     }
     let mut churned = IncrementalFluid::new(base);
+    churned.set_resume_from(1);
     let mut caps = recipe.caps.clone();
     let mut live: Vec<(u32, (u64, u32), FlowSpec)> = Vec::new();
     let mut seq = 0u32;
@@ -246,6 +247,7 @@ fn run_late(spread: f64, ops: &[LateOp]) {
         net.link(c);
     }
     let mut churned = IncrementalFluid::new(net);
+    churned.set_resume_from(1);
     let mut live: Vec<(u32, (u64, u32), FlowSpec)> = Vec::new();
     let mut seq = 0u32;
     let mut add = |churned: &mut IncrementalFluid, live: &mut Vec<_>, path: Vec<usize>, g: f64| {

@@ -144,6 +144,7 @@ fn steady_state_lazy_solves_allocate_nothing() {
         net.link(500.0 + (k * 7919 % SPOKES) as f64);
     }
     let mut inc = IncrementalFluid::new(net);
+    inc.set_resume_from(1);
     let spec = |k: usize| FlowSpec::greedy(vec![1 + k, hub]).with_guarantee(1.0 + (k % 13) as f64);
     let mut ids: Vec<u32> = (0..SPOKES)
         .map(|k| inc.add_flow(spec(k), (1, k as u32)))
