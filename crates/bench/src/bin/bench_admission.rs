@@ -137,8 +137,10 @@ const TRAFFIC_NOTE: &str = "incremental traffic engine stepped through lifecycle
     each step ran, rounds_reused_mean the rounds of the components' last fills it resumed past \
     instead of running, flows_reused_mean the re-solved flows those rounds froze, which kept \
     their rates, and full_solves_mean the components solved from round 0 without a log to \
-    resume from (new, split, or phase 1 scaled a floor); violations count pairs whose achieved \
-    rate falls below the TAG-intended guarantee";
+    resume from (new, split, or phase 1 scaled a floor), and patch_items_mean the path items \
+    and row entries the step's component patches, splits and resumed-fill restores visited one \
+    at a time (what churned, not what the components hold); violations count pairs whose \
+    achieved rate falls below the TAG-intended guarantee";
 
 fn traffic_row(t: &TrafficRun) -> Fields {
     let r = &t.report;
@@ -168,6 +170,7 @@ fn traffic_row(t: &TrafficRun) -> Fields {
         ("rounds_reused_mean", Val::Float(r.rounds_reused_mean(), 1)),
         ("flows_reused_mean", Val::Float(r.flows_reused_mean(), 1)),
         ("full_solves_mean", Val::Float(r.full_solves_mean(), 1)),
+        ("patch_items_mean", Val::Float(r.patch_items_mean(), 1)),
         ("violations", r.violations_total().into()),
         ("violating_tenants_max", violating.unwrap_or(0).into()),
         ("work_conserving_steps", r.work_conserving_steps().into()),

@@ -170,6 +170,9 @@ pub struct TrafficReport {
     /// Re-solved components solved from round 0 without looking for a
     /// round to resume at ([`crate::SolveStats::full_solves`]).
     pub full_solves: usize,
+    /// Path items and row entries the solve's patches, splits and
+    /// restores visited one at a time ([`crate::SolveStats::patch_items`]).
+    pub patch_items: usize,
     /// Reads `0.0`: no uplink is split into hashed lanes any more. Kept
     /// for `benchmark/`; the benchmark-only follow-up deletes it.
     pub ecmp_max_utilization: f64,

@@ -782,6 +782,7 @@ impl TrafficEngine {
             rounds_reused: stats.rounds_reused,
             flows_reused: stats.flows_reused,
             full_solves: stats.full_solves,
+            patch_items: stats.patch_items,
             ecmp_max_utilization: 0.0,
             ecmp_mean_utilization: 0.0,
             score_secs,

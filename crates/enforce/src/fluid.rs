@@ -9,9 +9,10 @@
 //! ElasticSwitch's probing converges to.
 //!
 //! Progressive filling is implemented **once**, in the crate-private
-//! kernel `Fluid::fill`, over a `Layout`: an ordered flow list and an
-//! ascending link list, already flattened into local per-flow paths,
-//! per-flow parameters and per-link floor sums. The kernel reads no
+//! kernel `Fluid::fill`, over a `Layout`: flows in slots (each with its
+//! path, parameters and last rate), an ascending link list with one
+//! key-ordered row of flows per link, and per-link floor sums. The kernel
+//! reads no
 //! [`FlowSpec`]; it advances a single fill level, and every round
 //! provably freezes at least one flow. On a layout of fewer than
 //! `LAZY_FROM` live links (links still carrying an active flow) a round
@@ -22,7 +23,7 @@
 //! the fill steps the link missed, so every residual takes the same float
 //! operations as under eager draining and the rates are the same bits.
 //! A layout's fill can resume from the log of its last one at the first
-//! round its changes could alter (see [`Fluid::fill`]).
+//! round its changes could alter (see `Fluid::fill`).
 //! It has two callers.
 //! [`crate::incremental::IncrementalFluid`], the traffic engine's solver,
 //! keeps one layout per connected component across solves and patches
@@ -40,7 +41,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 
 /// One flow: a path over link indices plus its rate-control parameters.
 #[derive(Debug, Clone)]
@@ -113,19 +113,42 @@ pub(crate) fn trim<T>(v: &mut Vec<T>) {
     }
 }
 
-/// Rows of `u32`s stored flat: row `r` is `items[at[r]..at[r + 1]]`.
-#[derive(Debug)]
-pub(crate) struct Rows {
-    at: Vec<u32>,
-    items: Vec<u32>,
+/// Where a row of [`Rows`] lives in the arena: `len` items from `at`,
+/// with room for `cap` there.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    at: u32,
+    len: u32,
+    cap: u32,
 }
 
-impl Default for Rows {
-    fn default() -> Self {
-        Rows {
-            at: vec![0],
-            items: Vec::new(),
-        }
+/// Rows of `u32`s in one arena: row `r` is `items[at..at + len]` of its
+/// span. A row edited in place keeps its room; one that outgrows it moves
+/// to the end of the arena, and the room rows leave behind (`garbage`) is
+/// reclaimed by [`Rows::compact`] once it is over a quarter of the arena.
+/// Buffers grow by an eighth at a time, not by doubling: a layout's rows
+/// and paths are kept, so their slack is kept too.
+#[derive(Debug, Default)]
+pub(crate) struct Rows {
+    span: Vec<Span>,
+    items: Vec<u32>,
+    garbage: usize,
+}
+
+/// Pooled scratch of [`Rows::gather`] and [`Rows::compact`].
+#[derive(Debug, Default)]
+pub(crate) struct RowScratch {
+    /// The spans being re-listed.
+    spans: Vec<Span>,
+    /// Every row with room, in arena order.
+    order: Vec<u32>,
+}
+
+impl RowScratch {
+    /// Make room to compact `rows` without growing: a compaction comes
+    /// whenever garbage builds up, so its scratch is sized beforehand.
+    pub(crate) fn fit_for(&mut self, rows: &Rows) {
+        reserve_for(&mut self.order, rows.len());
     }
 }
 
@@ -133,72 +156,275 @@ impl Rows {
     /// Row `r`.
     #[inline]
     pub(crate) fn row(&self, r: usize) -> &[u32] {
-        &self.items[self.at[r] as usize..self.at[r + 1] as usize]
-    }
-
-    /// Number of items in all rows.
-    pub(crate) fn num_items(&self) -> usize {
-        self.items.len()
+        let s = self.span[r];
+        &self.items[s.at as usize..(s.at + s.len) as usize]
     }
 
     /// Number of rows.
     pub(crate) fn len(&self) -> usize {
-        self.at.len() - 1
+        self.span.len()
+    }
+
+    /// Number of items the rows have room for.
+    pub(crate) fn num_items(&self) -> usize {
+        self.items.len() - self.garbage
     }
 
     pub(crate) fn clear(&mut self) {
-        self.at.clear();
-        self.at.push(0);
+        self.span.clear();
         self.items.clear();
+        self.garbage = 0;
     }
 
     /// Append a row.
     #[inline]
-    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
+    pub(crate) fn push_row(&mut self, row: impl ExactSizeIterator<Item = u32>) {
+        let at = self.items.len() as u32;
+        let (n, rows) = (self.items.len() + row.len(), self.span.len() + 1);
+        reserve_for(&mut self.items, n);
+        reserve_for(&mut self.span, rows);
         self.items.extend(row);
-        self.at.push(self.items.len() as u32);
+        let len = self.items.len() as u32 - at;
+        self.span.push(Span { at, len, cap: len });
+    }
+
+    /// Room for `n` items at the end of the arena, at the returned
+    /// position. An arena that would outgrow its buffer while holding
+    /// garbage is compacted first: it grows only when its rows do.
+    fn room(&mut self, n: usize, scratch: &mut RowScratch) -> usize {
+        if self.items.len() + n > self.items.capacity() && self.garbage > 0 {
+            self.compact_now(scratch);
+        }
+        let at = self.items.len();
+        reserve_for(&mut self.items, at + n);
+        self.items.resize(at + n, 0);
+        at
+    }
+
+    /// Make row `r` (`r <= len()`, appended if equal) hold `row`.
+    pub(crate) fn set_row(
+        &mut self,
+        r: usize,
+        row: impl ExactSizeIterator<Item = u32>,
+        scratch: &mut RowScratch,
+    ) {
+        if r == self.span.len() {
+            self.push_row(row);
+            return;
+        }
+        let n = row.len() as u32;
+        if n > self.span[r].cap {
+            let at = self.room(n as usize, scratch) as u32;
+            self.garbage += self.span[r].cap as usize;
+            self.span[r] = Span { at, len: 0, cap: n };
+        }
+        let s = &mut self.span[r];
+        s.len = n;
+        let at = s.at as usize;
+        for (slot, x) in self.items[at..at + n as usize].iter_mut().zip(row) {
+            *slot = x;
+        }
+    }
+
+    /// Keep the items of row `r` that `keep` accepts, in order.
+    pub(crate) fn retain(&mut self, r: usize, mut keep: impl FnMut(u32) -> bool) {
+        let s = &mut self.span[r];
+        let row = &mut self.items[s.at as usize..(s.at + s.len) as usize];
+        let mut w = 0;
+        for k in 0..row.len() {
+            if keep(row[k]) {
+                row[w] = row[k];
+                w += 1;
+            }
+        }
+        s.len = w as u32;
+    }
+
+    /// Make room for `n` more items at once.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        let end = self.items.len() + n;
+        reserve_for(&mut self.items, end);
+    }
+
+    /// Empty row `r`; it keeps its room for what it holds next.
+    pub(crate) fn free_row(&mut self, r: usize) {
+        self.span[r].len = 0;
+    }
+
+    /// Re-list the rows: new row `k` is old row `from[k]`, or empty if
+    /// that is [`NONE_ROW`]; every old row not taken gives its room back.
+    pub(crate) fn gather(&mut self, from: impl Iterator<Item = u32>, scratch: &mut RowScratch) {
+        let mut freed: usize = self.span.iter().map(|s| s.cap as usize).sum();
+        let spans = &mut scratch.spans;
+        spans.clear();
+        for f in from {
+            let s = match f {
+                NONE_ROW => Span::default(),
+                f => self.span[f as usize],
+            };
+            freed -= s.cap as usize;
+            spans.push(s);
+        }
+        self.span.clear();
+        reserve_for(&mut self.span, spans.len());
+        self.span.extend_from_slice(spans);
+        self.garbage += freed;
+    }
+
+    /// Drop the items at ascending positions `at` of row `r`, moving each
+    /// block between them once.
+    pub(crate) fn remove_at(&mut self, r: usize, at: &[u32]) {
+        if at.is_empty() {
+            return;
+        }
+        let s = &mut self.span[r];
+        let base = s.at as usize;
+        let row = &mut self.items[base..base + s.len as usize];
+        let mut w = at[0] as usize;
+        for (j, &p) in at.iter().enumerate() {
+            let end = at.get(j + 1).map_or(row.len(), |&q| q as usize);
+            row.copy_within(p as usize + 1..end, w);
+            w += end - p as usize - 1;
+        }
+        s.len = w as u32;
+    }
+
+    /// Insert into row `r` each `(position, item)` of `ins` (positions
+    /// ascending, taken in the row as it stands; equal ones keep their
+    /// order), moving each block of the row once. A row without room for
+    /// them moves to the end of the arena, with an eighth to spare.
+    pub(crate) fn insert_at(&mut self, r: usize, ins: &[(u32, u32)], scratch: &mut RowScratch) {
+        let (len, m) = (self.span[r].len as usize, ins.len());
+        let (src, dst) = if len + m <= self.span[r].cap as usize {
+            (self.span[r].at as usize, self.span[r].at as usize)
+        } else {
+            let cap = len + m + (len + m) / 8 + 2;
+            let dst = self.room(cap, scratch);
+            let s = &mut self.span[r];
+            self.garbage += s.cap as usize;
+            let src = s.at as usize;
+            s.at = dst as u32;
+            s.cap = cap as u32;
+            (src, dst)
+        };
+        self.span[r].len = (len + m) as u32;
+        // Back to front: every read is at or below the write it precedes.
+        let mut end = len;
+        for (j, &(p, x)) in ins.iter().enumerate().rev() {
+            let p = p as usize;
+            self.items.copy_within(src + p..src + end, dst + p + j + 1);
+            self.items[dst + p + j] = x;
+            end = p;
+        }
+        if src != dst {
+            self.items.copy_within(src..src + end, dst);
+        }
+    }
+
+    /// Reclaim the garbage once it is over a quarter of the arena: every
+    /// row moves down in arena order, keeping its room.
+    pub(crate) fn compact(&mut self, scratch: &mut RowScratch) {
+        if self.garbage > self.items.len() / 4 {
+            self.compact_now(scratch);
+        }
+    }
+
+    fn compact_now(&mut self, scratch: &mut RowScratch) {
+        let order = &mut scratch.order;
+        order.clear();
+        order.extend((0..self.span.len() as u32).filter(|&r| self.span[r as usize].cap > 0));
+        order.sort_unstable_by_key(|&r| self.span[r as usize].at);
+        let mut w = 0u32;
+        for &r in order.iter() {
+            let s = &mut self.span[r as usize];
+            self.items
+                .copy_within(s.at as usize..(s.at + s.len) as usize, w as usize);
+            s.at = w;
+            w += s.cap;
+        }
+        self.items.truncate(w as usize);
+        self.garbage = 0;
     }
 
     /// Make `out` the transpose over `cols` columns (every item is below
     /// `cols`): row `c` of `out` lists the rows holding `c`, ascending.
-    /// A counting sort — the counts land at `out.at[c + 2]`, so after the
-    /// prefix sum `out.at[c + 1]` is row `c`'s start and serves as its
-    /// write cursor, ending as its end.
+    /// A counting sort: the counts land in `out`'s spans, whose prefix
+    /// sums then serve as write cursors.
     pub(crate) fn transpose_into(&self, cols: usize, out: &mut Rows) {
-        reserve_for(&mut out.at, cols + 2);
-        reserve_for(&mut out.items, self.items.len());
-        out.at.clear();
-        out.at.resize(cols + 2, 0);
-        for &c in &self.items {
-            out.at[c as usize + 2] += 1;
-        }
-        for k in 2..cols + 2 {
-            out.at[k] += out.at[k - 1];
-        }
-        out.items.clear();
-        out.items.resize(self.items.len(), 0);
+        out.clear();
+        out.span.resize(cols, Span::default());
         for r in 0..self.len() {
             for &c in self.row(r) {
-                let cursor = &mut out.at[c as usize + 1];
-                out.items[*cursor as usize] = r as u32;
-                *cursor += 1;
+                out.span[c as usize].cap += 1;
             }
         }
-        out.at.truncate(cols + 1);
+        let mut at = 0;
+        for s in &mut out.span {
+            s.at = at;
+            at += s.cap;
+        }
+        out.items.resize(at as usize, 0);
+        for r in 0..self.len() {
+            for &c in self.row(r) {
+                let s = &mut out.span[c as usize];
+                out.items[(s.at + s.len) as usize] = r as u32;
+                s.len += 1;
+            }
+        }
     }
 
-    /// Bit-equality, for debug re-derivations.
+    /// [`fit`] every buffer to `rows` rows of `items` items.
+    fn fit(&mut self, rows: usize, items: usize) {
+        fit(&mut self.span, rows);
+        fit(&mut self.items, items);
+    }
+
+    /// Renumber the rows: row `r` becomes row `map[r]`, or is dropped if
+    /// that is `FREE`; the kept rows keep their order.
+    fn renumber(&mut self, map: &[u32]) {
+        let mut w = 0;
+        for (r, &to) in map.iter().enumerate() {
+            let s = self.span[r];
+            match to {
+                FREE => self.garbage += s.cap as usize,
+                _ => {
+                    self.span[w] = s;
+                    w += 1;
+                }
+            }
+        }
+        self.span.truncate(w);
+    }
+
+    /// Map every item of every row through `map`; returns the items mapped.
+    fn map_items(&mut self, map: &[u32]) -> usize {
+        let mut n = 0;
+        for s in &self.span {
+            for x in &mut self.items[s.at as usize..(s.at + s.len) as usize] {
+                *x = map[*x as usize];
+            }
+            n += s.len as usize;
+        }
+        n
+    }
+
+    /// Whether `self` and `other` hold the same rows: the debug
+    /// re-derivation check.
     #[cfg(debug_assertions)]
     pub(crate) fn same(&self, other: &Rows) -> bool {
-        self.at == other.at && self.items == other.items
+        self.len() == other.len() && (0..self.len()).all(|r| self.row(r) == other.row(r))
     }
 }
+
+/// [`Rows::gather`]'s "no old row": the new row starts empty.
+pub(crate) const NONE_ROW: u32 = u32::MAX;
+
+/// [`Layout::flows`] of a free slot.
+pub(crate) const FREE: u32 = u32::MAX;
 
 /// [`FillLog::froze`] of a flow still active when phase 2 ended;
 /// [`FillLog::sat`] of a link that never saturated.
 pub(crate) const NEVER: u32 = u32::MAX;
-/// [`FillLog::froze`] of a flow new to the layout since its last fill.
-pub(crate) const ADDED: u32 = u32::MAX - 1;
 /// [`FillLog::sat`] of a link whose log is void: touched since the last
 /// fill, or new to the layout; [`FillLog::remap`] of a link whose log is
 /// dropped.
@@ -223,6 +449,8 @@ struct Round {
     t: f64,
     /// Its event: a global link, or a stable flow id under `FLOW_EVENT`.
     event: u32,
+    /// The end of its freezes in [`FillLog::frozen`].
+    frozen: u32,
 }
 
 /// A breakpoint: a link's state after a round that froze one of its
@@ -249,10 +477,15 @@ pub(crate) struct FillLog {
     keep: bool,
     /// Whether that fill's phase 1 scaled a link.
     scaled: bool,
-    /// Flow position → 1 + the round it froze in; 0 if it was inactive
-    /// when phase 2 began, `NEVER` if it never froze, `ADDED` if it is
-    /// new to the layout.
+    /// Slot → 1 + the round its flow froze in, `NEVER` if it never froze;
+    /// 0 if it was inactive when phase 2 began, if the flow is new to the
+    /// layout since (see `added`), or if the slot is free: a released slot
+    /// is reset, so a flow that takes it over inherits no round.
     pub(crate) froze: Vec<u32>,
+    /// The slots in the order their flows froze, round after round (each
+    /// round's end in [`Round::frozen`]), then those that never froze,
+    /// ascending. A resume reopens what froze from its round on.
+    frozen: Vec<u32>,
     /// Local link → its state when phase 2 began.
     pub(crate) start: Vec<LinkAt>,
     /// Local link → the round it saturated in, `NEVER`, or `CHANGED`.
@@ -268,8 +501,8 @@ pub(crate) struct FillLog {
     /// may be reused (a removed flow, or one of another piece of a split,
     /// froze in it, or a touched link saturated in it).
     pub(crate) cut: u32,
-    /// Set by the layout's patch (and split): the positions of the flows
-    /// it added, ascending.
+    /// Set by the layout's patch (and split): the slots of the flows it
+    /// added.
     pub(crate) added: Vec<u32>,
 }
 
@@ -279,6 +512,7 @@ impl FillLog {
         self.ok = false;
         self.keep = false;
         self.froze.clear();
+        self.frozen.clear();
         self.start.clear();
         self.sat.clear();
         self.rounds.clear();
@@ -352,7 +586,12 @@ impl FillLog {
             (None, Some(l)) => lay.links[l],
             (None, None) => NEVER,
         };
-        self.rounds.push(Round { fill, t, event });
+        self.rounds.push(Round {
+            fill,
+            t,
+            event,
+            frozen: self.frozen.len() as u32,
+        });
     }
 
     /// Whether `self` and `other` log the same fill, floats by their bits
@@ -384,9 +623,10 @@ impl FillLog {
     #[cfg(debug_assertions)]
     fn same_fill(&self, other: &FillLog, same_bps: bool) -> bool {
         let at = |a: &LinkAt| (a.residual.to_bits(), a.wsum.to_bits(), a.wcount);
-        let round = |r: &Round| (r.fill.to_bits(), r.t.to_bits(), r.event);
+        let round = |r: &Round| (r.fill.to_bits(), r.t.to_bits(), r.event, r.frozen);
         self.scaled == other.scaled
             && self.froze == other.froze
+            && self.frozen == other.frozen
             && self.start.iter().map(at).eq(other.start.iter().map(at))
             && self.sat == other.sat
             && self
@@ -399,29 +639,68 @@ impl FillLog {
     }
 }
 
-/// The kernel's input: a subproblem of the network flattened once. "Local"
-/// indices are positions in `flows` and `links`. The kernel's result is a
-/// pure function of this value and the listed links' capacities.
+/// A flow's kernel parameters: starting rate `floor.min(demand)`, demand,
+/// weight, and its rate after the layout's last fill.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Params {
+    pub(crate) init: f64,
+    pub(crate) demand: f64,
+    pub(crate) weight: f64,
+    pub(crate) rate: f64,
+}
+
+impl Params {
+    /// The parameters of a flow new to a layout.
+    pub(crate) fn of(f: &FlowSpec) -> Params {
+        let init = f.floor.min(f.demand);
+        Params {
+            init,
+            demand: f.demand,
+            weight: f.weight,
+            rate: init,
+        }
+    }
+}
+
+/// The kernel's input: a subproblem of the network flattened once. Each
+/// flow sits in a *slot* it keeps while it stays in the layout (a removed
+/// flow's slot is free for the next added one), so its path, parameters,
+/// rate and fill-log entry never move. The links are ascending; "local"
+/// links are positions among them. Each local link keeps a *row*: the
+/// slots of its flows in key order. Every per-link sum runs along a row
+/// and every other flow-order loop along `finite` or a row, so the
+/// kernel's result is a pure function of the flows, their key order and
+/// the listed links' capacities, whatever slots the flows sit in.
 #[derive(Debug, Default)]
 pub(crate) struct Layout {
-    /// The flows, in the order sums are taken: stable ids in the
-    /// incremental solver, flow indices in [`Fluid::rates`].
+    /// Slot → its flow: a stable id in the incremental solver, a flow
+    /// index in [`Fluid::rates`]; `FREE` for a free slot.
     pub(crate) flows: Vec<u32>,
+    /// The free slots.
+    pub(crate) free: Vec<u32>,
     /// The links, ascending (global indices). Every link of every listed
     /// flow's path is here, and no unlisted flow crosses one.
     pub(crate) links: Vec<u32>,
-    /// Flow position → its local links, in its spec's path order.
+    /// Slot → its flow's global links, in its spec's path order; empty for
+    /// a free slot.
     pub(crate) paths: Rows,
-    /// Flow position → starting rate, `floor.min(demand)`.
+    /// Local link → the slots of its flows, in key order.
+    pub(crate) rows: Rows,
+    /// The slots of the finite-demand flows, in key order.
+    pub(crate) finite: Vec<u32>,
+    /// Slot → starting rate, `floor.min(demand)` (0 for a free slot).
     pub(crate) init: Vec<f64>,
-    /// Flow position → demand.
+    /// Slot → demand (0 for a free slot, which is so never active).
     pub(crate) demand: Vec<f64>,
-    /// Flow position → weight.
+    /// Slot → weight.
     pub(crate) weight: Vec<f64>,
-    /// Local link → Σ `init` of its flows in flow order: phase 1's first
-    /// usage sums.
+    /// Slot → its flow's rate after the layout's last fill. The kernel
+    /// reads and writes it as [`FillScratch::rate`], swapped in by the
+    /// layout's owner: a resumed fill keeps the rates it does not reopen.
+    pub(crate) rate: Vec<f64>,
+    /// Local link → Σ `init` along its row: phase 1's first usage sums.
     pub(crate) floor_sum: Vec<f64>,
-    /// The log of the layout's last fill. Its per-flow entries move with
+    /// The log of the layout's last fill. Its per-slot entries stay with
     /// the flows; its per-link entries are the caller's to rewrite, like
     /// `floor_sum`.
     pub(crate) log: FillLog,
@@ -431,235 +710,289 @@ impl Layout {
     /// Empty the layout, keeping every allocation.
     pub(crate) fn clear(&mut self) {
         self.flows.clear();
+        self.free.clear();
         self.links.clear();
         self.paths.clear();
+        self.rows.clear();
+        self.finite.clear();
         self.init.clear();
         self.demand.clear();
         self.weight.clear();
+        self.rate.clear();
         self.floor_sum.clear();
         self.log.clear();
     }
 
-    /// Empty the layout and make room for `flows` flows crossing `items`
-    /// links in all over `links` links.
-    pub(crate) fn clear_for(&mut self, flows: usize, items: usize, links: usize) {
-        self.clear();
-        reserve_for(&mut self.flows, flows);
-        reserve_for(&mut self.paths.at, flows + 1);
-        reserve_for(&mut self.paths.items, items);
-        reserve_for(&mut self.init, flows);
-        reserve_for(&mut self.demand, flows);
-        reserve_for(&mut self.weight, flows);
-        reserve_for(&mut self.links, links);
-        reserve_for(&mut self.floor_sum, links);
-    }
-
-    /// [`Layout::clear_for`] on a pooled entry that may have held a much
-    /// larger component: a buffer over four times too big gives its memory
+    /// [`Layout::clear`] on a pooled entry that may have held a much larger
+    /// component: a buffer over four times too big for `flows` flows
+    /// crossing `items` links in all over `links` links gives its memory
     /// back first.
     pub(crate) fn clear_fit(&mut self, flows: usize, items: usize, links: usize) {
         fit(&mut self.flows, flows);
-        fit(&mut self.paths.at, flows + 1);
-        fit(&mut self.paths.items, items);
+        fit(&mut self.free, flows);
+        self.paths.fit(flows, items);
+        self.rows.fit(links, items);
+        fit(&mut self.finite, flows);
         fit(&mut self.init, flows);
         fit(&mut self.demand, flows);
         fit(&mut self.weight, flows);
+        fit(&mut self.rate, flows);
         fit(&mut self.log.froze, flows);
+        fit(&mut self.log.frozen, flows);
         fit(&mut self.log.rounds, flows);
         fit(&mut self.log.bps, items);
         fit(&mut self.links, links);
         fit(&mut self.floor_sum, links);
         fit(&mut self.log.start, links);
         fit(&mut self.log.sat, links);
-        self.clear_for(flows, items, links);
+        self.clear();
     }
 
-    /// [`trim`] every buffer.
-    pub(crate) fn trim(&mut self) {
-        trim(&mut self.flows);
-        trim(&mut self.links);
-        trim(&mut self.paths.at);
-        trim(&mut self.paths.items);
-        trim(&mut self.init);
-        trim(&mut self.demand);
-        trim(&mut self.weight);
-        trim(&mut self.floor_sum);
-    }
-
-    /// Append flow `id`, read from its spec; `local` maps a global link of
-    /// its path to a position in `links`. The layout's log is void.
-    pub(crate) fn push_spec(&mut self, id: u32, f: &FlowSpec, local: impl Fn(usize) -> u32) {
-        self.flows.push(id);
-        self.paths.push_row(f.path.iter().map(|&l| local(l)));
-        self.init.push(f.floor.min(f.demand));
-        self.demand.push(f.demand);
-        self.weight.push(f.weight);
-        self.log.ok = false;
-    }
-
-    /// Append flow positions `range` of `from`; `local` maps one of
-    /// `from`'s local links to a position in `links`. The layout's log is
-    /// void.
-    #[inline]
-    pub(crate) fn extend_from(
-        &mut self,
-        from: &Layout,
-        range: Range<usize>,
-        local: impl Fn(u32) -> u32,
-    ) {
-        let (a, b) = (from.paths.at[range.start], from.paths.at[range.end]);
-        let base = self.paths.items.len() as u32;
-        self.paths.items.extend(
-            from.paths.items[a as usize..b as usize]
-                .iter()
-                .map(|&li| local(li)),
-        );
-        self.paths.at.extend(
-            from.paths.at[range.start + 1..=range.end]
-                .iter()
-                .map(|&at| at - a + base),
-        );
-        self.flows.extend_from_slice(&from.flows[range.clone()]);
-        self.init.extend_from_slice(&from.init[range.clone()]);
-        self.demand.extend_from_slice(&from.demand[range.clone()]);
-        self.weight.extend_from_slice(&from.weight[range]);
-        self.log.ok = false;
-    }
-
-    /// Keep the flow positions `keep` accepts (it is handed the position
-    /// and the flow), in order, mapping each kept path's local links
-    /// through `remap` (`None`: unchanged). `links`, `floor_sum` and the
-    /// log's per-link entries are the caller's to rewrite. Returns the
-    /// least [`FillLog::froze`] of a dropped flow that froze in a logged
-    /// round (`NEVER` if none, or if the log is void): a flow idle from
-    /// phase 2's start moved no round, its links alone changed.
-    pub(crate) fn retain_flows(
-        &mut self,
-        mut keep: impl FnMut(usize, u32) -> bool,
-        remap: Option<&[u32]>,
-    ) -> u32 {
-        let (mut w, mut wi, mut start) = (0, 0, 0);
-        let mut dropped = NEVER;
+    /// Once over a quarter of the slots are free, move every flow down to
+    /// the lowest slots, in slot order (`map` is pooled scratch: old slot →
+    /// new one), so that free slots cost memory only while churn refills
+    /// them. Rows, `finite` and the log follow; the fill log must be
+    /// complete (no flow added since the last fill). Returns the slots and
+    /// row entries renumbered, 0 if it did nothing.
+    pub(crate) fn compact_slots(&mut self, map: &mut Vec<u32>, scratch: &mut RowScratch) -> usize {
+        let n = self.flows.len();
+        if self.free.len() * 4 <= n {
+            return 0;
+        }
+        map.clear();
+        map.resize(n, FREE);
         let logged = self.log.ok;
-        for r in 0..self.flows.len() {
-            let end = self.paths.at[r + 1] as usize;
-            if keep(r, self.flows[r]) {
-                // Writes trail reads: `w <= r` and `wi <= start`.
-                match remap {
-                    Some(m) => {
-                        for k in start..end {
-                            self.paths.items[wi + k - start] = m[self.paths.items[k] as usize];
-                        }
-                    }
-                    None => self.paths.items.copy_within(start..end, wi),
-                }
-                wi += end - start;
-                self.flows[w] = self.flows[r];
-                self.init[w] = self.init[r];
-                self.demand[w] = self.demand[r];
-                self.weight[w] = self.weight[r];
-                if logged {
-                    self.log.froze[w] = self.log.froze[r];
-                }
-                w += 1;
-                self.paths.at[w] = wi as u32;
-            } else if logged && self.log.froze[r] != 0 {
-                dropped = dropped.min(self.log.froze[r]);
+        let mut w = 0;
+        for (i, to) in map.iter_mut().enumerate() {
+            if self.flows[i] == FREE {
+                continue;
             }
-            start = end;
+            *to = w as u32;
+            self.flows[w] = self.flows[i];
+            self.init[w] = self.init[i];
+            self.demand[w] = self.demand[i];
+            self.weight[w] = self.weight[i];
+            self.rate[w] = self.rate[i];
+            if logged {
+                self.log.froze[w] = self.log.froze[i];
+            }
+            w += 1;
+        }
+        for v in [
+            &mut self.init,
+            &mut self.demand,
+            &mut self.weight,
+            &mut self.rate,
+        ] {
+            v.truncate(w);
         }
         self.flows.truncate(w);
-        self.init.truncate(w);
-        self.demand.truncate(w);
-        self.weight.truncate(w);
+        self.free.clear();
+        self.paths.renumber(map);
+        self.paths.compact(scratch);
+        let items = self.rows.map_items(map);
+        for i in &mut self.finite {
+            *i = map[*i as usize];
+        }
         if logged {
             self.log.froze.truncate(w);
+            for i in &mut self.log.frozen {
+                *i = map[*i as usize];
+            }
         }
-        self.paths.at.truncate(w + 1);
-        self.paths.items.truncate(wi);
-        dropped
+        debug_assert!(self.log.added.is_empty(), "slots compacted before a fill");
+        n + items
     }
 
-    /// Insert the flows of `ins`, whose paths use `self`'s local links:
-    /// flow `j` of `ins` goes before the current flow `pos[j]` (`pos`
-    /// ascending, `ins` in the order wanted among equal positions). Walks
-    /// back from the end, moving each block of current flows once. The
-    /// inserted flows are new to the layout's log, if it has one.
-    pub(crate) fn insert_flows(&mut self, pos: &[u32], ins: &Layout) {
-        let (n, m) = (self.flows.len(), ins.flows.len());
-        let logged = self.log.ok;
-        let items = self.paths.items.len() + ins.paths.items.len();
-        reserve_for(&mut self.flows, n + m);
-        reserve_for(&mut self.init, n + m);
-        reserve_for(&mut self.demand, n + m);
-        reserve_for(&mut self.weight, n + m);
-        if logged {
-            reserve_for(&mut self.log.froze, n + m);
-            self.log.froze.resize(n + m, 0);
+    /// Make room for `flows` more flows crossing `items` links in all.
+    pub(crate) fn reserve(&mut self, flows: usize, items: usize) {
+        let n = self.flows.len() + flows.saturating_sub(self.free.len());
+        reserve_for(&mut self.flows, n);
+        reserve_for(&mut self.init, n);
+        reserve_for(&mut self.demand, n);
+        reserve_for(&mut self.weight, n);
+        reserve_for(&mut self.rate, n);
+        if self.log.ok {
+            reserve_for(&mut self.log.froze, n);
         }
-        reserve_for(&mut self.paths.at, n + m + 1);
-        reserve_for(&mut self.paths.items, items);
-        self.flows.resize(n + m, 0);
-        self.init.resize(n + m, 0.0);
-        self.demand.resize(n + m, 0.0);
-        self.weight.resize(n + m, 0.0);
-        self.paths.at.resize(n + m + 1, 0);
-        self.paths.items.resize(items, 0);
-        let at = &mut self.paths.at;
-        let mut end = n;
-        for j in (0..m).rev() {
-            // Flows `p..end` move right by the `j + 1` flows inserted
-            // before them, and their items by those flows' items. Every
-            // `at` entry read here is below every one written so far.
-            let p = pos[j] as usize;
-            let (shift, ishift) = (j + 1, ins.paths.at[j + 1]);
-            let (a, b) = (at[p] as usize, at[end] as usize);
-            self.paths.items.copy_within(a..b, a + ishift as usize);
-            for r in (p..end).rev() {
-                at[r + 1 + shift] = at[r + 1] + ishift;
-            }
-            self.flows.copy_within(p..end, p + shift);
-            self.init.copy_within(p..end, p + shift);
-            self.demand.copy_within(p..end, p + shift);
-            self.weight.copy_within(p..end, p + shift);
-            if logged {
-                self.log.froze.copy_within(p..end, p + shift);
-                self.log.froze[p + j] = ADDED;
-            }
-            // Flow `j` of `ins` lands at `p + j`, after the `j` inserted
-            // before it.
-            let (ia, ib) = (ins.paths.at[j] as usize, ins.paths.at[j + 1] as usize);
-            self.paths.items[a + ia..a + ib].copy_from_slice(&ins.paths.items[ia..ib]);
-            at[p + j + 1] = (a + ib) as u32;
-            self.flows[p + j] = ins.flows[j];
-            self.init[p + j] = ins.init[j];
-            self.demand[p + j] = ins.demand[j];
-            self.weight[p + j] = ins.weight[j];
-            end = p;
+        self.paths.reserve(items);
+    }
+
+    /// Number of flows (slots not free).
+    pub(crate) fn live(&self) -> usize {
+        self.flows.len() - self.free.len()
+    }
+
+    /// Slot `slot`'s parameters.
+    pub(crate) fn params(&self, slot: u32) -> Params {
+        let i = slot as usize;
+        Params {
+            init: self.init[i],
+            demand: self.demand[i],
+            weight: self.weight[i],
+            rate: self.rate[i],
         }
+    }
+
+    /// Put flow `id`, crossing the global links `path`, in a free slot or
+    /// a new one, and return the slot. Rows and `finite` are the caller's
+    /// to splice, and so is [`FillLog::added`]; the slot's
+    /// [`FillLog::froze`] reads 0.
+    pub(crate) fn alloc(
+        &mut self,
+        id: u32,
+        path: impl ExactSizeIterator<Item = u32>,
+        p: Params,
+        scratch: &mut RowScratch,
+    ) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let i = slot as usize;
+                self.flows[i] = id;
+                self.init[i] = p.init;
+                self.demand[i] = p.demand;
+                self.weight[i] = p.weight;
+                self.rate[i] = p.rate;
+                slot
+            }
+            None => {
+                let n = self.flows.len() + 1;
+                reserve_for(&mut self.flows, n);
+                reserve_for(&mut self.init, n);
+                reserve_for(&mut self.demand, n);
+                reserve_for(&mut self.weight, n);
+                reserve_for(&mut self.rate, n);
+                self.flows.push(id);
+                self.init.push(p.init);
+                self.demand.push(p.demand);
+                self.weight.push(p.weight);
+                self.rate.push(p.rate);
+                (self.flows.len() - 1) as u32
+            }
+        };
+        self.paths.set_row(slot as usize, path, scratch);
+        let froze = &mut self.log.froze;
+        if self.log.ok && slot as usize == froze.len() {
+            reserve_for(froze, froze.len() + 1);
+            froze.push(0);
+        }
+        slot
+    }
+
+    /// Free slot `slot`, returning its flow's [`FillLog::froze`] (0 if the
+    /// log is void). Rows and `finite` are the caller's to splice.
+    pub(crate) fn release(&mut self, slot: u32) -> u32 {
+        let i = slot as usize;
+        self.flows[i] = FREE;
+        self.paths.free_row(i);
+        (self.init[i], self.demand[i], self.weight[i], self.rate[i]) = (0.0, 0.0, 0.0, 0.0);
+        self.free.push(slot);
+        match self.log.ok {
+            true => std::mem::replace(&mut self.log.froze[i], 0),
+            false => 0,
+        }
+    }
+
+    /// Append flow `id`, read from its spec, with its finite demand (if
+    /// any) last in `finite`. The layout's log is void; its rows are built
+    /// apart ([`Layout::index_rows`]).
+    pub(crate) fn push_spec(&mut self, id: u32, f: &FlowSpec) {
+        let path = f.path.iter().map(|&l| l as u32);
+        let slot = self.alloc(id, path, Params::of(f), &mut RowScratch::default());
+        if f.demand.is_finite() {
+            self.finite.push(slot);
+        }
+        self.log.ok = false;
+    }
+
+    /// Build every row from the paths, slots ascending (so in key order
+    /// when slots are), `local` mapping a global link to a local one.
+    pub(crate) fn index_rows(&mut self, local: &[u32]) {
+        let mut paths = Rows::default();
+        for slot in 0..self.flows.len() {
+            paths.push_row(self.paths.row(slot).iter().map(|&l| local[l as usize]));
+        }
+        paths.transpose_into(self.links.len(), &mut self.rows);
     }
 
     /// Recompute `floor_sum` for every link (a global index) `stale`
-    /// selects, summing `init` over its row of `lflows` (the transpose of
-    /// `paths`); sized to `links` first, new entries zero.
-    pub(crate) fn sum_floors(&mut self, lflows: &Rows, stale: impl Fn(u32) -> bool) {
+    /// selects, summing `init` along its row; sized to `links` first, new
+    /// entries zero.
+    pub(crate) fn sum_floors(&mut self, stale: impl Fn(u32) -> bool) {
         self.floor_sum.resize(self.links.len(), 0.0);
         for li in 0..self.links.len() {
             if stale(self.links[li]) {
-                self.floor_sum[li] = lflows.row(li).iter().map(|&i| self.init[i as usize]).sum();
+                self.floor_sum[li] = self
+                    .rows
+                    .row(li)
+                    .iter()
+                    .map(|&i| self.init[i as usize])
+                    .sum();
             }
         }
+    }
+
+    /// The same layout with its flows in compact slots, in key order
+    /// (`key` of a flow), rows, `finite` and log renumbered to match: what
+    /// a layout built afresh from the same flows holds. Debug builds
+    /// compare the two.
+    #[cfg(debug_assertions)]
+    pub(crate) fn canonical(&self, key: impl Fn(u32) -> u128) -> Layout {
+        let mut order: Vec<u32> = (0..self.flows.len() as u32)
+            .filter(|&i| self.flows[i as usize] != FREE)
+            .collect();
+        order.sort_unstable_by_key(|&i| key(self.flows[i as usize]));
+        let mut pos = vec![FREE; self.flows.len()];
+        for (p, &i) in order.iter().enumerate() {
+            pos[i as usize] = p as u32;
+        }
+        let mut out = Layout {
+            links: self.links.clone(),
+            floor_sum: self.floor_sum.clone(),
+            ..Layout::default()
+        };
+        for &i in &order {
+            out.alloc(
+                self.flows[i as usize],
+                self.paths.row(i as usize).iter().copied(),
+                self.params(i),
+                &mut RowScratch::default(),
+            );
+        }
+        for li in 0..self.rows.len() {
+            out.rows
+                .push_row(self.rows.row(li).iter().map(|&i| pos[i as usize]));
+        }
+        out.finite
+            .extend(self.finite.iter().map(|&i| pos[i as usize]));
+        let (log, to) = (&self.log, &mut out.log);
+        to.ok = log.ok;
+        to.keep = log.keep;
+        if log.ok {
+            to.scaled = log.scaled;
+            to.froze = order.iter().map(|&i| log.froze[i as usize]).collect();
+            to.frozen = log.frozen.iter().map(|&i| pos[i as usize]).collect();
+            let tail = log.rounds.last().map_or(0, |r| r.frozen as usize);
+            to.frozen[tail..].sort_unstable();
+            to.start = log.start.clone();
+            to.sat = log.sat.clone();
+            to.rounds = log.rounds.clone();
+            to.bps = log.bps.clone();
+        }
+        out
     }
 
     /// Whether `self` and `other` are the same layout, floats compared by
     /// their bits: the debug re-derivation check. The logs are compared
-    /// apart ([`FillLog::same`]).
+    /// apart ([`FillLog::same`]); so are the rates.
     #[cfg(debug_assertions)]
     pub(crate) fn same(&self, other: &Layout) -> bool {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         self.flows == other.flows
             && self.links == other.links
             && self.paths.same(&other.paths)
+            && self.rows.same(&other.rows)
+            && self.finite == other.finite
             && bits(&self.init) == bits(&other.init)
             && bits(&self.demand) == bits(&other.demand)
             && bits(&self.weight) == bits(&other.weight)
@@ -731,6 +1064,10 @@ pub(crate) struct FillScratch {
     /// eager rounds; the heap pops plus the links first touched by a
     /// freeze in a round, over lazy ones.
     pub(crate) link_visits: usize,
+    /// Row entries and fill-log entries the last solve's restore visited:
+    /// the changed links' rows it replayed, the freezes it reopened and
+    /// the added flows (0 for a fill from round 0).
+    pub(crate) restore_items: usize,
 }
 
 /// The links a round's freezes touched, for its breakpoints.
@@ -854,21 +1191,22 @@ fn queue_demands(
 /// Freeze at level `fill`, in round `round`, every still-active flow of
 /// `to_freeze`, in order: it takes its rate and leaves its links' weight
 /// sums, `touch` seeing each link and its sum just before the sum changes.
-/// The log takes each flow's round, and `touched` each link the round
-/// touches ([`FillLog::end_round`] logs their breakpoints), if the fill
-/// writes the log. Returns how many froze.
+/// The log takes each flow's round and its place in the freeze order, and
+/// `touched` each link the round touches ([`FillLog::end_round`] logs
+/// their breakpoints), if the fill writes the log. `local` maps a global
+/// link to a local one. Returns how many froze.
 #[expect(
     clippy::too_many_arguments,
     reason = "both round loops share it over disjoint borrows of the kernel's scratch"
 )]
 fn freeze(
     lay: &Layout,
+    local: &[u32],
     fill: f64,
     to_freeze: &[u32],
     active: &mut [bool],
     rate: &mut [f64],
-    wsum: &mut [f64],
-    wcount: &mut [u32],
+    (wsum, wcount): (&mut [f64], &mut [u32]),
     log: &mut FillLog,
     touched: &mut Touched,
     round: u32,
@@ -885,8 +1223,10 @@ fn freeze(
         rate[i] = (rate[i] + lay.weight[i] * fill).min(lay.demand[i]);
         if logged {
             log.froze[i] = round + 1;
+            log.frozen.push(i as u32);
         }
-        for &li in lay.paths.row(i) {
+        for &gl in lay.paths.row(i) {
+            let li = local[gl as usize];
             touch(li, wsum[li as usize]);
             if logged && !std::mem::replace(&mut touched.mark[li as usize], true) {
                 touched.links.push(li);
@@ -1025,9 +1365,9 @@ impl Fluid {
     /// call; the churn path, [`crate::incremental::IncrementalFluid`],
     /// keeps its layouts and pools its scratch.
     pub fn rates(&self) -> Vec<f64> {
-        let (lay, lflows) = self.layout();
+        let (lay, local) = self.layout();
         let mut scratch = FillScratch::default();
-        self.fill(&lay, &lflows, &mut scratch, &mut FillLog::default());
+        self.fill(&lay, &local, &mut scratch, &mut FillLog::default());
         debug_assert!(
             self.is_work_conserving(&scratch.rate),
             "allocation is not work-conserving"
@@ -1035,31 +1375,32 @@ impl Fluid {
         scratch.rate
     }
 
-    /// Every flow in index order over every link, laid out for the
-    /// kernel, with the transpose of its paths.
-    fn layout(&self) -> (Layout, Rows) {
+    /// Every flow in index order, each in the slot of its index, over
+    /// every link, laid out for the kernel; with the map from a global
+    /// link to a local one (here the same index).
+    fn layout(&self) -> (Layout, Vec<u32>) {
         let mut lay = Layout {
             links: (0..self.caps.len() as u32).collect(),
             ..Layout::default()
         };
         for (i, f) in self.flows.iter().enumerate() {
-            lay.push_spec(i as u32, f, |l| l as u32);
+            lay.push_spec(i as u32, f);
         }
-        let mut lflows = Rows::default();
-        lay.paths.transpose_into(lay.links.len(), &mut lflows);
-        lay.sum_floors(&lflows, |_| true);
-        (lay, lflows)
+        lay.index_rows(&lay.links.clone());
+        lay.sum_floors(|_| true);
+        let local = lay.links.clone();
+        (lay, local)
     }
 
     /// The max-min kernel — the one place progressive filling is
     /// implemented (see [`Fluid::rates`] for the two phases and the
-    /// termination argument). Solves `lay` (its `lflows`, the transpose of
-    /// its paths over its links, comes from the caller, who may have built
-    /// it already) and leaves flow position `i`'s rate in `s.rate[i]`. The
-    /// result is a pure function of the layout and its links' capacities:
-    /// links are visited ascending and each link's flows in layout order,
-    /// so nothing else in the network, and no churn history, reaches the
-    /// arithmetic.
+    /// termination argument). Solves `lay`, `local` mapping each global
+    /// link of its paths to its local link, and leaves slot `i`'s rate in
+    /// `s.rate[i]`. The result is a pure function of the layout's flows,
+    /// their key order and its links' capacities: links are visited
+    /// ascending and each link's flows along its row, in key order, so
+    /// nothing else in the network, no slot numbering and no churn history
+    /// reaches the arithmetic.
     ///
     /// Phase 1 starts from the layout's floor sums and re-sums only the
     /// rows a scaling touched; every other row holds the same values in
@@ -1085,26 +1426,30 @@ impl Fluid {
     ///   The saturated links' flows freeze in ascending link order, as
     ///   eagerly. A link a freeze touches is caught up before its weight
     ///   sum changes and keeps its key: a lower weight sum only raises the
-    ///   true level, so the old key stays a lower bound (within `slack`). A round costs its pops and replays plus the frozen
-    ///   flows' path lengths, not the live links. Debug builds drain a
-    ///   shadow of every residual eagerly and check each lazy round's
-    ///   event, step, saturated links and every residual read against it.
+    ///   true level, so the old key stays a lower bound (within `slack`).
+    ///   A round costs its pops and replays plus the frozen flows' path
+    ///   lengths, not the live links. Debug builds drain a shadow of every
+    ///   residual eagerly and check each lazy round's event, step,
+    ///   saturated links and every residual read against it.
     ///
     /// Phase 2 also writes `log`, the layout's fill log: each round's
-    /// level, step and event, each flow's freeze round, each link's
-    /// phase-2 start and saturation round, and a breakpoint (residual,
-    /// weight sum, active count) for each link after each round that
-    /// froze one of its flows. When `log` describes the layout's last fill
-    /// and neither fill's phase 1 scaled a link, phase 2 first finds the
-    /// first logged round the layout's changes since could alter
-    /// (`divergence`), restores the state at its start from the log
-    /// (`restore`), and runs only the rounds from there on; the rounds
-    /// before it would repeat the logged ones bit for bit (see the
-    /// incremental module's "Resumed fills"). The kernel, eager or lazy,
-    /// is the one a fill from round 0 would pick. Only a log its owner
-    /// keeps ([`FillLog::keep`]) is written.
-    pub(crate) fn fill(&self, lay: &Layout, lflows: &Rows, s: &mut FillScratch, log: &mut FillLog) {
-        self.fill_with(lay, lflows, s, log, None);
+    /// level, step and event, each flow's freeze round, the freezes in
+    /// round order, each link's phase-2 start and saturation round, and a
+    /// breakpoint (residual, weight sum, active count) for each link after
+    /// each round that froze one of its flows. When `log` describes the
+    /// layout's last fill and neither fill's phase 1 scaled a link, phase
+    /// 2 first finds the first logged round the layout's changes since
+    /// could alter (`divergence`), restores the state at its start from
+    /// the log (`restore`), and runs only the rounds from there on; the
+    /// rounds before it would repeat the logged ones bit for bit (see the
+    /// incremental module's "Resumed fills"). Such a fill reads `s.rate`
+    /// as the layout's rates after its last fill ([`Layout::rate`]) and
+    /// touches only the flows it reopens: those frozen from that round on
+    /// and those added. The kernel, eager or lazy, is the one a fill from
+    /// round 0 would pick. Only a log its owner keeps ([`FillLog::keep`])
+    /// is written.
+    pub(crate) fn fill(&self, lay: &Layout, local: &[u32], s: &mut FillScratch, log: &mut FillLog) {
+        self.fill_with(lay, local, s, log, None);
     }
 
     /// [`Fluid::fill`], its rounds lazy if `lazy` says so (`None`: from
@@ -1112,13 +1457,12 @@ impl Fluid {
     fn fill_with(
         &self,
         lay: &Layout,
-        lflows: &Rows,
+        local: &[u32],
         s: &mut FillScratch,
         log: &mut FillLog,
         lazy: Option<bool>,
     ) {
         let nll = lay.links.len();
-        let Layout { paths, weight, .. } = lay;
         let FillScratch {
             rate,
             lcaps,
@@ -1130,28 +1474,11 @@ impl Fluid {
         } = s;
         lcaps.clear();
         lcaps.extend(lay.links.iter().map(|&l| self.caps[l as usize]));
-        rate.clear();
-        rate.extend_from_slice(&lay.init);
         let row_sum = |rate: &[f64], li: usize| -> f64 {
-            lflows.row(li).iter().map(|&i| rate[i as usize]).sum()
+            lay.rows.row(li).iter().map(|&i| rate[i as usize]).sum()
         };
-
-        // Phase 1: floors capped by demand, defensively scaled on
-        // oversubscribed links (worst link first, like the reference).
-        used.clear();
-        used.extend_from_slice(&lay.floor_sum);
-        stale.clear();
-        stale.resize(nll, false);
-        let mut scaled = false;
-        loop {
-            #[cfg(debug_assertions)]
-            for (li, u) in used.iter().enumerate() {
-                assert_eq!(
-                    u.to_bits(),
-                    row_sum(rate, li).to_bits(),
-                    "phase-1 sum of local link {li} is stale"
-                );
-            }
+        // The worst oversubscribed link and its scale, if any.
+        let worst = |used: &[f64]| {
             let mut worst: Option<(usize, f64)> = None;
             for (li, &u) in used.iter().enumerate() {
                 if u > lcaps[li] * (1.0 + 1e-9) {
@@ -1161,11 +1488,37 @@ impl Fluid {
                     }
                 }
             }
-            let Some((li, scale)) = worst else { break };
-            scaled = true;
-            for &i in lflows.row(li) {
+            worst
+        };
+
+        // Phase 1: floors capped by demand, defensively scaled on
+        // oversubscribed links (worst link first, like the reference). A
+        // resumed fill scales nothing and keeps the rates it was handed.
+        used.clear();
+        used.extend_from_slice(&lay.floor_sum);
+        #[cfg(debug_assertions)]
+        for (li, u) in used.iter().enumerate() {
+            assert_eq!(
+                u.to_bits(),
+                row_sum(&lay.init, li).to_bits(),
+                "phase-1 sum of local link {li} is stale"
+            );
+        }
+        let mut next = worst(used);
+        let scaled = next.is_some();
+        s.full = !log.ok || log.scaled || scaled;
+        if s.full {
+            rate.clear();
+            rate.extend_from_slice(&lay.init);
+        }
+        debug_assert_eq!(rate.len(), lay.flows.len(), "rates of another layout");
+        stale.clear();
+        stale.resize(nll, false);
+        while let Some((li, scale)) = next {
+            for &i in lay.rows.row(li) {
                 rate[i as usize] *= scale;
-                for &pl in paths.row(i as usize) {
+                for &gl in lay.paths.row(i as usize) {
+                    let pl = local[gl as usize];
                     if !std::mem::replace(&mut stale[pl as usize], true) {
                         stale_links.push(pl);
                     }
@@ -1176,6 +1529,15 @@ impl Fluid {
                 stale[pl as usize] = false;
             }
             stale_links.clear();
+            #[cfg(debug_assertions)]
+            for (li, u) in used.iter().enumerate() {
+                assert_eq!(
+                    u.to_bits(),
+                    row_sum(rate, li).to_bits(),
+                    "phase-1 sum of local link {li} is stale"
+                );
+            }
+            next = worst(used);
         }
         residual.clear();
         residual.extend(
@@ -1190,19 +1552,25 @@ impl Fluid {
         // `rate[i] + weight[i] × fill`; only the freeze event materializes
         // it, so a round never sweeps all flows or all links. It starts at
         // the first logged round this layout's changes could alter.
-        s.full = !log.ok || log.scaled || scaled;
         s.reused = if s.full {
             0
         } else {
-            s.divergence(lay, lflows, log)
+            s.divergence(lay, local, log)
         };
+        s.restore_items = 0;
         log.scaled = scaled;
-        let live_at_start = match s.reused {
-            0 => s.start_phase2(lay, log),
-            k => s.restore(lay, lflows, log, k),
+        let (live_at_start, remaining) = match s.reused {
+            0 => {
+                if !s.full {
+                    // Nothing to reuse after all: start from the floors.
+                    s.rate.clear();
+                    s.rate.extend_from_slice(&lay.init);
+                }
+                s.start_phase2(lay, log)
+            }
+            k => s.restore(lay, local, log, k),
         };
         let fill = log.rounds.last().map_or(0.0, |r| r.fill);
-        let remaining = s.active.iter().filter(|&&a| a).count();
         let fill = if lazy.unwrap_or(live_at_start >= LAZY_FROM) {
             if s.reused == 0 {
                 fit(&mut s.steps, lay.flows.len() + 1);
@@ -1212,7 +1580,7 @@ impl Fluid {
                 s.drained.resize(nll, 0);
             }
             s.lazy_keys(log);
-            s.lazy_rounds(lay, lflows, remaining, fill, log)
+            s.lazy_rounds(lay, local, remaining, fill, log)
         } else {
             if s.reused > 0 {
                 let FillScratch {
@@ -1227,30 +1595,47 @@ impl Fluid {
                     catch_up(residual, drained, steps, li as usize, wsum[li as usize]);
                 }
             }
-            s.eager_rounds(lay, lflows, remaining, fill, log)
+            s.eager_rounds(lay, local, remaining, fill, log)
         };
         log.cut = u32::MAX;
         log.added.clear();
         // Flows still active hit no capacitated link and no demand: they
         // are unbounded in the fluid limit; report the filled level reached
-        // (matches the reference's early exit).
-        for ((r, &a), &w) in s.rate.iter_mut().zip(&s.active).zip(weight) {
-            if a {
-                *r += w * fill;
+        // (matches the reference's early exit). The log lists them last,
+        // ascending.
+        let resumed = s.reused > 0;
+        let FillScratch {
+            rate,
+            active,
+            reopened,
+            ..
+        } = s;
+        let tail = log.frozen.len();
+        let mut unbounded = |i: usize| {
+            if active[i] {
+                rate[i] += lay.weight[i] * fill;
+                if log.ok {
+                    log.frozen.push(i as u32);
+                }
             }
+        };
+        match resumed {
+            false => (0..lay.flows.len()).for_each(&mut unbounded),
+            true => reopened.iter().for_each(|&i| unbounded(i as usize)),
         }
+        log.frozen[tail..].sort_unstable();
     }
 }
 
 /// A changed link's phase-2 start in `lay`: its residual after phase 1
 /// (which scaled nothing) and the weights of its flows then active, summed
-/// in flow order as the kernel sums them.
-fn link_start(lay: &Layout, lflows: &Rows, residual: &[f64], li: usize) -> LinkAt {
+/// along its row as the kernel sums them.
+fn link_start(lay: &Layout, residual: &[f64], li: usize) -> LinkAt {
     let mut at = LinkAt {
         residual: residual[li],
         ..LinkAt::default()
     };
-    for &i in lflows.row(li) {
+    for &i in lay.rows.row(li) {
         let i = i as usize;
         if lay.init[i] + 1e-9 < lay.demand[i] {
             at.wsum += lay.weight[i];
@@ -1270,17 +1655,18 @@ fn link_start(lay: &Layout, lflows: &Rows, residual: &[f64], li: usize) -> LinkA
 /// none. `at` is then its state entering round `until` (or left idle).
 ///
 /// A round freezes the flows of its saturated links by ascending link,
-/// each link's in flow order, then its event flow, then the flows at
-/// their demand in flow order. Every link that saturated before `until`
-/// kept its log (a changed link that saturated cuts the reuse there), so
-/// `sat` and the logged events give each flow its place.
+/// each link's along its row, then its event flow, then the flows at their
+/// demand in key order. Every link that saturated before `until` kept its
+/// log (a changed link that saturated cuts the reuse there), so `sat` and
+/// the logged events give each flow its place; flows of one place keep
+/// their order along `li`'s row, which is key order.
 #[expect(
     clippy::too_many_arguments,
     reason = "the layout, the logged rounds, freezes and saturations, the link, and pooled scratch"
 )]
 fn replay(
     lay: &Layout,
-    lflows: &Rows,
+    local: &[u32],
     rounds: &[Round],
     froze: &[u32],
     sat: &[u32],
@@ -1291,12 +1677,13 @@ fn replay(
     mut on_bp: impl FnMut(u32, &LinkAt),
 ) -> usize {
     let nll = lay.links.len() as u32;
+    let row = lay.rows.row(li);
     let place = |r: u32, i: u32| {
         let by = lay
             .paths
             .row(i as usize)
             .iter()
-            .copied()
+            .map(|&gl| local[gl as usize])
             .filter(|&l| sat[l as usize] == r)
             .min();
         by.unwrap_or(
@@ -1306,10 +1693,12 @@ fn replay(
             },
         )
     };
+    // `(round, place, index in the row)` of each flow frozen before
+    // `until`.
     order.clear();
-    order.extend(lflows.row(li).iter().filter_map(|&i| {
+    order.extend(row.iter().enumerate().filter_map(|(j, &i)| {
         let f = froze[i as usize];
-        (f != 0 && f as usize <= until).then(|| (f - 1, 0, i))
+        (f != 0 && f as usize <= until).then(|| (f - 1, 0, j as u32))
     }));
     order.sort_unstable();
     // Only flows that froze in the same round need their place in it.
@@ -1318,11 +1707,14 @@ fn replay(
         .filter(|run| run.len() > 1)
     {
         for e in run.iter_mut() {
-            e.1 = place(e.0, e.2);
+            e.1 = place(e.0, row[e.2 as usize]);
         }
         run.sort_unstable();
     }
-    let mut next = order.iter().map(|&(_, _, i)| i as usize).peekable();
+    let mut next = order
+        .iter()
+        .map(|&(_, _, j)| row[j as usize] as usize)
+        .peekable();
     for (j, r) in rounds[..until].iter().enumerate() {
         if at.wcount == 0 {
             break;
@@ -1360,7 +1752,7 @@ impl FillScratch {
     /// `slack` of the round's step, or within 1e-6 of the demand after
     /// it). Every round before it runs exactly as logged. Lists the
     /// changed links in `changed`.
-    fn divergence(&mut self, lay: &Layout, lflows: &Rows, log: &FillLog) -> usize {
+    fn divergence(&mut self, lay: &Layout, local: &[u32], log: &FillLog) -> usize {
         let mut k = (log.cut as usize).min(log.rounds.len());
         self.changed.clear();
         self.changed
@@ -1370,7 +1762,7 @@ impl FillScratch {
         // so that a small k* is found first and bounds the rest.
         self.first.clear();
         for &li in &self.changed {
-            let at = link_start(lay, lflows, &self.residual, li as usize);
+            let at = link_start(lay, &self.residual, li as usize);
             let level = match (at.wcount, at.wsum > 0.0) {
                 (0, _) => continue,
                 (_, false) if at.residual > 1e-6 => continue,
@@ -1392,7 +1784,7 @@ impl FillScratch {
             let (froze, sat) = (&log.froze, &log.sat);
             k = replay(
                 lay,
-                lflows,
+                local,
                 &log.rounds,
                 froze,
                 sat,
@@ -1423,8 +1815,8 @@ impl FillScratch {
     }
 
     /// Phase 2's state at round 0, logged as the layout's fresh log if
-    /// the log is kept. Returns the live links.
-    fn start_phase2(&mut self, lay: &Layout, log: &mut FillLog) -> usize {
+    /// the log is kept. Returns the live links and the active flows.
+    fn start_phase2(&mut self, lay: &Layout, log: &mut FillLog) -> (usize, usize) {
         let (n, nll) = (lay.flows.len(), lay.links.len());
         let FillScratch {
             rate,
@@ -1441,31 +1833,36 @@ impl FillScratch {
         touched.links.clear();
         active.clear();
         active.extend((0..n).map(|i| rate[i] + 1e-9 < lay.demand[i]));
-        // Active weight sum and active flow count per link. The count going
-        // to zero resets the sum to exactly 0.0, so accumulated float error
-        // can never leave a ghost positive weight on a drained link.
+        let remaining = active.iter().filter(|&&a| a).count();
+        // Active weight sum and active flow count per link, along its row.
+        // The count going to zero resets the sum to exactly 0.0, so
+        // accumulated float error can never leave a ghost positive weight
+        // on a drained link.
         wsum.clear();
-        wsum.resize(nll, 0.0);
         wcount.clear();
-        wcount.resize(nll, 0);
-        // Finite-demand active flows (greedy flows never appear here).
-        finite.clear();
-        for (i, _) in active.iter().enumerate().filter(|&(_, &a)| a) {
-            for &li in lay.paths.row(i) {
-                wsum[li as usize] += lay.weight[i];
-                wcount[li as usize] += 1;
+        for li in 0..nll {
+            let (mut w, mut c) = (0.0, 0);
+            for &i in lay.rows.row(li) {
+                if active[i as usize] {
+                    w += lay.weight[i as usize];
+                    c += 1;
+                }
             }
-            if lay.demand[i].is_finite() {
-                finite.push(i as u32);
-            }
+            wsum.push(w);
+            wcount.push(c);
         }
+        // Finite-demand active flows (greedy flows never appear here), in
+        // key order.
+        finite.clear();
+        finite.extend(lay.finite.iter().filter(|&&i| active[i as usize]));
         live.clear();
         live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
         log.rounds.clear();
         log.bps.clear();
+        log.frozen.clear();
         log.ok = log.keep;
         if !log.ok {
-            return live.len();
+            return (live.len(), remaining);
         }
         touched.mark.resize(nll, false);
         log.froze.clear();
@@ -1479,19 +1876,26 @@ impl FillScratch {
         }));
         log.sat.clear();
         log.sat.resize(nll, NEVER);
-        live.len()
+        (live.len(), remaining)
     }
 
     /// Phase 2's state at the start of logged round `k` (at least 1): an
     /// unchanged link takes its last breakpoint before `k` (or its phase-2
     /// start) and the steps since, to be replayed as it is read
-    /// (`drained`); a changed link takes what its [`replay`] reaches; a
-    /// flow frozen before `k` takes back the rate its freeze gave it,
-    /// every other one is active again (`reopened`). The log keeps what
-    /// it held before round `k`, its breakpoints renumbered to the
-    /// layout's links and still in round order. Returns the live links at
-    /// phase 2's start, which pick the kernel.
-    fn restore(&mut self, lay: &Layout, lflows: &Rows, log: &mut FillLog, k: usize) -> usize {
+    /// (`drained`); a changed link takes what its [`replay`] reaches. A
+    /// flow frozen before `k` keeps the rate its freeze gave it; the flows
+    /// the log lists as frozen from `k` on (or never) and the added ones
+    /// are active again (`reopened`), from their starting rates. The log
+    /// keeps what it held before round `k`, its breakpoints renumbered to
+    /// the layout's links and still in round order. Returns the live links
+    /// at phase 2's start, which pick the kernel, and the active flows.
+    fn restore(
+        &mut self,
+        lay: &Layout,
+        local: &[u32],
+        log: &mut FillLog,
+        k: usize,
+    ) -> (usize, usize) {
         let nll = lay.links.len();
         let FillScratch {
             rate,
@@ -1507,15 +1911,18 @@ impl FillScratch {
             reopened,
             touched,
             rbp,
+            restore_items,
             ..
         } = self;
         let FillLog {
             froze,
+            frozen,
             start,
             sat,
             rounds,
             bps,
             remap,
+            added,
             ..
         } = log;
         let kk = k as u32;
@@ -1532,12 +1939,13 @@ impl FillScratch {
         let mut live_at_start = 0;
         for li in 0..nll {
             let at = if sat[li] == CHANGED {
-                let mut at = link_start(lay, lflows, residual, li);
+                *restore_items += lay.rows.row(li).len();
+                let mut at = link_start(lay, residual, li);
                 start[li] = at;
                 sat[li] = NEVER;
                 replay(
                     lay,
-                    lflows,
+                    local,
                     rounds,
                     froze,
                     sat,
@@ -1604,34 +2012,42 @@ impl FillScratch {
         }
         live.clear();
         live.extend((0..nll as u32).filter(|&li| wcount[li as usize] > 0));
-        // A flow frozen before `k` stays frozen at the rate its round's
-        // level gave it, by the freeze's arithmetic (phase 1 scaled
-        // nothing, so `rate` holds its start); an added one idle from the
-        // start keeps its starting rate; every other one is active again.
+        // Reopen what froze from round `k` on, or never: an entry whose
+        // slot has since been freed, or taken by an added flow, reads 0
+        // and is skipped. Then the added flows: each active again unless its
+        // floor meets its demand (it is idle from the start, at its
+        // starting rate). Every other flow keeps its rate.
         active.clear();
-        finite.clear();
+        active.resize(lay.flows.len(), false);
         reopened.clear();
-        for (i, f) in froze.iter_mut().enumerate() {
-            let on = *f > kk && (*f != ADDED || lay.init[i] + 1e-9 < lay.demand[i]);
-            if on {
-                *f = NEVER;
-                if lay.demand[i].is_finite() {
-                    finite.push(i as u32);
-                }
-                reopened.push(i as u32);
-            } else if *f == ADDED {
-                *f = 0;
-                reopened.push(i as u32);
-            } else if *f > 0 {
-                let fill = rounds[*f as usize - 1].fill;
-                rate[i] = (rate[i] + lay.weight[i] * fill).min(lay.demand[i]);
+        let from = rounds[k - 1].frozen as usize;
+        *restore_items += frozen.len() - from + added.len();
+        for &i in &frozen[from..] {
+            let iu = i as usize;
+            if froze[iu] > kk {
+                froze[iu] = NEVER;
+                rate[iu] = lay.init[iu];
+                active[iu] = true;
+                reopened.push(i);
             }
-            active.push(on);
         }
+        frozen.truncate(from);
+        for &i in added.iter() {
+            let iu = i as usize;
+            debug_assert_eq!(froze[iu], 0, "added slot {i}");
+            rate[iu] = lay.init[iu];
+            let on = lay.init[iu] + 1e-9 < lay.demand[iu];
+            froze[iu] = if on { NEVER } else { 0 };
+            active[iu] = on;
+            reopened.push(i);
+        }
+        let remaining = reopened.iter().filter(|&&i| active[i as usize]).count();
+        finite.clear();
+        finite.extend(lay.finite.iter().filter(|&&i| active[i as usize]));
         rounds.truncate(k);
         steps.clear();
         steps.extend(rounds.iter().map(|r| r.t));
-        live_at_start
+        (live_at_start, remaining)
     }
 
     /// Lazy rounds' heap: every live link keyed by the level at which it
@@ -1684,7 +2100,7 @@ impl FillScratch {
     fn eager_rounds(
         &mut self,
         lay: &Layout,
-        lflows: &Rows,
+        local: &[u32],
         mut remaining: usize,
         mut fill: f64,
         log: &mut FillLog,
@@ -1764,19 +2180,19 @@ impl FillScratch {
                     residual[li] = 0.0;
                 }
                 if residual[li] <= 1e-6 {
-                    to_freeze.extend(lflows.row(li).iter().filter(|&&i| active[i as usize]));
+                    to_freeze.extend(lay.rows.row(li).iter().filter(|&&i| active[i as usize]));
                 }
             }
             queue_demands(lay, fill, event_flow, finite, active, rate, to_freeze);
             let round = log.rounds.len() as u32;
             remaining -= freeze(
                 lay,
+                local,
                 fill,
                 to_freeze,
                 active,
                 rate,
-                wsum,
-                wcount,
+                (wsum, wcount),
                 log,
                 touched,
                 round,
@@ -1808,7 +2224,7 @@ impl FillScratch {
     fn lazy_rounds(
         &mut self,
         lay: &Layout,
-        lflows: &Rows,
+        local: &[u32],
         mut remaining: usize,
         mut fill: f64,
         log: &mut FillLog,
@@ -1946,7 +2362,7 @@ impl FillScratch {
             to_freeze.clear();
             for &li in saturated.iter() {
                 to_freeze.extend(
-                    lflows
+                    lay.rows
                         .row(li as usize)
                         .iter()
                         .filter(|&&i| active[i as usize]),
@@ -1959,12 +2375,12 @@ impl FillScratch {
             let round = log.rounds.len() as u32;
             remaining -= freeze(
                 lay,
+                local,
                 fill,
                 to_freeze,
                 active,
                 rate,
-                wsum,
-                wcount,
+                (wsum, wcount),
                 log,
                 touched,
                 round,
@@ -2052,9 +2468,9 @@ impl Fluid {
     /// Solve the whole network with the eager or the lazy rounds (`None`:
     /// the kernel's choice): the rates, the rounds and the link visits.
     pub(crate) fn solve_with(&self, lazy: Option<bool>) -> (Vec<f64>, usize, usize) {
-        let (lay, lflows) = self.layout();
+        let (lay, local) = self.layout();
         let mut s = FillScratch::default();
-        self.fill_with(&lay, &lflows, &mut s, &mut FillLog::default(), lazy);
+        self.fill_with(&lay, &local, &mut s, &mut FillLog::default(), lazy);
         (s.rate, s.rounds, s.link_visits)
     }
 }
@@ -2472,15 +2888,16 @@ mod tests {
             ..Layout::default()
         };
         for &fi in &a_ids {
-            lay.push_spec(fi, &net.flows()[fi as usize], |l| {
-                a_links.iter().position(|&al| al as usize == l).unwrap() as u32
-            });
+            lay.push_spec(fi, &net.flows()[fi as usize]);
         }
-        let mut lflows = Rows::default();
-        lay.paths.transpose_into(lay.links.len(), &mut lflows);
-        lay.sum_floors(&lflows, |_| true);
+        let mut local = vec![u32::MAX; caps.len()];
+        for (li, &l) in a_links.iter().enumerate() {
+            local[l as usize] = li as u32;
+        }
+        lay.index_rows(&local);
+        lay.sum_floors(|_| true);
         let mut scratch = FillScratch::default();
-        net.fill(&lay, &lflows, &mut scratch, &mut FillLog::default());
+        net.fill(&lay, &local, &mut scratch, &mut FillLog::default());
 
         let mut only_a = Fluid::new();
         for &c in &caps {

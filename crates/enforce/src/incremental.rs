@@ -7,11 +7,13 @@
 //! [`IncrementalFluid`] exploits that in four respects:
 //!
 //! * **Persistent layouts.** Each component keeps the kernel's input
-//!   between solves (a `Layout`, see [`crate::fluid`]): its flows in
-//!   canonical order as stable ids, its links ascending, the local-path
-//!   CSR, each flow's starting rate, demand and weight, and phase 1's
-//!   per-link floor sums. Layouts live in a pooled slab and are found
-//!   through the component's label.
+//!   between solves (a `Layout`, see [`crate::fluid`]). Each flow sits in
+//!   a *slot* it keeps while it stays in the component, holding its path
+//!   (global links), starting rate, demand, weight, last rate and fill-log
+//!   entry. The links are ascending, and each keeps a *row*: its flows'
+//!   slots in canonical key order. Phase 1's per-link floor sums are kept
+//!   too. Layouts live in a pooled slab and are found through the
+//!   component's label; a flow's slot is found through its stable id.
 //! * **Dirty set by label.** Every link on the path of a flow added or
 //!   removed since the last solve, and every link whose capacity changed,
 //!   is *touched*; the components to re-solve are the labels of the
@@ -21,17 +23,27 @@
 //!   step.
 //! * **Patched, not rebuilt.** The dirty layouts the step's added flows
 //!   join (a union-find over the touched labels) become one candidate:
-//!   the largest of them, patched in place — removed flows dropped, local
-//!   links remapped, and the other layouts' flows and the added flows
-//!   merged in by key. The added flows are sorted by key, the only sort of
-//!   flows left; each other source is already in key order. Only the
-//!   added flows' specs are read ([`SolveStats::flows_flattened`]). A
-//!   candidate that lost a flow may fall apart: a union-find over its
-//!   flat paths finds its connected pieces, stopping as soon as the
-//!   touched links are joined, which proves it whole. Each piece is a
-//!   stable filter of the candidate, so it is still in canonical order
-//!   with ascending links. A component whose flows did not change (a
-//!   capacity change alone) comes through the patch as it was.
+//!   the largest of them, patched in place at the cost of what churned. A
+//!   removed flow leaves the rows of its links and frees its slot; a row
+//!   that loses few entries finds them by key search, one that loses many
+//!   drops them in one pass. The rows are renumbered to the candidate's
+//!   links (a list of row headers, not the rows), and paths, which name
+//!   global links, need no remap. The other layouts' flows move in, each
+//!   of their rows whole; the added flows take free slots in key order
+//!   (they are sorted by key, the only sort of flows left) and are spliced
+//!   into the rows they cross, each by key search or, if many, by a merge
+//!   along the row. Only the added flows' specs are read
+//!   ([`SolveStats::flows_flattened`]); [`SolveStats::patch_items`] counts
+//!   the path items and row entries the patch visits. A candidate that
+//!   lost a flow may fall apart: a union-find over its links finds its
+//!   connected pieces, reading the rows of the touched links first and
+//!   stopping as soon as those are joined, which proves it whole. The
+//!   largest piece keeps its slots, rows and fill log in place; each other
+//!   piece moves to a layout of its own. A component whose flows did not
+//!   change (a capacity change alone) comes through the patch as it was.
+//!   Once over a quarter of a layout's slots are free, its flows move down
+//!   to the lowest slots after its fill, so free slots cost memory only
+//!   while churn refills them.
 //! * **Localized rounds.** Even an all-dirty step is far cheaper than one
 //!   global [`Fluid::rates`] call: each progressive-filling round reads
 //!   only links of the component it solves, never every link in the
@@ -63,9 +75,9 @@
 //!   three values again, after each round that froze one of its flows.
 //!   The breakpoints of all links form one list in round order.
 //!
-//! The per-flow entries move through the patch with the flows, like the
-//! starting rates; the per-link ones are carried and renumbered with the
-//! links, like the floor sums. A link touched this step (a flow added or
+//! The per-flow entries stay in the flows' slots, like the starting rates,
+//! and the log also lists the freezes in round order; the per-link ones
+//! are carried and renumbered with the links, like the floor sums. A link touched this step (a flow added or
 //! removed on it, or a new capacity) or new to the layout (a new link, or
 //! one of a layout merged in) is *changed*, its entries void; a flow new
 //! to the layout, merged-in ones included, is *added*.
@@ -98,9 +110,11 @@
 //! last breakpoint before k\* plus the logged steps since (replayed as it
 //! is read, as lazy rounds replay), a changed link's is what its replay
 //! reached, and a flow frozen before k\* keeps the rate its round's fill
-//! level gives it. The log a resumed fill leaves is, entry for entry, the
-//! one a fill from round 0 leaves. Debug builds run that full fill beside
-//! every resumed one and assert equal rate and log bits.
+//! level gave it, which its slot still holds. So the restore reopens only
+//! the flows the log lists as frozen from k\* on, and the added ones; it
+//! never passes over every flow. The log a resumed fill leaves is, entry
+//! for entry, the one a fill from round 0 leaves. Debug builds run that
+//! full fill beside every resumed one and assert equal rate and log bits.
 //!
 //! A resumed fill changed only the flows frozen from k\* on: only those
 //! are written back and listed in [`IncrementalFluid::resolved_keys`], and
@@ -126,11 +140,12 @@
 //! log is re-derived like the layout. A clean component's
 //! flows, rates and capacities did not change, so neither did anything
 //! derived from them; the counters move only by the exact integer
-//! difference of the flags that were rewritten. Usage is summed in the
-//! canonical flow order below, so it too is independent of churn history.
-//! A layout's floor sum is re-summed only for a touched link: any other
-//! link of the candidate holds the same flows in the same order. The
-//! load is an integer moved by ±1 per flow.
+//! difference of the flags that were rewritten. Usage is summed along the
+//! link's row, in the canonical flow order below, so it too is independent
+//! of churn history and of the slots the flows sit in. A layout's floor
+//! sum is re-summed only for a touched link: any other link of the
+//! candidate holds the same row. The load is an integer moved by ±1 per
+//! flow.
 //! [`IncrementalFluid::is_work_conserving`] is therefore two integer
 //! comparisons, and the component count is
 //! `old − (components in the dirty set) + (components re-solved)`. Debug
@@ -141,28 +156,33 @@
 //!
 //! Every dirty component is solved by the one max-min kernel the global
 //! [`Fluid::rates`] uses (`Fluid::fill`, see [`crate::fluid`]), handed the
-//! component's flows ordered by a caller-supplied `(tenant, sequence)` key
-//! and its links ascending; a resumed fill reuses only rounds that a fill
-//! from round 0 repeats bit for bit. The allocation is therefore a pure
-//! function of the surviving flow set: a solver that churned through any
-//! history
-//! holds **bit-identical** rates, usage and verdicts to a fresh one fed
-//! the same final state. Keys are meant to be distinct; two equal keys are
-//! ordered by stable id, which does depend on history. All solver
-//! scratch — the union-find, the sorted added keys, the merge heap, the
-//! kernel's transpose and rate vectors, freeze queues — every fill log,
-//! and every retired layout of up to 4,096 flows are pooled across steps
-//! and never cleared
-//! wholesale, so a steady-state solve allocates nothing (this crate's
-//! `tests/solve_allocations.rs` counts). A larger retired layout, and
-//! scratch a one-off peak left over four times too big, give their
-//! memory back instead of holding it for the rest of the run.
+//! component's links ascending and, per link, a row of its flows ordered
+//! by a caller-supplied `(tenant, sequence)` key. Every per-link sum runs
+//! along a row, and every other loop whose order reaches the arithmetic
+//! follows key order too: the finite-demand list, a round's freezes and a
+//! replayed round's ties. Slot numbers reach nothing. A resumed fill
+//! reuses only rounds that a fill from round 0 repeats bit for bit. The
+//! allocation is therefore a pure function of the surviving flow set: a
+//! solver that churned through any history holds **bit-identical** rates,
+//! usage and verdicts to a fresh one fed the same final state. Keys are
+//! meant to be distinct; two equal keys are ordered by stable id, which
+//! does depend on history. All solver scratch — the union-find, the
+//! sorted added keys, the row edits, the kernel's rate vectors, freeze
+//! queues — every fill log, and every retired layout of up to 4,096 flows
+//! are pooled across steps and never cleared wholesale, so a steady-state
+//! solve allocates nothing (this crate's `tests/solve_allocations.rs`
+//! counts). A layout's rows and paths live in arenas that grow by an
+//! eighth at a time and are compacted in place once their garbage passes
+//! a quarter. A larger retired layout, and scratch a one-off peak left
+//! over four times too big, give their memory back instead of holding it
+//! for the rest of the run.
 
 #![warn(clippy::float_cmp)]
 
-use crate::fluid::{tol, trim, FillScratch, FlowSpec, Fluid, Layout, LinkAt, Rows, CHANGED, NEVER};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::fluid::{
+    tol, trim, FillScratch, FlowSpec, Fluid, Layout, LinkAt, Params, RowScratch, Rows, CHANGED,
+    FREE, NEVER, NONE_ROW,
+};
 
 /// Component label of a link no flow crosses.
 const NO_COMPONENT: u32 = u32::MAX;
@@ -205,6 +225,15 @@ pub struct SolveStats {
     /// the largest, or small), or one whose phase 1 scaled a link, then or
     /// now.
     pub full_solves: usize,
+    /// Path items and row entries the patches, splits and resumed fills'
+    /// restores visited one at a time: the items of each removed, added,
+    /// merged-in or split-off flow's path, each row entry spliced in or
+    /// out, each probe of the key searches that place them, each row entry
+    /// of a merged-in or split-off row, and each entry of the fill log a
+    /// restore reopens or replays. Block copies are not counted. A patch
+    /// costs what churned, not what its component holds, so this does not
+    /// grow with the component.
+    pub patch_items: usize,
 }
 
 /// A [`Fluid`] network solved component-by-component under churn (see the
@@ -263,8 +292,12 @@ struct FlowState {
     starved_count: usize,
     /// Stable ids added since the last solve.
     added: Vec<u32>,
-    /// Whether a flow was removed since the last solve.
-    removed: bool,
+    /// Stable id → its slot in its component's layout (`NONE` until a
+    /// solve places it).
+    at: Vec<u32>,
+    /// `(label, slot)` of each flow removed since the last solve that
+    /// had a slot: its component's label then, and its slot there.
+    gone: Vec<(u32, u32)>,
 }
 
 impl FlowState {
@@ -364,33 +397,31 @@ struct Scratch {
     cand_links: Vec<(u32, f64, u32)>,
     /// The candidate's links' fill-log entries, gathered.
     link_log: Vec<(LinkAt, u32)>,
-    /// Link → candidate-local link.
+    /// Link → its local link in the layout being patched or solved.
     link_local: Vec<u32>,
-    /// The flows that join the largest dirty layout, in key order, with
-    /// candidate-local paths.
-    ins: Layout,
-    /// Where each of `ins` goes among the candidate's flows.
-    pos: Vec<u32>,
-    /// The heads of the sources merged into `ins`:
-    /// `(packed key, slab entry or NONE for the added flows, position)`.
-    heap: BinaryHeap<Reverse<(u128, u32, u32)>>,
-    /// Largest dirty layout's local link → candidate-local link; then
-    /// candidate-local link → piece-local link.
-    remap: Vec<u32>,
-    /// Transpose of the layout being solved.
-    lflows: Rows,
-    /// Union-find over the candidate's local links.
-    uf: Vec<u32>,
-    /// Candidate-local link → its set holds a touched link.
-    marked: Vec<bool>,
-    /// Candidate-local link → its piece.
-    link_piece: Vec<u32>,
-    /// Candidate flow → its piece.
-    flow_piece: Vec<u32>,
+    /// The removed or added flows' row entries, `(local link, slot)`, the
+    /// added ones in key order.
+    adds: Vec<(u32, u32)>,
+    /// Rows that lose many entries, dropped in one pass.
+    linear: Vec<u32>,
+    /// Local link → the end of its added entries in `by_link`.
+    lcount: Vec<u32>,
+    /// The added flows' slots grouped by local link, each group in key
+    /// order.
+    by_link: Vec<u32>,
+    /// A row's edit positions.
+    at: Vec<u32>,
+    /// A row's insertions, `(position, slot)`.
+    ins: Vec<(u32, u32)>,
+    /// A merged-in or split-off layout's slot → its slot in the layout it
+    /// joins (`NONE`: not moved).
+    slot_map: Vec<u32>,
+    /// A row being moved.
+    row: Vec<u32>,
+    rows: RowScratch,
     /// Slab entries of the group's results, one per piece.
     pieces: Vec<u32>,
-    /// `(flows, path items, links)` per piece.
-    piece_size: Vec<(u32, u32, u32)>,
+    split: SplitScratch,
     /// Local link → its usage is rewritten.
     lmark: Vec<bool>,
     /// Local links whose saturation a resumed fill flipped.
@@ -400,6 +431,21 @@ struct Scratch {
     full: (FillScratch, crate::fluid::FillLog),
     /// The kernel's scratch.
     fill: FillScratch,
+}
+
+/// [`split`]'s pooled buffers.
+#[derive(Debug, Default)]
+struct SplitScratch {
+    /// Union-find over the candidate's local links.
+    uf: Vec<u32>,
+    /// Local link → its set holds a touched link.
+    marked: Vec<bool>,
+    /// Local link → its piece.
+    link_piece: Vec<u32>,
+    /// Slot → its flow's piece (`NONE` for a free slot).
+    flow_piece: Vec<u32>,
+    /// `(flows, path items, links)` per piece.
+    piece_size: Vec<(u32, u32, u32)>,
 }
 
 impl Scratch {
@@ -551,11 +597,13 @@ impl IncrementalFluid {
             Some(s) => {
                 f.slots[s as usize] = dense;
                 f.keys[s as usize] = key;
+                f.at[s as usize] = NONE;
                 s
             }
             None => {
                 f.slots.push(dense);
                 f.keys.push(key);
+                f.at.push(NONE);
                 (f.slots.len() - 1) as u32
             }
         };
@@ -576,9 +624,12 @@ impl IncrementalFluid {
             self.links.touch(l);
             self.links.load[l] -= 1;
         }
+        let slot = std::mem::replace(&mut f.at[id as usize], NONE);
+        if slot != NONE {
+            f.gone.push((self.links.label[spec.path[0]], slot));
+        }
         f.slots[id as usize] = NONE;
         f.freed.push(id);
-        f.removed = true;
         // Mirror the network's swap-remove on the dense-indexed state.
         f.slot_of.swap_remove(dense);
         f.rates.swap_remove(dense);
@@ -624,7 +675,8 @@ impl IncrementalFluid {
         f.starved.clear();
         f.starved_count = 0;
         f.added.clear();
-        f.removed = false;
+        f.at.clear();
+        f.gone.clear();
         let ls = &mut self.links;
         ls.load.fill(0);
         ls.touched.fill(false);
@@ -716,11 +768,9 @@ impl IncrementalFluid {
         }
         self.components = self.components - old_dirty + stats.components_dirty;
         stats.components_total = self.components;
-        // Each component contributed its keys ascending; merge them.
-        if stats.components_dirty > 1 {
-            self.resolved_keys.sort_unstable();
-            self.resolved_keys.dedup();
-        }
+        // Each component contributed its keys as its slots gave them.
+        self.resolved_keys.sort_unstable();
+        self.resolved_keys.dedup();
         let (f, ls) = (&mut self.flows, &mut self.links);
         for &l in &ls.touched_list {
             ls.touched[l as usize] = false;
@@ -728,11 +778,12 @@ impl IncrementalFluid {
         ls.touched_list.clear();
         f.added.clear();
         f.free.append(&mut f.freed);
-        f.removed = false;
+        f.gone.clear();
         let s = &mut self.scratch;
         trim(&mut s.new_keys);
         trim(&mut s.new_flows);
-        s.ins.trim();
+        trim(&mut s.adds);
+        trim(&mut s.by_link);
         stats
     }
 
@@ -817,6 +868,7 @@ impl IncrementalFluid {
         s.dirty.sort_unstable();
         s.new_links.sort_unstable();
         s.new_flows.sort_unstable();
+        flows.gone.sort_unstable();
         s.dirty.len()
     }
 
@@ -836,19 +888,18 @@ impl IncrementalFluid {
             scratch: s,
             ..
         } = self;
-        let (net, flows, ls): (&Fluid, &FlowState, &LinkState) = (net, flows, ls);
+        let (net, ls): (&Fluid, &LinkState) = (net, ls);
         let dirty = &s.dirty[g.dirty.0..g.dirty.1];
         let new_flows = &s.new_flows[g.new_flows.0..g.new_flows.1];
         s.pieces.clear();
+        let mut items = 0;
 
         // The candidate's links: the dirty layouts' links that still carry
         // a flow, with their floor sums, and the group's new links.
         let mut big: Option<u32> = None;
         for &(_, lab) in dirty {
             let slot = layout_at[lab as usize];
-            if big.is_none_or(|b| {
-                layouts[b as usize].flows.len() < layouts[slot as usize].flows.len()
-            }) {
+            if big.is_none_or(|b| layouts[b as usize].live() < layouts[slot as usize].live()) {
                 big = Some(slot);
             }
         }
@@ -876,211 +927,278 @@ impl IncrementalFluid {
             s.link_local[l as usize] = li as u32;
         }
 
-        // What joins the largest dirty layout, in key order and in
-        // candidate-local links: the other dirty layouts' surviving flows
-        // and the group's added flows. Each source is in key order; a heap
-        // of their heads merges them.
-        let mut lost = 0;
-        let next = |slot: u32, mut i: usize, lost: &mut usize| {
-            let key = match slot {
-                NONE => s.new_keys[new_flows.get(i)?.1 as usize],
-                _ => {
-                    let lay = &layouts[slot as usize];
-                    while !flows.live(*lay.flows.get(i)?) {
-                        *lost += 1;
-                        i += 1;
-                    }
-                    flows.key(lay.flows[i])
-                }
-            };
-            Some(Reverse((key, slot, i as u32)))
-        };
-        let heap = &mut s.heap;
-        heap.clear();
-        let (mut ins_flows, mut ins_items) = (new_flows.len(), 0);
-        for &(_, lab) in dirty {
-            let slot = layout_at[lab as usize];
-            if Some(slot) != big {
-                let lay = &layouts[slot as usize];
-                ins_flows += lay.flows.len();
-                ins_items += lay.paths.num_items();
-                heap.extend(next(slot, 0, &mut lost));
-            }
-        }
-        heap.extend(next(NONE, 0, &mut lost));
-        let new_spec = |j: usize| {
-            let id = s.new_keys[new_flows[j].1 as usize] as u32;
-            (id, &net.flows()[flows.slots[id as usize] as usize])
-        };
-        ins_items += (0..new_flows.len())
-            .map(|j| new_spec(j).1.path.len())
-            .sum::<usize>();
-        let link_local = &s.link_local;
-        let ins = &mut s.ins;
-        ins.clear_for(ins_flows, ins_items, 0);
-        while let Some(Reverse((_, slot, i))) = heap.pop() {
-            let i = i as usize;
-            if slot == NONE {
-                let (id, spec) = new_spec(i);
-                ins.push_spec(id, spec, |l| link_local[l]);
-            } else {
-                let from = &layouts[slot as usize];
-                ins.extend_from(from, i..i + 1, |li| {
-                    link_local[from.links[li as usize] as usize]
-                });
-            }
-            heap.extend(next(slot, i + 1, &mut lost));
-        }
-        stats.flows_flattened += new_flows.len();
-
         // The candidate: the largest dirty layout, parked here and patched
-        // in place — removed flows dropped, local links remapped, the rest
-        // inserted by key — or, with no layout in the group, a spare entry
-        // filled with `ins`.
+        // in place, or a spare entry for a group without one.
         let home = match big {
             Some(b) => b,
             None => take_spare(layouts, spare),
         };
         let cand = &mut s.cand;
         std::mem::swap(cand, &mut layouts[home as usize]);
-        match big {
-            Some(_) => {
-                let same_links = cand.links.len() == s.cand_links.len()
-                    && cand
-                        .links
-                        .iter()
-                        .zip(&s.cand_links)
-                        .all(|(&a, &(b, _, _))| a == b);
-                // No logged round from the first in which a removed flow
-                // froze, or a touched link saturated, can be reused.
-                let mut cut = u32::MAX;
-                if flows.removed || !same_links {
-                    // A dropped link's entry is stale, but only removed
-                    // flows crossed it.
-                    s.remap.clear();
-                    s.remap
-                        .extend(cand.links.iter().map(|&l| link_local[l as usize]));
-                    let before = cand.flows.len();
-                    let remap = (!same_links).then_some(&s.remap[..]);
-                    let dropped = cand.retain_flows(|_, id| flows.live(id), remap);
-                    if dropped != NEVER {
-                        cut = dropped - 1;
+        if big.is_none() {
+            let items = new_flows.len() * 6;
+            cand.clear_fit(new_flows.len(), items, s.cand_links.len());
+        }
+        let logged = cand.log.ok();
+        // No logged round from the first in which a removed flow froze, or
+        // a touched link saturated, can be reused.
+        let mut cut = u32::MAX;
+        let mut lost = 0;
+
+        // Removed flows leave their rows (in the layout's old local links;
+        // a link left without flows drops its row whole) and free their
+        // slots.
+        if big.is_some() {
+            // The component's label is its lowest link.
+            let lab = cand.links[0];
+            let from = flows.gone.partition_point(|&(l, _)| l < lab);
+            let to = from + flows.gone[from..].partition_point(|&(l, _)| l == lab);
+            let gone = &flows.gone[from..to];
+            s.adds.clear();
+            for &(_, slot) in gone {
+                for &gl in cand.paths.row(slot as usize) {
+                    items += 1;
+                    if ls.load[gl as usize] > 0 {
+                        let li = s.cand_links[s.link_local[gl as usize] as usize].2;
+                        s.adds.push((li, slot));
                     }
-                    lost += before - cand.flows.len();
                 }
-                // The log's links: a link of this layout keeps its log
-                // unless it was touched; any other link is changed.
-                let log = &mut cand.log;
-                if log.ok() {
-                    for (li, &l) in cand.links.iter().enumerate() {
-                        if ls.touched[l as usize] && log.sat[li] != NEVER {
-                            cut = cut.min(log.sat[li]);
-                        }
-                    }
-                    log.cut = cut;
-                    log.remap.clear();
-                    log.remap.resize(cand.links.len(), CHANGED);
-                    s.link_log.clear();
-                    for (li, &(l, _, from)) in s.cand_links.iter().enumerate() {
-                        s.link_log.push(match from {
-                            NONE => (LinkAt::default(), CHANGED),
-                            _ if ls.touched[l as usize] => (log.start[from as usize], CHANGED),
-                            _ => {
-                                log.remap[from as usize] = li as u32;
-                                (log.start[from as usize], log.sat[from as usize])
-                            }
-                        });
-                    }
-                    log.start.clear();
-                    log.start.extend(s.link_log.iter().map(|e| e.0));
-                    log.sat.clear();
-                    log.sat.extend(s.link_log.iter().map(|e| e.1));
-                }
-                s.pos.clear();
-                let mut at = 0;
-                for &id in &ins.flows {
-                    let key = flows.key(id);
-                    at += cand.flows[at..].partition_point(|&x| flows.key(x) < key);
-                    s.pos.push(at as u32);
-                }
-                cand.insert_flows(&s.pos, ins);
-                let added = &mut cand.log.added;
-                added.clear();
-                added.extend(s.pos.iter().enumerate().map(|(j, &p)| p + j as u32));
             }
-            None => {
-                cand.clear_fit(ins.flows.len(), ins.paths.num_items(), s.cand_links.len());
-                cand.extend_from(ins, 0..ins.flows.len(), |li| li);
+            group_by_link(&s.adds, cand.links.len(), &mut s.lcount, &mut s.by_link);
+            // A row losing few of its entries finds them by key; one losing
+            // many drops them in one pass once their slots are free.
+            let key_of = |slot: u32| flows.key(cand.flows[slot as usize]);
+            s.linear.clear();
+            let mut from = 0;
+            for li in 0..cand.links.len() {
+                let to = s.lcount[li] as usize;
+                let group = &mut s.by_link[from..to];
+                if !group.is_empty() {
+                    if searched(group.len(), cand.rows.row(li).len()) {
+                        group.sort_unstable_by_key(|&i| key_of(i));
+                        items += remove_rows(&mut cand.rows, li, group, key_of, &mut s.at);
+                    } else {
+                        s.linear.push(li as u32);
+                    }
+                }
+                from = to;
             }
+            for &(_, slot) in gone {
+                let froze = cand.release(slot);
+                if froze != 0 {
+                    cut = cut.min(froze - 1);
+                }
+                lost += 1;
+            }
+            for &li in &s.linear {
+                items += cand.rows.row(li as usize).len();
+                let flows = &cand.flows;
+                cand.rows.retain(li as usize, |i| flows[i as usize] != FREE);
+            }
+            if lost > 0 && !cand.finite.is_empty() {
+                cand.finite.retain(|&i| cand.flows[i as usize] != FREE);
+            }
+        }
+        // Links renumbered: rows, floor sums and the log's link entries
+        // follow (a link of this layout keeps its log unless it was
+        // touched; any other link is changed).
+        cand.rows.gather(
+            s.cand_links.iter().map(|&(_, _, from)| match from {
+                NONE => NONE_ROW,
+                from => from,
+            }),
+            &mut s.rows,
+        );
+        let log = &mut cand.log;
+        if logged {
+            for (li, &l) in cand.links.iter().enumerate() {
+                if ls.touched[l as usize] && log.sat[li] != NEVER {
+                    cut = cut.min(log.sat[li]);
+                }
+            }
+            log.cut = cut;
+            log.remap.clear();
+            log.remap.resize(cand.links.len(), CHANGED);
+            s.link_log.clear();
+            for (li, &(l, _, from)) in s.cand_links.iter().enumerate() {
+                s.link_log.push(match from {
+                    NONE => (LinkAt::default(), CHANGED),
+                    _ if ls.touched[l as usize] => (log.start[from as usize], CHANGED),
+                    _ => {
+                        log.remap[from as usize] = li as u32;
+                        (log.start[from as usize], log.sat[from as usize])
+                    }
+                });
+            }
+            log.start.clear();
+            log.start.extend(s.link_log.iter().map(|e| e.0));
+            log.sat.clear();
+            log.sat.extend(s.link_log.iter().map(|e| e.1));
         }
         cand.links.clear();
         cand.links.extend(s.cand_links.iter().map(|&(l, _, _)| l));
         cand.floor_sum.clear();
         cand.floor_sum
             .extend(s.cand_links.iter().map(|&(_, f, _)| f));
+        cand.log.added.clear();
 
-        // The other dirty layouts are read: recycle their entries.
+        // Room for every flow and path item that joins, at once.
+        let (mut joining, mut joining_items) = (new_flows.len(), 0);
         for &(_, lab) in dirty {
             let slot = layout_at[lab as usize];
             if Some(slot) != big {
-                retire(layouts, spare, slot);
+                joining += layouts[slot as usize].live();
+                joining_items += layouts[slot as usize].paths.num_items();
             }
         }
-        if cand.flows.is_empty() {
+        for &(_, rank) in new_flows {
+            let id = s.new_keys[rank as usize] as u32;
+            joining_items += net.flows()[flows.slots[id as usize] as usize].path.len();
+        }
+        cand.reserve(joining, joining_items);
+        // The other dirty layouts' live flows move in, each row whole and
+        // renumbered (its links are new to the candidate), and are
+        // retired.
+        let mut finite_added = false;
+        for &(_, lab) in dirty {
+            let slot = layout_at[lab as usize];
+            if Some(slot) == big {
+                continue;
+            }
+            let from = &layouts[slot as usize];
+            s.slot_map.clear();
+            s.slot_map.resize(from.flows.len(), NONE);
+            for (i, &id) in from.flows.iter().enumerate() {
+                if id == FREE {
+                    continue;
+                }
+                if !flows.live(id) {
+                    lost += 1;
+                    continue;
+                }
+                let path = from.paths.row(i);
+                items += path.len();
+                let ns = cand.alloc(id, path.iter().copied(), from.params(i as u32), &mut s.rows);
+                flows.at[id as usize] = ns;
+                s.slot_map[i] = ns;
+                cand.log.added.push(ns);
+                if from.demand[i].is_finite() {
+                    cand.finite.push(ns);
+                    finite_added = true;
+                }
+            }
+            for (lo, &gl) in from.links.iter().enumerate() {
+                if ls.load[gl as usize] == 0 {
+                    continue;
+                }
+                s.row.clear();
+                s.row.extend(
+                    from.rows
+                        .row(lo)
+                        .iter()
+                        .map(|&i| s.slot_map[i as usize])
+                        .filter(|&ns| ns != NONE),
+                );
+                items += s.row.len();
+                let li = s.link_local[gl as usize] as usize;
+                cand.rows.set_row(li, s.row.iter().copied(), &mut s.rows);
+            }
+            retire(layouts, spare, slot);
+        }
+        // The added flows take slots, in key order, and their entries are
+        // spliced into the rows by key (grouped by link by a stable
+        // counting sort).
+        s.adds.clear();
+        for &(_, rank) in new_flows {
+            let key = s.new_keys[rank as usize];
+            let id = key as u32;
+            let spec = &net.flows()[flows.slots[id as usize] as usize];
+            items += spec.path.len();
+            let path = spec.path.iter().map(|&l| l as u32);
+            let ns = cand.alloc(id, path, Params::of(spec), &mut s.rows);
+            flows.at[id as usize] = ns;
+            cand.log.added.push(ns);
+            s.adds
+                .extend(spec.path.iter().map(|&gl| (s.link_local[gl], ns)));
+            if spec.demand.is_finite() {
+                cand.finite.push(ns);
+                finite_added = true;
+            }
+        }
+        stats.flows_flattened += new_flows.len();
+        group_by_link(&s.adds, cand.links.len(), &mut s.lcount, &mut s.by_link);
+        cand.rows.reserve(s.adds.len());
+        let key_of = |slot: u32| flows.key(cand.flows[slot as usize]);
+        let mut from = 0;
+        for li in 0..cand.links.len() {
+            let to = s.lcount[li] as usize;
+            if to > from {
+                let group = &s.by_link[from..to];
+                items += insert_rows(&mut cand.rows, li, group, key_of, &mut s.ins, &mut s.rows);
+            }
+            from = to;
+        }
+        // Finite demands are few (the traffic engine adds none): a sort of
+        // the short list puts the new ones in key order.
+        if finite_added {
+            cand.finite.sort_unstable_by_key(|&i| key_of(i));
+        }
+        cand.rows.compact(&mut s.rows);
+        cand.paths.compact(&mut s.rows);
+        s.rows.fit_for(&cand.rows);
+        s.rows.fit_for(&cand.paths);
+        stats.patch_items += items;
+
+        if cand.live() == 0 {
             std::mem::swap(cand, &mut layouts[home as usize]);
             retire(layouts, spare, home);
             return;
         }
-        // A candidate that lost a flow may fall apart. Its transpose,
-        // which the kernel needs anyway if it stays whole, guides the
-        // search.
+        // A candidate that lost a flow may fall apart.
         let pieces = match lost {
             0 => 1,
-            _ => {
-                cand.paths.transpose_into(cand.links.len(), &mut s.lflows);
-                split(
-                    cand,
-                    &s.lflows,
-                    |l| ls.touched[l as usize],
-                    &mut s.uf,
-                    &mut s.marked,
-                    &mut s.link_piece,
-                    &mut s.flow_piece,
-                    &mut s.piece_size,
-                )
-            }
+            _ => split(
+                cand,
+                &s.link_local,
+                |l| ls.touched[l as usize],
+                &mut s.split,
+                &mut stats.patch_items,
+            ),
         };
         if pieces > 1 {
-            self.spread_pieces();
+            self.spread_pieces(stats);
         }
         let s = &mut self.scratch;
         std::mem::swap(&mut s.cand, &mut self.layouts[home as usize]);
         s.pieces.push(home);
-        self.solve_pieces(lost > 0 && pieces == 1, stats);
+        self.solve_pieces(stats);
     }
 
-    /// Split the candidate into its pieces: each piece but the largest is
-    /// copied into its own layout, a stable filter of the candidate's
-    /// links and flows with paths remapped to piece-local links and floor
-    /// sums carried over; the candidate then keeps the largest in place,
-    /// with its fill log (see the module's "Resumed fills").
-    fn spread_pieces(&mut self) {
+    /// Split the candidate into its pieces: each piece but the largest
+    /// moves into its own layout (its flows' slots ascending, its rows
+    /// renumbered, floor sums carried over); the candidate keeps the
+    /// largest in place, with its slots, rows and fill log (see the
+    /// module's "Resumed fills"), the other pieces' slots freed.
+    fn spread_pieces(&mut self, stats: &mut SolveStats) {
         let Self {
+            flows,
             layouts,
             spare,
             scratch: s,
             ..
         } = self;
-        let n = s.piece_size.len();
+        let sp = &mut s.split;
+        let n = sp.piece_size.len();
         let mut largest = 0;
         for p in 1..n {
-            if s.piece_size[p].0 > s.piece_size[largest].0 {
+            if sp.piece_size[p].0 > sp.piece_size[largest].0 {
                 largest = p;
             }
         }
+        let largest = largest as u32;
         s.pieces.clear();
-        for (p, &(flows, items, links)) in s.piece_size.iter().enumerate() {
-            let slot = match p == largest {
+        for (p, &(flows, items, links)) in sp.piece_size.iter().enumerate() {
+            let slot = match p as u32 == largest {
                 true => NONE,
                 false => take_spare(layouts, spare),
             };
@@ -1089,69 +1207,88 @@ impl IncrementalFluid {
                 layouts[slot as usize].clear_fit(flows as usize, items as usize, links as usize);
             }
         }
-        // `remap`: candidate-local link → piece-local link.
         let cand = &mut s.cand;
-        s.remap.clear();
-        for size in &mut s.piece_size {
-            size.2 = 0;
+        let mut items = 0;
+        // The other pieces' flows, links and rows move out.
+        s.slot_map.clear();
+        s.slot_map.resize(cand.flows.len(), NONE);
+        for (i, &p) in sp.flow_piece.iter().enumerate() {
+            if p == NONE || p == largest {
+                continue;
+            }
+            let lay = &mut layouts[s.pieces[p as usize] as usize];
+            let id = cand.flows[i];
+            let path = cand.paths.row(i);
+            items += path.len();
+            let ns = lay.alloc(id, path.iter().copied(), cand.params(i as u32), &mut s.rows);
+            flows.at[id as usize] = ns;
+            s.slot_map[i] = ns;
+        }
+        for &i in &cand.finite {
+            let p = sp.flow_piece[i as usize];
+            if p != largest {
+                layouts[s.pieces[p as usize] as usize]
+                    .finite
+                    .push(s.slot_map[i as usize]);
+            }
         }
         for li in 0..cand.links.len() {
-            let p = s.link_piece[li] as usize;
-            s.remap.push(s.piece_size[p].2);
-            s.piece_size[p].2 += 1;
+            let p = sp.link_piece[li];
             if p != largest {
-                let lay = &mut layouts[s.pieces[p] as usize];
+                let lay = &mut layouts[s.pieces[p as usize] as usize];
                 lay.links.push(cand.links[li]);
                 lay.floor_sum.push(cand.floor_sum[li]);
+                let row = cand.rows.row(li);
+                items += row.len();
+                lay.rows
+                    .push_row(row.iter().map(|&i| s.slot_map[i as usize]));
             }
         }
-        // Runs of consecutive flows in one piece are copied at once.
-        let remap = &s.remap;
-        let mut i = 0;
-        while i < cand.flows.len() {
-            let p = s.flow_piece[i];
-            let run = i + s.flow_piece[i..].iter().take_while(|&&q| q == p).count();
-            if p as usize != largest {
-                let lay = &mut layouts[s.pieces[p as usize] as usize];
-                lay.extend_from(cand, i..run, |li| remap[li as usize]);
+        // The largest piece stays: the other pieces' slots are freed, their
+        // links' rows dropped.
+        let mut dropped = NEVER;
+        for (i, &p) in sp.flow_piece.iter().enumerate() {
+            if p != NONE && p != largest {
+                let froze = cand.release(i as u32);
+                if froze != 0 {
+                    dropped = dropped.min(froze);
+                }
             }
-            i = run;
         }
-        let largest = largest as u32;
-        let dropped = cand.retain_flows(|i, _| s.flow_piece[i] == largest, Some(remap));
+        cand.finite
+            .retain(|&i| sp.flow_piece[i as usize] == largest);
+        let link_piece = &sp.link_piece;
+        cand.rows.gather(
+            (0..cand.links.len() as u32).filter(|&li| link_piece[li as usize] == largest),
+            &mut s.rows,
+        );
+        cand.rows.compact(&mut s.rows);
+        cand.paths.compact(&mut s.rows);
+        // The log's links follow: `remap` now leads to the piece's local
+        // links. Until the first round in which a flow of another piece
+        // froze, every round's event and freezes lay in this piece, so they
+        // are the rounds its own fill runs.
+        let mut w = 0u32;
+        s.at.clear();
+        for &p in link_piece.iter() {
+            s.at.push(if p == largest { w } else { CHANGED });
+            w += u32::from(p == largest);
+        }
         let log = &mut cand.log;
-        // The largest piece keeps its log: until the first round in which
-        // a flow of another piece froze, every round's event and freezes
-        // lay in this piece, so they are the rounds its own fill runs.
         if log.ok() {
             if dropped != NEVER {
                 log.cut = log.cut.min(dropped - 1);
             }
             for to in &mut log.remap {
                 if *to != CHANGED {
-                    *to = match s.link_piece[*to as usize] == largest {
-                        true => remap[*to as usize],
-                        false => CHANGED,
-                    };
+                    *to = s.at[*to as usize];
                 }
             }
-            // The added flows' positions in the piece.
-            let (mut kept, mut w, mut next) = (0, 0, 0);
-            for (i, &p) in s.flow_piece.iter().enumerate() {
-                if log.added.get(next) == Some(&(i as u32)) {
-                    next += 1;
-                    if p == largest {
-                        log.added[w] = kept;
-                        w += 1;
-                    }
-                }
-                kept += u32::from(p == largest);
-            }
-            log.added.truncate(w);
+            log.added.retain(|&i| sp.flow_piece[i as usize] == largest);
         }
         let mut w = 0;
-        for li in 0..cand.links.len() {
-            if s.link_piece[li] == largest {
+        for (li, &p) in link_piece.iter().enumerate() {
+            if p == largest {
                 cand.links[w] = cand.links[li];
                 cand.floor_sum[w] = cand.floor_sum[li];
                 if log.ok() {
@@ -1167,6 +1304,7 @@ impl IncrementalFluid {
             log.start.truncate(w);
             log.sat.truncate(w);
         }
+        stats.patch_items += items;
         // The largest piece stays in the candidate, bound for the group's
         // home entry; the caller appends it.
         s.pieces.remove(largest as usize);
@@ -1174,16 +1312,15 @@ impl IncrementalFluid {
 
     /// Run the max-min kernel on each result layout of the group, then
     /// write back what it changed and recompute whole everything cached
-    /// from it: per-link usage (canonical order), saturation, the
+    /// from it: per-link usage (along rows, in key order), saturation, the
     /// over-capacity flag and the label; per-flow starvation. A fill that
-    /// resumed at round k\* changed only the flows frozen from k\* on and
-    /// the changed links: only those flows are written back, and only
-    /// their links and the changed ones are re-summed, their flows'
-    /// starvation re-judged. Predicates and tolerances are
-    /// `Fluid::is_work_conserving`'s. Each layout first gets its transpose
-    /// (unless the one piece already has it, in `scratch.lflows`) and
+    /// resumed at round k\* changed only the flows it reopened (those
+    /// frozen from k\* on, and the added ones) and the changed links: only
+    /// those flows are written back, and only their links and the changed
+    /// ones are re-summed, their flows' starvation re-judged. Predicates
+    /// and tolerances are `Fluid::is_work_conserving`'s. Each layout first
     /// re-sums the floor sums of its touched links.
-    fn solve_pieces(&mut self, transposed: bool, stats: &mut SolveStats) {
+    fn solve_pieces(&mut self, stats: &mut SolveStats) {
         let Self {
             net,
             flows,
@@ -1198,14 +1335,16 @@ impl IncrementalFluid {
         } = self;
         for &slot in &s.pieces {
             let lay = &mut layouts[slot as usize];
-            if !transposed {
-                lay.paths.transpose_into(lay.links.len(), &mut s.lflows);
+            for (li, &gl) in lay.links.iter().enumerate() {
+                s.link_local[gl as usize] = li as u32;
             }
-            lay.sum_floors(&s.lflows, |l| ls.touched[l as usize]);
-            lay.log.keep(lay.flows.len() >= *resume_from);
+            lay.sum_floors(|l| ls.touched[l as usize]);
+            lay.log.keep(lay.live() >= *resume_from);
             let mut log = std::mem::take(&mut lay.log);
             let k = &mut s.fill;
-            net.fill(lay, &s.lflows, k, &mut log);
+            std::mem::swap(&mut k.rate, &mut lay.rate);
+            net.fill(lay, &s.link_local, k, &mut log);
+            std::mem::swap(&mut k.rate, &mut lay.rate);
             lay.log = log;
             let lay = &*lay;
             stats.components_dirty += 1;
@@ -1213,6 +1352,7 @@ impl IncrementalFluid {
             stats.rounds_reused += k.reused;
             stats.full_solves += usize::from(k.full);
             stats.link_visits += k.link_visits;
+            stats.patch_items += k.restore_items;
             let lowest = lay.links[0];
             layout_at[lowest as usize] = slot;
             let nll = lay.links.len();
@@ -1227,11 +1367,11 @@ impl IncrementalFluid {
                     s.lmark[li as usize] = true;
                 }
                 for &i in &k.reopened {
-                    for &li in lay.paths.row(i as usize) {
-                        s.lmark[li as usize] = true;
+                    for &gl in lay.paths.row(i as usize) {
+                        s.lmark[s.link_local[gl as usize] as usize] = true;
                     }
                 }
-                stats.flows_reused += lay.flows.len() - k.reopened.len();
+                stats.flows_reused += lay.live() - k.reopened.len();
             }
             s.flipped.clear();
             for (li, &gl) in lay.links.iter().enumerate() {
@@ -1239,8 +1379,8 @@ impl IncrementalFluid {
                 ls.label[gl] = lowest;
                 if !partial || s.lmark[li] {
                     let mut u = 0.0f64;
-                    for &i in s.lflows.row(li) {
-                        u += k.rate[i as usize];
+                    for &i in lay.rows.row(li) {
+                        u += lay.rate[i as usize];
                     }
                     let cap = k.lcaps[li];
                     let sat = u >= cap - tol(cap);
@@ -1260,7 +1400,7 @@ impl IncrementalFluid {
             let mut settle = |i: usize, resolved: bool| {
                 let id = lay.flows[i] as usize;
                 let d = flows.slots[id] as usize;
-                let rate = k.rate[i];
+                let rate = lay.rate[i];
                 if resolved {
                     flows.rates[d] = rate;
                     let group = flows.keys[id].0;
@@ -1270,24 +1410,21 @@ impl IncrementalFluid {
                 }
                 let demand = lay.demand[i];
                 let met = rate + tol(demand.min(1e12)) >= demand;
-                let hungry = !met
-                    && !lay
-                        .paths
-                        .row(i)
-                        .iter()
-                        .any(|&li| ls.sat[lay.links[li as usize] as usize]);
+                let hungry = !met && !lay.paths.row(i).iter().any(|&gl| ls.sat[gl as usize]);
                 set_flag(&mut flows.starved[d], &mut flows.starved_count, hungry);
             };
             if partial {
                 k.reopened.iter().for_each(|&i| settle(i as usize, true));
                 for &li in &s.flipped {
-                    s.lflows
+                    lay.rows
                         .row(li as usize)
                         .iter()
                         .for_each(|&i| settle(i as usize, false));
                 }
             } else {
-                (0..lay.flows.len()).for_each(|i| settle(i, true));
+                (0..lay.flows.len())
+                    .filter(|&i| lay.flows[i] != FREE)
+                    .for_each(|i| settle(i, true));
             }
             // Debug builds check a resumed fill against the full one.
             #[cfg(debug_assertions)]
@@ -1295,18 +1432,31 @@ impl IncrementalFluid {
                 let full = &mut s.full;
                 full.1.forget();
                 full.1.keep(true);
-                net.fill(lay, &s.lflows, &mut full.0, &mut full.1);
+                net.fill(lay, &s.link_local, &mut full.0, &mut full.1);
                 for (i, &id) in lay.flows.iter().enumerate() {
+                    if id == FREE {
+                        continue;
+                    }
                     let want = full.0.rate[i].to_bits();
                     let stored = flows.rates[flows.slots[id as usize] as usize];
-                    assert_eq!(stored.to_bits(), want, "resumed fill: rate of flow {i}");
+                    assert_eq!(stored.to_bits(), want, "resumed fill: rate of slot {i}");
                     assert_eq!(
-                        k.rate[i].to_bits(),
+                        lay.rate[i].to_bits(),
                         want,
-                        "resumed fill: kept rate of flow {i}"
+                        "resumed fill: kept rate of slot {i}"
                     );
                 }
                 assert!(lay.log.same(&full.1), "resumed fill: log");
+            }
+            // Free slots the patches left are given back once they are
+            // over a quarter of the layout.
+            let lay = &mut layouts[slot as usize];
+            let moved = lay.compact_slots(&mut s.slot_map, &mut s.rows);
+            if moved > 0 {
+                stats.patch_items += moved;
+                for (i, &id) in lay.flows.iter().enumerate() {
+                    flows.at[id as usize] = i as u32;
+                }
             }
         }
     }
@@ -1407,7 +1557,10 @@ impl IncrementalFluid {
             let links: Vec<u32> = (0..nl as u32)
                 .filter(|&x| label[x as usize] == l as u32)
                 .collect();
-            let local = |gl: usize| links.partition_point(|&x| (x as usize) < gl);
+            let mut local = vec![u32::MAX; nl];
+            for (li, &gl) in links.iter().enumerate() {
+                local[gl as usize] = li as u32;
+            }
             let mut want = Layout {
                 links: links.clone(),
                 ..Layout::default()
@@ -1415,23 +1568,34 @@ impl IncrementalFluid {
             let mut floors: Vec<Vec<f64>> = vec![Vec::new(); links.len()];
             for &fi in flows.iter() {
                 let spec = &specs[fi as usize];
-                want.push_spec(f.slot_of[fi as usize], spec, |gl| local(gl) as u32);
+                want.push_spec(f.slot_of[fi as usize], spec);
                 for &gl in &spec.path {
-                    floors[local(gl)].push(spec.floor.min(spec.demand));
+                    floors[local[gl] as usize].push(spec.floor.min(spec.demand));
                 }
             }
+            want.index_rows(&local);
             want.floor_sum = floors.iter().map(|row| row.iter().sum()).collect();
-            assert!(self.layouts[slot].same(&want), "layout of component {l}");
-            let mut lflows = Rows::default();
-            want.paths.transpose_into(want.links.len(), &mut lflows);
-            let mut log = crate::fluid::FillLog::default();
-            log.keep(self.layouts[slot].log.kept());
-            self.net
-                .fill(&want, &lflows, &mut FillScratch::default(), &mut log);
-            assert!(
-                self.layouts[slot].log.same(&log),
-                "fill log of component {l}"
+            let lay = &self.layouts[slot];
+            let canon = lay.canonical(|id| f.key(id));
+            assert!(canon.same(&want), "layout of component {l}");
+            // Every flow keeps its slot and its rate there.
+            assert_eq!(
+                lay.free.len(),
+                lay.flows.iter().filter(|&&id| id == FREE).count(),
+                "free slots of component {l}"
             );
+            for (i, &id) in lay.flows.iter().enumerate() {
+                if id != FREE {
+                    assert_eq!(f.at[id as usize], i as u32, "slot of flow {id}");
+                    let rate = f.rates[f.slots[id as usize] as usize];
+                    assert_eq!(lay.rate[i].to_bits(), rate.to_bits(), "rate at slot {i}");
+                }
+            }
+            let mut log = crate::fluid::FillLog::default();
+            log.keep(lay.log.kept());
+            self.net
+                .fill(&want, &local, &mut FillScratch::default(), &mut log);
+            assert!(canon.log.same(&log), "fill log of component {l}");
         }
         assert_eq!(
             in_use.iter().filter(|&&u| u).count() + self.spare.len(),
@@ -1445,44 +1609,165 @@ impl IncrementalFluid {
     }
 }
 
+/// The first position of `row` from `from` on whose key (`key_of` of the
+/// slot there) is not below `key`, by binary search; counts its probes in
+/// `items`.
+fn search(
+    row: &[u32],
+    from: usize,
+    key: u128,
+    key_of: impl Fn(u32) -> u128,
+    items: &mut usize,
+) -> usize {
+    let (mut lo, mut hi) = (from, row.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        *items += 1;
+        if key_of(row[mid]) < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Group `pairs`, `(local link, slot)` over `nll` links, by link with a
+/// stable counting sort: the slots land in `by_link`, link `li`'s from
+/// `lcount[li - 1]` (0 for the first) to `lcount[li]`.
+fn group_by_link(pairs: &[(u32, u32)], nll: usize, lcount: &mut Vec<u32>, by_link: &mut Vec<u32>) {
+    lcount.clear();
+    lcount.resize(nll + 1, 0);
+    for &(li, _) in pairs {
+        lcount[li as usize + 1] += 1;
+    }
+    for li in 1..=nll {
+        lcount[li] += lcount[li - 1];
+    }
+    by_link.clear();
+    by_link.resize(pairs.len(), 0);
+    for &(li, slot) in pairs {
+        let at = &mut lcount[li as usize];
+        by_link[*at as usize] = slot;
+        *at += 1;
+    }
+}
+
+/// Whether `m` edits of a row of `len` entries are cheaper placed by key
+/// search than by one pass over the row.
+fn searched(m: usize, len: usize) -> bool {
+    m * (usize::BITS - len.leading_zeros()) as usize <= len
+}
+
+/// Remove the slots of `group`, in key order, from row `li` of `rows`: each
+/// found by key search, all dropped in one pass of block moves. Returns
+/// the row entries visited: the probes and the entries dropped.
+fn remove_rows(
+    rows: &mut Rows,
+    li: usize,
+    group: &[u32],
+    key_of: impl Fn(u32) -> u128,
+    at: &mut Vec<u32>,
+) -> usize {
+    let mut items = group.len();
+    let row = rows.row(li);
+    let mut from = 0;
+    at.clear();
+    for &slot in group {
+        from = search(row, from, key_of(slot), &key_of, &mut items);
+        debug_assert_eq!(row.get(from), Some(&slot), "removed slot not in its row");
+        at.push(from as u32);
+        from += 1;
+    }
+    rows.remove_at(li, at);
+    items
+}
+
+/// Insert the slots of `group`, in key order, into row `li` of `rows`,
+/// each where its key belongs, in one pass of block moves. An empty row
+/// takes them as they are; a few go in by key search, many by a merge
+/// along the row. Returns the row entries visited: the probes or the
+/// entries merged past, and the entries inserted.
+fn insert_rows(
+    rows: &mut Rows,
+    li: usize,
+    group: &[u32],
+    key_of: impl Fn(u32) -> u128,
+    ins: &mut Vec<(u32, u32)>,
+    scratch: &mut RowScratch,
+) -> usize {
+    let mut items = group.len();
+    let row = rows.row(li);
+    if row.is_empty() {
+        rows.set_row(li, group.iter().copied(), scratch);
+        return items;
+    }
+    ins.clear();
+    if searched(group.len(), row.len()) {
+        let mut from = 0;
+        for &slot in group {
+            from = search(row, from, key_of(slot), &key_of, &mut items);
+            ins.push((from as u32, slot));
+        }
+    } else {
+        let mut p = 0;
+        for &slot in group {
+            let key = key_of(slot);
+            while p < row.len() && key_of(row[p]) < key {
+                p += 1;
+            }
+            ins.push((p as u32, slot));
+        }
+        items += p;
+    }
+    rows.insert_at(li, ins, scratch);
+    items
+}
+
 /// Number the candidate's connected pieces in order of their lowest link
 /// (a union-find over its local links, each flow joining its path's), set
-/// `link_piece` to each local link's piece and `flow_piece` to each flow's,
-/// and size each piece as `(flows, path items, links)`. Returns the number
-/// of pieces.
+/// `link_piece` to each local link's piece and `flow_piece` to each
+/// slot's, and size each piece as `(flows, path items, links)`. Returns
+/// the number of pieces; counts the path items and row entries it reads in
+/// `items`.
 ///
 /// Every link of the candidate reaches a touched link without crossing a
 /// removed flow: its old component was connected, and on a path to the
 /// touched links the first removed flow met starts at a touched link. So
 /// the candidate is connected as soon as its touched links are, and the
 /// search stops there (returning 1, with nothing set). It reads the flows
-/// on touched links first (`lflows` is the candidate's transpose), which
-/// usually join them without the rest.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the candidate, its transpose and the touched-link test, then five pooled scratch buffers"
-)]
+/// on touched links first (along their rows), which usually join them
+/// without the rest.
 fn split(
     cand: &Layout,
-    lflows: &Rows,
+    local: &[u32],
     touched: impl Fn(u32) -> bool,
-    uf: &mut Vec<u32>,
-    marked: &mut Vec<bool>,
-    link_piece: &mut Vec<u32>,
-    flow_piece: &mut Vec<u32>,
-    piece_size: &mut Vec<(u32, u32, u32)>,
+    sp: &mut SplitScratch,
+    items: &mut usize,
 ) -> usize {
     let nll = cand.links.len();
+    let SplitScratch {
+        uf,
+        marked,
+        link_piece,
+        flow_piece,
+        piece_size,
+    } = sp;
     uf.clear();
     uf.extend(0..nll as u32);
     // `marked[root]`: the set holds a touched link; `sets` counts those.
     marked.clear();
     marked.extend(cand.links.iter().map(|&l| touched(l)));
     let mut sets = marked.iter().filter(|&&m| m).count();
-    let mut join = |i: usize, sets: &mut usize| {
+    let mut join = |i: usize, sets: &mut usize, items: &mut usize| {
         let path = cand.paths.row(i);
-        for &li in &path[1..] {
-            let (a, b) = (find(uf, path[0]), find(uf, li));
+        *items += path.len();
+        let Some((&first, rest)) = path.split_first() else {
+            return; // a free slot
+        };
+        let first = local[first as usize];
+        for &gl in rest {
+            let (a, b) = (find(uf, first), find(uf, local[gl as usize]));
             if a != b {
                 let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
                 uf[hi] = lo as u32;
@@ -1493,13 +1778,14 @@ fn split(
     };
     let on_touched = (0..nll).filter(|&li| touched(cand.links[li]));
     for i in on_touched
-        .flat_map(|li| lflows.row(li).iter().map(|&i| i as usize))
+        .flat_map(|li| cand.rows.row(li).iter().map(|&i| i as usize))
         .chain(0..cand.flows.len())
     {
         if sets <= 1 {
             return 1;
         }
-        join(i, &mut sets);
+        *items += 1;
+        join(i, &mut sets, items);
     }
     if sets <= 1 {
         return 1;
@@ -1522,7 +1808,12 @@ fn split(
     flow_piece.clear();
     for i in 0..cand.flows.len() {
         let path = cand.paths.row(i);
-        let p = link_piece[path[0] as usize];
+        let Some(&first) = path.first() else {
+            flow_piece.push(NONE);
+            continue;
+        };
+        *items += 1;
+        let p = link_piece[local[first as usize] as usize];
         flow_piece.push(p);
         piece_size[p as usize].0 += 1;
         piece_size[p as usize].1 += path.len() as u32;
@@ -2050,6 +2341,50 @@ mod tests {
         c.remove(bridge);
         let s = c.solve_and_check();
         assert_eq!((s.components_dirty, s.rounds_reused), (2, 21), "{s:?}");
+    }
+
+    /// Re-expanding one 8-flow tenant — every flow removed and re-added
+    /// under the same keys and paths, in one step, as the traffic engine
+    /// does — costs the patch what churned: the same work on a component
+    /// of about 2k flows as on one of about 20k. A chain of `n` links of
+    /// rising capacity, each adjacent pair joined by two greedy flows, is
+    /// one component that saturates every other link from the bottom up;
+    /// the tenant's light flows sit on the top links, which saturate last.
+    #[test]
+    fn patch_work_does_not_grow_with_the_component() {
+        let patch_items = |n: usize| {
+            let caps: Vec<f64> = (0..n).map(|l| 1000.0 + l as f64).collect();
+            let (mut inc, _) = nets(&caps);
+            inc.set_resume_from(1);
+            for l in 0..n - 1 {
+                for k in 0..2u32 {
+                    let spec = FlowSpec::greedy(vec![l, l + 1]);
+                    inc.add_flow(spec, (1, 2 * l as u32 + k));
+                }
+            }
+            let tenant = |k: u32| {
+                let l = n - 9 + k as usize;
+                FlowSpec::greedy(vec![l, l + 1]).with_guarantee(1e-3)
+            };
+            let mut ids: Vec<u32> = (0..8).map(|k| inc.add_flow(tenant(k), (2, k))).collect();
+            let s = inc.solve();
+            assert_eq!((s.components_total, inc.num_flows()), (1, 2 * (n - 1) + 8));
+            for id in &mut ids {
+                inc.remove_flow(*id);
+            }
+            for (k, id) in ids.iter_mut().enumerate() {
+                *id = inc.add_flow(tenant(k as u32), (2, k as u32));
+            }
+            let s = inc.solve();
+            assert!(s.rounds_reused > 0, "{s:?}");
+            s.patch_items
+        };
+        let (small, large) = (patch_items(1000), patch_items(10_000));
+        assert!(small > 0);
+        assert!(
+            large <= 2 * small && small <= 2 * large,
+            "patch items {small} at 2k flows, {large} at 20k"
+        );
     }
 
     /// A retired entry that held a large component is reused, shrunk, for

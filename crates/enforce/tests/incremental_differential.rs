@@ -15,6 +15,11 @@
 //! A second property aims the churn at the end of a fill, where a solve
 //! resumes from its component's fill log instead of running every round:
 //! the same checks hold, and some solve must have resumed.
+//!
+//! Both streams re-expand key groups as the traffic engine re-expands a
+//! dirty tenant: in one step every live flow of the group leaves and new
+//! ones join under the keys `(group, 0..m)`, so a key is removed and
+//! re-added, and a slot freed and taken again, within one solve.
 
 use cm_enforce::{FlowSpec, Fluid, IncrementalFluid, SolveStats};
 use cm_testkit::fluid::verify_max_min;
@@ -32,6 +37,13 @@ enum Op {
     },
     /// Remove the k-th (mod live count) surviving flow.
     Remove(usize),
+    /// Remove every surviving flow of key group `group`, then add one flow
+    /// per entry `(path mask, demand, guarantee)` under keys
+    /// `(group, 0..)`.
+    Reexpand {
+        group: u64,
+        flows: Vec<(u64, Option<f64>, f64)>,
+    },
     /// Set a link's capacity to this fraction of its starting capacity
     /// (0 kills it, 1 restores it).
     SetCap { link: usize, fraction: f64 },
@@ -45,39 +57,65 @@ struct ChurnRecipe {
     ops: Vec<Op>,
 }
 
+/// A re-expansion adds fewer flows than this; a plain add's sequence
+/// number starts above it, so no two live flows share a key.
+const REEXPAND: usize = 6;
+
 /// Capacity fractions a `SetCap` picks from.
 const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 1.5];
 
+/// A demand of class `kind` (greedy, finite, or met by the floor).
+fn demand_of(kind: u8, demand: f64, guarantee: f64) -> Option<f64> {
+    match kind {
+        0 => None,
+        1 => Some(demand),
+        _ => Some(demand.min(guarantee * 0.5 + 1.0)),
+    }
+}
+
 fn arb_op(links: usize) -> impl Strategy<Value = Op> {
-    (
-        0u8..10,
+    let flow = (
         1u64..(1 << links as u64),
         0u8..3,
         10.0f64..500.0,
         0.0f64..300.0,
-        (0usize..64, 0usize..FRACTIONS.len()),
     )
-        .prop_map(move |(which, path_mask, kind, demand, guarantee, (k, f))| {
-            match which {
-                // Two fifths of the stream add flows, a fifth removes, a
-                // fifth changes a capacity, a fifth solves-and-checks.
-                0..=3 => Op::Add {
-                    path_mask,
-                    demand: match kind {
-                        0 => None,
-                        1 => Some(demand),
-                        _ => Some(demand.min(guarantee * 0.5 + 1.0)),
+        .prop_map(|(mask, kind, demand, g)| (mask, demand_of(kind, demand, g), g));
+    (
+        0u8..11,
+        1u64..(1 << links as u64),
+        0u8..3,
+        10.0f64..500.0,
+        0.0f64..300.0,
+        (
+            (0usize..64, 0usize..FRACTIONS.len()),
+            prop::collection::vec(flow, 0..REEXPAND),
+        ),
+    )
+        .prop_map(
+            move |(which, path_mask, kind, demand, guarantee, ((k, f), flows))| {
+                match which {
+                    // Two elevenths of the stream add flows, a fifth removes, a
+                    // fifth changes a capacity, a fifth solves-and-checks, and
+                    // the rest re-expands a key group.
+                    0..=3 => Op::Add {
+                        path_mask,
+                        demand: demand_of(kind, demand, guarantee),
+                        guarantee,
                     },
-                    guarantee,
-                },
-                4..=5 => Op::Remove(k),
-                6..=7 => Op::SetCap {
-                    link: k % links,
-                    fraction: FRACTIONS[f],
-                },
-                _ => Op::Solve,
-            }
-        })
+                    4..=5 => Op::Remove(k),
+                    10 => Op::Reexpand {
+                        group: (k % 7) as u64,
+                        flows,
+                    },
+                    6..=7 => Op::SetCap {
+                        link: k % links,
+                        fraction: FRACTIONS[f],
+                    },
+                    _ => Op::Solve,
+                }
+            },
+        )
 }
 
 fn arb_churn() -> impl Strategy<Value = ChurnRecipe> {
@@ -164,7 +202,7 @@ fn run(recipe: &ChurnRecipe) {
     churned.set_resume_from(1);
     let mut caps = recipe.caps.clone();
     let mut live: Vec<(u32, (u64, u32), FlowSpec)> = Vec::new();
-    let mut seq = 0u32;
+    let mut seq = REEXPAND as u32;
     for op in &recipe.ops {
         match op {
             Op::Add {
@@ -190,6 +228,19 @@ fn run(recipe: &ChurnRecipe) {
                 let (id, _, _) = live.swap_remove(k % live.len());
                 churned.remove_flow(id);
             }
+            Op::Reexpand { group, flows } => {
+                let specs = flows.iter().map(|&(mask, demand, guarantee)| {
+                    let path = (0..recipe.caps.len())
+                        .filter(|l| mask & (1 << l) != 0)
+                        .collect();
+                    let mut spec = FlowSpec::greedy(path).with_guarantee(guarantee);
+                    if let Some(d) = demand {
+                        spec.demand = d;
+                    }
+                    spec
+                });
+                reexpand(&mut churned, &mut live, *group, specs);
+            }
             Op::SetCap { link, fraction } => {
                 caps[*link] = recipe.caps[*link] * fraction;
                 churned.set_link_cap(*link, caps[*link]);
@@ -201,6 +252,27 @@ fn run(recipe: &ChurnRecipe) {
     }
     // Always end on a checked solve so trailing churn is covered.
     check_solve(&mut churned, &live, &caps);
+}
+
+/// Re-expand key group `group`: remove every live flow of it, then add
+/// `specs` under keys `(group, 0..)`.
+fn reexpand(
+    churned: &mut IncrementalFluid,
+    live: &mut Vec<(u32, (u64, u32), FlowSpec)>,
+    group: u64,
+    specs: impl Iterator<Item = FlowSpec>,
+) {
+    live.retain(|(id, key, _)| {
+        let keep = key.0 != group;
+        if !keep {
+            churned.remove_flow(*id);
+        }
+        keep
+    });
+    for (k, spec) in specs.enumerate() {
+        let key = (group, k as u32);
+        live.push((churned.add_flow(spec.clone(), key), key, spec));
+    }
 }
 
 /// Churn that lands late in a fill.
@@ -216,6 +288,9 @@ enum LateOp {
     /// Add a flow from the small component to late server link `k`,
     /// merging it into the large one.
     Bridge(usize),
+    /// Re-expand key group `g`: its flows leave, and `m` flows join on
+    /// late server links from `k` on, each with guarantee `f`.
+    Reexpand(u64, usize, usize, f64),
 }
 
 /// Server links of the late-churn network; its last `LATE` saturate last.
@@ -223,11 +298,12 @@ const SERVERS: usize = 80;
 const LATE: usize = 12;
 
 fn arb_late_op() -> impl Strategy<Value = LateOp> {
-    (0u8..4, 0usize..64, 0.0f64..30.0, 0.85f64..1.2).prop_map(|(which, k, g, f)| match which {
+    (0u8..5, 0usize..64, 0.0f64..30.0, 0.85f64..1.2).prop_map(|(which, k, g, f)| match which {
         0 => LateOp::Add(k, g),
         1 => LateOp::Remove(k),
         2 => LateOp::SetCap(k, f),
-        _ => LateOp::Bridge(k),
+        3 => LateOp::Bridge(k),
+        _ => LateOp::Reexpand((k % 5) as u64, k % REEXPAND, k, g),
     })
 }
 
@@ -299,6 +375,15 @@ fn run_late(spread: f64, ops: &[LateOp]) {
                     vec![small, l, tor + l % 4, core],
                     2.0,
                 );
+            }
+            LateOp::Reexpand(group, m, k, g) => {
+                let specs = (0..m).map(|j| {
+                    let l = late(k + j);
+                    let mut spec = FlowSpec::greedy(vec![l, tor + l % 4, core]);
+                    spec.floor = g;
+                    spec
+                });
+                reexpand(&mut churned, &mut live, group, specs);
             }
         }
         reused += check_solve(&mut churned, &live, &caps).rounds_reused;

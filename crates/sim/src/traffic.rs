@@ -87,6 +87,9 @@ pub struct TrafficStep {
     /// Components the step solved from round 0 without looking for a
     /// round to resume at.
     pub full_solves: usize,
+    /// Path items and row entries the step's patches, splits and restores
+    /// visited one at a time (deterministic work count).
+    pub patch_items: usize,
 }
 
 /// Everything one traffic-churn run produces.
@@ -154,6 +157,11 @@ impl TrafficChurnReport {
         self.count_mean(|s| s.full_solves)
     }
 
+    /// Mean path items and row entries patched per solve step.
+    pub fn patch_items_mean(&self) -> f64 {
+        self.count_mean(|s| s.patch_items)
+    }
+
     /// Component count of the final snapshot's flow/link graph.
     pub fn components_total_last(&self) -> usize {
         self.steps.last().map_or(0, |s| s.components_total)
@@ -202,6 +210,7 @@ impl<P: Placer> ChurnObserver<P> for TrafficStepper<'_> {
             rounds_reused: r.rounds_reused,
             flows_reused: r.flows_reused,
             full_solves: r.full_solves,
+            patch_items: r.patch_items,
         });
     }
 }

@@ -305,6 +305,7 @@ pub fn solve(topo: &Topology, tenants: &[TenantTraffic]) -> TrafficReport {
         rounds_reused: 0,
         flows_reused: 0,
         full_solves: 1,
+        patch_items: 0,
         ecmp_max_utilization: 0.0,
         ecmp_mean_utilization: 0.0,
         score_secs: 0.0,
