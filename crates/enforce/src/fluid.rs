@@ -1044,6 +1044,8 @@ pub(crate) struct FillScratch {
     touched: Touched,
     /// The changed links' breakpoints a restore replayed.
     rbp: Vec<Bp>,
+    /// A restore's reopened slots, a bit each.
+    bits: Vec<u64>,
     /// Local links whose log the last solve found void.
     pub(crate) changed: Vec<u32>,
     /// The changed links by the first logged round each could act in,
@@ -1912,6 +1914,7 @@ impl FillScratch {
             touched,
             rbp,
             restore_items,
+            bits,
             ..
         } = self;
         let FillLog {
@@ -2040,6 +2043,23 @@ impl FillScratch {
             froze[iu] = if on { NEVER } else { 0 };
             active[iu] = on;
             reopened.push(i);
+        }
+        // In slot order, which keeps a tenant's flows together: the loops
+        // over the reopened flows (here and in the owner's write-back) then
+        // walk the per-flow arrays forward. A bitset sorts them in one pass
+        // over a bit per slot.
+        bits.clear();
+        bits.resize(lay.flows.len().div_ceil(64), 0);
+        for &i in reopened.iter() {
+            bits[i as usize / 64] |= 1 << (i % 64);
+        }
+        reopened.clear();
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                reopened.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
         }
         let remaining = reopened.iter().filter(|&&i| active[i as usize]).count();
         finite.clear();

@@ -436,14 +436,26 @@ struct Scratch {
 /// [`split`]'s pooled buffers.
 #[derive(Debug, Default)]
 struct SplitScratch {
-    /// Union-find over the candidate's local links.
+    /// Union-find over the candidate's local links; a root is the lowest
+    /// link of its set.
     uf: Vec<u32>,
-    /// Local link → its set holds a touched link.
-    marked: Vec<bool>,
+    /// Local link → reached by the search.
+    seen: Vec<bool>,
+    /// Local link → the next link of its set's queue (`NONE`: last).
+    next: Vec<u32>,
+    /// Root → the first and last link of its set's queue of links still
+    /// to expand (`NONE` if empty: the set is a whole piece).
+    queue: Vec<(u32, u32)>,
+    /// Root → flows and path items its set reached.
+    reached: Vec<(u32, u32)>,
+    /// The roots of the sets still growing, visited in turn.
+    open: Vec<u32>,
+    /// Slot → the search that last reached its flow.
+    stamp: Vec<u32>,
+    /// The current search.
+    now: u32,
     /// Local link → its piece.
     link_piece: Vec<u32>,
-    /// Slot → its flow's piece (`NONE` for a free slot).
-    flow_piece: Vec<u32>,
     /// `(flows, path items, links)` per piece.
     piece_size: Vec<(u32, u32, u32)>,
 }
@@ -1208,32 +1220,43 @@ impl IncrementalFluid {
             }
         }
         let cand = &mut s.cand;
+        let (local, link_piece) = (&s.link_local, &sp.link_piece);
+        // The piece of slot `i`'s flow: its first link's.
+        let piece_of = |i: u32| link_piece[local[cand.paths.row(i as usize)[0] as usize] as usize];
         let mut items = 0;
-        // The other pieces' flows, links and rows move out.
+        // The other pieces' flows, links and rows move out: each flow from
+        // the row of its first link.
         s.slot_map.clear();
         s.slot_map.resize(cand.flows.len(), NONE);
-        for (i, &p) in sp.flow_piece.iter().enumerate() {
-            if p == NONE || p == largest {
+        s.row.clear();
+        for (li, &p) in link_piece.iter().enumerate() {
+            if p == largest {
                 continue;
             }
             let lay = &mut layouts[s.pieces[p as usize] as usize];
-            let id = cand.flows[i];
-            let path = cand.paths.row(i);
-            items += path.len();
-            let ns = lay.alloc(id, path.iter().copied(), cand.params(i as u32), &mut s.rows);
-            flows.at[id as usize] = ns;
-            s.slot_map[i] = ns;
+            for &i in cand.rows.row(li) {
+                let path = cand.paths.row(i as usize);
+                items += 1;
+                if local[path[0] as usize] != li as u32 {
+                    continue;
+                }
+                let id = cand.flows[i as usize];
+                items += path.len();
+                let ns = lay.alloc(id, path.iter().copied(), cand.params(i), &mut s.rows);
+                flows.at[id as usize] = ns;
+                s.slot_map[i as usize] = ns;
+                s.row.push(i);
+            }
         }
         for &i in &cand.finite {
-            let p = sp.flow_piece[i as usize];
+            let p = piece_of(i);
             if p != largest {
                 layouts[s.pieces[p as usize] as usize]
                     .finite
                     .push(s.slot_map[i as usize]);
             }
         }
-        for li in 0..cand.links.len() {
-            let p = sp.link_piece[li];
+        for (li, &p) in link_piece.iter().enumerate() {
             if p != largest {
                 let lay = &mut layouts[s.pieces[p as usize] as usize];
                 lay.links.push(cand.links[li]);
@@ -1247,17 +1270,14 @@ impl IncrementalFluid {
         // The largest piece stays: the other pieces' slots are freed, their
         // links' rows dropped.
         let mut dropped = NEVER;
-        for (i, &p) in sp.flow_piece.iter().enumerate() {
-            if p != NONE && p != largest {
-                let froze = cand.release(i as u32);
-                if froze != 0 {
-                    dropped = dropped.min(froze);
-                }
+        for &i in &s.row {
+            let froze = cand.release(i);
+            if froze != 0 {
+                dropped = dropped.min(froze);
             }
         }
-        cand.finite
-            .retain(|&i| sp.flow_piece[i as usize] == largest);
-        let link_piece = &sp.link_piece;
+        let slot_map = &s.slot_map;
+        cand.finite.retain(|&i| slot_map[i as usize] == NONE);
         cand.rows.gather(
             (0..cand.links.len() as u32).filter(|&li| link_piece[li as usize] == largest),
             &mut s.rows,
@@ -1284,7 +1304,7 @@ impl IncrementalFluid {
                     *to = s.at[*to as usize];
                 }
             }
-            log.added.retain(|&i| sp.flow_piece[i as usize] == largest);
+            log.added.retain(|&i| slot_map[i as usize] == NONE);
         }
         let mut w = 0;
         for (li, &p) in link_piece.iter().enumerate() {
@@ -1724,20 +1744,24 @@ fn insert_rows(
     items
 }
 
-/// Number the candidate's connected pieces in order of their lowest link
-/// (a union-find over its local links, each flow joining its path's), set
-/// `link_piece` to each local link's piece and `flow_piece` to each
-/// slot's, and size each piece as `(flows, path items, links)`. Returns
-/// the number of pieces; counts the path items and row entries it reads in
-/// `items`.
+/// Number the candidate's connected pieces in order of their lowest link,
+/// set `link_piece` to each local link's piece, and size each piece as
+/// `(flows, path items, links)`. Returns the number of pieces; counts the
+/// row entries and path items it reads in `items`.
 ///
 /// Every link of the candidate reaches a touched link without crossing a
 /// removed flow: its old component was connected, and on a path to the
 /// touched links the first removed flow met starts at a touched link. So
-/// the candidate is connected as soon as its touched links are, and the
-/// search stops there (returning 1, with nothing set). It reads the flows
-/// on touched links first (along their rows), which usually join them
-/// without the rest.
+/// every piece holds a touched link. The search grows one set from each
+/// touched link, in turn one link at a time: a link is expanded by
+/// reaching every flow of its row and every link of those flows' paths,
+/// and two sets that reach each other merge. A set with nothing left to
+/// expand is a whole piece. The search stops once at most one set still
+/// grows: that one and every link not reached are the last piece, sized
+/// by what the others leave. So a candidate that stayed whole costs the
+/// search until its touched links meet, and one that split costs about
+/// its small pieces, times the sets in turn; the largest piece is never
+/// walked.
 fn split(
     cand: &Layout,
     local: &[u32],
@@ -1748,75 +1772,137 @@ fn split(
     let nll = cand.links.len();
     let SplitScratch {
         uf,
-        marked,
+        seen,
+        next,
+        queue,
+        reached,
+        open,
+        stamp,
+        now,
         link_piece,
-        flow_piece,
         piece_size,
     } = sp;
     uf.clear();
     uf.extend(0..nll as u32);
-    // `marked[root]`: the set holds a touched link; `sets` counts those.
-    marked.clear();
-    marked.extend(cand.links.iter().map(|&l| touched(l)));
-    let mut sets = marked.iter().filter(|&&m| m).count();
-    let mut join = |i: usize, sets: &mut usize, items: &mut usize| {
-        let path = cand.paths.row(i);
-        *items += path.len();
-        let Some((&first, rest)) = path.split_first() else {
-            return; // a free slot
-        };
-        let first = local[first as usize];
-        for &gl in rest {
-            let (a, b) = (find(uf, first), find(uf, local[gl as usize]));
-            if a != b {
-                let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
-                uf[hi] = lo as u32;
-                *sets -= usize::from(marked[lo] && marked[hi]);
-                marked[lo] |= marked[hi];
+    seen.clear();
+    seen.extend(cand.links.iter().map(|&l| touched(l)));
+    next.clear();
+    next.resize(nll, NONE);
+    queue.clear();
+    queue.extend((0..nll as u32).map(|li| match seen[li as usize] {
+        true => (li, li),
+        false => (NONE, NONE),
+    }));
+    reached.clear();
+    reached.resize(nll, (0, 0));
+    open.clear();
+    open.extend((0..nll as u32).filter(|&li| seen[li as usize]));
+    stamp.resize(cand.flows.len(), 0);
+    *now = now.wrapping_add(1);
+    if *now == 0 {
+        stamp.fill(0);
+        *now = 1;
+    }
+    let (mut growing, mut whole) = (open.len(), 0);
+    let mut turn = 0;
+    while growing > 1 {
+        turn %= open.len();
+        let mut root = open[turn];
+        if uf[root as usize] != root || queue[root as usize].0 == NONE {
+            open.swap_remove(turn);
+            continue;
+        }
+        let li = queue[root as usize].0;
+        queue[root as usize].0 = next[li as usize];
+        for &slot in cand.rows.row(li as usize) {
+            *items += 1;
+            if std::mem::replace(&mut stamp[slot as usize], *now) == *now {
+                continue;
+            }
+            let path = cand.paths.row(slot as usize);
+            *items += path.len();
+            reached[root as usize].0 += 1;
+            reached[root as usize].1 += path.len() as u32;
+            for &gl in path {
+                let l = local[gl as usize];
+                if !std::mem::replace(&mut seen[l as usize], true) {
+                    uf[l as usize] = root;
+                    let q = &mut queue[root as usize];
+                    match q.0 {
+                        NONE => q.0 = l,
+                        _ => next[q.1 as usize] = l,
+                    }
+                    q.1 = l;
+                    continue;
+                }
+                let other = find(uf, l);
+                if other != root {
+                    // Two growing sets meet: the higher root joins the
+                    // lower, its queue appended.
+                    let (lo, hi) = (root.min(other), root.max(other));
+                    uf[hi as usize] = lo;
+                    let (qh, ql) = (queue[hi as usize], queue[lo as usize]);
+                    queue[lo as usize] = match (ql.0, qh.0) {
+                        (_, NONE) => ql,
+                        (NONE, _) => qh,
+                        _ => {
+                            next[ql.1 as usize] = qh.0;
+                            (ql.0, qh.1)
+                        }
+                    };
+                    queue[hi as usize] = (NONE, NONE);
+                    let r = reached[hi as usize];
+                    reached[lo as usize].0 += r.0;
+                    reached[lo as usize].1 += r.1;
+                    growing -= 1;
+                    root = lo;
+                }
             }
         }
-    };
-    let on_touched = (0..nll).filter(|&li| touched(cand.links[li]));
-    for i in on_touched
-        .flat_map(|li| cand.rows.row(li).iter().map(|&i| i as usize))
-        .chain(0..cand.flows.len())
-    {
-        if sets <= 1 {
-            return 1;
+        if queue[root as usize].0 == NONE {
+            growing -= 1;
+            whole += 1;
         }
-        *items += 1;
-        join(i, &mut sets, items);
+        turn += 1;
     }
-    if sets <= 1 {
+    if whole == 0 {
         return 1;
     }
-    // A root is the lowest link of its set, so it is numbered first.
+    // The pieces: each set the search closed, and the rest (every link
+    // not in one), numbered by their lowest links. `next` now maps a
+    // closed set's root to its piece.
+    next.fill(NONE);
     link_piece.clear();
     piece_size.clear();
+    let mut rest = NONE;
+    let mut flows = cand.live() as u32;
+    let mut path_items: u32 = (0..nll).map(|li| cand.rows.row(li).len() as u32).sum();
     for li in 0..nll {
-        let root = find(uf, li as u32) as usize;
-        let p = match root == li {
-            true => {
-                piece_size.push((0, 0, 0));
-                piece_size.len() as u32 - 1
-            }
-            false => link_piece[root],
+        let root = match seen[li] {
+            true => find(uf, li as u32) as usize,
+            false => NONE as usize,
         };
-        link_piece.push(p);
-        piece_size[p as usize].2 += 1;
+        let closed = root != NONE as usize && queue[root].0 == NONE;
+        let piece = match closed {
+            true => &mut next[root],
+            false => &mut rest,
+        };
+        if *piece == NONE {
+            *piece = piece_size.len() as u32;
+            let (f, i) = match closed {
+                true => reached[root],
+                false => (0, 0),
+            };
+            flows -= f;
+            path_items -= i;
+            piece_size.push((f, i, 0));
+        }
+        link_piece.push(*piece);
+        piece_size[*piece as usize].2 += 1;
     }
-    flow_piece.clear();
-    for i in 0..cand.flows.len() {
-        let path = cand.paths.row(i);
-        let Some(&first) = path.first() else {
-            flow_piece.push(NONE);
-            continue;
-        };
-        *items += 1;
-        let p = link_piece[local[first as usize] as usize];
-        flow_piece.push(p);
-        piece_size[p as usize].0 += 1;
-        piece_size[p as usize].1 += path.len() as u32;
+    if rest != NONE {
+        piece_size[rest as usize].0 = flows;
+        piece_size[rest as usize].1 = path_items;
     }
     piece_size.len()
 }
