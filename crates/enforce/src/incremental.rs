@@ -1877,8 +1877,8 @@ fn split(
     let mut rest = NONE;
     let mut flows = cand.live() as u32;
     let mut path_items: u32 = (0..nll).map(|li| cand.rows.row(li).len() as u32).sum();
-    for li in 0..nll {
-        let root = match seen[li] {
+    for (li, &reached_li) in seen.iter().enumerate() {
+        let root = match reached_li {
             true => find(uf, li as u32) as usize,
             false => NONE as usize,
         };
