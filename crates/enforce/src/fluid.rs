@@ -501,8 +501,8 @@ pub(crate) struct FillLog {
     /// may be reused (a removed flow, or one of another piece of a split,
     /// froze in it, or a touched link saturated in it).
     pub(crate) cut: u32,
-    /// Set by the layout's patch (and split): the slots of the flows it
-    /// added.
+    /// Set by the layout's patch (and split), if the log is valid: the
+    /// slots of the flows it added.
     pub(crate) added: Vec<u32>,
 }
 
@@ -739,6 +739,7 @@ impl Layout {
         fit(&mut self.rate, flows);
         fit(&mut self.log.froze, flows);
         fit(&mut self.log.frozen, flows);
+        fit(&mut self.log.added, flows);
         fit(&mut self.log.rounds, flows);
         fit(&mut self.log.bps, items);
         fit(&mut self.links, links);

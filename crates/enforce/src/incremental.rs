@@ -1093,7 +1093,9 @@ impl IncrementalFluid {
                 let ns = cand.alloc(id, path.iter().copied(), from.params(i as u32), &mut s.rows);
                 flows.at[id as usize] = ns;
                 s.slot_map[i] = ns;
-                cand.log.added.push(ns);
+                if logged {
+                    cand.log.added.push(ns);
+                }
                 if from.demand[i].is_finite() {
                     cand.finite.push(ns);
                     finite_added = true;
@@ -1129,7 +1131,9 @@ impl IncrementalFluid {
             let path = spec.path.iter().map(|&l| l as u32);
             let ns = cand.alloc(id, path, Params::of(spec), &mut s.rows);
             flows.at[id as usize] = ns;
-            cand.log.added.push(ns);
+            if logged {
+                cand.log.added.push(ns);
+            }
             s.adds
                 .extend(spec.path.iter().map(|&gl| (s.link_local[gl], ns)));
             if spec.demand.is_finite() {
