@@ -252,16 +252,17 @@ impl Rows {
     }
 
     /// Re-list the rows: new row `k` is old row `from[k]`, or empty if
-    /// that is [`NONE_ROW`]; every old row not taken gives its room back.
-    pub(crate) fn gather(&mut self, from: impl Iterator<Item = u32>, scratch: &mut RowScratch) {
+    /// that is `None`; every old row not taken gives its room back.
+    pub(crate) fn gather(
+        &mut self,
+        from: impl Iterator<Item = Option<u32>>,
+        scratch: &mut RowScratch,
+    ) {
         let mut freed: usize = self.span.iter().map(|s| s.cap as usize).sum();
         let spans = &mut scratch.spans;
         spans.clear();
         for f in from {
-            let s = match f {
-                NONE_ROW => Span::default(),
-                f => self.span[f as usize],
-            };
+            let s = f.map_or(Span::default(), |f| self.span[f as usize]);
             freed -= s.cap as usize;
             spans.push(s);
         }
@@ -415,9 +416,6 @@ impl Rows {
         self.len() == other.len() && (0..self.len()).all(|r| self.row(r) == other.row(r))
     }
 }
-
-/// [`Rows::gather`]'s "no old row": the new row starts empty.
-pub(crate) const NONE_ROW: u32 = u32::MAX;
 
 /// [`Layout::flows`] of a free slot.
 pub(crate) const FREE: u32 = u32::MAX;

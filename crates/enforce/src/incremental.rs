@@ -181,7 +181,7 @@
 
 use crate::fluid::{
     tol, trim, FillScratch, FlowSpec, Fluid, Layout, LinkAt, Params, RowScratch, Rows, CHANGED,
-    FREE, NEVER, NONE_ROW,
+    FREE, NEVER,
 };
 
 /// Component label of a link no flow crosses.
@@ -399,9 +399,9 @@ struct Scratch {
     link_log: Vec<(LinkAt, u32)>,
     /// Link → its local link in the layout being patched or solved.
     link_local: Vec<u32>,
-    /// The removed or added flows' row entries, `(local link, slot)`, the
-    /// added ones in key order.
-    adds: Vec<(u32, u32)>,
+    /// Row edits: the removed or the added flows' entries, `(local link,
+    /// slot)`, the added ones in key order.
+    edits: Vec<(u32, u32)>,
     /// Rows that lose many entries, dropped in one pass.
     linear: Vec<u32>,
     /// Local link → the end of its added entries in `by_link`.
@@ -794,7 +794,7 @@ impl IncrementalFluid {
         let s = &mut self.scratch;
         trim(&mut s.new_keys);
         trim(&mut s.new_flows);
-        trim(&mut s.adds);
+        trim(&mut s.edits);
         trim(&mut s.by_link);
         stats
     }
@@ -939,6 +939,20 @@ impl IncrementalFluid {
             s.link_local[l as usize] = li as u32;
         }
 
+        // The flows and path items that join the largest dirty layout.
+        let (mut joining, mut joining_items) = (new_flows.len(), 0);
+        for &(_, lab) in dirty {
+            let slot = layout_at[lab as usize];
+            if Some(slot) != big {
+                joining += layouts[slot as usize].live();
+                joining_items += layouts[slot as usize].paths.num_items();
+            }
+        }
+        for &(_, rank) in new_flows {
+            let id = s.new_keys[rank as usize] as u32;
+            joining_items += net.flows()[flows.slots[id as usize] as usize].path.len();
+        }
+
         // The candidate: the largest dirty layout, parked here and patched
         // in place, or a spare entry for a group without one.
         let home = match big {
@@ -948,8 +962,7 @@ impl IncrementalFluid {
         let cand = &mut s.cand;
         std::mem::swap(cand, &mut layouts[home as usize]);
         if big.is_none() {
-            let items = new_flows.len() * 6;
-            cand.clear_fit(new_flows.len(), items, s.cand_links.len());
+            cand.clear_fit(joining, joining_items, s.cand_links.len());
         }
         let logged = cand.log.ok();
         // No logged round from the first in which a removed flow froze, or
@@ -966,17 +979,17 @@ impl IncrementalFluid {
             let from = flows.gone.partition_point(|&(l, _)| l < lab);
             let to = from + flows.gone[from..].partition_point(|&(l, _)| l == lab);
             let gone = &flows.gone[from..to];
-            s.adds.clear();
+            s.edits.clear();
             for &(_, slot) in gone {
                 for &gl in cand.paths.row(slot as usize) {
                     items += 1;
                     if ls.load[gl as usize] > 0 {
                         let li = s.cand_links[s.link_local[gl as usize] as usize].2;
-                        s.adds.push((li, slot));
+                        s.edits.push((li, slot));
                     }
                 }
             }
-            group_by_link(&s.adds, cand.links.len(), &mut s.lcount, &mut s.by_link);
+            group_by_link(&s.edits, cand.links.len(), &mut s.lcount, &mut s.by_link);
             // A row losing few of its entries finds them by key; one losing
             // many drops them in one pass once their slots are free.
             let key_of = |slot: u32| flows.key(cand.flows[slot as usize]);
@@ -1015,10 +1028,9 @@ impl IncrementalFluid {
         // follow (a link of this layout keeps its log unless it was
         // touched; any other link is changed).
         cand.rows.gather(
-            s.cand_links.iter().map(|&(_, _, from)| match from {
-                NONE => NONE_ROW,
-                from => from,
-            }),
+            s.cand_links
+                .iter()
+                .map(|&(_, _, from)| (from != NONE).then_some(from)),
             &mut s.rows,
         );
         let log = &mut cand.log;
@@ -1055,18 +1067,6 @@ impl IncrementalFluid {
         cand.log.added.clear();
 
         // Room for every flow and path item that joins, at once.
-        let (mut joining, mut joining_items) = (new_flows.len(), 0);
-        for &(_, lab) in dirty {
-            let slot = layout_at[lab as usize];
-            if Some(slot) != big {
-                joining += layouts[slot as usize].live();
-                joining_items += layouts[slot as usize].paths.num_items();
-            }
-        }
-        for &(_, rank) in new_flows {
-            let id = s.new_keys[rank as usize] as u32;
-            joining_items += net.flows()[flows.slots[id as usize] as usize].path.len();
-        }
         cand.reserve(joining, joining_items);
         // The other dirty layouts' live flows move in, each row whole and
         // renumbered (its links are new to the candidate), and are
@@ -1122,7 +1122,7 @@ impl IncrementalFluid {
         // The added flows take slots, in key order, and their entries are
         // spliced into the rows by key (grouped by link by a stable
         // counting sort).
-        s.adds.clear();
+        s.edits.clear();
         for &(_, rank) in new_flows {
             let key = s.new_keys[rank as usize];
             let id = key as u32;
@@ -1134,7 +1134,7 @@ impl IncrementalFluid {
             if logged {
                 cand.log.added.push(ns);
             }
-            s.adds
+            s.edits
                 .extend(spec.path.iter().map(|&gl| (s.link_local[gl], ns)));
             if spec.demand.is_finite() {
                 cand.finite.push(ns);
@@ -1142,8 +1142,8 @@ impl IncrementalFluid {
             }
         }
         stats.flows_flattened += new_flows.len();
-        group_by_link(&s.adds, cand.links.len(), &mut s.lcount, &mut s.by_link);
-        cand.rows.reserve(s.adds.len());
+        group_by_link(&s.edits, cand.links.len(), &mut s.lcount, &mut s.by_link);
+        cand.rows.reserve(s.edits.len());
         let key_of = |slot: u32| flows.key(cand.flows[slot as usize]);
         let mut from = 0;
         for li in 0..cand.links.len() {
@@ -1191,8 +1191,8 @@ impl IncrementalFluid {
     }
 
     /// Split the candidate into its pieces: each piece but the largest
-    /// moves into its own layout (its flows' slots ascending, its rows
-    /// renumbered, floor sums carried over); the candidate keeps the
+    /// moves into its own layout (its flows read off its links' rows, its
+    /// rows renumbered, floor sums carried over); the candidate keeps the
     /// largest in place, with its slots, rows and fill log (see the
     /// module's "Resumed fills"), the other pieces' slots freed.
     fn spread_pieces(&mut self, stats: &mut SolveStats) {
@@ -1283,7 +1283,9 @@ impl IncrementalFluid {
         let slot_map = &s.slot_map;
         cand.finite.retain(|&i| slot_map[i as usize] == NONE);
         cand.rows.gather(
-            (0..cand.links.len() as u32).filter(|&li| link_piece[li as usize] == largest),
+            (0..cand.links.len() as u32)
+                .filter(|&li| link_piece[li as usize] == largest)
+                .map(Some),
             &mut s.rows,
         );
         cand.rows.compact(&mut s.rows);
@@ -1881,8 +1883,8 @@ fn split(
     let mut rest = NONE;
     let mut flows = cand.live() as u32;
     let mut path_items: u32 = (0..nll).map(|li| cand.rows.row(li).len() as u32).sum();
-    for (li, &reached_li) in seen.iter().enumerate() {
-        let root = match reached_li {
+    for (li, &on) in seen.iter().enumerate() {
+        let root = match on {
             true => find(uf, li as u32) as usize,
             false => NONE as usize,
         };
