@@ -95,22 +95,22 @@ fn arb_op(links: usize) -> impl Strategy<Value = Op> {
         .prop_map(
             move |(which, path_mask, kind, demand, guarantee, ((k, f), flows))| {
                 match which {
-                    // Two elevenths of the stream add flows, a fifth removes, a
-                    // fifth changes a capacity, a fifth solves-and-checks, and
-                    // the rest re-expands a key group.
+                    // Of eleven ops, four add flows, two remove, two change a
+                    // capacity, two solve-and-check and one re-expands a
+                    // key group.
                     0..=3 => Op::Add {
                         path_mask,
                         demand: demand_of(kind, demand, guarantee),
                         guarantee,
                     },
                     4..=5 => Op::Remove(k),
-                    10 => Op::Reexpand {
-                        group: (k % 7) as u64,
-                        flows,
-                    },
                     6..=7 => Op::SetCap {
                         link: k % links,
                         fraction: FRACTIONS[f],
+                    },
+                    10 => Op::Reexpand {
+                        group: (k % 7) as u64,
+                        flows,
                     },
                     _ => Op::Solve,
                 }
