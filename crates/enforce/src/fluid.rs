@@ -1004,7 +1004,8 @@ impl Layout {
 /// local to the [`Layout`] solved.
 #[derive(Debug, Default)]
 pub(crate) struct FillScratch {
-    /// Flow position → solved rate (the kernel's output).
+    /// Slot → solved rate (the kernel's output; a resumed fill's input,
+    /// see [`Layout::rate`]).
     pub(crate) rate: Vec<f64>,
     /// Local link → capacity.
     pub(crate) lcaps: Vec<f64>,
@@ -1037,7 +1038,7 @@ pub(crate) struct FillScratch {
     #[cfg(debug_assertions)]
     shadow: Vec<f64>,
     /// A changed link's logged freezes: `(round, its place in the round,
-    /// position)`.
+    /// index in the link's row)`.
     order: Vec<(u32, u32, u32)>,
     /// The links this round's freezes touched.
     touched: Touched,
@@ -1052,7 +1053,7 @@ pub(crate) struct FillScratch {
     first: Vec<(u32, u32, LinkAt)>,
     /// The flows the last solve re-solved, if it resumed: those active
     /// again from round `reused` on, and those new to the layout and idle
-    /// from phase 2's start. Ascending.
+    /// from phase 2's start. Slots ascending.
     pub(crate) reopened: Vec<u32>,
     /// Logged rounds the last solve reused instead of running.
     pub(crate) reused: usize,
