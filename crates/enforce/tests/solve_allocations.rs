@@ -129,12 +129,12 @@ fn steady_state_solves_allocate_nothing() {
     }
 }
 
-/// The same above the kernel's lazy-round crossover (1,024 live links): a
-/// star of 1,200 links, a hub under 1,199 spokes of distinct capacities,
-/// one flow per spoke through the hub. A round saturates one spoke, so
-/// the kernel's fill-step history grows to over a thousand steps and its
-/// heap holds every spoke; every solve resumes its fill log, so resumed
-/// solves allocate nothing either.
+/// The same on a component of over a thousand live links: a star of
+/// 1,200 links, a hub under 1,199 spokes of distinct capacities, one flow
+/// per spoke through the hub. A round saturates one spoke, so the
+/// kernel's fill-step history grows to over a thousand steps and its heap
+/// holds every spoke; every solve resumes its fill log, so resumed solves
+/// allocate nothing either.
 #[test]
 fn steady_state_lazy_solves_allocate_nothing() {
     const SPOKES: usize = 1199;
@@ -161,10 +161,9 @@ fn steady_state_lazy_solves_allocate_nothing() {
             let stats = inc.solve();
             allocated += allocations() - before;
             assert!(inc.is_work_conserving());
-            // Lazy rounds read a few links each; eager ones would read
-            // every live spoke. A solve resumed at a later round reuses
-            // the rounds before it: it would run over a thousand from
-            // round 0.
+            // A round reads a few links, not every live spoke. A solve
+            // resumed at a later round reuses the rounds before it: it
+            // would run over a thousand from round 0.
             assert!(
                 stats.fill_rounds + stats.rounds_reused >= 1000
                     && stats.link_visits < 8 * stats.fill_rounds,
