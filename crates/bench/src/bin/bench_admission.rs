@@ -47,7 +47,7 @@ const COUNTERS_NOTE: &str = "deterministic work counters of the CloudMirror plac
     search visits ends placed, or stopped by slots (no subtree of the level has room) or by \
     bandwidth (descend found no subtree with the path bandwidth, or the attempt's Alloc or its \
     reservation above failed); attempts are the Alloc runs for a whole tenant, allocs every Alloc \
-    call at any depth. fills_* count Balance's greedy fills run and reused, groups_built \
+    call at any depth. fills_run counts Balance's greedy fills, groups_built \
     FindTiersToColoc's build_group calls, uplink_prechecked the Colocate groups on a server the \
     closed-form uplink check refused before staging, coloc_server_rollbacks those staged and then \
     rolled back by the server's own uplink sync (gated to 0), memo_hits the Allocs answered by the \
@@ -69,7 +69,6 @@ fn counters_row(r: &BenchRow) -> Option<Fields> {
         ("bandwidth", per_level(|l| l.bandwidth)),
         ("allocs", per_level(|l| l.allocs)),
         ("fills_run", Val::Int(c.fills_run)),
-        ("fills_reused", Val::Int(c.fills_reused)),
         ("groups_built", Val::Int(c.groups_built)),
         ("uplink_prechecked", Val::Int(c.uplink_prechecked)),
         ("coloc_server_rollbacks", Val::Int(c.coloc_server_rollbacks)),

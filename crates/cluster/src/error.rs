@@ -1,7 +1,7 @@
 //! The unified lifecycle error surface.
 
 use crate::TenantId;
-use cm_core::model::TierId;
+use cm_core::model::{TagError, TierId};
 use cm_core::placement::RejectReason;
 use cm_topology::TopologyError;
 
@@ -17,6 +17,11 @@ pub enum CmError {
     Rejected(RejectReason),
     /// No live tenant has this id (never admitted, or already departed).
     UnknownTenant(TenantId),
+    /// [`crate::Cluster::admit`] was handed a TAG that no cut can price:
+    /// its guarantees break [`cm_core::model::Tag::cut_bound_kbps`]
+    /// ([`TagError::BandwidthOverflow`]). `TagBuilder::build` rejects such
+    /// a TAG, but `Tag::scaled` and `Tag::resized` can make one.
+    InvalidTag(TagError),
     /// The tier does not exist in the tenant's TAG, or is an external
     /// component (which has no placeable VMs to scale).
     UnknownTier {
@@ -25,8 +30,10 @@ pub enum CmError {
         /// The offending tier id.
         tier: TierId,
     },
-    /// A scale request would take the tier size out of range (below 1 VM:
-    /// use [`crate::Cluster::depart`] instead of scaling to zero).
+    /// A scale request would take the tier size out of range: below 1 VM
+    /// (use [`crate::Cluster::depart`] instead of scaling to zero), or so
+    /// large that the resized TAG breaks
+    /// [`cm_core::model::Tag::cut_bound_kbps`].
     InvalidScale {
         /// The tenant addressed.
         tenant: TenantId,
@@ -90,6 +97,7 @@ impl std::fmt::Display for CmError {
         match self {
             CmError::Rejected(r) => write!(f, "placement rejected: {r}"),
             CmError::UnknownTenant(id) => write!(f, "{id} is not live in this cluster"),
+            CmError::InvalidTag(e) => write!(f, "invalid TAG: {e}"),
             CmError::UnknownTier { tenant, tier } => {
                 write!(f, "{tenant} has no scalable tier {tier}")
             }
@@ -100,7 +108,7 @@ impl std::fmt::Display for CmError {
                 delta,
             } => write!(
                 f,
-                "{tenant} tier {tier}: scaling {current} VMs by {delta:+} leaves no tier"
+                "{tenant} tier {tier}: scaling {current} VMs by {delta:+} is out of range"
             ),
             CmError::InvalidPair {
                 tenant,
@@ -129,6 +137,7 @@ impl std::error::Error for CmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CmError::Rejected(r) => Some(r),
+            CmError::InvalidTag(e) => Some(e),
             CmError::Topology(e) => Some(e),
             CmError::RepairFailed { reason, .. } => Some(reason),
             _ => None,
@@ -139,6 +148,12 @@ impl std::error::Error for CmError {
 impl From<RejectReason> for CmError {
     fn from(r: RejectReason) -> CmError {
         CmError::Rejected(r)
+    }
+}
+
+impl From<TagError> for CmError {
+    fn from(e: TagError) -> CmError {
+        CmError::InvalidTag(e)
     }
 }
 

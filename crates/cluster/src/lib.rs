@@ -88,7 +88,7 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use cm_core::model::{Tag, TierId};
+use cm_core::model::{Tag, TagError, TierId};
 use cm_core::placement::{place_incremental_replace, Deployed, Placer};
 use cm_topology::{Kbps, NodeId, Topology, TreeSpec};
 use std::collections::BTreeMap;
@@ -398,9 +398,12 @@ impl<P: Placer> Cluster<P> {
 
     /// Admit a tenant: deploy its TAG through the placer. On success the
     /// tenant is live (registered under the returned handle's id) until
-    /// [`Cluster::depart`]; on rejection the datacenter is untouched.
+    /// [`Cluster::depart`]; on rejection the datacenter is untouched. A TAG
+    /// whose guarantees overflow Eq. 1 ([`Tag::cut_bound_kbps`]) is
+    /// [`CmError::InvalidTag`].
     pub fn admit(&mut self, spec: impl Into<TagSpec>) -> Result<TenantHandle, CmError> {
         let TagSpec(tag) = spec.into();
+        tag.cut_bound_kbps().ok_or(TagError::BandwidthOverflow)?;
         let deployed = self.placer.place_shared(&mut self.topo, &tag)?;
         let id = TenantId(self.next_id);
         self.next_id += 1;
@@ -433,7 +436,9 @@ impl<P: Placer> Cluster<P> {
     /// tier size. Guarantees per VM are unchanged — only the tier count
     /// moves (§3: "per-VM bandwidth guarantees Se and Re typically do not
     /// need to change when tier sizes are changed by scaling"). On `Err`
-    /// the deployment is exactly as before. Tenants with unrepaired fault
+    /// the deployment is exactly as before; a target whose resized TAG
+    /// overflows Eq. 1 ([`Tag::cut_bound_kbps`]) is
+    /// [`CmError::InvalidScale`]. Tenants with unrepaired fault
     /// damage are rejected with [`CmError::Damaged`] — their deployment
     /// can disagree with the admitted model, so there is no consistent
     /// base to scale from.
@@ -456,7 +461,7 @@ impl<P: Placer> Cluster<P> {
                 })
             }
         };
-        resize_entry(&mut self.topo, &mut self.placer, entry, tier, target)?;
+        resize_entry(&mut self.topo, &mut self.placer, id, entry, tier, target)?;
         if let Some(sync) = self.traffic.get_mut() {
             sync.touch(id, &entry.queued);
         }
@@ -484,7 +489,7 @@ impl<P: Placer> Cluster<P> {
                 delta: -(entry.tag.tier(tier).size as i64),
             });
         }
-        resize_entry(&mut self.topo, &mut self.placer, entry, tier, new_size)?;
+        resize_entry(&mut self.topo, &mut self.placer, id, entry, tier, new_size)?;
         if let Some(sync) = self.traffic.get_mut() {
             sync.touch(id, &entry.queued);
         }
@@ -759,12 +764,12 @@ impl<P: Placer> Cluster<P> {
                 if entry.tag.tier(tier).size >= want {
                     continue;
                 }
-                resize_entry(&mut self.topo, &mut self.placer, entry, tier, want).map_err(|e| {
-                    match e {
+                resize_entry(&mut self.topo, &mut self.placer, id, entry, tier, want).map_err(
+                    |e| match e {
                         CmError::Rejected(reason) => CmError::RepairFailed { tenant: id, reason },
                         other => other,
-                    }
-                })?;
+                    },
+                )?;
             }
         } else {
             place_incremental_replace(&mut self.placer, &mut self.topo, &mut entry.deployed, &pre)
@@ -1162,14 +1167,24 @@ fn check_tier(id: TenantId, tag: &Tag, tier: TierId) -> Result<(), CmError> {
 fn resize_entry<P: Placer>(
     topo: &mut Topology,
     placer: &mut P,
+    id: TenantId,
     entry: &mut TenantEntry,
     tier: TierId,
     new_size: u32,
 ) -> Result<(), CmError> {
-    if new_size == entry.tag.tier(tier).size {
+    let current = entry.tag.tier(tier).size;
+    if new_size == current {
         return Ok(());
     }
     let new_tag = Arc::new(entry.tag.resized(tier, new_size));
+    if new_tag.cut_bound_kbps().is_none() {
+        return Err(CmError::InvalidScale {
+            tenant: id,
+            tier,
+            current,
+            delta: new_size as i64 - current as i64,
+        });
+    }
     placer.place_incremental(topo, &mut entry.deployed, &new_tag, tier, new_size)?;
     // The deployment's own model is authoritative where it keeps the TAG
     // (CloudMirror); for translated models the resized TAG is.

@@ -92,6 +92,10 @@ pub enum TagError {
     ExternalSelfLoop(TierId),
     /// A TAG must contain at least one non-external tier.
     NoInternalTiers,
+    /// The guarantees overflow: `Σ_e (N_from·S_e + N_to·R_e)` (see
+    /// [`Tag::cut_bound_kbps`]), or a tier's per-VM sum, passes `u64::MAX`
+    /// kbps, so Eq. 1 cannot price the TAG.
+    BandwidthOverflow,
 }
 
 impl fmt::Display for TagError {
@@ -107,6 +111,12 @@ impl fmt::Display for TagError {
                 write!(f, "external component {t} cannot carry a self-loop")
             }
             TagError::NoInternalTiers => write!(f, "TAG has no internal tiers"),
+            TagError::BandwidthOverflow => {
+                write!(
+                    f,
+                    "TAG guarantees overflow u64 kbps when summed over its VMs"
+                )
+            }
         }
     }
 }
@@ -255,8 +265,16 @@ impl TagBuilder {
         let mut incident = vec![Vec::new(); self.tiers.len()];
         let mut by_ends = FastMap::default();
         for (i, e) in self.edges.iter().enumerate() {
-            per_vm_snd[e.from.index()] += e.snd_kbps;
-            per_vm_rcv[e.to.index()] += e.rcv_kbps;
+            let (snd, rcv) = (
+                &mut per_vm_snd[e.from.index()],
+                &mut per_vm_rcv[e.to.index()],
+            );
+            *snd = snd
+                .checked_add(e.snd_kbps)
+                .ok_or(TagError::BandwidthOverflow)?;
+            *rcv = rcv
+                .checked_add(e.rcv_kbps)
+                .ok_or(TagError::BandwidthOverflow)?;
             incident[e.from.index()].push(i as u16);
             if !e.is_self_loop() {
                 incident[e.to.index()].push(i as u16);
@@ -277,6 +295,7 @@ impl TagBuilder {
             twin,
             hot: Vec::new(),
         };
+        tag.cut_bound_kbps().ok_or(TagError::BandwidthOverflow)?;
         tag.rebuild_hot();
         Ok(tag)
     }
@@ -353,6 +372,20 @@ impl Tag {
         tag.tiers[t.index()].size = new_size;
         tag.rebuild_hot();
         tag
+    }
+
+    /// `Σ_e (N_from·S_e + N_to·R_e)` over every edge, a tier of unknown size
+    /// (an unbounded external component) counting 0; `None` when the sum
+    /// passes `u64::MAX`. Every Eq. 1 cut, every edge crossing and every
+    /// product they form is at most this, so a TAG whose bound fits prices
+    /// without overflow. [`TagBuilder::build`] rejects a TAG without one;
+    /// [`Tag::resized`] and [`Tag::scaled`] can make one.
+    pub fn cut_bound_kbps(&self) -> Option<Kbps> {
+        let size = |t: TierId| self.tiers[t.index()].size as u64;
+        self.edges.iter().try_fold(0u64, |sum, e| {
+            sum.checked_add(size(e.from).checked_mul(e.snd_kbps)?)?
+                .checked_add(size(e.to).checked_mul(e.rcv_kbps)?)
+        })
     }
 
     /// Recompute the flat per-edge parameter cache after tier sizes or
@@ -888,6 +921,32 @@ mod tests {
             check(t);
             assert!((0..tag.edges().len()).all(|ei| t.twin(ei) == tag.twin(ei)));
         }
+    }
+
+    #[test]
+    fn guarantees_that_overflow_u64_are_rejected() {
+        // Two edges out of one tier: each fits, their sum does not.
+        let mut b = TagBuilder::new("two");
+        let a = b.tier("a", 1);
+        let x = b.tier("x", 1);
+        let y = b.tier("y", 1);
+        b.edge(a, x, 1 << 63, 1).unwrap();
+        b.edge(a, y, 1 << 63, 1).unwrap();
+        assert_eq!(b.build(), Err(TagError::BandwidthOverflow));
+        // One edge whose N·S wraps: 8 × (2^61 + 1) passes u64::MAX.
+        let hostile = |n: u32| {
+            let mut b = TagBuilder::new("wide");
+            let a = b.tier("a", n);
+            let c = b.tier("c", n);
+            b.edge(a, c, (1 << 61) + 1, (1 << 61) + 1).unwrap();
+            b.build()
+        };
+        assert_eq!(hostile(8).unwrap_err(), TagError::BandwidthOverflow);
+        // At 1 VM a side it fits, and only resizing breaks the bound.
+        let tag = hostile(1).unwrap();
+        assert_eq!(tag.cut_bound_kbps(), Some((1 << 62) + 2));
+        assert_eq!(tag.resized(TierId(0), 8).cut_bound_kbps(), None);
+        assert_eq!(tag.scaled(4.0).cut_bound_kbps(), None);
     }
 
     #[test]

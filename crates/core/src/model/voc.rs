@@ -64,25 +64,6 @@ impl VocModel {
         }
     }
 
-    /// Build a classic homogeneous Oktopus VOC: `k` clusters of `size` VMs,
-    /// per-VM hose `b`, and oversubscription factor `o ≥ 1` (each VM's core
-    /// guarantee is `b/o`, so a cluster's trunk carries `size·b/o`).
-    pub fn homogeneous(k: usize, size: u32, b_kbps: Kbps, oversub: f64) -> VocModel {
-        assert!(oversub >= 1.0, "oversubscription factor must be >= 1");
-        let core = (b_kbps as f64 / oversub).round() as Kbps;
-        VocModel::new(
-            (0..k)
-                .map(|i| VocCluster {
-                    name: format!("c{i}"),
-                    size,
-                    hose_kbps: b_kbps,
-                    core_snd_kbps: core,
-                    core_rcv_kbps: core,
-                })
-                .collect(),
-        )
-    }
-
     /// Model a TAG tenant as a generalized VOC, the §5 evaluation mapping
     /// ("we consider each service as corresponding to a component/tier in
     /// the TAG model and to a cluster in the VOC model").
@@ -262,8 +243,16 @@ mod tests {
 
     #[test]
     fn homogeneous_voc_oversubscription() {
-        let voc = VocModel::homogeneous(3, 10, 1000, 4.0);
-        assert_eq!(voc.clusters()[0].core_snd_kbps, 250);
+        // Oktopus's homogeneous VOC: three clusters of 10 VMs, per-VM hose
+        // 1,000 and oversubscription 4, so each VM's core guarantee is 250.
+        let cluster = |name: &str| VocCluster {
+            name: name.into(),
+            size: 10,
+            hose_kbps: 1000,
+            core_snd_kbps: 250,
+            core_rcv_kbps: 250,
+        };
+        let voc = VocModel::new(vec![cluster("c0"), cluster("c1"), cluster("c2")]);
         // One full cluster inside: hose term is 0 (min(10,0)),
         // core out = min(10*250, 20*250) = 2500 = S·B/O.
         assert_eq!(voc.cut_kbps(&[10, 0, 0]).0, 2500);

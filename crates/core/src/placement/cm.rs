@@ -21,15 +21,15 @@ use std::sync::Arc;
 ///
 /// * buffer pools — every temporary the recursive `Alloc`/`Colocate`/
 ///   `Balance` machinery needs (child orderings, `need` vectors, subset-sum
-///   shortlists, incident-edge scratch, per-child fill caches) is drawn
-///   from and returned to these free lists;
+///   shortlists, incident-edge scratch) is drawn from and returned to these
+///   free lists;
 /// * the undo log every attempt's [`ReservationTxn`] logs into, lent to
 ///   [`search_and_place`] and handed back empty;
 /// * the side sums of `FindTiersToColoc`'s probes ([`SideSums`]);
 /// * the failure memo of the current search ([`FailMemo`]);
 /// * the work counters ([`SearchCounters`]).
 ///
-/// Four shortcuts skip work whose outcome is already decided, each
+/// Three shortcuts skip work whose outcome is already decided, each
 /// exactly:
 ///
 /// * *Side sums* ([`SideSums`]). A colocation probe's `after` price is a
@@ -45,23 +45,17 @@ use std::sync::Arc;
 ///   availability is the very test `sync_uplink` applies, so a group that
 ///   would be staged, fail its own sync and roll back is excluded without
 ///   touching the transaction.
-/// * *Fill reuse* ([`FillCache`]). `Balance` reuses a cached `greedy_fill`
-///   with the same [`FillKey`] and `min(need[t], free slots)` — the
-///   child's own last fill while neither changed, or an identical
-///   sibling's: the fill reads the child only through its key and `need`
-///   only through that clamp.
 /// * *Failure memo* ([`FailMemo`]). Within one search, an `Alloc(need)` on
 ///   a subtree the tenant has not touched that placed nothing returns 0 on
 ///   repeat. A failed `Alloc` rolls back, and nothing but this tenant's
 ///   own staging changes a subtree mid-search, so an untouched subtree is
 ///   in the same state as when it failed.
 ///
-/// Under Eq. 7 (Guaranteed) HA the fill and `Alloc` also read fault-domain
-/// counts that can sit above the subtree, so the last two are off there,
-/// like the cross-child memo in `FindTiersToColoc`. Side sums read only
-/// the TAG and the child's counts, so they hold under every policy. Debug
-/// builds check the side sums, the pre-check and the memo against the
-/// work they skip.
+/// Under Eq. 7 (Guaranteed) HA `Alloc` also reads fault-domain counts that
+/// can sit above the subtree, so the memo is off there. Side sums read
+/// only the TAG and the child's counts, so they hold under every policy.
+/// Debug builds check the side sums, the pre-check and the memo against
+/// the work they skip.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     u32s: Vec<Vec<u32>>,
@@ -69,7 +63,6 @@ struct Scratch {
     nodes: Vec<Vec<NodeId>>,
     idxs: Vec<Vec<usize>>,
     pairs: Vec<Vec<(usize, u32)>>,
-    fills: Vec<FillCache>,
     log: UndoLog<Tag>,
     sides: SideSums,
     failed: FailMemo,
@@ -94,16 +87,6 @@ impl Scratch {
     pool!(nodes, put_nodes, nodes, NodeId);
     pool!(idxs, put_idxs, idxs, usize);
     pool!(pairs, put_pairs, pairs, (usize, u32));
-
-    fn fill_cache(&mut self, children: usize, tiers: usize) -> FillCache {
-        let mut c = self.fills.pop().unwrap_or_default();
-        c.reset(children, tiers);
-        c
-    }
-
-    fn put_fill_cache(&mut self, c: FillCache) {
-        self.fills.push(c);
-    }
 }
 
 /// Work one tree level saw, summed over searches. Every level a search
@@ -139,9 +122,6 @@ pub struct SearchCounters {
     pub levels: Vec<LevelCounters>,
     /// `greedy_fill`s `Balance` ran.
     pub fills_run: u64,
-    /// `greedy_fill`s `Balance` reused instead: a child's own last fill, or
-    /// an identical sibling's.
-    pub fills_reused: u64,
     /// `build_group` calls of `FindTiersToColoc`.
     pub groups_built: u64,
     /// `Colocate` groups on a server the uplink pre-check refused, so they
@@ -172,67 +152,6 @@ impl SearchCounters {
                 self.levels[l].bandwidth += 1;
             }
         }
-    }
-}
-
-/// Physical-state key of a balance candidate (free slots, total slots,
-/// uplink capacity, uplink availability): outside Eq. 7, equal keys and
-/// equal `min(need[t], free slots)` imply identical greedy fills.
-type FillKey = (u64, u64, Option<(u64, u64)>, Option<(u64, u64)>);
-
-fn fill_key(topo: &Topology, child: NodeId) -> FillKey {
-    (
-        topo.subtree_slots_free(child),
-        topo.subtree_slots_total(child),
-        topo.uplink_capacity(child),
-        topo.uplink_avail(child),
-    )
-}
-
-/// Each child's last `greedy_fill` within one `Balance` call, indexed by
-/// the child's position under the subtree. An entry stays exact for its
-/// own key and clamp after the child changes, so any child may reuse it.
-#[derive(Debug, Clone, Default)]
-struct FillCache {
-    tiers: usize,
-    /// Per child: the key and score of its last fill.
-    last: Vec<Option<(FillKey, f64)>>,
-    /// Per child, `tiers` entries each: `min(need[t], free slots)` when
-    /// the fill ran, and its selection.
-    clamp: Vec<u32>,
-    sel: Vec<u32>,
-}
-
-impl FillCache {
-    fn reset(&mut self, children: usize, tiers: usize) {
-        self.tiers = tiers;
-        self.last.clear();
-        self.last.resize(children, None);
-        self.clamp.clear();
-        self.clamp.resize(children * tiers, 0);
-        self.sel.clear();
-        self.sel.resize(children * tiers, 0);
-    }
-
-    /// The fill of child `i` for `need`, if its last one is still exact.
-    fn get(&self, i: usize, key: FillKey, need: &[u32]) -> Option<(&[u32], f64)> {
-        let (k, score) = self.last[i]?;
-        let r = i * self.tiers..(i + 1) * self.tiers;
-        let same = k == key
-            && need
-                .iter()
-                .zip(&self.clamp[r.clone()])
-                .all(|(&n, &c)| (n as u64).min(key.0) == c as u64);
-        same.then(|| (&self.sel[r], score))
-    }
-
-    fn put(&mut self, i: usize, key: FillKey, need: &[u32], sel: &[u32], score: f64) {
-        let r = i * self.tiers..(i + 1) * self.tiers;
-        for (c, &n) in self.clamp[r.clone()].iter_mut().zip(need) {
-            *c = (n as u64).min(key.0) as u32;
-        }
-        self.sel[r].copy_from_slice(sel);
-        self.last[i] = Some((key, score));
     }
 }
 
@@ -586,9 +505,6 @@ struct BalanceCands {
     ids: Vec<NodeId>,
     by_slots: Vec<NodeId>,
     by_bw: Vec<NodeId>,
-    /// The subtree's first child: a child's index under it is its id
-    /// minus this one's (children are a contiguous id range).
-    first: u32,
     #[cfg(debug_assertions)]
     dropped: Vec<NodeId>,
     #[cfg(debug_assertions)]
@@ -601,7 +517,6 @@ impl BalanceCands {
             ids: scratch.nodes(),
             by_slots: scratch.nodes(),
             by_bw: scratch.nodes(),
-            first: topo.children(st).next().map_or(0, |n| n.0),
             #[cfg(debug_assertions)]
             dropped: scratch.nodes(),
             #[cfg(debug_assertions)]
@@ -624,10 +539,6 @@ impl BalanceCands {
         scratch.put_nodes(self.by_bw);
         #[cfg(debug_assertions)]
         scratch.put_nodes(self.dropped);
-    }
-
-    fn index(&self, n: NodeId) -> usize {
-        (n.0 - self.first) as usize
     }
 
     /// Take `n` out of both orders (its keys are about to change).
@@ -1267,8 +1178,8 @@ impl CmPlacer {
         scratch.sides = sides;
     }
 
-    /// Whether the fill reuse and the failure memo may run: not under
-    /// Eq. 7 HA, whose caps read fault-domain counts outside the subtree.
+    /// Whether the failure memo may run: not under Eq. 7 HA, whose caps
+    /// read fault-domain counts outside the subtree.
     fn memos_allowed(&self) -> bool {
         !matches!(self.cfg.ha, HaPolicy::Guaranteed { .. })
     }
@@ -1496,36 +1407,15 @@ impl CmPlacer {
             return None;
         }
 
-        // `build_group` is a pure function of (need, hi, child free slots,
-        // the tenant's existing counts under the child, HA headroom). For
-        // children this tenant has not touched and no Eq. 7 cap applies to,
-        // it depends on the free-slot count alone — so after one such child
-        // fails, siblings with the same free count are skipped outright.
-        // On a fresh rack that collapses the failing scan from
-        // O(children × probes) to a single probe.
-        let memo_allowed = self.memos_allowed();
-        // Free-slot counts beyond every cap `build_group` applies (`cap ≤
-        // need_total`, and the trunk-seed halving ≤ `⌈slots/2⌉`) behave
-        // identically, so the memo key saturates at twice the remaining
-        // demand: one probe covers every untouched child that large.
-        let slot_sat = 2 * need_total(need);
-        let mut failed_slots: Option<u64> = None;
         let mut found: Option<(Vec<u32>, NodeId)> = None;
         let mut no_group = 0;
         for &child in &cands.nodes {
-            let memo = memo_allowed && state.is_untouched(child);
-            let key = topo.subtree_slots_free(child).min(slot_sat);
-            if !(memo && failed_slots == Some(key)) {
-                scratch.counters.groups_built += 1;
-                if let Some(group) =
-                    self.build_group(topo, state, tag, need, child, &hi, spread, scratch)
-                {
-                    found = Some((group, child));
-                    break;
-                }
-                if memo {
-                    failed_slots = Some(key);
-                }
+            scratch.counters.groups_built += 1;
+            if let Some(group) =
+                self.build_group(topo, state, tag, need, child, &hi, spread, scratch)
+            {
+                found = Some((group, child));
+                break;
             }
             no_group += 1;
         }
@@ -1762,7 +1652,6 @@ impl CmPlacer {
         scratch: &mut Scratch,
     ) {
         let mut cands = BalanceCands::build(txn.topo(), st, scratch);
-        let mut fills = scratch.fill_cache(txn.topo().children(st).len(), need.len());
         loop {
             let found = self.md_subset_sum(
                 txn.topo(),
@@ -1771,7 +1660,6 @@ impl CmPlacer {
                 need,
                 st,
                 &cands,
-                &mut fills,
                 demand_mix,
                 scratch,
             );
@@ -1793,7 +1681,6 @@ impl CmPlacer {
                 break;
             }
         }
-        scratch.put_fill_cache(fills);
         cands.release(scratch);
     }
 
@@ -1809,7 +1696,6 @@ impl CmPlacer {
         need: &[u32],
         st: NodeId,
         cands: &BalanceCands,
-        fills: &mut FillCache,
         demand_mix: f64,
         scratch: &mut Scratch,
     ) -> Option<(Vec<u32>, NodeId)> {
@@ -1853,36 +1739,11 @@ impl CmPlacer {
             shortlist.extend_from_slice(&cands.ids);
         }
 
-        // Outside Eq. 7, `greedy_fill` is a pure function of the child's
-        // `FillKey` and `min(need[t], free slots)`: a fill cached under the
-        // same key and clamp — the child's own from an earlier iteration, or
-        // a shortlisted sibling's — is reused. On a fresh rack that
-        // collapses the shortlist to a single fill.
-        let reuse = self.memos_allowed();
         let mut best: Option<(f64, u64, NodeId, Vec<u32>)> = None;
         for &child in &shortlist {
-            let key = fill_key(topo, child);
             let mut sel = scratch.u32s();
-            let cached = if reuse {
-                (shortlist.iter()).find_map(|&c| fills.get(cands.index(c), key, need))
-            } else {
-                None
-            };
-            let score = match cached {
-                Some((cached_sel, score)) => {
-                    scratch.counters.fills_reused += 1;
-                    sel.extend_from_slice(cached_sel);
-                    score
-                }
-                None => {
-                    scratch.counters.fills_run += 1;
-                    let score = self.greedy_fill(topo, state, tag, need, child, &mut sel);
-                    if reuse {
-                        fills.put(cands.index(child), key, need, &sel, score);
-                    }
-                    score
-                }
-            };
+            scratch.counters.fills_run += 1;
+            let score = self.greedy_fill(topo, state, tag, need, child, &mut sel);
             let placed = need_total(&sel);
             if placed == 0 {
                 scratch.put_u32s(sel);

@@ -85,22 +85,13 @@ impl<M: CutModel> TenantState<M> {
         Arc::clone(&self.model)
     }
 
-    /// VM counts per tier inside `node`'s subtree (all zeros if untouched).
-    pub fn inside_counts(&self, node: NodeId) -> std::borrow::Cow<'_, [u32]> {
-        match self.counts.get(&node) {
-            Some(v) => std::borrow::Cow::Borrowed(v),
-            None => std::borrow::Cow::Owned(vec![0u32; self.model.num_tiers()]),
-        }
-    }
-
     /// VMs of `tier` inside `node`'s subtree.
     pub fn count_of(&self, node: NodeId, tier: usize) -> u32 {
         self.counts.get(&node).map_or(0, |v| v[tier])
     }
 
     /// The stored per-tier counts inside `node`'s subtree, if the tenant
-    /// has touched it (`None` means all zeros) — the borrow-only form of
-    /// [`TenantState::inside_counts`].
+    /// has touched it (`None` means all zeros).
     #[inline]
     pub fn inside_counts_ref(&self, node: NodeId) -> Option<&[u32]> {
         self.counts.get(&node).map(|v| v.as_slice())
@@ -114,8 +105,7 @@ impl<M: CutModel> TenantState<M> {
     }
 
     /// Fill `out` (cleared first) with the VM counts per tier inside
-    /// `node`'s subtree — the allocation-free form of
-    /// [`TenantState::inside_counts`] for callers with a reusable buffer.
+    /// `node`'s subtree (all zeros if untouched), into a reusable buffer.
     pub fn fill_inside_counts(&self, node: NodeId, out: &mut Vec<u32>) {
         out.clear();
         match self.counts.get(&node) {

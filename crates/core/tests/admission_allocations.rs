@@ -1,7 +1,7 @@
 //! What steady-state admission keeps on the heap is its deployment.
 //!
 //! `CmPlacer` draws the temporaries of its search — child orderings,
-//! `need` vectors, subset-sum shortlists, fill caches, the failure memo,
+//! `need` vectors, subset-sum shortlists, the failure memo,
 //! the side-sum tables, the transactions' undo log — from pools it keeps
 //! across calls. Once a churn pattern has been seen, the bytes an admit
 //! leaves allocated are exactly those its returned [`Deployed`] frees on

@@ -125,8 +125,10 @@ struct Bundle {
     floor: f64,
     /// Per-pair TAG intent (kbps).
     intent: f64,
-    /// Stable id of the fluid flow carrying the bundle (the path lives in
-    /// the fluid network only) — removed on re-expansion or departure.
+    /// Stable id of the fluid flow carrying the bundle — removed on
+    /// re-expansion or departure. The bundle keeps no path: the solver
+    /// holds it twice, in its dense `Fluid` and in the path arena of the
+    /// component's layout.
     flow: u32,
 }
 

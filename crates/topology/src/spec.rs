@@ -103,15 +103,6 @@ impl TreeSpec {
         self
     }
 
-    /// Uniformly scale every uplink capacity by `factor`.
-    pub fn scale_bandwidth(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0);
-        for c in &mut self.uplink_kbps {
-            *c = (*c as f64 * factor).round() as Kbps;
-        }
-        self
-    }
-
     /// Number of levels in the tree (servers at level 0, root on top).
     pub fn num_levels(&self) -> usize {
         self.fanout_top_down.len() + 1
@@ -211,12 +202,5 @@ mod tests {
     fn unlimited_bandwidth_lifts_all_caps() {
         let s = TreeSpec::paper_datacenter().unlimited_bandwidth();
         assert!(s.uplink_kbps.iter().all(|&c| c == UNLIMITED_KBPS));
-    }
-
-    #[test]
-    fn scale_bandwidth_scales_uniformly() {
-        let s = TreeSpec::paper_datacenter().scale_bandwidth(0.5);
-        assert_eq!(s.uplink_kbps[0], gbps(5.0));
-        assert_eq!(s.uplink_kbps[1], gbps(40.0));
     }
 }

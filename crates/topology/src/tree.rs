@@ -182,10 +182,6 @@ pub struct Topology {
     /// §4.5 per-slot-availability pre-scan over a whole level, without the
     /// O(width) walk (per-node halving is preserved bit-for-bit).
     level_avail_half: Vec<u128>,
-    /// Number of servers currently marked failed.
-    num_failed_servers: u32,
-    /// Number of uplinks currently running below nominal capacity.
-    num_degraded_links: u32,
 }
 
 impl Topology {
@@ -206,8 +202,6 @@ impl Topology {
             level_used: vec![(0, 0); num_levels],
             level_cap: vec![0; num_levels],
             level_avail_half: vec![0; num_levels],
-            num_failed_servers: 0,
-            num_degraded_links: 0,
         };
         let root_level = (num_levels - 1) as u8;
         let root = topo.push_node(root_level, None);
@@ -447,12 +441,6 @@ impl Topology {
             topo: self,
             next: Some(n),
         }
-    }
-
-    /// Whether `ancestor` is on `path_to_root(n)` (a node is its own
-    /// ancestor for this purpose).
-    pub fn is_ancestor(&self, ancestor: NodeId, n: NodeId) -> bool {
-        self.path_to_root(n).any(|a| a == ancestor)
     }
 
     /// Lowest common ancestor of two nodes: the deepest node whose subtree
@@ -811,34 +799,6 @@ impl Topology {
         self.nodes[n.index()].failed
     }
 
-    /// Health of `n`'s uplink as a fraction of nominal capacity (1.0 when
-    /// healthy or for the root, 0.0 when dead).
-    #[inline]
-    pub fn link_health(&self, n: NodeId) -> f64 {
-        self.nodes[n.index()].link_fraction
-    }
-
-    /// Whether any server is failed or any uplink degraded.
-    #[inline]
-    pub fn has_faults(&self) -> bool {
-        self.num_failed_servers > 0 || self.num_degraded_links > 0
-    }
-
-    /// Number of currently failed servers.
-    #[inline]
-    pub fn num_failed_servers(&self) -> u32 {
-        self.num_failed_servers
-    }
-
-    /// All currently failed servers, in DFS order.
-    pub fn failed_servers(&self) -> Vec<NodeId> {
-        self.servers
-            .iter()
-            .copied()
-            .filter(|&s| self.nodes[s.index()].failed)
-            .collect()
-    }
-
     /// [`TopologyError::InvalidFault`] unless `n` is a node of this tree.
     fn check_node(&self, n: NodeId) -> Result<(), TopologyError> {
         if n.index() < self.nodes.len() {
@@ -864,7 +824,6 @@ impl Topology {
         }
         let free = (node.slots_total - node.slots_used) as u64;
         self.nodes[server.index()].failed = true;
-        self.num_failed_servers += 1;
         if free > 0 {
             let mut cur = Some(server);
             while let Some(c) = cur {
@@ -890,7 +849,6 @@ impl Topology {
         }
         let free = (node.slots_total - node.slots_used) as u64;
         self.nodes[server.index()].failed = false;
-        self.num_failed_servers -= 1;
         if free > 0 {
             let mut cur = Some(server);
             while let Some(c) = cur {
@@ -924,7 +882,6 @@ impl Topology {
         let nominal = self.spec.uplink_kbps[level];
         let new_cap = (nominal as f64 * fraction).round() as Kbps;
         let old_cap = up.cap_up;
-        let was_degraded = node.link_fraction != 1.0;
         let old_half = (up.avail_up as u128 + up.avail_dn as u128) / 2;
         up.cap_up = new_cap;
         up.cap_dn = new_cap;
@@ -932,14 +889,8 @@ impl Topology {
         up.avail_dn = new_cap.saturating_sub(up.used_dn);
         let new_half = (up.avail_up as u128 + up.avail_dn as u128) / 2;
         node.link_fraction = fraction;
-        let is_degraded = fraction != 1.0;
         self.level_cap[level] = self.level_cap[level] - old_cap + new_cap;
         self.level_avail_half[level] = self.level_avail_half[level] - old_half + new_half;
-        match (was_degraded, is_degraded) {
-            (false, true) => self.num_degraded_links += 1,
-            (true, false) => self.num_degraded_links -= 1,
-            _ => {}
-        }
         Ok(())
     }
 
@@ -984,21 +935,13 @@ impl Topology {
     /// Check internal invariants; returns a description of the first
     /// violation. Intended for tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut failed_servers = 0u32;
-        let mut degraded_links = 0u32;
         for (i, node) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
-            if node.failed {
-                if node.level != 0 {
-                    return Err(format!("{id}: failure mask set on a switch"));
-                }
-                failed_servers += 1;
+            if node.failed && node.level != 0 {
+                return Err(format!("{id}: failure mask set on a switch"));
             }
-            if node.link_fraction != 1.0 {
-                if node.up.is_none() {
-                    return Err(format!("{id}: link fraction set on the root"));
-                }
-                degraded_links += 1;
+            if node.link_fraction != 1.0 && node.up.is_none() {
+                return Err(format!("{id}: link fraction set on the root"));
             }
             if node.slots_used > node.slots_total {
                 return Err(format!("{id}: slots_used > slots_total"));
@@ -1092,18 +1035,6 @@ impl Topology {
                 return Err(format!("level {level}: cached avail-half sum out of sync"));
             }
         }
-        if failed_servers != self.num_failed_servers {
-            return Err(format!(
-                "failed-server count {} != recomputed {failed_servers}",
-                self.num_failed_servers
-            ));
-        }
-        if degraded_links != self.num_degraded_links {
-            return Err(format!(
-                "degraded-link count {} != recomputed {degraded_links}",
-                self.num_degraded_links
-            ));
-        }
         Ok(())
     }
 }
@@ -1175,7 +1106,7 @@ mod tests {
         assert_eq!(t.servers_under(t.root()).len(), 2048);
         // Every server under the ToR has that ToR as an ancestor.
         for &s in t.servers_under(tor) {
-            assert!(t.is_ancestor(tor, s));
+            assert!(t.path_to_root(s).any(|a| a == tor));
         }
     }
 
@@ -1388,7 +1319,7 @@ mod tests {
         t.alloc_slots(s, 10).unwrap();
         assert!(t.fail_server(s).unwrap());
         assert!(!t.fail_server(s).unwrap(), "second fail is a no-op");
-        assert!(t.is_failed(s) && t.has_faults());
+        assert!(t.is_failed(s));
         // Free capacity vanished from every aggregate and new allocations
         // are rejected; the 10 allocated slots stay on the books.
         assert_eq!(t.slots_free(s), 0);
@@ -1408,7 +1339,7 @@ mod tests {
         assert!(!t.restore_server(s).unwrap());
         assert_eq!(t.slots_free(s), 25);
         assert_eq!(t.subtree_slots_free(t.root()), 2048 * 25);
-        assert!(!t.has_faults());
+        assert!(!t.is_failed(s));
         t.check_invariants().unwrap();
     }
 
@@ -1422,7 +1353,6 @@ mod tests {
         assert_eq!(t.uplink_capacity(s), Some((gbps(2.5), gbps(2.5))));
         assert_eq!(t.uplink_used(s), Some((gbps(5.0), gbps(5.0))));
         assert_eq!(t.uplink_avail(s), Some((0, 0)));
-        assert_eq!(t.link_health(s), 0.25);
         t.check_invariants().unwrap();
         // New reservations bounce; releases still work.
         assert!(t.adjust_uplink(s, 1, 0).is_err());
@@ -1436,7 +1366,6 @@ mod tests {
         t.restore_link(s).unwrap();
         assert_eq!(t.uplink_capacity(s), Some((gbps(10.0), gbps(10.0))));
         assert_eq!(t.uplink_avail(s), Some((gbps(5.0), gbps(10.0))));
-        assert!(!t.has_faults());
         t.check_invariants().unwrap();
     }
 
@@ -1446,7 +1375,13 @@ mod tests {
         let tor = t.nodes_at_level(1)[0];
         let newly = t.fail_domain(tor).unwrap();
         assert_eq!(newly.len(), 32);
-        assert_eq!(t.failed_servers(), newly);
+        let failed: Vec<NodeId> = t
+            .servers()
+            .iter()
+            .copied()
+            .filter(|&s| t.is_failed(s))
+            .collect();
+        assert_eq!(failed, newly);
         assert_eq!(t.subtree_slots_free(tor), 0);
         assert_eq!(t.subtree_slots_free(t.root()), (2048 - 32) * 25);
         assert_eq!(t.uplink_capacity(tor), Some((0, 0)));
@@ -1467,7 +1402,8 @@ mod tests {
         let restored = t.restore_domain(tor).unwrap();
         assert_eq!(restored.len(), 32);
         assert_eq!(t.subtree_slots_free(t.root()), 2048 * 25);
-        assert!(!t.has_faults());
+        assert!(t.servers().iter().all(|&s| !t.is_failed(s)));
+        assert_eq!(t.uplink_capacity(tor), Some((gbps(80.0), gbps(80.0))));
         t.check_invariants().unwrap();
     }
 

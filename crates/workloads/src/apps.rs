@@ -1,6 +1,6 @@
 //! The concrete example applications used throughout the paper's figures.
 
-use cm_core::model::{Tag, TagBuilder, TierId};
+use cm_core::model::{Tag, TagBuilder};
 use cm_topology::Kbps;
 
 /// The three-tier web application of Fig. 2(a): `web -- B1 -- logic -- B2 --
@@ -48,19 +48,6 @@ pub fn fig6_request() -> Tag {
     b.build().expect("fig6 TAG is valid")
 }
 
-/// The Fig. 13 enforcement scenario: tier C1 (holding VM `X`) sends to tier
-/// C2 (holding VM `Z` and `n_senders` intra-tier senders) with `<B1, B2>`,
-/// and C2 carries an intra-tier hose `B2_in`. The paper sets
-/// `B1 = B2 = B2_in = 450 Mbps`.
-pub fn fig13_scenario(n_senders: u32, b1: Kbps, b2: Kbps, b2_in: Kbps) -> Tag {
-    let mut b = TagBuilder::new("fig13");
-    let c1 = b.tier("C1", 1);
-    let c2 = b.tier("C2", 1 + n_senders);
-    b.edge(c1, c2, b1, b2).expect("valid");
-    b.self_loop(c2, b2_in).expect("valid");
-    b.build().expect("fig13 TAG is valid")
-}
-
 /// A MapReduce-style batch job: one component with all-to-all shuffle
 /// traffic — a pure hose (the case prior models handle well, §2).
 pub fn mapreduce(n: u32, shuffle: Kbps) -> Tag {
@@ -70,14 +57,10 @@ pub fn mapreduce(n: u32, shuffle: Kbps) -> Tag {
     b.build().expect("mapreduce TAG is valid")
 }
 
-/// Tier ids of [`three_tier`]'s components, for tests and examples.
-pub fn three_tier_ids() -> (TierId, TierId, TierId) {
-    (TierId(0), TierId(1), TierId(2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cm_core::model::TierId;
     use cm_core::CutModel;
 
     #[test]
@@ -85,8 +68,7 @@ mod tests {
         let t = three_tier(10, 10, 10, 500, 100, 50);
         assert_eq!(t.total_vms(), 30);
         assert_eq!(t.edges().len(), 5); // 2 sym pairs + 1 self-loop
-        let (_, _, db) = three_tier_ids();
-        assert_eq!(t.self_loop_of(db), Some(50));
+        assert_eq!(t.self_loop_of(TierId(2)), Some(50));
     }
 
     #[test]
@@ -115,14 +97,6 @@ mod tests {
             .map(|tier| t.tier(tier).size as u64 * t.self_loop_of(tier).unwrap())
             .sum();
         assert_eq!(total, 40_000);
-    }
-
-    #[test]
-    fn fig13_shape() {
-        let t = fig13_scenario(3, 450_000, 450_000, 450_000);
-        assert_eq!(t.total_vms(), 5);
-        // Z's guarantees: 450 from C1 plus 450 intra: per-VM rcv = 900 Mbps.
-        assert_eq!(t.per_vm_rcv(TierId(1)), 900_000);
     }
 
     #[test]

@@ -6,10 +6,12 @@
 
 use cloudmirror::baselines::{OktopusVcPlacer, OvocPlacer, SecondNetPlacer};
 use cloudmirror::cluster::GuaranteeModel;
+use cloudmirror::core::model::TagError;
 use cloudmirror::core::reserve::TenantState;
 use cloudmirror::workloads::{apps, bing_like_pool};
 use cloudmirror::{
-    mbps, Cluster, CmConfig, CmPlacer, Placer, Tag, TenantId, TierId, Topology, TreeSpec,
+    mbps, Cluster, CmConfig, CmError, CmPlacer, Placer, Tag, TagBuilder, TenantId, TierId,
+    Topology, TreeSpec,
 };
 use std::sync::Arc;
 
@@ -287,4 +289,85 @@ fn unknown_ids_error_uniformly_across_queries() {
     assert!(cluster.guarantee_report(ghost).is_err());
     assert!(cluster.tag_of(ghost).is_none());
     assert!(cluster.deployed(ghost).is_none());
+}
+
+/// One trunk `a → c` with `S = R = 2^61 + 1` kbps between two 1-VM tiers:
+/// its Eq. 1 bound `Σ_e (N_from·S_e + N_to·R_e)` fits a `u64`, and passes
+/// `u64::MAX` once a side holds 8 VMs.
+fn wide_trunk() -> Tag {
+    let mut b = TagBuilder::new("wide");
+    let a = b.tier("a", 1);
+    let c = b.tier("c", 1);
+    b.edge(a, c, (1 << 61) + 1, (1 << 61) + 1).unwrap();
+    b.build().unwrap()
+}
+
+fn two_by_two() -> Cluster<CmPlacer> {
+    let spec = TreeSpec::small(2, 2, 2, 8, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]);
+    Cluster::new(&spec, CmPlacer::new(CmConfig::cm()))
+}
+
+/// The cluster holds no VM and reserves nothing on any uplink.
+fn assert_empty(cluster: &Cluster<CmPlacer>) {
+    assert_eq!(cluster.tenant_ids().count(), 0);
+    let topo = cluster.topology();
+    assert_eq!(topo.slots_in_use(), 0);
+    for level in 0..topo.num_levels() - 1 {
+        assert_eq!(topo.reserved_at_level(level), (0, 0), "level {level}");
+    }
+    cluster.check_invariants().unwrap();
+}
+
+#[test]
+fn a_tag_that_overflows_eq1_is_refused_with_nothing_held() {
+    // 8 × (2^61 + 1) wraps to 8: priced unchecked, a release build placed
+    // `[8, 0]` and `[0, 8]` on two servers and reserved 8 kbps an uplink.
+    let hostile = wide_trunk().resized(TierId(0), 8).resized(TierId(1), 8);
+    assert_eq!(hostile.cut_bound_kbps(), None);
+    let mut cluster = two_by_two();
+    let err = cluster.admit(hostile).unwrap_err();
+    assert_eq!(err, CmError::InvalidTag(TagError::BandwidthOverflow));
+    assert_empty(&cluster);
+}
+
+#[test]
+fn a_scale_that_overflows_eq1_is_invalid_and_changes_nothing() {
+    let mut cluster = two_by_two();
+    let id = cluster
+        .admit(wide_trunk())
+        .expect("both VMs share a server")
+        .id();
+    let placement = cluster.placement_of(id).unwrap();
+    let slots = cluster.topology().slots_in_use();
+    // 8 × (2^61 + 1) + 1 × (2^61 + 1) passes u64::MAX.
+    let err = cluster.scale_tier(id, TierId(0), 7).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CmError::InvalidScale {
+                current: 1,
+                delta: 7,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    let err = cluster.resize_tier(id, TierId(1), 8).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CmError::InvalidScale {
+                current: 1,
+                delta: 7,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(cluster.placement_of(id).unwrap(), placement);
+    assert_eq!(cluster.tag_of(id).unwrap().placeable_counts(), vec![1, 1]);
+    assert_eq!(cluster.topology().slots_in_use(), slots);
+    cluster.check_invariants().unwrap();
+    cluster.depart(id).unwrap();
+    assert_empty(&cluster);
 }

@@ -190,12 +190,10 @@ fn run(arrivals: usize, marks: &[usize]) -> Vec<Mark> {
 }
 
 /// `SearchCounters` from per-level `[attempts, placed, slots, bandwidth,
-/// allocs]` (servers first), `[fills_run, fills_reused, groups_built,
-/// uplink_prechecked, coloc_server_rollbacks, memo_hits]` and
-/// `edges_priced`.
-fn counters(levels: [[u64; 5]; 4], rest: [u64; 6], edges_priced: u64) -> SearchCounters {
-    let [fills_run, fills_reused, groups_built, uplink_prechecked, coloc_server_rollbacks, memo_hits] =
-        rest;
+/// allocs]` (servers first), `[fills_run, groups_built, uplink_prechecked,
+/// coloc_server_rollbacks, memo_hits]` and `edges_priced`.
+fn counters(levels: [[u64; 5]; 4], rest: [u64; 5], edges_priced: u64) -> SearchCounters {
+    let [fills_run, groups_built, uplink_prechecked, coloc_server_rollbacks, memo_hits] = rest;
     SearchCounters {
         levels: levels
             .iter()
@@ -210,7 +208,6 @@ fn counters(levels: [[u64; 5]; 4], rest: [u64; 6], edges_priced: u64) -> SearchC
             )
             .collect(),
         fills_run,
-        fills_reused,
         groups_built,
         uplink_prechecked,
         coloc_server_rollbacks,
@@ -245,8 +242,8 @@ fn near_full_cm_decisions_are_pinned() {
                     [64, 32, 0, 32, 206],
                     [32, 32, 0, 0, 32],
                 ],
-                [21985, 21224, 13269, 8983, 0, 235],
-                1042058,
+                [43209, 16711, 8983, 0, 235],
+                1110545,
             ),
         },
         Mark {
@@ -265,8 +262,8 @@ fn near_full_cm_decisions_are_pinned() {
                     [109, 36, 1, 73, 532],
                     [74, 70, 0, 4, 74],
                 ],
-                [42883, 36218, 27495, 18717, 0, 528],
-                1744026,
+                [79101, 33288, 18717, 0, 528],
+                1877871,
             ),
         },
         Mark {
@@ -285,8 +282,8 @@ fn near_full_cm_decisions_are_pinned() {
                     [985, 586, 9, 399, 3321],
                     [408, 327, 0, 81, 408],
                 ],
-                [319214, 238838, 107297, 64793, 0, 2144],
-                11074801,
+                [558052, 127484, 64793, 0, 2144],
+                11579779,
             ),
         },
     ];
