@@ -294,9 +294,10 @@ impl TagBuilder {
             incident,
             twin,
             hot: Vec::new(),
+            cut_bound: None,
         };
-        tag.cut_bound_kbps().ok_or(TagError::BandwidthOverflow)?;
         tag.rebuild_hot();
+        tag.cut_bound_kbps().ok_or(TagError::BandwidthOverflow)?;
         Ok(tag)
     }
 }
@@ -340,6 +341,8 @@ pub struct Tag {
     twin: Vec<Option<u16>>,
     /// Flat per-edge parameters for the hot crossing path.
     hot: Vec<HotEdge>,
+    /// [`Tag::cut_bound_kbps`], kept with `hot`.
+    cut_bound: Option<Kbps>,
 }
 
 impl Tag {
@@ -379,18 +382,20 @@ impl Tag {
     /// passes `u64::MAX`. Every Eq. 1 cut, every edge crossing and every
     /// product they form is at most this, so a TAG whose bound fits prices
     /// without overflow. [`TagBuilder::build`] rejects a TAG without one;
-    /// [`Tag::resized`] and [`Tag::scaled`] can make one.
+    /// [`Tag::resized`] and [`Tag::scaled`] can make one. O(1): it is
+    /// computed whenever sizes or rates change.
     pub fn cut_bound_kbps(&self) -> Option<Kbps> {
-        let size = |t: TierId| self.tiers[t.index()].size as u64;
-        self.edges.iter().try_fold(0u64, |sum, e| {
-            sum.checked_add(size(e.from).checked_mul(e.snd_kbps)?)?
-                .checked_add(size(e.to).checked_mul(e.rcv_kbps)?)
-        })
+        self.cut_bound
     }
 
-    /// Recompute the flat per-edge parameter cache after tier sizes or
-    /// edge rates changed.
+    /// Recompute the flat per-edge parameter cache and the cut bound after
+    /// tier sizes or edge rates changed.
     fn rebuild_hot(&mut self) {
+        let size = |t: TierId| self.tiers[t.index()].size as u64;
+        self.cut_bound = self.edges.iter().try_fold(0u64, |sum, e| {
+            sum.checked_add(size(e.from).checked_mul(e.snd_kbps)?)?
+                .checked_add(size(e.to).checked_mul(e.rcv_kbps)?)
+        });
         self.hot.clear();
         self.hot.extend(self.edges.iter().map(|e| {
             let from = &self.tiers[e.from.index()];

@@ -666,8 +666,9 @@ impl CmPlacer {
     ///
     /// On success the returned [`TenantState`] holds the placement and all
     /// reservations; release it with [`TenantState::clear`]. On rejection
-    /// the topology is left exactly as before the call. (The [`Placer`]
-    /// trait wraps this into a model-erased [`Deployed`].)
+    /// the topology is left exactly as before the call. A TAG whose
+    /// guarantees overflow Eq. 1 is [`RejectReason::GuaranteesOverflow`].
+    /// (The [`Placer`] trait wraps this into a model-erased [`Deployed`].)
     pub fn place_tag(
         &mut self,
         topo: &mut Topology,
@@ -683,6 +684,8 @@ impl CmPlacer {
         topo: &mut Topology,
         tag: &Arc<Tag>,
     ) -> Result<TenantState<Tag>, RejectReason> {
+        tag.cut_bound_kbps()
+            .ok_or(RejectReason::GuaranteesOverflow)?;
         let demand_mix = self.predictor.observe(tag.avg_per_vm_demand_kbps());
         let shared = Arc::clone(tag);
         let tag: &Tag = tag;
@@ -825,7 +828,8 @@ impl CmPlacer {
     /// normal `Alloc` machinery; shrinking removes VMs from the
     /// least-populated servers first and reprices afterwards. On any
     /// failure the deployment is left exactly as before and an error is
-    /// returned.
+    /// returned; a resize whose TAG overflows Eq. 1 is
+    /// [`RejectReason::GuaranteesOverflow`].
     pub fn scale_tier(
         &mut self,
         topo: &mut Topology,
@@ -856,6 +860,9 @@ impl CmPlacer {
         tier: TierId,
         new_tag: &Arc<Tag>,
     ) -> Result<(), RejectReason> {
+        new_tag
+            .cut_bound_kbps()
+            .ok_or(RejectReason::GuaranteesOverflow)?;
         let old_tag = state.model_arc();
         let old_size = old_tag.tier(tier).size;
         let new_size = new_tag.tier(tier).size;
@@ -2180,6 +2187,40 @@ mod tests {
         for l in 0..topo.num_levels() {
             assert_eq!(topo.reserved_at_level(l), (0, 0));
         }
+    }
+
+    #[test]
+    fn a_tag_that_overflows_eq1_is_refused_untouched() {
+        // One trunk with S = R = 2^61 + 1 kbps: with 8 VMs on a side,
+        // 8 · (2^61 + 1) wraps a u64, so Eq. 1 cannot price the TAG.
+        let spec = TreeSpec::small(2, 2, 2, 8, [mbps(1000.0), mbps(4000.0), mbps(8000.0)]);
+        let mut topo = Topology::build(&spec);
+        let mut b = TagBuilder::new("wide");
+        let a = b.tier("a", 1);
+        let c = b.tier("c", 1);
+        b.edge(a, c, (1 << 61) + 1, (1 << 61) + 1).unwrap();
+        let fits = Arc::new(b.build().unwrap());
+        let hostile = Arc::new(fits.resized(a, 8).resized(c, 8));
+        assert_eq!(hostile.cut_bound_kbps(), None);
+        let overflow = Some(RejectReason::GuaranteesOverflow);
+        let mut placer = CmPlacer::new(CmConfig::cm());
+        assert_eq!(placer.place(&mut topo, &hostile).err(), overflow);
+        assert_eq!(placer.place_shared(&mut topo, &hostile).err(), overflow);
+        assert_eq!(topo.slots_in_use(), 0);
+        // Both VMs of the TAG that fits share a server; growing a side to
+        // 8 VMs overflows.
+        let mut deployed = placer.place_shared(&mut topo, &fits).unwrap();
+        let placed = deployed.placement(&topo);
+        let grown = Arc::new(fits.resized(a, 8));
+        assert_eq!(grown.cut_bound_kbps(), None);
+        let res = placer.place_incremental(&mut topo, &mut deployed, &grown, a, 8);
+        assert_eq!(res.err(), overflow);
+        assert_eq!(deployed.placement(&topo), placed);
+        assert_eq!(topo.slots_in_use(), 2);
+        for l in 0..topo.num_levels() {
+            assert_eq!(topo.reserved_at_level(l), (0, 0));
+        }
+        topo.check_invariants().unwrap();
     }
 
     #[test]

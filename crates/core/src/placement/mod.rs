@@ -146,6 +146,10 @@ pub enum RejectReason {
     InsufficientSlots,
     /// Slots existed but no placement satisfied the bandwidth guarantees.
     InsufficientBandwidth,
+    /// The TAG's guarantees overflow Eq. 1 ([`crate::model::Tag::cut_bound_kbps`]
+    /// is `None`), so no cut of it can be priced. `TagBuilder::build`
+    /// refuses such a TAG; `Tag::resized` and `Tag::scaled` can make one.
+    GuaranteesOverflow,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -153,6 +157,7 @@ impl std::fmt::Display for RejectReason {
         match self {
             RejectReason::InsufficientSlots => write!(f, "insufficient VM slots"),
             RejectReason::InsufficientBandwidth => write!(f, "insufficient bandwidth"),
+            RejectReason::GuaranteesOverflow => write!(f, "guarantees overflow Eq. 1"),
         }
     }
 }

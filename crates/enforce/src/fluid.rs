@@ -16,10 +16,11 @@
 //! [`FlowSpec`]; it advances a single fill level, and every round
 //! provably freezes at least one flow. A round reads only the links a
 //! min-heap of saturation levels says may be its event or saturate, and
-//! the links of the flows it freezes; each read replays the fill steps the
-//! link missed, so every residual takes the same float operations as if
-//! every round drained every link, and debug builds check each round
-//! against such an eager shadow.
+//! the links of the flows it freezes. Each link keeps an *anchor*, its
+//! residual at some fill level, so a read at any level is one expression,
+//! whatever the rounds the link missed; a freeze re-anchors the links it
+//! touches before their weight sums change. Debug builds check each round
+//! against every live link read eagerly.
 //! A layout's fill can resume from the log of its last one at the first
 //! round its changes could alter (see `Fluid::fill`).
 //! It has two callers.
@@ -428,10 +429,12 @@ pub(crate) const CHANGED: u32 = u32::MAX - 1;
 /// A flow event in [`Round::event`]: its stable id under this bit.
 const FLOW_EVENT: u32 = 1 << 31;
 
-/// A link's phase-2 state: residual, active weight sum and active count.
+/// A link's phase-2 state: its anchor (residual at fill level `level`),
+/// active weight sum and active count.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LinkAt {
     residual: f64,
+    level: f64,
     wsum: f64,
     wcount: u32,
 }
@@ -450,7 +453,7 @@ struct Round {
 }
 
 /// A breakpoint: a link's state after a round that froze one of its
-/// flows.
+/// flows, anchored at that round's fill level.
 #[derive(Debug, Clone, Copy)]
 struct Bp {
     residual: f64,
@@ -482,7 +485,7 @@ pub(crate) struct FillLog {
     /// round's end in [`Round::frozen`]), then those that never froze,
     /// ascending. A resume reopens what froze from its round on.
     frozen: Vec<u32>,
-    /// Local link → its state when phase 2 began.
+    /// Local link → its state when phase 2 began, anchored at level 0.
     pub(crate) start: Vec<LinkAt>,
     /// Local link → the round it saturated in, `NEVER`, or `CHANGED`.
     pub(crate) sat: Vec<u32>,
@@ -966,14 +969,14 @@ pub(crate) struct FillScratch {
     /// Local links whose phase-1 sum a scaling made stale.
     stale: Vec<bool>,
     stale_links: Vec<u32>,
+    /// Local link → its anchor's residual: after phase 1, its residual
+    /// when phase 2 began; in phase 2, its residual at fill level `level`.
     residual: Vec<f64>,
+    /// Local link → its anchor's fill level.
+    level: Vec<f64>,
     wsum: Vec<f64>,
     wcount: Vec<u32>,
     to_freeze: Vec<u32>,
-    /// Each round's fill step `t`, in order.
-    steps: Vec<f64>,
-    /// Local link → how many of `steps` its residual has taken.
-    drained: Vec<u32>,
     /// Every live link (one with `wcount > 0`) once, keyed by the fill
     /// level at which it saturates (a lower bound, see `Fluid::fill`).
     heap: BinaryHeap<Reverse<Key>>,
@@ -981,17 +984,17 @@ pub(crate) struct FillScratch {
     popped: Vec<u32>,
     /// The links this round saturates.
     saturated: Vec<u32>,
-    /// Debug builds: every residual drained eagerly, to check each round
-    /// against.
+    /// Debug builds: every link's residual at the round's level, read
+    /// eagerly, to check each round against.
     #[cfg(debug_assertions)]
     shadow: Vec<f64>,
     /// A changed link's logged freezes: `(round, its place in the round,
     /// index in the link's row)`.
     order: Vec<(u32, u32, u32)>,
-    /// Local link → touched by this round's freezes (logged fills only).
+    /// Local link → touched by this round's freezes.
     mark: Vec<bool>,
     /// The links this round's freezes touched, in the order first touched,
-    /// for their breakpoints.
+    /// for their breakpoints and the link visits.
     touched: Vec<u32>,
     /// The changed links' breakpoints a restore replayed.
     rbp: Vec<Bp>,
@@ -1014,7 +1017,7 @@ pub(crate) struct FillScratch {
     /// Filling rounds of the last solve.
     pub(crate) rounds: usize,
     /// Links the last solve's rounds read: the heap pops plus the links
-    /// first touched by a freeze in a round.
+    /// a round's freezes touched that it did not pop.
     pub(crate) link_visits: usize,
     /// Row entries and fill-log entries the last solve's restore visited:
     /// the changed links' rows it replayed, the freezes it reopened and
@@ -1057,32 +1060,26 @@ fn saturation_level(residual: f64, wsum: f64, fill: f64) -> f64 {
 }
 
 /// How far a heap key may sit above the exact level it bounds, at level
-/// `x`. A key and the exact ratio read later differ only by rounding: a
-/// replay of `k` steps and the fill's `k` additions each round by at most
-/// 2⁻⁵³ relative, so they part by at most about `(2k + 3) · 2⁻⁵³ · |x|`,
-/// under `1e-9 · |x|` for any `k` below four million rounds (a round
-/// freezes a flow, so `k` is at most the flows). The `1e-12` covers `x`
-/// near zero. Debug builds check every round against the eager shadow.
+/// `x`. A key and the ratio a later read gives differ only by the rounding
+/// of the few operations each takes from the same anchor, a handful of
+/// 2⁻⁵³ relative to `|x|`, however many rounds the link missed; the
+/// `1e-12` covers `x` near zero. Debug builds check every round against
+/// every live link read eagerly.
 #[inline]
 fn slack(x: f64) -> f64 {
     1e-9 * x.abs() + 1e-12
 }
 
-/// Apply to link `li`'s residual the fill steps it has not taken, in
-/// order, as rounds draining every link would have: `residual -= wsum × t`
-/// per step, none while `wsum ≤ 0`. `wsum` has not changed since the
-/// link's last catch-up: a freeze catches a link up before it changes its
-/// sum.
+/// The residual at fill level `fill` of a link anchored at `residual` at
+/// level `level` under active weight `wsum`: it drains by `wsum` per unit
+/// of level, not at all while `wsum ≤ 0`.
 #[inline]
-fn catch_up(residual: &mut [f64], drained: &mut [u32], steps: &[f64], li: usize, wsum: f64) {
+fn residual_at(residual: f64, wsum: f64, level: f64, fill: f64) -> f64 {
     if wsum > 0.0 {
-        let mut r = residual[li];
-        for &t in &steps[drained[li] as usize..] {
-            r -= wsum * t;
-        }
-        residual[li] = r;
+        residual - wsum * (fill - level)
+    } else {
+        residual
     }
-    drained[li] = steps.len() as u32;
 }
 
 /// A fluid network: capacitated links and flows. It keeps no per-link
@@ -1243,29 +1240,32 @@ impl Fluid {
     /// Phase 1 starts from the layout's floor sums and re-sums only the
     /// rows a scaling touched; every other row holds the same values in
     /// the same order, so its sum is the same bits. Phase 2's rounds drain
-    /// lazily: a link's residual is drained only when a round reads it, by
-    /// replaying in order every fill step since its last read
-    /// (`catch_up`), so it goes through the same float operations, with the
-    /// same weight sum, as if every round drained every live link (one
-    /// still carrying an active flow). A min-heap holds every live link
-    /// keyed by the fill level at which it reaches the saturation threshold
+    /// lazily: each link keeps an anchor, its residual `r_a` at a fill
+    /// level `f_a`, and a read at level `f` is `r_a − wsum·(f − f_a)`
+    /// (`residual_at`; `r_a` while `wsum ≤ 0`), one expression however
+    /// many rounds the link missed. A read never writes. A min-heap holds
+    /// every live link (one still carrying an active flow) keyed by the
+    /// fill level at which its anchor reaches the saturation threshold
     /// (`saturation_level`). A round pops the links whose key could beat
-    /// the best exact ratio read so far, then those that may saturate at the
-    /// new level, and reads them; a popped link that does not saturate is
-    /// keyed afresh. The saturated links' flows freeze in ascending link
-    /// order. A link a freeze touches is caught up before its weight sum
-    /// changes and keeps its key: a lower weight sum only raises the true
-    /// level, so the old key stays a lower bound (within `slack`). A round
-    /// costs its pops and replays plus the frozen flows' path lengths, not
-    /// the live links. Debug builds drain a shadow of every residual
-    /// eagerly and check each round's event (by a scan of every link),
-    /// step, saturated links and every residual read against it.
+    /// the best exact ratio read so far, then those that may saturate at
+    /// the new level, and reads them; a popped link that does not saturate
+    /// is keyed afresh. The event's link is anchored at exactly zero, and
+    /// the saturated links' flows freeze in ascending link order. A freeze
+    /// re-anchors each link of the frozen flow's path at the round's level
+    /// before its weight sum changes (again in the same round changes
+    /// nothing: `x − w·0 = x`), and the link keeps its key: a lower weight
+    /// sum only raises the true level, so the old key stays a lower bound
+    /// (within `slack`). A round costs its pops plus the frozen flows' path
+    /// lengths, not the live links. Debug builds read every live link
+    /// eagerly each round and check the round's event (by a scan of every
+    /// link), step, saturated links and every lazy read against it.
     ///
     /// Phase 2 also writes `log`, the layout's fill log: each round's
     /// level, step and event, each flow's freeze round, the freezes in
     /// round order, each link's phase-2 start and saturation round, and a
     /// breakpoint (residual, weight sum, active count) for each link after
-    /// each round that froze one of its flows. When `log` describes the
+    /// each round that froze one of its flows (its anchor at that round's
+    /// level). When `log` describes the
     /// layout's last fill and neither fill's phase 1 scaled a link, phase
     /// 2 first finds the first logged round the layout's changes since
     /// could alter (`divergence`), restores the state at its start from
@@ -1385,7 +1385,7 @@ impl Fluid {
             }
             k => s.restore(lay, local, log, k),
         };
-        s.lazy_keys(log);
+        s.lazy_keys();
         let fill = log.rounds.last().map_or(0.0, |r| r.fill);
         let fill = s.lazy_rounds(lay, local, remaining, fill, log);
         log.cut = u32::MAX;
@@ -1438,12 +1438,14 @@ fn link_start(lay: &Layout, residual: &[f64], li: usize) -> LinkAt {
 
 /// Replay changed local link `li` from its phase-2 start `at` through the
 /// logged rounds before `until`, with the kernel's arithmetic: a round
-/// drains it by its step, then its flows that froze in that round leave
-/// its sums in the round's freeze order, and `on_bp` sees it after each
-/// round that froze one of them. Returns the first round it could change:
-/// its ratio within `slack` of the round's step (the event, or a tie with
-/// it), or its drained residual at the saturation threshold; `until` if
-/// none. `at` is then its state entering round `until` (or left idle).
+/// reads it at its levels, and one that froze some of its flows
+/// re-anchors it at the round's level before they leave its sums in the
+/// round's freeze order; `on_bp` sees it after each such round. Returns
+/// the first round it could change: its ratio within `slack` of the
+/// round's step (the event, or a tie with it), or its residual at the
+/// round's level at the saturation threshold; `until` if none. `at` is
+/// then its state entering round `until` (or left idle), anchored where
+/// the kernel last anchored it.
 ///
 /// A round freezes the flows of its saturated links by ascending link,
 /// each link's along its row, then its event flow, then the flows at their
@@ -1506,31 +1508,32 @@ fn replay(
         .iter()
         .map(|&(_, _, j)| row[j as usize] as usize)
         .peekable();
+    let read = |at: &LinkAt, fill| residual_at(at.residual, at.wsum, at.level, fill);
+    let mut before = 0.0;
     for (j, r) in rounds[..until].iter().enumerate() {
         if at.wcount == 0 {
             break;
         }
-        if at.wsum > 0.0 {
-            if at.residual / at.wsum <= r.t + slack(r.t) {
-                return j;
-            }
-            at.residual -= at.wsum * r.t;
-        }
-        if at.residual <= 1e-6 {
+        if at.wsum > 0.0 && read(at, before) / at.wsum <= r.t + slack(r.t) {
             return j;
         }
-        let mut froze_one = false;
+        let now = read(at, r.fill);
+        if now <= 1e-6 {
+            return j;
+        }
+        before = r.fill;
+        if next.peek().is_none_or(|&i| froze[i] as usize != j + 1) {
+            continue;
+        }
+        (at.residual, at.level) = (now, r.fill);
         while let Some(i) = next.next_if(|&i| froze[i] as usize == j + 1) {
             at.wsum -= lay.weight[i];
             at.wcount -= 1;
             if at.wcount == 0 {
                 at.wsum = 0.0;
             }
-            froze_one = true;
         }
-        if froze_one {
-            on_bp(j as u32, at);
-        }
+        on_bp(j as u32, at);
     }
     until
 }
@@ -1614,21 +1617,18 @@ impl FillScratch {
             active,
             finite,
             residual,
+            level,
             wsum,
             wcount,
-            steps,
-            drained,
             mark,
             touched,
             ..
         } = self;
         mark.clear();
+        mark.resize(nll, false);
         touched.clear();
-        fit(steps, n + 1);
-        steps.clear();
-        fit(drained, nll);
-        drained.clear();
-        drained.resize(nll, 0);
+        level.clear();
+        level.resize(nll, 0.0);
         active.clear();
         active.extend((0..n).map(|i| rate[i] + 1e-9 < lay.demand[i]));
         let remaining = active.iter().filter(|&&a| a).count();
@@ -1660,13 +1660,13 @@ impl FillScratch {
         if !log.ok {
             return remaining;
         }
-        mark.resize(nll, false);
         log.froze.clear();
         log.froze
             .extend(active.iter().map(|&a| if a { NEVER } else { 0 }));
         log.start.clear();
         log.start.extend((0..nll).map(|li| LinkAt {
             residual: residual[li],
+            level: 0.0,
             wsum: wsum[li],
             wcount: wcount[li],
         }));
@@ -1676,9 +1676,9 @@ impl FillScratch {
     }
 
     /// Phase 2's state at the start of logged round `k` (at least 1): an
-    /// unchanged link takes its last breakpoint before `k` (or its phase-2
-    /// start) and the steps since, to be replayed as it is read
-    /// (`drained`); a changed link takes what its [`replay`] reaches. A
+    /// unchanged link takes its last breakpoint before `k` as its anchor
+    /// (or its phase-2 start, at level 0); a changed link takes what its
+    /// [`replay`] reaches, anchor included. A
     /// flow frozen before `k` keeps the rate its freeze gave it; the flows
     /// the log lists as frozen from `k` on (or never) and the added ones
     /// are active again (`reopened`), from their starting rates. The log
@@ -1692,11 +1692,10 @@ impl FillScratch {
             active,
             finite,
             residual,
+            level,
             wsum,
             wcount,
             order,
-            steps,
-            drained,
             reopened,
             mark,
             touched,
@@ -1721,8 +1720,8 @@ impl FillScratch {
         wsum.resize(nll, 0.0);
         wcount.clear();
         wcount.resize(nll, 0);
-        drained.clear();
-        drained.resize(nll, 0);
+        level.clear();
+        level.resize(nll, 0.0);
         mark.clear();
         mark.resize(nll, false);
         touched.clear();
@@ -1753,7 +1752,6 @@ impl FillScratch {
                         });
                     },
                 );
-                drained[li] = kk;
                 at
             } else {
                 if sat[li] >= kk {
@@ -1761,13 +1759,13 @@ impl FillScratch {
                 }
                 start[li]
             };
-            residual[li] = at.residual;
-            wsum[li] = at.wsum;
-            wcount[li] = at.wcount;
+            (residual[li], level[li]) = (at.residual, at.level);
+            (wsum[li], wcount[li]) = (at.wsum, at.wcount);
         }
         // The breakpoints before round `k` of the links kept unchanged, in
-        // one pass: renumbered, each setting its link's state (the last
-        // one before `k` wins); then the changed links' merged in by round.
+        // one pass: renumbered, each anchoring its link at its round's
+        // level (the last one before `k` wins); then the changed links'
+        // merged in by round.
         let end = bps.partition_point(|b| b.round < kk);
         let mut w = 0;
         for r in 0..end {
@@ -1777,8 +1775,8 @@ impl FillScratch {
                 continue;
             }
             let l = to as usize;
-            (residual[l], wsum[l], wcount[l]) = (b.residual, b.wsum, b.wcount);
-            drained[l] = b.round + 1;
+            (residual[l], level[l]) = (b.residual, rounds[b.round as usize].fill);
+            (wsum[l], wcount[l]) = (b.wsum, b.wcount);
             bps[w] = Bp { link: to, ..b };
             w += 1;
         }
@@ -1849,53 +1847,30 @@ impl FillScratch {
         finite.clear();
         finite.extend(lay.finite.iter().filter(|&&i| active[i as usize]));
         rounds.truncate(k);
-        steps.clear();
-        steps.extend(rounds.iter().map(|r| r.t));
         remaining
     }
 
-    /// The rounds' heap: every live link keyed by the level at which it
-    /// saturates, from its residual as of the steps it has taken.
-    fn lazy_keys(&mut self, log: &FillLog) {
+    /// The rounds' heap: every live link keyed by the level at which its
+    /// anchor saturates.
+    fn lazy_keys(&mut self) {
         let FillScratch {
             residual,
+            level,
             wsum,
             wcount,
-            drained,
             heap,
-            #[cfg(debug_assertions)]
-            shadow,
-            #[cfg(debug_assertions)]
-            steps,
             ..
         } = self;
-        let level = |d: u32| match d {
-            0 => 0.0,
-            d => log.rounds[d as usize - 1].fill,
-        };
-        let live = || (0..wcount.len()).filter(|&l| wcount[l] > 0);
         let mut keys = std::mem::take(heap).into_vec();
         fit(&mut keys, residual.len());
         keys.clear();
-        keys.extend(live().map(|l| {
+        keys.extend((0..wcount.len()).filter(|&l| wcount[l] > 0).map(|l| {
             Reverse(key(
-                saturation_level(residual[l], wsum[l], level(drained[l])),
+                saturation_level(residual[l], wsum[l], level[l]),
                 l as u32,
             ))
         }));
         *heap = BinaryHeap::from(keys);
-        #[cfg(debug_assertions)]
-        {
-            shadow.clear();
-            shadow.extend_from_slice(residual);
-            for l in live() {
-                if wsum[l] > 0.0 {
-                    for &t in &steps[drained[l] as usize..] {
-                        shadow[l] -= wsum[l] * t;
-                    }
-                }
-            }
-        }
     }
 
     /// Phase 2's rounds from level `fill`, each reading only the links it
@@ -1915,11 +1890,10 @@ impl FillScratch {
             active,
             finite,
             residual,
+            level,
             wsum,
             wcount,
             to_freeze,
-            steps,
-            drained,
             heap,
             popped,
             saturated,
@@ -1929,9 +1903,17 @@ impl FillScratch {
             shadow,
             ..
         } = self;
+        // Every link's residual at level `fill`, read eagerly.
+        #[cfg(debug_assertions)]
+        let eager = |shadow: &mut Vec<f64>, residual: &[f64], level: &[f64], wsum: &[f64], fill| {
+            shadow.clear();
+            shadow.extend((0..nll).map(|l| residual_at(residual[l], wsum[l], level[l], fill)));
+        };
         let (mut rounds, mut link_visits) = (0usize, 0usize);
         let logged = log.ok;
         while remaining > 0 {
+            #[cfg(debug_assertions)]
+            eager(shadow, residual, level, wsum, fill);
             // The link event: pop every link whose key could beat the best
             // exact ratio read so far, and read it.
             let mut t = f64::INFINITY;
@@ -1948,11 +1930,13 @@ impl FillScratch {
                 if wcount[li] == 0 {
                     continue; // drained by a freeze since it was keyed
                 }
-                catch_up(residual, drained, steps, li, wsum[li]);
                 popped.push(li as u32);
                 let w = wsum[li];
                 if w > 0.0 {
-                    let tl = residual[li] / w;
+                    let r = residual_at(residual[li], w, level[li], fill);
+                    #[cfg(debug_assertions)]
+                    assert_eq!(r.to_bits(), shadow[li].to_bits(), "link {li}");
+                    let tl = r / w;
                     if tl < t || (tl <= t && event_link.is_some_and(|e| li < e)) {
                         t = tl;
                         event_link = Some(li);
@@ -1962,17 +1946,11 @@ impl FillScratch {
                 }
             }
             #[cfg(debug_assertions)]
-            {
-                for &li in popped.iter() {
-                    let li = li as usize;
-                    assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
-                }
-                assert_eq!(
-                    full_scan(shadow, wsum),
-                    (event_link, t.to_bits()),
-                    "lazy round chose another event than the eager full scan"
-                );
-            }
+            assert_eq!(
+                full_scan(shadow, wsum),
+                (event_link, t.to_bits()),
+                "lazy round chose another event than the eager full scan"
+            );
             rounds += 1;
             // The flow event: the finite-demand flow that reaches its
             // demand first, if it does so before the link event.
@@ -1993,11 +1971,10 @@ impl FillScratch {
             }
             let t = t.max(0.0);
             fill += t;
-            steps.push(t);
             // Saturation: pop every link that may reach the threshold at
-            // the new level; drain the popped links, pin the event's link
-            // at exactly zero, and key again each one that did not
-            // saturate.
+            // the new level; read the popped links at it, anchor the
+            // event's link at exactly zero, and key again each one that
+            // did not saturate.
             let bound = ordered(fill + slack(fill));
             while let Some(&Reverse(k)) = heap.peek() {
                 if (k >> 32) as u64 > bound {
@@ -2009,18 +1986,29 @@ impl FillScratch {
                     popped.push(k as u32);
                 }
             }
+            #[cfg(debug_assertions)]
+            {
+                eager(shadow, residual, level, wsum, fill);
+                if let Some(l) = event_link {
+                    shadow[l] = 0.0;
+                }
+            }
             saturated.clear();
             for &li in popped.iter() {
                 let l = li as usize;
-                catch_up(residual, drained, steps, l, wsum[l]);
-                if event_link == Some(l) {
-                    residual[l] = 0.0;
-                }
-                if residual[l] <= 1e-6 {
+                let r = if event_link == Some(l) {
+                    (residual[l], level[l]) = (0.0, fill);
+                    0.0
+                } else {
+                    residual_at(residual[l], wsum[l], level[l], fill)
+                };
+                #[cfg(debug_assertions)]
+                assert_eq!(r.to_bits(), shadow[l].to_bits(), "link {l}");
+                if r <= 1e-6 {
                     saturated.push(li);
                 } else {
                     heap.push(Reverse(key(
-                        saturation_level(residual[l], wsum[l], fill),
+                        saturation_level(residual[l], wsum[l], level[l]),
                         li,
                     )));
                 }
@@ -2029,24 +2017,10 @@ impl FillScratch {
             #[cfg(debug_assertions)]
             {
                 let mut lazy_sat = saturated.iter();
-                for li in 0..nll {
-                    if wcount[li] > 0 {
-                        if wsum[li] > 0.0 {
-                            shadow[li] -= wsum[li] * t;
-                        }
-                        if event_link == Some(li) {
-                            shadow[li] = 0.0;
-                        }
-                        if shadow[li] <= 1e-6 {
-                            assert_eq!(lazy_sat.next(), Some(&(li as u32)), "unsaturated lazily");
-                        }
-                    }
+                for li in (0..nll).filter(|&l| wcount[l] > 0 && shadow[l] <= 1e-6) {
+                    assert_eq!(lazy_sat.next(), Some(&(li as u32)), "unsaturated lazily");
                 }
                 assert_eq!(lazy_sat.next(), None, "saturated lazily, not eagerly");
-                for &li in popped.iter() {
-                    let li = li as usize;
-                    assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
-                }
             }
             // Freeze the saturated links' flows by ascending link, then the
             // event flow, then every finite flow within 1e-6 of its demand.
@@ -2066,11 +2040,9 @@ impl FillScratch {
                     to_freeze.push(i);
                 }
             }
-            // A frozen flow takes its rate and leaves its links' sums. A
-            // link a freeze touches first this round takes the round's
-            // steps before its weight sum changes. The log takes each flow's
-            // round and its place in the freeze order.
-            let done = steps.len() as u32;
+            // A frozen flow takes its rate and leaves its links' sums, each
+            // link re-anchored at this level first. The log takes each
+            // flow's round and its place in the freeze order.
             let round = log.rounds.len() as u32;
             let mut frozen = 0usize;
             for &i in to_freeze.iter() {
@@ -2086,19 +2058,11 @@ impl FillScratch {
                 }
                 for &gl in lay.paths.row(i) {
                     let li = local[gl as usize] as usize;
-                    if drained[li] < done {
-                        link_visits += 1;
-                        catch_up(residual, drained, steps, li, wsum[li]);
-                        #[cfg(debug_assertions)]
-                        {
-                            assert!(
-                                residual[li] > 1e-6,
-                                "link {li} saturated unpopped: the key slack failed"
-                            );
-                            assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
-                        }
-                    }
-                    if logged && !std::mem::replace(&mut mark[li], true) {
+                    residual[li] = residual_at(residual[li], wsum[li], level[li], fill);
+                    level[li] = fill;
+                    #[cfg(debug_assertions)]
+                    assert_eq!(residual[li].to_bits(), shadow[li].to_bits(), "link {li}");
+                    if !std::mem::replace(&mut mark[li], true) {
                         touched.push(li as u32);
                     }
                     wsum[li] -= lay.weight[i];
@@ -2114,24 +2078,29 @@ impl FillScratch {
                 "filling round froze no flow: termination invariant broken"
             );
             remaining -= frozen;
-            if logged {
-                // A breakpoint for each link the round touched; each one
-                // it saturated notes the round.
-                for &link in touched.iter() {
-                    let l = link as usize;
-                    mark[l] = false;
-                    if wcount[l] == 0 && residual[l] <= 1e-6 {
-                        log.sat[l] = round;
-                    }
-                    log.bps.push(Bp {
-                        residual: residual[l],
-                        wsum: wsum[l],
-                        wcount: wcount[l],
-                        round,
-                        link,
-                    });
+            link_visits += touched.len();
+            link_visits -= popped.iter().filter(|&&l| mark[l as usize]).count();
+            // A breakpoint for each link the round touched; each one it
+            // saturated notes the round.
+            for &link in touched.iter() {
+                let l = link as usize;
+                mark[l] = false;
+                if !logged {
+                    continue;
                 }
-                touched.clear();
+                if wcount[l] == 0 && residual[l] <= 1e-6 {
+                    log.sat[l] = round;
+                }
+                log.bps.push(Bp {
+                    residual: residual[l],
+                    wsum: wsum[l],
+                    wcount: wcount[l],
+                    round,
+                    link,
+                });
+            }
+            touched.clear();
+            if logged {
                 let event = match (event_flow, event_link) {
                     (Some(i), _) => lay.flows[i as usize] | FLOW_EVENT,
                     (None, Some(l)) => lay.links[l],
@@ -2275,8 +2244,9 @@ mod tests {
 
         /// Every round, on networks of one to 3,000 links, against the
         /// eager shadow: debug builds check each round's event, step,
-        /// saturated links and every residual read against residuals
-        /// drained by every round. A round freezes at least one flow.
+        /// saturated links and every residual read against every live
+        /// link read at the round's level. A round freezes at least one
+        /// flow.
         #[test]
         fn every_round_matches_the_eager_shadow_bit_for_bit(
             links in prop::sample::select(vec![1usize, 2, 3, 8, 40, 300, 1023, 1024, 1800, 3000]),

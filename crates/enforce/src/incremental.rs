@@ -52,9 +52,9 @@
 //!   fat-tree where placement keeps tenants in rack/pod-scoped
 //!   components. Within a component a round drains lazily: it reads only
 //!   the links a heap says may be its event or saturate, and those its
-//!   freezes touch, with every rate the bits a scan of every link per
-//!   round gives (see [`crate::fluid`]). [`SolveStats`] counts the rounds
-//!   and the link visits.
+//!   freezes touch, each in one expression from the residual the link was
+//!   last anchored at (see [`crate::fluid`]). [`SolveStats`] counts the
+//!   rounds and the link visits.
 //! * **Resumed fills.** A component re-solves from the first round of its
 //!   last fill that the step's churn could change, not from round 0; see
 //!   below.
@@ -106,10 +106,11 @@
 //! tied with it nor saturated; no removed flow froze and no touched link
 //! saturated; no added flow reached its demand. So the state at k\* is
 //! the state a fill from round 0 reaches there: an unchanged link's is its
-//! last breakpoint before k\* plus the logged steps since (replayed as it
-//! is read, as the kernel's rounds replay), a changed link's is what its
-//! replay reached, and a flow frozen before k\* keeps the rate its round's
-//! fill level gave it, which its slot still holds. So the restore reopens
+//! last breakpoint before k\*, the anchor that round left it at (a link
+//! is re-anchored only in a round that froze one of its flows), a changed
+//! link's is what its replay reached, anchor included, and a flow frozen
+//! before k\* keeps the rate its round's fill level gave it, which its
+//! slot still holds. So the restore reopens
 //! only the flows the log lists as frozen from k\* on, and the added ones;
 //! it never passes over every flow. The log a resumed fill leaves is, entry
 //! for entry, the one a fill from round 0 leaves. Debug builds run that
@@ -202,9 +203,9 @@ pub struct SolveStats {
     /// most the number of flows re-solved.
     pub fill_rounds: usize,
     /// Σ over those rounds of the links a round reads: the links it pops
-    /// from its heap and the links its freezes touch first. At most
-    /// `fill_rounds` × the dirty components' links. Like every field here,
-    /// a deterministic count.
+    /// from its heap and the links its freezes touch that it did not pop.
+    /// At most `fill_rounds` × the dirty components' links. Like every
+    /// field here, a deterministic count.
     pub link_visits: usize,
     /// Flow specs the solve read: the flows added since the last solve.
     /// Every other flow of a dirty component comes from its stored layout.
@@ -2087,8 +2088,8 @@ mod tests {
     /// uplinks under two ToR uplinks under a pod uplink. The server links
     /// saturate first and leave the heap while the fill continues above
     /// them, so the rounds visit strictly fewer links than a full scan per
-    /// round would: 13 visits (heap pops and links a freeze touches
-    /// first), where a scan of the live links would read 7 + 5 + 3.
+    /// round would: 13 visits (heap pops and the unpopped links a freeze
+    /// touches), where a scan of the live links would read 7 + 5 + 3.
     #[test]
     fn kernel_counters_bound_rounds_and_link_visits() {
         let caps = [300.0, 450.0, 500.0, 700.0, 1000.0, 1300.0, 4000.0];
@@ -2427,6 +2428,43 @@ mod tests {
         c.remove(bridge);
         let s = c.solve_and_check();
         assert_eq!((s.components_dirty, s.rounds_reused), (2, 21), "{s:?}");
+    }
+
+    /// A changed link resumed long after its last touch reads from the
+    /// anchor that touch left, as a fill from round 0 does. Links 0 to
+    /// 149 each carry one flow up to the hub (link 152) and saturate one a
+    /// round, at levels 100 to 249. Link 150 carries flow X (weight 0.9)
+    /// to link 151 and saturates first, at level 50.5, so round 0
+    /// re-anchors link 151;
+    /// link 151 is left with flow Y (weight 3.3, up to the hub) and
+    /// saturates near level 235.5. A new capacity for link 151 and the
+    /// removal of link 120's flow, which froze in round 121, resume the
+    /// fill at round 121: link 151 is replayed there from round 0's anchor.
+    #[test]
+    fn a_changed_link_untouched_for_a_hundred_rounds_resumes_bit_equal() {
+        let (x_link, w_link, hub) = (150, 151, 152);
+        let mut caps: Vec<f64> = (0..150).map(|i| (100.0 + i as f64) * 1e4).collect();
+        caps.extend([0.9 * 50.5, 0.9 * 50.5 + 3.3 * 235.5, 1e12]);
+        let mut c = Churned::new(&caps);
+        let ids: Vec<u32> = (0..150u32)
+            .map(|i| {
+                let mut spec = FlowSpec::greedy(vec![i as usize, hub]);
+                spec.weight = 1e4;
+                c.add_spec(spec, (1, i))
+            })
+            .collect();
+        let mut x = FlowSpec::greedy(vec![x_link, w_link]);
+        x.weight = 0.9;
+        c.add_spec(x, (2, 0));
+        let mut y = FlowSpec::greedy(vec![w_link, hub]);
+        y.weight = 3.3;
+        c.add_spec(y, (2, 1));
+        let s = c.solve_and_check();
+        assert_eq!((s.fill_rounds, s.rounds_reused), (152, 0), "{s:?}");
+        c.set_cap(w_link, caps[w_link] + 0.7);
+        c.remove(ids[120]);
+        let s = c.solve_and_check();
+        assert_eq!((s.rounds_reused, s.fill_rounds), (121, 30), "{s:?}");
     }
 
     /// Re-expanding one 8-flow tenant — every flow removed and re-added

@@ -167,7 +167,9 @@ pub fn run_sim<P: Placer>(cfg: &SimConfig, pool: &TenantPool, placer: P) -> SimR
                 counts.rejected_bw_kbps += bw;
                 match reason {
                     RejectReason::InsufficientSlots => counts.rejected_for_slots += 1,
-                    RejectReason::InsufficientBandwidth => counts.rejected_for_bandwidth += 1,
+                    RejectReason::InsufficientBandwidth | RejectReason::GuaranteesOverflow => {
+                        counts.rejected_for_bandwidth += 1
+                    }
                 }
             }
         }

@@ -617,8 +617,12 @@ fn digest_step(cluster: &Cluster<CmPlacer>, report: &TrafficReport, d: &mut Dige
 /// re-recorded when a re-solve of a giant component (or of the largest
 /// piece of a split one) began to resume its fill log and re-score only
 /// the tenants and links of the flows frozen from the resumed round on;
-/// the rate digest did not move. Debug builds check a
-/// short prefix of the stream, release builds the whole stream.
+/// the rate digest did not move. The rate digest was re-recorded when
+/// the kernel began to read a link from the residual it was last
+/// anchored at instead of replaying every fill step it missed: in the
+/// short prefix 23 % of the rates moved, by at most 1.6e-14 relative,
+/// and the cost digest did not move. Debug builds check a short prefix
+/// of the stream, release builds the whole stream.
 #[test]
 fn spine_churn_rates_are_pinned() {
     const TARGET_LIVE: usize = 740;
@@ -689,8 +693,8 @@ fn spine_churn_rates_are_pinned() {
         }
     }
     let want: [(usize, u64, u64); 2] = [
-        (short, 11720178079518582413, 18031796084908673235),
-        (full, 2400785733669381534, 6677234195534498472),
+        (short, 8673461055938628903, 18031796084908673235),
+        (full, 2794029106685601690, 6677234195534498472),
     ];
     assert_eq!(marks, want[..marks.len()]);
 }
